@@ -8,13 +8,17 @@ use hpacml_tensor::gemm::{self, ASource, BSource, PackedA, PackedB};
 use hpacml_tensor::{Act, Epilogue, Tensor};
 use std::hint::black_box;
 
-/// The w128 MLP's three layers at batch 1024, plus the 4-filter conv GEMM
-/// shape of the CNN baseline (`out[f, oh*ow] = W[f, ckk] · col`).
-const SHAPES: [(usize, usize, usize); 4] = [
+/// The w128 MLP's three layers at batch 1024, the 4-filter conv GEMM
+/// shape of the CNN baseline (`out[f, oh*ow] = W[f, ckk] · col`), and the
+/// two skinny layers of the 5→8→1 stencil surrogate on a 256×256 interior
+/// (narrow-N tiles: `n = 8` and `n = 1`).
+const SHAPES: [(usize, usize, usize); 6] = [
     (1024, 6, 128),
     (1024, 128, 64),
     (1024, 64, 1),
     (4, 36, 1152),
+    (65536, 5, 8),
+    (65536, 8, 1),
 ];
 
 fn mat(m: usize, n: usize, seed: u64) -> Tensor<f32> {

@@ -5,6 +5,23 @@
 //! invocation — `gather` for `map(to: ...)`, `scatter` for `map(from: ...)`.
 //! Repeat invocations go through [`crate::cache::PlanCache`], which skips
 //! compilation entirely for a previously seen key.
+//!
+//! # What compile leaves for the hot path
+//!
+//! [`compile`] validates every RHS slice (bounds, and that its trailing
+//! dimensions hold exactly the feature columns the LHS reserves for it) and
+//! classifies it for the tensor layer's run-length copy kernel: per sweep
+//! point, `run` contiguous elements at `offset + Σ idx·stride`, landing at
+//! feature column `col`. A point slice is a run of 1, `[i, j-1:j+2]` a run
+//! of 3; a non-contiguous (stepped) feature range is unrolled into
+//! single-element runs here, once. Adjacent sweep axes that every view
+//! steps through contiguously are merged (a full-array identity map walks
+//! one axis: a single `memcpy`). Gather and scatter then make **one fused
+//! pass** per sample: the outer axes are walked once, and at each position
+//! every view's runs along the innermost axis are copied into (or out of)
+//! that position's block of LHS rows, so the block is written while it is
+//! cache-resident by all slices together rather than once per slice — with
+//! no shape analysis, division or allocation per call.
 
 use crate::extract::extract;
 use crate::resolve::{resolve_slice, resolve_sweep};
@@ -19,15 +36,26 @@ use hpacml_tensor::{gather_chunks_raw, scatter_chunks_raw, Tensor};
 /// for parallel single-view gathers.
 const PAR_ELEMS: usize = 1 << 16;
 
-/// One RHS slice as a *validated* raw strided view over a per-sample
-/// application array: `(offset, dims, strides)` checked against the array
-/// bounds once at compile time, so every later gather/scatter runs the raw
-/// copy kernels with no per-call view construction (and no allocation).
+/// Sweep ranks the allocation-free odometer of the hot path covers; deeper
+/// sweeps are rejected by [`compile`].
+const MAX_SWEEP_RANK: usize = 16;
+
+/// One RHS slice (or one contiguous piece of it) as a *validated* and
+/// *classified* strided view over a per-sample application array: every
+/// sweep point owns `run` contiguous elements starting at
+/// `offset + Σ idx[a] · stride[a]` (the strides live, view-major, in
+/// [`CompiledMap::view_strides`]), landing at feature column `col` of that
+/// point's LHS row. Bounds and shape are checked once in [`compile`], so
+/// every later gather/scatter runs the run-length copy kernel with no
+/// per-call shape analysis, view construction or allocation.
 #[derive(Debug, Clone)]
 struct CompiledView {
     offset: usize,
-    dims: Vec<usize>,
-    strides: Vec<usize>,
+    /// Contiguous elements per sweep point — the kernel class (the tensor
+    /// layer copies runs of 1..=4 with a compile-time length).
+    run: usize,
+    /// Feature column of the run inside one sweep row.
+    col: usize,
 }
 
 /// A fully resolved tensor map, ready to move data.
@@ -50,12 +78,19 @@ pub struct CompiledMap {
     pub lhs_shape: Vec<usize>,
     /// Elements contributed per sweep point by each RHS slice.
     pub elem_counts: Vec<usize>,
-    /// Feature-axis start offset of each RHS slice inside one sweep row
-    /// (prefix sums of `elem_counts`).
-    col_offsets: Vec<usize>,
     /// Total features per sweep point (sum of `elem_counts`).
     feat_total: usize,
+    /// Extents of the axes gather/scatter walk: `sweep_counts` with every
+    /// run of axes that all views step through contiguously merged into one
+    /// (a full-array identity map walks a single axis: one `memcpy`). Never
+    /// empty: a functor without sweep symbols walks one axis of extent 1.
+    walk_counts: Vec<usize>,
+    /// The RHS slices in feature-column order, one entry per contiguous run.
     views: Vec<CompiledView>,
+    /// Memory stride of every view along every walk axis, view-major:
+    /// `walk_counts.len()` entries per view, outermost axis first (the last
+    /// one is the copy kernel's source step).
+    view_strides: Vec<usize>,
 }
 
 impl CompiledMap {
@@ -82,49 +117,76 @@ impl CompiledMap {
         Ok(())
     }
 
-    /// Gather one sample's RHS slices into its interleaved position in a
-    /// per-sample `[sweep..., features]` chunk. The precompiled view parts
-    /// were bounds-checked at compile time against the per-sample array.
+    /// Walk the outer axes once, in row-major order, and hand `f` every
+    /// view's innermost-axis row at every outer position:
+    /// `f(row, view, base, step)` with `row` the linear outer position,
+    /// `base` the flat array offset of the view's first run there and `step`
+    /// its stride along the inner axis. Allocation-free.
     #[inline]
-    fn gather_sample(&self, sample: &[f32], dst: &mut [f32]) {
-        for ((cv, &elems), &col) in self
-            .views
-            .iter()
-            .zip(&self.elem_counts)
-            .zip(&self.col_offsets)
-        {
-            gather_chunks_raw(
-                sample,
-                cv.offset,
-                &cv.dims,
-                &cv.strides,
-                &mut dst[col..],
-                elems,
-                self.feat_total,
-            );
+    fn for_each_view_row(&self, mut f: impl FnMut(usize, &CompiledView, usize, usize)) {
+        let rank = self.walk_counts.len();
+        let outer = &self.walk_counts[..rank - 1];
+        let mut idx = [0usize; MAX_SWEEP_RANK];
+        let idx = &mut idx[..outer.len()];
+        for row in 0..outer.iter().product() {
+            for (cv, strides) in self.views.iter().zip(self.view_strides.chunks_exact(rank)) {
+                let base = idx
+                    .iter()
+                    .zip(strides)
+                    .fold(cv.offset, |o, (i, s)| o + i * s);
+                f(row, cv, base, strides[rank - 1]);
+            }
+            // Odometer step over the outer axes.
+            for axis in (0..outer.len()).rev() {
+                idx[axis] += 1;
+                if idx[axis] < outer[axis] {
+                    break;
+                }
+                idx[axis] = 0;
+            }
         }
     }
 
-    /// Scatter one sample's `[sweep..., features]` chunk back through the
-    /// precompiled strided views into the per-sample application array.
+    /// Gather one sample into its `[sweep..., features]` chunk in a single
+    /// fused pass: walk the outer axes once and, per position, copy every
+    /// view's runs along the innermost axis into that position's
+    /// (cache-resident) block of LHS rows — each destination line is
+    /// written once, by all slices, instead of once per slice.
     #[inline]
-    fn scatter_sample(&self, src: &[f32], sample: &mut [f32]) {
-        for ((cv, &elems), &col) in self
-            .views
-            .iter()
-            .zip(&self.elem_counts)
-            .zip(&self.col_offsets)
-        {
-            scatter_chunks_raw(
+    fn gather_sample(&self, sample: &[f32], dst: &mut [f32]) {
+        let inner = self.walk_counts[self.walk_counts.len() - 1];
+        let block = inner * self.feat_total;
+        self.for_each_view_row(|row, cv, base, step| {
+            gather_chunks_raw(
                 sample,
-                cv.offset,
-                &cv.dims,
-                &cv.strides,
-                &src[col..],
-                elems,
+                base,
+                inner,
+                step,
+                &mut dst[row * block + cv.col..(row + 1) * block],
+                cv.run,
                 self.feat_total,
             );
-        }
+        });
+    }
+
+    /// Scatter one sample's `[sweep..., features]` chunk back through the
+    /// precompiled views into the per-sample application array — the same
+    /// fused walk as [`CompiledMap::gather_sample`], copying the other way.
+    #[inline]
+    fn scatter_sample(&self, src: &[f32], sample: &mut [f32]) {
+        let inner = self.walk_counts[self.walk_counts.len() - 1];
+        let block = inner * self.feat_total;
+        self.for_each_view_row(|row, cv, base, step| {
+            scatter_chunks_raw(
+                sample,
+                base,
+                inner,
+                step,
+                &src[row * block + cv.col..(row + 1) * block],
+                cv.run,
+                self.feat_total,
+            );
+        });
     }
 
     /// Memory concretization, application → tensor space: gather each RHS
@@ -290,41 +352,87 @@ pub fn compile(
     }
 
     let sweep = resolve_sweep(&info.sweep_syms, &map.target, binds)?;
+    if sweep.len() > MAX_SWEEP_RANK {
+        return Err(BridgeError::Plan(format!(
+            "functor `{}` sweeps {} dimensions; at most {MAX_SWEEP_RANK} are supported",
+            info.decl.name,
+            sweep.len()
+        )));
+    }
     let extracts = extract(info)?;
+    if extracts.len() != info.rhs_elem_counts.len() {
+        return Err(BridgeError::Plan(format!(
+            "functor `{}` has {} RHS slice(s) but {} element count(s)",
+            info.decl.name,
+            extracts.len(),
+            info.rhs_elem_counts.len()
+        )));
+    }
     let array_numel: usize = array_dims.iter().product();
     let mut views = Vec::with_capacity(extracts.len());
-    for ex in &extracts {
+    let mut view_strides = Vec::new();
+    let mut col = 0usize;
+    for (ex, &elems) in extracts.iter().zip(&info.rhs_elem_counts) {
         let rv = resolve_slice(ex, array_dims, &sweep)?;
         // Validate bounds now, at compile time, and keep the validated raw
-        // parts — invocations run the raw copy kernels on them directly.
+        // parts — invocations run the raw copy kernel on them directly.
         let (offset, dims, strides) = to_view_parts(&rv, array_numel)?;
-        views.push(CompiledView {
+        // The kernels trust that a slice's trailing (feature) dimensions
+        // hold exactly the `elems` values the LHS row reserves for it: a
+        // disagreement would land runs at wrong columns, silently.
+        let (feat_dims, feat_strides) = (&dims[rv.sweep_rank..], &strides[rv.sweep_rank..]);
+        let view_elems: usize = feat_dims.iter().product();
+        if view_elems != elems {
+            return Err(BridgeError::Plan(format!(
+                "functor `{}`: an RHS slice yields {view_elems} element(s) per sweep point \
+                 but the functor reserves {elems} feature column(s) for it",
+                info.decl.name
+            )));
+        }
+        classify_view(
             offset,
-            dims,
-            strides,
-        });
+            &strides[..rv.sweep_rank],
+            feat_dims,
+            feat_strides,
+            col,
+            &mut views,
+            &mut view_strides,
+        );
+        col += elems;
     }
+    let feat_total = col;
 
     let sweep_counts: Vec<usize> = sweep.iter().map(|s| s.count).collect();
+    // A functor without sweep symbols is one sweep point: an axis of 1.
+    let mut walk_counts = if sweep_counts.is_empty() {
+        vec![1]
+    } else {
+        sweep_counts.clone()
+    };
+    merge_contiguous_axes(&mut walk_counts, &mut view_strides);
     let mut lhs_shape = Vec::with_capacity(info.lhs_dims.len());
     let mut sweep_iter = sweep_counts.iter();
     for d in &info.lhs_dims {
         lhs_shape.push(match d {
-            LhsDim::Sweep(_) => *sweep_iter.next().expect("sweep counts match sweep dims"),
+            LhsDim::Sweep(_) => *sweep_iter.next().ok_or_else(|| {
+                BridgeError::Plan(format!(
+                    "functor `{}` declares more LHS sweep dimensions than sweep symbols",
+                    info.decl.name
+                ))
+            })?,
             LhsDim::Feature(e) => *e,
         });
     }
-
-    let col_offsets: Vec<usize> = info
-        .rhs_elem_counts
-        .iter()
-        .scan(0usize, |acc, &c| {
-            let off = *acc;
-            *acc += c;
-            Some(off)
-        })
-        .collect();
-    let feat_total: usize = info.rhs_elem_counts.iter().sum();
+    // Gather/scatter address the LHS as `sweep points × feat_total` rows.
+    let sweep_points: usize = sweep_counts.iter().product();
+    let lhs_numel: usize = lhs_shape.iter().product();
+    if lhs_numel != sweep_points * feat_total {
+        return Err(BridgeError::Plan(format!(
+            "functor `{}`: LHS shape {lhs_shape:?} has {lhs_numel} elements but the RHS \
+             yields {sweep_points} sweep point(s) × {feat_total} feature(s)",
+            info.decl.name
+        )));
+    }
 
     Ok(CompiledMap {
         direction: map.direction,
@@ -333,10 +441,82 @@ pub fn compile(
         sweep_counts,
         lhs_shape,
         elem_counts: info.rhs_elem_counts.clone(),
-        col_offsets,
         feat_total,
+        walk_counts,
         views,
+        view_strides,
     })
+}
+
+/// Merge every pair of adjacent walk axes that *all* views step through
+/// contiguously (`stride[a] == count[a+1] · stride[a+1]`; the LHS side is
+/// row-major over the sweep, so it always is) into one longer axis: fewer
+/// outer positions to walk, longer inner loops for the copy kernel.
+/// `view_strides` holds `counts.len()` strides per view, view-major.
+fn merge_contiguous_axes(counts: &mut Vec<usize>, view_strides: &mut Vec<usize>) {
+    for a in (0..counts.len() - 1).rev() {
+        let rank = counts.len();
+        if view_strides
+            .chunks_exact(rank)
+            .all(|st| st[a] == counts[a + 1] * st[a + 1])
+        {
+            counts[a] *= counts.remove(a + 1);
+            // Axis `a` now steps like the old `a + 1`: drop every view's
+            // stride at position `a`.
+            let mut at = 0;
+            view_strides.retain(|_| {
+                at += 1;
+                (at - 1) % rank != a
+            });
+        }
+    }
+}
+
+/// Classify one validated RHS slice for the run-length kernel and append it
+/// to `views`. The slice's trailing feature dimensions that are contiguous
+/// in memory collapse into one run per sweep point (`[i, j-1:j+2]` → a run
+/// of 3; a point slice → a run of 1). Feature dimensions that are *not*
+/// contiguous (a stepped range such as `[6*i : 6*i+6 : 2]`) are unrolled
+/// here, once: one view per remaining feature index, each with its own
+/// offset and column — so the per-call path only ever sees runs.
+fn classify_view(
+    offset: usize,
+    sweep_strides: &[usize],
+    feat_dims: &[usize],
+    feat_strides: &[usize],
+    col: usize,
+    views: &mut Vec<CompiledView>,
+    view_strides: &mut Vec<usize>,
+) {
+    let mut run = 1usize;
+    let mut unrolled = feat_dims.len();
+    while unrolled > 0 && feat_strides[unrolled - 1] == run {
+        run *= feat_dims[unrolled - 1];
+        unrolled -= 1;
+    }
+    let pieces: usize = feat_dims[..unrolled].iter().product();
+    for piece in 0..pieces {
+        // Row-major multi-index of `piece` over the unrolled dimensions.
+        let (mut rest, mut piece_offset) = (piece, offset);
+        for (d, s) in feat_dims[..unrolled]
+            .iter()
+            .zip(&feat_strides[..unrolled])
+            .rev()
+        {
+            piece_offset += (rest % d) * s;
+            rest /= d;
+        }
+        views.push(CompiledView {
+            offset: piece_offset,
+            run,
+            col: col + piece * run,
+        });
+        if sweep_strides.is_empty() {
+            view_strides.push(0); // the single axis of extent 1
+        } else {
+            view_strides.extend_from_slice(sweep_strides);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -477,6 +657,125 @@ mod tests {
         // Array rank is 2 for RHS [i, 0:2].
         let err = compile(&info, &map, &[3, 2], &Bindings::new().with("N", 3)).unwrap_err();
         assert!(matches!(err, BridgeError::Plan(s) if s.contains("sweep dimensions first")));
+    }
+
+    /// `FunctorInfo`'s fields are public, so `compile` cannot assume the
+    /// analyzer's invariants: an RHS element count that disagrees with the
+    /// slice it describes, or an LHS whose feature extent is not the RHS
+    /// total, would make the kernels land runs at wrong offsets without a
+    /// word. Both are typed plan errors.
+    #[test]
+    fn inconsistent_functor_info_rejected_at_compile() {
+        let map = map_dir("tensor map(to: st(t[1:N-1, 1:M-1]))");
+        let binds = Bindings::new().with("N", 6).with("M", 7);
+        let good =
+            functor_info("tensor functor(st: [i, j, 0:5] = (([i-1, j], [i+1, j], [i, j-1:j+2])))");
+        assert!(compile(&good, &map, &[6, 7], &binds).is_ok());
+
+        // The 3-wide range slice claims 2 feature columns: chunks would not
+        // nest with the slice's innermost run.
+        let mut bad = good.clone();
+        bad.rhs_elem_counts = vec![1, 1, 2];
+        let err = compile(&bad, &map, &[6, 7], &binds).unwrap_err();
+        assert!(
+            matches!(&err, BridgeError::Plan(s) if s.contains("3 element(s) per sweep point")),
+            "{err}"
+        );
+
+        // One element count short of the RHS slices.
+        let mut bad = good.clone();
+        bad.rhs_elem_counts = vec![1, 1];
+        assert!(matches!(
+            compile(&bad, &map, &[6, 7], &binds),
+            Err(BridgeError::Plan(_))
+        ));
+
+        // LHS declares 4 features, the RHS yields 5 per sweep point: the
+        // view's element count is not sweep points × LHS features.
+        let mut bad = good.clone();
+        bad.lhs_dims[2] = LhsDim::Feature(4);
+        let err = compile(&bad, &map, &[6, 7], &binds).unwrap_err();
+        assert!(
+            matches!(&err, BridgeError::Plan(s) if s.contains("20 sweep point(s) × 5 feature(s)")),
+            "{err}"
+        );
+    }
+
+    /// A stepped feature range is not contiguous in memory: compile unrolls
+    /// it into single-element runs, and gather/scatter still agree with
+    /// direct indexing.
+    #[test]
+    fn stepped_feature_range_gathers_and_scatters() {
+        let info = functor_info("tensor functor(ev: [i, 0:3] = ([6*i : 6*i+6 : 2]))");
+        let to = map_dir("tensor map(to: ev(x[0:N]))");
+        let from = map_dir("tensor map(from: ev(x[0:N]))");
+        let binds = Bindings::new().with("N", 4);
+        let plan = compile(&info, &to, &[24], &binds).unwrap();
+        assert_eq!(plan.lhs_shape, vec![4, 3]);
+        let data: Vec<f32> = (0..24).map(|k| k as f32).collect();
+        let t = plan.gather(&data).unwrap();
+        let want: Vec<f32> = (0..4)
+            .flat_map(|i| [6 * i, 6 * i + 2, 6 * i + 4])
+            .map(|k| k as f32)
+            .collect();
+        assert_eq!(t.data(), want.as_slice());
+
+        let mut back = vec![-1.0f32; 24];
+        compile(&info, &from, &[24], &binds)
+            .unwrap()
+            .scatter(&t, &mut back)
+            .unwrap();
+        for (k, v) in back.iter().enumerate() {
+            assert_eq!(*v, if k % 2 == 0 { k as f32 } else { -1.0 }, "element {k}");
+        }
+    }
+
+    /// Sweep axes merge only when *every* view steps through them
+    /// contiguously: `[i, j]` over a full array does, its transpose `[j, i]`
+    /// does not, so this map must keep walking both axes.
+    #[test]
+    fn axes_contiguous_in_only_some_views_are_not_merged() {
+        let info = functor_info("tensor functor(tr: [i, j, 0:2] = ([i, j], [j, i]))");
+        let map = map_dir("tensor map(to: tr(a[0:N, 0:N]))");
+        let n = 5usize;
+        let plan = compile(&info, &map, &[n, n], &Bindings::new().with("N", n as i64)).unwrap();
+        assert_eq!(plan.walk_counts, vec![n, n]);
+        let a: Vec<f32> = (0..n * n).map(|k| k as f32).collect();
+        let t = plan.gather(&a).unwrap();
+        for i in 0..n {
+            for j in 0..n {
+                assert_eq!(t.at(&[i, j, 0]), a[i * n + j]);
+                assert_eq!(t.at(&[i, j, 1]), a[j * n + i]);
+            }
+        }
+        // The identity alone collapses to a single axis.
+        let info = functor_info("tensor functor(id: [i, j, 0:1] = ([i, j]))");
+        let map = map_dir("tensor map(to: id(a[0:N, 0:N]))");
+        let plan = compile(&info, &map, &[n, n], &Bindings::new().with("N", n as i64)).unwrap();
+        assert_eq!(plan.walk_counts, vec![n * n]);
+        assert_eq!(plan.gather(&a).unwrap().data(), a.as_slice());
+    }
+
+    /// A functor without sweep symbols cannot be written as a map directive
+    /// (the grammar wants a range), but `MapTarget` is a plain struct: such
+    /// a plan is one sweep point, walked as a single axis of extent 1.
+    #[test]
+    fn sweepless_functor_is_one_sweep_point() {
+        let info = functor_info("tensor functor(head: [0:3] = ([1:4]))");
+        let mut map = map_dir("tensor map(to: head(x[0:1]))");
+        map.target.slices.clear();
+        let plan = compile(&info, &map, &[5], &Bindings::new()).unwrap();
+        assert_eq!(plan.lhs_shape, vec![3]);
+        assert_eq!(plan.walk_counts, vec![1]);
+        let data = [0.0f32, 1.0, 2.0, 3.0, 4.0];
+        assert_eq!(plan.gather(&data).unwrap().data(), &[1.0, 2.0, 3.0]);
+        map.direction = Direction::From;
+        let mut back = [-1.0f32; 5];
+        compile(&info, &map, &[5], &Bindings::new())
+            .unwrap()
+            .scatter_slice(&[7.0, 8.0, 9.0], &mut back)
+            .unwrap();
+        assert_eq!(back, [-1.0, 7.0, 8.0, 9.0, -1.0]);
     }
 
     #[test]

@@ -25,8 +25,146 @@ fn map_dir(src: &str) -> hpacml_directive::ast::MapDirective {
     }
 }
 
+/// Check a `to`/`from` plan pair of one functor against `index_map`, the
+/// flat per-sample array index behind every LHS element in LHS order —
+/// the functor evaluated by hand. On a batch of `n` samples: the gather
+/// must equal direct indexing, and scattering the gathered tensor into a
+/// NaN-filled buffer must restore exactly the elements the functor reaches
+/// (scatter is gather's inverse) and write nothing else.
+fn check_against_index_map(
+    functor: &str,
+    target: &str,
+    dims: &[usize],
+    binds: &Bindings,
+    n: usize,
+    index_map: &[usize],
+) -> Result<(), proptest::TestCaseError> {
+    let info = functor_info(functor);
+    let name = &info.decl.name;
+    let to = compile(
+        &info,
+        &map_dir(&format!("tensor map(to: {name}({target}))")),
+        dims,
+        binds,
+    )
+    .unwrap();
+    let from = compile(
+        &info,
+        &map_dir(&format!("tensor map(from: {name}({target}))")),
+        dims,
+        binds,
+    )
+    .unwrap();
+    let (an, pn) = (to.array_numel(), to.numel());
+    prop_assert_eq!(pn, index_map.len());
+
+    let src: Vec<f32> = (0..n * an).map(|k| (k * 31 % 257) as f32 - 100.0).collect();
+    let mut t = Tensor::zeros([0usize]);
+    to.gather_batch_into(&src, n, &mut t).unwrap();
+    for s in 0..n {
+        for (e, &k) in index_map.iter().enumerate() {
+            prop_assert_eq!(
+                t.data()[s * pn + e],
+                src[s * an + k],
+                "sample {}, LHS element {} <- array element {}",
+                s,
+                e,
+                k
+            );
+        }
+    }
+
+    let mut dst = vec![f32::NAN; n * an];
+    from.scatter_batch(t.data(), pn, 0, n, &mut dst).unwrap();
+    let mut reached = vec![false; an];
+    for &k in index_map {
+        reached[k] = true;
+    }
+    for (k, v) in dst.iter().enumerate() {
+        if reached[k % an] {
+            prop_assert_eq!(*v, src[k], "array element {} not restored", k);
+        } else {
+            prop_assert!(
+                v.is_nan(),
+                "array element {} outside the functor was written",
+                k
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The Fig. 2 shape, generalized: two point slices and one range slice
+    /// of width 1..=5 per sweep point (run lengths 1 and `w`, overlapping
+    /// windows along `j`), interleaved into `2 + w` feature columns.
+    #[test]
+    fn mixed_point_and_range_slices_roundtrip(
+        n in 3usize..9,
+        m in 6usize..12,
+        w in 1usize..6,
+        batch in prop_oneof![Just(1usize), Just(3usize)],
+    ) {
+        let h = w / 2; // window [j-h, j-h+w)
+        let (lo, hi) = (h, m - (w - 1 - h)); // j range keeping the window inside
+        let functor = format!(
+            "tensor functor(st: [i, j, 0:{}] = (([i-1, j], [i+1, j], [i, j-{h}:j-{h}+{w}])))",
+            2 + w
+        );
+        let target = format!("t[1:N-1, {lo}:{hi}]");
+        let binds = Bindings::new().with("N", n as i64);
+        let mut index_map = Vec::new();
+        for i in 1..n - 1 {
+            for j in lo..hi {
+                index_map.push((i - 1) * m + j);
+                index_map.push((i + 1) * m + j);
+                index_map.extend((j - h..j - h + w).map(|jj| i * m + jj));
+            }
+        }
+        check_against_index_map(&functor, &target, &[n, m], &binds, batch, &index_map)?;
+    }
+
+    /// Runs of 1..=5 elements spaced `s > run` apart along the innermost
+    /// array axis, under 1-D, 2-D and 3-D sweeps: every run length the copy
+    /// kernel special-cases (and one past them) at every sweep rank.
+    #[test]
+    fn spaced_runs_roundtrip_at_every_sweep_rank(
+        rank in 1usize..4,
+        run in 1usize..6,
+        pad in 1usize..4,
+        (c, n, m) in (1usize..4, 1usize..5, 1usize..6),
+        batch in prop_oneof![Just(1usize), Just(3usize)],
+    ) {
+        let s = run + pad;
+        let feat = format!("{s}*j : {s}*j+{run}");
+        let (functor, target, dims) = match rank {
+            1 => (
+                format!("tensor functor(r1: [j, 0:{run}] = ([{feat}]))"),
+                format!("x[0:{m}]"),
+                vec![m * s],
+            ),
+            2 => (
+                format!("tensor functor(r2: [i, j, 0:{run}] = ([i, {feat}]))"),
+                format!("x[0:{n}, 0:{m}]"),
+                vec![n, m * s],
+            ),
+            _ => (
+                format!("tensor functor(r3: [c, i, j, 0:{run}] = ([c, i, {feat}]))"),
+                format!("x[0:{c}, 0:{n}, 0:{m}]"),
+                vec![c, n, m * s],
+            ),
+        };
+        let rows: usize = dims[..dims.len() - 1].iter().product();
+        let mut index_map = Vec::new();
+        for row in 0..rows {
+            for j in 0..m {
+                index_map.extend((0..run).map(|e| row * m * s + j * s + e));
+            }
+        }
+        check_against_index_map(&functor, &target, &dims, &Bindings::new(), batch, &index_map)?;
+    }
 
     /// Random symmetric stencil radius + grid: gathered features equal the
     /// directly indexed neighborhood at every interior sweep point.

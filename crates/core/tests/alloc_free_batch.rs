@@ -147,3 +147,70 @@ fn steady_state_batched_invocation_is_allocation_free() {
     out.finish().unwrap();
     assert_eq!(y[0], y1[0]);
 }
+
+/// The paper's Fig. 2 region as the benchmark's `stencil_step` runs it: a
+/// batch-1 session over a 258×258 grid, 5-point stencil in, MLP 5→8→1,
+/// interior out, each step feeding the next. The fused gather walk, both
+/// narrow-N GEMM tiles and the scatter must all run out of warmed buffers.
+#[test]
+fn steady_state_stencil_step_is_allocation_free() {
+    const GRID: usize = 258;
+    let dir = std::env::temp_dir().join("hpacml-alloc-free-stencil");
+    std::fs::create_dir_all(&dir).unwrap();
+    let model_path = dir.join("m.hml");
+    let spec = ModelSpec::mlp(5, &[8], 1, Activation::ReLU, 0.0);
+    let mut model = spec.build(12).unwrap();
+    hpacml_nn::serialize::save_model(&model_path, &spec, &mut model, None, None).unwrap();
+
+    let region = Region::from_source(
+        "alloc-free-stencil",
+        &format!(
+            r#"
+            #pragma approx tensor functor(ifnctr: [i, j, 0:5] = (([i-1, j], [i+1, j], [i, j-1:j+2])))
+            #pragma approx tensor functor(ofnctr: [i, j, 0:1] = ([i, j]))
+            #pragma approx tensor map(to: ifnctr(t[1:N-1, 1:M-1]))
+            #pragma approx tensor map(from: ofnctr(tnew[1:N-1, 1:M-1]))
+            #pragma approx ml(infer) in(t) out(tnew) model("{}")
+            "#,
+            model_path.display()
+        ),
+    )
+    .unwrap();
+    let binds = Bindings::new()
+        .with("N", GRID as i64)
+        .with("M", GRID as i64);
+    let session = region
+        .session(&binds, &[("t", &[GRID, GRID]), ("tnew", &[GRID, GRID])], 1)
+        .unwrap();
+
+    let mut t: Vec<f32> = (0..GRID * GRID).map(|k| (k as f32 * 0.013).sin()).collect();
+    let mut tnew = t.clone();
+    let step = |t: &mut Vec<f32>, tnew: &mut Vec<f32>| {
+        let mut out = session
+            .invoke()
+            .input("t", t)
+            .unwrap()
+            .run(|| unreachable!())
+            .unwrap();
+        out.output("tnew", tnew).unwrap();
+        out.finish().unwrap();
+        std::mem::swap(t, tnew);
+    };
+
+    step(&mut t, &mut tnew);
+    step(&mut t, &mut tnew);
+    let before = t.clone();
+    const STEPS: u64 = 20;
+    let allocs = allocations_during(|| {
+        for _ in 0..STEPS {
+            step(&mut t, &mut tnew);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "steady-state stencil step allocated {allocs} times over {STEPS} steps"
+    );
+    // Guards against a silent no-op: the interior moved, the halo did not.
+    assert_ne!(t[GRID + 1..2 * GRID - 1], before[GRID + 1..2 * GRID - 1]);
+    assert_eq!(t[..GRID], before[..GRID]);
+}

@@ -53,6 +53,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// One tracking window at a time: the counter is process-global, and the
+/// harness runs this file's tests on parallel threads — without this lock
+/// one test's window counts another test's model build and warm-up.
+static WINDOW: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+
 /// Count allocations performed **anywhere in the process** during `f`.
 fn global_allocations_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.load(Ordering::Relaxed);
@@ -66,6 +71,7 @@ fn global_allocations_during(f: impl FnOnce()) -> u64 {
 /// row-parallel GEMM dispatch must be allocation-free on every thread.
 #[test]
 fn parallel_mlp_forward_is_globally_allocation_free() {
+    let _window = WINDOW.lock();
     let spec = ModelSpec::mlp(6, &[128, 64], 1, Activation::ReLU, 0.0);
     let mut model = spec.build(3).unwrap();
     hpacml_nn::compile_for_inference(&mut model);
@@ -120,6 +126,7 @@ fn cnn_spec() -> ModelSpec {
 /// broadcast reserve must have warmed all of them.
 #[test]
 fn conv_sample_parallel_route_is_globally_allocation_free() {
+    let _window = WINDOW.lock();
     let mut model = cnn_spec().build(5).unwrap();
     hpacml_nn::compile_for_inference(&mut model);
     let x = Tensor::from_shape_fn([8, 4, 24, 48], |ix| {
@@ -148,6 +155,7 @@ fn conv_sample_parallel_route_is_globally_allocation_free() {
 /// the most allocation-prone variant of the new route.
 #[test]
 fn conv_intra_sample_route_is_globally_allocation_free() {
+    let _window = WINDOW.lock();
     let model = cnn_spec().build(7).unwrap(); // uncompiled: packs per forward
     let x = Tensor::from_shape_fn([2, 4, 24, 48], |ix| {
         ((ix[1] + 1) * (ix[2] * 48 + ix[3])) as f32 * 0.003 - 0.2

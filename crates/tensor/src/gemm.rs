@@ -43,7 +43,11 @@
 //!   [`matmul_transb_packed_into_kc`]),
 //! * packed vs. unpacked operands, fused vs. unfused epilogues, and
 //! * the batch size a row happens to be computed under — the invariant
-//!   the runtime's dynamic batching relies on.
+//!   the runtime's dynamic batching relies on, and
+//! * the tile shape an element lands in: the narrow-N tiles below put other
+//!   *elements* side by side (16 rows × 8 lanes, or 16 rows on the lanes of
+//!   one column) but run the identical chain — `acc += a*w`, ascending `k`,
+//!   mul then add, then the shared epilogue — for each of them.
 //!
 //! # Blocking parameters
 //!
@@ -52,9 +56,26 @@
 //! | [`MR`]  | 8   | rows per register tile (accumulator block height) |
 //! | [`NR`]  | 16  | columns per register tile and per packed panel |
 //! | [`KC`]  | 256 | k-depth per cache slab (`NR*KC` B-panel ≤ 16 KiB f32) |
+//! | `NARROW_N`  | 8  | widest `n` served by the narrow tiles, and their lane count |
+//! | `NARROW_MR` | 16 | rows per narrow tile |
 //!
 //! [`par_rows_per_block`] is the one shared heuristic that converts these
 //! into parallel task sizes for every kernel in the crate.
+//!
+//! # Skinny shapes
+//!
+//! Model heads and small surrogates are narrow: the Fig. 2 stencil MLP is
+//! `5→8→1`, every regression head ends in `n = 1`. On an `MR × NR` tile
+//! such a layer computes 8–15 dead lanes per row and pays a tile call, an
+//! epilogue and `MR` variable-length row stores per handful of `k` steps.
+//! When a packed-`B`, row-major-`A` problem has `n ≤ NARROW_N` and a single
+//! `k` slab (`k ≤ kc`: nothing to resume), each stripe therefore runs its
+//! full `NARROW_MR`-row blocks on one of two narrow tiles — `2 ≤ n ≤ 8`:
+//! 16 rows × 8 lanes with one contiguous store of the whole C block;
+//! `n == 1`: the 16 rows themselves on the SIMD axis — and only the
+//! `< NARROW_MR` remainder rows on the tiles above. The choice is a pure
+//! function of `(n, k, kc)`; nothing selects it from outside. `k > kc`,
+//! unpacked `B`, packed `A` and the quantized kernels keep the panel sweep.
 
 use crate::scalar::Scalar;
 use crate::tensor::Tensor;
@@ -502,64 +523,83 @@ fn micro_tile<T: Scalar, const M: usize>(
             }
         }
     }
+    // The epilogue and the variable-width store work on a copy of the
+    // accumulators: that is what lets the optimizer keep `acc` in registers
+    // across the k loop instead of storing it to the stack on every step
+    // (stores whose cost moved with the frame's alignment from build to
+    // build).
+    let mut tile = acc;
     if let Some((epi, row0, col0)) = finish {
-        finish_tile::<T, M>(&mut acc, epi, row0, col0, cols);
+        finish_tile(&mut tile, epi, row0, col0, cols);
     }
-    for (i, arow) in acc.iter().enumerate() {
-        c[i * ldc..i * ldc + cols].copy_from_slice(&arow[..cols]);
+    for (i, trow) in tile.iter().enumerate() {
+        c[i * ldc..i * ldc + cols].copy_from_slice(&trow[..cols]);
     }
 }
 
 /// Apply the fused epilogue to one register tile — shared by the f32/f64
-/// micro-kernel above and the quantized micro-kernels in [`crate::quant`],
+/// micro-kernels above and the quantized micro-kernels in [`crate::quant`],
 /// so every precision runs the *same* float expression after its `k`-sum.
+/// `W` is the tile's lane count: [`NR`] on the panel sweep, [`NARROW_N`] or
+/// [`NARROW_MR`] on the narrow tiles.
 ///
-/// Branch-free full-width passes over the register tile: the
-/// bias/activation selectors are matched once per row, never per element,
-/// so each pass vectorizes like the k-loop. Padding lanes past `cols`
-/// compute garbage and are clipped by the caller's store.
+/// Branch-free full-width passes over the tile: the bias/activation
+/// selectors are matched once per tile, outside the row loops, so each
+/// pass vectorizes like the k-loop (matched per row, the 16-row narrow
+/// tile took 367–397 µs on `[65536,5]·[5,8]` + bias + ReLU against 255–294
+/// µs; the `MR`-row tiles measure the same either way). Padding lanes past
+/// `cols` compute garbage and are clipped by the caller's store.
 #[inline(always)]
-pub(crate) fn finish_tile<T: Scalar, const M: usize>(
-    acc: &mut [[T; NR]; M],
+pub(crate) fn finish_tile<T: Scalar, const M: usize, const W: usize>(
+    acc: &mut [[T; W]; M],
     epi: &Epilogue<'_, T>,
     row0: usize,
     col0: usize,
     cols: usize,
 ) {
-    for (i, arow) in acc.iter_mut().enumerate() {
-        match epi.bias {
-            Bias::None => {}
-            Bias::Col(bias) if cols == NR => {
-                let bs = &bias[col0..col0 + NR];
+    match epi.bias {
+        Bias::None => {}
+        Bias::Col(bias) if cols == W => {
+            let bs = &bias[col0..col0 + W];
+            for arow in acc.iter_mut() {
                 for (v, b) in arow.iter_mut().zip(bs) {
                     *v += *b;
                 }
             }
-            Bias::Col(bias) => {
+        }
+        Bias::Col(bias) => {
+            for arow in acc.iter_mut() {
                 for (j, v) in arow.iter_mut().enumerate().take(cols) {
                     *v += bias[col0 + j];
                 }
             }
-            Bias::Row(bias) => {
-                let rb = bias[row0 + i];
+        }
+        Bias::Row(bias) => {
+            for (arow, rb) in acc.iter_mut().zip(&bias[row0..row0 + M]) {
                 for v in arow.iter_mut() {
-                    *v += rb;
+                    *v += *rb;
                 }
             }
         }
-        match epi.act {
-            None => {}
-            Some(Act::Relu) => {
+    }
+    match epi.act {
+        None => {}
+        Some(Act::Relu) => {
+            for arow in acc.iter_mut() {
                 for v in arow.iter_mut() {
                     *v = v.maximum(T::ZERO);
                 }
             }
-            Some(Act::Tanh) => {
+        }
+        Some(Act::Tanh) => {
+            for arow in acc.iter_mut() {
                 for v in arow.iter_mut() {
                     *v = v.tanh_activation();
                 }
             }
-            Some(Act::Sigmoid) => {
+        }
+        Some(Act::Sigmoid) => {
+            for arow in acc.iter_mut() {
                 for v in arow.iter_mut() {
                     *v = T::ONE / (T::ONE + (-*v).exp());
                 }
@@ -605,6 +645,141 @@ fn tail_cols<T: Scalar>(
             c[i * ldc + j] = acc;
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Narrow-N tiles
+// ---------------------------------------------------------------------------
+
+/// Widest `n` the narrow tiles serve, and the lane count of
+/// [`narrow_tile`]. At `n ≤ NR / 2` at least half of every [`NR`]-lane
+/// accumulator row of [`micro_tile`] is zero padding, and with the `k` of a
+/// handful such layers have, the per-tile call, epilogue and per-row store
+/// outweigh the `k` loop. Measured basis (1 thread, AVX-512 host, same
+/// process, medians): `[65536,5]·[5,8]` + bias + ReLU 970–1155 µs on the
+/// `MR × NR` tile, 255–294 µs on the narrow one; `[65536,8]·[8,1]` 740–820
+/// µs against 171–191 µs; `[65536,64]·[64,1]` 3.3–4.0 ms against 1.5–1.9 ms.
+const NARROW_N: usize = NR / 2;
+
+/// Rows per narrow block. Half-width lanes leave room for twice [`MR`]
+/// accumulator rows in the same registers, halving the per-tile overhead;
+/// for `n == 1` it is the number of rows riding the SIMD axis (one
+/// 16-element store per tile).
+const NARROW_MR: usize = 2 * MR;
+
+/// Run every full [`NARROW_MR`]-row block of a single-slab, `n ≤ NARROW_N`
+/// stripe on the narrow tiles and return how many rows that covered (the
+/// caller's ordinary tiles take the `< NARROW_MR` rows left). `a` holds the
+/// stripe's rows (`rows × k`, row-major), `c` its C block (`ldc == n`),
+/// `row0` the stripe's first row; `k > 0`.
+///
+/// * `2 ≤ n ≤ NARROW_N`: [`narrow_tile`], `NARROW_MR` rows × `NARROW_N`
+///   lanes against the head of the (single) packed panel.
+/// * `n == 1`: [`column_tile`], rows on the SIMD axis.
+///
+/// Both keep one ascending-`k` `acc += a*w` chain per element and apply the
+/// epilogue through [`finish_tile`], so the bits equal the panel sweep's.
+fn narrow_blocks<T: Scalar>(
+    a: &[T],
+    k: usize,
+    pb: &PackedB<T>,
+    c: &mut [T],
+    n: usize,
+    epi: &Epilogue<'_, T>,
+    row0: usize,
+) -> usize {
+    let panel = pb.panel_slab(0, 0);
+    let blocks = a
+        .chunks_exact(NARROW_MR * k)
+        .zip(c.chunks_exact_mut(NARROW_MR * n))
+        .enumerate();
+    if n == 1 {
+        // The column C[.., 0] is the row Cᵀ[0, ..]: a per-column bias is one
+        // value for the whole tile (a row bias of the transposed tile) and a
+        // per-row bias runs along its lanes (a column bias).
+        let (epi_t, lane0) = match epi.bias {
+            Bias::None => (Epilogue::none(), 0),
+            Bias::Col(bias) => (Epilogue::row_bias(bias), 0),
+            Bias::Row(bias) => (Epilogue::col_bias(bias), row0),
+        };
+        let epi_t = epi_t.with_act(epi.act);
+        for (blk, (ab, cb)) in blocks {
+            column_tile(ab, k, panel, cb, &epi_t, lane0 + blk * NARROW_MR);
+        }
+    } else {
+        for (blk, (ab, cb)) in blocks {
+            narrow_tile(ab, k, panel, cb, n, epi, row0 + blk * NARROW_MR);
+        }
+    }
+    c.len() / n / NARROW_MR * NARROW_MR
+}
+
+/// The `2 ≤ n ≤ NARROW_N` tile: [`NARROW_MR`] rows × [`NARROW_N`] lanes over
+/// the whole (single-slab) `k`. `a` is the block's `NARROW_MR × k` rows,
+/// `panel[kk * NR ..]` the packed `B` row `kk`, `c` the block's contiguous
+/// `NARROW_MR × n` outputs. Same chain per element as [`micro_tile`]
+/// (`acc += a * w`, ascending `kk`, mul then add); lanes past `n` multiply
+/// the panel's zero padding and are dropped by the store.
+#[inline(never)] // same rationale as micro_tile: a small standalone unit.
+fn narrow_tile<T: Scalar>(
+    a: &[T],
+    k: usize,
+    panel: &[T],
+    c: &mut [T],
+    n: usize,
+    epi: &Epilogue<'_, T>,
+    row0: usize,
+) {
+    let mut acc = [[T::ZERO; NARROW_N]; NARROW_MR];
+    // Fixed-count row views of equal length keep the bounds checks out of
+    // the k loop.
+    let rows: [&[T]; NARROW_MR] = std::array::from_fn(|i| &a[i * k..(i + 1) * k]);
+    for (kk, brow) in panel.chunks_exact(NR).take(k).enumerate() {
+        let brow = <&[T; NARROW_N]>::try_from(&brow[..NARROW_N]).expect("NARROW_N < NR lanes");
+        for (arow, row) in acc.iter_mut().zip(&rows) {
+            let av = row[kk];
+            for (v, b) in arow.iter_mut().zip(brow) {
+                *v += av * *b;
+            }
+        }
+    }
+    let mut tile = acc; // keeps `acc` in registers, as in micro_tile
+    finish_tile(&mut tile, epi, row0, 0, n);
+    if n == NARROW_N {
+        c.copy_from_slice(tile.as_flattened());
+    } else {
+        for (crow, trow) in c.chunks_exact_mut(n).zip(&tile) {
+            crow.copy_from_slice(&trow[..n]);
+        }
+    }
+}
+
+/// The `n == 1` tile: [`NARROW_MR`] consecutive rows ride the SIMD axis, so
+/// the tile is that many independent ascending-`k` chains
+/// `acc[i] += a[i, kk] * w[kk]` and one contiguous store — against
+/// [`micro_tile`]'s one live lane in [`NR`]. `a` is the block's
+/// `NARROW_MR × k` rows, `panel[kk * NR]` the packed column, `epi_t` the
+/// epilogue *of the transposed tile* (see [`narrow_blocks`]) with `lane0`
+/// the row the first lane stands for.
+#[inline(never)] // same rationale as micro_tile: a small standalone unit.
+fn column_tile<T: Scalar>(
+    a: &[T],
+    k: usize,
+    panel: &[T],
+    c: &mut [T],
+    epi_t: &Epilogue<'_, T>,
+    lane0: usize,
+) {
+    let mut acc = [[T::ZERO; NARROW_MR]; 1];
+    let rows: [&[T]; NARROW_MR] = std::array::from_fn(|i| &a[i * k..(i + 1) * k]);
+    for (kk, wrow) in panel.chunks_exact(NR).take(k).enumerate() {
+        let wv = wrow[0];
+        for (v, row) in acc[0].iter_mut().zip(&rows) {
+            *v += row[kk] * wv;
+        }
+    }
+    finish_tile(&mut acc, epi_t, 0, lane0, NARROW_MR);
+    c.copy_from_slice(&acc[0]);
 }
 
 // ---------------------------------------------------------------------------
@@ -672,10 +847,10 @@ pub fn gemm_into_kc<T: Scalar>(
     if par_worthwhile(m, n, k) {
         let rows = par_rows_per_block(m, n, k).div_ceil(MR) * MR;
         hpacml_par::par_chunks_mut(c, rows * n, |start, stripe| {
-            stripe_body(start / n, stripe, m, n, k, a, b, &epi, kc);
+            stripe_body(start / n, stripe, n, k, a, b, &epi, kc);
         });
     } else {
-        stripe_body(0, c, m, n, k, a, b, &epi, kc);
+        stripe_body(0, c, n, k, a, b, &epi, kc);
     }
 }
 
@@ -687,7 +862,6 @@ pub fn gemm_into_kc<T: Scalar>(
 fn stripe_body<T: Scalar>(
     row0: usize,
     stripe: &mut [T],
-    _m: usize,
     n: usize,
     k: usize,
     a: ASource<'_, T>,
@@ -703,7 +877,16 @@ fn stripe_body<T: Scalar>(
         let accumulate = slab > 0;
         let last = slab + 1 == slabs;
 
-        let mut r = 0;
+        // Narrow-N problems with a single slab (nothing to resume; `k == 0`
+        // is a pure epilogue pass) run their full NARROW_MR-row blocks on
+        // the narrow tiles; whatever is left (< NARROW_MR rows) falls
+        // through to the tiles below.
+        let mut r = match (a, b) {
+            (ASource::Rows(ad), BSource::Packed(pb)) if n <= NARROW_N && (1..=kc).contains(&k) => {
+                narrow_blocks(&ad[row0 * k..][..rows * k], k, pb, stripe, n, epi, row0)
+            }
+            _ => 0,
+        };
         // Full MR-row register tiles. Stripes start MR-aligned by
         // construction, so `row0 + r` is always a block boundary here.
         while rows - r >= MR {

@@ -426,7 +426,7 @@ fn micro_tile_q<D: Dequant, const M: usize>(
         }
     }
     if let Some((epi, row0, col0)) = finish {
-        finish_tile::<f32, M>(&mut acc, epi, row0, col0, cols);
+        finish_tile::<f32, M, NR>(&mut acc, epi, row0, col0, cols);
     }
     for (i, arow) in acc.iter().enumerate() {
         c[i * ldc..i * ldc + cols].copy_from_slice(&arow[..cols]);

@@ -4,6 +4,17 @@
 //! Fig. 4) produces: a `(base, offset, shape, strides)` descriptor over an
 //! existing buffer, with no copies. Gather and scatter then perform the
 //! memory concretization between application space and tensor space.
+//!
+//! Two forms live here. [`View`]/[`ViewMut`] are the general N-d
+//! descriptors with dense `gather`/`scatter`. [`gather_chunks_raw`] and
+//! [`scatter_chunks_raw`] are the hot-path form the bridge's compiled plans
+//! run: one *run-length copy kernel* along a single axis — `count` runs of
+//! `chunk` contiguous elements, a fixed step apart on the application side
+//! and a fixed stride apart on the tensor side — so several slices
+//! interleave into one `[sweep, features]` tensor with no index arithmetic
+//! per element. The caller (the bridge) classifies each view once, at
+//! plan-compile time, into `(offset, step, run)` and walks the outer axes
+//! itself; nothing is analysed per call.
 
 use crate::scalar::Scalar;
 use crate::shape::Shape;
@@ -34,46 +45,6 @@ fn validate(len: usize, offset: usize, shape: &Shape, strides: &[usize]) -> Resu
 }
 
 /// Walk all row prefixes (all dims except the innermost) in row-major order,
-/// calling `f(row_index, row_start_offset)` — the allocation-free counterpart
-/// of [`row_offsets`] used on the serial hot paths.
-fn for_each_row_offset(
-    offset: usize,
-    dims: &[usize],
-    strides: &[usize],
-    mut f: impl FnMut(usize, usize),
-) {
-    let rank = dims.len();
-    if rank == 0 {
-        f(0, offset);
-        return;
-    }
-    let outer_dims = &dims[..rank - 1];
-    let outer_count: usize = outer_dims.iter().product::<usize>().max(1);
-    const MAX_RANK: usize = 16;
-    if rank - 1 > MAX_RANK {
-        for (row, o) in row_offsets(offset, dims, strides).into_iter().enumerate() {
-            f(row, o);
-        }
-        return;
-    }
-    let mut idx = [0usize; MAX_RANK];
-    let mut o = offset;
-    for row in 0..outer_count {
-        f(row, o);
-        // Odometer increment, updating the running offset incrementally.
-        for axis in (0..outer_dims.len()).rev() {
-            idx[axis] += 1;
-            o += strides[axis];
-            if idx[axis] < outer_dims[axis] {
-                break;
-            }
-            o -= idx[axis] * strides[axis];
-            idx[axis] = 0;
-        }
-    }
-}
-
-/// Walk all row prefixes (all dims except the innermost) in row-major order,
 /// yielding the linear offset of each row start.
 fn row_offsets(offset: usize, dims: &[usize], strides: &[usize]) -> Vec<usize> {
     let rank = dims.len();
@@ -101,137 +72,117 @@ fn row_offsets(offset: usize, dims: &[usize], strides: &[usize]) -> Vec<usize> {
     offs
 }
 
-/// [`View::gather_into_chunks`] on raw view parts — the form the data
-/// bridge's *compiled* plans use, so a plan resolved once at compile time can
-/// gather on every invocation without materializing a [`View`] (and thus
-/// without any per-call allocation). Reads the strided view described by
-/// `(offset, dims, strides)` over `data` in row-major order and lands the
-/// `i`-th group of `chunk` elements at `out[i * stride .. i * stride + chunk]`.
+/// Longest run the interleaving kernel copies with a compile-time length.
+/// Stencil functors contribute runs of 1 (a point such as `[i-1, j]`) to 3
+/// (a range such as `[i, j-1:j+2]`); at these lengths a `memcpy` call per
+/// run costs more than the run. Measured on the 258² 5-point stencil gather
+/// (1 thread, warm, best of 200): 570–600 µs through the per-run
+/// `copy_from_slice` and per-element div/mod indexing this kernel replaced,
+/// 122 µs through the fixed-length loops under the bridge's fused walk — a
+/// hand-written loop nest over the same grid takes 107–112 µs. Longer runs
+/// amortize the call and take the generic arm.
+const RUN_FIXED_MAX: usize = 4;
+
+/// The run-length copy kernel under [`gather_chunks_raw`] and
+/// [`scatter_chunks_raw`]: move `count` runs of `run` contiguous elements,
+/// run `p` from `src[p * src_step ..]` to `dst[p * dst_step ..]`, in
+/// ascending `p` (runs may overlap on either side; a later run wins).
 ///
-/// Caller contract (upheld by the bridge at plan-compile time): the view is
-/// in bounds for `data`, `chunk` tiles the view's element count, and `chunk`
-/// nests with the innermost contiguous run.
+/// Both offsets advance by addition — no per-run index arithmetic — and
+/// runs up to [`RUN_FIXED_MAX`] are copied as fixed-size arrays, so the
+/// inner loop is a handful of moves. Runs that sit back to back on both
+/// sides collapse into one `memcpy`.
+fn copy_runs<T: Scalar>(
+    src: &[T],
+    src_step: usize,
+    dst: &mut [T],
+    dst_step: usize,
+    run: usize,
+    count: usize,
+) {
+    if count == 0 || run == 0 {
+        return;
+    }
+    if src_step == run && dst_step == run {
+        let len = count * run;
+        dst[..len].copy_from_slice(&src[..len]);
+        return;
+    }
+    match run {
+        1 => copy_runs_fixed::<T, 1>(src, src_step, dst, dst_step, count),
+        2 => copy_runs_fixed::<T, 2>(src, src_step, dst, dst_step, count),
+        3 => copy_runs_fixed::<T, 3>(src, src_step, dst, dst_step, count),
+        RUN_FIXED_MAX => copy_runs_fixed::<T, RUN_FIXED_MAX>(src, src_step, dst, dst_step, count),
+        _ => {
+            let (mut s, mut d) = (0, 0);
+            for _ in 0..count {
+                dst[d..d + run].copy_from_slice(&src[s..s + run]);
+                s += src_step;
+                d += dst_step;
+            }
+        }
+    }
+}
+
+#[inline(always)]
+fn copy_runs_fixed<T: Scalar, const RUN: usize>(
+    src: &[T],
+    src_step: usize,
+    dst: &mut [T],
+    dst_step: usize,
+    count: usize,
+) {
+    // One slice per side up front: the per-run checks below compare against
+    // lengths the optimizer can see.
+    let src = &src[..(count - 1) * src_step + RUN];
+    let dst = &mut dst[..(count - 1) * dst_step + RUN];
+    let (mut s, mut d) = (0, 0);
+    for _ in 0..count {
+        let from = <&[T; RUN]>::try_from(&src[s..s + RUN]).expect("RUN-element slice");
+        let to = <&mut [T; RUN]>::try_from(&mut dst[d..d + RUN]).expect("RUN-element slice");
+        *to = *from;
+        s += src_step;
+        d += dst_step;
+    }
+}
+
+/// Interleaving gather along one axis — the form the data bridge's
+/// *compiled* plans run on every invocation, with nothing to analyse per
+/// call: read `count` runs of `chunk` contiguous elements, run `p` starting
+/// at `data[offset + p * step]`, and land run `p` at
+/// `out[p * stride .. p * stride + chunk]`. The bridge walks a view's outer
+/// sweep axes itself (once for all the views of a map) and calls this along
+/// the innermost one, so several slices compose directly into one
+/// `[sweep, features]` tensor without intermediate buffers. Allocation-free.
+///
+/// Caller contract (checked by the bridge at plan-compile time): every run
+/// is in bounds for `data` and `out`.
 pub fn gather_chunks_raw<T: Scalar>(
     data: &[T],
     offset: usize,
-    dims: &[usize],
-    strides: &[usize],
+    count: usize,
+    step: usize,
     out: &mut [T],
     chunk: usize,
     stride: usize,
 ) {
-    if dims.is_empty() {
-        out[0] = data[offset];
-        return;
-    }
-    let total: usize = dims.iter().product();
-    if total == 0 {
-        return;
-    }
-    debug_assert!(chunk > 0 && total.is_multiple_of(chunk));
-    let rank = dims.len();
-    let inner = dims[rank - 1];
-    let inner_stride = strides[rank - 1];
-    if chunk == stride {
-        // Contiguous destination: whole inner rows land back to back.
-        for_each_row_offset(offset, dims, strides, |row, src_base| {
-            let dst = &mut out[row * inner..(row + 1) * inner];
-            if inner_stride == 1 {
-                dst.copy_from_slice(&data[src_base..src_base + inner]);
-            } else {
-                for (k, d) in dst.iter_mut().enumerate() {
-                    *d = data[src_base + k * inner_stride];
-                }
-            }
-        });
-        return;
-    }
-    debug_assert!(chunk.is_multiple_of(inner) || inner.is_multiple_of(chunk));
-    for_each_row_offset(offset, dims, strides, |row, src_base| {
-        let e = row * inner; // global element index of this inner row
-        if chunk.is_multiple_of(inner) {
-            let dst_base = (e / chunk) * stride + (e % chunk);
-            let dst = &mut out[dst_base..dst_base + inner];
-            if inner_stride == 1 {
-                dst.copy_from_slice(&data[src_base..src_base + inner]);
-            } else {
-                for (k, d) in dst.iter_mut().enumerate() {
-                    *d = data[src_base + k * inner_stride];
-                }
-            }
-        } else {
-            // The inner row spans inner/chunk successive chunks.
-            for c0 in (0..inner).step_by(chunk) {
-                let dst_base = ((e + c0) / chunk) * stride;
-                for k in 0..chunk {
-                    out[dst_base + k] = data[src_base + (c0 + k) * inner_stride];
-                }
-            }
-        }
-    });
+    copy_runs(&data[offset..], step, out, stride, chunk, count);
 }
 
-/// Inverse of [`gather_chunks_raw`]: read the `i`-th group of `chunk`
-/// elements from `src[i * stride .. i * stride + chunk]` and write the groups
-/// through the raw strided view over `data` in row-major order. Same caller
+/// Inverse of [`gather_chunks_raw`]: read run `p` from
+/// `src[p * stride .. p * stride + chunk]` and write it at
+/// `data[offset + p * step ..]`, in ascending `p`. Same kernel, same caller
 /// contract; allocation-free.
 pub fn scatter_chunks_raw<T: Scalar>(
     data: &mut [T],
     offset: usize,
-    dims: &[usize],
-    strides: &[usize],
+    count: usize,
+    step: usize,
     src: &[T],
     chunk: usize,
     stride: usize,
 ) {
-    if dims.is_empty() {
-        data[offset] = src[0];
-        return;
-    }
-    let total: usize = dims.iter().product();
-    if total == 0 {
-        return;
-    }
-    debug_assert!(chunk > 0 && total.is_multiple_of(chunk));
-    let rank = dims.len();
-    let inner = dims[rank - 1];
-    let inner_stride = strides[rank - 1];
-    if chunk == stride {
-        // Contiguous source: whole inner rows read back to back.
-        for_each_row_offset(offset, dims, strides, |row, dst_base| {
-            let s = &src[row * inner..(row + 1) * inner];
-            if inner_stride == 1 {
-                data[dst_base..dst_base + inner].copy_from_slice(s);
-            } else {
-                for (k, v) in s.iter().enumerate() {
-                    data[dst_base + k * inner_stride] = *v;
-                }
-            }
-        });
-        return;
-    }
-    debug_assert!(chunk.is_multiple_of(inner) || inner.is_multiple_of(chunk));
-    for_each_row_offset(offset, dims, strides, |row, dst_base| {
-        let e = row * inner; // global element index of this inner row
-        if chunk.is_multiple_of(inner) {
-            let src_base = (e / chunk) * stride + (e % chunk);
-            let s = &src[src_base..src_base + inner];
-            if inner_stride == 1 {
-                data[dst_base..dst_base + inner].copy_from_slice(s);
-            } else {
-                for (k, v) in s.iter().enumerate() {
-                    data[dst_base + k * inner_stride] = *v;
-                }
-            }
-        } else {
-            for c0 in (0..inner).step_by(chunk) {
-                let src_base = ((e + c0) / chunk) * stride;
-                for k in 0..chunk {
-                    data[dst_base + (c0 + k) * inner_stride] = src[src_base + k];
-                }
-            }
-        }
-    });
+    copy_runs(src, stride, &mut data[offset..], step, chunk, count);
 }
 
 /// Read-only strided view.
@@ -345,52 +296,6 @@ impl<'a, T: Scalar> View<'a, T> {
         self.gather_into(&mut out);
         Tensor::from_vec(out, self.shape.clone()).expect("gather: shape/data agree by construction")
     }
-
-    /// Copy the view's elements in row-major order into `out`, but laid out
-    /// in runs: the `i`-th group of `chunk` elements lands at
-    /// `out[i * stride .. i * stride + chunk]`.
-    ///
-    /// This is the interleaving write the data bridge uses to compose several
-    /// per-slice gathers directly into one `[sweep, features]` tensor without
-    /// intermediate buffers. `chunk` must divide the view's element count and
-    /// be a multiple of (or divided by) the innermost contiguous run; for the
-    /// bridge this holds by construction because `chunk` is the product of
-    /// the view's trailing (feature) dimensions. Allocation-free.
-    pub fn gather_into_chunks(&self, out: &mut [T], chunk: usize, stride: usize) {
-        let total = self.numel();
-        if total == 0 {
-            return;
-        }
-        assert!(
-            chunk > 0 && total.is_multiple_of(chunk),
-            "gather_into_chunks: chunk must tile the view"
-        );
-        if chunk == stride {
-            // Degenerate case: contiguous destination.
-            self.gather_into(&mut out[..total]);
-            return;
-        }
-        let rank = self.shape.rank();
-        if rank > 0 {
-            let inner = self.shape.dims()[rank - 1];
-            // Either the chunk covers whole inner rows (feature dims present)
-            // or an inner row spans whole chunks (chunk == 1 for pure-sweep
-            // views); both hold by construction for bridge views.
-            assert!(
-                chunk.is_multiple_of(inner) || inner.is_multiple_of(chunk),
-                "gather_into_chunks: chunk and inner run must nest"
-            );
-        }
-        gather_chunks_raw(
-            self.data,
-            self.offset,
-            self.shape.dims(),
-            &self.strides,
-            out,
-            chunk,
-            stride,
-        );
-    }
 }
 
 /// Mutable strided view; target of scatter (the `from` direction of a
@@ -477,44 +382,6 @@ impl<'a, T: Scalar> ViewMut<'a, T> {
             }
         }
     }
-
-    /// Inverse of [`View::gather_into_chunks`]: read the `i`-th group of
-    /// `chunk` elements from `src[i * stride .. i * stride + chunk]` and
-    /// write the groups through the view in row-major order. This lets the
-    /// data bridge scatter one slice's share of an interleaved
-    /// `[sweep, features]` tensor without materializing per-slice buffers.
-    /// Allocation-free.
-    pub fn scatter_from_chunks(&mut self, src: &[T], chunk: usize, stride: usize) {
-        let total = self.numel();
-        if total == 0 {
-            return;
-        }
-        assert!(
-            chunk > 0 && total.is_multiple_of(chunk),
-            "scatter_from_chunks: chunk must tile the view"
-        );
-        if chunk == stride {
-            self.scatter_from(&src[..total]);
-            return;
-        }
-        let rank = self.shape.rank();
-        if rank > 0 {
-            let inner = self.shape.dims()[rank - 1];
-            assert!(
-                chunk.is_multiple_of(inner) || inner.is_multiple_of(chunk),
-                "scatter_from_chunks: chunk and inner run must nest"
-            );
-        }
-        scatter_chunks_raw(
-            self.data,
-            self.offset,
-            self.shape.dims(),
-            &self.strides,
-            src,
-            chunk,
-            stride,
-        );
-    }
 }
 
 #[cfg(test)]
@@ -592,30 +459,39 @@ mod tests {
 
     #[test]
     fn gather_into_chunks_interleaves() {
-        // Two inner rows of 3 elements, chunk == inner: rows land at stride.
+        // Two rows of 3 elements, 6 apart: each lands as one run at stride 5.
         let data: Vec<f32> = (0..12).map(|i| i as f32).collect();
-        let v = View::strided(&data, 0, Shape::new([2, 3]), vec![6, 1]).unwrap();
         let mut out = vec![0.0f32; 10];
-        v.gather_into_chunks(&mut out, 3, 5);
+        gather_chunks_raw(&data, 0, 2, 6, &mut out, 3, 5);
         assert_eq!(out, vec![0.0, 1.0, 2.0, 0.0, 0.0, 6.0, 7.0, 8.0, 0.0, 0.0]);
-        // chunk == 1 (pure sweep view): every element strides independently.
-        let v = View::strided(&data, 0, Shape::new([4]), vec![1]).unwrap();
+        // chunk == 1 (a pure sweep view): every element strides independently.
         let mut out = vec![-1.0f32; 8];
-        v.gather_into_chunks(&mut out, 1, 2);
+        gather_chunks_raw(&data, 0, 4, 1, &mut out, 1, 2);
         assert_eq!(out, vec![0.0, -1.0, 1.0, -1.0, 2.0, -1.0, 3.0, -1.0]);
+        // Overlapping source runs (the stencil's `j-1:j+2` window).
+        let mut out = vec![0.0f32; 12];
+        gather_chunks_raw(&data, 4, 3, 1, &mut out, 3, 4);
+        assert_eq!(
+            out,
+            vec![4.0, 5.0, 6.0, 0.0, 5.0, 6.0, 7.0, 0.0, 6.0, 7.0, 8.0, 0.0]
+        );
     }
 
     #[test]
     fn scatter_from_chunks_inverts_gather_into_chunks() {
-        let data: Vec<f32> = (0..24).map(|i| i as f32).collect();
-        let v = View::strided(&data, 1, Shape::new([3, 2]), vec![8, 2]).unwrap();
-        let mut packed = vec![0.0f32; 3 * 7];
-        v.gather_into_chunks(&mut packed, 2, 7);
-        let mut dst = vec![0.0f32; 24];
-        let mut vm = ViewMut::strided(&mut dst, 1, Shape::new([3, 2]), vec![8, 2]).unwrap();
-        vm.scatter_from_chunks(&packed, 2, 7);
-        let v2 = View::strided(&dst, 1, Shape::new([3, 2]), vec![8, 2]).unwrap();
-        assert_eq!(v2.gather().data(), v.gather().data());
+        // Every run length the kernel special-cases, and one past them.
+        for run in 1..=RUN_FIXED_MAX + 2 {
+            let (count, step, stride) = (5usize, run + 2, run + 3);
+            let data: Vec<f32> = (0..count * step + 1).map(|i| i as f32).collect();
+            let mut packed = vec![-1.0f32; count * stride];
+            gather_chunks_raw(&data, 1, count, step, &mut packed, run, stride);
+            let mut dst = vec![-1.0f32; data.len()];
+            scatter_chunks_raw(&mut dst, 1, count, step, &packed, run, stride);
+            for (i, (d, s)) in dst.iter().zip(&data).enumerate() {
+                let in_run = i >= 1 && (i - 1) % step < run;
+                assert_eq!(*d, if in_run { *s } else { -1.0 }, "run {run}, element {i}");
+            }
+        }
     }
 
     #[test]

@@ -180,6 +180,43 @@ fn gemm_bits_are_identical_across_pool_sizes() {
     }
 }
 
+/// The narrow-N tiles under the same two sweeps, on the stencil
+/// surrogate's two layer shapes with an `m` that is neither a multiple of
+/// the 16-row narrow block nor of the 8-row stripe grain. Pool totals
+/// {1, 2, 3, 8} move the stripe boundaries (every stripe starts its own run
+/// of 16-row blocks); `kc` decides the *path*: `k ≤ kc` takes the narrow
+/// tiles, `k > kc` has slabs to resume and takes the generic panel sweep —
+/// so equal bits across `kc` prove the two paths equal to each other.
+#[test]
+fn narrow_gemm_bits_are_identical_across_pool_sizes_and_kc() {
+    setup();
+    for (k, n) in [(5usize, 8usize), (8, 1)] {
+        let m = 4099usize;
+        let a = mat(m, k, 25);
+        let bt = mat(n, k, 26);
+        let bp = PackedB::from_transb(&bt).unwrap();
+        let bias: Vec<f32> = (0..n).map(|j| (j as f32) * 0.11 - 0.3).collect();
+        let epi = Epilogue::col_bias(&bias).with_act(Some(Act::Relu));
+        let mut base = Tensor::zeros([0usize; 2]);
+        gemm::matmul_transb_packed_into(&a, &bp, epi, &mut base).unwrap();
+        for workers in [0usize, 1, 2, 7] {
+            let pool = hpacml_par::Pool::new(workers);
+            hpacml_par::with_pool(&pool, || {
+                for kc in [1usize, 3, 7, KC] {
+                    let mut c = Tensor::zeros([0usize; 2]);
+                    gemm::matmul_transb_packed_into_kc(&a, &bp, epi, &mut c, kc).unwrap();
+                    assert_eq!(
+                        c.data(),
+                        base.data(),
+                        "[{m},{k}]·[{k},{n}]: {} total threads, kc={kc} changed the bits",
+                        workers + 1
+                    );
+                }
+            });
+        }
+    }
+}
+
 /// Steal schedules vary from run to run of the *same build* — which chunk
 /// a worker claims depends on OS scheduling. The bits must not.
 #[test]

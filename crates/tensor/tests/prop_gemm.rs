@@ -66,6 +66,19 @@ fn shape() -> impl Strategy<Value = (usize, usize, usize, u64)> {
     )
 }
 
+/// Narrow-N shape strategy: `n` within the narrow tiles' range, `m` from
+/// below one 16-row block through a dozen of them (most draws leave a
+/// remainder for the ordinary tiles, some land exactly on a block edge),
+/// `k` from the pure-epilogue case up.
+fn narrow_shape() -> impl Strategy<Value = (usize, usize, usize, u64)> {
+    (
+        1usize..200,
+        1usize..=8,
+        0usize..50,
+        proptest::prelude::any::<u64>(),
+    )
+}
+
 fn epilogues(bias_col: &[f32], bias_row: &[f32]) -> Vec<Epilogue<'static, f32>> {
     // Leak the bias slices: proptest closures need 'static epilogues and
     // the test process discards everything at exit anyway.
@@ -102,6 +115,58 @@ proptest! {
             let mut c2 = Tensor::zeros([0usize; 2]);
             ops::matmul_transb_into(&at, &btt, &mut c2, epi).unwrap();
             prop_assert_eq!(c2.data(), &want[..], "scratch-pack path, epi {:?}", epi);
+        }
+    }
+
+    /// The narrow-N tiles (`n ≤ 8`: 16-row × 8-lane blocks; `n == 1`: rows
+    /// on the SIMD axis) over every epilogue variant, `Bias::Row` included
+    /// — exact equality, like everything else here.
+    #[test]
+    fn narrow_gemm_bitwise_matches_reference((m, n, k, seed) in narrow_shape()) {
+        let a = values(m * k, seed);
+        let bt = values(n * k, seed ^ 0x9E3779B97F4A7C15);
+        let at = Tensor::from_vec(a.clone(), [m, k]).unwrap();
+        let bp = PackedB::from_transb(&Tensor::from_vec(bt.clone(), [n, k]).unwrap()).unwrap();
+        let bias_col = values(n, seed ^ 0xC0FFEE);
+        let bias_row = values(m, seed ^ 0xBEEF);
+        for epi in epilogues(&bias_col, &bias_row) {
+            let want = reference(m, n, k, &a, |kk, j| bt[j * k + kk], &epi);
+            let mut c = Tensor::zeros([0usize; 2]);
+            gemm::matmul_transb_packed_into(&at, &bp, epi, &mut c).unwrap();
+            prop_assert_eq!(c.data(), &want[..], "narrow path, epi {:?}", epi);
+        }
+    }
+
+    /// Correct, not only reproducible: the narrow tiles against an f64
+    /// oracle. An f32 chain of `k` mul+add steps is off by at most
+    /// `γ_k · Σ|a||w|` with `γ_k ≈ k·ε` (ε = 2⁻²⁴, unit roundoff); `k + 1`
+    /// covers the bias add.
+    #[test]
+    fn narrow_gemm_is_within_the_f64_oracle_bound((m, n, k, seed) in narrow_shape()) {
+        let a = values(m * k, seed);
+        let bt = values(n * k, seed ^ 0x0BAC1E);
+        let bias = values(n, seed ^ 0xFACADE);
+        let at = Tensor::from_vec(a.clone(), [m, k]).unwrap();
+        let bp = PackedB::from_transb(&Tensor::from_vec(bt.clone(), [n, k]).unwrap()).unwrap();
+        let mut c = Tensor::zeros([0usize; 2]);
+        gemm::matmul_transb_packed_into(&at, &bp, Epilogue::col_bias(&bias), &mut c).unwrap();
+        let eps = f64::from(f32::EPSILON) / 2.0;
+        for i in 0..m {
+            for j in 0..n {
+                let (mut exact, mut mag) = (f64::from(bias[j]), f64::from(bias[j]).abs());
+                for kk in 0..k {
+                    let p = f64::from(a[i * k + kk]) * f64::from(bt[j * k + kk]);
+                    exact += p;
+                    mag += p.abs();
+                }
+                let err = (f64::from(c.data()[i * n + j]) - exact).abs();
+                let bound = (k + 1) as f64 * eps * mag * 1.01;
+                prop_assert!(
+                    err <= bound,
+                    "({}, {}) of [{}, {}]·[{}, {}]: |{} - {}| = {:e} > {:e}",
+                    i, j, m, k, k, n, c.data()[i * n + j], exact, err, bound
+                );
+            }
         }
     }
 
