@@ -5,7 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hpacml_tensor::gemm::{self, ASource, BSource, PackedA, PackedB};
-use hpacml_tensor::{Act, Epilogue, Tensor};
+use hpacml_tensor::quant::{self, QPackedB};
+use hpacml_tensor::{Act, Epilogue, Precision, Tensor};
 use std::hint::black_box;
 
 /// The w128 MLP's three layers at batch 1024, the 4-filter conv GEMM
@@ -19,6 +20,17 @@ const SHAPES: [(usize, usize, usize); 6] = [
     (4, 36, 1152),
     (65536, 5, 8),
     (65536, 8, 1),
+];
+
+/// The reduced-precision rungs on the same driver, so the smoke run
+/// executes every panel-codec instantiation: the weight-streaming-bound
+/// batch-1 `4096→4096` layer of the `wide_b1_int8` benchmark workload at
+/// both rungs, and the stencil surrogate's `5→8` layer at int8 (a quantized
+/// pack on the narrow tile).
+const QUANT_SHAPES: [(usize, usize, usize, Precision); 3] = [
+    (1, 4096, 4096, Precision::Bf16),
+    (1, 4096, 4096, Precision::Int8),
+    (65536, 5, 8, Precision::Int8),
 ];
 
 fn mat(m: usize, n: usize, seed: u64) -> Tensor<f32> {
@@ -65,6 +77,29 @@ fn bench_gemm(c: &mut Criterion) {
                     gemm::matmul_transb_packed_into(
                         black_box(&a),
                         black_box(&bp),
+                        Epilogue::col_bias(&bias).with_act(Some(Act::Relu)),
+                        &mut out,
+                    )
+                    .unwrap();
+                    black_box(out.data());
+                });
+            },
+        );
+    }
+
+    for &(m, k, n, prec) in &QUANT_SHAPES {
+        let a = mat(m, k, 1);
+        let qb = QPackedB::from_transb(&mat(n, k, 2), prec).unwrap();
+        let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.01).collect();
+        let mut out = Tensor::<f32>::zeros([m, n]);
+        group.throughput(Throughput::Elements((2 * m * n * k) as u64));
+        group.bench_function(
+            BenchmarkId::new(format!("qpacked_{prec}_bias_relu"), format!("{m}x{k}x{n}")),
+            |b| {
+                b.iter(|| {
+                    quant::matmul_transb_qpacked_into(
+                        black_box(&a),
+                        black_box(&qb),
                         Epilogue::col_bias(&bias).with_act(Some(Act::Relu)),
                         &mut out,
                     )

@@ -333,6 +333,25 @@ mod tests {
         assert_eq!(bf16_only.data(), bf16_y.data());
     }
 
+    /// `Linear::from_params` does not check its bias against its weight.
+    /// The mistake must surface as the same typed error whichever kernel
+    /// serves the layer — pack-on-the-fly, pre-packed, or a quantized rung
+    /// — never as a panic on a serving thread.
+    #[test]
+    fn mis_sized_linear_bias_is_an_error_at_every_rung() {
+        use crate::layer::Linear;
+        let w = Tensor::from_shape_fn([4, 3], |ix| (ix[0] + ix[1]) as f32 * 0.1);
+        let layer = Linear::from_params(w, Tensor::full([5], 0.5f32));
+        let mut m = Sequential::new(vec![Box::new(layer)]);
+        let x = Tensor::full([8, 3], 0.25f32);
+        assert!(m.forward(&x).is_err(), "uncompiled");
+        compile_for_inference_with(&mut m, &PrecisionPolicy::int8());
+        let mut ws = crate::ForwardWorkspace::new();
+        for prec in [Precision::F32, Precision::Bf16, Precision::Int8] {
+            assert!(ws.forward_at(&m, &x, prec).is_err(), "compiled, {prec}");
+        }
+    }
+
     #[test]
     fn visiting_params_refreshes_quantized_packs() {
         use hpacml_tensor::quant::Precision;

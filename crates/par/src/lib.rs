@@ -40,7 +40,7 @@ pub use pool::{
     broadcast, current_parallelism, global, join, parallel_for, parallel_reduce,
     total_threads_from_env, with_pool, Pool,
 };
-pub use slice::{par_chunks_mut, par_map_inplace, par_zip_apply};
+pub use slice::{par_chunks_mut, par_map_inplace};
 
 /// Statistics snapshot for a pool, used by benchmarks and the fig8
 /// "was the machine busy" diagnostics.

@@ -45,29 +45,6 @@ where
     });
 }
 
-/// Element-wise combine: `out[i] = f(a[i], b[i])`. Panics on length mismatch.
-pub fn par_zip_apply<T, F>(out: &mut [T], a: &[T], b: &[T], grain: usize, f: F)
-where
-    T: Send + Sync + Copy,
-    F: Fn(T, T) -> T + Sync,
-{
-    assert_eq!(
-        out.len(),
-        a.len(),
-        "par_zip_apply: length mismatch (out vs a)"
-    );
-    assert_eq!(
-        out.len(),
-        b.len(),
-        "par_zip_apply: length mismatch (out vs b)"
-    );
-    par_chunks_mut(out, grain, |start, sub| {
-        for (k, v) in sub.iter_mut().enumerate() {
-            *v = f(a[start + k], b[start + k]);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,26 +71,6 @@ mod tests {
             *x = *x * 2.0 + i as f64;
         }
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn par_zip_apply_adds() {
-        let a: Vec<f32> = (0..1000).map(|i| i as f32).collect();
-        let b: Vec<f32> = (0..1000).map(|i| (i * 2) as f32).collect();
-        let mut out = vec![0.0f32; 1000];
-        par_zip_apply(&mut out, &a, &b, 64, |x, y| x + y);
-        for (i, &v) in out.iter().enumerate() {
-            assert_eq!(v, (i * 3) as f32);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn par_zip_apply_length_mismatch_panics() {
-        let a = vec![0.0f32; 4];
-        let b = vec![0.0f32; 5];
-        let mut out = vec![0.0f32; 4];
-        par_zip_apply(&mut out, &a, &b, 2, |x, y| x + y);
     }
 
     #[test]

@@ -74,8 +74,21 @@
 //! 16 rows × 8 lanes with one contiguous store of the whole C block;
 //! `n == 1`: the 16 rows themselves on the SIMD axis — and only the
 //! `< NARROW_MR` remainder rows on the tiles above. The choice is a pure
-//! function of `(n, k, kc)`; nothing selects it from outside. `k > kc`,
-//! unpacked `B`, packed `A` and the quantized kernels keep the panel sweep.
+//! function of `(n, k, kc)`; nothing selects it from outside, and it holds
+//! at every storage precision. `k > kc`, unpacked `B` and packed `A` keep
+//! the panel sweep.
+//!
+//! # Panel codecs
+//!
+//! There is one macro-kernel. Everything in it — operand checks, the stripe
+//! split, the `kc` slab loop, the `MR`/4/2/1 step-down, the narrow tiles,
+//! the epilogue and the clipped store — is generic over a crate-private
+//! `PanelCodec`, whose only job is the `B`-row load: how the `NR` stored
+//! elements of one packed panel row become the `NR` values of `T` the
+//! accumulator chains consume. Full precision is the identity codec (the
+//! load itself); [`crate::quant`] supplies the bf16 and int8 ones. The
+//! chain after the load is the same code at every precision, so a reduced
+//! rung is bit-identical to this kernel run on its decoded weights.
 
 use crate::scalar::Scalar;
 use crate::tensor::Tensor;
@@ -327,22 +340,8 @@ impl<T: Scalar> PackedB<T> {
     /// Pack from row-major `[n, k]` storage — the `Bᵀ` ("transb") layout
     /// `Linear` weights use (`w[out, in]`, logical `B = wᵀ`).
     pub fn pack_rows_into(&mut self, bt: &[T], n: usize, k: usize) {
-        assert_eq!(bt.len(), n * k, "PackedB::pack_rows_into: bad B length");
         self.prepare(k, n);
-        for p in 0..self.panels() {
-            let j0 = p * NR;
-            let w = NR.min(n - j0);
-            let panel = &mut self.data[p * k * NR..(p + 1) * k * NR];
-            for (kk, row) in panel.chunks_exact_mut(NR).enumerate() {
-                for (j, v) in row.iter_mut().enumerate() {
-                    *v = if j < w {
-                        bt[(j0 + j) * k + kk]
-                    } else {
-                        T::ZERO
-                    };
-                }
-            }
-        }
+        pack_transb_panels(bt, n, k, &mut self.data, |_, v| v);
     }
 
     /// Pack a rank-2 tensor stored in transb layout `[n, k]`.
@@ -359,10 +358,37 @@ impl<T: Scalar> PackedB<T> {
         Ok(p)
     }
 
-    /// One panel's `k`-major data (`k * NR` elements), offset to slab `k0`.
-    #[inline]
-    fn panel_slab(&self, p: usize, k0: usize) -> &[T] {
-        &self.data[p * self.k * NR + k0 * NR..(p + 1) * self.k * NR]
+    /// This pack as the driver sees it: stored panels read by the identity
+    /// codec, which wants no scales.
+    fn view(&self) -> BView<'_, T, T> {
+        BView::Panels {
+            data: &self.data[..Self::packed_elems(self.k, self.n)],
+            scales: &[],
+        }
+    }
+}
+
+/// Fill `NR`-wide `k`-major panels (`dst[(p*k + kk)*NR + j]`) from row-major
+/// `[n, k]` ("transb") storage, storing `encode(column, value)` per element
+/// — the one packer behind every storage precision. Lanes past column `n`
+/// store `encode(column, 0)`, which is zero at every precision (the int8
+/// scale table is padded with `1.0`), so padding decodes to exactly `0`.
+pub(crate) fn pack_transb_panels<T: Scalar, Q>(
+    bt: &[T],
+    n: usize,
+    k: usize,
+    dst: &mut [Q],
+    encode: impl Fn(usize, T) -> Q,
+) {
+    assert_eq!(bt.len(), n * k, "pack_transb_panels: bad B length");
+    for p in 0..n.div_ceil(NR) {
+        let panel = &mut dst[p * k * NR..(p + 1) * k * NR];
+        for (kk, row) in panel.chunks_exact_mut(NR).enumerate() {
+            for (j, v) in row.iter_mut().enumerate() {
+                let col = p * NR + j;
+                *v = encode(col, if col < n { bt[col * k + kk] } else { T::ZERO });
+            }
+        }
     }
 }
 
@@ -466,6 +492,60 @@ pub enum BSource<'a, T: Scalar> {
     Packed(&'a PackedB<T>),
 }
 
+/// The `B` operand as the driver walks it: [`BSource`] with the packed case
+/// opened up into stored panels of any element type `Q`.
+#[derive(Clone, Copy)]
+pub(crate) enum BView<'a, T, Q> {
+    /// Row-major `[k, n]` of `T`, read in place with the identity codec —
+    /// the unpacked path is full precision only.
+    Cols(&'a [T]),
+    /// `NR`-wide `k`-major panels (`data[(p*k + kk)*NR + j]`) and the
+    /// per-column scale table their codec reads: `panels * NR` entries, or
+    /// empty for codecs that want none.
+    Panels { data: &'a [Q], scales: &'a [T] },
+}
+
+/// Panel `p`'s `k`-major rows from slab offset `k0` to the panel's end.
+#[inline]
+fn panel_slab<Q>(data: &[Q], k: usize, p: usize, k0: usize) -> &[Q] {
+    &data[(p * k + k0) * NR..(p + 1) * k * NR]
+}
+
+/// The `NR` scales of the panel starting at column `j0` (none for a codec
+/// without a scale table), sliced once per tile so the `k` loop indexes
+/// nothing.
+#[inline]
+fn panel_scales<T>(scales: &[T], j0: usize) -> &[T] {
+    scales.get(j0..j0 + NR).unwrap_or(&[])
+}
+
+// ---------------------------------------------------------------------------
+// Panel codecs
+// ---------------------------------------------------------------------------
+
+/// How one stored `B`-panel row becomes the `NR` values the accumulator
+/// chains consume — the only thing that differs between storage precisions
+/// (see the module docs). `raw` is exactly `NR` stored elements, `scales`
+/// the panel's `NR` scales or empty. Implementations are `#[inline(always)]`
+/// and decode through fixed-size array views, so no bounds check enters the
+/// `k` loop.
+pub(crate) trait PanelCodec<T: Scalar> {
+    /// Stored element type.
+    type Q: Copy + Send + Sync;
+    fn decode_row(raw: &[Self::Q], scales: &[T]) -> [T; NR];
+}
+
+/// Full precision: the stored row *is* the decoded row.
+struct Identity;
+
+impl<T: Scalar> PanelCodec<T> for Identity {
+    type Q = T;
+    #[inline(always)]
+    fn decode_row(raw: &[T], _scales: &[T]) -> [T; NR] {
+        *<&[T; NR]>::try_from(raw).expect("a panel row is NR elements")
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Micro-kernel
 // ---------------------------------------------------------------------------
@@ -476,8 +556,9 @@ pub enum BSource<'a, T: Scalar> {
 /// * `a[kk * a_kk + i * a_i]` is `A[row0+i, k0+kk]` — strides cover packed
 ///   (`a_kk = MR, a_i = 1`), row-major (`a_kk = 1, a_i = k`) and
 ///   single-row (`a_kk = 1, a_i = 0`) layouts with one body.
-/// * `b[kk * b_kk + j]` is `B[k0+kk, j0+j]`, contiguous over `j` in both
-///   packed (`b_kk = NR`) and row-major (`b_kk = n`) layouts.
+/// * `C::decode_row(b[kk * b_kk ..][..NR], scales)[j]` is `B[k0+kk, j0+j]`,
+///   contiguous over `j` in both packed (`b_kk = NR`) and row-major
+///   (`b_kk = n`) layouts.
 /// * `accumulate` resumes a previous slab's partials from `c`;
 ///   `finish` applies the epilogue (only on the last slab).
 ///
@@ -489,12 +570,13 @@ pub enum BSource<'a, T: Scalar> {
 #[inline(never)] // keep the hot loop a small, standalone optimization unit:
                  // inlined into the (large) macro-kernel, LLVM runs out of unroll budget,
                  // spills the accumulator tile to the stack and never vectorizes it.
-fn micro_tile<T: Scalar, const M: usize>(
+fn micro_tile<T: Scalar, C: PanelCodec<T>, const M: usize>(
     a: &[T],
     a_kk: usize,
     a_i: usize,
-    b: &[T],
+    b: &[C::Q],
     b_kk: usize,
+    scales: &[T],
     klen: usize,
     c: &mut [T],
     ldc: usize,
@@ -511,7 +593,7 @@ fn micro_tile<T: Scalar, const M: usize>(
         }
     }
     for kk in 0..klen {
-        let brow = &b[kk * b_kk..kk * b_kk + NR];
+        let brow = C::decode_row(&b[kk * b_kk..kk * b_kk + NR], scales);
         let abase = kk * a_kk;
         for (i, arow) in acc.iter_mut().enumerate() {
             let av = a[abase + i * a_i];
@@ -537,10 +619,9 @@ fn micro_tile<T: Scalar, const M: usize>(
     }
 }
 
-/// Apply the fused epilogue to one register tile — shared by the f32/f64
-/// micro-kernels above and the quantized micro-kernels in [`crate::quant`],
-/// so every precision runs the *same* float expression after its `k`-sum.
-/// `W` is the tile's lane count: [`NR`] on the panel sweep, [`NARROW_N`] or
+/// Apply the fused epilogue to one register tile — the one float expression
+/// every tile shape and storage precision runs after its `k`-sum. `W` is the
+/// tile's lane count: [`NR`] on the panel sweep, [`NARROW_N`] or
 /// [`NARROW_MR`] on the narrow tiles.
 ///
 /// Branch-free full-width passes over the tile: the bias/activation
@@ -550,7 +631,7 @@ fn micro_tile<T: Scalar, const M: usize>(
 /// µs; the `MR`-row tiles measure the same either way). Padding lanes past
 /// `cols` compute garbage and are clipped by the caller's store.
 #[inline(always)]
-pub(crate) fn finish_tile<T: Scalar, const M: usize, const W: usize>(
+fn finish_tile<T: Scalar, const M: usize, const W: usize>(
     acc: &mut [[T; W]; M],
     epi: &Epilogue<'_, T>,
     row0: usize,
@@ -670,25 +751,29 @@ const NARROW_MR: usize = 2 * MR;
 /// Run every full [`NARROW_MR`]-row block of a single-slab, `n ≤ NARROW_N`
 /// stripe on the narrow tiles and return how many rows that covered (the
 /// caller's ordinary tiles take the `< NARROW_MR` rows left). `a` holds the
-/// stripe's rows (`rows × k`, row-major), `c` its C block (`ldc == n`),
-/// `row0` the stripe's first row; `k > 0`.
+/// stripe's rows (`rows × k`, row-major), `panel`/`scales` the (single)
+/// packed panel and its scales, `c` the stripe's C block (`ldc == n`),
+/// `row0` its first row; `k > 0`.
 ///
 /// * `2 ≤ n ≤ NARROW_N`: [`narrow_tile`], `NARROW_MR` rows × `NARROW_N`
-///   lanes against the head of the (single) packed panel.
+///   lanes against the head of the panel.
 /// * `n == 1`: [`column_tile`], rows on the SIMD axis.
 ///
 /// Both keep one ascending-`k` `acc += a*w` chain per element and apply the
 /// epilogue through [`finish_tile`], so the bits equal the panel sweep's.
-fn narrow_blocks<T: Scalar>(
+// allow: GEMM kernel plumbing — dims, panel slices and strides stay
+// individual scalars so they live in registers through the tile loops.
+#[allow(clippy::too_many_arguments)]
+fn narrow_blocks<T: Scalar, C: PanelCodec<T>>(
     a: &[T],
     k: usize,
-    pb: &PackedB<T>,
+    panel: &[C::Q],
+    scales: &[T],
     c: &mut [T],
     n: usize,
     epi: &Epilogue<'_, T>,
     row0: usize,
 ) -> usize {
-    let panel = pb.panel_slab(0, 0);
     let blocks = a
         .chunks_exact(NARROW_MR * k)
         .zip(c.chunks_exact_mut(NARROW_MR * n))
@@ -704,11 +789,11 @@ fn narrow_blocks<T: Scalar>(
         };
         let epi_t = epi_t.with_act(epi.act);
         for (blk, (ab, cb)) in blocks {
-            column_tile(ab, k, panel, cb, &epi_t, lane0 + blk * NARROW_MR);
+            column_tile::<T, C>(ab, k, panel, scales, cb, &epi_t, lane0 + blk * NARROW_MR);
         }
     } else {
         for (blk, (ab, cb)) in blocks {
-            narrow_tile(ab, k, panel, cb, n, epi, row0 + blk * NARROW_MR);
+            narrow_tile::<T, C>(ab, k, panel, scales, cb, n, epi, row0 + blk * NARROW_MR);
         }
     }
     c.len() / n / NARROW_MR * NARROW_MR
@@ -716,15 +801,20 @@ fn narrow_blocks<T: Scalar>(
 
 /// The `2 ≤ n ≤ NARROW_N` tile: [`NARROW_MR`] rows × [`NARROW_N`] lanes over
 /// the whole (single-slab) `k`. `a` is the block's `NARROW_MR × k` rows,
-/// `panel[kk * NR ..]` the packed `B` row `kk`, `c` the block's contiguous
+/// `panel[kk * NR ..]` the stored `B` row `kk`, `c` the block's contiguous
 /// `NARROW_MR × n` outputs. Same chain per element as [`micro_tile`]
-/// (`acc += a * w`, ascending `kk`, mul then add); lanes past `n` multiply
-/// the panel's zero padding and are dropped by the store.
+/// (`acc += a * w`, ascending `kk`, mul then add) on the first `NARROW_N`
+/// decoded lanes; lanes past `n` multiply the panel's zero padding and are
+/// dropped by the store.
+// allow: GEMM kernel plumbing — dims, panel slices and strides stay
+// individual scalars so they live in registers through the tile loops.
+#[allow(clippy::too_many_arguments)]
 #[inline(never)] // same rationale as micro_tile: a small standalone unit.
-fn narrow_tile<T: Scalar>(
+fn narrow_tile<T: Scalar, C: PanelCodec<T>>(
     a: &[T],
     k: usize,
-    panel: &[T],
+    panel: &[C::Q],
+    scales: &[T],
     c: &mut [T],
     n: usize,
     epi: &Epilogue<'_, T>,
@@ -734,11 +824,11 @@ fn narrow_tile<T: Scalar>(
     // Fixed-count row views of equal length keep the bounds checks out of
     // the k loop.
     let rows: [&[T]; NARROW_MR] = std::array::from_fn(|i| &a[i * k..(i + 1) * k]);
-    for (kk, brow) in panel.chunks_exact(NR).take(k).enumerate() {
-        let brow = <&[T; NARROW_N]>::try_from(&brow[..NARROW_N]).expect("NARROW_N < NR lanes");
+    for (kk, braw) in panel.chunks_exact(NR).take(k).enumerate() {
+        let brow = C::decode_row(braw, scales);
         for (arow, row) in acc.iter_mut().zip(&rows) {
             let av = row[kk];
-            for (v, b) in arow.iter_mut().zip(brow) {
+            for (v, b) in arow.iter_mut().zip(&brow) {
                 *v += av * *b;
             }
         }
@@ -758,22 +848,23 @@ fn narrow_tile<T: Scalar>(
 /// the tile is that many independent ascending-`k` chains
 /// `acc[i] += a[i, kk] * w[kk]` and one contiguous store — against
 /// [`micro_tile`]'s one live lane in [`NR`]. `a` is the block's
-/// `NARROW_MR × k` rows, `panel[kk * NR]` the packed column, `epi_t` the
-/// epilogue *of the transposed tile* (see [`narrow_blocks`]) with `lane0`
-/// the row the first lane stands for.
+/// `NARROW_MR × k` rows, lane 0 of the decoded `panel[kk * NR ..]` row the
+/// column's weight `w[kk]`, `epi_t` the epilogue *of the transposed tile*
+/// (see [`narrow_blocks`]) with `lane0` the row the first lane stands for.
 #[inline(never)] // same rationale as micro_tile: a small standalone unit.
-fn column_tile<T: Scalar>(
+fn column_tile<T: Scalar, C: PanelCodec<T>>(
     a: &[T],
     k: usize,
-    panel: &[T],
+    panel: &[C::Q],
+    scales: &[T],
     c: &mut [T],
     epi_t: &Epilogue<'_, T>,
     lane0: usize,
 ) {
     let mut acc = [[T::ZERO; NARROW_MR]; 1];
     let rows: [&[T]; NARROW_MR] = std::array::from_fn(|i| &a[i * k..(i + 1) * k]);
-    for (kk, wrow) in panel.chunks_exact(NR).take(k).enumerate() {
-        let wv = wrow[0];
+    for (kk, wraw) in panel.chunks_exact(NR).take(k).enumerate() {
+        let wv = C::decode_row(wraw, scales)[0];
         for (v, row) in acc[0].iter_mut().zip(&rows) {
             *v += row[kk] * wv;
         }
@@ -787,7 +878,10 @@ fn column_tile<T: Scalar>(
 // ---------------------------------------------------------------------------
 
 /// `C[m, n] = epilogue(A · B)` over raw slices, parallelized over row
-/// stripes with the default [`KC`] slab depth. See [`gemm_into_kc`].
+/// stripes with the default [`KC`] slab depth. `c` must be a row-major
+/// `[m, n]` slice; every element is overwritten. Panics on operand/size
+/// mismatches (callers validate shapes; the tensor-level wrappers return
+/// errors instead).
 pub fn gemm_into<T: Scalar>(
     m: usize,
     n: usize,
@@ -797,23 +891,30 @@ pub fn gemm_into<T: Scalar>(
     epi: Epilogue<'_, T>,
     c: &mut [T],
 ) {
-    gemm_into_kc(m, n, k, a, b, epi, c, KC)
+    let b = match b {
+        BSource::Cols(bd) => BView::Cols(bd),
+        BSource::Packed(pb) => {
+            assert_eq!((pb.k(), pb.n()), (k, n), "gemm: PackedB dims mismatch");
+            pb.view()
+        }
+    };
+    gemm_driver::<T, Identity>(m, n, k, a, b, epi, c, KC)
 }
 
-/// [`gemm_into`] with an explicit cache-slab depth — the tuning/testing
-/// hook behind the determinism guarantee ("results do not depend on
-/// `kc`"). `c` must be a row-major `[m, n]` slice; every element is
-/// overwritten. Panics on operand/size mismatches (callers validate
-/// shapes; the tensor-level wrappers return errors instead).
+/// The one macro-kernel driver, at every storage precision: checks the
+/// operands, splits `c` into `MR`-aligned row stripes across the pool and
+/// runs [`stripe_body`] on each. `kc` is the cache-slab depth — the
+/// tuning/testing hook behind the determinism guarantee ("results do not
+/// depend on `kc`").
 // allow: GEMM kernel plumbing — dims, panel slices and strides stay
 // individual scalars so they live in registers through the tile loops.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_into_kc<T: Scalar>(
+pub(crate) fn gemm_driver<T: Scalar, C: PanelCodec<T>>(
     m: usize,
     n: usize,
     k: usize,
     a: ASource<'_, T>,
-    b: BSource<'_, T>,
+    b: BView<'_, T, C::Q>,
     epi: Epilogue<'_, T>,
     c: &mut [T],
     kc: usize,
@@ -826,9 +927,9 @@ pub fn gemm_into_kc<T: Scalar>(
         }
     }
     match b {
-        BSource::Cols(bd) => assert_eq!(bd.len(), k * n, "gemm: bad B length"),
-        BSource::Packed(pb) => {
-            assert_eq!((pb.k(), pb.n()), (k, n), "gemm: PackedB dims mismatch")
+        BView::Cols(bd) => assert_eq!(bd.len(), k * n, "gemm: bad B length"),
+        BView::Panels { data, .. } => {
+            assert_eq!(data.len(), n.div_ceil(NR) * k * NR, "gemm: bad B panels")
         }
     }
     if let Bias::Col(bias) = epi.bias {
@@ -847,10 +948,10 @@ pub fn gemm_into_kc<T: Scalar>(
     if par_worthwhile(m, n, k) {
         let rows = par_rows_per_block(m, n, k).div_ceil(MR) * MR;
         hpacml_par::par_chunks_mut(c, rows * n, |start, stripe| {
-            stripe_body(start / n, stripe, n, k, a, b, &epi, kc);
+            stripe_body::<T, C>(start / n, stripe, n, k, a, b, &epi, kc);
         });
     } else {
-        stripe_body(0, c, n, k, a, b, &epi, kc);
+        stripe_body::<T, C>(0, c, n, k, a, b, &epi, kc);
     }
 }
 
@@ -859,13 +960,13 @@ pub fn gemm_into_kc<T: Scalar>(
 // allow: GEMM kernel plumbing — dims, panel slices and strides stay
 // individual scalars so they live in registers through the tile loops.
 #[allow(clippy::too_many_arguments)]
-fn stripe_body<T: Scalar>(
+fn stripe_body<T: Scalar, C: PanelCodec<T>>(
     row0: usize,
     stripe: &mut [T],
     n: usize,
     k: usize,
     a: ASource<'_, T>,
-    b: BSource<'_, T>,
+    b: BView<'_, T, C::Q>,
     epi: &Epilogue<'_, T>,
     kc: usize,
 ) {
@@ -875,15 +976,18 @@ fn stripe_body<T: Scalar>(
         let k0 = slab * kc;
         let klen = kc.min(k - k0);
         let accumulate = slab > 0;
-        let last = slab + 1 == slabs;
+        let epi = (slab + 1 == slabs).then_some(epi);
 
         // Narrow-N problems with a single slab (nothing to resume; `k == 0`
         // is a pure epilogue pass) run their full NARROW_MR-row blocks on
         // the narrow tiles; whatever is left (< NARROW_MR rows) falls
         // through to the tiles below.
-        let mut r = match (a, b) {
-            (ASource::Rows(ad), BSource::Packed(pb)) if n <= NARROW_N && (1..=kc).contains(&k) => {
-                narrow_blocks(&ad[row0 * k..][..rows * k], k, pb, stripe, n, epi, row0)
+        let mut r = match (a, b, epi) {
+            (ASource::Rows(ad), BView::Panels { data, scales }, Some(epi))
+                if n <= NARROW_N && (1..=kc).contains(&k) =>
+            {
+                let ab = &ad[row0 * k..][..rows * k];
+                narrow_blocks::<T, C>(ab, k, data, panel_scales(scales, 0), stripe, n, epi, row0)
             }
             _ => 0,
         };
@@ -901,19 +1005,8 @@ fn stripe_body<T: Scalar>(
                     (pa.block_slab(row / MR, k0), MR, 1)
                 }
             };
-            panel_sweep::<T, MR>(
-                ab,
-                a_kk,
-                a_i,
-                b,
-                n,
-                k0,
-                klen,
-                &mut stripe[r * n..(r + MR) * n],
-                row,
-                accumulate,
-                last.then_some(epi),
-            );
+            let cb = &mut stripe[r * n..(r + MR) * n];
+            panel_sweep::<T, C, MR>(ab, a_kk, a_i, b, n, k, k0, klen, cb, row, accumulate, epi);
             r += MR;
         }
         // Remainder rows (< MR): step down through 4/2/1-row tiles so even
@@ -923,110 +1016,81 @@ fn stripe_body<T: Scalar>(
         // changes results.
         while r < rows {
             let row = row0 + r;
-            let left = rows - r;
             let (ab, a_i): (&[T], usize) = match a {
                 ASource::Rows(ad) => (&ad[row * k + k0..], k),
                 ASource::Packed(pa) => (&pa.rem_rows(row)[k0..], pa.k),
             };
-            let step = if left >= 4 {
-                panel_sweep::<T, 4>(
-                    ab,
-                    1,
-                    a_i,
-                    b,
-                    n,
-                    k0,
-                    klen,
-                    &mut stripe[r * n..(r + 4) * n],
-                    row,
-                    accumulate,
-                    last.then_some(epi),
-                );
-                4
-            } else if left >= 2 {
-                panel_sweep::<T, 2>(
-                    ab,
-                    1,
-                    a_i,
-                    b,
-                    n,
-                    k0,
-                    klen,
-                    &mut stripe[r * n..(r + 2) * n],
-                    row,
-                    accumulate,
-                    last.then_some(epi),
-                );
-                2
-            } else {
-                panel_sweep::<T, 1>(
-                    ab,
-                    1,
-                    0,
-                    b,
-                    n,
-                    k0,
-                    klen,
-                    &mut stripe[r * n..(r + 1) * n],
-                    row,
-                    accumulate,
-                    last.then_some(epi),
-                );
-                1
+            let cb = &mut stripe[r * n..];
+            let step = match rows - r {
+                4.. => {
+                    panel_sweep::<T, C, 4>(ab, 1, a_i, b, n, k, k0, klen, cb, row, accumulate, epi);
+                    4
+                }
+                2.. => {
+                    panel_sweep::<T, C, 2>(ab, 1, a_i, b, n, k, k0, klen, cb, row, accumulate, epi);
+                    2
+                }
+                _ => {
+                    panel_sweep::<T, C, 1>(ab, 1, 0, b, n, k, k0, klen, cb, row, accumulate, epi);
+                    1
+                }
             };
             r += step;
         }
     }
 }
 
-/// Sweep the `NR`-wide column panels of one `M`-row block.
+/// Sweep the `NR`-wide column panels of one `M`-row block (`c`: its rows
+/// from the block's first, `ldc == n`).
 // allow: GEMM kernel plumbing — dims, panel slices and strides stay
 // individual scalars so they live in registers through the tile loops.
 #[allow(clippy::too_many_arguments)]
-fn panel_sweep<T: Scalar, const M: usize>(
+fn panel_sweep<T: Scalar, C: PanelCodec<T>, const M: usize>(
     a: &[T],
     a_kk: usize,
     a_i: usize,
-    b: BSource<'_, T>,
+    b: BView<'_, T, C::Q>,
     n: usize,
+    k: usize,
     k0: usize,
     klen: usize,
-    c: &mut [T], // M rows, ldc == n
+    c: &mut [T],
     row0: usize,
     accumulate: bool,
     epi: Option<&Epilogue<'_, T>>,
 ) {
     match b {
-        BSource::Packed(pb) => {
-            for p in 0..pb.panels() {
+        BView::Panels { data, scales } => {
+            for p in 0..n.div_ceil(NR) {
                 let j0 = p * NR;
-                let cols = NR.min(n - j0);
-                micro_tile::<T, M>(
+                micro_tile::<T, C, M>(
                     a,
                     a_kk,
                     a_i,
-                    pb.panel_slab(p, k0),
+                    panel_slab(data, k, p, k0),
                     NR,
+                    panel_scales(scales, j0),
                     klen,
                     &mut c[j0..],
                     n,
-                    cols,
+                    NR.min(n - j0),
                     accumulate,
                     epi.map(|e| (e, row0, j0)),
                 );
             }
         }
-        BSource::Cols(bd) => {
+        BView::Cols(bd) => {
             let slab = &bd[k0 * n..];
             let full = n / NR;
             for p in 0..full {
                 let j0 = p * NR;
-                micro_tile::<T, M>(
+                micro_tile::<T, Identity, M>(
                     a,
                     a_kk,
                     a_i,
                     &slab[j0..],
                     n,
+                    &[],
                     klen,
                     &mut c[j0..],
                     n,
@@ -1057,6 +1121,43 @@ fn panel_sweep<T: Scalar, const M: usize>(
 // Tensor-level entry points
 // ---------------------------------------------------------------------------
 
+/// The shape checks every tensor-level `A · Bᵀ` wrapper shares, so a bad
+/// operand is the same [`TensorError::DimMismatch`] whichever kernel would
+/// have served it (never a panic inside the driver): `a` is rank 2, its `k`
+/// matches the `[n, bk]` right-hand side, and a fused bias has one entry
+/// per column/row. Returns `a`'s `(m, k)`.
+pub(crate) fn check_operands<T: Scalar>(
+    what: &str,
+    a: &Tensor<T>,
+    n: usize,
+    bk: usize,
+    epi: &Epilogue<'_, T>,
+) -> Result<(usize, usize)> {
+    if a.rank() != 2 {
+        return Err(TensorError::DimMismatch(format!(
+            "{what}: lhs expected rank 2, got {:?}",
+            a.dims()
+        )));
+    }
+    let (m, k) = (a.dims()[0], a.dims()[1]);
+    if k != bk {
+        return Err(TensorError::DimMismatch(format!(
+            "{what}: lhs is [{m}, {k}], rhs is [{n}, {bk}]"
+        )));
+    }
+    let (len, want, axis) = match epi.bias {
+        Bias::None => return Ok((m, k)),
+        Bias::Col(bias) => (bias.len(), n, "columns"),
+        Bias::Row(bias) => (bias.len(), m, "rows"),
+    };
+    if len != want {
+        return Err(TensorError::DimMismatch(format!(
+            "{what}: bias has {len} entries for {want} {axis}"
+        )));
+    }
+    Ok((m, k))
+}
+
 /// `C[m, n] = epilogue(A[m, k] · Bᵀ)` against a pre-packed `B` — the
 /// steady-state `Linear` layer kernel: weights packed once at model load,
 /// bias and activation fused into the output tiles. `c` is resized in
@@ -1079,32 +1180,11 @@ pub fn matmul_transb_packed_into_kc<T: Scalar>(
     c: &mut Tensor<T>,
     kc: usize,
 ) -> Result<()> {
-    if a.rank() != 2 {
-        return Err(TensorError::DimMismatch(format!(
-            "matmul_transb_packed: lhs expected rank 2, got {:?}",
-            a.dims()
-        )));
-    }
-    let (m, k) = (a.dims()[0], a.dims()[1]);
-    if k != bp.k() {
-        return Err(TensorError::DimMismatch(format!(
-            "matmul_transb_packed: lhs is [{m}, {k}], packed rhs is [{}, {}]",
-            bp.n(),
-            bp.k()
-        )));
-    }
     let n = bp.n();
+    let (m, k) = check_operands("matmul_transb_packed", a, n, bp.k(), &epi)?;
     c.resize(&[m, n]);
-    gemm_into_kc(
-        m,
-        n,
-        k,
-        ASource::Rows(a.data()),
-        BSource::Packed(bp),
-        epi,
-        c.data_mut(),
-        kc,
-    );
+    let a = ASource::Rows(a.data());
+    gemm_driver::<T, Identity>(m, n, k, a, bp.view(), epi, c.data_mut(), kc);
     Ok(())
 }
 
@@ -1281,6 +1361,39 @@ mod tests {
             let mut c = Tensor::zeros([0usize; 2]);
             matmul_transb_packed_into_kc(&a, &bp, epi, &mut c, kc).unwrap();
             assert_eq!(c.data(), base.data(), "kc={kc}");
+        }
+    }
+
+    /// A fused bias of the wrong length is a `DimMismatch` from every
+    /// tensor-level wrapper — pack-on-the-fly, pre-packed and quantized —
+    /// on both axes, before `c` is touched; none of them may reach the
+    /// driver's asserts.
+    #[test]
+    fn mis_sized_bias_is_an_error_on_every_wrapper() {
+        use crate::quant::{matmul_transb_qpacked_into, Precision, QPackedB};
+        let (m, k, n) = (6usize, 3usize, 4usize);
+        let a = Tensor::from_vec(lcg(31, m * k), [m, k]).unwrap();
+        let bt = Tensor::from_vec(lcg(32, n * k), [n, k]).unwrap();
+        let bp = PackedB::from_transb(&bt).unwrap();
+        let q16 = QPackedB::from_transb(&bt, Precision::Bf16).unwrap();
+        let q8 = QPackedB::from_transb(&bt, Precision::Int8).unwrap();
+        let (col, row) = (vec![0.0f32; n + 1], vec![0.0f32; m - 1]);
+        for epi in [Epilogue::col_bias(&col), Epilogue::row_bias(&row)] {
+            let mut c = Tensor::zeros([2usize, 2]);
+            let results = [
+                crate::ops::matmul_transb_into(&a, &bt, &mut c, epi),
+                matmul_transb_packed_into(&a, &bp, epi, &mut c),
+                matmul_transb_qpacked_into(&a, &q16, epi, &mut c),
+                matmul_transb_qpacked_into(&a, &q8, epi, &mut c),
+            ];
+            for (i, r) in results.iter().enumerate() {
+                assert!(
+                    matches!(r, Err(TensorError::DimMismatch(_))),
+                    "wrapper {i}, {:?}: {r:?}",
+                    epi.bias
+                );
+            }
+            assert_eq!(c.dims(), &[2, 2], "a rejected call must not resize c");
         }
     }
 

@@ -32,14 +32,6 @@ fn axpy<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
 
 /// `C[m,n] = A[m,k] · B[k,n]`.
 pub fn matmul<T: Scalar>(a: &Tensor<T>, b: &Tensor<T>) -> Result<Tensor<T>> {
-    let mut c = Tensor::zeros([0usize; 2]);
-    matmul_into(a, b, &mut c)?;
-    Ok(c)
-}
-
-/// [`matmul`] writing into a caller-owned output tensor (resized in place;
-/// allocation-free once `c` has capacity).
-pub fn matmul_into<T: Scalar>(a: &Tensor<T>, b: &Tensor<T>, c: &mut Tensor<T>) -> Result<()> {
     let (m, k) = mat_dims(a, "matmul lhs")?;
     let (kb, n) = mat_dims(b, "matmul rhs")?;
     if k != kb {
@@ -47,8 +39,7 @@ pub fn matmul_into<T: Scalar>(a: &Tensor<T>, b: &Tensor<T>, c: &mut Tensor<T>) -
             "matmul: lhs is [{m}, {k}], rhs is [{kb}, {n}]"
         )));
     }
-    c.resize(&[m, n]);
-    c.data_mut().fill(T::ZERO); // the kernel accumulates
+    let mut c = Tensor::zeros([m, n]); // the kernel accumulates
     let (ad, bd) = (a.data(), b.data());
     let body = |row0: usize, rows: &mut [T]| {
         for (r, crow) in rows.chunks_exact_mut(n).enumerate() {
@@ -60,7 +51,7 @@ pub fn matmul_into<T: Scalar>(a: &Tensor<T>, b: &Tensor<T>, c: &mut Tensor<T>) -
         }
     };
     dispatch_rows(c.data_mut(), m, n, k, body);
-    Ok(())
+    Ok(c)
 }
 
 /// `C[m,n] = A[m,k] · B[n,k]ᵀ` (dot products of rows — cache friendly).
@@ -90,29 +81,8 @@ pub fn matmul_transb_into<T: Scalar + WithScratch>(
     c: &mut Tensor<T>,
     epi: Epilogue<'_, T>,
 ) -> Result<()> {
-    let (m, k) = mat_dims(a, "matmul_transb lhs")?;
     let (n, kb) = mat_dims(b, "matmul_transb rhs")?;
-    if k != kb {
-        return Err(TensorError::DimMismatch(format!(
-            "matmul_transb: lhs is [{m}, {k}], rhs is [{n}, {kb}]"
-        )));
-    }
-    if let gemm::Bias::Col(bias) = epi.bias {
-        if bias.len() != n {
-            return Err(TensorError::DimMismatch(format!(
-                "matmul_transb: col bias has {} entries for {n} columns",
-                bias.len()
-            )));
-        }
-    }
-    if let gemm::Bias::Row(bias) = epi.bias {
-        if bias.len() != m {
-            return Err(TensorError::DimMismatch(format!(
-                "matmul_transb: row bias has {} entries for {m} rows",
-                bias.len()
-            )));
-        }
-    }
+    let (m, k) = gemm::check_operands("matmul_transb", a, n, kb, &epi)?;
     c.resize(&[m, n]); // every cell is overwritten below; no zero fill needed
     let (ad, bd) = (a.data(), b.data());
     if m >= PACK_MIN_ROWS {
@@ -156,17 +126,6 @@ pub fn matmul_transb_into<T: Scalar + WithScratch>(
 
 /// `C[m,n] = A[k,m]ᵀ · B[k,n]`.
 pub fn matmul_transa<T: Scalar>(a: &Tensor<T>, b: &Tensor<T>) -> Result<Tensor<T>> {
-    let mut c = Tensor::zeros([0usize; 2]);
-    matmul_transa_into(a, b, &mut c)?;
-    Ok(c)
-}
-
-/// [`matmul_transa`] writing into a caller-owned output tensor.
-pub fn matmul_transa_into<T: Scalar>(
-    a: &Tensor<T>,
-    b: &Tensor<T>,
-    c: &mut Tensor<T>,
-) -> Result<()> {
     let (k, m) = mat_dims(a, "matmul_transa lhs")?;
     let (kb, n) = mat_dims(b, "matmul_transa rhs")?;
     if k != kb {
@@ -174,8 +133,7 @@ pub fn matmul_transa_into<T: Scalar>(
             "matmul_transa: lhs is [{k}, {m}], rhs is [{kb}, {n}]"
         )));
     }
-    c.resize(&[m, n]);
-    c.data_mut().fill(T::ZERO); // the kernel accumulates
+    let mut c = Tensor::zeros([m, n]); // the kernel accumulates
     let (ad, bd) = (a.data(), b.data());
     let body = |row0: usize, rows: &mut [T]| {
         for (r, crow) in rows.chunks_exact_mut(n).enumerate() {
@@ -187,7 +145,7 @@ pub fn matmul_transa_into<T: Scalar>(
         }
     };
     dispatch_rows(c.data_mut(), m, n, k, body);
-    Ok(())
+    Ok(c)
 }
 
 fn mat_dims<T: Scalar>(t: &Tensor<T>, what: &str) -> Result<(usize, usize)> {
@@ -419,22 +377,8 @@ pub fn conv2d<T: Scalar + WithScratch>(
     g: Conv2dGeom,
 ) -> Result<Tensor<T>> {
     let mut out = Tensor::zeros([0usize; 4]);
-    conv2d_into(input, weight, bias, g, &mut out)?;
+    conv2d_fused_into(input, weight, None, bias, g, None, &mut out)?;
     Ok(out)
-}
-
-/// [`conv2d`] writing into a caller-owned output tensor (resized in place).
-/// Steady-state allocation-free on every path: the direct kernels touch no
-/// scratch, and the im2col/GEMM paths reuse this thread's grow-only
-/// [`gemm::GemmScratch`] column buffer.
-pub fn conv2d_into<T: Scalar + WithScratch>(
-    input: &Tensor<T>,
-    weight: &Tensor<T>,
-    bias: &[T],
-    g: Conv2dGeom,
-    out: &mut Tensor<T>,
-) -> Result<()> {
-    conv2d_fused_into(input, weight, None, bias, g, None, out)
 }
 
 /// Does a per-sample conv problem (`f` filters, `ckk = c*kh*kw` taps,
@@ -447,10 +391,13 @@ pub fn conv_gemm_worthwhile(f: usize, ckk: usize, l: usize) -> bool {
     l >= 2 * gemm::NR && f * ckk * l >= PAR_FLOPS_MIN
 }
 
-/// [`conv2d_into`] with the compiled-layer extras: optionally pre-packed
-/// weight panels (`W` viewed as the `[f, ckk]` GEMM `A` operand, packed
-/// once at model load) and a fused activation applied while each output
-/// tile is hot.
+/// [`conv2d`] writing into a caller-owned output tensor (resized in place),
+/// with the compiled-layer extras: optionally pre-packed weight panels (`W`
+/// viewed as the `[f, ckk]` GEMM `A` operand, packed once at model load)
+/// and a fused activation applied while each output tile is hot.
+/// Steady-state allocation-free on every path: the direct kernels touch no
+/// scratch, and the im2col/GEMM paths reuse this thread's grow-only
+/// [`gemm::GemmScratch`] column buffer.
 pub fn conv2d_fused_into<T: Scalar + WithScratch>(
     input: &Tensor<T>,
     weight: &Tensor<T>,

@@ -11,19 +11,26 @@
 //! host — including single-core ones, where there is no parallel lever
 //! left to pull.
 //!
+//! # What lives here
+//!
+//! No kernel. This module supplies the two things that are about
+//! quantization — the scalar codecs with their `gemm::PanelCodec` row
+//! decoders, and [`QPackedB`] packing/audit — to the one macro-kernel in
+//! [`crate::gemm`], which every precision runs: the same stripe split, `kc`
+//! slabs, register and narrow tiles, epilogue and store.
+//!
 //! # Determinism
 //!
-//! The quantized kernels preserve the module-wide bitwise-determinism
-//! contract (see [`crate::gemm`]): each stored weight maps to **one
-//! canonical f32** (`bf16_decode`, or `int8 as f32 * scale`) before it
-//! enters the accumulator chain, and every output element is still a
-//! single ascending-`k` f32 add-chain (`acc += a * dequant(b)`, no
-//! `mul_add`). Dequantization is a pure per-element function of the
-//! packed panel — independent of thread count, `KC` blocking, stripe
-//! boundaries and batch size — so quantized results are a pure function
-//! of the quantized panel, not the schedule. The epilogue is shared with
-//! the f32 kernel (`gemm::finish_tile`) so bias/activation math
-//! is the same float expression at every precision.
+//! The reduced rungs keep the crate-wide bitwise-determinism contract (see
+//! [`crate::gemm`]): each stored weight maps to **one canonical f32**
+//! (`bf16_decode`, or `int8 as f32 * scale`) at the panel-row load, and
+//! from there every output element is the driver's single ascending-`k`
+//! f32 add-chain (`acc += a * dequant(b)`, no `mul_add`). Decoding is a
+//! pure per-element function of the packed panel — independent of thread
+//! count, `KC` blocking, stripe boundaries, tile shape and batch size — so
+//! quantized results are a pure function of the quantized panel, not the
+//! schedule, and equal the f32 kernel run on the decoded weights bit for
+//! bit.
 //!
 //! # Encodings
 //!
@@ -37,11 +44,9 @@
 //!   mode dependence). Decode is `q as f32 * scale`. Zero maps to zero
 //!   exactly, so panel padding decodes to `0.0` at both precisions.
 
-use crate::gemm::{finish_tile, par_rows_per_block, par_worthwhile, Bias, Epilogue, KC, NR};
+use crate::gemm::{self, ASource, BView, Epilogue, PanelCodec, KC, NR};
 use crate::tensor::Tensor;
 use crate::{Result, TensorError};
-
-use crate::gemm::MR;
 
 // ---------------------------------------------------------------------------
 // Precision tags
@@ -222,52 +227,31 @@ impl QPackedB {
                 t.dims()
             )));
         }
-        if prec == Precision::F32 {
-            return Err(TensorError::DimMismatch(
-                "QPackedB::from_transb: F32 uses the unquantized PackedB".into(),
-            ));
-        }
         let (n, k) = (t.dims()[0], t.dims()[1]);
         let bt = t.data();
         let panels = n.div_ceil(NR);
         let mut scales = vec![1.0f32; panels * NR];
         let data = match prec {
+            Precision::F32 => {
+                return Err(TensorError::DimMismatch(
+                    "QPackedB::from_transb: F32 uses the unquantized PackedB".into(),
+                ))
+            }
             Precision::Bf16 => {
                 let mut d = vec![0u16; panels * k * NR];
-                for p in 0..panels {
-                    let j0 = p * NR;
-                    let w = NR.min(n - j0);
-                    let panel = &mut d[p * k * NR..(p + 1) * k * NR];
-                    for (kk, row) in panel.chunks_exact_mut(NR).enumerate() {
-                        for (j, v) in row.iter_mut().enumerate().take(w) {
-                            *v = bf16_encode(bt[(j0 + j) * k + kk]);
-                        }
-                    }
-                }
+                gemm::pack_transb_panels(bt, n, k, &mut d, |_, v| bf16_encode(v));
                 QData::Bf16(d)
             }
             Precision::Int8 => {
                 // Per-output-channel abs-max scales: output channel j is
                 // row j of the transb weight matrix = packed column j.
-                for (j, s) in scales.iter_mut().enumerate().take(n) {
-                    let ch = &bt[j * k..(j + 1) * k];
-                    let absmax = ch.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-                    *s = int8_scale(absmax);
+                for (s, ch) in scales.iter_mut().zip(bt.chunks_exact(k.max(1))) {
+                    *s = int8_scale(ch.iter().fold(0.0f32, |m, v| m.max(v.abs())));
                 }
                 let mut d = vec![0i8; panels * k * NR];
-                for p in 0..panels {
-                    let j0 = p * NR;
-                    let w = NR.min(n - j0);
-                    let panel = &mut d[p * k * NR..(p + 1) * k * NR];
-                    for (kk, row) in panel.chunks_exact_mut(NR).enumerate() {
-                        for (j, v) in row.iter_mut().enumerate().take(w) {
-                            *v = int8_quantize(bt[(j0 + j) * k + kk], scales[j0 + j]);
-                        }
-                    }
-                }
+                gemm::pack_transb_panels(bt, n, k, &mut d, |j, v| int8_quantize(v, scales[j]));
                 QData::Int8(d)
             }
-            Precision::F32 => unreachable!(),
         };
         Ok(QPackedB { k, n, scales, data })
     }
@@ -317,262 +301,34 @@ impl QPackedB {
         }
         worst
     }
-
-    /// One row stripe of the quantized GEMM, dispatched to the dtype's
-    /// monomorphized body.
-    // allow: GEMM kernel plumbing — see micro_tile_q.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn stripe(
-        &self,
-        row0: usize,
-        stripe: &mut [f32],
-        n: usize,
-        k: usize,
-        a: &[f32],
-        epi: &Epilogue<'_, f32>,
-        kc: usize,
-    ) {
-        match &self.data {
-            QData::Bf16(d) => {
-                stripe_body_q::<DeqBf16>(row0, stripe, n, k, a, d, &self.scales, epi, kc)
-            }
-            QData::Int8(d) => {
-                stripe_body_q::<DeqInt8>(row0, stripe, n, k, a, d, &self.scales, epi, kc)
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Dequantizing micro/macro-kernel
+// Panel codecs
 // ---------------------------------------------------------------------------
 
-/// In-register dequantization: how one stored weight becomes the single
-/// canonical f32 the accumulator chain consumes.
-trait Dequant {
-    type Q: Copy + Send + Sync;
-    fn decode(q: Self::Q, scale: f32) -> f32;
-}
+/// bf16 panels: a lossless shift per lane; reads no scales.
+struct Bf16Panel;
 
-struct DeqBf16;
-
-impl Dequant for DeqBf16 {
+impl PanelCodec<f32> for Bf16Panel {
     type Q = u16;
     #[inline(always)]
-    fn decode(q: u16, _scale: f32) -> f32 {
-        bf16_decode(q)
+    fn decode_row(raw: &[u16], _scales: &[f32]) -> [f32; NR] {
+        let raw = <&[u16; NR]>::try_from(raw).expect("a panel row is NR elements");
+        std::array::from_fn(|j| bf16_decode(raw[j]))
     }
 }
 
-struct DeqInt8;
+/// int8 panels: `q as f32 * scale` against the panel's `NR` channel scales.
+struct Int8Panel;
 
-impl Dequant for DeqInt8 {
+impl PanelCodec<f32> for Int8Panel {
     type Q = i8;
     #[inline(always)]
-    fn decode(q: i8, scale: f32) -> f32 {
-        int8_dequantize(q, scale)
-    }
-}
-
-/// The quantized register-tiled micro-kernel: identical structure to
-/// `gemm::micro_tile` (strides, accumulate/finish protocol, ascending-`k`
-/// chains) with one extra step — each packed `NR`-row is decoded into a
-/// stack-resident f32 row before entering the multiply-add chain. The
-/// decode is a pure element map, so the accumulation order and float
-/// expression match the f32 kernel run on pre-dequantized weights bit for
-/// bit.
-// allow: GEMM kernel plumbing — dims, panel slices and strides stay
-// individual scalars so they live in registers through the tile loops.
-#[allow(clippy::too_many_arguments)]
-#[inline(never)] // same rationale as gemm::micro_tile: keep the hot loop a
-                 // small standalone optimization unit so LLVM vectorizes it.
-fn micro_tile_q<D: Dequant, const M: usize>(
-    a: &[f32],
-    a_kk: usize,
-    a_i: usize,
-    b: &[D::Q], // panel slab: b[kk * NR + j]
-    scales: &[f32],
-    klen: usize,
-    c: &mut [f32],
-    ldc: usize,
-    cols: usize,
-    accumulate: bool,
-    finish: Option<(&Epilogue<'_, f32>, usize, usize)>,
-) {
-    let scales = &scales[..NR];
-    let mut acc = [[0.0f32; NR]; M];
-    if accumulate {
-        for (i, arow) in acc.iter_mut().enumerate() {
-            for (j, v) in arow.iter_mut().enumerate().take(cols) {
-                *v = c[i * ldc + j];
-            }
-        }
-    }
-    for kk in 0..klen {
-        let braw = &b[kk * NR..kk * NR + NR];
-        let mut brow = [0.0f32; NR];
-        for (j, v) in brow.iter_mut().enumerate() {
-            *v = D::decode(braw[j], scales[j]);
-        }
-        let abase = kk * a_kk;
-        for (i, arow) in acc.iter_mut().enumerate() {
-            let av = a[abase + i * a_i];
-            for (j, v) in arow.iter_mut().enumerate() {
-                // One chain per element, mul+add (not mul_add) — the same
-                // contract as the f32 micro-kernel.
-                *v += av * brow[j];
-            }
-        }
-    }
-    if let Some((epi, row0, col0)) = finish {
-        finish_tile::<f32, M, NR>(&mut acc, epi, row0, col0, cols);
-    }
-    for (i, arow) in acc.iter().enumerate() {
-        c[i * ldc..i * ldc + cols].copy_from_slice(&arow[..cols]);
-    }
-}
-
-/// Sweep the `NR`-wide quantized panels of one `M`-row block.
-// allow: GEMM kernel plumbing — see micro_tile_q.
-#[allow(clippy::too_many_arguments)]
-fn panel_sweep_q<D: Dequant, const M: usize>(
-    a: &[f32],
-    a_kk: usize,
-    a_i: usize,
-    data: &[D::Q],
-    scales: &[f32],
-    n: usize,
-    k: usize,
-    k0: usize,
-    klen: usize,
-    c: &mut [f32], // M rows, ldc == n
-    row0: usize,
-    accumulate: bool,
-    epi: Option<&Epilogue<'_, f32>>,
-) {
-    for p in 0..n.div_ceil(NR) {
-        let j0 = p * NR;
-        let cols = NR.min(n - j0);
-        let slab = &data[p * k * NR + k0 * NR..(p + 1) * k * NR];
-        micro_tile_q::<D, M>(
-            a,
-            a_kk,
-            a_i,
-            slab,
-            &scales[j0..j0 + NR],
-            klen,
-            &mut c[j0..],
-            n,
-            cols,
-            accumulate,
-            epi.map(|e| (e, row0, j0)),
-        );
-    }
-}
-
-/// Compute one C row-stripe against quantized panels — the structural twin
-/// of `gemm::stripe_body` for a row-major `A` (`Linear` activations are
-/// never packed): `kc`-deep `k` slabs, MR tiles, then 4/2/1 step-down.
-// allow: GEMM kernel plumbing — see micro_tile_q.
-#[allow(clippy::too_many_arguments)]
-fn stripe_body_q<D: Dequant>(
-    row0: usize,
-    stripe: &mut [f32],
-    n: usize,
-    k: usize,
-    a: &[f32],
-    data: &[D::Q],
-    scales: &[f32],
-    epi: &Epilogue<'_, f32>,
-    kc: usize,
-) {
-    let rows = stripe.len() / n;
-    let slabs = k.div_ceil(kc).max(1); // k == 0 still runs one epilogue pass
-    for slab in 0..slabs {
-        let k0 = slab * kc;
-        let klen = kc.min(k - k0);
-        let accumulate = slab > 0;
-        let last = slab + 1 == slabs;
-
-        let mut r = 0;
-        while rows - r >= MR {
-            let row = row0 + r;
-            panel_sweep_q::<D, MR>(
-                &a[row * k + k0..],
-                1,
-                k,
-                data,
-                scales,
-                n,
-                k,
-                k0,
-                klen,
-                &mut stripe[r * n..(r + MR) * n],
-                row,
-                accumulate,
-                last.then_some(epi),
-            );
-            r += MR;
-        }
-        while r < rows {
-            let row = row0 + r;
-            let left = rows - r;
-            let ab = &a[row * k + k0..];
-            let step = if left >= 4 {
-                panel_sweep_q::<D, 4>(
-                    ab,
-                    1,
-                    k,
-                    data,
-                    scales,
-                    n,
-                    k,
-                    k0,
-                    klen,
-                    &mut stripe[r * n..(r + 4) * n],
-                    row,
-                    accumulate,
-                    last.then_some(epi),
-                );
-                4
-            } else if left >= 2 {
-                panel_sweep_q::<D, 2>(
-                    ab,
-                    1,
-                    k,
-                    data,
-                    scales,
-                    n,
-                    k,
-                    k0,
-                    klen,
-                    &mut stripe[r * n..(r + 2) * n],
-                    row,
-                    accumulate,
-                    last.then_some(epi),
-                );
-                2
-            } else {
-                panel_sweep_q::<D, 1>(
-                    ab,
-                    1,
-                    0,
-                    data,
-                    scales,
-                    n,
-                    k,
-                    k0,
-                    klen,
-                    &mut stripe[r * n..(r + 1) * n],
-                    row,
-                    accumulate,
-                    last.then_some(epi),
-                );
-                1
-            };
-            r += step;
-        }
+    fn decode_row(raw: &[i8], scales: &[f32]) -> [f32; NR] {
+        let raw = <&[i8; NR]>::try_from(raw).expect("a panel row is NR elements");
+        let scales = <&[f32; NR]>::try_from(scales).expect("one scale per panel lane");
+        std::array::from_fn(|j| int8_dequantize(raw[j], scales[j]))
     }
 }
 
@@ -602,68 +358,27 @@ pub fn matmul_transb_qpacked_into_kc(
     c: &mut Tensor<f32>,
     kc: usize,
 ) -> Result<()> {
-    if a.rank() != 2 {
-        return Err(TensorError::DimMismatch(format!(
-            "matmul_transb_qpacked: lhs expected rank 2, got {:?}",
-            a.dims()
-        )));
-    }
-    let (m, k) = (a.dims()[0], a.dims()[1]);
-    if k != qb.k() {
-        return Err(TensorError::DimMismatch(format!(
-            "matmul_transb_qpacked: lhs is [{m}, {k}], packed rhs is [{}, {}]",
-            qb.n(),
-            qb.k()
-        )));
-    }
-    let n = qb.n();
+    let n = qb.n;
+    let (m, k) = gemm::check_operands("matmul_transb_qpacked", a, n, qb.k, &epi)?;
     c.resize(&[m, n]);
-    gemm_q_into_kc(m, n, k, a.data(), qb, epi, c.data_mut(), kc);
+    let (a, scales, c) = (ASource::Rows(a.data()), &qb.scales[..], c.data_mut());
+    match &qb.data {
+        QData::Bf16(data) => {
+            let b = BView::Panels { data, scales };
+            gemm::gemm_driver::<f32, Bf16Panel>(m, n, k, a, b, epi, c, kc)
+        }
+        QData::Int8(data) => {
+            let b = BView::Panels { data, scales };
+            gemm::gemm_driver::<f32, Int8Panel>(m, n, k, a, b, epi, c, kc)
+        }
+    }
     Ok(())
-}
-
-/// The quantized macro-kernel driver: same shape validation, parallel
-/// split and stripe alignment as `gemm::gemm_into_kc` — row stripes are
-/// the parallel axis, aligned to `MR` so every stripe starts on a
-/// register-tile boundary.
-// allow: GEMM kernel plumbing — see micro_tile_q.
-#[allow(clippy::too_many_arguments)]
-fn gemm_q_into_kc(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    qb: &QPackedB,
-    epi: Epilogue<'_, f32>,
-    c: &mut [f32],
-    kc: usize,
-) {
-    assert_eq!(c.len(), m * n, "qgemm: bad C length");
-    assert_eq!(a.len(), m * k, "qgemm: bad A length");
-    if let Bias::Col(bias) = epi.bias {
-        assert_eq!(bias.len(), n, "qgemm: col bias length");
-    }
-    if let Bias::Row(bias) = epi.bias {
-        assert_eq!(bias.len(), m, "qgemm: row bias length");
-    }
-    if m == 0 || n == 0 {
-        return;
-    }
-    let kc = kc.max(1);
-    if par_worthwhile(m, n, k) {
-        let rows = par_rows_per_block(m, n, k).div_ceil(MR) * MR;
-        hpacml_par::par_chunks_mut(c, rows * n, |start, stripe| {
-            qb.stripe(start / n, stripe, n, k, a, &epi, kc);
-        });
-    } else {
-        qb.stripe(0, c, n, k, a, &epi, kc);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::Act;
+    use crate::gemm::{Act, Bias};
 
     fn lcg(seed: u64, len: usize) -> Vec<f32> {
         let mut s = seed.wrapping_mul(6364136223846793005).wrapping_add(1);

@@ -56,15 +56,17 @@ fn values(len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-/// Random shape strategy: m spans batch sizes from single samples through
-/// several register blocks; n and k cross the panel/tile boundaries.
+/// Random shape strategy, two families drawn equally often. General: m
+/// spans batch sizes from single samples through several register blocks;
+/// n and k cross the panel/tile boundaries. Narrow (`n ≤ 8`, the same
+/// generator `prop_gemm.rs` uses): the shapes the one driver sends to the
+/// narrow tiles at every precision — m from below one 16-row block through
+/// a dozen of them, k from the pure-epilogue case up.
 fn shape() -> impl Strategy<Value = (usize, usize, usize, u64)> {
-    (
-        1usize..70,
-        1usize..40,
-        0usize..50,
-        proptest::prelude::any::<u64>(),
-    )
+    prop_oneof![
+        (1usize..70, 1usize..40, 0usize..50, any::<u64>()),
+        (1usize..200, 1usize..=8, 0usize..50, any::<u64>()),
+    ]
 }
 
 fn epilogues(bias_col: &[f32], bias_row: &[f32]) -> Vec<Epilogue<'static, f32>> {
@@ -101,6 +103,63 @@ proptest! {
                 let mut c = Tensor::zeros([0usize; 2]);
                 quant::matmul_transb_qpacked_into(&at, &qb, epi, &mut c).unwrap();
                 prop_assert_eq!(c.data(), &want[..], "{:?}, epi {:?}", prec, epi);
+            }
+        }
+    }
+
+    /// Correct, not only reproducible. The decode: every stored weight is
+    /// within half a quantization step of the weight it was packed from
+    /// (int8: `½·scale[j]` with `scale[j] = absmax_j / 127`; bf16: half a
+    /// bf16 ulp of `w`, 8 significand bits) — so a wrong-but-deterministic
+    /// codec cannot pass by agreeing with itself. The sum: every output is
+    /// within `(k+1)·ε·Σ|a||ŵ|` of the f64 sum over the decoded weights `ŵ`
+    /// (an f32 chain of `k` mul+add steps errs by at most `γ_k ≈ k·ε`,
+    /// ε = 2⁻²⁴; `k + 1` covers the bias add).
+    #[test]
+    fn quantized_gemm_is_within_the_f64_oracle_bound((m, n, k, seed) in shape()) {
+        let a = values(m * k, seed);
+        let bt = values(n * k, seed ^ 0x0BAC1E);
+        let bias = values(n, seed ^ 0xFACADE);
+        let at = Tensor::from_vec(a.clone(), [m, k]).unwrap();
+        let btt = Tensor::from_vec(bt.clone(), [n, k]).unwrap();
+        let eps = f64::from(f32::EPSILON) / 2.0;
+        for prec in [Precision::Bf16, Precision::Int8] {
+            let qb = QPackedB::from_transb(&btt, prec).unwrap();
+            for j in 0..n {
+                let ch = &bt[j * k..(j + 1) * k];
+                let absmax = ch.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+                for (kk, &w) in ch.iter().enumerate() {
+                    let half_step = match prec {
+                        // `values` are multiples of 2⁻³¹: zero or normal.
+                        Precision::Bf16 => f32::from_bits(w.to_bits() & 0x7F80_0000) / 256.0,
+                        _ => 0.5 * (absmax / 127.0) * (1.0 + 1e-4), // f32 rounding of w/s, q·s
+                    };
+                    let err = (w - qb.dequant(j, kk)).abs();
+                    prop_assert!(
+                        err <= half_step,
+                        "{:?} w[{}, {}] = {}: decode error {:e} > {:e}",
+                        prec, j, kk, w, err, half_step
+                    );
+                }
+            }
+            let mut c = Tensor::zeros([0usize; 2]);
+            quant::matmul_transb_qpacked_into(&at, &qb, Epilogue::col_bias(&bias), &mut c).unwrap();
+            for i in 0..m {
+                for (j, &b) in bias.iter().enumerate() {
+                    let (mut exact, mut mag) = (f64::from(b), f64::from(b).abs());
+                    for kk in 0..k {
+                        let p = f64::from(a[i * k + kk]) * f64::from(qb.dequant(j, kk));
+                        exact += p;
+                        mag += p.abs();
+                    }
+                    let err = (f64::from(c.data()[i * n + j]) - exact).abs();
+                    let bound = (k + 1) as f64 * eps * mag * 1.01;
+                    prop_assert!(
+                        err <= bound,
+                        "{:?} ({}, {}) of [{}, {}]·[{}, {}]: |{} - {}| = {:e} > {:e}",
+                        prec, i, j, m, k, k, n, c.data()[i * n + j], exact, err, bound
+                    );
+                }
             }
         }
     }
