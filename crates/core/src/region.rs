@@ -1,7 +1,7 @@
 //! Approx regions: construction, validation, plan caching and persistence.
 
 use crate::registry::{register, RegionRecord};
-use crate::session::{Session, SessionCore, SessionKey};
+use crate::session::{RegionRef, Session, SessionCore, SessionKey};
 use crate::timing::RegionStats;
 use crate::validate::{ErrorMetric, FallbackController, RegionValidation};
 use crate::{CoreError, Result};
@@ -460,7 +460,20 @@ impl Region {
         shapes: &[(&str, &[usize])],
         max_batch: usize,
     ) -> Result<Session<'r>> {
-        Session::build(self, binds, shapes, max_batch)
+        Session::build(RegionRef::Borrowed(self), binds, shapes, max_batch)
+    }
+
+    /// [`Region::session`] over a shared region: the session holds the `Arc`
+    /// instead of a borrow, so it — and a [`BatchServer`](crate::BatchServer)
+    /// built over it — is `'static` and can live in a long-lived structure.
+    pub fn session_shared(
+        self: &Arc<Self>,
+        binds: &Bindings,
+        shapes: &[(&str, &[usize])],
+        max_batch: usize,
+    ) -> Result<Session<'static>> {
+        let region = RegionRef::Shared(Arc::clone(self));
+        Session::build(region, binds, shapes, max_batch)
     }
 
     /// Append one collected sample to the region's database group. Thin

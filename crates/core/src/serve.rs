@@ -6,6 +6,16 @@
 //! (MPI ranks, ensemble members, request handlers) each need one sample
 //! inferred and nobody wants to pay a full per-invocation forward pass.
 //!
+//! The server *owns* its session — [`BatchServer::new`] clones the one it is
+//! given (the compiled core is shared, so the clone costs a few small
+//! vectors) — so its only lifetime is the session's region borrow `'r`.
+//! Over a [`Region::session`](crate::Region::session) that is the region's
+//! stack frame; over a
+//! [`Region::session_shared`](crate::Region::session_shared) it is
+//! `'static`, and the server can be stored in a long-lived structure and
+//! submitted to from whichever threads hold a reference to it (how
+//! `hpacml-serve` keeps one per configured region).
+//!
 //! The coalescer is leader/follower, with no background thread of its own:
 //!
 //! 1. A submitter stages its per-sample inputs into the forming batch under
@@ -107,7 +117,7 @@ fn saturating_ns(d: Duration) -> u64 {
 /// `staged_inputs[i]` holds the `n` per-sample arrays of declared input `i`
 /// back to back and `outputs[j]` must be filled with the `n` per-sample
 /// results of declared output `j`.
-type FallbackFn<'s> = Box<dyn Fn(usize, &[Vec<f32>], &mut [Vec<f32>]) + Send + Sync + 's>;
+type FallbackFn<'r> = Box<dyn Fn(usize, &[Vec<f32>], &mut [Vec<f32>]) + Send + Sync + 'r>;
 
 /// How a flushed batch failed: the message plus the batch fill at failure
 /// time, fanned out to every member (each member adds its own slot index on
@@ -179,10 +189,10 @@ enum Role {
     Wait,
 }
 
-/// A concurrent auto-batching submitter over a shared compiled [`Session`].
-/// See the [module docs](self) for the coalescing protocol.
-pub struct BatchServer<'s, 'r> {
-    session: &'s Session<'r>,
+/// A concurrent auto-batching submitter over its own clone of a compiled
+/// [`Session`]. See the [module docs](self) for the coalescing protocol.
+pub struct BatchServer<'r> {
+    session: Session<'r>,
     max_wait: Duration,
     /// Admission-control cap on staged + executing samples
     /// (`usize::MAX` = uncapped).
@@ -198,16 +208,17 @@ pub struct BatchServer<'s, 'r> {
     /// Whole-batch host-code fallback, serving flushes while the region's
     /// validation controller (or a forced fallback) has the surrogate
     /// disabled — and doubling as the shadow-validation reference.
-    fallback: Option<FallbackFn<'s>>,
+    fallback: Option<FallbackFn<'r>>,
 }
 
-impl<'s, 'r> BatchServer<'s, 'r> {
-    /// Wrap a compiled session. `max_wait` bounds how long the first sample
+impl<'r> BatchServer<'r> {
+    /// Serve a clone of a compiled session (the caller keeps its own for
+    /// direct invocations). `max_wait` bounds how long the first sample
     /// of a batch waits for company before flushing a partial batch —
     /// latency the deployment trades for occupancy. The session's region
     /// must be able to take the surrogate path (`infer` or `predicated`
     /// mode); a collect-mode region has no model to serve.
-    pub fn new(session: &'s Session<'r>, max_wait: Duration) -> Result<Self> {
+    pub fn new(session: &Session<'r>, max_wait: Duration) -> Result<Self> {
         if session.region().ml_mode() == MlMode::Collect {
             return Err(CoreError::Region(format!(
                 "region `{}`: a collect-mode region cannot serve batched inference",
@@ -223,7 +234,7 @@ impl<'s, 'r> BatchServer<'s, 'r> {
             .map(|(n, c)| (n.to_string(), c))
             .collect();
         Ok(BatchServer {
-            session,
+            session: session.clone(),
             max_wait,
             max_pending: usize::MAX,
             state: Mutex::new(ServerState {
@@ -259,7 +270,7 @@ impl<'s, 'r> BatchServer<'s, 'r> {
     /// member) rather than silently serving an over-budget surrogate.
     pub fn with_fallback<F>(mut self, handler: F) -> Self
     where
-        F: Fn(usize, &[Vec<f32>], &mut [Vec<f32>]) + Send + Sync + 's,
+        F: Fn(usize, &[Vec<f32>], &mut [Vec<f32>]) + Send + Sync + 'r,
     {
         self.fallback = Some(Box::new(handler));
         self
@@ -273,11 +284,6 @@ impl<'s, 'r> BatchServer<'s, 'r> {
     pub fn with_max_pending(mut self, max_pending: usize) -> Self {
         self.max_pending = max_pending.max(1);
         self
-    }
-
-    /// The wrapped session.
-    pub fn session(&self) -> &'s Session<'r> {
-        self.session
     }
 
     /// Samples currently staged in the forming batch (observability and

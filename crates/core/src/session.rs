@@ -476,14 +476,35 @@ impl SessionCore {
 // The public Session API
 // ---------------------------------------------------------------------------
 
+/// How a session holds its region: borrowed from the caller's frame
+/// ([`Region::session`]) or shared ([`Region::session_shared`], which makes
+/// the session `'static`). The only place that knows there are two ways.
+#[derive(Clone)]
+pub(crate) enum RegionRef<'r> {
+    Borrowed(&'r Region),
+    Shared(Arc<Region>),
+}
+
+impl std::ops::Deref for RegionRef<'_> {
+    type Target = Region;
+    fn deref(&self) -> &Region {
+        match self {
+            RegionRef::Borrowed(region) => region,
+            RegionRef::Shared(region) => region,
+        }
+    }
+}
+
 /// A region compiled against concrete bindings and **per-sample** array
 /// shapes — build once with [`Region::session`], invoke many times, batching
 /// up to `max_batch` invocations into one forward pass with
-/// [`Session::invoke_batch`]. See the [module docs] for the idiom.
+/// [`Session::invoke_batch`]. See the [module docs] for the idiom. Cloning
+/// is cheap (shared compiled core, a few small vectors).
 ///
 /// [module docs]: self
+#[derive(Clone)]
 pub struct Session<'r> {
-    region: &'r Region,
+    region: RegionRef<'r>,
     binds: Bindings,
     core: Arc<SessionCore>,
     max_batch: usize,
@@ -494,7 +515,7 @@ pub struct Session<'r> {
 
 impl<'r> Session<'r> {
     pub(crate) fn build(
-        region: &'r Region,
+        region: RegionRef<'r>,
         binds: &Bindings,
         shapes: &[(&str, &[usize])],
         max_batch: usize,
@@ -551,8 +572,8 @@ impl<'r> Session<'r> {
     }
 
     /// The region this session was compiled from.
-    pub fn region(&self) -> &'r Region {
-        self.region
+    pub fn region(&self) -> &Region {
+        &self.region
     }
 
     /// The integer bindings this session was compiled against.
@@ -721,7 +742,7 @@ impl<'s, 'r> SessionRun<'s, 'r> {
     }
 
     fn decide_surrogate(&self) -> Result<bool> {
-        let region = self.session.region;
+        let region = self.session.region();
         Ok(match region.ml_mode() {
             MlMode::Infer => self.surrogate_override.unwrap_or(true),
             MlMode::Collect => false,
@@ -783,7 +804,7 @@ impl<'s, 'r> SessionRun<'s, 'r> {
     /// additionally *probe* the surrogate in shadow so the controller can
     /// observe recovery.
     pub fn run(mut self, accurate: impl FnOnce()) -> Result<SessionOutcome<'s, 'r>> {
-        let region = self.session.region;
+        let region = self.session.region();
         let want = self.decide_surrogate()?;
         let mut surrogate = want;
         let mut fallback = false;
@@ -914,7 +935,7 @@ fn core_run(
     preserve_inputs: bool,
 ) -> Result<u64> {
     session.core.run_surrogate(
-        session.region,
+        session.region(),
         scratch,
         n,
         session.max_batch,
@@ -1064,7 +1085,7 @@ impl SessionOutcome<'_, '_> {
     /// paths.
     pub fn finish(mut self) -> Result<PathTaken> {
         let path = self.path;
-        let region = self.session.region;
+        let region = self.session.region();
         let n = self.n;
         let mut collection_ns = self.collection_ns;
         if let Some(sh) = self.shadow.take() {

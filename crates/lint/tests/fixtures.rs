@@ -222,9 +222,10 @@ fn lock_across_wait_is_scoped_to_core() {
 
 #[test]
 fn lock_across_wait_covers_the_serving_daemon() {
-    // The daemon's swap/drain protocol (close queues, then join owners)
-    // lives in `crates/serve/src/` and polices the same guard discipline
-    // as the batch server, so the rule fires there too…
+    // The daemon's swap/retire protocol (store the new snapshot, shut the
+    // old servers down, wait out their in-flight batches) lives in
+    // `crates/serve/src/` and leans on the same guard discipline as the
+    // batch server, so the rule fires there too…
     let f = lint(
         "crates/serve/src/daemon_fixture.rs",
         include_str!("../fixtures/lock_across_wait/fire.rs"),

@@ -63,15 +63,14 @@ fn workspace_walk_covers_every_crate() {
     for must in ["crates/faults/src/lib.rs", "crates/faults/src/retry.rs"] {
         assert!(files.iter().any(|f| f == must), "walker must lint {must}");
     }
-    // The serving daemon carries the swap/drain concurrency protocol; its
-    // sources (including the loadgen binary) must be on the walk so the
-    // extended lock-across-wait scope actually polices them.
+    // The serving daemon carries the swap/retire concurrency protocol; its
+    // sources must be on the walk so the extended lock-across-wait scope
+    // actually polices them.
     for must in [
         "crates/serve/src/lib.rs",
         "crates/serve/src/config.rs",
         "crates/serve/src/daemon.rs",
         "crates/serve/src/snapshot.rs",
-        "crates/serve/src/bin/loadgen.rs",
     ] {
         assert!(files.iter().any(|f| f == must), "walker must lint {must}");
     }

@@ -6,9 +6,9 @@
 //!
 //! ```text
 //! daemon {
-//!     workers 4;            # submit workers per region unit
+//!     workers 4;            # accepted, ignored (see below)
 //!     max_pending 256;      # default admission cap (per region)
-//!     deadline 200ms;       # default per-request queueing budget
+//!     deadline 200ms;       # default per-request batch-join budget
 //! }
 //!
 //! region stencil {
@@ -34,6 +34,10 @@
 //! }
 //! ```
 //!
+//! `workers` (daemon-wide or per region) is accepted and ignored: submits run
+//! on the caller's thread, so there is no worker pool for it to size. It is
+//! still parsed, range-checked and rendered so existing config files load.
+//!
 //! `#` comments run to end of line; strings are double-quoted with `\"`,
 //! `\\`, `\n`, `\t` escapes. The parser is hand-rolled (zero dependencies)
 //! and total: any input produces either a [`Config`] or a line-numbered
@@ -44,7 +48,7 @@
 use std::fmt;
 use std::time::Duration;
 
-/// Submit workers per region unit when the config does not say.
+/// Value of the ignored `workers` directive when the config does not say.
 pub const DEFAULT_WORKERS: usize = 2;
 /// Coalescing width when a region does not declare `max_batch`.
 pub const DEFAULT_MAX_BATCH: usize = 16;
@@ -59,15 +63,15 @@ pub struct Config {
     pub regions: Vec<RegionConfig>,
 }
 
-/// The `daemon { … }` block: worker fan-out and daemon-wide defaults that
-/// regions inherit unless they override.
+/// The `daemon { … }` block: daemon-wide defaults that regions inherit
+/// unless they override.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DaemonConfig {
-    /// Submit worker threads spawned per region unit.
+    /// Accepted, ignored: submits run on the caller's thread.
     pub workers: usize,
     /// Default admission cap for regions that declare none.
     pub max_pending: Option<usize>,
-    /// Default per-request queueing budget for regions that declare none.
+    /// Default per-request batch-join budget for regions that declare none.
     pub deadline: Option<Duration>,
 }
 
@@ -101,9 +105,9 @@ pub struct RegionConfig {
     pub max_wait: Duration,
     /// Admission cap; falls back to the daemon default, else unbounded.
     pub max_pending: Option<usize>,
-    /// Queueing budget; falls back to the daemon default, else unbounded.
+    /// Batch-join budget; falls back to the daemon default, else unbounded.
     pub deadline: Option<Duration>,
-    /// Worker override for this region; falls back to `daemon.workers`.
+    /// Accepted, ignored: submits run on the caller's thread.
     pub workers: Option<usize>,
     pub precision: Precision,
     /// Calibration-row cap for reduced-precision policies.
@@ -139,14 +143,9 @@ impl RegionConfig {
         self.max_pending.or(daemon.max_pending)
     }
 
-    /// The queueing budget in force once daemon defaults are applied.
+    /// The batch-join budget in force once daemon defaults are applied.
     pub fn effective_deadline(&self, daemon: &DaemonConfig) -> Option<Duration> {
         self.deadline.or(daemon.deadline)
-    }
-
-    /// The worker count in force once daemon defaults are applied.
-    pub fn effective_workers(&self, daemon: &DaemonConfig) -> usize {
-        self.workers.unwrap_or(daemon.workers)
     }
 }
 

@@ -1,31 +1,39 @@
-//! The serving daemon: config-driven bootstrap, a lock-free request path
-//! over the current [`RuntimeSnapshot`], and atomic live reconfiguration.
+//! The serving daemon: config-driven bootstrap, one request path over the
+//! current [`RuntimeSnapshot`], and atomic live reconfiguration.
 //!
-//! `apply(config)` is the control plane's only verb. It builds the next
-//! snapshot *off to the side* (new regions, packed panels, policies — each
-//! shadow-probed before it may serve), then swaps the current-snapshot
-//! `Arc` and bumps the generation counter. In-flight invocations finish on
-//! the old snapshot — its queues drain before its owners exit — and
-//! submits racing the swap are handed back by the closed queue and retried
-//! against the fresh snapshot, so nothing is dropped. A failed build (bad
-//! config, missing model, broken probe) leaves the current snapshot
-//! serving untouched.
+//! **The request path** runs on the caller's thread, start to finish:
+//! [`Daemon::submit`] clones the current snapshot's `Arc`, looks the region
+//! up, checks the arrays against the declared shapes, and calls
+//! `BatchServer::submit` — where concurrent callers coalesce into one
+//! batched forward pass. The daemon owns no thread and no queue; a panic
+//! anywhere below unwinds on the thread that made the call.
 //!
-//! The request path never takes the daemon's locks in steady state: the
-//! generation counter is a single atomic load, and a per-thread cache maps
-//! `(daemon, generation)` to the snapshot `Arc`. Only the first submit
-//! after a swap (per thread) touches the snapshot mutex.
+//! **The control plane** has one verb. `apply(config)` builds the next
+//! snapshot *off to the side* on its caller's thread (new regions, packed
+//! panels, policies — each shadow-probed before it may serve), stores it as
+//! current, and only then retires the old one. Retiring drops nothing (see
+//! the `snapshot` module): a submit that raced the swap comes back from the
+//! retired server as a typed `ShutDown` having staged nothing, and the
+//! submit loop runs it again on the snapshot that is current by then —
+//! which cannot be the retired one, because the store came first. A failed
+//! build (bad config, missing model, broken probe) leaves the current
+//! snapshot serving untouched.
+//!
+//! **No snapshot cache.** `snapshot()` takes the pointer's mutex for the
+//! length of an `Arc::clone`; the same submit takes `BatchServer`'s state
+//! lock two to three times with longer critical sections, so this is not
+//! the first bottleneck. A per-thread cache would pin a retired
+//! generation's `Region` *and model* for as long as an idle thread lives.
 
 use crate::config::{Config, ConfigError};
-use crate::snapshot::{Counters, HostHandler, Reply, Request, RuntimeSnapshot};
+use crate::snapshot::{HostHandler, RuntimeSnapshot};
 use hpacml_core::{CoreError, ServeError};
 use parking_lot::Mutex;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Errors surfaced by the daemon's control and request paths.
 #[derive(Debug)]
@@ -38,13 +46,6 @@ pub enum DaemonError {
     UnknownRegion { region: String, generation: u64 },
     /// Submit arrays do not match the region's declared shapes.
     Arity { region: String, msg: String },
-    /// The request's budget expired while it was still in the daemon
-    /// queue, before it could join a batch.
-    QueueDeadline {
-        region: String,
-        budget_ns: u64,
-        queued_ns: u64,
-    },
     /// The daemon is shut down.
     ShutDown,
     /// An error from the serving core (typed rejections included).
@@ -65,11 +66,10 @@ impl DaemonError {
         matches!(self.serve(), Some(ServeError::Overloaded { .. }))
     }
 
-    /// Deadline rejection — either up-front at the batch join, or already
-    /// expired in the daemon queue?
+    /// Deadline rejection: the batch this request would have joined
+    /// flushes later than its budget, decided up front at the join?
     pub fn is_deadline(&self) -> bool {
         matches!(self.serve(), Some(ServeError::Deadline { .. }))
-            || matches!(self, DaemonError::QueueDeadline { .. })
     }
 }
 
@@ -81,19 +81,14 @@ impl fmt::Display for DaemonError {
                 write!(f, "region '{region}': {msg}")
             }
             DaemonError::UnknownRegion { region, generation } => {
-                write!(f, "unknown region '{region}' (snapshot generation {generation})")
+                write!(
+                    f,
+                    "unknown region '{region}' (snapshot generation {generation})"
+                )
             }
             DaemonError::Arity { region, msg } => {
                 write!(f, "region '{region}': {msg}")
             }
-            DaemonError::QueueDeadline {
-                region,
-                budget_ns,
-                queued_ns,
-            } => write!(
-                f,
-                "region '{region}': request spent {queued_ns}ns queued, over its {budget_ns}ns budget"
-            ),
             DaemonError::ShutDown => write!(f, "daemon is shut down"),
             DaemonError::Core(e) => write!(f, "{e}"),
         }
@@ -130,7 +125,7 @@ pub struct DaemonStats {
     pub served: u64,
     /// Requests shed by the `max_pending` admission cap.
     pub rejected_overload: u64,
-    /// Requests rejected on a deadline (queue or batch-join).
+    /// Requests rejected on a deadline at the batch join.
     pub rejected_deadline: u64,
     /// Requests that failed with any other error.
     pub errored: u64,
@@ -138,6 +133,18 @@ pub struct DaemonStats {
     pub swaps: u64,
     /// Submits that raced a swap and were retried on the next snapshot.
     pub swap_retries: u64,
+}
+
+/// The live counters behind [`DaemonStats`]; they belong to the daemon, not
+/// to a snapshot, so totals survive swaps.
+#[derive(Default)]
+struct Counters {
+    served: AtomicU64,
+    rejected_overload: AtomicU64,
+    rejected_deadline: AtomicU64,
+    errored: AtomicU64,
+    swaps: AtomicU64,
+    swap_retries: AtomicU64,
 }
 
 /// Registers host handlers, then bootstraps a [`Daemon`] from config text.
@@ -166,68 +173,36 @@ impl DaemonBuilder {
     /// start serving.
     pub fn bootstrap(self, config: &str) -> Result<Daemon, DaemonError> {
         let parsed = Config::parse(config)?;
-        let counters = Arc::new(Counters::default());
-        let first = RuntimeSnapshot::build(parsed, &self.handlers, &counters, 1)?;
+        let first = RuntimeSnapshot::build(parsed, &self.handlers, 1)?;
         Ok(Daemon {
-            id: NEXT_DAEMON_ID.fetch_add(1, Ordering::Relaxed),
-            generation: AtomicU64::new(1),
             current: Mutex::new(first),
             apply_lock: Mutex::new(()),
             handlers: self.handlers,
-            counters,
+            counters: Counters::default(),
             shut: AtomicBool::new(false),
         })
     }
 }
 
-/// Distinguishes daemons in the per-thread snapshot cache (an address
-/// would alias across drop/recreate).
-static NEXT_DAEMON_ID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// `(daemon id, generation, snapshot)` — the lock-free fast path.
-    static SNAP_CACHE: RefCell<Vec<(u64, u64, Arc<RuntimeSnapshot>)>> =
-        const { RefCell::new(Vec::new()) };
-}
-
 /// A multi-region serving daemon over [`RuntimeSnapshot`]s. See the
 /// module docs for the swap protocol.
 pub struct Daemon {
-    id: u64,
-    generation: AtomicU64,
     current: Mutex<Arc<RuntimeSnapshot>>,
     apply_lock: Mutex<()>,
     handlers: BTreeMap<String, HostHandler>,
-    counters: Arc<Counters>,
+    counters: Counters,
     shut: AtomicBool,
 }
 
 impl Daemon {
     /// Current snapshot generation (1 = bootstrap; +1 per `apply`).
     pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
+        self.current.lock().generation()
     }
 
     /// The current snapshot (shared, immutable).
     pub fn snapshot(&self) -> Arc<RuntimeSnapshot> {
-        let generation = self.generation.load(Ordering::Acquire);
-        SNAP_CACHE.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            if let Some((_, _, snap)) = cache
-                .iter()
-                .find(|(id, g, _)| *id == self.id && *g == generation)
-            {
-                return Arc::clone(snap);
-            }
-            let snap = Arc::clone(&self.current.lock());
-            cache.retain(|(id, _, _)| *id != self.id);
-            // Bound the cache: one live entry per daemon, few daemons.
-            if cache.len() >= 8 {
-                cache.remove(0);
-            }
-            cache.push((self.id, snap.generation(), Arc::clone(&snap)));
-            snap
-        })
+        Arc::clone(&self.current.lock())
     }
 
     /// Cumulative serving totals plus the current generation.
@@ -250,22 +225,21 @@ impl Daemon {
 
     /// Compile `config` into the next snapshot and swap it in atomically.
     /// On any failure the current snapshot keeps serving unchanged. On
-    /// success, in-flight requests finish on the old snapshot (drained,
-    /// then retired) while new submits land on the new one.
+    /// success, new submits land on the new snapshot while requests already
+    /// staged on the old one finish there; `apply` returns once the old
+    /// snapshot is idle and its databases are flushed.
     pub fn apply(&self, config: &str) -> Result<ApplyReport, DaemonError> {
         let _serialized = self.apply_lock.lock();
         if self.shut.load(Ordering::Acquire) {
             return Err(DaemonError::ShutDown);
         }
         let parsed = Config::parse(config)?;
-        let next_gen = self.generation.load(Ordering::Acquire) + 1;
-        let next = RuntimeSnapshot::build(parsed, &self.handlers, &self.counters, next_gen)?;
+        let next_gen = self.generation() + 1;
+        let next = RuntimeSnapshot::build(parsed, &self.handlers, next_gen)?;
         let regions = next.region_names();
-        let old = {
-            let mut cur = self.current.lock();
-            std::mem::replace(&mut *cur, next)
-        };
-        self.generation.store(next_gen, Ordering::Release);
+        // Store first, retire second: a submit bounced by the retired
+        // snapshot must find the new one when it looks again.
+        let old = std::mem::replace(&mut *self.current.lock(), next);
         self.counters.swaps.fetch_add(1, Ordering::Relaxed);
         old.retire();
         Ok(ApplyReport {
@@ -285,8 +259,10 @@ impl Daemon {
         self.submit_inner(region, inputs, outputs, None)
     }
 
-    /// [`submit`](Self::submit) with an explicit wait budget covering both
-    /// daemon queueing and the batch join (overrides the config deadline).
+    /// [`submit`](Self::submit) with an explicit wait budget (overrides the
+    /// config deadline). There is no daemon queue to spend it in: it covers
+    /// exactly what [`hpacml_core::BatchServer::submit_with_deadline`]'s
+    /// does, the wait for the joined batch to flush.
     pub fn submit_with_deadline(
         &self,
         region: &str,
@@ -304,9 +280,7 @@ impl Daemon {
         outputs: &mut [&mut [f32]],
         budget: Option<Duration>,
     ) -> Result<(), DaemonError> {
-        // Staged input buffers survive a bounced push (swap race) so a
-        // retry re-enqueues without re-copying from the caller.
-        let mut staged: Option<Vec<Vec<f32>>> = None;
+        let counters = &self.counters;
         loop {
             if self.shut.load(Ordering::Acquire) {
                 return Err(DaemonError::ShutDown);
@@ -325,45 +299,39 @@ impl Daemon {
             check_arity(region, unit.outputs.as_slice(), outputs.len(), |k| {
                 outputs[k].len()
             })?;
-            let bufs = staged
-                .take()
-                .unwrap_or_else(|| inputs.iter().map(|s| s.to_vec()).collect());
-            let reply = Arc::new(Reply::new());
-            let request = Request {
-                inputs: bufs,
-                budget,
-                enqueued: Instant::now(),
-                reply: Arc::clone(&reply),
+            let result = match budget.or(unit.deadline) {
+                Some(b) => unit.server.submit_with_deadline(inputs, outputs, b),
+                None => unit.server.submit(inputs, outputs),
             };
-            match unit.queue.push(request) {
+            let counter = match result {
                 Ok(()) => {
-                    let outs = reply.wait()?;
-                    for (dst, src) in outputs.iter_mut().zip(outs.iter()) {
-                        dst.copy_from_slice(src);
-                    }
+                    counters.served.fetch_add(1, Ordering::Relaxed);
                     return Ok(());
                 }
-                Err(bounced) => {
-                    // The queue closed under us (snapshot swap or
-                    // shutdown): recycle the staged inputs and retry on
-                    // whatever snapshot is current now.
-                    staged = Some(bounced.inputs);
-                    self.counters.swap_retries.fetch_add(1, Ordering::Relaxed);
+                // The snapshot was retired under us (swap or shutdown) and
+                // nothing was staged: go round on whatever is current now.
+                Err(CoreError::Serve(ServeError::ShutDown { .. })) => {
+                    counters.swap_retries.fetch_add(1, Ordering::Relaxed);
+                    continue;
                 }
-            }
+                Err(CoreError::Serve(ServeError::Overloaded { .. })) => &counters.rejected_overload,
+                Err(CoreError::Serve(ServeError::Deadline { .. })) => &counters.rejected_deadline,
+                Err(_) => &counters.errored,
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+            return result.map_err(DaemonError::from);
         }
     }
 
-    /// Stop serving: retire the current snapshot (in-flight requests
-    /// drain first) and reject every later submit/apply with
+    /// Stop serving: retire the current snapshot (requests already staged
+    /// finish first) and reject every later submit/apply with
     /// [`DaemonError::ShutDown`]. Idempotent.
     pub fn shutdown(&self) {
         let _serialized = self.apply_lock.lock();
         if self.shut.swap(true, Ordering::AcqRel) {
             return;
         }
-        let snap = Arc::clone(&self.current.lock());
-        snap.retire();
+        self.snapshot().retire();
     }
 }
 

@@ -6,12 +6,13 @@
 //! * [`config`]: an nginx-style config grammar (own zero-dependency
 //!   parser) declaring regions, models, batching limits, and
 //!   precision/validation policies.
-//! * [`RuntimeSnapshot`]: the immutable compiled form of a config — every
-//!   region resolved, shadow-probed, and serving behind a close-able
-//!   request queue.
-//! * [`Daemon`]: holds the current snapshot in an `Arc` the request path
-//!   loads lock-free; [`Daemon::apply`] builds the next snapshot off to
-//!   the side and swaps it in atomically with zero dropped invocations.
+//! * [`RuntimeSnapshot`]: the immutable compiled form of a config — per
+//!   region an `Arc<Region>` and a `BatchServer` that owns a session over
+//!   it, shadow-probed before it may serve. No thread, no queue.
+//! * [`Daemon`]: holds the current snapshot in an `Arc`;
+//!   [`Daemon::submit`] joins the region's batch on the caller's thread,
+//!   and [`Daemon::apply`] builds the next snapshot off to the side and
+//!   swaps it in atomically with zero dropped invocations.
 //!
 //! ```no_run
 //! use hpacml_serve::DaemonBuilder;

@@ -86,7 +86,6 @@ fn full_grammar_parses() {
         p.effective_deadline(&cfg.daemon),
         Some(Duration::from_millis(200))
     );
-    assert_eq!(p.effective_workers(&cfg.daemon), 4);
     assert_eq!(p.precision, Precision::F32);
     assert!(p.validation.is_none());
 }

@@ -1,17 +1,21 @@
 //! Snapshot-swap stress: many submitter threads hammer the daemon while
 //! the main thread live-applies alternating configs. The contract under
-//! test: zero dropped or failed invocations across every swap, and every
-//! output bitwise equal to one of the two models' direct results.
+//! test: zero dropped or failed invocations across every swap, every
+//! output bitwise equal to one of the two models' direct results, and no
+//! `apply` under load slower than the swap budget.
 
 use hpacml_directive::sema::Bindings;
 use hpacml_nn::spec::{Activation, ModelSpec};
 use hpacml_serve::{DaemonBuilder, DaemonError};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const THREADS: usize = 6;
 const ITERS: usize = 250;
 const APPLIES: usize = 10;
+/// Build + probe + swap + retire of this tiny region takes about a
+/// millisecond; the budget is generous so only a stall trips it.
+const SWAP_BUDGET: Duration = Duration::from_millis(200);
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("hpacml-swap-stress").join(name);
@@ -119,8 +123,14 @@ fn swaps_drop_nothing_and_serve_only_real_models() {
             // Spread the swaps across the submit storm.
             std::thread::sleep(Duration::from_millis(5));
             let next = if k % 2 == 0 { &cfg_b } else { &cfg_a };
+            let start = Instant::now();
             let report = daemon.apply(next).unwrap();
+            let took = start.elapsed();
             assert_eq!(report.generation, (k + 2) as u64);
+            assert!(
+                took <= SWAP_BUDGET,
+                "apply {k} took {took:?} under load, over the {SWAP_BUDGET:?} budget"
+            );
         }
     });
 

@@ -28,8 +28,7 @@ fn config_for(model: &Path, max_batch: usize) -> String {
         model.display()
     );
     format!(
-        "daemon {{\n    workers 2;\n}}\n\
-         region demo {{\n    directive \"{directive}\";\n    bind N 1;\n    \
+        "region demo {{\n    directive \"{directive}\";\n    bind N 1;\n    \
          input x 3;\n    output y 1;\n    max_batch {max_batch};\n    max_wait 200us;\n}}\n"
     )
 }
