@@ -74,7 +74,9 @@ mod tests {
             directives: vec!["ml(collect)".into()],
         });
         let after = registered_regions();
-        assert_eq!(after.len(), before + 1);
+        // The registry is process-global and every `Region::from_source` in
+        // a sibling test pushes to it too: at least one more, ours among them.
+        assert!(after.len() > before);
         assert!(after.iter().any(|r| r.region == "test-reg"));
     }
 }

@@ -169,14 +169,19 @@ fn rename_kill_preserves_the_previous_generation() {
     let dir = tmpdir("store-rename");
     let db = dir.join("d.h5");
     let binds = Bindings::new().with("N", 1);
-    // Generation 1 lands cleanly.
+    // Generation 1 lands cleanly. (Under the plan lock, with an empty plan:
+    // outside it another scenario's `store.flush*` schedule can hit these
+    // flushes.)
     let region = collect_region("chaoskill", &db);
     region.set_retry_policy(RetryPolicy::none());
-    collect_one(&region, &binds, &[0.1, 0.2, 0.3], 1.0);
-    region.flush_db().unwrap();
-    assert_eq!(rows_on_disk(&db, "chaoskill"), 1);
-    // Generation 2 dies at the atomic-rename step: the temp file is fully
-    // written but never swapped in, so readers keep generation 1.
+    with_plan(Plan::new(), || {
+        collect_one(&region, &binds, &[0.1, 0.2, 0.3], 1.0);
+        region.flush_db().unwrap();
+        assert_eq!(rows_on_disk(&db, "chaoskill"), 1);
+    });
+    // Generation 2 dies at the step that would make it visible — the rename
+    // of a rewrite, the Commit frame of an append (here): its rows are
+    // written but never committed, so readers keep generation 1.
     with_plan(
         Plan::seeded(0xA3).fail_range("store.flush.rename", 0, 1_000),
         || {
@@ -187,8 +192,35 @@ fn rename_kill_preserves_the_previous_generation() {
         },
     );
     // Outage over: the handle still holds both samples and commits them.
-    region.flush_db().unwrap();
-    assert_eq!(rows_on_disk(&db, "chaoskill"), 2);
+    with_plan(Plan::new(), || {
+        region.flush_db().unwrap();
+        assert_eq!(rows_on_disk(&db, "chaoskill"), 2);
+    });
+}
+
+#[test]
+fn clean_drop_reaches_no_flush_seam() {
+    let dir = tmpdir("store-clean-drop");
+    let db = dir.join("d.h5");
+    let binds = Bindings::new().with("N", 1);
+    with_plan(Plan::new(), || {
+        let region = collect_region("cleandrop", &db);
+        collect_one(&region, &binds, &[0.1, 0.2, 0.3], 1.0);
+        region.flush_db().unwrap();
+        let seams = [
+            "store.flush",
+            "store.flush.write",
+            "store.flush.sync",
+            "store.flush.rename",
+        ];
+        assert_eq!(seams.map(hpacml_faults::hits), [1; 4], "one real flush");
+        // Nothing new since: neither another flush nor the drop (which used
+        // to rewrite the whole db a second time) gets as far as a seam.
+        region.flush_db().unwrap();
+        drop(region);
+        assert_eq!(seams.map(hpacml_faults::hits), [1; 4]);
+        assert_eq!(rows_on_disk(&db, "cleandrop"), 1);
+    });
 }
 
 // ---------------------------------------------------------------------------

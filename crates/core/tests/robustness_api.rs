@@ -417,9 +417,12 @@ fn db_flush_failure_retries_then_counts() {
     assert_eq!(clean.retry_attempts, 0);
     assert_eq!(clean.retry_giveups, 0);
 
-    // Yank the directory out from under the store: the atomic-rename flush
-    // can no longer create its temp file. Default policy = 3 attempts.
+    // Yank the directory out from under the store, with one more row to
+    // persist (a flush with nothing new touches no file): the log it would
+    // append to is gone, so it rewrites, and the atomic-rename flush can no
+    // longer create its temp file. Default policy = 3 attempts.
     std::fs::remove_dir_all(&dir).unwrap();
+    collect_one(&region, &binds, &[0.4, 0.5, 0.6], 2.0);
     let err = region.flush_db().unwrap_err();
     assert!(format!("{err}").contains("io"), "unexpected error: {err}");
     let s = region.stats();
@@ -433,6 +436,20 @@ fn db_flush_failure_retries_then_counts() {
     region.flush_db().unwrap();
     assert!(db.exists());
     assert_eq!(region.stats().db_errors, 1, "recovered flush adds no error");
+    // The handle noticed its file was gone and wrote both rows from row 0
+    // rather than appending the second to nothing.
+    let file = hpacml_store::H5File::open(&db).unwrap();
+    assert!(file.recovery().is_none());
+    let inputs = file
+        .root()
+        .group("dbflush")
+        .unwrap()
+        .group("inputs")
+        .unwrap();
+    assert_eq!(
+        inputs.dataset("x").unwrap().read_f32().unwrap(),
+        vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+    );
 }
 
 #[test]

@@ -60,8 +60,8 @@ pub fn get_bytes(buf: &mut impl Buf, len: usize) -> Result<Vec<u8>> {
             buf.remaining()
         )));
     }
-    let mut out = vec![0u8; len];
-    buf.copy_to_slice(&mut out);
+    let out = buf.chunk()[..len].to_vec();
+    buf.advance(len);
     Ok(out)
 }
 

@@ -39,7 +39,7 @@ impl DType {
 
 /// A dataset of logical shape `[rows, inner_shape...]` where `rows` grows by
 /// appending. Raw storage is little-endian bytes.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     dtype: DType,
     /// Shape of one entry (may be empty: scalar entries).
@@ -47,6 +47,18 @@ pub struct Dataset {
     /// Number of appended entries (the outer dimension).
     rows: usize,
     data: Vec<u8>,
+    /// `(id, rows)`: which on-disk dataset holds this one's first `rows`
+    /// rows. Written only by the file codec; `(0, 0)` is "none". A clone
+    /// keeps it and stays a true extension because the API is append-only.
+    pub(crate) persisted: (u64, usize),
+}
+
+/// Value equality; where the rows are persisted is not part of the value.
+impl PartialEq for Dataset {
+    fn eq(&self, other: &Self) -> bool {
+        (self.dtype, &self.inner_shape, self.rows, &self.data)
+            == (other.dtype, &other.inner_shape, other.rows, &other.data)
+    }
 }
 
 impl Dataset {
@@ -56,7 +68,18 @@ impl Dataset {
             inner_shape,
             rows: 0,
             data: Vec::new(),
+            persisted: (0, 0),
         }
+    }
+
+    /// Bytes of one entry, or `Corrupt` when a (decoded, untrusted) shape
+    /// overflows. Scalar entries (empty inner shape) occupy one element.
+    pub(crate) fn row_bytes(dtype: DType, inner_shape: &[usize]) -> Result<usize> {
+        inner_shape
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d))
+            .and_then(|n| n.max(1).checked_mul(dtype.size_bytes()))
+            .ok_or_else(|| StoreError::Corrupt(format!("entry shape {inner_shape:?} overflows")))
     }
 
     pub(crate) fn from_parts(
@@ -65,12 +88,10 @@ impl Dataset {
         rows: usize,
         data: Vec<u8>,
     ) -> Result<Self> {
-        // Scalar entries (empty inner shape) still occupy one element per row.
-        let numel: usize = inner_shape.iter().product::<usize>().max(1);
-        let expect = rows * numel * dtype.size_bytes();
-        if data.len() != expect {
+        let expect = Self::row_bytes(dtype, &inner_shape)?.checked_mul(rows);
+        if expect != Some(data.len()) {
             return Err(StoreError::Corrupt(format!(
-                "dataset payload {} bytes, expected {expect}",
+                "dataset payload {} bytes, expected {rows} rows of {inner_shape:?}",
                 data.len()
             )));
         }
@@ -79,6 +100,7 @@ impl Dataset {
             inner_shape,
             rows,
             data,
+            persisted: (0, 0),
         })
     }
 
@@ -113,8 +135,9 @@ impl Dataset {
         self.data.len()
     }
 
-    pub(crate) fn raw(&self) -> &[u8] {
-        &self.data
+    /// The raw bytes of rows `row..`.
+    pub(crate) fn raw_from(&self, row: usize) -> &[u8] {
+        &self.data[row * self.entry_numel() * self.dtype.size_bytes()..]
     }
 
     fn check_dtype(&self, expected: DType) -> Result<()> {

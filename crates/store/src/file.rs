@@ -1,58 +1,101 @@
-//! Single-file binary codec for an h5lite tree, crash-safe since format v2.
+//! Single-file binary codec for an h5lite tree: since format v3 an
+//! append-only log of self-checksummed frames, so a flush writes what is new
+//! and nothing else.
 //!
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! magic   : 8 bytes  = b"H5LITE02"
-//! root    : block<group>
-//! block<T>: len:u64, cksum:u64 (FNV-1a 64 of the len payload bytes), T
-//! group   : n_attrs:u32, { name:str, tag:u8, value }*,
-//!           n_children:u32, { name:str, kind:u8, block<payload> }*
-//! kind    : 0 = group, 1 = dataset
-//! dataset : dtype:u8, rank:u32, inner_dims:u64*, rows:u64,
-//!           payload_len:u64, raw bytes
-//! str     : len:u32, utf-8 bytes
+//! file   : magic b"H5LITE03", frame*
+//! frame  : cksum:u64, len:u64, body (len bytes)
+//! body   : kind:u8, then  0 = Rows   | 1 = Commit
+//! Rows   : path (n:u32, str*), shape, first_row:u64, n_rows:u64,
+//!          payload (n_rows entries, raw)
+//! Commit : group
+//! group  : n_attrs:u32, { name:str, tag:u8, value }*,
+//!          n_children:u32, { name:str, 0, group | name:str, 1, shape, rows:u64 }*
+//! shape  : dtype:u8, rank:u32, inner_dims:u64*
+//! str    : len:u32, utf-8 bytes
 //! ```
 //!
-//! Every group/dataset block is length-prefixed and checksummed, so
-//! [`H5File::open`] can tell *exactly* which subtree a byte flip or a torn
-//! write damaged: a corrupt dataset is dropped, a corrupt group is salvaged
-//! child-by-child, and a truncated tail recovers to the last consistent
-//! prefix. Anything dropped is reported — loudly — via [`RecoveryReport`]
-//! instead of failing the open or silently mis-parsing.
+//! `cksum` is [`fnv1a64_words`] of the frame's bytes after the `cksum` field
+//! (`len`, then the body) as one string: FNV-1a's xor-multiply step over
+//! little-endian 64-bit words, byte-wise over the < 8-byte tail. A `Rows`
+//! frame carries rows `first_row..first_row + n_rows` of one dataset and
+//! describes itself; a `Commit` is the tree *without* payloads. One flush is
+//! one *generation*: a `Rows` frame per dataset with unpersisted rows (the
+//! payload goes from the dataset's buffer to the file uncopied and is hashed
+//! once), then one `Commit`, then a single `fsync`.
 //!
-//! Writes are crash-safe: serialize to `<path>.h5lite.tmp`, `fsync`, then
-//! atomically rename over the destination (plus a best-effort directory
-//! sync), so a crash mid-flush leaves either the old file or the new file,
-//! never a torn hybrid.
+//! **Append or rewrite.** A handle whose file is the v3 log it wrote or
+//! cleanly opened *appends* at its committed length: a flush costs the new
+//! rows plus O(nodes). Everything else *rewrites* — the first flush of a new,
+//! v1/v2 or repaired file, a tree that no longer extends what the log holds
+//! (a dataset replaced, removed or moved: decided per dataset from a private
+//! `(id, rows)` stamp the caller cannot forge by assignment), a file whose
+//! length is not the committed length — with the same frame writer from row
+//! 0 into `<path>.h5lite.tmp`, `fsync`, atomic rename, directory sync. A
+//! flush with nothing new (same `Commit` body) makes no filesystem call.
 //!
-//! Legacy v1 files (`b"H5LITE01"`, no checksums) still open with the strict
-//! v1 decoder; the first flush rewrites them as v2.
+//! **Crash safety: old or new, never torn.** Committed rows are never
+//! rewritten. A generation counts once its `Commit` verifies, and that is
+//! written after every `Rows` frame of the generation, so a crash mid-append
+//! leaves a tail without one: [`H5File::open`] returns the previous
+//! generation exactly and reports `truncated`. A writer whose append fails
+//! cuts its tail off (`set_len`) before returning the error. The fault seams
+//! mean the same on both paths: `store.flush.write` before payload bytes,
+//! `.sync` before the `fsync`, `.rename` before the step that makes the
+//! generation visible — the rename, or the `Commit` frame of an append.
+//! Single writer; a reader racing an append sees the last committed
+//! generation.
+//!
+//! **Salvage.** `open` is one sequential replay. A frame that fails its
+//! checksum is stepped over by its length; a length that overruns the file
+//! ends the replay. The tree is the last `Commit`'s — but a last generation
+//! holding a bad frame may be a torn append, so the generation before it
+//! (whole on disk before that append began) is returned when there is one.
+//! Under the chosen `Commit` a dataset that lost a `Rows` frame keeps its
+//! rows up to that frame and is named in `dropped`; siblings are untouched.
+//! Only a file with **no** verifying `Commit` (a single flush, tail cut) has
+//! uncommitted rows resurrected: every dataset whose frames verify, without
+//! attributes. Damage is reported — loudly — via [`RecoveryReport`], and the
+//! next flush rewrites the file clean.
+//!
+//! v2 (`b"H5LITE02"`, nested blocks under byte-wise FNV-1a, lenient decoder)
+//! and v1 (`b"H5LITE01"`, no checksums, strict decoder) files still open;
+//! their first flush with something to write upgrades them.
 
 use crate::codec::*;
 use crate::dataset::{DType, Dataset};
 use crate::group::{Attr, Group, Node};
 use crate::{Result, StoreError};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use hpacml_faults::{fault_point, fnv1a64};
+use bytes::{Buf, BufMut, Bytes};
+use hpacml_faults::{fault_point, fnv1a64, fnv1a64_words};
+use std::collections::BTreeMap;
+use std::fs::File;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const MAGIC_V1: &[u8; 8] = b"H5LITE01";
 const MAGIC_V2: &[u8; 8] = b"H5LITE02";
+const MAGIC_V3: &[u8; 8] = b"H5LITE03";
+const ROWS: u8 = 0;
+const COMMIT: u8 = 1;
 
 /// What [`H5File::open`] had to do to rescue a damaged file. Present only
 /// when something was actually dropped or cut short; a clean open carries
 /// no report.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// `/`-joined paths of children dropped because their block checksum
-    /// failed (and, for datasets, could not be trusted).
+    /// `/`-joined paths of datasets that lost rows to a failed checksum: in
+    /// a v3 log the rows from the damaged frame on, in a v2 file the whole
+    /// child.
     pub dropped: Vec<String>,
-    /// `/`-joined paths of groups whose payload failed its checksum but
+    /// `/`-joined paths of v2 groups whose payload failed its checksum but
     /// were salvaged child-by-child (surviving children were kept).
     pub salvaged: Vec<String>,
-    /// The file ended mid-record; everything after the cut was lost.
+    /// Bytes follow the last usable record (a torn flush, a cut tail);
+    /// everything after it was lost.
     pub truncated: bool,
 }
 
@@ -74,14 +117,45 @@ impl std::fmt::Display for RecoveryReport {
     }
 }
 
+/// A dataset's place in the tree, one component per nesting level (names
+/// may contain `/`, so a joined string would be ambiguous).
+type DsPath = Vec<String>;
+
+/// What the file at `path` holds, as this handle wrote or cleanly read it.
+#[derive(Debug)]
+struct Disk {
+    /// Committed length of the v3 log. 0 for a v1/v2 file: no file is that
+    /// short, so it is never appended to.
+    len: u64,
+    /// Each dataset's `(id, committed rows)`: its `Dataset::persisted`
+    /// stamp for as long as it extends the disk.
+    rows: BTreeMap<DsPath, (u64, usize)>,
+    /// Body of the last `Commit`.
+    commit: Vec<u8>,
+}
+
+/// Stamp every dataset as persisted in full. Ids are unique per process, so
+/// a stamp copied from another file, another path or an earlier flush never
+/// matches this record.
+fn stamp(datasets: Vec<(DsPath, &mut Dataset)>) -> BTreeMap<DsPath, (u64, usize)> {
+    static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+    let one = |(path, d): (DsPath, &mut Dataset)| {
+        d.persisted = (NEXT_ID.fetch_add(1, Ordering::Relaxed), d.rows());
+        (path, d.persisted)
+    };
+    datasets.into_iter().map(one).collect()
+}
+
 /// An h5lite file: an in-memory group tree bound to a path, persisted on
 /// [`H5File::flush`] (and on drop, best-effort).
 #[derive(Debug)]
 pub struct H5File {
     path: PathBuf,
     root: Group,
-    dirty: bool,
     recovery: Option<RecoveryReport>,
+    /// `None` for a new file and after a repairing open: the next flush
+    /// writes the whole tree, changed or not.
+    disk: Option<Disk>,
 }
 
 impl H5File {
@@ -90,53 +164,51 @@ impl H5File {
         H5File {
             path: path.into(),
             root: Group::new(),
-            dirty: true,
             recovery: None,
+            disk: None,
         }
     }
 
     /// Open and parse an existing file.
     ///
-    /// A damaged v2 file does not fail the open: corrupted or truncated
-    /// blocks are dropped and the surviving prefix is returned, with the
-    /// damage described by [`H5File::recovery`] (and echoed to stderr so
-    /// the rescue is never silent).
+    /// A damaged v2/v3 file does not fail the open: what cannot be trusted
+    /// is dropped and the surviving generation or prefix is returned, with
+    /// the damage described by [`H5File::recovery`] (and echoed to stderr
+    /// so the rescue is never silent).
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         fault_point!("store.open");
-        let mut f = std::fs::File::open(path.as_ref())?;
+        let path = path.as_ref();
         let mut raw = Vec::new();
-        f.read_to_end(&mut raw)?;
+        File::open(path)?.read_to_end(&mut raw)?;
         let mut buf = Bytes::from(raw);
         if buf.remaining() < 8 {
             return Err(StoreError::BadMagic);
         }
         let mut magic = [0u8; 8];
         buf.copy_to_slice(&mut magic);
-        let (root, recovery) = if &magic == MAGIC_V2 {
-            let mut report = RecoveryReport::default();
-            let root = decode_root_v2(&mut buf, &mut report);
-            if report.is_clean() {
-                (root, None)
-            } else {
-                eprintln!("hpacml-store: {}: {report}", path.as_ref().display());
-                (root, Some(report))
-            }
-        } else if &magic == MAGIC_V1 {
-            (decode_group_v1(&mut buf)?, None)
-        } else {
-            return Err(StoreError::BadMagic);
+        let mut report = RecoveryReport::default();
+        let (mut root, len) = match &magic {
+            MAGIC_V3 => replay_v3(buf, &mut report)?,
+            MAGIC_V2 => (decode_root_v2(&mut buf, &mut report), 0),
+            MAGIC_V1 => (decode_group_v1(&mut buf)?, 0),
+            _ => return Err(StoreError::BadMagic),
         };
-        // A non-clean recovery means the in-memory tree is a *repaired*
-        // prefix of what is on disk. Mark the file dirty so the repair is
-        // flushed (on drop at the latest); otherwise every later `open`
-        // re-pays the recovery scan and re-reports against the same
-        // corrupt tail.
-        let dirty = recovery.is_some();
+        // A repaired tree is not what is on disk: with no `disk` record the
+        // repair is flushed (on drop at the latest), otherwise every later
+        // `open` re-pays the recovery and re-reports the same damage.
+        let (recovery, disk) = if report.is_clean() {
+            let commit = encode_commit(&root);
+            let rows = stamp(datasets_mut(&mut root));
+            (None, Some(Disk { len, rows, commit }))
+        } else {
+            eprintln!("hpacml-store: {}: {report}", path.display());
+            (Some(report), None)
+        };
         Ok(H5File {
-            path: path.as_ref().to_path_buf(),
+            path: path.to_path_buf(),
             root,
-            dirty,
             recovery,
+            disk,
         })
     }
 
@@ -149,7 +221,6 @@ impl H5File {
     }
 
     pub fn root_mut(&mut self) -> &mut Group {
-        self.dirty = true;
         &mut self.root
     }
 
@@ -163,41 +234,64 @@ impl H5File {
         self.root.size_bytes()
     }
 
-    /// Serialize and write the tree to `self.path` crash-safely: temp file,
-    /// `fsync`, atomic rename (plus a best-effort directory sync).
+    /// Persist what is new since the last flush: an append to the log this
+    /// handle wrote or opened, else a crash-safe rewrite (see the module
+    /// docs). With nothing new it makes no filesystem call.
     pub fn flush(&mut self) -> Result<()> {
+        let commit = encode_commit(&self.root);
+        let datasets = datasets_mut(&mut self.root);
+        // The tree extends the disk when every dataset the log holds is
+        // still at its path, stamped with exactly the rows the log holds.
+        let extends = self.disk.as_ref().filter(|disk| {
+            let kept = |(p, d): &&(DsPath, &mut Dataset)| disk.rows.get(p) == Some(&d.persisted);
+            datasets.iter().filter(kept).count() == disk.rows.len()
+        });
+        if extends.is_some_and(|disk| disk.commit == commit) {
+            return Ok(());
+        }
         fault_point!("store.flush");
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC_V2);
-        let mut body = BytesMut::new();
-        encode_group(&mut body, &self.root);
-        put_block(&mut buf, &body);
-        let tmp = self.path.with_extension("h5lite.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            fault_point!("store.flush.write");
-            f.write_all(&buf)?;
-            fault_point!("store.flush.sync");
-            f.sync_all()?;
-        }
-        fault_point!("store.flush.rename");
-        std::fs::rename(&tmp, &self.path)?;
-        // Directory sync makes the rename itself durable. Best-effort: some
-        // filesystems refuse fsync on a directory handle, and the data file
-        // is already safe either way (old or new, never torn).
-        if let Some(dir) = self.path.parent() {
-            if let Ok(d) = std::fs::File::open(dir) {
-                let _ = d.sync_all();
+        // Append only to the very file the record describes: one that was
+        // replaced, cut or grown behind the handle is rewritten.
+        let log = extends.and_then(|disk| {
+            let f = File::options().append(true).open(&self.path).ok()?;
+            (f.metadata().ok()?.len() == disk.len).then_some((f, disk))
+        });
+        let len = match log {
+            Some((mut f, disk)) => {
+                let wrote = write_generation(&mut f, &datasets, &commit, Some(disk));
+                if wrote.is_err() {
+                    // Cut the failed attempt off so nothing is ever appended
+                    // after garbage (if this fails too, the length check
+                    // above turns the next flush into a rewrite).
+                    let _ = f.set_len(disk.len);
+                }
+                disk.len + wrote?
             }
-        }
-        self.dirty = false;
+            None => {
+                let tmp = self.path.with_extension("h5lite.tmp");
+                let mut f = File::create(&tmp)?;
+                f.write_all(MAGIC_V3)?;
+                let n = write_generation(&mut f, &datasets, &commit, None)?;
+                fault_point!("store.flush.rename");
+                std::fs::rename(&tmp, &self.path)?;
+                // Directory sync makes the rename itself durable.
+                // Best-effort: some filesystems refuse fsync on a directory
+                // handle, and the data file is already safe either way.
+                if let Some(Ok(d)) = self.path.parent().map(File::open) {
+                    let _ = d.sync_all();
+                }
+                8 + n
+            }
+        };
+        let rows = stamp(datasets);
+        self.disk = Some(Disk { len, rows, commit });
         Ok(())
     }
 }
 
 impl Drop for H5File {
     fn drop(&mut self) {
-        if self.dirty && self.flush().is_err() {
+        if self.flush().is_err() {
             // No Result channel out of drop; the owner (e.g. Region) counts
             // flush failures explicitly before dropping. Stay loud anyway.
             eprintln!(
@@ -208,7 +302,66 @@ impl Drop for H5File {
     }
 }
 
-fn encode_attr(buf: &mut BytesMut, attr: &Attr) {
+/// Every dataset under `root` with its path, in tree order.
+fn datasets_mut(root: &mut Group) -> Vec<(DsPath, &mut Dataset)> {
+    fn walk<'a>(g: &'a mut Group, at: &mut DsPath, out: &mut Vec<(DsPath, &'a mut Dataset)>) {
+        for (name, node) in g.children_mut() {
+            at.push(name.clone());
+            match node {
+                Node::Group(child) => walk(child, at, out),
+                Node::Dataset(d) => out.push((at.clone(), d)),
+            }
+            at.pop();
+        }
+    }
+    let mut out = Vec::new();
+    walk(root, &mut Vec::new(), &mut out);
+    out
+}
+
+/// Write one generation and `fsync`: a `Rows` frame for each dataset's rows
+/// past those `log` holds (all of them for a rewrite, `None`), then the
+/// `Commit`. Returns its length.
+fn write_generation(
+    f: &mut File,
+    datasets: &[(DsPath, &mut Dataset)],
+    commit: &[u8],
+    log: Option<&Disk>,
+) -> Result<u64> {
+    fault_point!("store.flush.write");
+    let mut n = 0;
+    for (path, d) in datasets {
+        let first = log.and_then(|l| l.rows.get(path)).map_or(0, |r| r.1);
+        if d.rows() > first {
+            let mut head = vec![ROWS];
+            head.put_u32_le(path.len() as u32);
+            path.iter().for_each(|part| put_str(&mut head, part));
+            put_shape(&mut head, d);
+            head.put_u64_le(first as u64);
+            head.put_u64_le((d.rows() - first) as u64);
+            n += write_frame(f, &head, d.raw_from(first))?;
+        }
+    }
+    if log.is_some() {
+        fault_point!("store.flush.rename");
+    }
+    n += write_frame(f, commit, &[])?;
+    fault_point!("store.flush.sync");
+    f.sync_all()?;
+    Ok(n)
+}
+
+/// Write one frame whose body is `head` then `payload`; the payload is
+/// hashed once and goes to the file straight from the caller's buffer.
+fn write_frame(f: &mut File, head: &[u8], payload: &[u8]) -> Result<u64> {
+    let len = ((head.len() + payload.len()) as u64).to_le_bytes();
+    let cksum = fnv1a64_words(&[&len, head, payload]).to_le_bytes();
+    f.write_all(&[&cksum, &len[..], head].concat())?;
+    f.write_all(payload)?;
+    Ok((16 + head.len() + payload.len()) as u64)
+}
+
+fn encode_attr(buf: &mut Vec<u8>, attr: &Attr) {
     match attr {
         Attr::Int(v) => {
             buf.put_u8(0);
@@ -234,18 +387,15 @@ fn decode_attr(buf: &mut Bytes) -> Result<Attr> {
     }
 }
 
-fn encode_dataset(buf: &mut BytesMut, d: &Dataset) {
+fn put_shape(buf: &mut Vec<u8>, d: &Dataset) {
     buf.put_u8(d.dtype().tag());
     buf.put_u32_le(d.inner_shape().len() as u32);
     for dim in d.inner_shape() {
         buf.put_u64_le(*dim as u64);
     }
-    buf.put_u64_le(d.rows() as u64);
-    buf.put_u64_le(d.raw().len() as u64);
-    buf.put_slice(d.raw());
 }
 
-fn decode_dataset(buf: &mut Bytes) -> Result<Dataset> {
+fn decode_shape(buf: &mut Bytes) -> Result<(DType, Vec<usize>)> {
     let dtype = DType::from_tag(get_u8(buf)?)?;
     let rank = get_u32(buf)? as usize;
     if rank > 64 {
@@ -257,41 +407,189 @@ fn decode_dataset(buf: &mut Bytes) -> Result<Dataset> {
     for _ in 0..rank {
         inner.push(get_u64(buf)? as usize);
     }
+    Ok((dtype, inner))
+}
+
+/// A `Commit` body: the tree without payloads.
+fn encode_commit(root: &Group) -> Vec<u8> {
+    fn group(buf: &mut Vec<u8>, g: &Group) {
+        buf.put_u32_le(g.attrs_map().len() as u32);
+        for (name, attr) in g.attrs_map() {
+            put_str(buf, name);
+            encode_attr(buf, attr);
+        }
+        buf.put_u32_le(g.children().len() as u32);
+        for (name, node) in g.children() {
+            put_str(buf, name);
+            match node {
+                Node::Group(child) => {
+                    buf.put_u8(0);
+                    group(buf, child);
+                }
+                Node::Dataset(d) => {
+                    buf.put_u8(1);
+                    put_shape(buf, d);
+                    buf.put_u64_le(d.rows() as u64);
+                }
+            }
+        }
+    }
+    let mut buf = vec![COMMIT];
+    group(&mut buf, root);
+    buf
+}
+
+/// Rows read from verified `Rows` frames, by dataset: shape and raw bytes.
+type Staged = BTreeMap<DsPath, (DType, Vec<usize>, Vec<u8>)>;
+
+/// Replay a v3 log (`buf` starts after the magic) to the tree of its last
+/// trustworthy `Commit` and the file length that commit ends at; the module
+/// docs say what is skipped, cut and reported.
+fn replay_v3(mut buf: Bytes, report: &mut RecoveryReport) -> Result<(Group, u64)> {
+    let total = buf.remaining() as u64 + 8;
+    let mut staged = Staged::new();
+    // Body and end offset of the last two commits. `bad`: a frame failed
+    // since the last commit; `torn`: one failed between the last two.
+    let (mut last, mut prev, mut bad, mut torn) = (None, None, false, false);
+    while buf.remaining() >= 16 {
+        let cksum = buf.get_u64_le();
+        let len = u64::from_le_bytes(buf[..8].try_into().expect("8 of >= 8 bytes"));
+        if len > (buf.remaining() - 8) as u64 {
+            break;
+        }
+        let frame = buf.slice(..8 + len as usize);
+        buf.advance(frame.len());
+        if fnv1a64_words(&[&frame]) != cksum {
+            bad = true;
+            continue;
+        }
+        let body = frame.slice(frame.len().min(9)..);
+        match frame.get(8) {
+            Some(&COMMIT) => {
+                prev = last.replace((body, total - buf.remaining() as u64));
+                (torn, bad) = (bad, false);
+            }
+            // A verified frame that does not parse is not ours to read; the
+            // commit accounts for whatever rows it should have brought.
+            Some(&ROWS) => _ = stage_rows(body, &mut staged),
+            _ => {}
+        }
+    }
+    // A last generation with a bad frame in it may be a torn append; the
+    // one before it was whole on disk before that append began.
+    let Some((mut body, end)) = (if torn && prev.is_some() { prev } else { last }) else {
+        // No commit at all: a single flush whose tail was cut. Keep every
+        // dataset whose frames verified.
+        report.truncated = true;
+        let mut root = Group::new();
+        for (path, (dtype, inner, data)) in staged {
+            let d = dataset_of(dtype, inner, data, u64::MAX)?;
+            if !insert_at(&mut root, &path, d) {
+                report.dropped.push(path.join("/"));
+            }
+        }
+        return Ok((root, 0));
+    };
+    report.truncated = end < total;
+    let root = decode_commit(&mut body, &mut Vec::new(), &mut staged, report)?;
+    Ok((root, end))
+}
+
+/// Stage one `Rows` frame. Rows land only as the next rows of their
+/// dataset: a frame that follows a lost one leaves the dataset cut at the
+/// gap. Nothing is allocated beyond the frame's own (bounds-checked) bytes.
+fn stage_rows(mut body: Bytes, staged: &mut Staged) -> Result<()> {
+    let mut path = DsPath::new();
+    for _ in 0..get_u32(&mut body)? {
+        path.push(get_str(&mut body)?);
+    }
+    let (dtype, inner) = decode_shape(&mut body)?;
+    let (first, rows) = (get_u64(&mut body)?, get_u64(&mut body)?);
+    let row_bytes = Dataset::row_bytes(dtype, &inner)? as u64;
+    let new = || (dtype, inner.clone(), Vec::new());
+    let (have_dtype, have_inner, data) = staged.entry(path).or_insert_with(new);
+    if (*have_dtype, &*have_inner) == (dtype, &inner)
+        && first.checked_mul(row_bytes) == Some(data.len() as u64)
+        && rows.checked_mul(row_bytes) == Some(body.len() as u64)
+    {
+        data.extend_from_slice(&body);
+    }
+    Ok(())
+}
+
+/// The whole rows of `data`, `at_most` of them, as a dataset.
+fn dataset_of(dtype: DType, inner: Vec<usize>, mut data: Vec<u8>, at_most: u64) -> Result<Dataset> {
+    let row_bytes = Dataset::row_bytes(dtype, &inner)?;
+    let rows = ((data.len() / row_bytes) as u64).min(at_most) as usize;
+    data.truncate(rows * row_bytes);
+    Dataset::from_parts(dtype, inner, rows, data)
+}
+
+/// Rebuild the tree a `Commit` describes, moving each dataset's committed
+/// rows out of `staged`; a dataset with fewer rows staged than committed
+/// keeps what it has and is named in `report.dropped`.
+fn decode_commit(
+    buf: &mut Bytes,
+    at: &mut DsPath,
+    staged: &mut Staged,
+    report: &mut RecoveryReport,
+) -> Result<Group> {
+    if at.len() > 64 {
+        return Err(StoreError::Corrupt("implausible group nesting".into()));
+    }
+    let mut g = Group::new();
+    for _ in 0..get_u32(buf)? {
+        let name = get_str(buf)?;
+        g.set_attr(name, decode_attr(buf)?);
+    }
+    for _ in 0..get_u32(buf)? {
+        at.push(get_str(buf)?);
+        let node = match get_u8(buf)? {
+            0 => Node::Group(decode_commit(buf, at, staged, report)?),
+            1 => {
+                let (dtype, inner) = decode_shape(buf)?;
+                let committed = get_u64(buf)?;
+                let data = match staged.remove(at) {
+                    Some((dt, shape, data)) if (dt, &shape) == (dtype, &inner) => data,
+                    _ => Vec::new(),
+                };
+                let d = dataset_of(dtype, inner, data, committed)?;
+                if (d.rows() as u64) < committed {
+                    report.dropped.push(at.join("/"));
+                }
+                Node::Dataset(d)
+            }
+            t => return Err(StoreError::Corrupt(format!("bad node kind {t}"))),
+        };
+        g.insert_child(at.pop().expect("pushed above"), node);
+    }
+    Ok(g)
+}
+
+/// Put `d` at `path`, creating groups on the way; `false` if the path is
+/// empty or runs through a dataset (only a crafted file can do that).
+fn insert_at(root: &mut Group, path: &[String], d: Dataset) -> bool {
+    let Some((name, dirs)) = path.split_last() else {
+        return false;
+    };
+    let mut g = root;
+    for dir in dirs {
+        let node = g.children_mut().entry(dir.clone());
+        g = match node.or_insert_with(|| Node::Group(Group::new())) {
+            Node::Group(child) => child,
+            Node::Dataset(_) => return false,
+        };
+    }
+    g.insert_child(name.clone(), Node::Dataset(d));
+    true
+}
+
+fn decode_dataset(buf: &mut Bytes) -> Result<Dataset> {
+    let (dtype, inner) = decode_shape(buf)?;
     let rows = get_u64(buf)? as usize;
     let len = get_u64(buf)? as usize;
     let data = get_bytes(buf, len)?;
     Dataset::from_parts(dtype, inner, rows, data)
-}
-
-/// Append `body` as a length-prefixed, checksummed block.
-fn put_block(buf: &mut BytesMut, body: &BytesMut) {
-    buf.put_u64_le(body.len() as u64);
-    buf.put_u64_le(fnv1a64(body));
-    buf.put_slice(body);
-}
-
-fn encode_group(buf: &mut BytesMut, g: &Group) {
-    buf.put_u32_le(g.attrs_map().len() as u32);
-    for (name, attr) in g.attrs_map() {
-        put_str(buf, name);
-        encode_attr(buf, attr);
-    }
-    buf.put_u32_le(g.children().len() as u32);
-    for (name, node) in g.children() {
-        put_str(buf, name);
-        let mut body = BytesMut::new();
-        match node {
-            Node::Group(child) => {
-                buf.put_u8(0);
-                encode_group(&mut body, child);
-            }
-            Node::Dataset(d) => {
-                buf.put_u8(1);
-                encode_dataset(&mut body, d);
-            }
-        }
-        put_block(buf, &body);
-    }
 }
 
 fn child_path(path: &str, name: &str) -> String {
@@ -433,6 +731,51 @@ mod tests {
         dir.join(name)
     }
 
+    /// The v2 writer as it shipped (PR 9): nested length-prefixed blocks
+    /// under byte-wise FNV-1a. Test-only since v3, so the v2 decoder and its
+    /// salvage rules keep real input. `framed = false` writes the v1 layout
+    /// (same records, no blocks).
+    fn encode_legacy(root: &Group, framed: bool) -> Vec<u8> {
+        fn block(buf: &mut Vec<u8>, body: &[u8], framed: bool) {
+            if framed {
+                buf.put_u64_le(body.len() as u64);
+                buf.put_u64_le(fnv1a64(body));
+            }
+            buf.put_slice(body);
+        }
+        fn group(buf: &mut Vec<u8>, g: &Group, framed: bool) {
+            buf.put_u32_le(g.attrs_map().len() as u32);
+            for (name, attr) in g.attrs_map() {
+                put_str(buf, name);
+                encode_attr(buf, attr);
+            }
+            buf.put_u32_le(g.children().len() as u32);
+            for (name, node) in g.children() {
+                put_str(buf, name);
+                let mut body = Vec::new();
+                match node {
+                    Node::Group(child) => {
+                        buf.put_u8(0);
+                        group(&mut body, child, framed);
+                    }
+                    Node::Dataset(d) => {
+                        buf.put_u8(1);
+                        put_shape(&mut body, d);
+                        body.put_u64_le(d.rows() as u64);
+                        body.put_u64_le(d.size_bytes() as u64);
+                        body.put_slice(d.raw_from(0));
+                    }
+                }
+                block(buf, &body, framed);
+            }
+        }
+        let mut body = Vec::new();
+        group(&mut body, root, framed);
+        let mut buf = Vec::from(if framed { *MAGIC_V2 } else { *MAGIC_V1 });
+        block(&mut buf, &body, framed);
+        buf
+    }
+
     fn sample_tree() -> Group {
         let mut root = Group::new();
         root.set_attr("created_by", Attr::Str("hpacml".into()));
@@ -518,12 +861,7 @@ mod tests {
     #[test]
     fn truncated_tail_recovers_to_prefix() {
         let path = tmp("trunc.h5lite");
-        {
-            let mut f = H5File::create(&path);
-            *f.root_mut() = sample_tree();
-            f.flush().unwrap();
-        }
-        let bytes = std::fs::read(&path).unwrap();
+        let bytes = encode_legacy(&sample_tree(), true);
         std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
         let f = H5File::open(&path).unwrap();
         let report = f.recovery().expect("cut file must report recovery");
@@ -544,12 +882,7 @@ mod tests {
     #[test]
     fn flipped_dataset_byte_drops_only_that_dataset() {
         let path = tmp("flip.h5lite");
-        {
-            let mut f = H5File::create(&path);
-            *f.root_mut() = sample_tree();
-            f.flush().unwrap();
-        }
-        let clean = std::fs::read(&path).unwrap();
+        let clean = encode_legacy(&sample_tree(), true);
         // Locate the "inputs" payload (0.0, 1.0, 2.0 ... as f32 LE) and
         // flip a byte in the middle of it.
         let needle: Vec<u8> = [2.0f32, 3.0, 4.0]
@@ -604,12 +937,7 @@ mod tests {
         // flushed even if the caller never touches the tree, so the next
         // open does not re-pay recovery against the same corrupt tail.
         let path = tmp("recover_persist.h5lite");
-        {
-            let mut f = H5File::create(&path);
-            *f.root_mut() = sample_tree();
-            f.flush().unwrap();
-        }
-        let bytes = std::fs::read(&path).unwrap();
+        let bytes = encode_legacy(&sample_tree(), true);
         std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
         {
             let f = H5File::open(&path).unwrap();
@@ -628,6 +956,144 @@ mod tests {
             (0..30).map(|i| i as f32).collect::<Vec<_>>()
         );
         assert_eq!(region.attr("invocations"), Some(&Attr::Int(3)));
+    }
+
+    /// `sample_tree()` flushed once as v3; returns the file's bytes.
+    fn flushed_v3(path: &Path) -> Vec<u8> {
+        let mut f = H5File::create(path);
+        *f.root_mut() = sample_tree();
+        f.flush().unwrap();
+        let bytes = std::fs::read(path).unwrap();
+        assert_eq!(&bytes[..8], MAGIC_V3);
+        bytes
+    }
+
+    #[test]
+    fn v3_truncated_tail_salvages_whole_frames_and_persists_the_repair() {
+        // Counterpart of `truncated_tail_recovers_to_prefix` and
+        // `recovery_persists_without_further_writes`: the cut takes the
+        // single flush's Commit, so every dataset whose Rows frame is whole
+        // comes back bit-exactly (without attributes) and the repair is
+        // flushed by the drop.
+        let path = tmp("trunc_v3.h5lite");
+        let bytes = flushed_v3(&path);
+        std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
+        {
+            let f = H5File::open(&path).unwrap();
+            let report = f.recovery().expect("cut file must report recovery");
+            assert!(report.truncated && report.dropped.is_empty());
+            let want = sample_tree();
+            let (got, want) = (
+                f.root().group("stencil_region").unwrap(),
+                want.group("stencil_region").unwrap(),
+            );
+            for name in ["inputs", "outputs", "region_time_ns"] {
+                assert_eq!(got.dataset(name).unwrap(), want.dataset(name).unwrap());
+            }
+            assert_eq!(got.attrs_map().len(), 0, "attributes live in the Commit");
+        }
+        let f = H5File::open(&path).unwrap();
+        assert!(f.recovery().is_none(), "repair must persist on drop");
+        let region = f.root().group("stencil_region").unwrap();
+        assert_eq!(region.dataset("inputs").unwrap().rows(), 3);
+        // A deeper cut, one byte into the last Rows frame's tail: that
+        // dataset is gone whole, nothing partial survives.
+        let mut ends = vec![8];
+        while ends[ends.len() - 1] < bytes.len() {
+            let at = ends[ends.len() - 1];
+            let len = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().unwrap());
+            ends.push(at + 16 + len as usize);
+        }
+        assert_eq!(ends.len(), 5, "three Rows frames and the Commit");
+        std::fs::write(&path, &bytes[..ends[3] - 1]).unwrap();
+        let f = H5File::open(&path).unwrap();
+        let region = f.root().group("stencil_region").unwrap();
+        assert_eq!(
+            region.dataset("inputs").unwrap().read_f32().unwrap(),
+            (0..30).map(|i| i as f32).collect::<Vec<_>>()
+        );
+        assert!(region.dataset("region_time_ns").is_err());
+    }
+
+    #[test]
+    fn v3_flipped_payload_byte_costs_only_that_dataset_its_rows() {
+        // Counterpart of `flipped_dataset_byte_drops_only_that_dataset`.
+        let path = tmp("flip_v3.h5lite");
+        let mut bytes = flushed_v3(&path);
+        let needle: Vec<u8> = [2.0f32, 3.0, 4.0]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        let at = bytes
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .expect("payload present");
+        bytes[at + 2] ^= 0xff;
+        std::fs::write(&path, &bytes).unwrap();
+        let f = H5File::open(&path).unwrap();
+        let report = f.recovery().expect("flip must report recovery");
+        assert_eq!(report.dropped, vec!["stencil_region/inputs".to_string()]);
+        assert!(!report.truncated);
+        // The damaged frame was the dataset's first: it keeps its place in
+        // the tree and no rows. Siblings, later frames and the Commit's
+        // attributes are untouched.
+        let region = f.root().group("stencil_region").unwrap();
+        assert_eq!(region.dataset("inputs").unwrap().rows(), 0);
+        assert_eq!(region.dataset("inputs").unwrap().inner_shape(), &[2, 5]);
+        assert_eq!(
+            region.dataset("outputs").unwrap().read_f32().unwrap(),
+            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        );
+        assert_eq!(region.dataset("region_time_ns").unwrap().rows(), 3);
+        assert_eq!(region.attrs_map().len(), 2);
+        assert_eq!(
+            f.root().attr("created_by"),
+            Some(&Attr::Str("hpacml".into()))
+        );
+    }
+
+    #[test]
+    fn legacy_files_open_unchanged_and_upgrade_on_first_write() {
+        // The helper is the parent's encoder: it reproduces, byte for byte,
+        // a file the parent's `H5File::flush` wrote.
+        let fixture: &[u8] = include_bytes!("../tests/fixtures/sample_v2.h5lite");
+        assert_eq!(encode_legacy(&sample_tree(), true), fixture);
+        for (name, bytes) in [
+            ("legacy_v2.h5lite", fixture.to_vec()),
+            ("legacy_v1.h5lite", encode_legacy(&sample_tree(), false)),
+        ] {
+            let path = tmp(name);
+            std::fs::write(&path, &bytes).unwrap();
+            {
+                let mut f = H5File::open(&path).unwrap();
+                assert!(f.recovery().is_none());
+                assert_eq!(f.root(), &sample_tree());
+                f.root_mut(); // access is not mutation
+            }
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                bytes,
+                "a read-only open wrote"
+            );
+            let mut want = sample_tree();
+            let extend = |root: &mut Group| {
+                root.group_mut("stencil_region")
+                    .dataset_mut("region_time_ns", DType::F64, &[])
+                    .unwrap()
+                    .append_f64(&[95.0])
+                    .unwrap();
+            };
+            extend(&mut want);
+            {
+                let mut f = H5File::open(&path).unwrap();
+                extend(f.root_mut());
+                f.flush().unwrap();
+            }
+            assert_eq!(&std::fs::read(&path).unwrap()[..8], MAGIC_V3);
+            let f = H5File::open(&path).unwrap();
+            assert!(f.recovery().is_none());
+            assert_eq!(f.root(), &want);
+        }
     }
 
     #[test]

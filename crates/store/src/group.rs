@@ -149,6 +149,10 @@ impl Group {
         &self.children
     }
 
+    pub(crate) fn children_mut(&mut self) -> &mut BTreeMap<String, Node> {
+        &mut self.children
+    }
+
     pub(crate) fn attrs_map(&self) -> &BTreeMap<String, Attr> {
         &self.attrs
     }

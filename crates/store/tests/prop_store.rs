@@ -62,6 +62,102 @@ fn build_group(plans: &[(String, NodePlan)], attrs: &[(String, Attr)]) -> Group 
     g
 }
 
+/// Append `extra[i]` further rows to the `i`-th planned dataset, where
+/// `build_group` put it.
+fn extend_group(g: &mut Group, plans: &[(String, NodePlan)], extra: &[usize]) {
+    for (idx, ((name, plan), &n)) in plans.iter().zip(extra).enumerate() {
+        let target = if idx % 3 == 0 {
+            g.group_mut("nested")
+        } else {
+            &mut *g
+        };
+        match plan {
+            NodePlan::DatasetF32 { inner, .. } => {
+                let entry: usize = inner.iter().product::<usize>().max(1);
+                let payload: Vec<f32> = (0..n * entry).map(|i| 100.0 - i as f32).collect();
+                let d = target.dataset_mut(name, DType::F32, inner).unwrap();
+                d.append_f32(&payload).unwrap();
+            }
+            NodePlan::DatasetF64 { .. } => {
+                let d = target.dataset_mut(name, DType::F64, &[]).unwrap();
+                d.append_f64(&vec![-0.5; n]).unwrap();
+            }
+            NodePlan::DatasetI64 { .. } => {
+                let d = target.dataset_mut(name, DType::I64, &[]).unwrap();
+                d.append_i64(&vec![9; n]).unwrap();
+            }
+        }
+    }
+}
+
+/// Drop colliding names (BTreeMap children can't collide across kinds).
+fn dedup(plans: Vec<(String, NodePlan)>) -> Vec<(String, NodePlan)> {
+    let mut seen = std::collections::BTreeSet::new();
+    plans
+        .into_iter()
+        .filter(|(n, _)| n != "nested" && seen.insert(n.clone()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A second flush through the handle that wrote the first — or through
+    /// a second handle that reopened the file — lands exactly the tree it
+    /// was given, whether that tree extends the first (new rows, changed
+    /// attributes: an append, same inode) or replaces it wholesale (a
+    /// rewrite).
+    #[test]
+    fn two_generations_roundtrip(
+        first in proptest::collection::vec(("[a-z][a-z0-9]{0,8}", node_plan()), 0..6),
+        second in proptest::collection::vec(("[a-z][a-z0-9]{0,8}", node_plan()), 0..6),
+        attrs in proptest::collection::vec(("[a-z][a-z0-9]{0,8}", attr()), 0..4),
+        extra in proptest::collection::vec(0usize..4, 6),
+        (replace, reopen) in (any::<bool>(), any::<bool>()),
+        file_tag in 0u32..1_000_000,
+    ) {
+        use std::os::unix::fs::MetadataExt;
+        let (first, second) = (dedup(first), dedup(second));
+        let dir = std::env::temp_dir().join("hpacml-store-prop");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("g{file_tag}.h5lite"));
+        let mut f = H5File::create(&path);
+        *f.root_mut() = build_group(&first, &attrs[..attrs.len() / 2]);
+        f.flush().unwrap();
+        if reopen {
+            drop(f);
+            f = H5File::open(&path).unwrap();
+        }
+        let inode = std::fs::metadata(&path).unwrap().ino();
+        if replace {
+            // The replacement reuses the first tree's paths with other
+            // plans and other values, so some dataset is as long as the one
+            // on disk without being its extension.
+            let names = first.iter().map(|(n, _)| n.clone());
+            let reused = names.zip(second.iter().map(|(_, p)| p.clone()));
+            let plans = dedup(reused.chain(second.iter().skip(first.len()).cloned()).collect());
+            let mut other = build_group(&plans, &attrs);
+            extend_group(&mut other, &plans, &extra);
+            *f.root_mut() = other;
+        } else {
+            extend_group(f.root_mut(), &first, &extra);
+            for (name, a) in &attrs {
+                f.root_mut().set_attr(name.clone(), a.clone());
+            }
+        }
+        let expected = f.root().clone();
+        f.flush().unwrap();
+        if !replace {
+            prop_assert_eq!(std::fs::metadata(&path).unwrap().ino(), inode);
+        }
+        drop(f);
+        let loaded = H5File::open(&path).unwrap();
+        prop_assert!(loaded.recovery().is_none());
+        prop_assert_eq!(loaded.root(), &expected);
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
