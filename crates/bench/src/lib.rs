@@ -368,7 +368,7 @@ mod tests {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel timing: shared by `bench_json` and the fig8 kernel-split panel
+// Kernel timing for the fig8 kernel-split panel
 // ---------------------------------------------------------------------------
 
 /// Median nanoseconds per call over `samples` timed batches of `batch`

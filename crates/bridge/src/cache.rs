@@ -95,11 +95,6 @@ impl PlanCache {
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
-
-    /// Drop every cached plan (counters are preserved).
-    pub fn clear(&self) {
-        self.plans.write().clear();
-    }
 }
 
 fn bindings_of(pairs: &[(String, i64)]) -> Bindings {
@@ -158,8 +153,6 @@ mod tests {
         }
         assert_eq!(cache.len(), 2);
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     #[test]

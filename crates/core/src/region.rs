@@ -146,16 +146,6 @@ impl Region {
         self.sessions.lock().clear();
     }
 
-    /// Drop every invoke-time cache this region holds: compiled bridge
-    /// plans, the resolved model handle, and compiled session cores. Useful
-    /// between measurement runs (and used by the overhead benchmark to model
-    /// a cold, uncached invocation).
-    pub fn clear_caches(&self) {
-        self.plans.clear();
-        *self.model.lock() = None;
-        self.sessions.lock().clear();
-    }
-
     /// Attach a reduced-precision serving policy: reload the region's model,
     /// quantize it for `policy.target` (per-layer bf16/int8 weight packs with
     /// f32 accumulation — see `hpacml_nn::fuse`), **calibrate** the quantized

@@ -505,7 +505,6 @@ impl std::ops::Deref for RegionRef<'_> {
 #[derive(Clone)]
 pub struct Session<'r> {
     region: RegionRef<'r>,
-    binds: Bindings,
     core: Arc<SessionCore>,
     max_batch: usize,
     /// (array name, scatter plan, per-sample model-output element offset) in
@@ -564,7 +563,6 @@ impl<'r> Session<'r> {
         }
         Ok(Session {
             region,
-            binds: binds.clone(),
             core,
             max_batch,
             outputs,
@@ -574,11 +572,6 @@ impl<'r> Session<'r> {
     /// The region this session was compiled from.
     pub fn region(&self) -> &Region {
         &self.region
-    }
-
-    /// The integer bindings this session was compiled against.
-    pub fn bindings(&self) -> &Bindings {
-        &self.binds
     }
 
     /// The largest runtime batch one invocation may carry.

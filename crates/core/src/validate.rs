@@ -27,9 +27,10 @@
 //!
 //! Shadow overhead is proportional to the sample rate: invocations not
 //! drawn for validation pay one short lock of the policy slot, one atomic
-//! sequence increment and one relaxed flag read — measured at 1-3% of a
-//! compiled-session invocation (the `validate.*` keys of
-//! `BENCH_inference.json`). Fallback-served invocations do **not** record
+//! sequence increment and one relaxed flag read — 1-3% of a
+//! compiled-session invocation when this landed (1-core container; no
+//! `BENCHMARK.json` workload attaches a policy, so nothing re-measures it).
+//! Fallback-served invocations do **not** record
 //! data-collection rows: they run the host code for safety, not to build a
 //! training set.
 //!

@@ -22,17 +22,18 @@ use std::time::Duration;
 
 /// The fault plan is process-global: chaos tests serialize on this lock so
 /// one scenario's schedule never bleeds into another (the default test
-/// runner is multi-threaded).
+/// runner is multi-threaded). Anything that reaches a seam — building a
+/// session loads the model through `nn.load` — runs inside [`with_plan`],
+/// un-faulted reference segments under an empty `Plan::new()`: outside the
+/// lock they would run under whatever schedule another scenario installed.
 static CHAOS_LOCK: Mutex<()> = Mutex::new(());
 
-fn with_plan(plan: Plan, f: impl FnOnce()) {
+fn with_plan<R>(plan: Plan, f: impl FnOnce() -> R) -> R {
     let _guard = CHAOS_LOCK.lock();
     hpacml_faults::install(plan);
     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
     hpacml_faults::clear();
-    if let Err(p) = out {
-        std::panic::resume_unwind(p);
-    }
+    out.unwrap_or_else(|p| std::panic::resume_unwind(p))
 }
 
 fn threads() -> usize {
@@ -236,7 +237,7 @@ fn model_load_flake_recovers_bit_identically() {
     let sample = [0.2f32, -0.4, 0.8];
 
     // Un-faulted reference.
-    let reference = {
+    let reference = with_plan(Plan::new(), || {
         let region = infer_region("flakeref", &model);
         let session = region
             .session(&binds, &[("x", &[3]), ("y", &[1])], 1)
@@ -251,7 +252,7 @@ fn model_load_flake_recovers_bit_identically() {
         out.output("y", &mut y).unwrap();
         out.finish().unwrap();
         y[0]
-    };
+    });
 
     // The engine's own cache would mask the reload — use a fresh path.
     let flaky = dir.join("flaky.hml");
@@ -330,20 +331,23 @@ fn shadow_panic_never_corrupts_served_results() {
 
     // Direct per-sample reference, no server, no faults.
     let region = infer_region("shadowpanic", &model);
-    let session = region
-        .session(&binds, &[("x", &[3]), ("y", &[1])], 8)
-        .unwrap();
-    let mut direct = vec![0.0f32; n_threads];
-    for (w, s) in samples.iter().enumerate() {
-        let mut out = session
-            .invoke()
-            .input("x", s)
-            .unwrap()
-            .run(|| unreachable!())
+    let (session, direct) = with_plan(Plan::new(), || {
+        let session = region
+            .session(&binds, &[("x", &[3]), ("y", &[1])], 8)
             .unwrap();
-        out.output("y", &mut direct[w..w + 1]).unwrap();
-        out.finish().unwrap();
-    }
+        let mut direct = vec![0.0f32; n_threads];
+        for (w, s) in samples.iter().enumerate() {
+            let mut out = session
+                .invoke()
+                .input("x", s)
+                .unwrap()
+                .run(|| unreachable!())
+                .unwrap();
+            out.output("y", &mut direct[w..w + 1]).unwrap();
+            out.finish().unwrap();
+        }
+        (session, direct)
+    });
 
     region
         .set_validation_policy(ValidationPolicy::new(ErrorMetric::Rmse, 1e9).with_sample_rate(1))
@@ -396,9 +400,6 @@ fn overload_burst_sheds_typed_and_serves_the_rest_exactly() {
     save_mlp(&model, 51);
     let binds = Bindings::new().with("N", 1);
     let region = infer_region("burst", &model);
-    let session = region
-        .session(&binds, &[("x", &[3]), ("y", &[1])], 4)
-        .unwrap();
 
     // f(x) for this model is deterministic: compute per-sample references.
     let n_threads = threads();
@@ -406,19 +407,25 @@ fn overload_burst_sheds_typed_and_serves_the_rest_exactly() {
     let sample_for = |w: usize, i: usize| -> [f32; 3] {
         std::array::from_fn(|k| ((w * 100 + i * 3 + k) as f32).sin())
     };
-    let mut reference = vec![vec![0.0f32; per_thread]; n_threads];
-    for (w, row) in reference.iter_mut().enumerate() {
-        for (i, r) in row.iter_mut().enumerate() {
-            let mut out = session
-                .invoke()
-                .input("x", &sample_for(w, i))
-                .unwrap()
-                .run(|| unreachable!())
-                .unwrap();
-            out.output("y", std::slice::from_mut(r)).unwrap();
-            out.finish().unwrap();
+    let (session, reference) = with_plan(Plan::new(), || {
+        let session = region
+            .session(&binds, &[("x", &[3]), ("y", &[1])], 4)
+            .unwrap();
+        let mut reference = vec![vec![0.0f32; per_thread]; n_threads];
+        for (w, row) in reference.iter_mut().enumerate() {
+            for (i, r) in row.iter_mut().enumerate() {
+                let mut out = session
+                    .invoke()
+                    .input("x", &sample_for(w, i))
+                    .unwrap()
+                    .run(|| unreachable!())
+                    .unwrap();
+                out.output("y", std::slice::from_mut(r)).unwrap();
+                out.finish().unwrap();
+            }
         }
-    }
+        (session, reference)
+    });
     region.reset_stats();
 
     with_plan(Plan::seeded(0xD1).yield_at("serve.stage", 3), || {
@@ -471,9 +478,11 @@ fn shutdown_race_serves_or_rejects_typed_never_hangs() {
     save_mlp(&model, 61);
     let binds = Bindings::new().with("N", 1);
     let region = infer_region("shutrace", &model);
-    let session = region
-        .session(&binds, &[("x", &[3]), ("y", &[1])], 4)
-        .unwrap();
+    let session = with_plan(Plan::new(), || {
+        region
+            .session(&binds, &[("x", &[3]), ("y", &[1])], 4)
+            .unwrap()
+    });
     let n_threads = threads();
 
     with_plan(

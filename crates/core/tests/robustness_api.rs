@@ -11,7 +11,8 @@ use hpacml_core::{
 use hpacml_directive::sema::Bindings;
 use hpacml_nn::spec::{Activation, ModelSpec};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir()
@@ -136,6 +137,70 @@ fn overload_rejection_is_typed_counted_and_recoverable() {
     assert_eq!(s.serve_rejected_deadline, 0);
     // Rejected submissions never count as served work.
     assert_eq!(s.batch_submitted, 1);
+}
+
+#[test]
+fn closed_loop_overload_sheds_serves_and_meets_deadlines() {
+    let dir = tmpdir("overload-burst");
+    let model = dir.join("m.hml");
+    save_mlp(&model, 9);
+    let region = infer_region("overloadburst", &model);
+    let binds = Bindings::new().with("N", 1);
+    let session = region
+        .session(&binds, &[("x", &[3]), ("y", &[1])], 2)
+        .unwrap();
+    let server = BatchServer::new(&session, Duration::from_millis(2))
+        .unwrap()
+        .with_max_pending(2);
+
+    // Every submitter sends this one row. Rows are computed independently of
+    // the batch they ride in, so each served value must reproduce the bits
+    // of a solo fill-1 submit.
+    let sample = [0.4f32, -0.2, 0.9];
+    let mut reference = [0.0f32; 1];
+    server.submit(&[&sample], &mut [&mut reference]).unwrap();
+    region.reset_stats();
+
+    // Eight closed-loop submitters against a cap of two: most of them find
+    // the server full at any instant. The budget is ~100x `max_wait`, so an
+    // admitted request can only miss it if the server stalls.
+    let (submitters, iters) = (8u64, 150u64);
+    let budget = Duration::from_millis(200);
+    let served = AtomicU64::new(0);
+    let shed = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..submitters {
+            scope.spawn(|| {
+                let mut y = [0.0f32; 1];
+                for _ in 0..iters {
+                    let t0 = Instant::now();
+                    match server.submit_with_deadline(&[&sample], &mut [&mut y], budget) {
+                        Ok(()) => {
+                            let waited = t0.elapsed();
+                            assert!(waited <= budget, "admitted, then held {waited:?}");
+                            assert_eq!(y[0].to_bits(), reference[0].to_bits());
+                            served.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(CoreError::Serve(ServeError::Overloaded { .. })) => {
+                            shed.fetch_add(1, Ordering::Relaxed);
+                            std::thread::yield_now();
+                        }
+                        // In particular no `Deadline`: a batch here flushes
+                        // within 2 ms, far inside every budget.
+                        Err(other) => panic!("only Overloaded may surface: {other}"),
+                    }
+                }
+            });
+        }
+    });
+    let (served, shed) = (served.into_inner(), shed.into_inner());
+    assert_eq!(served + shed, submitters * iters);
+    assert!(shed > 0, "the cap must bind under 4x oversubscription");
+    assert!(served > 0, "backpressure must still serve");
+    let s = region.stats();
+    assert_eq!(s.serve_rejected_overload, shed);
+    assert_eq!(s.serve_rejected_deadline, 0);
+    assert_eq!(s.batch_submitted, served);
 }
 
 #[test]

@@ -4,9 +4,10 @@
 //! thread counts, batch sizes, layouts and fallback modes) rests on
 //! source-level invariants that tests can only probe after the fact. This
 //! crate enforces them at the line that would break them: determinism lints
-//! for the kernel crates, an unsafe audit, concurrency discipline, and
-//! allow-attribute hygiene. See [`rules`] for the rule table and the README
-//! "Static analysis & invariants" section for rationale.
+//! for the kernel crates, an unsafe audit, concurrency discipline,
+//! allow-attribute hygiene, and a ratchet on unused `pub fn`s. See [`rules`]
+//! for the rule table and the README "Static analysis & invariants" section
+//! for rationale.
 //!
 //! Escape hatch: a finding on line `L` is suppressed by a comment on `L` or
 //! `L-1` of the form
@@ -21,6 +22,7 @@
 pub mod lexer;
 pub mod rules;
 
+pub use rules::WordIndex;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -86,6 +88,8 @@ pub struct FileScope {
     /// same guard discipline as the batch server, so lock-across-wait
     /// applies there too.
     pub serve_src: bool,
+    /// `crates/*/src/` — where `dead-pub` looks for `pub fn` definitions.
+    pub crate_src: bool,
 }
 
 impl FileScope {
@@ -103,12 +107,17 @@ impl FileScope {
             rel.starts_with("crates/par/") || rel.starts_with("vendor/") || harness;
         let core_src = rel.starts_with("crates/core/src/");
         let serve_src = rel.starts_with("crates/serve/src/");
+        let crate_src = rel
+            .strip_prefix("crates/")
+            .and_then(|r| r.split_once('/'))
+            .is_some_and(|(_, in_crate)| in_crate.starts_with("src/"));
         FileScope {
             rel,
             kernel,
             unsafe_allowed,
             core_src,
             serve_src,
+            crate_src,
         }
     }
 
@@ -175,12 +184,19 @@ pub fn parse_rules(spec: &str) -> Result<BTreeSet<String>, String> {
 }
 
 /// Analyze one file's source. `rel` is the workspace-relative path used for
-/// scoping and reporting; findings come back sorted by line.
-pub fn analyze_source(rel: &str, src: &str, enabled: &BTreeSet<String>) -> Vec<Finding> {
+/// scoping and reporting; findings come back sorted by line. `corpus` is
+/// the word index of the tree the file belongs to; the cross-file `dead-pub`
+/// rule only runs when there is one.
+pub fn analyze_source(
+    rel: &str,
+    src: &str,
+    enabled: &BTreeSet<String>,
+    corpus: Option<&WordIndex>,
+) -> Vec<Finding> {
     let scope = FileScope::of(rel);
     let lexed = lexer::lex(src);
     let mut findings = Vec::new();
-    rules::run_all(&scope, &lexed, enabled, &mut findings);
+    rules::run_all(&scope, &lexed, enabled, corpus, &mut findings);
 
     // Apply the escape hatch: a justified `lint: allow(<rule>)` on the
     // finding's line or the line above suppresses it.
@@ -273,8 +289,27 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
+/// Index every identifier a `pub fn` could be used from: the lintable
+/// files plus the umbrella crate's `examples/` and the standalone
+/// `benchmark/src/`, which call into `crates/*` but are not linted.
+fn corpus_index(root: &Path) -> std::io::Result<WordIndex> {
+    let mut files = workspace_files(root)?;
+    collect_rs(&root.join("examples"), &mut files)?;
+    collect_rs(&root.join("benchmark").join("src"), &mut files)?;
+    let mut index = WordIndex::default();
+    for path in files {
+        index.add(&lexer::lex(&std::fs::read_to_string(&path)?));
+    }
+    Ok(index)
+}
+
 /// Lint every workspace file under `root`, returning all findings.
 pub fn lint_workspace(root: &Path, enabled: &BTreeSet<String>) -> std::io::Result<Vec<Finding>> {
+    let corpus = if enabled.contains("dead-pub") {
+        Some(corpus_index(root)?)
+    } else {
+        None
+    };
     let mut findings = Vec::new();
     for path in workspace_files(root)? {
         let rel = path
@@ -283,7 +318,7 @@ pub fn lint_workspace(root: &Path, enabled: &BTreeSet<String>) -> std::io::Resul
             .to_string_lossy()
             .replace('\\', "/");
         let src = std::fs::read_to_string(&path)?;
-        findings.extend(analyze_source(&rel, &src, enabled));
+        findings.extend(analyze_source(&rel, &src, enabled, corpus.as_ref()));
     }
     findings.sort();
     Ok(findings)

@@ -1,6 +1,7 @@
 //! The lint rules. Each rule scans the masked code (and the captured
 //! comments) of one file and reports findings; `lib.rs` applies the
-//! per-line escape hatch afterwards.
+//! per-line escape hatch afterwards. One rule, `dead-pub`, also consults a
+//! [`WordIndex`] over the whole workspace.
 //!
 //! Rule scopes follow the invariants the workspace actually depends on:
 //!
@@ -15,9 +16,11 @@
 //! | `std-sync-lock`       | everywhere                 | `parking_lot` is the workspace lock standard |
 //! | `lock-across-wait`    | `crates/{core,serve}/src/` | no lock guard held across an unrelated blocking wait |
 //! | `allow-justification` | everywhere                 | every `#[allow(...)]` has an adjacent `//` justification |
+//! | `dead-pub`            | `crates/*/src/`            | every `pub fn` is named somewhere besides its own definition |
 
 use crate::lexer::Lexed;
 use crate::{FileScope, Finding};
+use std::collections::BTreeMap;
 
 /// Every shipped rule id, in documentation order.
 pub const ALL_RULES: &[&str] = &[
@@ -30,6 +33,7 @@ pub const ALL_RULES: &[&str] = &[
     "std-sync-lock",
     "lock-across-wait",
     "allow-justification",
+    "dead-pub",
     "escape-hygiene",
 ];
 
@@ -406,11 +410,78 @@ pub fn allow_justification(scope: &FileScope, lexed: &Lexed, out: &mut Vec<Findi
     }
 }
 
-/// Dispatch every enabled rule over one lexed file.
+/// How often each identifier occurs in the masked code of a set of files —
+/// the corpus `dead-pub` looks names up in. Comments and literals are
+/// already blanked by the lexer, so prose that mentions a function is not a
+/// use of it.
+#[derive(Default)]
+pub struct WordIndex {
+    counts: BTreeMap<String, usize>,
+}
+
+impl WordIndex {
+    pub fn add(&mut self, lexed: &Lexed) {
+        for l in &lexed.code {
+            for word in l.split(|c| !is_ident(c)).filter(|w| !w.is_empty()) {
+                *self.counts.entry(word.to_string()).or_insert(0) += 1;
+            }
+        }
+    }
+
+    pub fn count(&self, word: &str) -> usize {
+        self.counts.get(word).copied().unwrap_or(0)
+    }
+}
+
+/// The name declared by a `pub fn` item on `line` (qualifiers allowed;
+/// `pub(crate)` and narrower are not public surface).
+fn pub_fn_name(line: &str) -> Option<&str> {
+    let at = *word_positions(line, "pub").first()?;
+    let mut toks = line[at + 3..].split_whitespace().peekable();
+    while toks
+        .next_if(|t| ["const", "async", "unsafe"].contains(t))
+        .is_some()
+    {}
+    if toks.next()? != "fn" {
+        return None;
+    }
+    let name = toks.next()?;
+    let end = name.find(|c| !is_ident(c)).unwrap_or(name.len());
+    (end > 0).then(|| &name[..end])
+}
+
+/// A `pub fn` whose name the corpus holds once is named by its definition
+/// and nothing else: no caller, no test, no example, no benchmark. Matching
+/// is by name, so two unused functions that share one hide each other.
+pub fn dead_pub(scope: &FileScope, lexed: &Lexed, corpus: &WordIndex, out: &mut Vec<Finding>) {
+    if !scope.crate_src {
+        return;
+    }
+    for (i, l) in lexed.code.iter().enumerate() {
+        let Some(name) = pub_fn_name(l) else {
+            continue;
+        };
+        if corpus.count(name) <= 1 {
+            out.push(scope.finding(
+                i,
+                "dead-pub",
+                format!(
+                    "`pub fn {name}` is named nowhere in crates/*/{{src,tests}}, src/, \
+                     examples/ or benchmark/src/ but here; delete it together with what \
+                     only it kept alive, or give it the test it was missing"
+                ),
+            ));
+        }
+    }
+}
+
+/// Dispatch every enabled rule over one lexed file. `corpus` is the
+/// workspace word index; without one the cross-file rule does not run.
 pub fn run_all(
     scope: &FileScope,
     lexed: &Lexed,
     enabled: &std::collections::BTreeSet<String>,
+    corpus: Option<&WordIndex>,
     out: &mut Vec<Finding>,
 ) {
     let on = |id: &str| enabled.contains(id);
@@ -440,5 +511,8 @@ pub fn run_all(
     }
     if on("allow-justification") {
         allow_justification(scope, lexed, out);
+    }
+    if let Some(corpus) = corpus.filter(|_| on("dead-pub")) {
+        dead_pub(scope, lexed, corpus, out);
     }
 }

@@ -3,10 +3,10 @@
 //! suppresses it. Fixtures live in `fixtures/` and are never compiled; the
 //! pseudo-paths below place each one in the scope its rule polices.
 
-use hpacml_lint::{all_rules, analyze_source, Finding};
+use hpacml_lint::{all_rules, analyze_source, Finding, WordIndex};
 
 fn lint(pseudo_path: &str, src: &str) -> Vec<Finding> {
-    analyze_source(pseudo_path, src, &all_rules())
+    analyze_source(pseudo_path, src, &all_rules(), None)
 }
 
 fn rules_of(findings: &[Finding]) -> Vec<&'static str> {
@@ -270,6 +270,64 @@ fn allow_justification_accepts_preceding_or_trailing_comment() {
     assert!(f.is_empty(), "{f:?}");
 }
 
+/// The three `dead_pub` fixtures as one corpus: definitions plus the test
+/// file that calls one of them.
+fn dead_pub_corpus() -> WordIndex {
+    let mut corpus = WordIndex::default();
+    for src in [
+        include_str!("../fixtures/dead_pub/fire.rs"),
+        include_str!("../fixtures/dead_pub/allow.rs"),
+        include_str!("../fixtures/dead_pub/caller.rs"),
+    ] {
+        corpus.add(&hpacml_lint::lexer::lex(src));
+    }
+    corpus
+}
+
+#[test]
+fn dead_pub_fires_on_unnamed_and_prose_only_functions() {
+    let f = analyze_source(
+        "crates/nn/src/fixture.rs",
+        include_str!("../fixtures/dead_pub/fire.rs"),
+        &all_rules(),
+        Some(&dead_pub_corpus()),
+    );
+    assert_eq!(rules_of(&f), ["dead-pub", "dead-pub"], "{f:?}");
+    assert!(f[0].message.contains("orphaned_getter"), "{f:?}");
+    assert!(f[1].message.contains("praised_in_prose"), "{f:?}");
+}
+
+#[test]
+fn dead_pub_test_reference_and_escape_pass() {
+    let f = analyze_source(
+        "crates/nn/src/fixture.rs",
+        include_str!("../fixtures/dead_pub/allow.rs"),
+        &all_rules(),
+        Some(&dead_pub_corpus()),
+    );
+    assert!(f.is_empty(), "{f:?}");
+}
+
+#[test]
+fn dead_pub_is_scoped_to_crate_sources_and_needs_a_corpus() {
+    // Definitions are only looked for under `crates/*/src/`…
+    for path in ["crates/nn/tests/fixture.rs", "examples/fixture.rs"] {
+        let f = analyze_source(
+            path,
+            include_str!("../fixtures/dead_pub/fire.rs"),
+            &all_rules(),
+            Some(&dead_pub_corpus()),
+        );
+        assert!(f.is_empty(), "{path}: {f:?}");
+    }
+    // …and a file linted on its own has nothing to be unused *in*.
+    let f = lint(
+        "crates/nn/src/fixture.rs",
+        include_str!("../fixtures/dead_pub/fire.rs"),
+    );
+    assert!(f.is_empty(), "{f:?}");
+}
+
 #[test]
 fn fault_point_seam_grants_no_exemptions() {
     // An injection seam is ordinary code to the lint: a wall-clock delay
@@ -322,6 +380,7 @@ fn rule_selection_restricts_the_run() {
         "crates/store/src/fixture.rs",
         include_str!("../fixtures/atomic_ordering/fire.rs"),
         &only,
+        None,
     );
     assert!(f.is_empty(), "{f:?}");
     assert!(hpacml_lint::parse_rules("no-such-rule").is_err());

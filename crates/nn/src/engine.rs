@@ -27,8 +27,6 @@ pub struct InferenceEngine {
     /// Transient-failure budget for the disk load (deterministic tick
     /// backoff; see `hpacml_faults::retry`).
     retry: RetryPolicy,
-    retries: AtomicU64,
-    giveups: AtomicU64,
 }
 
 impl InferenceEngine {
@@ -42,8 +40,6 @@ impl InferenceEngine {
             cache: RwLock::new(BTreeMap::new()),
             loads: AtomicU64::new(0),
             retry,
-            retries: AtomicU64::new(0),
-            giveups: AtomicU64::new(0),
         }
     }
 
@@ -59,7 +55,7 @@ impl InferenceEngine {
     /// the miss path re-checks under the write lock before touching disk.
     /// A load that fails transiently (I/O flake) is retried under the
     /// engine's [`RetryPolicy`]; only an exhausted budget surfaces the
-    /// error ([`InferenceEngine::giveup_count`] counts those).
+    /// error.
     pub fn load(&self, path: impl AsRef<Path>) -> Result<Arc<SavedModel>> {
         let path = path.as_ref();
         if let Some(m) = self.cache.read().get(path) {
@@ -73,11 +69,6 @@ impl InferenceEngine {
             fault_point!("nn.load");
             load_model(path)
         });
-        self.retries
-            .fetch_add(u64::from(out.retries()), Ordering::Relaxed);
-        if out.gave_up() {
-            self.giveups.fetch_add(1, Ordering::Relaxed);
-        }
         let loaded = Arc::new(out.result?);
         self.loads.fetch_add(1, Ordering::Relaxed);
         cache.insert(path.to_path_buf(), Arc::clone(&loaded));
@@ -93,17 +84,6 @@ impl InferenceEngine {
     /// Number of distinct model loads performed (cache misses).
     pub fn load_count(&self) -> u64 {
         self.loads.load(Ordering::Relaxed)
-    }
-
-    /// Transient-failure retries performed by [`InferenceEngine::load`]
-    /// (attempts beyond each first try).
-    pub fn retry_count(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
-    }
-
-    /// Loads that exhausted the retry budget and surfaced an error.
-    pub fn giveup_count(&self) -> u64 {
-        self.giveups.load(Ordering::Relaxed)
     }
 
     /// Drop a cached model (e.g. after retraining in a workflow loop).

@@ -203,21 +203,6 @@ impl Linear {
         self.act
     }
 
-    /// Are the weights pre-packed for the steady-state kernel?
-    pub fn is_packed(&self) -> bool {
-        self.packed.is_some()
-    }
-
-    /// Does this layer carry a reduced-precision pack for `prec`?
-    /// (`F32` asks about the plain packed panels.)
-    pub fn has_precision(&self, prec: Precision) -> bool {
-        match prec {
-            Precision::F32 => self.packed.is_some(),
-            Precision::Bf16 => self.q_bf16.is_some(),
-            Precision::Int8 => self.q_int8.is_some(),
-        }
-    }
-
     /// The quantized pack serving requests at `prec`, honoring the
     /// fallthrough rule (a missing int8 pack serves bf16; a missing bf16
     /// pack serves f32 — i.e. `None`).

@@ -141,7 +141,7 @@ pub fn nested_search(problem: &dyn SearchProblem, cfg: &NestedConfig) -> Result<
             latency_s,
         });
 
-        // Early stopping on the paper's criterion.
+        // Early stopping, by the paper's rule.
         let improved = val_error < best_err || latency_s < best_lat;
         best_err = best_err.min(val_error);
         best_lat = best_lat.min(latency_s);

@@ -75,10 +75,6 @@ impl Config {
     pub fn get_usize(&self, name: &str) -> Result<usize> {
         Ok(self.get(name)?.round().max(0.0) as usize)
     }
-
-    pub fn get_f32(&self, name: &str) -> Result<f32> {
-        Ok(self.get(name)? as f32)
-    }
 }
 
 impl Space {

@@ -114,12 +114,12 @@ pub const KC: usize = 256;
 /// Parallelism threshold: below this many multiply-adds a kernel runs
 /// inline on the calling thread — dispatch overhead would dominate.
 ///
-/// Measured basis (re-tuned against the work-stealing pool on the
-/// `bench_json` shapes): one pool dispatch costs on the order of a few
-/// microseconds (publish + wake + barrier), and the micro-kernel sustains
-/// a few multiply-adds per cycle, so ~32 Ki multiply-adds (≈ 10 µs of
-/// work) is the break-even point below which the dispatch itself would be
-/// a measurable fraction of the kernel.
+/// Measured basis (re-tuned against the work-stealing pool on the shapes
+/// `benchmark/`'s `sweep_mlp` runs — MLP 6-128-64-1, batch 1024): one pool
+/// dispatch costs on the order of a few microseconds (publish + wake +
+/// barrier), and the micro-kernel sustains a few multiply-adds per cycle,
+/// so ~32 Ki multiply-adds (≈ 10 µs of work) is the break-even point below
+/// which the dispatch itself would be a measurable fraction of the kernel.
 pub const PAR_FLOPS_MIN: usize = 1 << 15;
 
 /// Multiply-adds targeted per parallel task. Tasks much smaller than this

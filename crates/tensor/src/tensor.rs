@@ -2,7 +2,7 @@
 
 use crate::scalar::Scalar;
 use crate::shape::Shape;
-use crate::view::{View, ViewMut};
+use crate::view::View;
 use crate::{Result, TensorError};
 
 /// An owned dense tensor with row-major layout.
@@ -172,12 +172,6 @@ impl<T: Scalar> Tensor<T> {
     /// A read-only view of the full tensor.
     pub fn view(&self) -> View<'_, T> {
         View::full(&self.data, self.shape.clone())
-    }
-
-    /// A mutable view of the full tensor.
-    pub fn view_mut(&mut self) -> ViewMut<'_, T> {
-        let shape = self.shape.clone();
-        ViewMut::full(&mut self.data, shape)
     }
 
     /// Apply `f` to every element, in place.
