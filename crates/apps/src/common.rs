@@ -375,13 +375,7 @@ pub fn train_surrogate(
     let hist = hpacml_nn::train(&mut model, &train_ds, Some(&val_ds), tc)?;
     let train_time = t0.elapsed();
 
-    hpacml_nn::serialize::save_model(
-        model_path,
-        spec,
-        &mut model,
-        Some(&in_norm),
-        Some(&out_norm),
-    )?;
+    hpacml_nn::serialize::save_model(model_path, spec, &model, Some(&in_norm), Some(&out_norm))?;
 
     // Inference latency on a validation-shaped batch (the paper's model-size
     // vs speed axis).

@@ -74,8 +74,8 @@ fn steady_state_batched_invocation_is_allocation_free() {
     std::fs::create_dir_all(&dir).unwrap();
     let model_path = dir.join("m.hml");
     let spec = ModelSpec::mlp(2, &[16], 1, Activation::ReLU, 0.0);
-    let mut model = spec.build(7).unwrap();
-    hpacml_nn::serialize::save_model(&model_path, &spec, &mut model, None, None).unwrap();
+    let model = spec.build(7).unwrap();
+    hpacml_nn::serialize::save_model(&model_path, &spec, &model, None, None).unwrap();
 
     let region = Region::from_source(
         "alloc-free-batch",
@@ -159,8 +159,8 @@ fn steady_state_stencil_step_is_allocation_free() {
     std::fs::create_dir_all(&dir).unwrap();
     let model_path = dir.join("m.hml");
     let spec = ModelSpec::mlp(5, &[8], 1, Activation::ReLU, 0.0);
-    let mut model = spec.build(12).unwrap();
-    hpacml_nn::serialize::save_model(&model_path, &spec, &mut model, None, None).unwrap();
+    let model = spec.build(12).unwrap();
+    hpacml_nn::serialize::save_model(&model_path, &spec, &model, None, None).unwrap();
 
     let region = Region::from_source(
         "alloc-free-stencil",

@@ -51,10 +51,14 @@ fn tmpdir(name: &str) -> PathBuf {
     dir
 }
 
+/// Scenario set-up, outside any plan. A save reaches the `nn.save.*` seams,
+/// so it takes the lock: it must neither run under another scenario's
+/// schedule nor use up that schedule's hits.
 fn save_mlp(path: &std::path::Path, seed: u64) {
+    let _guard = CHAOS_LOCK.lock();
     let spec = ModelSpec::mlp(3, &[8], 1, Activation::Tanh, 0.0);
-    let mut model = spec.build(seed).unwrap();
-    hpacml_nn::serialize::save_model(path, &spec, &mut model, None, None).unwrap();
+    let model = spec.build(seed).unwrap();
+    hpacml_nn::serialize::save_model(path, &spec, &model, None, None).unwrap();
 }
 
 fn infer_region(name: &str, model: &std::path::Path) -> Region {
@@ -312,6 +316,47 @@ fn permanent_load_outage_degrades_to_host_under_injection() {
             assert!(hpacml_faults::injected_at("nn.load") >= 3, "engine retried");
         },
     );
+}
+
+// ---------------------------------------------------------------------------
+// Model-save kill
+// ---------------------------------------------------------------------------
+
+#[test]
+fn model_save_killed_at_each_seam_leaves_the_old_file_whole() {
+    use hpacml_nn::serialize::{load_model, save_model};
+    let dir = tmpdir("save-kill");
+    let (path, tmp) = (dir.join("m.hml"), dir.join("m.hml.tmp"));
+    let spec = ModelSpec::mlp(3, &[8], 1, Activation::Tanh, 0.0);
+    let (old, new) = (spec.build(41).unwrap(), spec.build(42).unwrap());
+    // `.write` dies before the first weight byte, `.sync` before the fsync,
+    // `.rename` with the whole new model durable in `m.hml.tmp` — and in
+    // every case nothing has touched the name a config points at.
+    for (k, seam) in ["nn.save.write", "nn.save.sync", "nn.save.rename"]
+        .into_iter()
+        .enumerate()
+    {
+        with_plan(Plan::seeded(0xC0 + k as u64).fail_once(seam, 1), || {
+            save_model(&path, &spec, &old, None, None).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            assert!(!tmp.exists(), "a clean save leaves no temp file");
+
+            let err = save_model(&path, &spec, &new, None, None).unwrap_err();
+            assert!(matches!(err, hpacml_nn::NnError::Io(_)), "typed: {err}");
+            assert!(format!("{err}").contains("injected"), "{err}");
+            assert_eq!(hpacml_faults::injected_at(seam), 1);
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "{seam}: old file");
+            let served = load_model(&path).unwrap();
+            assert_eq!(served.model.export_weights(), old.export_weights());
+
+            // Outage over: the same save lands, over whatever the killed
+            // one left behind.
+            save_model(&path, &spec, &new, None, None).unwrap();
+            assert!(!tmp.exists());
+            let served = load_model(&path).unwrap();
+            assert_eq!(served.model.export_weights(), new.export_weights());
+        });
+    }
 }
 
 // ---------------------------------------------------------------------------

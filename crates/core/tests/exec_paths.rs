@@ -16,8 +16,8 @@ fn tmpdir(name: &str) -> PathBuf {
 /// Save an MLP `in_dim -> out_dim` with fixed weights to `path`.
 fn save_mlp(path: &std::path::Path, in_dim: usize, out_dim: usize, seed: u64) {
     let spec = ModelSpec::mlp(in_dim, &[4], out_dim, Activation::Tanh, 0.0);
-    let mut model = spec.build(seed).unwrap();
-    hpacml_nn::serialize::save_model(path, &spec, &mut model, None, None).unwrap();
+    let model = spec.build(seed).unwrap();
+    hpacml_nn::serialize::save_model(path, &spec, &model, None, None).unwrap();
 }
 
 fn simple_region(model: &std::path::Path) -> Region {

@@ -19,8 +19,8 @@ fn saved_model(feat: usize, hidden: usize, out_dim: usize, seed: u64) -> std::pa
     let path = dir.join(format!("mlp-{feat}-{hidden}-{out_dim}-{seed}.hml"));
     if !path.exists() {
         let spec = ModelSpec::mlp(feat, &[hidden], out_dim, Activation::Tanh, 0.0);
-        let mut model = spec.build(seed).unwrap();
-        hpacml_nn::serialize::save_model(&path, &spec, &mut model, None, None).unwrap();
+        let model = spec.build(seed).unwrap();
+        hpacml_nn::serialize::save_model(&path, &spec, &model, None, None).unwrap();
     }
     path
 }

@@ -114,7 +114,7 @@ fn collect_train_deploy_cycle() {
         "stencil surrogate should fit well, got {}",
         hist.best_val
     );
-    hpacml_nn::serialize::save_model(&model_path, &spec, &mut model, Some(&in_norm), None).unwrap();
+    hpacml_nn::serialize::save_model(&model_path, &spec, &model, Some(&in_norm), None).unwrap();
 
     // Phase 3: deployment — same region, same source, surrogate on.
     let t = random_grid(n, m, 999);
@@ -173,7 +173,7 @@ fn predicated_interleaving_switches_paths() {
     let mut model = spec.build(1).unwrap();
     // Force weights to the identity.
     model.import_weights(&[vec![1.0], vec![0.0]]).unwrap();
-    hpacml_nn::serialize::save_model(&model_path, &spec, &mut model, None, None).unwrap();
+    hpacml_nn::serialize::save_model(&model_path, &spec, &model, None, None).unwrap();
 
     let src = format!(
         r#"

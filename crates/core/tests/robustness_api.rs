@@ -25,8 +25,8 @@ fn tmpdir(name: &str) -> PathBuf {
 
 fn save_mlp(path: &std::path::Path, seed: u64) {
     let spec = ModelSpec::mlp(3, &[8], 1, Activation::Tanh, 0.0);
-    let mut model = spec.build(seed).unwrap();
-    hpacml_nn::serialize::save_model(path, &spec, &mut model, None, None).unwrap();
+    let model = spec.build(seed).unwrap();
+    hpacml_nn::serialize::save_model(path, &spec, &model, None, None).unwrap();
 }
 
 /// Per-sample infer region: 3 features in, 1 value out.

@@ -18,8 +18,8 @@ fn tmpdir(name: &str) -> PathBuf {
 
 fn save_mlp(path: &std::path::Path, in_dim: usize, out_dim: usize, seed: u64) {
     let spec = ModelSpec::mlp(in_dim, &[8], out_dim, Activation::Tanh, 0.0);
-    let mut model = spec.build(seed).unwrap();
-    hpacml_nn::serialize::save_model(path, &spec, &mut model, None, None).unwrap();
+    let model = spec.build(seed).unwrap();
+    hpacml_nn::serialize::save_model(path, &spec, &model, None, None).unwrap();
 }
 
 /// Per-sample region: 3 features in, 1 value out.

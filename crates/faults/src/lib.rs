@@ -274,39 +274,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// [`fnv1a64`]'s xor-multiply step over little-endian 64-bit words, then
-/// byte-wise over the < 8-byte tail — the h5lite v3 frame checksum, one pass
-/// at memory speed where the byte-serial loop is latency-bound. `parts` are
-/// hashed as one concatenated string, so the value does not depend on how
-/// the caller slices it. Each step is a bijection of the state, so damage
-/// confined to one word of the string (any single bit or byte flip) always
-/// changes the result.
-pub fn fnv1a64_words(parts: &[&[u8]]) -> u64 {
-    let step = |h: u64, word: u64| (h ^ word).wrapping_mul(FNV_PRIME);
-    let mut h = FNV_OFFSET;
-    // Bytes of a word that straddles two parts (or the string's tail).
-    let (mut carry, mut n) = ([0u8; 8], 0);
-    for mut part in parts.iter().copied() {
-        if n > 0 {
-            let take = part.len().min(8 - n);
-            carry[n..n + take].copy_from_slice(&part[..take]);
-            (n, part) = (n + take, &part[take..]);
-            if n < 8 {
-                continue;
-            }
-            h = step(h, u64::from_le_bytes(carry));
-        }
-        let mut words = part.chunks_exact(8);
-        for w in &mut words {
-            let w = w.try_into().expect("chunks_exact(8)");
-            h = step(h, u64::from_le_bytes(w));
-        }
-        n = words.remainder().len();
-        carry[..n].copy_from_slice(words.remainder());
-    }
-    carry[..n].iter().fold(h, |h, &b| step(h, u64::from(b)))
-}
-
 /// SplitMix64 finalizer — mixes `(seed, site, hit)` into a chaos coin.
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -567,36 +534,5 @@ mod tests {
         };
         let io: std::io::Error = f.into();
         assert!(io.to_string().contains("injected fault"));
-    }
-
-    #[test]
-    fn word_checksum_sees_every_flip_and_ignores_slicing() {
-        // Lengths on both sides of the word boundary, tail included.
-        for len in [0usize, 1, 7, 8, 9, 16, 23, 64, 67] {
-            let clean: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
-            let want = fnv1a64_words(&[&clean]);
-            // One string however it is cut, empty parts included.
-            for a in 0..=len {
-                for b in a..=len {
-                    let parts = [&clean[..a], &clean[a..b], &[][..], &clean[b..]];
-                    assert_eq!(fnv1a64_words(&parts), want, "len {len} cut {a}/{b}");
-                }
-            }
-            // Every single-bit flip and every whole-byte change is seen.
-            for at in 0..len {
-                for mask in (0..8).map(|bit| 1u8 << bit).chain([0xff, 0x5a]) {
-                    let mut bad = clean.clone();
-                    bad[at] ^= mask;
-                    assert_ne!(
-                        fnv1a64_words(&[&bad]),
-                        want,
-                        "len {len} byte {at} ^ {mask:#x}"
-                    );
-                }
-            }
-        }
-        // Under 8 bytes it is the byte-wise function; from 8 up it is not.
-        assert_eq!(fnv1a64_words(&[b"h5lite"]), fnv1a64(b"h5lite"));
-        assert_ne!(fnv1a64_words(&[b"h5lite03"]), fnv1a64(b"h5lite03"));
     }
 }

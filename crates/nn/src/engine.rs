@@ -114,8 +114,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(name);
         let spec = ModelSpec::mlp(2, &[4], 1, Activation::Tanh, 0.0);
-        let mut model = spec.build(seed).unwrap();
-        save_model(&path, &spec, &mut model, None, None).unwrap();
+        let model = spec.build(seed).unwrap();
+        save_model(&path, &spec, &model, None, None).unwrap();
         path
     }
 

@@ -267,8 +267,8 @@ mod tests {
     fn visiting_params_refreshes_packs() {
         // Mutating weights through visit_params (import_weights, snapshot
         // restores) must not leave forwards reading stale panels — and a
-        // read-only visit (export_weights) must not silently lose the
-        // packed steady state either.
+        // read-only one (export_weights goes through `params`) leaves the
+        // packed steady state alone.
         let spec = ModelSpec::mlp(3, &[6], 1, Activation::ReLU, 0.0);
         let mut m = spec.build(9).unwrap();
         compile_for_inference(&mut m);
@@ -285,7 +285,7 @@ mod tests {
             after.data(),
             "forward must see the mutated weights, not stale packed panels"
         );
-        // Read-only visit keeps the packs (and refreshes them in place).
+        // A read-only visit keeps the packs.
         let _ = m.export_weights();
         let again = m.forward(&x).unwrap();
         assert_eq!(after.data(), again.data());

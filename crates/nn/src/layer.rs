@@ -68,6 +68,12 @@ pub trait Layer: Send + Sync {
     /// Visit every trainable parameter (deterministic order).
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
+    /// The same parameters in the same order, read-only: nothing to
+    /// refresh afterwards, so a compiled layer is left exactly as it is.
+    fn params(&self) -> Vec<&Param> {
+        Vec::new()
+    }
+
     /// Number of scalar parameters.
     fn param_count(&self) -> usize {
         0
@@ -167,15 +173,18 @@ impl Linear {
     pub fn new(in_features: usize, out_features: usize, rng: &mut SmallRng) -> Self {
         let w = crate::init::kaiming_uniform(rng, in_features, out_features * in_features);
         let b = crate::init::bias_uniform(rng, in_features, out_features);
-        Linear {
-            w: Param::new(Tensor::from_vec(w, [out_features, in_features]).expect("init size")),
-            b: Param::new(Tensor::from_vec(b, [out_features]).expect("init size")),
-            packed: None,
-            q_bf16: None,
-            q_int8: None,
-            act: None,
-            cache_x: None,
-        }
+        Linear::from_params(
+            Tensor::from_vec(w, [out_features, in_features]).expect("init size"),
+            Tensor::from_vec(b, [out_features]).expect("init size"),
+        )
+    }
+
+    /// Every parameter zero and no random draw: what a loader fills in.
+    pub fn zeroed(in_features: usize, out_features: usize) -> Self {
+        Linear::from_params(
+            Tensor::zeros([out_features, in_features]),
+            Tensor::zeros([out_features]),
+        )
     }
 
     pub fn from_params(w: Tensor, b: Tensor) -> Self {
@@ -299,10 +308,9 @@ impl Layer for Linear {
         // Callers may have mutated the weights through the visit
         // (`import_weights`, snapshot restores); refresh the panels so a
         // compiled layer never reads stale packs — and never silently loses
-        // its packed steady state to a read-only visit like
-        // `export_weights`. Training loops visit every step, but compiled
-        // layers refuse training, so this repack only runs on occasional
-        // administrative visits.
+        // its packed steady state to a visit that changed nothing. Training
+        // loops visit every step, but compiled layers refuse training, so
+        // this repack only runs on occasional administrative visits.
         if self.packed.is_some() {
             self.prepack();
         }
@@ -312,6 +320,10 @@ impl Layer for Linear {
         } else if self.q_bf16.is_some() {
             self.quantize(Precision::Bf16);
         }
+    }
+
+    fn params(&self) -> Vec<&Param> {
+        vec![&self.w, &self.b]
     }
 
     fn param_count(&self) -> usize {
@@ -652,14 +664,21 @@ impl Conv2d {
         let fan_in = in_ch * kh * kw;
         let w = crate::init::kaiming_uniform(rng, fan_in, out_ch * fan_in);
         let b = crate::init::bias_uniform(rng, fan_in, out_ch);
-        Conv2d {
-            w: Param::new(Tensor::from_vec(w, [out_ch, in_ch, kh, kw]).expect("init size")),
-            b: Param::new(Tensor::from_vec(b, [out_ch]).expect("init size")),
+        Conv2d::from_params(
+            Tensor::from_vec(w, [out_ch, in_ch, kh, kw]).expect("init size"),
+            Tensor::from_vec(b, [out_ch]).expect("init size"),
             geom,
-            packed: None,
-            act: None,
-            cache_x: None,
-        }
+        )
+    }
+
+    /// Every parameter zero and no random draw: what a loader fills in.
+    pub fn zeroed(in_ch: usize, out_ch: usize, geom: Conv2dGeom) -> Self {
+        let (kh, kw) = geom.kernel;
+        Conv2d::from_params(
+            Tensor::zeros([out_ch, in_ch, kh, kw]),
+            Tensor::zeros([out_ch]),
+            geom,
+        )
     }
 
     pub fn from_params(w: Tensor, b: Tensor, geom: Conv2dGeom) -> Self {
@@ -755,6 +774,10 @@ impl Layer for Conv2d {
         if self.packed.is_some() {
             self.prepack();
         }
+    }
+
+    fn params(&self) -> Vec<&Param> {
+        vec![&self.w, &self.b]
     }
 
     fn param_count(&self) -> usize {

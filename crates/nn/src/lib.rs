@@ -78,6 +78,12 @@ impl From<hpacml_faults::InjectedFault> for NnError {
     }
 }
 
+impl From<hpacml_store::frame::Truncated> for NnError {
+    fn from(_: hpacml_store::frame::Truncated) -> Self {
+        NnError::Serialize("truncated file".into())
+    }
+}
+
 impl From<TensorError> for NnError {
     fn from(e: TensorError) -> Self {
         NnError::Tensor(e)

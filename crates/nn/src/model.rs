@@ -84,47 +84,58 @@ impl Sequential {
         self.layers.iter().map(|l| l.name()).collect()
     }
 
-    /// Snapshot every parameter tensor (deterministic order) — used for
-    /// early-stopping restores and `.hml` serialization.
-    pub fn export_weights(&mut self) -> Vec<Vec<f32>> {
-        let mut out = Vec::new();
-        self.visit_params(&mut |p| out.push(p.value.data().to_vec()));
-        out
+    /// Every parameter across layers, read-only, in [`Sequential::visit_params`]
+    /// order.
+    pub fn params(&self) -> Vec<&Param> {
+        self.layers.iter().flat_map(|l| l.params()).collect()
+    }
+
+    /// Snapshot every parameter tensor (deterministic order) — the
+    /// early-stopping restore point.
+    pub fn export_weights(&self) -> Vec<Vec<f32>> {
+        let snapshot = |p: &Param| p.value.data().to_vec();
+        self.params().into_iter().map(snapshot).collect()
+    }
+
+    /// [`Sequential::visit_params`] with each parameter's index, stopping
+    /// the work (not the walk) at the first error. Returns how many
+    /// parameters the model has.
+    pub fn try_visit_params(
+        &mut self,
+        f: &mut dyn FnMut(usize, &mut Param) -> Result<()>,
+    ) -> Result<usize> {
+        let (mut idx, mut out) = (0, Ok(()));
+        self.visit_params(&mut |p| {
+            if out.is_ok() {
+                out = f(idx, p);
+            }
+            idx += 1;
+        });
+        out.map(|()| idx)
     }
 
     /// Restore parameters from an [`Sequential::export_weights`] snapshot.
     pub fn import_weights(&mut self, weights: &[Vec<f32>]) -> Result<()> {
-        let mut idx = 0usize;
-        let mut err: Option<String> = None;
-        self.visit_params(&mut |p| {
-            if err.is_some() {
-                return;
+        let err = |msg: String| Err(crate::NnError::Serialize(msg));
+        let params = self.try_visit_params(&mut |idx, p| match weights.get(idx) {
+            Some(w) if w.len() == p.value.numel() => {
+                p.value.data_mut().copy_from_slice(w);
+                Ok(())
             }
-            match weights.get(idx) {
-                Some(w) if w.len() == p.value.numel() => {
-                    p.value.data_mut().copy_from_slice(w);
-                }
-                Some(w) => {
-                    err = Some(format!(
-                        "param {idx}: snapshot has {} values, layer expects {}",
-                        w.len(),
-                        p.value.numel()
-                    ))
-                }
-                None => err = Some(format!("snapshot has only {} params", weights.len())),
-            }
-            idx += 1;
-        });
-        if err.is_none() && idx != weights.len() {
-            err = Some(format!(
-                "snapshot has {} params, model has {idx}",
+            Some(w) => err(format!(
+                "param {idx}: snapshot has {} values, layer expects {}",
+                w.len(),
+                p.value.numel()
+            )),
+            None => err(format!("snapshot has only {} params", weights.len())),
+        })?;
+        if params != weights.len() {
+            return err(format!(
+                "snapshot has {} params, model has {params}",
                 weights.len()
             ));
         }
-        match err {
-            Some(e) => Err(crate::NnError::Serialize(e)),
-            None => Ok(()),
-        }
+        Ok(())
     }
 }
 

@@ -10,6 +10,7 @@ use crate::layer::{Conv2d, Dropout, Flatten, Layer, Linear, MaxPool2d, ReLU, Sig
 use crate::model::Sequential;
 use crate::{NnError, Result};
 use hpacml_tensor::ops::{conv_out_dim, Conv2dGeom};
+use rand::rngs::SmallRng;
 
 /// Activation selector used in spec builders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,21 +48,24 @@ pub enum LayerSpec {
 }
 
 impl LayerSpec {
-    /// Scalar parameter count of this layer.
-    pub fn param_count(&self) -> usize {
-        match self {
+    /// Scalar parameter count of this layer; `None` where it does not fit a
+    /// `usize` (a spec read from a file may say anything).
+    pub fn checked_param_count(&self) -> Option<usize> {
+        let (out, taps) = match *self {
             LayerSpec::Linear {
                 in_features,
                 out_features,
-            } => in_features * out_features + out_features,
+            } => (out_features, [in_features, 1, 1]),
             LayerSpec::Conv2d {
                 in_ch,
                 out_ch,
                 kernel,
                 ..
-            } => out_ch * in_ch * kernel * kernel + out_ch,
-            _ => 0,
-        }
+            } => (out_ch, [in_ch, kernel, kernel]),
+            _ => return Some(0),
+        };
+        let weights = taps.iter().try_fold(out, |n, d| n.checked_mul(*d))?;
+        weights.checked_add(out)
     }
 
     /// Output shape (batch dim excluded) for the given input shape, or an
@@ -82,7 +86,11 @@ impl LayerSpec {
             LayerSpec::ReLU | LayerSpec::Tanh | LayerSpec::Sigmoid | LayerSpec::Dropout { .. } => {
                 Ok(input.to_vec())
             }
-            LayerSpec::Flatten => Ok(vec![input.iter().product::<usize>().max(1)]),
+            LayerSpec::Flatten => input
+                .iter()
+                .try_fold(1usize, |n, d| n.checked_mul(*d))
+                .map(|n| vec![n.max(1)])
+                .ok_or_else(|| NnError::BadSpec(format!("flatten of {input:?} overflows"))),
             LayerSpec::Conv2d {
                 in_ch,
                 out_ch,
@@ -96,8 +104,8 @@ impl LayerSpec {
                         "conv2d expects {in_ch} channels, input has {c}"
                     )));
                 }
-                let oh = conv_out_dim(h, *kernel, *stride, *pad);
-                let ow = conv_out_dim(w, *kernel, *stride, *pad);
+                let oh = window_out_dim(h, *kernel, *stride, *pad);
+                let ow = window_out_dim(w, *kernel, *stride, *pad);
                 if oh == 0 || ow == 0 {
                     return Err(NnError::BadSpec(format!(
                         "conv2d(k={kernel}, s={stride}, p={pad}) collapses {h}x{w} to {oh}x{ow}"
@@ -107,8 +115,8 @@ impl LayerSpec {
             }
             LayerSpec::MaxPool2d { kernel, stride } => {
                 let [c, h, w] = three(input, "maxpool2d")?;
-                let oh = conv_out_dim(h, *kernel, *stride, 0);
-                let ow = conv_out_dim(w, *kernel, *stride, 0);
+                let oh = window_out_dim(h, *kernel, *stride, 0);
+                let ow = window_out_dim(w, *kernel, *stride, 0);
                 if oh == 0 || ow == 0 {
                     return Err(NnError::BadSpec(format!(
                         "maxpool2d(k={kernel}, s={stride}) collapses {h}x{w}"
@@ -118,6 +126,17 @@ impl LayerSpec {
             }
         }
     }
+}
+
+/// [`conv_out_dim`], with a window no sweep can place — zero kernel or
+/// stride, padding that overflows the padded extent — reported as 0 outputs,
+/// so a spec read from a file is rejected here rather than dividing by zero.
+fn window_out_dim(input: usize, kernel: usize, stride: usize, pad: usize) -> usize {
+    let padded = pad.checked_mul(2).and_then(|p| input.checked_add(p));
+    if kernel == 0 || stride == 0 || padded.is_none() {
+        return 0;
+    }
+    conv_out_dim(input, kernel, stride, pad)
 }
 
 fn three(input: &[usize], what: &str) -> Result<[usize; 3]> {
@@ -202,22 +221,42 @@ impl ModelSpec {
             .unwrap_or_else(|| self.input_shape.clone()))
     }
 
+    /// [`ModelSpec::param_count`] with checked arithmetic: `None` where the
+    /// total does not fit a `usize`.
+    pub fn checked_param_count(&self) -> Option<usize> {
+        let add = |n: usize, l: &LayerSpec| n.checked_add(l.checked_param_count()?);
+        self.layers.iter().try_fold(0, add)
+    }
+
     /// Total scalar parameter count.
     pub fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.param_count()).sum()
+        self.checked_param_count()
+            .expect("parameter count overflows usize")
     }
 
     /// Validate and instantiate with fresh (seeded) weights.
     pub fn build(&self, seed: u64) -> Result<Sequential> {
+        self.instantiate(Some(crate::init::rng(seed)), seed)
+    }
+
+    /// Validate and instantiate with every parameter zero and no random
+    /// draw — the network a loader decodes a file's weights into.
+    pub fn build_zeroed(&self) -> Result<Sequential> {
+        self.instantiate(None, 0)
+    }
+
+    fn instantiate(&self, mut rng: Option<SmallRng>, seed: u64) -> Result<Sequential> {
         self.infer_shapes()?;
-        let mut rng = crate::init::rng(seed);
         let mut layers: Vec<Box<dyn Layer>> = Vec::with_capacity(self.layers.len());
         for (i, spec) in self.layers.iter().enumerate() {
             layers.push(match spec {
                 LayerSpec::Linear {
                     in_features,
                     out_features,
-                } => Box::new(Linear::new(*in_features, *out_features, &mut rng)),
+                } => Box::new(match &mut rng {
+                    Some(rng) => Linear::new(*in_features, *out_features, rng),
+                    None => Linear::zeroed(*in_features, *out_features),
+                }),
                 LayerSpec::ReLU => Box::new(ReLU::default()),
                 LayerSpec::Tanh => Box::new(Tanh::default()),
                 LayerSpec::Sigmoid => Box::new(Sigmoid::default()),
@@ -231,12 +270,13 @@ impl ModelSpec {
                     kernel,
                     stride,
                     pad,
-                } => Box::new(Conv2d::new(
-                    *in_ch,
-                    *out_ch,
-                    Conv2dGeom::square(*kernel, *stride, *pad),
-                    &mut rng,
-                )),
+                } => {
+                    let geom = Conv2dGeom::square(*kernel, *stride, *pad);
+                    Box::new(match &mut rng {
+                        Some(rng) => Conv2d::new(*in_ch, *out_ch, geom, rng),
+                        None => Conv2d::zeroed(*in_ch, *out_ch, geom),
+                    })
+                }
                 LayerSpec::MaxPool2d { kernel, stride } => {
                     Box::new(MaxPool2d::new(Conv2dGeom::square(*kernel, *stride, 0)))
                 }

@@ -234,7 +234,7 @@ mod tests {
     #[test]
     fn weight_snapshot_roundtrip() {
         let spec = ModelSpec::mlp(2, &[4], 1, Activation::ReLU, 0.0);
-        let mut m = spec.build(10).unwrap();
+        let m = spec.build(10).unwrap();
         let w = m.export_weights();
         let mut m2 = spec.build(11).unwrap();
         m2.import_weights(&w).unwrap();

@@ -108,10 +108,10 @@ fn saved_model_infer_batches_bitwise_through_reserved_workspace() {
     let path = dir.join("batched.hml");
 
     let spec = ModelSpec::mlp(3, &[16], 2, Activation::Tanh, 0.0);
-    let mut model = spec.build(5).unwrap();
+    let model = spec.build(5).unwrap();
     let fit = Tensor::from_shape_fn([32, 3], |ix| (ix[0] as f32 - ix[1] as f32) * 0.21);
     let in_norm = hpacml_nn::Normalizer::fit(&fit, hpacml_nn::data::NormAxis::PerFeature).unwrap();
-    hpacml_nn::serialize::save_model(&path, &spec, &mut model, Some(&in_norm), None).unwrap();
+    hpacml_nn::serialize::save_model(&path, &spec, &model, Some(&in_norm), None).unwrap();
     let saved = hpacml_nn::serialize::load_model(&path).unwrap();
 
     let n = 9usize;

@@ -17,8 +17,8 @@ fn global_engine_loads_same_path_exactly_once_across_threads() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("race.hml");
     let spec = ModelSpec::mlp(3, &[8], 2, Activation::Tanh, 0.0);
-    let mut model = spec.build(99).unwrap();
-    hpacml_nn::serialize::save_model(&path, &spec, &mut model, None, None).unwrap();
+    let model = spec.build(99).unwrap();
+    hpacml_nn::serialize::save_model(&path, &spec, &model, None, None).unwrap();
 
     let engine = InferenceEngine::global();
     engine.clear(); // drop anything earlier code in this process cached

@@ -32,7 +32,7 @@ proptest! {
     /// (bit-for-bit: weights are stored losslessly).
     #[test]
     fn hml_roundtrip_preserves_forward(spec in mlp_spec(), seed in 0u64..1000, tag in 0u32..1_000_000) {
-        let mut model = spec.build(seed).unwrap();
+        let model = spec.build(seed).unwrap();
         let input_dim = spec.input_shape[0];
         let x = Tensor::from_shape_fn([3, input_dim], |ix| {
             ((ix[0] * 7 + ix[1] * 3) % 11) as f32 * 0.17 - 0.8
@@ -42,7 +42,7 @@ proptest! {
         let dir = std::env::temp_dir().join("hpacml-nn-prop");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("m{tag}.hml"));
-        save_model(&path, &spec, &mut model, None, None).unwrap();
+        save_model(&path, &spec, &model, None, None).unwrap();
         let loaded = load_model(&path).unwrap();
         prop_assert_eq!(loaded.spec, spec.clone());
         let after = loaded.model.forward(&x).unwrap();

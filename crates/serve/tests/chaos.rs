@@ -49,10 +49,14 @@ fn tmpdir(name: &str) -> PathBuf {
     dir
 }
 
+/// Scenario set-up, outside any plan. A save reaches the `nn.save.*` seams,
+/// so it takes the lock: it must neither run under another scenario's
+/// schedule nor use up that schedule's hits.
 fn save_mlp(path: &Path, seed: u64) {
+    let _guard = CHAOS_LOCK.lock();
     let spec = ModelSpec::mlp(3, &[8], 1, Activation::Tanh, 0.0);
-    let mut model = spec.build(seed).unwrap();
-    hpacml_nn::serialize::save_model(path, &spec, &mut model, None, None).unwrap();
+    let model = spec.build(seed).unwrap();
+    hpacml_nn::serialize::save_model(path, &spec, &model, None, None).unwrap();
 }
 
 fn directive_src(model: &Path) -> String {
@@ -238,6 +242,85 @@ fn load_failure_mid_apply_is_typed_and_the_old_generation_serves() {
             assert_accounted(&stats, returned);
         },
     );
+}
+
+#[test]
+fn a_killed_model_save_never_reaches_a_serving_generation() {
+    let dir = tmpdir("save-kill");
+    let (v1, v2) = (dir.join("v1.hml"), dir.join("v2.hml"));
+    save_mlp(&v1, 78);
+    let samples: Vec<[f32; 3]> = (0..submitters()).map(sample).collect();
+    const ITERS: usize = 120;
+    const SEAMS: [&str; 3] = ["nn.save.write", "nn.save.sync", "nn.save.rename"];
+
+    // The retrained model's first three saves die, one at each seam in
+    // turn (a save that gets past `.write` is that seam's hit 1, and so
+    // on); the fourth is clean.
+    let plan = SEAMS
+        .into_iter()
+        .fold(Plan::seeded(0xA5), |plan, seam| plan.fail_once(seam, 0));
+    with_plan(plan, || {
+        let save_v2 = || {
+            let spec = ModelSpec::mlp(3, &[8], 1, Activation::Tanh, 0.0);
+            let next = spec.build(79).unwrap();
+            hpacml_nn::serialize::save_model(&v2, &spec, &next, None, None)
+        };
+        let body = "max_batch 4;\n max_wait 150us;";
+        let daemon = &DaemonBuilder::new()
+            .bootstrap(&config_for(&v1, body))
+            .unwrap();
+        let want = expected(&[&v1], &samples);
+        let (returned, unwound) = std::thread::scope(|scope| {
+            let load = scope.spawn(|| {
+                hammer(daemon, &samples, &want, ITERS, |e| {
+                    panic!("the old generation must keep serving: {e}")
+                })
+            });
+            // Spread the deploy attempts across the storm by progress.
+            let total = (samples.len() * ITERS) as u64;
+            for (k, seam) in SEAMS.into_iter().enumerate() {
+                let due = (k as u64 + 1) * total / (SEAMS.len() as u64 + 1);
+                while daemon.stats().served < due && !load.is_finished() {
+                    std::thread::yield_now();
+                }
+                let err = save_v2().unwrap_err();
+                assert!(format!("{err}").contains("injected"), "{err}");
+                assert_eq!(hpacml_faults::injected_at(seam), 1);
+                assert!(
+                    !v2.exists(),
+                    "{seam}: only the rename makes a model visible"
+                );
+                // Deploying what was never saved is a typed error, and the
+                // temp file beside it is never what gets served.
+                match daemon.apply(&config_for(&v2, body)).unwrap_err() {
+                    DaemonError::Build { region, .. } => assert_eq!(region, "demo"),
+                    other => panic!("expected Build, got: {other}"),
+                }
+                assert_eq!((daemon.generation(), daemon.stats().swaps), (1, 0));
+            }
+            load.join().unwrap()
+        });
+        // Every reply of the storm was bit-identical to v1's.
+        assert_eq!((returned, unwound), ((samples.len() * ITERS) as u64, 0));
+
+        // Outage over: the save lands and the next apply deploys it.
+        save_v2().unwrap();
+        assert!(!dir.join("v2.hml.tmp").exists());
+        let want = expected(&[&v2], &samples);
+        daemon.apply(&config_for(&v2, body)).unwrap();
+        assert_eq!(daemon.generation(), 2);
+        let (again, unwound) = hammer(daemon, &samples, &want, 10, |e| {
+            panic!("the new generation must serve: {e}")
+        });
+        assert_eq!((again, unwound), ((samples.len() * 10) as u64, 0));
+        let stats = daemon.stats();
+        assert_eq!(
+            (stats.served, stats.errored),
+            (returned + again, 0),
+            "{stats:?}"
+        );
+        assert_accounted(&stats, returned + again);
+    });
 }
 
 #[test]

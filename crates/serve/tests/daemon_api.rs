@@ -22,8 +22,8 @@ fn tmpdir(name: &str) -> PathBuf {
 
 fn save_mlp(path: &Path, seed: u64) {
     let spec = ModelSpec::mlp(3, &[8], 1, Activation::Tanh, 0.0);
-    let mut model = spec.build(seed).unwrap();
-    hpacml_nn::serialize::save_model(path, &spec, &mut model, None, None).unwrap();
+    let model = spec.build(seed).unwrap();
+    hpacml_nn::serialize::save_model(path, &spec, &model, None, None).unwrap();
 }
 
 /// 3-feature / 1-output infer directive bound to `model`.

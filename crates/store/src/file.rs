@@ -17,14 +17,14 @@
 //! str    : len:u32, utf-8 bytes
 //! ```
 //!
-//! `cksum` is [`fnv1a64_words`] of the frame's bytes after the `cksum` field
-//! (`len`, then the body) as one string: FNV-1a's xor-multiply step over
-//! little-endian 64-bit words, byte-wise over the < 8-byte tail. A `Rows`
-//! frame carries rows `first_row..first_row + n_rows` of one dataset and
-//! describes itself; a `Commit` is the tree *without* payloads. One flush is
-//! one *generation*: a `Rows` frame per dataset with unpersisted rows (the
-//! payload goes from the dataset's buffer to the file uncopied and is hashed
-//! once), then one `Commit`, then a single `fsync`.
+//! The frame itself — its checksum, its writer, the reader that checks every
+//! length before it allocates — is [`crate::frame`]'s, shared with `.hml`
+//! model files; the bodies are this module's. A `Rows` frame carries rows
+//! `first_row..first_row + n_rows` of one dataset and describes itself; a
+//! `Commit` is the tree *without* payloads. One flush is one *generation*: a
+//! `Rows` frame per dataset with unpersisted rows (the payload goes from the
+//! dataset's buffer to the file uncopied and is hashed once), then one
+//! `Commit`, then a single `fsync`.
 //!
 //! **Append or rewrite.** A handle whose file is the v3 log it wrote or
 //! cleanly opened *appends* at its committed length: a flush costs the new
@@ -64,12 +64,12 @@
 //! and v1 (`b"H5LITE01"`, no checksums, strict decoder) files still open;
 //! their first flush with something to write upgrades them.
 
-use crate::codec::*;
+use crate::codec::{get_str, put_str};
 use crate::dataset::{DType, Dataset};
+use crate::frame::{rename_synced, write_frame, Cursor, Frame};
 use crate::group::{Attr, Group, Node};
 use crate::{Result, StoreError};
-use bytes::{Buf, BufMut, Bytes};
-use hpacml_faults::{fault_point, fnv1a64, fnv1a64_words};
+use hpacml_faults::{fault_point, fnv1a64};
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{Read, Write};
@@ -180,17 +180,14 @@ impl H5File {
         let path = path.as_ref();
         let mut raw = Vec::new();
         File::open(path)?.read_to_end(&mut raw)?;
-        let mut buf = Bytes::from(raw);
-        if buf.remaining() < 8 {
+        let Some((magic, rest)) = raw.split_first_chunk::<8>() else {
             return Err(StoreError::BadMagic);
-        }
-        let mut magic = [0u8; 8];
-        buf.copy_to_slice(&mut magic);
+        };
         let mut report = RecoveryReport::default();
-        let (mut root, len) = match &magic {
-            MAGIC_V3 => replay_v3(buf, &mut report)?,
-            MAGIC_V2 => (decode_root_v2(&mut buf, &mut report), 0),
-            MAGIC_V1 => (decode_group_v1(&mut buf)?, 0),
+        let (mut root, len) = match magic {
+            MAGIC_V3 => replay_v3(rest, &mut report)?,
+            MAGIC_V2 => (decode_root_v2(&mut Cursor::new(rest), &mut report), 0),
+            MAGIC_V1 => (decode_group_v1(&mut Cursor::new(rest))?, 0),
             _ => return Err(StoreError::BadMagic),
         };
         // A repaired tree is not what is on disk: with no `disk` record the
@@ -273,13 +270,7 @@ impl H5File {
                 f.write_all(MAGIC_V3)?;
                 let n = write_generation(&mut f, &datasets, &commit, None)?;
                 fault_point!("store.flush.rename");
-                std::fs::rename(&tmp, &self.path)?;
-                // Directory sync makes the rename itself durable.
-                // Best-effort: some filesystems refuse fsync on a directory
-                // handle, and the data file is already safe either way.
-                if let Some(Ok(d)) = self.path.parent().map(File::open) {
-                    let _ = d.sync_all();
-                }
+                rename_synced(&tmp, &self.path)?;
                 8 + n
             }
         };
@@ -334,11 +325,11 @@ fn write_generation(
         let first = log.and_then(|l| l.rows.get(path)).map_or(0, |r| r.1);
         if d.rows() > first {
             let mut head = vec![ROWS];
-            head.put_u32_le(path.len() as u32);
+            head.extend((path.len() as u32).to_le_bytes());
             path.iter().for_each(|part| put_str(&mut head, part));
             put_shape(&mut head, d);
-            head.put_u64_le(first as u64);
-            head.put_u64_le((d.rows() - first) as u64);
+            head.extend((first as u64).to_le_bytes());
+            head.extend(((d.rows() - first) as u64).to_le_bytes());
             n += write_frame(f, &head, d.raw_from(first))?;
         }
     }
@@ -351,53 +342,43 @@ fn write_generation(
     Ok(n)
 }
 
-/// Write one frame whose body is `head` then `payload`; the payload is
-/// hashed once and goes to the file straight from the caller's buffer.
-fn write_frame(f: &mut File, head: &[u8], payload: &[u8]) -> Result<u64> {
-    let len = ((head.len() + payload.len()) as u64).to_le_bytes();
-    let cksum = fnv1a64_words(&[&len, head, payload]).to_le_bytes();
-    f.write_all(&[&cksum, &len[..], head].concat())?;
-    f.write_all(payload)?;
-    Ok((16 + head.len() + payload.len()) as u64)
-}
-
 fn encode_attr(buf: &mut Vec<u8>, attr: &Attr) {
     match attr {
         Attr::Int(v) => {
-            buf.put_u8(0);
-            buf.put_i64_le(*v);
+            buf.push(0);
+            buf.extend(v.to_le_bytes());
         }
         Attr::Float(v) => {
-            buf.put_u8(1);
-            buf.put_f64_le(*v);
+            buf.push(1);
+            buf.extend(v.to_le_bytes());
         }
         Attr::Str(s) => {
-            buf.put_u8(2);
+            buf.push(2);
             put_str(buf, s);
         }
     }
 }
 
-fn decode_attr(buf: &mut Bytes) -> Result<Attr> {
-    match get_u8(buf)? {
-        0 => Ok(Attr::Int(get_i64(buf)?)),
-        1 => Ok(Attr::Float(get_f64(buf)?)),
+fn decode_attr(buf: &mut Cursor) -> Result<Attr> {
+    match buf.u8()? {
+        0 => Ok(Attr::Int(buf.i64()?)),
+        1 => Ok(Attr::Float(buf.f64()?)),
         2 => Ok(Attr::Str(get_str(buf)?)),
         t => Err(StoreError::Corrupt(format!("bad attr tag {t}"))),
     }
 }
 
 fn put_shape(buf: &mut Vec<u8>, d: &Dataset) {
-    buf.put_u8(d.dtype().tag());
-    buf.put_u32_le(d.inner_shape().len() as u32);
+    buf.push(d.dtype().tag());
+    buf.extend((d.inner_shape().len() as u32).to_le_bytes());
     for dim in d.inner_shape() {
-        buf.put_u64_le(*dim as u64);
+        buf.extend((*dim as u64).to_le_bytes());
     }
 }
 
-fn decode_shape(buf: &mut Bytes) -> Result<(DType, Vec<usize>)> {
-    let dtype = DType::from_tag(get_u8(buf)?)?;
-    let rank = get_u32(buf)? as usize;
+fn decode_shape(buf: &mut Cursor) -> Result<(DType, Vec<usize>)> {
+    let dtype = DType::from_tag(buf.u8()?)?;
+    let rank = buf.u32()? as usize;
     if rank > 64 {
         return Err(StoreError::Corrupt(format!(
             "implausible dataset rank {rank}"
@@ -405,7 +386,7 @@ fn decode_shape(buf: &mut Bytes) -> Result<(DType, Vec<usize>)> {
     }
     let mut inner = Vec::with_capacity(rank);
     for _ in 0..rank {
-        inner.push(get_u64(buf)? as usize);
+        inner.push(buf.u64()? as usize);
     }
     Ok((dtype, inner))
 }
@@ -413,23 +394,23 @@ fn decode_shape(buf: &mut Bytes) -> Result<(DType, Vec<usize>)> {
 /// A `Commit` body: the tree without payloads.
 fn encode_commit(root: &Group) -> Vec<u8> {
     fn group(buf: &mut Vec<u8>, g: &Group) {
-        buf.put_u32_le(g.attrs_map().len() as u32);
+        buf.extend((g.attrs_map().len() as u32).to_le_bytes());
         for (name, attr) in g.attrs_map() {
             put_str(buf, name);
             encode_attr(buf, attr);
         }
-        buf.put_u32_le(g.children().len() as u32);
+        buf.extend((g.children().len() as u32).to_le_bytes());
         for (name, node) in g.children() {
             put_str(buf, name);
             match node {
                 Node::Group(child) => {
-                    buf.put_u8(0);
+                    buf.push(0);
                     group(buf, child);
                 }
                 Node::Dataset(d) => {
-                    buf.put_u8(1);
+                    buf.push(1);
                     put_shape(buf, d);
-                    buf.put_u64_le(d.rows() as u64);
+                    buf.extend((d.rows() as u64).to_le_bytes());
                 }
             }
         }
@@ -442,42 +423,35 @@ fn encode_commit(root: &Group) -> Vec<u8> {
 /// Rows read from verified `Rows` frames, by dataset: shape and raw bytes.
 type Staged = BTreeMap<DsPath, (DType, Vec<usize>, Vec<u8>)>;
 
-/// Replay a v3 log (`buf` starts after the magic) to the tree of its last
+/// Replay a v3 log (`rest` starts after the magic) to the tree of its last
 /// trustworthy `Commit` and the file length that commit ends at; the module
 /// docs say what is skipped, cut and reported.
-fn replay_v3(mut buf: Bytes, report: &mut RecoveryReport) -> Result<(Group, u64)> {
-    let total = buf.remaining() as u64 + 8;
+fn replay_v3(mut rest: &[u8], report: &mut RecoveryReport) -> Result<(Group, u64)> {
+    let total = rest.len() as u64 + 8;
     let mut staged = Staged::new();
     // Body and end offset of the last two commits. `bad`: a frame failed
     // since the last commit; `torn`: one failed between the last two.
     let (mut last, mut prev, mut bad, mut torn) = (None, None, false, false);
-    while buf.remaining() >= 16 {
-        let cksum = buf.get_u64_le();
-        let len = u64::from_le_bytes(buf[..8].try_into().expect("8 of >= 8 bytes"));
-        if len > (buf.remaining() - 8) as u64 {
-            break;
-        }
-        let frame = buf.slice(..8 + len as usize);
-        buf.advance(frame.len());
-        if fnv1a64_words(&[&frame]) != cksum {
+    while let Some((frame, after)) = Frame::split(rest) {
+        rest = after;
+        if !frame.sound {
             bad = true;
             continue;
         }
-        let body = frame.slice(frame.len().min(9)..);
-        match frame.get(8) {
-            Some(&COMMIT) => {
-                prev = last.replace((body, total - buf.remaining() as u64));
+        match frame.body.split_first() {
+            Some((&COMMIT, body)) => {
+                prev = last.replace((body, total - rest.len() as u64));
                 (torn, bad) = (bad, false);
             }
             // A verified frame that does not parse is not ours to read; the
             // commit accounts for whatever rows it should have brought.
-            Some(&ROWS) => _ = stage_rows(body, &mut staged),
+            Some((&ROWS, body)) => _ = stage_rows(Cursor::new(body), &mut staged),
             _ => {}
         }
     }
     // A last generation with a bad frame in it may be a torn append; the
     // one before it was whole on disk before that append began.
-    let Some((mut body, end)) = (if torn && prev.is_some() { prev } else { last }) else {
+    let Some((body, end)) = (if torn && prev.is_some() { prev } else { last }) else {
         // No commit at all: a single flush whose tail was cut. Keep every
         // dataset whose frames verified.
         report.truncated = true;
@@ -491,28 +465,28 @@ fn replay_v3(mut buf: Bytes, report: &mut RecoveryReport) -> Result<(Group, u64)
         return Ok((root, 0));
     };
     report.truncated = end < total;
-    let root = decode_commit(&mut body, &mut Vec::new(), &mut staged, report)?;
+    let root = decode_commit(&mut Cursor::new(body), &mut Vec::new(), &mut staged, report)?;
     Ok((root, end))
 }
 
 /// Stage one `Rows` frame. Rows land only as the next rows of their
 /// dataset: a frame that follows a lost one leaves the dataset cut at the
 /// gap. Nothing is allocated beyond the frame's own (bounds-checked) bytes.
-fn stage_rows(mut body: Bytes, staged: &mut Staged) -> Result<()> {
+fn stage_rows(mut body: Cursor, staged: &mut Staged) -> Result<()> {
     let mut path = DsPath::new();
-    for _ in 0..get_u32(&mut body)? {
+    for _ in 0..body.u32()? {
         path.push(get_str(&mut body)?);
     }
     let (dtype, inner) = decode_shape(&mut body)?;
-    let (first, rows) = (get_u64(&mut body)?, get_u64(&mut body)?);
+    let (first, rows) = (body.u64()?, body.u64()?);
     let row_bytes = Dataset::row_bytes(dtype, &inner)? as u64;
     let new = || (dtype, inner.clone(), Vec::new());
     let (have_dtype, have_inner, data) = staged.entry(path).or_insert_with(new);
     if (*have_dtype, &*have_inner) == (dtype, &inner)
         && first.checked_mul(row_bytes) == Some(data.len() as u64)
-        && rows.checked_mul(row_bytes) == Some(body.len() as u64)
+        && rows.checked_mul(row_bytes) == Some(body.remaining() as u64)
     {
-        data.extend_from_slice(&body);
+        data.extend_from_slice(body.take(body.remaining())?);
     }
     Ok(())
 }
@@ -529,7 +503,7 @@ fn dataset_of(dtype: DType, inner: Vec<usize>, mut data: Vec<u8>, at_most: u64) 
 /// rows out of `staged`; a dataset with fewer rows staged than committed
 /// keeps what it has and is named in `report.dropped`.
 fn decode_commit(
-    buf: &mut Bytes,
+    buf: &mut Cursor,
     at: &mut DsPath,
     staged: &mut Staged,
     report: &mut RecoveryReport,
@@ -538,17 +512,17 @@ fn decode_commit(
         return Err(StoreError::Corrupt("implausible group nesting".into()));
     }
     let mut g = Group::new();
-    for _ in 0..get_u32(buf)? {
+    for _ in 0..buf.u32()? {
         let name = get_str(buf)?;
         g.set_attr(name, decode_attr(buf)?);
     }
-    for _ in 0..get_u32(buf)? {
+    for _ in 0..buf.u32()? {
         at.push(get_str(buf)?);
-        let node = match get_u8(buf)? {
+        let node = match buf.u8()? {
             0 => Node::Group(decode_commit(buf, at, staged, report)?),
             1 => {
                 let (dtype, inner) = decode_shape(buf)?;
-                let committed = get_u64(buf)?;
+                let committed = buf.u64()?;
                 let data = match staged.remove(at) {
                     Some((dt, shape, data)) if (dt, &shape) == (dtype, &inner) => data,
                     _ => Vec::new(),
@@ -584,11 +558,11 @@ fn insert_at(root: &mut Group, path: &[String], d: Dataset) -> bool {
     true
 }
 
-fn decode_dataset(buf: &mut Bytes) -> Result<Dataset> {
+fn decode_dataset(buf: &mut Cursor) -> Result<Dataset> {
     let (dtype, inner) = decode_shape(buf)?;
-    let rows = get_u64(buf)? as usize;
-    let len = get_u64(buf)? as usize;
-    let data = get_bytes(buf, len)?;
+    let rows = buf.u64()? as usize;
+    let len = usize::try_from(buf.u64()?).unwrap_or(usize::MAX);
+    let data = buf.take(len)?.to_vec();
     Dataset::from_parts(dtype, inner, rows, data)
 }
 
@@ -602,22 +576,22 @@ fn child_path(path: &str, name: &str) -> String {
 
 /// Decode the checksummed root block. The root itself is a block, so even
 /// damage at the very top degrades to salvage, never to a parse error.
-fn decode_root_v2(buf: &mut Bytes, report: &mut RecoveryReport) -> Group {
-    let (Ok(len), Ok(cksum)) = (get_u64(buf), get_u64(buf)) else {
+fn decode_root_v2(buf: &mut Cursor, report: &mut RecoveryReport) -> Group {
+    let (Ok(len), Ok(cksum)) = (buf.u64(), buf.u64()) else {
         report.truncated = true;
         return Group::new();
     };
-    let len = len as usize;
-    let body = if buf.remaining() < len {
-        report.truncated = true;
-        buf.slice(..)
-    } else {
-        let body = buf.slice(..len);
-        buf.advance(len);
-        if fnv1a64(&body) != cksum {
-            report.salvaged.push("/".to_string());
+    let body = match buf.take(usize::try_from(len).unwrap_or(usize::MAX)) {
+        Ok(body) => {
+            if fnv1a64(body) != cksum {
+                report.salvaged.push("/".to_string());
+            }
+            Cursor::new(body)
         }
-        body
+        Err(_) => {
+            report.truncated = true;
+            buf.clone()
+        }
     };
     decode_group_v2(body, "", report)
 }
@@ -626,9 +600,9 @@ fn decode_root_v2(buf: &mut Bytes, report: &mut RecoveryReport) -> Group {
 /// checksum, records the rest in `report`, and never fails. When the
 /// enclosing block's checksum matched, this decodes the full group exactly
 /// as written.
-fn decode_group_v2(mut buf: Bytes, path: &str, report: &mut RecoveryReport) -> Group {
+fn decode_group_v2(mut buf: Cursor, path: &str, report: &mut RecoveryReport) -> Group {
     let mut g = Group::new();
-    let Ok(n_attrs) = get_u32(&mut buf) else {
+    let Ok(n_attrs) = buf.u32() else {
         report.truncated = true;
         return g;
     };
@@ -642,15 +616,15 @@ fn decode_group_v2(mut buf: Bytes, path: &str, report: &mut RecoveryReport) -> G
             }
         }
     }
-    let Ok(n_children) = get_u32(&mut buf) else {
+    let Ok(n_children) = buf.u32() else {
         report.truncated = true;
         return g;
     };
     for _ in 0..n_children {
         let header = get_str(&mut buf).and_then(|name| {
-            let kind = get_u8(&mut buf)?;
-            let len = get_u64(&mut buf)? as usize;
-            let cksum = get_u64(&mut buf)?;
+            let kind = buf.u8()?;
+            let len = usize::try_from(buf.u64()?).unwrap_or(usize::MAX);
+            let cksum = buf.u64()?;
             Ok((name, kind, len, cksum))
         });
         let Ok((name, kind, len, cksum)) = header else {
@@ -658,31 +632,28 @@ fn decode_group_v2(mut buf: Bytes, path: &str, report: &mut RecoveryReport) -> G
             return g;
         };
         let full = child_path(path, &name);
-        if buf.remaining() < len {
+        let Ok(body) = buf.take(len) else {
             // Truncated tail: salvage what the cut left of a group child;
             // a cut dataset payload cannot be trusted row-by-row, drop it.
             report.truncated = true;
             if kind == 0 {
-                let rest = buf.slice(..);
-                let child = decode_group_v2(rest, &full, report);
+                let child = decode_group_v2(buf, &full, report);
                 g.insert_child(name, Node::Group(child));
             } else {
                 report.dropped.push(full);
             }
             return g;
-        }
-        let body = buf.slice(..len);
-        buf.advance(len);
-        let sound = fnv1a64(&body) == cksum;
+        };
+        let sound = fnv1a64(body) == cksum;
         match kind {
             0 => {
                 if !sound {
                     report.salvaged.push(full.clone());
                 }
-                let child = decode_group_v2(body, &full, report);
+                let child = decode_group_v2(Cursor::new(body), &full, report);
                 g.insert_child(name, Node::Group(child));
             }
-            1 if sound => match decode_dataset(&mut { body }) {
+            1 if sound => match decode_dataset(&mut Cursor::new(body)) {
                 Ok(d) => {
                     g.insert_child(name, Node::Dataset(d));
                 }
@@ -695,18 +666,18 @@ fn decode_group_v2(mut buf: Bytes, path: &str, report: &mut RecoveryReport) -> G
 }
 
 /// Strict legacy decoder for v1 files (no per-block framing, no checksums).
-fn decode_group_v1(buf: &mut Bytes) -> Result<Group> {
+fn decode_group_v1(buf: &mut Cursor) -> Result<Group> {
     let mut g = Group::new();
-    let n_attrs = get_u32(buf)?;
+    let n_attrs = buf.u32()?;
     for _ in 0..n_attrs {
         let name = get_str(buf)?;
         let attr = decode_attr(buf)?;
         g.set_attr(name, attr);
     }
-    let n_children = get_u32(buf)?;
+    let n_children = buf.u32()?;
     for _ in 0..n_children {
         let name = get_str(buf)?;
-        match get_u8(buf)? {
+        match buf.u8()? {
             0 => {
                 let child = decode_group_v1(buf)?;
                 g.insert_child(name, Node::Group(child));
@@ -738,32 +709,32 @@ mod tests {
     fn encode_legacy(root: &Group, framed: bool) -> Vec<u8> {
         fn block(buf: &mut Vec<u8>, body: &[u8], framed: bool) {
             if framed {
-                buf.put_u64_le(body.len() as u64);
-                buf.put_u64_le(fnv1a64(body));
+                buf.extend((body.len() as u64).to_le_bytes());
+                buf.extend(fnv1a64(body).to_le_bytes());
             }
-            buf.put_slice(body);
+            buf.extend(body);
         }
         fn group(buf: &mut Vec<u8>, g: &Group, framed: bool) {
-            buf.put_u32_le(g.attrs_map().len() as u32);
+            buf.extend((g.attrs_map().len() as u32).to_le_bytes());
             for (name, attr) in g.attrs_map() {
                 put_str(buf, name);
                 encode_attr(buf, attr);
             }
-            buf.put_u32_le(g.children().len() as u32);
+            buf.extend((g.children().len() as u32).to_le_bytes());
             for (name, node) in g.children() {
                 put_str(buf, name);
                 let mut body = Vec::new();
                 match node {
                     Node::Group(child) => {
-                        buf.put_u8(0);
+                        buf.push(0);
                         group(&mut body, child, framed);
                     }
                     Node::Dataset(d) => {
-                        buf.put_u8(1);
+                        buf.push(1);
                         put_shape(&mut body, d);
-                        body.put_u64_le(d.rows() as u64);
-                        body.put_u64_le(d.size_bytes() as u64);
-                        body.put_slice(d.raw_from(0));
+                        body.extend((d.rows() as u64).to_le_bytes());
+                        body.extend((d.size_bytes() as u64).to_le_bytes());
+                        body.extend(d.raw_from(0));
                     }
                 }
                 block(buf, &body, framed);

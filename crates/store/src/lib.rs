@@ -15,6 +15,7 @@
 pub mod codec;
 pub mod dataset;
 pub mod file;
+pub mod frame;
 pub mod group;
 
 pub use dataset::{DType, Dataset};
@@ -61,6 +62,12 @@ impl std::error::Error for StoreError {}
 impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
         StoreError::Io(e)
+    }
+}
+
+impl From<frame::Truncated> for StoreError {
+    fn from(_: frame::Truncated) -> Self {
+        StoreError::Corrupt("record overruns its buffer".into())
     }
 }
 

@@ -12,7 +12,8 @@
 //! layouts). The allocation bound is measured by a `#[global_allocator]`
 //! that records the largest request made on the calling thread.
 
-use hpacml_faults::{fnv1a64, fnv1a64_words};
+use hpacml_faults::fnv1a64;
+use hpacml_store::frame::fnv1a64_words;
 use hpacml_store::{DType, Group, H5File};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -97,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..Default::default()
     };
     let hist = hpac_ml::nn::train(&mut net, &train_n, Some(&val_n), &cfg)?;
-    hpac_ml::nn::serialize::save_model(&model, &spec, &mut net, Some(&norm), None)?;
+    hpac_ml::nn::serialize::save_model(&model, &spec, &net, Some(&norm), None)?;
     println!(
         "  validation MSE: {:.6} ({} parameters)",
         hist.best_val,

@@ -12,8 +12,8 @@ use std::path::Path;
 
 fn save_mlp(path: &Path, seed: u64) -> Result<(), Box<dyn std::error::Error>> {
     let spec = ModelSpec::mlp(3, &[16], 1, Activation::Tanh, 0.0);
-    let mut model = spec.build(seed)?;
-    hpac_ml::nn::serialize::save_model(path, &spec, &mut model, None, None)?;
+    let model = spec.build(seed)?;
+    hpac_ml::nn::serialize::save_model(path, &spec, &model, None, None)?;
     Ok(())
 }
 

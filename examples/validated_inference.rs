@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         hpac_ml::nn::serialize::save_model(
             &model_path,
             &spec,
-            &mut model,
+            &model,
             Some(&in_norm),
             Some(&out_norm),
         )?;
