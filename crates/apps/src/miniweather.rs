@@ -476,14 +476,6 @@ pub fn session_step(session: &Session<'_>, sim: &mut Sim, use_model: bool) -> Ap
     Ok(())
 }
 
-/// Advance `sim` one step through the region (one-shot convenience; the
-/// session core is cached on the region, but hot loops should hold a
-/// [`weather_session`] and call [`session_step`] directly).
-pub fn region_step(region: &Region, sim: &mut Sim, use_model: bool) -> AppResult<()> {
-    let session = weather_session(region, sim)?;
-    session_step(&session, sim, use_model)
-}
-
 /// The MiniWeather benchmark.
 pub struct MiniWeather;
 

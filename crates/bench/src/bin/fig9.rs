@@ -12,7 +12,7 @@
 
 use hpacml_apps::metrics::{cdf_at, relative_errors};
 use hpacml_apps::miniweather::{
-    region_step, session_step, weather_session, MiniWeather, Sim, WeatherConfig, HS, ID_RHOT,
+    session_step, weather_session, MiniWeather, Sim, WeatherConfig, HS, ID_RHOT,
 };
 use hpacml_apps::Benchmark;
 use hpacml_core::Region;
@@ -145,10 +145,11 @@ fn main() {
         // Keep final states for the (a/b/c) panels.
         if (orig, surr) == (0, 1) || (orig, surr) == (1, 1) {
             let mut sim = base.clone();
+            let session = weather_session(&region, &sim).expect("replay session");
             let cycle = (orig + surr).max(1);
             for (phase, _) in reference.iter().enumerate() {
                 let use_model = phase % cycle >= orig;
-                region_step(&region, &mut sim, use_model).expect("replay");
+                session_step(&session, &mut sim, use_model).expect("replay");
             }
             final_sims.push((label, sim));
         }
@@ -201,10 +202,11 @@ fn main() {
     // Panel (f): relative-error CDF after 1 vs 10 surrogate steps.
     println!("\n(f) CDF of relative error, 1 vs 10 consecutive surrogate steps:\n");
     let mut sim = base.clone();
-    region_step(&region, &mut sim, true).expect("step 1");
+    let session = weather_session(&region, &sim).expect("cdf session");
+    session_step(&session, &mut sim, true).expect("step 1");
     let rel1 = relative_errors(&reference[0], &sim.interior());
     for _ in 1..10.min(wc.eval_steps) {
-        region_step(&region, &mut sim, true).expect("step k");
+        session_step(&session, &mut sim, true).expect("step k");
     }
     let step10_idx = 10.min(wc.eval_steps) - 1;
     let rel10 = relative_errors(&reference[step10_idx], &sim.interior());

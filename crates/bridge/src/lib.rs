@@ -22,14 +22,12 @@
 //! [`plan::CompiledMap`] packages the result for the runtime: `gather` for
 //! `map(to: ...)` and `scatter` for `map(from: ...)`.
 
-pub mod cache;
 pub mod compose;
 pub mod extract;
 pub mod plan;
 pub mod resolve;
 pub mod wrap;
 
-pub use cache::{PlanCache, PlanKey};
 pub use plan::{compile, CompiledMap};
 
 use hpacml_directive::DirectiveError;

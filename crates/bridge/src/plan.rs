@@ -3,8 +3,8 @@
 //! [`compile`] runs steps 1–3 once per (functor, map, array-shape, bindings)
 //! combination; the resulting [`CompiledMap`] is reused on every region
 //! invocation — `gather` for `map(to: ...)`, `scatter` for `map(from: ...)`.
-//! Repeat invocations go through [`crate::cache::PlanCache`], which skips
-//! compilation entirely for a previously seen key.
+//! The runtime compiles each plan once, when a region is compiled into a
+//! session, and the session holds it from then on.
 //!
 //! # What compile leaves for the hot path
 //!

@@ -1,10 +1,8 @@
 //! Property-based tests of the data bridge: for arbitrary affine functors
 //! and grid sizes, gather must agree with direct evaluation of the functor,
-//! and gather→scatter through the same functor must roundtrip — including
-//! when the plans are served by the [`PlanCache`] instead of compiled fresh.
+//! and gather→scatter through the same functor must roundtrip.
 
-use hpacml_bridge::{compile, PlanCache, PlanKey};
-use hpacml_directive::ast::Direction;
+use hpacml_bridge::compile;
 use hpacml_directive::parse::parse_directive;
 use hpacml_directive::sema::{analyze, Bindings};
 use hpacml_directive::Directive;
@@ -245,47 +243,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// Gather → scatter roundtrip identity holds when both plans come out of
-    /// the [`PlanCache`] across randomized dims/binds, and the cached plans'
-    /// results are bit-identical to freshly resolved ones.
-    #[test]
-    fn plan_cache_roundtrip_matches_fresh_compile(
-        rows in 1usize..16,
-        width in 1usize..7,
-        reps in 2usize..5,
-    ) {
-        let functor = format!(
-            "tensor functor(rows: [i, 0:{width}] = ([{width}*i : {width}*i+{width}]))"
-        );
-        let info = functor_info(&functor);
-        let to = map_dir("tensor map(to: rows(x[0:N]))");
-        let from = map_dir("tensor map(from: rows(x[0:N]))");
-        let binds = Bindings::new().with("N", rows as i64);
-        let dims = [rows * width];
-        let cache = PlanCache::new();
-        let fresh_to = compile(&info, &to, &dims, &binds).unwrap();
-        let data: Vec<f32> = (0..rows * width).map(|k| ((k * 7) % 23) as f32 - 11.0).collect();
-        let reference = fresh_to.gather(&data).unwrap();
-        for rep in 0..reps {
-            let (pt, hit_t) = cache
-                .get_or_compile(PlanKey::new("x", Direction::To, &dims, &binds), &info, &to)
-                .unwrap();
-            let (pf, hit_f) = cache
-                .get_or_compile(PlanKey::new("x", Direction::From, &dims, &binds), &info, &from)
-                .unwrap();
-            prop_assert_eq!(hit_t, rep > 0);
-            prop_assert_eq!(hit_f, rep > 0);
-            // Cached gather is bit-identical to the fresh plan's gather.
-            let t = pt.gather(&data).unwrap();
-            prop_assert_eq!(t.data(), reference.data());
-            // Roundtrip identity through the cached pair.
-            let mut dst = vec![0.0f32; data.len()];
-            pf.scatter(&t, &mut dst).unwrap();
-            prop_assert_eq!(dst.as_slice(), data.as_slice());
-        }
-        prop_assert_eq!(cache.misses(), 2);
     }
 
     /// The compiled LHS element count always equals sweep × feature extents.

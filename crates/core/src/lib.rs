@@ -2,9 +2,9 @@
 //!
 //! This crate is the runtime the paper's §IV-B describes. An application
 //! annotates a code region with directive strings (the pragmas of Fig. 2);
-//! the [`region::Region`] built from them owns the compiled data-bridge
-//! plans, the ml-mode decision logic, the persistent-store handle and the
-//! per-phase timers.
+//! the [`region::Region`] built from them owns the ml-mode decision logic,
+//! the model handle, the persistent-store handle and the per-phase timers;
+//! a [`Session`] compiled from it owns the data-bridge plans.
 //!
 //! An invocation is phase-structured to satisfy Rust's aliasing rules (and,
 //! incidentally, to mirror the numbered steps of the paper's Fig. 1):
@@ -28,12 +28,15 @@
 //! let t = vec![0.0f32; n * m];
 //! let mut tnew = vec![0.0f32; n * m];
 //!
-//! let inv = region.invoke(&bindings)              // one region invocation
-//!     .input("t", &t, &[n, m])?;                  // steps 1–2: gather inputs
-//! let mut out = inv.run(|| do_timestep(&t, &mut tnew))?;
+//! // Compile once, for these bindings and per-sample shapes.
+//! let session = region.session(&bindings, &[("t", &[n, m]), ("tnew", &[n, m])], 1)?;
+//!
+//! let run = session.invoke()                      // one region invocation
+//!     .input("t", &t)?;                           // steps 1–2: gather inputs
+//! let mut out = run.run(|| do_timestep(&t, &mut tnew))?;
 //!                                                 // steps 3–4: accurate path
 //!                                                 //   or model inference
-//! out.output("tnew", &mut tnew, &[n, m])?;        // steps 5–6: scatter or
+//! out.output("tnew", &mut tnew)?;                 // steps 5–6: scatter or
 //!                                                 //   gather outputs
 //! out.finish()?;                                  // step 7: persist, time
 //! # Ok(())
@@ -47,13 +50,12 @@
 //! the surrogate loaded from the `model` clause produces the outputs.
 //! `predicated` chooses per invocation from a host boolean.
 //!
-//! Invocation is a *two-phase compiled pipeline*: the first invocation with a
-//! given (bindings, shapes) combination compiles the bridge plans, resolves
-//! the model handle and derives the input-assembly layout; every later
-//! invocation reuses them from the region's caches. Hot loops should compile
-//! the region into a [`Session`] once ([`Region::session`]) and invoke that —
-//! it skips even the per-call cache lookups and runs allocation-free in
-//! steady state. See the [`session`] module docs for the idiom.
+//! Invocation is a *two-phase compiled pipeline*: [`Region::session`]
+//! compiles the bridge plans for one (bindings, shapes) combination, the
+//! first surrogate run resolves the model handle and derives the
+//! input-assembly layout, and every later [`Session::invoke`] reuses them —
+//! no lookups, and no heap allocation in steady state. A [`Session`] is the
+//! only way to run a region. See the [`session`] module docs for the idiom.
 //!
 //! The batch dimension is a **runtime parameter**: a session is compiled for
 //! *per-sample* shapes plus a `max_batch`, and [`Session::invoke_batch`]
@@ -79,7 +81,6 @@
 //! back toward the target.
 
 pub mod error;
-pub mod exec;
 pub mod region;
 pub mod registry;
 pub mod serve;
@@ -88,14 +89,13 @@ pub mod timing;
 pub mod validate;
 
 pub use error::{CoreError, ServeError};
-pub use exec::{Invocation, Outcome, PathTaken};
 pub use hpacml_faults::retry::RetryPolicy;
 pub use hpacml_nn::PrecisionPolicy;
 pub use hpacml_tensor::Precision;
 pub use region::{PrecisionReport, Region, RegionBuilder};
 pub use registry::{registered_regions, RegionRecord};
 pub use serve::BatchServer;
-pub use session::{Session, SessionOutcome, SessionRun};
+pub use session::{PathTaken, Session, SessionOutcome, SessionRun};
 pub use timing::RegionStats;
 pub use validate::{ErrorMetric, FallbackController, ValidationPolicy};
 

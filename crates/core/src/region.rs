@@ -1,11 +1,11 @@
-//! Approx regions: construction, validation, plan caching and persistence.
+//! Approx regions: construction, validation, plan compilation and persistence.
 
 use crate::registry::{register, RegionRecord};
-use crate::session::{RegionRef, Session, SessionCore, SessionKey};
+use crate::session::{RegionRef, Session};
 use crate::timing::RegionStats;
 use crate::validate::{ErrorMetric, FallbackController, RegionValidation};
 use crate::{CoreError, Result};
-use hpacml_bridge::{CompiledMap, PlanCache, PlanKey};
+use hpacml_bridge::CompiledMap;
 use hpacml_directive::ast::{Direction, Directive, MapDirective, MlDirective, MlMode};
 use hpacml_directive::parse::parse_directives;
 use hpacml_directive::sema::{analyze, Bindings, FunctorInfo};
@@ -14,16 +14,16 @@ use hpacml_nn::{InferWorkspace, PrecisionPolicy, SavedModel};
 use hpacml_store::H5File;
 use hpacml_tensor::{Precision, Tensor};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// An annotated code region — the unit HPAC-ML can replace with a surrogate.
 ///
-/// Built once from directive strings, then invoked many times. All interior
-/// state (plan cache, store handle, statistics) is behind locks so a region
-/// can be shared by reference.
+/// Built once from directive strings, then compiled into [`Session`]s that
+/// are invoked many times. All interior state (model handle, store handle,
+/// statistics) is behind locks so a region can be shared by reference.
 #[derive(Debug)]
 pub struct Region {
     name: String,
@@ -39,14 +39,10 @@ pub struct Region {
     db_path: Mutex<Option<PathBuf>>,
     db: Mutex<Option<H5File>>,
     stats: Mutex<RegionStats>,
-    /// Compiled bridge plans, keyed by (array, direction, dims, binds).
-    plans: PlanCache,
-    /// The model handle resolved once per path — invoke-time inference never
-    /// hashes a path into the engine cache.
+    /// The model handle resolved once per path — the one thing sessions
+    /// built on this region share; invoke-time inference never hashes a path
+    /// into the engine cache.
     model: Mutex<Option<(PathBuf, Arc<SavedModel>)>>,
-    /// Compiled invocation cores, keyed by (bindings, input shapes). Both the
-    /// public [`Session`] API and the one-shot `invoke` path share these.
-    sessions: Mutex<HashMap<SessionKey, Arc<SessionCore>>>,
     /// Online-validation state (policy + sampling sequence + fallback
     /// controller), when a policy is attached.
     validation: Mutex<Option<Arc<RegionValidation>>>,
@@ -134,16 +130,14 @@ impl Region {
 
     /// Point the region at a (new) model file, e.g. after a training round.
     ///
-    /// Invalidates the resolved model handle and every compiled session core
-    /// so subsequent invocations pick up the new weights. [`Session`]s built
-    /// *before* the swap keep the model they compiled against — rebuild them
-    /// to follow the new path.
+    /// Drops the resolved model handle, so a [`Session`] built *after* the
+    /// swap serves the new weights. A session that already ran the surrogate
+    /// keeps the model it resolved — rebuild it to follow the new path.
     pub fn set_model_path(&self, path: impl Into<PathBuf>) {
         let path = path.into();
         hpacml_nn::InferenceEngine::global().evict(&path);
         *self.model_path.lock() = Some(path);
         *self.model.lock() = None;
-        self.sessions.lock().clear();
     }
 
     /// Attach a reduced-precision serving policy: reload the region's model,
@@ -157,9 +151,10 @@ impl Region {
     /// Subsequent surrogate passes serve at [`Region::serve_precision`],
     /// which the controller demotes/promotes as the rolling validation error
     /// crosses the budget (see [`crate::validate`]). An `F32` target reverts
-    /// to full-precision serving and removes the ladder. Sessions built
-    /// *before* this call keep the model they compiled against — rebuild
-    /// them to pick up the quantized packs.
+    /// to full-precision serving and removes the ladder. The quantized model
+    /// is installed in the region's resolved-model slot: sessions built
+    /// *after* this call serve it, a session that already ran the surrogate
+    /// keeps the model it resolved — rebuild it to pick up the packs.
     pub fn set_precision_policy(&self, policy: &PrecisionPolicy) -> Result<PrecisionReport> {
         let path = self.model_path().ok_or_else(|| {
             CoreError::Region(format!(
@@ -190,10 +185,8 @@ impl Region {
                 calib_errors.push((prec, rmse));
             }
         }
-        // Serve the quantized model: swap the resolved handle in place and
-        // drop compiled session cores that captured the old one.
+        // Serve the quantized model: sessions built from here on resolve it.
         *self.model.lock() = Some((path, Arc::new(model)));
-        self.sessions.lock().clear();
         self.set_serve_precision(policy.target);
         if let Some(v) = self.validation() {
             v.install_ladder(FallbackController::ladder_for(policy.target));
@@ -329,8 +322,9 @@ impl Region {
         }
     }
 
-    /// Fetch (or compile and cache) the bridge plan for `array` in the given
-    /// direction, for a concrete shape and bindings.
+    /// Compile the bridge plan for `array` in the given direction, for a
+    /// concrete shape and bindings. Reached only while a [`Session`] is
+    /// built; the session holds the plan from then on.
     pub(crate) fn plan_for(
         &self,
         array: &str,
@@ -358,16 +352,9 @@ impl Region {
                 self.name, map.functor
             ))
         })?;
-        let key = PlanKey::new(array, direction, dims, binds);
-        let (plan, hit) = self.plans.get_or_compile(key, info, map)?;
-        self.update_stats(|s| {
-            if hit {
-                s.plan_cache_hits += 1;
-            } else {
-                s.plan_cache_misses += 1;
-            }
-        });
-        Ok(plan)
+        let plan = hpacml_bridge::compile(info, map, dims, binds)?;
+        self.update_stats(|s| s.plan_cache_misses += 1);
+        Ok(Arc::new(plan))
     }
 
     /// Resolve the surrogate model once per path. The first call loads (or
@@ -414,21 +401,6 @@ impl Region {
         Ok(loaded?)
     }
 
-    /// Fetch (or build and cache) the compiled invocation core for this
-    /// bindings + input-shape combination.
-    pub(crate) fn session_core(
-        &self,
-        binds: &Bindings,
-        inputs: &[(String, Vec<usize>)],
-    ) -> Result<Arc<SessionCore>> {
-        let key = SessionKey::new(binds, inputs);
-        if let Some(core) = self.sessions.lock().get(&key) {
-            return Ok(Arc::clone(core));
-        }
-        let core = Arc::new(SessionCore::build(self, binds, inputs)?);
-        Ok(Arc::clone(self.sessions.lock().entry(key).or_insert(core)))
-    }
-
     /// Compile this region into a reusable [`Session`] for concrete integer
     /// bindings and **per-sample** array shapes — the compile-once /
     /// invoke-many fast path, with a first-class runtime batch dimension.
@@ -439,8 +411,8 @@ impl Region {
     /// invocation may carry: [`Session::invoke_batch`]`(n)` serves any
     /// `1 <= n <= max_batch` through the same compiled plans — one forward
     /// pass for `n` invocations, no per-batch-size recompilation and no tail
-    /// session. All bridge plans are resolved (and cached) up front;
-    /// repeated invocations do no plan lookups, no model-path hashing and —
+    /// session. All bridge plans are compiled up front; repeated
+    /// invocations do no plan lookups, no model-path hashing and —
     /// in steady state — no heap allocation in the gather/inference/scatter
     /// path, for any batch up to `max_batch` (buffers are sized to
     /// `max_batch` once per thread).
@@ -466,32 +438,13 @@ impl Region {
         Session::build(region, binds, shapes, max_batch)
     }
 
-    /// Append one collected sample to the region's database group. Thin
-    /// adapter over [`Region::record_collection_batch`] with a batch of 1.
-    pub(crate) fn record_collection(
-        &self,
-        inputs: &[(&str, &hpacml_tensor::Tensor)],
-        outputs: &[(&str, &hpacml_tensor::Tensor)],
-        region_time_ns: u64,
-    ) -> Result<()> {
-        fn as_rows<'a>(
-            pairs: &'a [(&'a str, &'a hpacml_tensor::Tensor)],
-        ) -> Vec<(&'a str, &'a [usize], &'a [f32])> {
-            pairs
-                .iter()
-                .map(|&(name, t)| (name, t.dims(), t.data()))
-                .collect()
-        }
-        self.record_collection_batch(1, &as_rows(inputs), &as_rows(outputs), region_time_ns)
-    }
-
     /// Append `n` collected samples from batched tensors — the collection
     /// path of [`Session::invoke_batch`]. Each entry is
     /// `(array name, per-sample dims, batched data)` where the data holds the
     /// `n` per-sample tensors back to back; row `i` of every dataset gets
     /// sample `i`'s slice, so the database is laid out exactly as `n`
-    /// sequential one-shot invocations would have left it. Each dataset is
-    /// resolved once and fed its `n` rows in a burst.
+    /// sequential invocations would have left it. Each dataset is resolved
+    /// once and takes its `n` rows in one append.
     pub(crate) fn record_collection_batch(
         &self,
         n: usize,
@@ -506,15 +459,11 @@ impl Region {
                 for &(name, dims, data) in tensors {
                     let per: usize = dims.iter().product();
                     let ds = sub.dataset_mut(name, hpacml_store::DType::F32, dims)?;
-                    for i in 0..n {
-                        ds.append_f32(&data[i * per..(i + 1) * per])?;
-                    }
+                    ds.append_f32(&data[..n * per])?;
                 }
             }
             let ds = group.dataset_mut("region_time_ns", hpacml_store::DType::F64, &[])?;
-            for _ in 0..n {
-                ds.append_f64(&[region_time_ns as f64])?;
-            }
+            ds.append_f64(&vec![region_time_ns as f64; n])?;
             Ok(())
         })
     }
@@ -586,14 +535,10 @@ impl Region {
             let group = file.root_mut().group_mut(name).group_mut("validation");
             for (col, value) in [("invocation", seq as f64), ("metric", metric.code() as f64)] {
                 let ds = group.dataset_mut(col, hpacml_store::DType::F64, &[])?;
-                for _ in errors {
-                    ds.append_f64(&[value])?;
-                }
+                ds.append_f64(&vec![value; errors.len()])?;
             }
             let ds = group.dataset_mut("error", hpacml_store::DType::F64, &[])?;
-            for &e in errors {
-                ds.append_f64(&[e])?;
-            }
+            ds.append_f64(errors)?;
             Ok(())
         })
     }
@@ -786,9 +731,7 @@ impl RegionBuilder {
             db_path: Mutex::new(db_path),
             db: Mutex::new(None),
             stats: Mutex::new(RegionStats::default()),
-            plans: PlanCache::new(),
             model: Mutex::new(None),
-            sessions: Mutex::new(HashMap::new()),
             validation: Mutex::new(None),
             forced_fallback: AtomicBool::new(false),
             serve_precision: AtomicU8::new(Precision::F32.tag()),
@@ -835,19 +778,6 @@ mod tests {
         assert_eq!(r.output_order(), &["tnew".to_string()]);
         assert!(r.model_path().unwrap().ends_with("m.hml"));
         assert!(r.db_path().unwrap().ends_with("d.h5"));
-    }
-
-    #[test]
-    fn plan_cache_reuses_compilations() {
-        let r = Region::from_source("stencil2", STENCIL).unwrap();
-        let binds = Bindings::new().with("N", 8).with("M", 8);
-        let p1 = r.plan_for("t", Direction::To, &[8, 8], &binds).unwrap();
-        let p2 = r.plan_for("t", Direction::To, &[8, 8], &binds).unwrap();
-        assert!(Arc::ptr_eq(&p1, &p2));
-        // Different shape -> different plan.
-        let binds2 = Bindings::new().with("N", 10).with("M", 8);
-        let p3 = r.plan_for("t", Direction::To, &[10, 8], &binds2).unwrap();
-        assert!(!Arc::ptr_eq(&p1, &p3));
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! resolves, once:
 //!
 //! * the gather plan for every `in(...)`/`inout(...)` array and the scatter
-//!   plan for every `out(...)`/`inout(...)` array (shared with the region's
-//!   plan cache, so the one-shot API benefits too);
+//!   plan for every `out(...)`/`inout(...)` array;
 //! * the model handle (`Arc<SavedModel>`) — invoke-time inference never
 //!   hashes a path into the engine cache again;
 //! * the input-assembly layout: flatten/concat/reshape become precomputed
@@ -56,7 +55,6 @@
 //! # }
 //! ```
 
-use crate::exec::PathTaken;
 use crate::region::Region;
 use crate::timing::timed;
 use crate::validate::{RegionValidation, SampleError};
@@ -70,6 +68,15 @@ use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::sync::Arc;
 
+/// Which execution path an invocation took.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PathTaken {
+    /// The surrogate model produced the outputs.
+    Surrogate,
+    /// The original code ran (with data collection if enabled).
+    Accurate,
+}
+
 // ---------------------------------------------------------------------------
 // Per-thread scratch
 // ---------------------------------------------------------------------------
@@ -80,17 +87,17 @@ use std::sync::Arc;
 /// accurate closure) each get their own scratch instead of fighting over a
 /// `RefCell`.
 #[derive(Default)]
-pub(crate) struct Scratch {
+struct Scratch {
     /// One gathered tensor per declared input (assembly order).
-    pub(crate) gathered: Vec<Tensor>,
+    gathered: Vec<Tensor>,
     /// Staged model-input batch (assembled from `gathered`).
-    pub(crate) staged: Tensor,
+    staged: Tensor,
     /// NN inference workspace (normalization staging + activation arenas).
-    pub(crate) ws: InferWorkspace,
+    ws: InferWorkspace,
     /// Model output of the current run (swapped out of the arena).
-    pub(crate) out: Tensor,
+    out: Tensor,
     /// Reusable dims scratch for batched reshapes (no per-run allocation).
-    pub(crate) dims_buf: Vec<usize>,
+    dims_buf: Vec<usize>,
     /// `(session-core address, max_batch)` the gather/staging buffers were
     /// last sized for. See [`Scratch::warm_buffers`].
     buf_warm: (usize, usize),
@@ -100,12 +107,6 @@ pub(crate) struct Scratch {
 }
 
 impl Scratch {
-    pub(crate) fn ensure_inputs(&mut self, n: usize) {
-        if self.gathered.len() < n {
-            self.gathered.resize_with(n, Tensor::default);
-        }
-    }
-
     /// Size every gather/staging buffer for `max_batch` samples of `core`'s
     /// per-sample plans, once per (thread, core, max_batch). After this,
     /// gathers and assembly at any `n <= max_batch` reuse capacity — the
@@ -117,7 +118,9 @@ impl Scratch {
         // core's address, and a dropped core's allocation can be reused by a
         // new one (ABA) — capacity warming is only a perf hint then, but
         // `gathered` must always have one slot per declared input.
-        self.ensure_inputs(count);
+        if self.gathered.len() < count {
+            self.gathered.resize_with(count, Tensor::default);
+        }
         let token = (Arc::as_ptr(core) as usize, max_batch);
         if self.buf_warm == token {
             return;
@@ -148,10 +151,10 @@ thread_local! {
 /// and returns it to the thread-local slot when dropped — on `finish()`,
 /// early return, *or* an error path — so the zero-allocation steady state
 /// survives recoverable failures.
-pub(crate) struct ScratchGuard(Option<Scratch>);
+struct ScratchGuard(Option<Scratch>);
 
 impl ScratchGuard {
-    pub(crate) fn take() -> Self {
+    fn take() -> Self {
         ScratchGuard(Some(
             SCRATCH
                 .with(|slot| slot.borrow_mut().take())
@@ -187,24 +190,8 @@ impl Drop for ScratchGuard {
 }
 
 // ---------------------------------------------------------------------------
-// Session core: the cached, shareable compiled state
+// Session core: the shareable compiled state
 // ---------------------------------------------------------------------------
-
-/// Cache key for compiled invocation cores.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct SessionKey {
-    binds: Vec<(String, i64)>,
-    inputs: Vec<(String, Vec<usize>)>,
-}
-
-impl SessionKey {
-    pub(crate) fn new(binds: &Bindings, inputs: &[(String, Vec<usize>)]) -> Self {
-        SessionKey {
-            binds: binds.iter().map(|(n, v)| (n.to_string(), v)).collect(),
-            inputs: inputs.to_vec(),
-        }
-    }
-}
 
 /// Precomputed input-assembly layout: how the gathered input tensors tile the
 /// model's `[batch, sample...]` input, derived once from the plans' LHS
@@ -226,34 +213,23 @@ struct Assembly {
 /// Model handle plus assembly layout, resolved lazily on the first surrogate
 /// run (so collect-phase sessions whose model file does not exist yet build
 /// fine).
-pub(crate) struct SurrogateState {
+struct SurrogateState {
     model: Arc<SavedModel>,
     assembly: Assembly,
 }
 
-/// The compiled, shareable part of a session: input gather plans in assembly
-/// order plus the lazily resolved surrogate state. Cached on the region per
-/// (bindings, input shapes) so the one-shot `invoke` path compiles once too.
-pub(crate) struct SessionCore {
+/// The compiled part of a session that its clones share: input gather plans
+/// in assembly order plus the lazily resolved surrogate state (a
+/// [`crate::serve::BatchServer`]'s clone and the caller's session resolve
+/// the model once between them).
+struct SessionCore {
     /// (array name, gather plan) in assembly order.
     inputs: Vec<(String, Arc<CompiledMap>)>,
     surrogate: Mutex<Option<Arc<SurrogateState>>>,
 }
 
-impl std::fmt::Debug for SessionCore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SessionCore")
-            .field(
-                "inputs",
-                &self.inputs.iter().map(|(n, _)| n).collect::<Vec<_>>(),
-            )
-            .field("surrogate_resolved", &self.surrogate.lock().is_some())
-            .finish()
-    }
-}
-
 impl SessionCore {
-    pub(crate) fn build(
+    fn build(
         region: &Region,
         binds: &Bindings,
         inputs: &[(String, Vec<usize>)],
@@ -278,19 +254,19 @@ impl SessionCore {
         })
     }
 
-    pub(crate) fn input_index(&self, name: &str) -> Option<usize> {
+    fn input_index(&self, name: &str) -> Option<usize> {
         self.inputs.iter().position(|(n, _)| n == name)
     }
 
-    pub(crate) fn input_plan(&self, index: usize) -> &Arc<CompiledMap> {
+    fn input_plan(&self, index: usize) -> &Arc<CompiledMap> {
         &self.inputs[index].1
     }
 
-    pub(crate) fn input_count(&self) -> usize {
+    fn input_count(&self) -> usize {
         self.inputs.len()
     }
 
-    pub(crate) fn input_names(&self) -> impl Iterator<Item = &str> {
+    fn input_names(&self) -> impl Iterator<Item = &str> {
         self.inputs.iter().map(|(n, _)| n.as_str())
     }
 
@@ -307,28 +283,16 @@ impl SessionCore {
         Ok(Arc::clone(guard.get_or_insert(state)))
     }
 
-    /// The already-resolved surrogate state, if any. Build-time workspace
-    /// warming peeks instead of resolving, so model resolution stays as
-    /// lazy (and as counted) as it always was.
-    fn cached_surrogate_state(&self) -> Option<Arc<SurrogateState>> {
-        self.surrogate.lock().as_ref().map(Arc::clone)
-    }
-
     /// Reserve this thread's inference workspace — activation arenas,
     /// normalization staging, the model-output swap buffer and the
     /// per-layer GEMM scratch (weight packing, im2col columns; the scratch
     /// reserve is broadcast across every pool participant, so workers
     /// drafted into a parallel forward are warm too) — for the
     /// largest batch this session can see, once per
-    /// `(thread, core, max_batch)`. Shared by [`Session::build`] (the
-    /// building thread starts its first invocation already in the
-    /// zero-alloc steady state) and [`SessionCore::run_surrogate`] (every
-    /// other thread warms on its first run). Skipped for `max_batch == 1`
-    /// (the one-shot exec path and single-sample sessions): the forward
-    /// pass sizes the arenas naturally there, and skipping keeps a thread
-    /// that alternates one-shot and batched invocations of the same core
-    /// from re-reserving on every flip of the single-slot warm token.
-    pub(crate) fn warm_thread_workspace(
+    /// `(thread, core, max_batch)`, on the thread's first surrogate run.
+    /// Skipped for single-sample sessions (`max_batch == 1`): the forward
+    /// pass sizes the arenas naturally there.
+    fn warm_thread_workspace(
         &self,
         state: &SurrogateState,
         scratch: &mut Scratch,
@@ -417,7 +381,7 @@ impl SessionCore {
     /// instead of the single-input swap) — required when the caller still
     /// needs them after the pass, e.g. a validation probe on the accurate
     /// path whose data-collection step reads the gathered inputs.
-    pub(crate) fn run_surrogate(
+    fn run_surrogate(
         &self,
         region: &Region,
         scratch: &mut Scratch,
@@ -541,7 +505,7 @@ impl<'r> Session<'r> {
         for name in region.input_order() {
             inputs.push((name.clone(), dims_of(name)?));
         }
-        let core = region.session_core(binds, &inputs)?;
+        let core = Arc::new(SessionCore::build(&region, binds, &inputs)?);
         let mut outputs = Vec::new();
         let mut offset = 0usize;
         for name in region.output_order() {
@@ -550,16 +514,6 @@ impl<'r> Session<'r> {
             let numel = plan.numel();
             outputs.push((name.clone(), plan, offset));
             offset += numel;
-        }
-        // If this core's model is already resolved (a second session built
-        // on a cached core), warm the building thread's inference workspace
-        // now — compiled models carry pre-packed weights, so after this the
-        // builder's first invocation runs the steady-state kernels with
-        // zero allocation. A first-time core keeps its lazy (and
-        // stats-counted) resolution on first run, exactly as before.
-        if let Some(state) = core.cached_surrogate_state() {
-            let mut scratch = ScratchGuard::take();
-            core.warm_thread_workspace(&state, &mut scratch, max_batch)?;
         }
         Ok(Session {
             region,
@@ -638,7 +592,7 @@ impl<'r> Session<'r> {
 /// batch samples are compared, their per-sample error accumulators, and the
 /// time attributable to validation (shadow host execution, reference
 /// gathers, comparisons, probe passes).
-pub(crate) struct ShadowState {
+struct ShadowState {
     v: Arc<RegionValidation>,
     /// This invocation's sequence number (the `invocation` column of the
     /// recorded validation rows).
@@ -689,8 +643,9 @@ pub struct SessionRun<'s, 'r> {
 }
 
 impl<'s, 'r> SessionRun<'s, 'r> {
-    /// Host-side value for the `predicated`/`if` decision, as on
-    /// [`crate::Invocation::use_surrogate`].
+    /// Host-side value for the `predicated`/`if` decision: `true` runs the
+    /// surrogate, `false` runs the accurate path (collecting data). This is
+    /// how the Fig. 9 interleaving experiments toggle per timestep.
     pub fn use_surrogate(mut self, value: bool) -> Self {
         self.surrogate_override = Some(value);
         self
@@ -1072,10 +1027,9 @@ impl SessionOutcome<'_, '_> {
     /// Finalize: persist collected data, feed any shadow-validation errors
     /// into the fallback controller (recording their rows), and fold
     /// timings into the region stats. A batch of `n` records `n` collection
-    /// rows — exactly what `n` sequential one-shot invocations would have
-    /// recorded. The scratch buffers return to this thread for the next
-    /// invocation when `self` drops — including on error or early-drop
-    /// paths.
+    /// rows — exactly what `n` sequential invocations would have recorded.
+    /// The scratch buffers return to this thread for the next invocation
+    /// when `self` drops — including on error or early-drop paths.
     pub fn finish(mut self) -> Result<PathTaken> {
         let path = self.path;
         let region = self.session.region();

@@ -21,13 +21,11 @@ pub struct RegionStats {
     pub accurate_ns: u64,
     /// Data-collection bookkeeping (output gathering + store appends).
     pub collection_ns: u64,
-    /// Bridge-plan lookups served from the compiled-plan cache.
-    ///
-    /// Compiled [`Session`](crate::Session)s resolve their plans once at
-    /// build time, so steady-state session invocations add *nothing* here —
-    /// a flat counter under load is the caching claim made observable.
-    pub plan_cache_hits: u64,
-    /// Bridge-plan lookups that had to compile a new plan.
+    /// Bridge plans compiled: one per declared array and direction for
+    /// every [`Session`](crate::Session) built. Invocations add *nothing*
+    /// here — a flat counter under load is the compile-once claim made
+    /// observable. Nothing is cached: the name is the one `benchmark/`
+    /// reads (`bridge.plan_cache_misses`) and is owed a rename there.
     pub plan_cache_misses: u64,
     /// Surrogate invocations that reused an already-resolved model handle
     /// (no per-call path hashing in the inference engine).
@@ -35,7 +33,7 @@ pub struct RegionStats {
     /// Surrogate invocations that had to resolve the model by path.
     pub model_cache_misses: u64,
     /// Logical invocations (samples) that went through a surrogate forward
-    /// pass — batch-occupancy numerator. A one-shot invocation submits 1; an
+    /// pass — batch-occupancy numerator. An `invoke()` submits 1; an
     /// `invoke_batch(n)` submits `n`; the concurrent auto-batching submitter
     /// adds whatever it coalesced.
     pub batch_submitted: u64,

@@ -94,14 +94,17 @@ fn collect_region(name: &str, db: &std::path::Path) -> Region {
 }
 
 fn collect_one(region: &Region, binds: &Bindings, x: &[f32; 3], yv: f32) {
+    let session = region
+        .session(binds, &[("x", &[3]), ("y", &[1])], 1)
+        .unwrap();
     let mut y = [0.0f32; 1];
-    let mut out = region
-        .invoke(binds)
-        .input("x", x, &[3])
+    let mut out = session
+        .invoke()
+        .input("x", x)
         .unwrap()
         .run(|| y[0] = yv)
         .unwrap();
-    out.output("y", &mut y, &[1]).unwrap();
+    out.output("y", &mut y).unwrap();
     out.finish().unwrap();
 }
 

@@ -46,18 +46,21 @@ fn model_output_size_mismatch_is_reported() {
     let binds = Bindings::new().with("N", 4);
     let x = [0.1f32; 8];
     let mut y = [0.0f32; 4];
-    let mut out = region
-        .invoke(&binds)
+    let session = region
+        .session(&binds, &[("x", &[8]), ("y", &[4])], 1)
+        .unwrap();
+    let mut out = session
+        .invoke()
         .use_surrogate(true)
-        .input("x", &x, &[8])
+        .input("x", &x)
         .unwrap()
         .run(|| unreachable!())
         .unwrap();
-    // 4 samples x 3 outputs = 12 elements; the from-map wants 4 — the first
+    // 4 samples x 3 outputs = 12 elements; the from-map wants 4 — the
     // output() call consumes 4 and succeeds, but a second region output
     // doesn't exist, so this surfaces as leftover model output. The scatter
     // itself must succeed on the available chunk.
-    out.output("y", &mut y, &[4]).unwrap();
+    out.output("y", &mut y).unwrap();
     out.finish().unwrap();
     // Now the reverse: model emits fewer than needed.
     let model2 = dir.join("short.hml");
@@ -79,14 +82,17 @@ fn model_output_size_mismatch_is_reported() {
     )
     .unwrap();
     let mut y8 = [0.0f32; 8];
-    let mut out = region
-        .invoke(&binds)
-        .input("x", &x, &[8])
+    let session = region
+        .session(&binds, &[("x", &[8]), ("y", &[8])], 1)
+        .unwrap();
+    let mut out = session
+        .invoke()
+        .input("x", &x)
         .unwrap()
         .run(|| unreachable!())
         .unwrap();
     // Model produced 4 elements (4 samples x 1), from-map needs 8.
-    let err = match out.output("y", &mut y8, &[8]) {
+    let err = match out.output("y", &mut y8) {
         Err(e) => e,
         Ok(_) => panic!("expected a model-output-size error"),
     };
@@ -105,16 +111,21 @@ fn hot_swapping_models_changes_outputs() {
     let region = simple_region(&m1);
     let binds = Bindings::new().with("N", 4);
     let x = [0.4f32; 8];
+    // A session holds the model it first ran with, so each reading is a
+    // session built after the swap.
     let run = |region: &Region| -> Vec<f32> {
+        let session = region
+            .session(&binds, &[("x", &[8]), ("y", &[4])], 1)
+            .unwrap();
         let mut y = [0.0f32; 4];
-        let mut out = region
-            .invoke(&binds)
+        let mut out = session
+            .invoke()
             .use_surrogate(true)
-            .input("x", &x, &[8])
+            .input("x", &x)
             .unwrap()
             .run(|| unreachable!())
             .unwrap();
-        out.output("y", &mut y, &[4]).unwrap();
+        out.output("y", &mut y).unwrap();
         out.finish().unwrap();
         y.to_vec()
     };
@@ -136,17 +147,20 @@ fn stats_accumulate_across_mixed_invocations() {
     let region = simple_region(&model);
     let binds = Bindings::new().with("N", 4);
     let x = [0.2f32; 8];
+    let session = region
+        .session(&binds, &[("x", &[8]), ("y", &[4])], 1)
+        .unwrap();
     for step in 0..6 {
         let mut y = [0.0f32; 4];
         let use_model = step % 2 == 0;
-        let mut out = region
-            .invoke(&binds)
+        let mut out = session
+            .invoke()
             .use_surrogate(use_model)
-            .input("x", &x, &[8])
+            .input("x", &x)
             .unwrap()
             .run(|| y.iter_mut().for_each(|v| *v = 1.0))
             .unwrap();
-        out.output("y", &mut y, &[4]).unwrap();
+        out.output("y", &mut y).unwrap();
         let path = out.finish().unwrap();
         assert_eq!(path == PathTaken::Surrogate, use_model);
     }
@@ -177,13 +191,16 @@ fn infer_mode_ignores_missing_db_and_collect_mode_ignores_missing_model() {
     let binds = Bindings::new().with("N", 2);
     let x = [0.5f32; 4];
     let mut y = [0.0f32; 4];
-    let mut out = region
-        .invoke(&binds)
-        .input("x", &x, &[4])
+    let session = region
+        .session(&binds, &[("x", &[4]), ("y", &[4])], 1)
+        .unwrap();
+    let mut out = session
+        .invoke()
+        .input("x", &x)
         .unwrap()
         .run(|| y.copy_from_slice(&x))
         .unwrap();
-    out.output("y", &mut y, &[4]).unwrap();
+    out.output("y", &mut y).unwrap();
     assert_eq!(out.finish().unwrap(), PathTaken::Accurate);
     assert_eq!(y, x);
 }

@@ -1,9 +1,9 @@
 //! Property tests of the runtime batch dimension: for random per-sample
 //! region specs (feature width, model shape, seed), random batch sizes and
 //! random input data, `invoke_batch(n)` must be **bit-identical** to `n`
-//! sequential one-shot `Region::invoke` calls — and the concurrent
-//! auto-batching submitter must produce the same bits regardless of the
-//! order submissions land in.
+//! sequential `invoke()` calls on a single-sample session — and the
+//! concurrent auto-batching submitter must produce the same bits regardless
+//! of the order submissions land in.
 
 use hpacml_core::serve::BatchServer;
 use hpacml_core::Region;
@@ -45,8 +45,8 @@ fn per_sample_region(feat: usize, out_dim: usize, model: &std::path::Path) -> Re
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// invoke_batch(n) == n sequential one-shot invokes, bit for bit, for
-    /// random region widths, model seeds, batch sizes and data.
+    /// invoke_batch(n) == n sequential single-sample invokes, bit for bit,
+    /// for random region widths, model seeds, batch sizes and data.
     #[test]
     fn batched_invocation_matches_sequential_one_shots(
         feat in 1usize..5,
@@ -72,14 +72,17 @@ proptest! {
         };
         let x: Vec<f32> = (0..n * feat).map(|_| next()).collect();
 
-        // Reference: n sequential *one-shot* invocations (dims per call).
+        // Reference: n sequential invocations of a session that cannot
+        // batch (max_batch = 1), one sample each.
+        let single = region
+            .session(&binds, &[("x", &[feat]), ("y", &[out_dim])], 1).unwrap();
         let mut y_seq = vec![0.0f32; n * out_dim];
         for i in 0..n {
-            let mut out = region
-                .invoke(&binds)
-                .input("x", &x[i * feat..(i + 1) * feat], &[feat]).unwrap()
+            let mut out = single
+                .invoke()
+                .input("x", &x[i * feat..(i + 1) * feat]).unwrap()
                 .run(|| unreachable!()).unwrap();
-            out.output("y", &mut y_seq[i * out_dim..(i + 1) * out_dim], &[out_dim]).unwrap();
+            out.output("y", &mut y_seq[i * out_dim..(i + 1) * out_dim]).unwrap();
             out.finish().unwrap();
         }
 

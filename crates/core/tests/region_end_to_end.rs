@@ -60,20 +60,24 @@ fn collect_train_deploy_cycle() {
     let (n, m) = (10usize, 12usize);
     let region = Region::from_source("stencil", &stencil_source(&db, &model_path)).unwrap();
     let binds = Bindings::new().with("N", n as i64).with("M", m as i64);
+    // Compiled once; collection and deployment both run through it.
+    let session = region
+        .session(&binds, &[("t", &[n, m]), ("tnew", &[n, m])], 1)
+        .unwrap();
 
     // Phase 1: data collection over many invocations (predicated:false).
     let invocations = 40usize;
     for k in 0..invocations {
         let t = random_grid(n, m, k as u64 + 1);
         let mut tnew = vec![0.0f32; n * m];
-        let mut out = region
-            .invoke(&binds)
-            .input("t", &t, &[n, m])
+        let mut out = session
+            .invoke()
+            .input("t", &t)
             .unwrap()
             .run(|| jacobi_step(&t, &mut tnew, n, m))
             .unwrap();
         assert_eq!(out.path(), PathTaken::Accurate);
-        out.output("tnew", &mut tnew, &[n, m]).unwrap();
+        out.output("tnew", &mut tnew).unwrap();
         assert_eq!(out.finish().unwrap(), PathTaken::Accurate);
     }
     region.flush_db().unwrap();
@@ -116,21 +120,21 @@ fn collect_train_deploy_cycle() {
     );
     hpacml_nn::serialize::save_model(&model_path, &spec, &model, Some(&in_norm), None).unwrap();
 
-    // Phase 3: deployment — same region, same source, surrogate on.
+    // Phase 3: deployment — same region, same session, surrogate on.
     let t = random_grid(n, m, 999);
     let mut accurate = vec![0.0f32; n * m];
     jacobi_step(&t, &mut accurate, n, m);
 
     let mut surrogate_out = vec![0.0f32; n * m];
-    let mut out = region
-        .invoke(&binds)
+    let mut out = session
+        .invoke()
         .use_surrogate(true)
-        .input("t", &t, &[n, m])
+        .input("t", &t)
         .unwrap()
         .run(|| panic!("accurate path must not run in surrogate mode"))
         .unwrap();
     assert_eq!(out.path(), PathTaken::Surrogate);
-    out.output("tnew", &mut surrogate_out, &[n, m]).unwrap();
+    out.output("tnew", &mut surrogate_out).unwrap();
     out.finish().unwrap();
 
     // The surrogate should approximate the Jacobi average closely, and must
@@ -187,19 +191,22 @@ fn predicated_interleaving_switches_paths() {
     let region = Region::from_source("interleave", &src).unwrap();
     let binds = Bindings::new().with("N", 8);
     let x: Vec<f32> = (0..8).map(|i| i as f32).collect();
+    let session = region
+        .session(&binds, &[("x", &[8]), ("y", &[8])], 1)
+        .unwrap();
 
     let mut surrogate_hits = 0;
     for step in 0..10 {
         let use_model = step % 3 == 0; // 1:2 interleaving
         let mut y = vec![-1.0f32; 8];
-        let mut out = region
-            .invoke(&binds)
+        let mut out = session
+            .invoke()
             .use_surrogate(use_model)
-            .input("x", &x, &[8])
+            .input("x", &x)
             .unwrap()
             .run(|| y.copy_from_slice(&x))
             .unwrap();
-        out.output("y", &mut y, &[8]).unwrap();
+        out.output("y", &mut y).unwrap();
         let path = out.finish().unwrap();
         if use_model {
             assert_eq!(path, PathTaken::Surrogate);
@@ -230,18 +237,16 @@ fn undeclared_arrays_and_missing_model_are_rejected() {
     .unwrap();
     let binds = Bindings::new().with("N", 4);
     let x = [0.0f32; 4];
+    let session = region
+        .session(&binds, &[("x", &[4]), ("y", &[4])], 1)
+        .unwrap();
     // Unknown input name.
-    assert!(region.invoke(&binds).input("z", &x, &[4]).is_err());
+    assert!(session.invoke().input("z", &x).is_err());
     // Duplicate input.
-    let inv = region.invoke(&binds).input("x", &x, &[4]).unwrap();
-    assert!(inv.input("x", &x, &[4]).is_err());
+    let inv = session.invoke().input("x", &x).unwrap();
+    assert!(inv.input("x", &x).is_err());
     // Missing model in infer mode.
-    let err = match region
-        .invoke(&binds)
-        .input("x", &x, &[4])
-        .unwrap()
-        .run(|| {})
-    {
+    let err = match session.invoke().input("x", &x).unwrap().run(|| {}) {
         Err(e) => e,
         Ok(_) => panic!("expected a missing-model error"),
     };
@@ -265,13 +270,16 @@ fn collect_without_db_clause_is_noop() {
     let x = [1.0f32; 4];
     let mut y = [0.0f32; 4];
     let mut ran = false;
-    let mut out = region
-        .invoke(&binds)
-        .input("x", &x, &[4])
+    let session = region
+        .session(&binds, &[("x", &[4]), ("y", &[4])], 1)
+        .unwrap();
+    let mut out = session
+        .invoke()
+        .input("x", &x)
         .unwrap()
         .run(|| ran = true)
         .unwrap();
-    out.output("y", &mut y, &[4]).unwrap();
+    out.output("y", &mut y).unwrap();
     out.finish().unwrap();
     assert!(ran);
     assert_eq!(region.db_size_bytes(), 0);

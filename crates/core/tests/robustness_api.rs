@@ -64,14 +64,17 @@ fn collect_region(name: &str, db: &std::path::Path) -> Region {
 }
 
 fn collect_one(region: &Region, binds: &Bindings, x: &[f32; 3], yv: f32) {
+    let session = region
+        .session(binds, &[("x", &[3]), ("y", &[1])], 1)
+        .unwrap();
     let mut y = [0.0f32; 1];
-    let mut out = region
-        .invoke(binds)
-        .input("x", x, &[3])
+    let mut out = session
+        .invoke()
+        .input("x", x)
         .unwrap()
         .run(|| y[0] = yv)
         .unwrap();
-    out.output("y", &mut y, &[1]).unwrap();
+    out.output("y", &mut y).unwrap();
     out.finish().unwrap();
 }
 
@@ -606,31 +609,6 @@ fn permanent_model_failure_degrades_session_to_host() {
     assert_eq!(s.surrogate_errors, 1, "only the failing pass counts");
     assert_eq!(s.fallback_invocations, 2);
     assert_eq!(s.surrogate_invocations, 0);
-}
-
-#[test]
-fn permanent_model_failure_degrades_one_shot_to_host() {
-    let dir = tmpdir("degrade-oneshot");
-    let region = infer_region("degrade1", &dir.join("missing.hml"));
-    region.set_retry_policy(RetryPolicy::none());
-    region
-        .set_validation_policy(ValidationPolicy::new(ErrorMetric::Rmse, 1e9).with_sample_rate(1000))
-        .unwrap();
-    let binds = Bindings::new().with("N", 1);
-    let mut y = [0.0f32; 1];
-    let mut out = region
-        .invoke(&binds)
-        .input("x", &[0.1f32, 0.1, 0.1], &[3])
-        .unwrap()
-        .run(|| y[0] = 7.0)
-        .unwrap();
-    out.output("y", &mut y, &[1]).unwrap();
-    assert_eq!(out.finish().unwrap(), PathTaken::Accurate);
-    assert_eq!(y[0], 7.0);
-    assert!(!region.surrogate_active());
-    let s = region.stats();
-    assert_eq!(s.surrogate_errors, 1);
-    assert_eq!(s.fallback_invocations, 1);
 }
 
 #[test]

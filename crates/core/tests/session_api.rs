@@ -1,10 +1,13 @@
-//! The compiled `Session` API: compile-once/invoke-many equivalence with the
-//! one-shot path, cache-counter observability, thread safety, and the
-//! collect-mode path through a session.
+//! The compiled `Session` API: compile-once/invoke-many equivalence with a
+//! direct forward pass of the saved model, counter observability, thread
+//! safety, what sessions of one region share, and the collect-mode path
+//! through a session.
 
-use hpacml_core::{PathTaken, Region, Session};
+use hpacml_core::{PathTaken, Precision, Region, Session};
 use hpacml_directive::sema::Bindings;
 use hpacml_nn::spec::{Activation, ModelSpec};
+use hpacml_nn::ForwardWorkspace;
+use hpacml_tensor::Tensor;
 use std::path::PathBuf;
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -19,6 +22,17 @@ fn save_mlp(path: &std::path::Path, in_dim: usize, out_dim: usize, seed: u64) {
     let spec = ModelSpec::mlp(in_dim, &[8], out_dim, Activation::Tanh, 0.0);
     let model = spec.build(seed).unwrap();
     hpacml_nn::serialize::save_model(path, &spec, &model, None, None).unwrap();
+}
+
+/// The reference that owes nothing to the runtime: load the saved model
+/// and run its plain f32 forward over `rows` — the `[samples, features]`
+/// rows the bridge gathers, laid out by hand.
+fn direct_forward(model: &std::path::Path, rows: &[f32], features: usize) -> Vec<f32> {
+    let saved = hpacml_nn::serialize::load_model(model).unwrap();
+    let x = Tensor::from_vec(rows.to_vec(), [rows.len() / features, features]).unwrap();
+    let mut ws = ForwardWorkspace::new();
+    let y = ws.forward_at(&saved.model, &x, Precision::F32).unwrap();
+    y.data().to_vec()
 }
 
 fn rows_region(model: &std::path::Path) -> Region {
@@ -46,16 +60,9 @@ fn session_matches_one_shot_invocation() {
     let binds = Bindings::new().with("N", 4);
     let x: Vec<f32> = (0..8).map(|k| k as f32 * 0.11 - 0.4).collect();
 
-    // One-shot reference.
-    let mut y_ref = [0.0f32; 4];
-    let mut out = region
-        .invoke(&binds)
-        .input("x", &x, &[8])
-        .unwrap()
-        .run(|| unreachable!())
-        .unwrap();
-    out.output("y", &mut y_ref, &[4]).unwrap();
-    out.finish().unwrap();
+    // Reference: the `rows` functor gathers x as 4 rows of 2 features, and
+    // `single` scatters one model output per row.
+    let y_ref = direct_forward(&model, &x, 2);
 
     // Compiled session, invoked repeatedly: identical results every time.
     let session = region
@@ -72,11 +79,11 @@ fn session_matches_one_shot_invocation() {
         assert_eq!(out.path(), PathTaken::Surrogate);
         out.output("y", &mut y).unwrap();
         out.finish().unwrap();
-        assert_eq!(y, y_ref);
+        assert_eq!(y.as_slice(), y_ref);
     }
     let stats = region.stats();
-    assert_eq!(stats.invocations, 6);
-    assert_eq!(stats.surrogate_invocations, 6);
+    assert_eq!(stats.invocations, 5);
+    assert_eq!(stats.surrogate_invocations, 5);
     assert!(stats.to_tensor_ns > 0 && stats.from_tensor_ns > 0);
 }
 
@@ -92,10 +99,8 @@ fn cache_counters_show_compile_once_execute_many() {
     let session = region
         .session(&binds, &[("x", &[8]), ("y", &[4])], 1)
         .unwrap();
-    let after_build = region.stats();
-    // Building compiled the two plans (to + from): misses only.
-    assert_eq!(after_build.plan_cache_misses, 2);
-    let plan_hits_at_build = after_build.plan_cache_hits;
+    // Building compiled the two plans (to + from).
+    assert_eq!(region.stats().plan_cache_misses, 2);
 
     let invocations = 10u64;
     for _ in 0..invocations {
@@ -110,25 +115,11 @@ fn cache_counters_show_compile_once_execute_many() {
         out.finish().unwrap();
     }
     let stats = region.stats();
-    // Steady-state session invocations never touch the plan cache...
-    assert_eq!(stats.plan_cache_hits, plan_hits_at_build);
+    // Invocations compile nothing...
     assert_eq!(stats.plan_cache_misses, 2);
     // ...and resolve the model exactly once.
     assert_eq!(stats.model_cache_misses, 1);
     assert_eq!(stats.model_cache_hits, invocations - 1);
-
-    // The one-shot wrapper hits the plan cache per call instead.
-    let mut y = [0.0f32; 4];
-    let mut out = region
-        .invoke(&binds)
-        .input("x", &x, &[8])
-        .unwrap()
-        .run(|| unreachable!())
-        .unwrap();
-    out.output("y", &mut y, &[4]).unwrap();
-    out.finish().unwrap();
-    let stats = region.stats();
-    assert_eq!(stats.plan_cache_hits, plan_hits_at_build + 2);
 }
 
 #[test]
@@ -262,7 +253,8 @@ fn session_rejects_unknown_arrays_and_missing_inputs() {
 #[test]
 fn multi_input_assembly_is_declaration_ordered_on_both_apis() {
     // Two declared inputs `a, b`; supplying them in reversed order must not
-    // change the model input: both APIs assemble in declaration order.
+    // change the model input: assembly follows declaration order, which is
+    // also the order the hand-laid reference rows use.
     let dir = tmpdir("order");
     let model = dir.join("m.hml");
     save_mlp(&model, 2, 1, 31); // per sample: [a_i, b_i] -> y_i
@@ -283,40 +275,32 @@ fn multi_input_assembly_is_declaration_ordered_on_both_apis() {
     let a: Vec<f32> = (0..4).map(|k| k as f32 * 0.1).collect();
     let b: Vec<f32> = (0..4).map(|k| 1.0 - k as f32 * 0.2).collect();
 
-    let one_shot = |first: &str, second: &str| -> Vec<f32> {
-        let (d1, d2) = if first == "a" { (&a, &b) } else { (&b, &a) };
-        let mut y = vec![0.0f32; 4];
-        let mut out = region
-            .invoke(&binds)
-            .input(first, d1, &[4])
-            .unwrap()
-            .input(second, d2, &[4])
-            .unwrap()
-            .run(|| unreachable!())
-            .unwrap();
-        out.output("y", &mut y, &[4]).unwrap();
-        out.finish().unwrap();
-        y
-    };
-    let declared = one_shot("a", "b");
-    let reversed = one_shot("b", "a");
-    assert_eq!(declared, reversed, "supply order must not change the batch");
-
     let session = region
         .session(&binds, &[("a", &[4]), ("b", &[4]), ("y", &[4])], 1)
         .unwrap();
-    let mut y = vec![0.0f32; 4];
-    let mut out = session
-        .invoke()
-        .input("b", &b)
-        .unwrap()
-        .input("a", &a)
-        .unwrap()
-        .run(|| unreachable!())
-        .unwrap();
-    out.output("y", &mut y).unwrap();
-    out.finish().unwrap();
-    assert_eq!(y, declared, "session path must match the one-shot path");
+    let supplied = |first: &str, second: &str| -> Vec<f32> {
+        let (d1, d2) = if first == "a" { (&a, &b) } else { (&b, &a) };
+        let mut y = vec![0.0f32; 4];
+        let mut out = session
+            .invoke()
+            .input(first, d1)
+            .unwrap()
+            .input(second, d2)
+            .unwrap()
+            .run(|| unreachable!())
+            .unwrap();
+        out.output("y", &mut y).unwrap();
+        out.finish().unwrap();
+        y
+    };
+    let rows: Vec<f32> = a.iter().zip(&b).flat_map(|(a, b)| [*a, *b]).collect();
+    let declared = direct_forward(&model, &rows, 2);
+    assert_eq!(supplied("a", "b"), declared);
+    assert_eq!(
+        supplied("b", "a"),
+        declared,
+        "supply order must not change the batch"
+    );
 }
 
 /// A per-sample region (`N = 1`): 2 features in, 1 value out per sample.
@@ -543,4 +527,51 @@ fn sessions_follow_model_hot_swap_on_rebuild() {
         .unwrap();
     let y2 = run(&s2);
     assert_ne!(y1, y2);
+}
+
+/// Since the region keeps no compiled state, the resolved-model slot is all
+/// that sessions built on it have in common.
+#[test]
+fn sessions_of_one_region_share_only_the_model() {
+    let dir = tmpdir("shared-model");
+    let m1 = dir.join("m1.hml");
+    let m2 = dir.join("m2.hml");
+    save_mlp(&m1, 2, 1, 41);
+    save_mlp(&m2, 2, 1, 42);
+    let region = rows_region(&m1);
+    let x: Vec<f32> = (0..12).map(|k| (k as f32 * 0.23).cos()).collect();
+    let run = |session: &Session, x: &[f32]| -> Vec<f32> {
+        let mut y = vec![0.0f32; x.len() / 2];
+        let mut out = session
+            .invoke()
+            .input("x", x)
+            .unwrap()
+            .run(|| unreachable!())
+            .unwrap();
+        out.output("y", &mut y).unwrap();
+        out.finish().unwrap();
+        y
+    };
+
+    // Two sessions with different per-sample shapes: each compiles its own
+    // two plans, each serves the right bits, and the model is loaded once.
+    let (n4, n6) = (Bindings::new().with("N", 4), Bindings::new().with("N", 6));
+    let four = region.session(&n4, &[("x", &[8]), ("y", &[4])], 1).unwrap();
+    let six = region
+        .session(&n6, &[("x", &[12]), ("y", &[6])], 1)
+        .unwrap();
+    assert_eq!(run(&four, &x[..8]), direct_forward(&m1, &x[..8], 2));
+    assert_eq!(run(&six, &x), direct_forward(&m1, &x, 2));
+    let stats = region.stats();
+    assert_eq!(stats.plan_cache_misses, 4);
+    assert_eq!(stats.model_cache_misses, 1);
+
+    // After a swap, the session that already ran keeps its weights; one
+    // built afterwards serves the new ones. Nothing is cleared in between.
+    region.set_model_path(&m2);
+    let after = region.session(&n4, &[("x", &[8]), ("y", &[4])], 1).unwrap();
+    let (old, new) = (run(&four, &x[..8]), run(&after, &x[..8]));
+    assert_eq!(old, direct_forward(&m1, &x[..8], 2));
+    assert_eq!(new, direct_forward(&m2, &x[..8], 2));
+    assert_ne!(old, new);
 }
