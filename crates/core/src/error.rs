@@ -48,6 +48,9 @@ pub enum ServeError {
     },
     /// The server was shut down; no further submissions are accepted.
     ShutDown { region: String },
+    /// The submit's arrays do not match the session's declared per-sample
+    /// shapes (count or length). Misuse, rejected before staging.
+    Arity { region: String, msg: String },
     /// The batched pass this sample was coalesced into failed. Carries the
     /// member's slot and the batch fill at failure time so fan-out
     /// diagnostics are actionable.
@@ -85,6 +88,7 @@ impl std::fmt::Display for ServeError {
                     "region `{region}`: BatchServer is shut down; submission rejected"
                 )
             }
+            ServeError::Arity { region, msg } => write!(f, "region `{region}`: {msg}"),
             ServeError::Batch {
                 region,
                 member,

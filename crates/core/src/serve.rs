@@ -35,14 +35,18 @@
 //! [`mean_batch_fill`](crate::RegionStats::mean_batch_fill)) report how well
 //! submissions coalesced.
 //!
-//! The server participates in the region's online-validation loop (see the
-//! [`validate`](crate::validate) module): install a whole-batch host-code
-//! handler with [`BatchServer::with_fallback`] and drawn flushes are
-//! shadow-validated against it, fallback-disabled periods are served by it
-//! (with sampled surrogate probes driving recovery), and a forced fallback
-//! routes every flush through it. [`BatchServer::shutdown`] flushes the
-//! forming batch and rejects later submissions;
-//! [`BatchServer::drain`] flushes without closing the server.
+//! A flush is one ordinary compiled invocation, so the server runs the
+//! region's online-validation loop (see the [`validate`](crate::validate)
+//! module) exactly as a direct session does: a whole-batch host-code
+//! handler installed with [`BatchServer::with_fallback`] is the
+//! invocation's accurate closure — the shadow reference of a drawn flush,
+//! the server of a forced or adaptive fallback (whose drawn flushes probe
+//! the surrogate for recovery), and the host path a permanent surrogate
+//! failure degrades to. Without a handler a flush has no host path: it is
+//! never drawn, and a closed fallback gate or a failed surrogate pass
+//! fails the batch. [`BatchServer::shutdown`] flushes the forming batch and
+//! rejects later submissions; [`BatchServer::drain`] flushes without
+//! closing the server.
 //!
 //! # Admission control
 //!
@@ -91,11 +95,9 @@
 
 use crate::error::ServeError;
 use crate::session::Session;
-use crate::timing::timed;
-use crate::validate::SampleError;
 use crate::{CoreError, Result};
 use hpacml_directive::ast::MlMode;
-use hpacml_faults::{fault_point, fault_point_infallible};
+use hpacml_faults::fault_point_infallible;
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -205,9 +207,8 @@ pub struct BatchServer<'r> {
     in_arrays: Vec<(String, usize)>,
     /// (name, per-sample element count) per declared output.
     out_arrays: Vec<(String, usize)>,
-    /// Whole-batch host-code fallback, serving flushes while the region's
-    /// validation controller (or a forced fallback) has the surrogate
-    /// disabled — and doubling as the shadow-validation reference.
+    /// Whole-batch host code: the accurate closure of every flush's session
+    /// invocation. `None` makes each flush an invocation with no host path.
     fallback: Option<FallbackFn<'r>>,
 }
 
@@ -261,13 +262,14 @@ impl<'r> BatchServer<'r> {
     /// with the original code (`staged_inputs[i]` holds input `i`'s samples
     /// back to back; `outputs[j]` is pre-sized to `n` per-sample results).
     ///
-    /// With a handler installed the server participates fully in the
-    /// region's validation loop: while the surrogate is active, drawn
-    /// flushes run the handler in shadow and score the surrogate against
-    /// it; while the controller has the surrogate disabled, the handler
-    /// serves flushes and drawn ones probe the surrogate for recovery.
-    /// Without a handler, flushes during fallback fail (fanned out to every
-    /// member) rather than silently serving an over-budget surrogate.
+    /// The handler is each flush's accurate closure, so the server takes
+    /// part in the region's validation loop exactly as a direct session
+    /// does: while the surrogate is active, drawn flushes run the handler in
+    /// shadow and score the surrogate against it; while the controller has
+    /// the surrogate disabled, the handler serves flushes and drawn ones
+    /// probe the surrogate for recovery. Without a handler, flushes during
+    /// fallback fail (fanned out to every member) rather than silently
+    /// serving an over-budget surrogate.
     pub fn with_fallback<F>(mut self, handler: F) -> Self
     where
         F: Fn(usize, &[Vec<f32>], &mut [Vec<f32>]) + Send + Sync + 'r,
@@ -385,42 +387,39 @@ impl<'r> BatchServer<'r> {
         self.collect(&cell, slot, outputs)
     }
 
-    fn check_arity(&self, inputs: &[&[f32]], outputs: &mut [&mut [f32]]) -> Result<()> {
-        if inputs.len() != self.in_arrays.len() {
-            return Err(CoreError::Region(format!(
-                "region `{}`: submit got {} input arrays, session declares {}",
-                self.session.region().name(),
-                inputs.len(),
-                self.in_arrays.len()
-            )));
+    /// Reject a submit whose arrays do not match the session's declared
+    /// per-sample shapes, before it touches the forming batch.
+    fn check_arity(&self, inputs: &[&[f32]], outputs: &[&mut [f32]]) -> Result<()> {
+        let lens = inputs.iter().map(|d| d.len());
+        self.check_arrays("input", lens, &self.in_arrays)?;
+        let lens = outputs.iter().map(|d| d.len());
+        self.check_arrays("output", lens, &self.out_arrays)
+    }
+
+    fn check_arrays(
+        &self,
+        kind: &str,
+        lens: impl ExactSizeIterator<Item = usize>,
+        declared: &[(String, usize)],
+    ) -> Result<()> {
+        let msg = if lens.len() != declared.len() {
+            format!(
+                "submit got {} {kind} arrays, session declares {}",
+                lens.len(),
+                declared.len()
+            )
+        } else if let Some((len, (name, per))) =
+            lens.zip(declared).find(|(len, (_, per))| len != per)
+        {
+            format!("{kind} `{name}` sample has {len} elements, expected {per}")
+        } else {
+            return Ok(());
+        };
+        Err(ServeError::Arity {
+            region: self.session.region().name().to_string(),
+            msg,
         }
-        for (data, (name, per)) in inputs.iter().zip(&self.in_arrays) {
-            if data.len() != *per {
-                return Err(CoreError::Region(format!(
-                    "region `{}`: input `{name}` sample has {} elements, expected {per}",
-                    self.session.region().name(),
-                    data.len()
-                )));
-            }
-        }
-        if outputs.len() != self.out_arrays.len() {
-            return Err(CoreError::Region(format!(
-                "region `{}`: submit got {} output arrays, session declares {}",
-                self.session.region().name(),
-                outputs.len(),
-                self.out_arrays.len()
-            )));
-        }
-        for (data, (name, per)) in outputs.iter().zip(&self.out_arrays) {
-            if data.len() != *per {
-                return Err(CoreError::Region(format!(
-                    "region `{}`: output `{name}` sample has {} elements, expected {per}",
-                    self.session.region().name(),
-                    data.len()
-                )));
-            }
-        }
-        Ok(())
+        .into())
     }
 
     /// Stage one sample into the forming batch (creating it if none) and
@@ -532,189 +531,44 @@ impl<'r> BatchServer<'r> {
         }
     }
 
-    /// One compiled surrogate pass over the staged batch, returning a
-    /// buffer per declared output. `count_stats` distinguishes the primary
-    /// serving pass (finalized into the region stats) from a shadow
-    /// recovery probe (whose timings belong to `validation_shadow_ns`, not
-    /// the invocation counters).
-    fn surrogate_pass(&self, f: &Forming, n: usize, count_stats: bool) -> Result<Vec<Vec<f32>>> {
-        fault_point!("serve.surrogate");
-        let mut run = self
-            .session
-            .invoke_batch(n)?
-            // The server gates and validates whole staged batches itself;
-            // its session invocations bypass the per-invocation gate (and
-            // `predicated` regions take the model path unconditionally).
-            .use_surrogate(true)
-            .validation_exempt();
-        for ((name, per), staged) in self.in_arrays.iter().zip(&f.staging) {
-            run = run.input(name, &staged[..n * per])?;
-        }
-        let mut out = run.run(|| unreachable!("BatchServer surrogate pass"))?;
-        let mut bufs = Vec::with_capacity(self.out_arrays.len());
-        for (name, per) in &self.out_arrays {
-            let mut buf = vec![0.0f32; n * per];
-            out.output(name, &mut buf)?;
-            bufs.push(buf);
-        }
-        if count_stats {
-            out.finish()?;
-        }
-        // A probe drops the outcome unfinished: scratch still returns to
-        // the thread, but nothing is folded into the invocation counters.
-        Ok(bufs)
-    }
-
-    /// Serve one staged batch through the host-code fallback handler,
-    /// counting the members as fallback invocations. Caller guarantees a
-    /// handler is installed.
-    fn fallback_pass(&self, f: &Forming, n: usize) -> Vec<Vec<f32>> {
-        let handler = self.fallback.as_ref().expect("caller checked fallback");
-        let mut bufs: Vec<Vec<f32>> = self
-            .out_arrays
-            .iter()
-            .map(|(_, per)| vec![0.0f32; n * per])
-            .collect();
-        let ((), ns) = timed(|| handler(n, &f.staging, &mut bufs));
-        self.session.region().update_stats(|s| {
-            s.invocations += n as u64;
-            s.fallback_invocations += n as u64;
-            s.accurate_ns += ns;
-        });
-        bufs
-    }
-
-    /// Per-sample errors for the drawn `offsets` of one flush, comparing
-    /// `approx` against `reference` across every declared output array.
-    /// Samples with no comparable elements (e.g. MAPE with all-zero
-    /// references) are skipped rather than scored as fabricated zeros —
-    /// the same rule the session shadow path applies.
-    fn sample_errors(
-        &self,
-        metric: crate::ErrorMetric,
-        offsets: &[usize],
-        reference: &[Vec<f32>],
-        approx: &[Vec<f32>],
-    ) -> Vec<f64> {
-        offsets
-            .iter()
-            .filter_map(|&s| {
-                let mut acc = SampleError::new(metric);
-                for (a, (_, per)) in self.out_arrays.iter().enumerate() {
-                    acc.update(
-                        &reference[a][s * per..(s + 1) * per],
-                        &approx[a][s * per..(s + 1) * per],
-                    );
-                }
-                acc.compared().then(|| acc.finalize())
-            })
-            .collect()
-    }
-
-    /// Shadow-validate a drawn flush while the surrogate serves: the
-    /// fallback handler doubles as the original-host-code reference.
-    /// Without a handler the server has no reference and never draws.
-    fn shadow_validate(&self, f: &Forming, n: usize, surrogate_bufs: &[Vec<f32>]) -> Result<()> {
-        let region = self.session.region();
-        let (Some(v), Some(handler)) = (region.validation(), self.fallback.as_ref()) else {
-            return Ok(());
-        };
-        let mut offsets = Vec::new();
-        let seq = v.draw(n, &mut offsets);
-        if offsets.is_empty() {
-            return Ok(());
-        }
-        fault_point_infallible!("serve.shadow");
-        let (errors, ns) = timed(|| {
-            let mut reference: Vec<Vec<f32>> = self
-                .out_arrays
-                .iter()
-                .map(|(_, per)| vec![0.0f32; n * per])
-                .collect();
-            handler(n, &f.staging, &mut reference);
-            self.sample_errors(v.policy().metric, &offsets, &reference, surrogate_bufs)
-        });
-        region.observe_validation(&v, seq, &errors, ns)
-    }
-
-    /// While adaptively fallen back, probe the surrogate on a drawn flush
-    /// so the controller can observe recovery. `accurate_bufs` (the
-    /// handler's results, already served to the members) is the reference.
-    fn probe_recovery(&self, f: &Forming, n: usize, accurate_bufs: &[Vec<f32>]) -> Result<()> {
-        let region = self.session.region();
-        let Some(v) = region.validation() else {
-            return Ok(());
-        };
-        if region.fallback_forced() {
-            return Ok(()); // operator override: leave the model untouched
-        }
-        let mut offsets = Vec::new();
-        let seq = v.draw(n, &mut offsets);
-        if offsets.is_empty() {
-            return Ok(());
-        }
-        let (res, ns) = timed(|| self.surrogate_pass(f, n, false));
-        let probe_bufs = res?;
-        let errors = self.sample_errors(v.policy().metric, &offsets, accurate_bufs, &probe_bufs);
-        region.observe_validation(&v, seq, &errors, ns)
-    }
-
-    /// Run one batched pass for everything staged in `f` — the surrogate
-    /// when the region's fallback gate allows it, the fallback handler
-    /// otherwise — publish the per-array output buffers (or the error) to
-    /// every member, and recycle the staging set. A panic anywhere inside
-    /// the pass (kernels, model, fallback handler) is caught and published
-    /// as an error — followers wait with no timeout, so the executor must
+    /// Run one batched pass for everything staged in `f` — one ordinary
+    /// compiled invocation, in which the session decides between the
+    /// surrogate and the fallback handler and does any shadow validation —
+    /// publish the per-array output buffers (or the error) to every member,
+    /// and recycle the staging set. A panic anywhere inside the pass
+    /// (kernels, model, fallback handler) is caught and published as an
+    /// error — followers wait with no timeout, so the executor must
     /// *always* reach the publish step.
     fn execute(&self, f: Forming) {
         let n = f.n;
-        let region = self.session.region();
+        let staging = &f.staging;
         let pass =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> Result<Vec<Vec<f32>>> {
-                if region.surrogate_active() {
-                    match self.surrogate_pass(&f, n, true) {
-                        Ok(bufs) => {
-                            // Monitoring must never destroy correctly served
-                            // results: a shadow-validation failure — an Err
-                            // from the validation-row db append *or* a panic
-                            // in the user's fallback handler — is contained
-                            // here instead of fanned out to members who
-                            // already have valid outputs in `bufs`.
-                            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                self.shadow_validate(&f, n, &bufs)
-                            }));
-                            Ok(bufs)
-                        }
-                        Err(e) => {
-                            // Permanent surrogate failure after retries:
-                            // trip the controller (when one is attached) so
-                            // later flushes take the fallback branch up
-                            // front, and serve *this* batch by the host
-                            // handler instead of failing every member.
-                            // Without a controller or handler the typed
-                            // error fans out unchanged.
-                            if region.note_surrogate_failure(&e) && self.fallback.is_some() {
-                                Ok(self.fallback_pass(&f, n))
-                            } else {
-                                Err(e)
-                            }
-                        }
-                    }
-                } else if self.fallback.is_some() {
-                    let bufs = self.fallback_pass(&f, n);
-                    // As above: a failed (or panicking) recovery probe must
-                    // not error out the handler's valid results.
-                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        self.probe_recovery(&f, n, &bufs)
-                    }));
-                    Ok(bufs)
-                } else {
-                    Err(CoreError::Region(format!(
-                        "region `{}`: surrogate disabled by validation fallback and the \
-                         BatchServer has no fallback handler (install one with with_fallback)",
-                        region.name()
-                    )))
+                // `predicated` regions take the model path unconditionally.
+                let mut run = self.session.invoke_batch(n)?.use_surrogate(true);
+                if self.fallback.is_none() {
+                    run = run.without_host_path();
                 }
+                for ((name, per), staged) in self.in_arrays.iter().zip(staging) {
+                    run = run.input(name, &staged[..n * per])?;
+                }
+                let mut bufs: Vec<Vec<f32>> = self
+                    .out_arrays
+                    .iter()
+                    .map(|(_, per)| vec![0.0f32; n * per])
+                    .collect();
+                let mut out = run.run(|| {
+                    if let Some(handler) = &self.fallback {
+                        handler(n, staging, &mut bufs);
+                    }
+                })?;
+                for ((name, _), buf) in self.out_arrays.iter().zip(&mut bufs) {
+                    out.output(name, buf)?;
+                }
+                // A failed validation-row write is already counted
+                // (`db_errors`); the outputs it follows were served.
+                let _ = out.finish();
+                Ok(bufs)
             }));
         let result = pass.unwrap_or_else(|panic| {
             let msg = panic

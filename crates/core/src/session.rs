@@ -62,6 +62,7 @@ use crate::{CoreError, Result};
 use hpacml_bridge::CompiledMap;
 use hpacml_directive::ast::{Direction, MlMode};
 use hpacml_directive::sema::Bindings;
+use hpacml_faults::{fault_point, fault_point_infallible};
 use hpacml_nn::{InferWorkspace, SavedModel};
 use hpacml_tensor::Tensor;
 use parking_lot::Mutex;
@@ -389,6 +390,7 @@ impl SessionCore {
         max_batch: usize,
         preserve_inputs: bool,
     ) -> Result<u64> {
+        fault_point!("core.surrogate");
         let state = self.surrogate_state(region)?;
         self.warm_thread_workspace(&state, scratch, max_batch)?;
         let asm = &state.assembly;
@@ -581,7 +583,7 @@ impl<'r> Session<'r> {
             scratch,
             n,
             surrogate_override: None,
-            validation_exempt: false,
+            host_path: true,
             supplied: 0,
             to_ns: 0,
         }
@@ -605,6 +607,23 @@ struct ShadowState {
 }
 
 impl ShadowState {
+    /// Claim this invocation's sequence number; `Some` when it is drawn for
+    /// shadow validation.
+    fn draw(v: Arc<RegionValidation>, n: usize) -> Option<ShadowState> {
+        let mut offsets = Vec::new();
+        let seq = v.draw(n, &mut offsets);
+        if offsets.is_empty() {
+            return None;
+        }
+        Some(ShadowState {
+            accs: vec![SampleError::new(v.policy().metric); offsets.len()],
+            v,
+            seq,
+            offsets,
+            shadow_ns: 0,
+        })
+    }
+
     /// Fold one output array's comparison into the per-sample accumulators.
     /// `reference` holds the gathered host results (`n * need` elements);
     /// the surrogate's values for sample `s` live at
@@ -632,10 +651,10 @@ pub struct SessionRun<'s, 'r> {
     /// Runtime batch carried by this invocation.
     n: usize,
     surrogate_override: Option<bool>,
-    /// Skip the fallback gate and shadow-validation draw. Used by runtime
-    /// internals ([`crate::serve::BatchServer`]) that implement their own
-    /// validation loop over staged batches.
-    validation_exempt: bool,
+    /// Whether the accurate closure is real host code. `false` for a
+    /// [`crate::serve::BatchServer`] with no fallback handler: see
+    /// [`SessionRun::without_host_path`].
+    host_path: bool,
     /// Bitmask of supplied inputs; `SessionCore::build` rejects regions with
     /// more than 64 input arrays, so every index fits.
     supplied: u64,
@@ -651,12 +670,12 @@ impl<'s, 'r> SessionRun<'s, 'r> {
         self
     }
 
-    /// Bypass the adaptive/forced fallback gate and the shadow-validation
-    /// draw for this invocation. Crate-internal: the `BatchServer` gates and
-    /// validates whole staged batches itself, and its recovery probes must
-    /// reach the surrogate while the controller has it disabled.
-    pub(crate) fn validation_exempt(mut self) -> Self {
-        self.validation_exempt = true;
+    /// This invocation has no host path: its accurate closure is a no-op.
+    /// It is never drawn for shadow validation (there is no reference), a
+    /// closed fallback gate is an error instead of a no-op "host" result,
+    /// and a permanent surrogate failure is noted, then surfaced.
+    pub(crate) fn without_host_path(mut self) -> Self {
+        self.host_path = false;
         self
     }
 
@@ -751,13 +770,18 @@ impl<'s, 'r> SessionRun<'s, 'r> {
     /// un-annotated application. Drawn invocations during adaptive fallback
     /// additionally *probe* the surrogate in shadow so the controller can
     /// observe recovery.
+    ///
+    /// Monitoring never destroys a served result: if the shadow reference
+    /// or the recovery probe panics or fails, the draw is abandoned, nothing
+    /// is observed, and the invocation is served as if it had not been
+    /// drawn.
     pub fn run(mut self, accurate: impl FnOnce()) -> Result<SessionOutcome<'s, 'r>> {
         let region = self.session.region();
         let want = self.decide_surrogate()?;
         let mut surrogate = want;
         let mut fallback = false;
         let mut shadow: Option<ShadowState> = None;
-        if want && !self.validation_exempt {
+        if want {
             if region.fallback_forced() {
                 // Operator override: host code, model untouched, no probes.
                 surrogate = false;
@@ -767,18 +791,16 @@ impl<'s, 'r> SessionRun<'s, 'r> {
                     surrogate = false;
                     fallback = true;
                 }
-                let mut offsets = Vec::new();
-                let seq = v.draw(self.n, &mut offsets);
-                if !offsets.is_empty() {
-                    let metric = v.policy().metric;
-                    shadow = Some(ShadowState {
-                        accs: vec![SampleError::new(metric); offsets.len()],
-                        v,
-                        seq,
-                        offsets,
-                        shadow_ns: 0,
-                    });
+                if self.host_path {
+                    shadow = ShadowState::draw(v, self.n);
                 }
+            }
+            if fallback && !self.host_path {
+                return Err(CoreError::Region(format!(
+                    "region `{}`: surrogate disabled by validation fallback and there is \
+                     no fallback handler (install one with BatchServer::with_fallback)",
+                    region.name()
+                )));
             }
         }
         let mut accurate = Some(accurate);
@@ -793,8 +815,17 @@ impl<'s, 'r> SessionRun<'s, 'r> {
             // `output` compares them (the surrogate scatter then overwrites
             // them — the surrogate remains the primary path).
             if let Some(sh) = &mut shadow {
-                let ((), ns) = timed(accurate.take().expect("accurate unconsumed"));
+                let acc = accurate.take().expect("accurate unconsumed");
+                let (ran, ns) = timed(|| {
+                    contained(|| {
+                        fault_point_infallible!("core.shadow");
+                        acc()
+                    })
+                });
                 sh.shadow_ns += ns;
+                if ran.is_none() {
+                    shadow = None;
+                }
             }
             match core_run(self.session, &mut self.scratch, self.n, false) {
                 Ok(ns) => inference_ns = ns,
@@ -806,10 +837,9 @@ impl<'s, 'r> SessionRun<'s, 'r> {
                     // surrogate up front. Host buffers are untouched by a
                     // failed pass (scatter happens in `output`), so the
                     // accurate path stays bit-identical. Without a
-                    // controller the error surfaces unchanged. An exempt
-                    // invocation (a BatchServer pass) also surfaces: the
-                    // server degrades whole batches itself.
-                    if self.validation_exempt || !region.note_surrogate_failure(&e) {
+                    // controller, or without a host path, the error
+                    // surfaces unchanged.
+                    if !region.note_surrogate_failure(&e) || !self.host_path {
                         return Err(e);
                     }
                     surrogate = false;
@@ -819,6 +849,10 @@ impl<'s, 'r> SessionRun<'s, 'r> {
                         // nothing to validate against a pass that produced
                         // no outputs.
                         accurate_ns = sh.shadow_ns;
+                    } else if accurate.is_none() {
+                        // The shadow reference panicked: no host result
+                        // to degrade to.
+                        return Err(e);
                     }
                 }
             }
@@ -832,22 +866,21 @@ impl<'s, 'r> SessionRun<'s, 'r> {
             // invocation also runs the surrogate in shadow; `output`
             // compares without scattering. Needs the full input set — a
             // caller that skipped inputs on the accurate path simply isn't
-            // probed. A probe that itself fails is dropped (the invocation
-            // is already served by the host code).
+            // probed.
             if let Some(sh) = &mut shadow {
-                if self.inputs_complete() {
-                    let (res, pns) =
-                        timed(|| core_run(self.session, &mut self.scratch, self.n, true));
-                    match res {
-                        Ok(_) => sh.shadow_ns += pns,
-                        Err(e) => {
-                            // The invocation is already served by the host
-                            // code; a failed probe is dropped, never raised.
-                            let _degraded = region.note_surrogate_failure(&e);
-                            shadow = None;
-                        }
+                let probed = self.inputs_complete() && {
+                    let (res, pns) = timed(|| {
+                        contained(|| core_run(self.session, &mut self.scratch, self.n, true))
+                    });
+                    sh.shadow_ns += pns;
+                    if let Some(Err(e)) = &res {
+                        // Still broken: counted, and the controller's
+                        // cooldown restarts.
+                        region.note_surrogate_failure(e);
                     }
-                } else {
+                    matches!(res, Some(Ok(_)))
+                };
+                if !probed {
                     shadow = None;
                 }
             }
@@ -872,6 +905,13 @@ impl<'s, 'r> SessionRun<'s, 'r> {
             collection_ns: 0,
         })
     }
+}
+
+/// Run `f`, turning a panic into `None` (the panic hook still reports it).
+/// Monitoring work — the shadow reference, the recovery probe — runs under
+/// this so its failure cannot take a served result down with it.
+fn contained<T>(f: impl FnOnce() -> T) -> Option<T> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).ok()
 }
 
 /// One compiled surrogate pass through the session's core (helper shared by
@@ -1028,13 +1068,16 @@ impl SessionOutcome<'_, '_> {
     /// into the fallback controller (recording their rows), and fold
     /// timings into the region stats. A batch of `n` records `n` collection
     /// rows — exactly what `n` sequential invocations would have recorded.
-    /// The scratch buffers return to this thread for the next invocation
-    /// when `self` drops — including on error or early-drop paths.
+    /// A failed validation-row write is returned only after the invocation
+    /// is counted: the outputs it served stand. The scratch buffers return
+    /// to this thread for the next invocation when `self` drops — including
+    /// on error or early-drop paths.
     pub fn finish(mut self) -> Result<PathTaken> {
         let path = self.path;
         let region = self.session.region();
         let n = self.n;
         let mut collection_ns = self.collection_ns;
+        let mut validation = Ok(());
         if let Some(sh) = self.shadow.take() {
             // Only samples whose outputs were actually compared feed the
             // controller: a caller that never read an output on this
@@ -1046,7 +1089,7 @@ impl SessionOutcome<'_, '_> {
                 .map(SampleError::finalize)
                 .collect();
             if !errors.is_empty() {
-                region.observe_validation(&sh.v, sh.seq, &errors, sh.shadow_ns)?;
+                validation = region.observe_validation(&sh.v, sh.seq, &errors, sh.shadow_ns);
             }
         }
         if path == PathTaken::Accurate && !self.fallback && region.db_path().is_some() {
@@ -1092,6 +1135,6 @@ impl SessionOutcome<'_, '_> {
             s.accurate_ns += self.accurate_ns;
             s.collection_ns += collection_ns;
         });
-        Ok(path)
+        validation.map(|()| path)
     }
 }

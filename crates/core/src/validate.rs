@@ -25,6 +25,14 @@
 //!    `surrogate_disables`, `surrogate_reenables`, `validation_shadow_ns`)
 //!    make it observable online.
 //!
+//! The loop runs in one place, [`SessionRun::run`](crate::SessionRun::run)
+//! and [`SessionOutcome`](crate::SessionOutcome): a
+//! [`BatchServer`](crate::BatchServer) flush is an ordinary session
+//! invocation whose accurate closure is the server's fallback handler.
+//! Monitoring never destroys a served result: a shadow reference or a
+//! recovery probe that panics or fails abandons its draw, and the
+//! invocation is served as if it had not been drawn.
+//!
 //! Shadow overhead is proportional to the sample rate: invocations not
 //! drawn for validation pay one short lock of the policy slot, one atomic
 //! sequence increment and one relaxed flag read — 1-3% of a
@@ -506,8 +514,8 @@ impl RegionValidation {
 // ---------------------------------------------------------------------------
 
 /// Accumulates one validated sample's error across every declared output
-/// array, under a fixed metric. Shared by the session shadow path and the
-/// `BatchServer` shadow/probe paths.
+/// array, under a fixed metric. Used by the session's shadow and
+/// recovery-probe comparisons, which are also every `BatchServer` flush's.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SampleError {
     metric: ErrorMetric,

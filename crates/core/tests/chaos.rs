@@ -402,7 +402,7 @@ fn shadow_panic_never_corrupts_served_results() {
         .unwrap();
     with_plan(
         Plan::seeded(0xC1).rule(hpacml_faults::Rule {
-            pattern: "serve.shadow".to_string(),
+            pattern: "core.shadow".to_string(),
             kind: FaultKind::Panic,
             first_hit: 0,
             stride: 1,
@@ -432,7 +432,7 @@ fn shadow_panic_never_corrupts_served_results() {
                 }
             });
             assert_eq!(results, direct, "panicking monitor never touches results");
-            assert!(hpacml_faults::injected_at("serve.shadow") >= 1);
+            assert!(hpacml_faults::injected_at("core.shadow") >= 1);
         },
     );
 }

@@ -3,7 +3,9 @@
 //! safety, what sessions of one region share, and the collect-mode path
 //! through a session.
 
-use hpacml_core::{PathTaken, Precision, Region, Session};
+use hpacml_core::{
+    ErrorMetric, PathTaken, Precision, Region, RetryPolicy, Session, ValidationPolicy,
+};
 use hpacml_directive::sema::Bindings;
 use hpacml_nn::spec::{Activation, ModelSpec};
 use hpacml_nn::ForwardWorkspace;
@@ -574,4 +576,105 @@ fn sessions_of_one_region_share_only_the_model() {
     assert_eq!(old, direct_forward(&m1, &x[..8], 2));
     assert_eq!(new, direct_forward(&m2, &x[..8], 2));
     assert_ne!(old, new);
+}
+
+/// Monitoring never destroys a served result: an accurate closure that
+/// panics while it runs as the shadow reference of a drawn invocation
+/// abandons the draw, and the surrogate's outputs are served as if the
+/// invocation had not been drawn.
+#[test]
+fn panicking_shadow_reference_is_contained_by_the_session() {
+    let dir = tmpdir("shadow-panic");
+    let model = dir.join("m.hml");
+    save_mlp(&model, 2, 1, 43);
+    let region = per_sample_region(&model);
+    region
+        .set_validation_policy(ValidationPolicy::new(ErrorMetric::Rmse, 1e9).with_sample_rate(1))
+        .unwrap();
+    let session = region
+        .session(
+            &Bindings::new().with("N", 1),
+            &[("x", &[2]), ("y", &[1])],
+            1,
+        )
+        .unwrap();
+    let x = [0.3f32, -0.7];
+    let mut y = [0.0f32; 1];
+    let mut out = session
+        .invoke()
+        .input("x", &x)
+        .unwrap()
+        .run(|| panic!("shadow reference exploded"))
+        .expect("a panicking shadow reference must not fail the invocation");
+    assert_eq!(out.path(), PathTaken::Surrogate);
+    out.output("y", &mut y).unwrap();
+    assert_eq!(out.finish().unwrap(), PathTaken::Surrogate);
+    assert_eq!(y.to_vec(), direct_forward(&model, &x, 2));
+    let s = region.stats();
+    assert_eq!(
+        s.validated_invocations, 0,
+        "an abandoned draw observes nothing"
+    );
+    assert_eq!(s.surrogate_invocations, 1);
+    assert!(region.surrogate_active());
+}
+
+/// A validation row that cannot be written is an error from `finish()` —
+/// but only after the invocation it follows has been counted.
+#[test]
+fn failed_validation_row_write_still_counts_the_invocation() {
+    let dir = tmpdir("row-write");
+    let model = dir.join("m.hml");
+    let db = dir.join("d.h5");
+    save_mlp(&model, 2, 1, 47);
+    // Not an h5lite file: the lazy open of the db fails.
+    std::fs::write(&db, b"not a database").unwrap();
+    let region = Region::from_source(
+        "session-row-write",
+        &format!(
+            r#"
+            #pragma approx tensor functor(rows: [i, 0:2] = ([2*i : 2*i+2]))
+            #pragma approx tensor functor(single: [i, 0:1] = ([i]))
+            #pragma approx tensor map(to: rows(x[0:N]))
+            #pragma approx ml(infer) in(x) out(single(y[0:N])) model("{}") db("{}")
+            "#,
+            model.display(),
+            db.display()
+        ),
+    )
+    .unwrap();
+    region.set_retry_policy(RetryPolicy::none());
+    region
+        .set_validation_policy(ValidationPolicy::new(ErrorMetric::Rmse, 1e9).with_sample_rate(1))
+        .unwrap();
+    let session = region
+        .session(
+            &Bindings::new().with("N", 1),
+            &[("x", &[2]), ("y", &[1])],
+            1,
+        )
+        .unwrap();
+    let x = [0.1f32, 0.9];
+    let mut y = [0.0f32; 1];
+    let mut out = session
+        .invoke()
+        .input("x", &x)
+        .unwrap()
+        .run(|| y[0] = 0.5)
+        .unwrap();
+    out.output("y", &mut y).unwrap();
+    assert!(out.finish().is_err(), "the row write failed");
+    assert_eq!(
+        y.to_vec(),
+        direct_forward(&model, &x, 2),
+        "served all the same"
+    );
+    let s = region.stats();
+    assert_eq!(
+        (s.invocations, s.surrogate_invocations),
+        (1, 1),
+        "the served invocation is counted"
+    );
+    assert_eq!(s.validated_invocations, 1);
+    assert_eq!(s.db_errors, 1);
 }

@@ -3,9 +3,9 @@
 //!
 //! **The request path** runs on the caller's thread, start to finish:
 //! [`Daemon::submit`] clones the current snapshot's `Arc`, looks the region
-//! up, checks the arrays against the declared shapes, and calls
-//! `BatchServer::submit` — where concurrent callers coalesce into one
-//! batched forward pass. The daemon owns no thread and no queue; a panic
+//! up, and calls `BatchServer::submit` — which checks the arrays against
+//! the session's declared shapes, and where concurrent callers coalesce
+//! into one batched forward pass. The daemon owns no thread and no queue; a panic
 //! anywhere below unwinds on the thread that made the call.
 //!
 //! **The control plane** has one verb. `apply(config)` builds the next
@@ -293,12 +293,6 @@ impl Daemon {
                     region: region.to_string(),
                     generation: snap.generation(),
                 })?;
-            check_arity(region, unit.inputs.as_slice(), inputs.len(), |k| {
-                inputs[k].len()
-            })?;
-            check_arity(region, unit.outputs.as_slice(), outputs.len(), |k| {
-                outputs[k].len()
-            })?;
             let result = match budget.or(unit.deadline) {
                 Some(b) => unit.server.submit_with_deadline(inputs, outputs, b),
                 None => unit.server.submit(inputs, outputs),
@@ -313,6 +307,10 @@ impl Daemon {
                 Err(CoreError::Serve(ServeError::ShutDown { .. })) => {
                     counters.swap_retries.fetch_add(1, Ordering::Relaxed);
                     continue;
+                }
+                // Caller misuse, not a serving outcome: counted nowhere.
+                Err(CoreError::Serve(ServeError::Arity { region, msg })) => {
+                    return Err(DaemonError::Arity { region, msg });
                 }
                 Err(CoreError::Serve(ServeError::Overloaded { .. })) => &counters.rejected_overload,
                 Err(CoreError::Serve(ServeError::Deadline { .. })) => &counters.rejected_deadline,
@@ -349,29 +347,4 @@ impl Drop for Daemon {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// Validate one submit's arrays against the unit's declared shapes.
-fn check_arity(
-    region: &str,
-    declared: &[(String, usize)],
-    got: usize,
-    len_of: impl Fn(usize) -> usize,
-) -> Result<(), DaemonError> {
-    if got != declared.len() {
-        return Err(DaemonError::Arity {
-            region: region.to_string(),
-            msg: format!("expected {} arrays, got {got}", declared.len()),
-        });
-    }
-    for (k, (name, want)) in declared.iter().enumerate() {
-        let have = len_of(k);
-        if have != *want {
-            return Err(DaemonError::Arity {
-                region: region.to_string(),
-                msg: format!("array '{name}' expects {want} elements per sample, got {have}"),
-            });
-        }
-    }
-    Ok(())
 }

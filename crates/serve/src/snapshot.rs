@@ -42,14 +42,12 @@ use std::time::Duration;
 pub type HostHandler = Arc<dyn Fn(usize, &[Vec<f32>], &mut [Vec<f32>]) + Send + Sync + 'static>;
 
 /// Per-region entry in a snapshot: the batch server the daemon submits
-/// into, the region it serves (stats, final flush), the config's default
-/// deadline, and the declared array shapes submissions are checked against.
+/// into (it checks each submit's arrays against the session's shapes), the
+/// region it serves (stats, final flush), and the config's default deadline.
 pub(crate) struct Unit {
     pub(crate) server: BatchServer<'static>,
     region: Arc<Region>,
     pub(crate) deadline: Option<Duration>,
-    pub(crate) inputs: Vec<(String, usize)>,
-    pub(crate) outputs: Vec<(String, usize)>,
 }
 
 /// An immutable compiled configuration: every region resolved, probed, and
@@ -182,8 +180,6 @@ fn build_unit(
         server,
         region,
         deadline: cfg.effective_deadline(daemon),
-        inputs: cfg.inputs.clone(),
-        outputs: cfg.outputs.clone(),
     })
 }
 

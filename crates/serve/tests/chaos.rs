@@ -382,7 +382,10 @@ fn surrogate_error_without_a_handler_is_a_typed_batch_failure() {
     let samples: Vec<[f32; 3]> = (0..submitters()).map(sample).collect();
     const ITERS: usize = 30;
 
-    with_plan(Plan::seeded(0xA4).fail_once("serve.surrogate", 5), || {
+    // `core.surrogate` is also passed once per reference sample and once by
+    // the bootstrap probe: the fault lands on the sixth served pass.
+    let hit = samples.len() as u64 + 1 + 5;
+    with_plan(Plan::seeded(0xA4).fail_once("core.surrogate", hit), || {
         let want = expected(&[&model], &samples);
         let cfg = config_for(&model, "max_batch 4;\n max_wait 200us;");
         let daemon = DaemonBuilder::new().bootstrap(&cfg).unwrap();
@@ -400,7 +403,7 @@ fn surrogate_error_without_a_handler_is_a_typed_batch_failure() {
         assert!((1..=4).contains(&failed), "{failed}");
         assert_eq!(unwound, 0);
         assert_eq!(returned, (samples.len() * ITERS) as u64);
-        assert_eq!(hpacml_faults::injected_at("serve.surrogate"), 1);
+        assert_eq!(hpacml_faults::injected_at("core.surrogate"), 1);
         let stats = daemon.stats();
         assert_eq!(
             (stats.served, stats.errored),
