@@ -2,44 +2,41 @@
 //!
 //! A *tensor functor* describes how individual application-memory elements
 //! form one tensor entry; a *tensor map* applies the functor over concrete
-//! index ranges ("memory concretization"). The bridge compiles a
+//! index ranges ("memory concretization"). [`compile`] takes a
 //! (functor, map, array-shape, bindings) quadruple through the paper's four
-//! steps:
+//! steps once, and the [`CompiledMap`] it returns moves the data on every
+//! invocation:
 //!
-//! 1. **Symbolic shape extraction** ([`extract`]) — per RHS slice and
+//! 1. **Symbolic shape extraction** (`extract`) — per RHS slice and
 //!    dimension, the affine offset and element count (the `[-1, 0, 1]` /
 //!    `[0, -1, 3]` descriptors of Fig. 4);
-//! 2. **Symbolic shape resolution** ([`resolve`]) — start/extent/stride of
+//! 2. **Symbolic shape resolution** (`resolve`) — start/extent/stride of
 //!    the resulting tensor dimensions once the sweep ranges are known;
-//! 3. **Tensor wrapping** ([`wrap`]) — zero-copy strided views over
-//!    application memory (bounds-checked, no elements moved);
-//! 4. **Tensor composition** ([`compose`]) — flatten the added dimensions,
-//!    concatenate the per-slice tensors and reshape into the LHS tensor.
+//! 3. **Tensor wrapping** — compile-time validation of each resolved
+//!    strided view against the array (bounds, strides, feature columns,
+//!    overflow) and its classification into contiguous runs for the copy
+//!    kernel; no wrapper object outlives [`compile`];
+//! 4. **Tensor composition** — the fused interleaved gather
+//!    ([`CompiledMap::gather_batch_into`]): every slice's runs land directly
+//!    at their feature columns of the LHS tensor in one pass, so flatten,
+//!    concatenate and reshape never materialize.
 //!
-//! The `from` direction reuses steps 1–3 and *scatters* instead of composing,
-//! exactly as §IV-A describes.
-//!
-//! [`plan::CompiledMap`] packages the result for the runtime: `gather` for
-//! `map(to: ...)` and `scatter` for `map(from: ...)`.
+//! The `from` direction reuses steps 1–3 and *scatters* instead of composing
+//! ([`CompiledMap::scatter_batch`]), exactly as §IV-A describes.
 
-pub mod compose;
-pub mod extract;
-pub mod plan;
-pub mod resolve;
-pub mod wrap;
+mod extract;
+mod plan;
+mod resolve;
 
 pub use plan::{compile, CompiledMap};
 
 use hpacml_directive::DirectiveError;
-use hpacml_tensor::TensorError;
 
 /// Errors raised while compiling or executing a data-bridge plan.
 #[derive(Debug)]
 pub enum BridgeError {
     /// Front-end (grammar/semantic) failure.
     Directive(DirectiveError),
-    /// View/shape failure from the tensor layer.
-    Tensor(TensorError),
     /// Structural mismatch between functor, map target and array.
     Plan(String),
 }
@@ -48,7 +45,6 @@ impl std::fmt::Display for BridgeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BridgeError::Directive(e) => write!(f, "directive error: {e}"),
-            BridgeError::Tensor(e) => write!(f, "tensor error: {e}"),
             BridgeError::Plan(s) => write!(f, "bridge plan error: {s}"),
         }
     }
@@ -59,12 +55,6 @@ impl std::error::Error for BridgeError {}
 impl From<DirectiveError> for BridgeError {
     fn from(e: DirectiveError) -> Self {
         BridgeError::Directive(e)
-    }
-}
-
-impl From<TensorError> for BridgeError {
-    fn from(e: TensorError) -> Self {
-        BridgeError::Tensor(e)
     }
 }
 

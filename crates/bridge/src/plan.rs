@@ -2,14 +2,17 @@
 //!
 //! [`compile`] runs steps 1–3 once per (functor, map, array-shape, bindings)
 //! combination; the resulting [`CompiledMap`] is reused on every region
-//! invocation — `gather` for `map(to: ...)`, `scatter` for `map(from: ...)`.
-//! The runtime compiles each plan once, when a region is compiled into a
-//! session, and the session holds it from then on.
+//! invocation — [`CompiledMap::gather_batch_into`] for `map(to: ...)`,
+//! [`CompiledMap::scatter_batch`] for `map(from: ...)`. The runtime compiles
+//! each plan once, when a region is compiled into a session, and the session
+//! holds it from then on.
 //!
 //! # What compile leaves for the hot path
 //!
 //! [`compile`] validates every RHS slice (bounds, and that its trailing
-//! dimensions hold exactly the feature columns the LHS reserves for it) and
+//! dimensions hold exactly the feature columns the LHS reserves for it) with
+//! checked arithmetic — bindings and directive strings come from config
+//! text, so an address or extent that overflows is a typed error — and
 //! classifies it for the tensor layer's run-length copy kernel: per sweep
 //! point, `run` contiguous elements at `offset + Σ idx·stride`, landing at
 //! feature column `col`. A point slice is a run of 1, `[i, j-1:j+2]` a run
@@ -24,16 +27,15 @@
 //! no shape analysis, division or allocation per call.
 
 use crate::extract::extract;
-use crate::resolve::{resolve_slice, resolve_sweep};
-use crate::wrap::to_view_parts;
+use crate::resolve::{resolve_slice, resolve_sweep, ResolvedView};
 use crate::{BridgeError, Result};
 use hpacml_directive::ast::{Direction, MapDirective};
 use hpacml_directive::sema::{Bindings, FunctorInfo, LhsDim};
 use hpacml_tensor::{gather_chunks_raw, scatter_chunks_raw, Tensor};
 
-/// Element-count threshold above which batched gather/scatter parallelize
-/// over the leading (sample) dimension. Matches the view layer's threshold
-/// for parallel single-view gathers.
+/// Element-count threshold, over the whole batch, above which batched
+/// gather/scatter parallelize over the leading (sample) dimension; smaller
+/// batches (and every single sample) copy on the calling thread.
 const PAR_ELEMS: usize = 1 << 16;
 
 /// Sweep ranks the allocation-free odometer of the hot path covers; deeper
@@ -189,26 +191,6 @@ impl CompiledMap {
         });
     }
 
-    /// Memory concretization, application → tensor space: gather each RHS
-    /// slice through its precompiled strided view and compose into the LHS
-    /// tensor.
-    pub fn gather(&self, data: &[f32]) -> Result<Tensor> {
-        let mut out = Tensor::zeros([0usize]);
-        self.gather_into(data, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`CompiledMap::gather`] into a caller-owned tensor, resized in place.
-    ///
-    /// Each RHS slice is gathered *directly* into its interleaved position in
-    /// the `[sweep..., features]` LHS layout — no intermediate per-slice
-    /// tensors, no per-call view construction, and no heap allocation once
-    /// `out` has capacity. This is the hot gather path of a compiled
-    /// [`Session`](https://docs.rs/hpacml-core).
-    pub fn gather_into(&self, data: &[f32], out: &mut Tensor) -> Result<()> {
-        self.gather_batch_into(data, 1, out)
-    }
-
     /// Batched gather: `data` holds `n` per-sample arrays back to back, and
     /// the LHS tensor becomes the `n` per-sample tensors stacked along the
     /// leading dimension (`[n * sweep_0, sweep_1..., features]`). One pass
@@ -236,26 +218,6 @@ impl CompiledMap {
             }
         }
         Ok(())
-    }
-
-    /// Memory concretization, tensor space → application: split the LHS
-    /// tensor per slice and scatter through the precompiled strided views.
-    pub fn scatter(&self, lhs: &Tensor, data: &mut [f32]) -> Result<()> {
-        self.scatter_slice(lhs.data(), data)
-    }
-
-    /// [`CompiledMap::scatter`] from a borrowed flat slice in LHS row-major
-    /// layout — the form the runtime uses to scatter a chunk of the model
-    /// output without copying it into a tensor first. Allocation-free.
-    pub fn scatter_slice(&self, lhs: &[f32], data: &mut [f32]) -> Result<()> {
-        if lhs.len() != self.numel() {
-            return Err(BridgeError::Plan(format!(
-                "scatter: tensor has {} elements, map produces {}",
-                lhs.len(),
-                self.numel()
-            )));
-        }
-        self.scatter_batch(lhs, self.numel(), 0, 1, data)
     }
 
     /// Batched scatter: write `n` samples back through the per-sample plan in
@@ -368,7 +330,7 @@ pub fn compile(
             info.rhs_elem_counts.len()
         )));
     }
-    let array_numel: usize = array_dims.iter().product();
+    let array_numel = product(array_dims, "array shape")?;
     let mut views = Vec::with_capacity(extracts.len());
     let mut view_strides = Vec::new();
     let mut col = 0usize;
@@ -381,7 +343,7 @@ pub fn compile(
         // hold exactly the `elems` values the LHS row reserves for it: a
         // disagreement would land runs at wrong columns, silently.
         let (feat_dims, feat_strides) = (&dims[rv.sweep_rank..], &strides[rv.sweep_rank..]);
-        let view_elems: usize = feat_dims.iter().product();
+        let view_elems = product(feat_dims, "RHS slice")?;
         if view_elems != elems {
             return Err(BridgeError::Plan(format!(
                 "functor `{}`: an RHS slice yields {view_elems} element(s) per sweep point \
@@ -398,11 +360,19 @@ pub fn compile(
             &mut views,
             &mut view_strides,
         );
-        col += elems;
+        col = col.checked_add(elems).ok_or_else(|| {
+            BridgeError::Plan(format!(
+                "functor `{}`: the RHS yields more features than a usize holds",
+                info.decl.name
+            ))
+        })?;
     }
     let feat_total = col;
 
     let sweep_counts: Vec<usize> = sweep.iter().map(|s| s.count).collect();
+    // Gather/scatter address the LHS as `sweep points × feat_total` rows.
+    // Checked before the axis merge, whose products it bounds.
+    let sweep_points = product(&sweep_counts, "sweep")?;
     // A functor without sweep symbols is one sweep point: an axis of 1.
     let mut walk_counts = if sweep_counts.is_empty() {
         vec![1]
@@ -423,10 +393,8 @@ pub fn compile(
             LhsDim::Feature(e) => *e,
         });
     }
-    // Gather/scatter address the LHS as `sweep points × feat_total` rows.
-    let sweep_points: usize = sweep_counts.iter().product();
-    let lhs_numel: usize = lhs_shape.iter().product();
-    if lhs_numel != sweep_points * feat_total {
+    let lhs_numel = product(&lhs_shape, "LHS shape")?;
+    if Some(lhs_numel) != sweep_points.checked_mul(feat_total) {
         return Err(BridgeError::Plan(format!(
             "functor `{}`: LHS shape {lhs_shape:?} has {lhs_numel} elements but the RHS \
              yields {sweep_points} sweep point(s) × {feat_total} feature(s)",
@@ -446,6 +414,62 @@ pub fn compile(
         views,
         view_strides,
     })
+}
+
+/// `Π dims`, or a typed error when the product overflows `usize`.
+fn product(dims: &[usize], what: &str) -> Result<usize> {
+    dims.iter()
+        .try_fold(1usize, |p, &d| p.checked_mul(d))
+        .ok_or_else(|| {
+            BridgeError::Plan(format!(
+                "{what} {dims:?} has more elements than a usize holds"
+            ))
+        })
+}
+
+/// Step 3 (tensor wrapping) as a check: validate the resolved descriptor
+/// against an array of `len` elements and return `(offset, shape, strides)`
+/// in the unsigned form the copy kernels take. Out-of-bounds functor/map
+/// combinations are rejected here, where the array length is finally known,
+/// and so is any descriptor whose farthest element overflows `usize`.
+fn to_view_parts(rv: &ResolvedView, len: usize) -> Result<(usize, Vec<usize>, Vec<usize>)> {
+    let offset = usize::try_from(rv.offset).map_err(|_| {
+        BridgeError::Plan(format!(
+            "view base offset {} is before the start of the array (functor reaches outside the mapped region)",
+            rv.offset
+        ))
+    })?;
+    let mut shape = Vec::with_capacity(rv.dims.len());
+    let mut strides = Vec::with_capacity(rv.dims.len());
+    for &(count, stride) in &rv.dims {
+        let stride = usize::try_from(stride).map_err(|_| {
+            BridgeError::Plan(format!(
+                "negative stride {stride} is not supported by the tensor layer"
+            ))
+        })?;
+        shape.push(count);
+        strides.push(stride);
+    }
+    if shape.contains(&0) {
+        return Ok((offset, shape, strides));
+    }
+    // Bounds: highest reachable element must fit.
+    let last = shape
+        .iter()
+        .zip(&strides)
+        .try_fold(offset, |last, (count, stride)| {
+            (count - 1).checked_mul(*stride)?.checked_add(last)
+        });
+    match last {
+        Some(last) if last < len => Ok((offset, shape, strides)),
+        Some(last) => Err(BridgeError::Plan(format!(
+            "functor reaches element {last} but the array has only {len} elements"
+        ))),
+        None => Err(BridgeError::Plan(format!(
+            "functor reaches past element {} but the array has only {len} elements",
+            usize::MAX
+        ))),
+    }
 }
 
 /// Merge every pair of adjacent walk axes that *all* views step through
@@ -524,7 +548,7 @@ mod tests {
     use super::*;
     use hpacml_directive::parse::parse_directive;
     use hpacml_directive::sema::analyze;
-    use hpacml_directive::Directive;
+    use hpacml_directive::{Directive, DirectiveError};
 
     fn functor_info(src: &str) -> FunctorInfo {
         match parse_directive(src).unwrap() {
@@ -538,6 +562,18 @@ mod tests {
             Directive::Map(m) => m,
             other => panic!("{other:?}"),
         }
+    }
+
+    /// One sample through the batched gather, as a batch-1 session runs it.
+    fn gather(plan: &CompiledMap, data: &[f32]) -> Result<Tensor> {
+        let mut out = Tensor::zeros([0usize]);
+        plan.gather_batch_into(data, 1, &mut out)?;
+        Ok(out)
+    }
+
+    /// One sample through the batched scatter.
+    fn scatter(plan: &CompiledMap, lhs: &[f32], data: &mut [f32]) -> Result<()> {
+        plan.scatter_batch(lhs, plan.numel(), 0, 1, data)
     }
 
     /// The full Fig. 2 input bridge on a 6×7 grid, checked element by element
@@ -554,7 +590,7 @@ mod tests {
         assert_eq!(plan.lhs_shape, vec![n - 2, m - 2, 5]);
 
         let grid: Vec<f32> = (0..n * m).map(|k| k as f32).collect();
-        let t = plan.gather(&grid).unwrap();
+        let t = gather(&plan, &grid).unwrap();
         for i in 1..n - 1 {
             for j in 1..m - 1 {
                 let point = |ii: usize, jj: usize| grid[ii * m + jj];
@@ -588,7 +624,7 @@ mod tests {
             (100 + ix[0] * 10 + ix[1]) as f32
         });
         let mut grid = vec![0.0f32; n * m];
-        plan.scatter(&lhs, &mut grid).unwrap();
+        scatter(&plan, lhs.data(), &mut grid).unwrap();
         for i in 0..n {
             for j in 0..m {
                 let v = grid[i * m + j];
@@ -611,9 +647,9 @@ mod tests {
         let plan_from = compile(&info, &from, &[4, 3], &binds).unwrap();
 
         let src: Vec<f32> = (0..12).map(|k| (k * k) as f32).collect();
-        let t = plan_to.gather(&src).unwrap();
+        let t = gather(&plan_to, &src).unwrap();
         let mut dst = vec![0.0f32; 12];
-        plan_from.scatter(&t, &mut dst).unwrap();
+        scatter(&plan_from, t.data(), &mut dst).unwrap();
         assert_eq!(dst, src);
     }
 
@@ -626,7 +662,7 @@ mod tests {
         let plan = compile(&info, &map, &[24], &binds).unwrap();
         assert_eq!(plan.lhs_shape, vec![4, 6]);
         let data: Vec<f32> = (0..24).map(|k| k as f32).collect();
-        let t = plan.gather(&data).unwrap();
+        let t = gather(&plan, &data).unwrap();
         assert_eq!(t.data(), data.as_slice());
     }
 
@@ -641,6 +677,118 @@ mod tests {
         // Narrowing the sweep fixes it.
         let map = map_dir("tensor map(to: back(x[1:N]))");
         assert!(compile(&info, &map, &[4], &binds).is_ok());
+    }
+
+    #[test]
+    fn negative_offset_rejected_with_message() {
+        let rv = ResolvedView {
+            offset: -1,
+            dims: vec![(2, 1)],
+            sweep_rank: 1,
+        };
+        let err = to_view_parts(&rv, 4).unwrap_err();
+        assert!(matches!(err, BridgeError::Plan(s) if s.contains("before the start")));
+    }
+
+    #[test]
+    fn out_of_bounds_rejected() {
+        let rv = ResolvedView {
+            offset: 0,
+            dims: vec![(5, 2)],
+            sweep_rank: 1,
+        };
+        assert!(to_view_parts(&rv, 8).is_err());
+        assert!(to_view_parts(&rv, 9).is_ok());
+    }
+
+    #[test]
+    fn negative_stride_rejected() {
+        let rv = ResolvedView {
+            offset: 4,
+            dims: vec![(3, -1)],
+            sweep_rank: 1,
+        };
+        assert!(matches!(to_view_parts(&rv, 8), Err(BridgeError::Plan(_))));
+    }
+
+    /// Compile `functor` over `target` with every `binds` value, expecting a
+    /// typed plan error that mentions `needle`.
+    fn assert_plan_error(
+        functor: &str,
+        target: &str,
+        dims: &[usize],
+        binds: &[(&str, i64)],
+        needle: &str,
+    ) {
+        let info = functor_info(functor);
+        let map = map_dir(&format!("tensor map(to: {}({target}))", info.decl.name));
+        let binds = binds
+            .iter()
+            .fold(Bindings::new(), |b, (k, v)| b.with(*k, *v));
+        match compile(&info, &map, dims, &binds) {
+            Err(BridgeError::Plan(s)) if s.contains(needle) => {}
+            other => panic!(
+                "{functor} over {target}: expected a plan error naming `{needle}`, got {other:?}"
+            ),
+        }
+    }
+
+    /// A sweep range whose span does not fit an `i64`.
+    #[test]
+    fn sweep_span_overflow_is_a_plan_error() {
+        let f = "tensor functor(f: [i, 0:1] = ([i]))";
+        assert_plan_error(f, "x[S:N]", &[4], &[("S", i64::MIN), ("N", 1)], "overflows");
+    }
+
+    /// `x[0:4:S]` with `S = i64::MAX` is the one point `x[0]`. Rounding the
+    /// point count up by `(span + step - 1) / step` overflowed; wrapped, it
+    /// compiled to an empty `[0, 1]` plan.
+    #[test]
+    fn sweep_step_near_i64_max_is_one_point() {
+        let info = functor_info("tensor functor(f: [i, 0:1] = ([i]))");
+        let map = map_dir("tensor map(to: f(x[0:4:S]))");
+        let plan = compile(&info, &map, &[4], &Bindings::new().with("S", i64::MAX)).unwrap();
+        assert_eq!(plan.lhs_shape, vec![1, 1]);
+        assert_eq!(gather(&plan, &[5.0, 6.0, 7.0, 8.0]).unwrap().data(), &[5.0]);
+    }
+
+    /// The farthest element `(N - 1) · 8` of a 2^61 + 1 point sweep is
+    /// 2^64: it overflows `usize`, and wrapped it passed the bounds check
+    /// with a `[2^61 + 1, 1]` plan over a 16-element array.
+    #[test]
+    fn view_extent_overflow_is_a_plan_error() {
+        let n = (1i64 << 61) + 1;
+        let f = "tensor functor(f: [i, 0:1] = ([8*i]))";
+        assert_plan_error(f, "x[0:N]", &[16], &[("N", n)], "reaches past element");
+        let f = "tensor functor(rows: [i, 0:8] = ([8*i : 8*i+8]))";
+        assert_plan_error(f, "x[0:N]", &[8], &[("N", n)], "reaches past element");
+    }
+
+    /// Sweep symbols the RHS never reads step by 0, so every point is in
+    /// bounds — but 2^40 × 2^40 sweep points do not fit a `usize`.
+    #[test]
+    fn sweep_product_overflow_is_a_plan_error() {
+        let f = "tensor functor(c: [i, j, 0:1] = ([0]))";
+        let n = 1i64 << 40;
+        assert_plan_error(
+            f,
+            "x[0:N, 0:N]",
+            &[1],
+            &[("N", n)],
+            "more elements than a usize holds",
+        );
+    }
+
+    /// `N / -1` with `N = i64::MIN` panics even in release arithmetic.
+    #[test]
+    fn bound_division_overflow_is_a_directive_error() {
+        let info = functor_info("tensor functor(f: [i, 0:1] = ([i]))");
+        let map = map_dir("tensor map(to: f(x[0:N/-1]))");
+        let err = compile(&info, &map, &[4], &Bindings::new().with("N", i64::MIN)).unwrap_err();
+        assert!(
+            matches!(&err, BridgeError::Directive(DirectiveError::Sema(s)) if s.contains("overflows")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -713,7 +861,7 @@ mod tests {
         let plan = compile(&info, &to, &[24], &binds).unwrap();
         assert_eq!(plan.lhs_shape, vec![4, 3]);
         let data: Vec<f32> = (0..24).map(|k| k as f32).collect();
-        let t = plan.gather(&data).unwrap();
+        let t = gather(&plan, &data).unwrap();
         let want: Vec<f32> = (0..4)
             .flat_map(|i| [6 * i, 6 * i + 2, 6 * i + 4])
             .map(|k| k as f32)
@@ -721,10 +869,8 @@ mod tests {
         assert_eq!(t.data(), want.as_slice());
 
         let mut back = vec![-1.0f32; 24];
-        compile(&info, &from, &[24], &binds)
-            .unwrap()
-            .scatter(&t, &mut back)
-            .unwrap();
+        let plan = compile(&info, &from, &[24], &binds).unwrap();
+        scatter(&plan, t.data(), &mut back).unwrap();
         for (k, v) in back.iter().enumerate() {
             assert_eq!(*v, if k % 2 == 0 { k as f32 } else { -1.0 }, "element {k}");
         }
@@ -741,7 +887,7 @@ mod tests {
         let plan = compile(&info, &map, &[n, n], &Bindings::new().with("N", n as i64)).unwrap();
         assert_eq!(plan.walk_counts, vec![n, n]);
         let a: Vec<f32> = (0..n * n).map(|k| k as f32).collect();
-        let t = plan.gather(&a).unwrap();
+        let t = gather(&plan, &a).unwrap();
         for i in 0..n {
             for j in 0..n {
                 assert_eq!(t.at(&[i, j, 0]), a[i * n + j]);
@@ -753,7 +899,7 @@ mod tests {
         let map = map_dir("tensor map(to: id(a[0:N, 0:N]))");
         let plan = compile(&info, &map, &[n, n], &Bindings::new().with("N", n as i64)).unwrap();
         assert_eq!(plan.walk_counts, vec![n * n]);
-        assert_eq!(plan.gather(&a).unwrap().data(), a.as_slice());
+        assert_eq!(gather(&plan, &a).unwrap().data(), a.as_slice());
     }
 
     /// A functor without sweep symbols cannot be written as a map directive
@@ -768,13 +914,11 @@ mod tests {
         assert_eq!(plan.lhs_shape, vec![3]);
         assert_eq!(plan.walk_counts, vec![1]);
         let data = [0.0f32, 1.0, 2.0, 3.0, 4.0];
-        assert_eq!(plan.gather(&data).unwrap().data(), &[1.0, 2.0, 3.0]);
+        assert_eq!(gather(&plan, &data).unwrap().data(), &[1.0, 2.0, 3.0]);
         map.direction = Direction::From;
         let mut back = [-1.0f32; 5];
-        compile(&info, &map, &[5], &Bindings::new())
-            .unwrap()
-            .scatter_slice(&[7.0, 8.0, 9.0], &mut back)
-            .unwrap();
+        let plan = compile(&info, &map, &[5], &Bindings::new()).unwrap();
+        scatter(&plan, &[7.0, 8.0, 9.0], &mut back).unwrap();
         assert_eq!(back, [-1.0, 7.0, 8.0, 9.0, -1.0]);
     }
 
@@ -783,8 +927,8 @@ mod tests {
         let info = functor_info("tensor functor(id1: [i, 0:1] = ([i]))");
         let map = map_dir("tensor map(to: id1(x[0:4]))");
         let plan = compile(&info, &map, &[4], &Bindings::new()).unwrap();
-        assert!(plan.gather(&[0.0; 3]).is_err());
-        assert!(plan.gather(&[0.0; 4]).is_ok());
+        assert!(gather(&plan, &[0.0; 3]).is_err());
+        assert!(gather(&plan, &[0.0; 4]).is_ok());
     }
 
     #[test]
@@ -794,7 +938,7 @@ mod tests {
         let plan = compile(&info, &map, &[4], &Bindings::new()).unwrap();
         let wrong = Tensor::zeros([2, 1]);
         let mut buf = vec![0.0f32; 4];
-        assert!(plan.scatter(&wrong, &mut buf).is_err());
+        assert!(scatter(&plan, wrong.data(), &mut buf).is_err());
     }
 
     /// Batched gather stacks per-sample gathers along the leading dimension,
@@ -818,7 +962,7 @@ mod tests {
         assert_eq!(&batched.dims()[1..], &plan.lhs_shape[1..]);
 
         for i in 0..n {
-            let one = plan.gather(&data[i * an..(i + 1) * an]).unwrap();
+            let one = gather(&plan, &data[i * an..(i + 1) * an]).unwrap();
             assert_eq!(
                 &batched.data()[i * pn..(i + 1) * pn],
                 one.data(),
@@ -879,7 +1023,7 @@ mod tests {
         let plan = compile(&info, &map, &[4, 3, 2], &binds).unwrap();
         assert_eq!(plan.lhs_shape, vec![4, 3, 2, 1]);
         let data: Vec<f32> = (0..24).map(|k| k as f32).collect();
-        let t = plan.gather(&data).unwrap();
+        let t = gather(&plan, &data).unwrap();
         assert_eq!(t.data(), data.as_slice());
     }
 }

@@ -59,13 +59,15 @@ fn resolve_one(symbol: &str, slice: &Slice, binds: &Bindings) -> Result<SweepRan
                     "sweep range `{slice}` for `{symbol}` has non-positive step {step}"
                 )));
             }
-            let span = stop_v - start;
+            let span = fits(stop_v.checked_sub(start), || {
+                format!("sweep range `{slice}` for `{symbol}` ({start}..{stop_v})")
+            })?;
             if span <= 0 {
                 return Err(BridgeError::Plan(format!(
                     "sweep range `{slice}` for `{symbol}` is empty ({start}..{stop_v})"
                 )));
             }
-            ((((span + step - 1) / step) as usize), step)
+            (((span - 1) / step + 1) as usize, step)
         }
     };
     Ok(SweepRange {
@@ -111,29 +113,39 @@ pub fn resolve_slice(
     let rank = array_dims.len();
     let mut strides = vec![1i64; rank];
     for d in (0..rank.saturating_sub(1)).rev() {
-        strides[d] = strides[d + 1] * array_dims[d + 1] as i64;
+        let extent = i64::try_from(array_dims[d + 1]).ok();
+        strides[d] = fits(extent.and_then(|e| strides[d + 1].checked_mul(e)), || {
+            format!("row-major stride of array shape {array_dims:?}")
+        })?;
     }
 
     // Base offset: affine constants plus sweep starts.
-    let mut offset = 0i64;
-    for (d, dim) in ex.dims.iter().enumerate() {
-        let mut first_index = dim.start.constant;
-        for sr in sweep {
-            first_index += dim.start.coeffs[&sr.symbol] * sr.start;
-        }
-        offset += strides[d] * first_index;
-    }
+    let offset = fits(
+        ex.dims
+            .iter()
+            .enumerate()
+            .try_fold(0i64, |offset, (d, dim)| {
+                let first_index = sweep.iter().try_fold(dim.start.constant, |first, sr| {
+                    dim.start.coeffs[&sr.symbol]
+                        .checked_mul(sr.start)?
+                        .checked_add(first)
+                })?;
+                strides[d].checked_mul(first_index)?.checked_add(offset)
+            }),
+        || "base offset of an RHS slice".to_string(),
+    )?;
 
     let mut dims = Vec::with_capacity(sweep.len() + rank);
     // Sweep dimensions, in sweep-symbol order.
     for sr in sweep {
-        let coeff_sum: i64 = ex
-            .dims
-            .iter()
-            .enumerate()
-            .map(|(d, dim)| strides[d] * dim.start.coeffs[&sr.symbol])
-            .sum();
-        let stride = coeff_sum * sr.step;
+        let coeff_sum = ex.dims.iter().enumerate().try_fold(0i64, |sum, (d, dim)| {
+            strides[d]
+                .checked_mul(dim.start.coeffs[&sr.symbol])?
+                .checked_add(sum)
+        });
+        let stride = fits(coeff_sum.and_then(|c| c.checked_mul(sr.step)), || {
+            format!("memory stride for sweep symbol `{}`", sr.symbol)
+        })?;
         if sr.count > 1 && stride < 0 {
             return Err(BridgeError::Plan(format!(
                 "negative memory stride for sweep symbol `{}` (reversed sweeps are not supported)",
@@ -145,7 +157,10 @@ pub fn resolve_slice(
     // Within-slice range dimensions (extent > 1, or explicit ranges).
     for (d, dim) in ex.dims.iter().enumerate() {
         if dim.extent > 1 {
-            dims.push((dim.extent, strides[d] * dim.step));
+            let stride = fits(strides[d].checked_mul(dim.step), || {
+                "memory stride of an RHS slice range".to_string()
+            })?;
+            dims.push((dim.extent, stride));
         }
     }
     Ok(ResolvedView {
@@ -153,6 +168,13 @@ pub fn resolve_slice(
         dims,
         sweep_rank: sweep.len(),
     })
+}
+
+/// Unwrap a checked 64-bit result, or name `what` overflowed as a typed
+/// plan error: bindings and directive strings come from config text, so an
+/// address that does not fit must be rejected, never wrapped.
+fn fits(v: Option<i64>, what: impl FnOnce() -> String) -> Result<i64> {
+    v.ok_or_else(|| BridgeError::Plan(format!("{} overflows a 64-bit index", what())))
 }
 
 #[cfg(test)]

@@ -1,10 +1,12 @@
 //! Property-based tests of the data bridge: for arbitrary affine functors
 //! and grid sizes, gather must agree with direct evaluation of the functor,
-//! and gather→scatter through the same functor must roundtrip.
+//! and gather→scatter through the same functor must roundtrip; for extreme
+//! bindings, compile must never panic nor return a plan that reads outside
+//! the array.
 
-use hpacml_bridge::compile;
+use hpacml_bridge::{compile, BridgeError, CompiledMap};
 use hpacml_directive::parse::parse_directive;
-use hpacml_directive::sema::{analyze, Bindings};
+use hpacml_directive::sema::{affine_form, analyze, Bindings};
 use hpacml_directive::Directive;
 use hpacml_tensor::Tensor;
 use proptest::prelude::*;
@@ -21,6 +23,18 @@ fn map_dir(src: &str) -> hpacml_directive::ast::MapDirective {
         Directive::Map(m) => m,
         other => panic!("{other:?}"),
     }
+}
+
+/// One sample through the batched gather, as a batch-1 session runs it.
+fn gather(plan: &CompiledMap, data: &[f32]) -> Result<Tensor, BridgeError> {
+    let mut out = Tensor::zeros([0usize]);
+    plan.gather_batch_into(data, 1, &mut out)?;
+    Ok(out)
+}
+
+/// One sample through the batched scatter.
+fn scatter(plan: &CompiledMap, lhs: &[f32], data: &mut [f32]) -> Result<(), BridgeError> {
+    plan.scatter_batch(lhs, plan.numel(), 0, 1, data)
 }
 
 /// Check a `to`/`from` plan pair of one functor against `index_map`, the
@@ -183,7 +197,7 @@ proptest! {
         let binds = Bindings::new().with("N", n as i64).with("M", m as i64);
         let plan = compile(&info, &map, &[n, m], &binds).unwrap();
         let grid: Vec<f32> = (0..n * m).map(|k| (k * k % 97) as f32).collect();
-        let t = plan.gather(&grid).unwrap();
+        let t = gather(&plan, &grid).unwrap();
         let sweep_i = n - 2 * radius;
         prop_assert_eq!(t.dims(), &[sweep_i, m, 3]);
         for si in 0..sweep_i {
@@ -211,7 +225,7 @@ proptest! {
         let binds = Bindings::new().with("N", rows as i64);
         let plan = compile(&info, &map, &[rows * width], &binds).unwrap();
         let data: Vec<f32> = (0..rows * width).map(|k| k as f32 * 0.5).collect();
-        let t = plan.gather(&data).unwrap();
+        let t = gather(&plan, &data).unwrap();
         prop_assert_eq!(t.data(), data.as_slice());
     }
 
@@ -230,9 +244,9 @@ proptest! {
         let plan_from = compile(&info, &from, &[n, m], &binds).unwrap();
 
         let src: Vec<f32> = (0..n * m).map(|k| (k % 13) as f32 - 6.0).collect();
-        let t = plan_to.gather(&src).unwrap();
+        let t = gather(&plan_to, &src).unwrap();
         let mut dst = vec![f32::NAN; n * m];
-        plan_from.scatter(&t, &mut dst).unwrap();
+        scatter(&plan_from, t.data(), &mut dst).unwrap();
         for i in 0..n {
             for j in 0..m {
                 let v = dst[i * m + j];
@@ -258,9 +272,151 @@ proptest! {
         prop_assert_eq!(plan.numel(), n * feat);
         prop_assert_eq!(plan.sweep_counts.iter().product::<usize>(), n);
         prop_assert_eq!(plan.elem_counts.iter().sum::<usize>(), feat);
-        // Scatter rejects any wrong-size tensor.
-        let wrong = Tensor::zeros([plan.numel() + 1]);
+        // Scatter rejects a source shorter than the LHS.
+        let wrong = Tensor::zeros([plan.numel() - 1]);
         let mut buf = vec![0.0f32; n * feat];
-        prop_assert!(plan.scatter(&wrong, &mut buf).is_err());
+        prop_assert!(scatter(&plan, wrong.data(), &mut buf).is_err());
+    }
+}
+
+/// Small values (half the draws, so that enough ranges are non-empty and
+/// in bounds to compile), `±2^k (+ -1..=1)` for `k` in `30..63`, and both
+/// `i64` extremes: the values where 64-bit index arithmetic overflows.
+fn extreme() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        -2i64..24,
+        -2i64..24,
+        -2i64..24,
+        -2i64..24,
+        (30u32..63, -1i64..2).prop_map(|(k, d)| (1i64 << k) + d),
+        (30u32..63, -1i64..2).prop_map(|(k, d)| -(1i64 << k) + d),
+        Just(i64::MIN),
+        Just(i64::MAX),
+    ]
+}
+
+/// An array extent: small, or `2^k` for `k` in `30..63`.
+fn extent() -> impl Strategy<Value = usize> {
+    prop_oneof![1usize..40, (30u32..63).prop_map(|k| 1usize << k)]
+}
+
+/// Functors over one and two sweep symbols: points, a window, a row block,
+/// a stepped range, a large coefficient and the Fig. 2 stencil.
+const EXTREME_FUNCTORS: [&str; 6] = [
+    "tensor functor(p: [i, 0:1] = ([i]))",
+    "tensor functor(w: [i, 0:3] = ([i-1 : i+2]))",
+    "tensor functor(r: [i, 0:8] = ([8*i : 8*i+8]))",
+    "tensor functor(s: [i, 0:2] = ([6*i+1 : 6*i+5 : 2]))",
+    "tensor functor(b: [i, 0:1] = ([1073741824*i - 3]))",
+    "tensor functor(st: [i, j, 0:5] = (([i-1, j], [i+1, j], [i, j-1:j+2])))",
+];
+
+/// Points of `start:stop:step`, recomputed in `i128`: `(start, count,
+/// step)`, or `None` for a range `compile` must reject (empty, or a
+/// non-positive step).
+fn sweep_points(start: i64, stop: i64, step: i64) -> Option<(i128, i128, i128)> {
+    let span = stop as i128 - start as i128;
+    (step > 0 && span > 0).then(|| {
+        (
+            start as i128,
+            (span + step as i128 - 1) / step as i128,
+            step as i128,
+        )
+    })
+}
+
+/// The lowest and highest flat element any RHS slice of `info` reads over
+/// `sweep`, in `i128` with every product checked: `None` when the range
+/// does not even fit an `i128` (then no plan may exist).
+fn read_range(
+    info: &hpacml_directive::sema::FunctorInfo,
+    dims: &[usize],
+    sweep: &[(i128, i128, i128)],
+) -> Option<(i128, i128)> {
+    let mut strides = vec![1i128; dims.len()];
+    for d in (0..dims.len() - 1).rev() {
+        strides[d] = strides[d + 1].checked_mul(dims[d + 1] as i128)?;
+    }
+    let (mut lo, mut hi) = (i128::MAX, i128::MIN);
+    for spec in &info.decl.rhs {
+        let (mut base, mut lo_s, mut hi_s) = (0i128, 0i128, 0i128);
+        for (slice, &stride) in spec.0.iter().zip(&strides) {
+            let start = affine_form(&slice.start, &info.sweep_syms).unwrap();
+            base = base.checked_add(stride.checked_mul(start.constant as i128)?)?;
+            for (sym, &(first, count, step)) in info.sweep_syms.iter().zip(sweep) {
+                let coeff = stride.checked_mul(start.coeffs[sym] as i128)?;
+                base = base.checked_add(coeff.checked_mul(first)?)?;
+                let reach = coeff.checked_mul(step)?.checked_mul(count - 1)?;
+                if reach < 0 {
+                    lo_s = lo_s.checked_add(reach)?;
+                } else {
+                    hi_s = hi_s.checked_add(reach)?;
+                }
+            }
+            if let Some(stop) = &slice.stop {
+                let span = affine_form(stop, &info.sweep_syms).unwrap().constant - start.constant;
+                let step = slice
+                    .step
+                    .as_ref()
+                    .map_or(1, |e| affine_form(e, &[]).unwrap().constant);
+                let last = (span as i128 + step as i128 - 1) / step as i128 - 1;
+                hi_s = hi_s.checked_add(stride.checked_mul(step as i128 * last)?)?;
+            }
+        }
+        lo = lo.min(base.checked_add(lo_s)?);
+        hi = hi.max(base.checked_add(hi_s)?);
+    }
+    Some((lo, hi))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Bindings, range bounds and steps at the edges of `i64`: `compile`
+    /// never panics, and every plan it returns visits exactly the points
+    /// the range has and reads only inside the array (both recomputed in
+    /// `i128`). Small plans are also gathered and scattered.
+    #[test]
+    fn extreme_bindings_compile_to_typed_errors_or_in_bounds_plans(
+        which in 0usize..6,
+        (a, b, c) in (extreme(), extreme(), extreme()),
+        (d, e) in (extreme(), extreme()),
+        (rows, cols) in (extent(), extent()),
+    ) {
+        let info = functor_info(EXTREME_FUNCTORS[which]);
+        let two_d = info.sweep_syms.len() == 2;
+        let (target, dims) = if two_d {
+            ("x[A:B:S, C:D]", vec![rows, cols])
+        } else {
+            ("x[A:B:S]", vec![rows])
+        };
+        let map = map_dir(&format!("tensor map(to: {}({target}))", info.decl.name));
+        let binds = Bindings::new().with("A", a).with("B", b).with("S", c).with("C", d).with("D", e);
+        let Ok(plan) = compile(&info, &map, &dims, &binds) else {
+            return Ok(());
+        };
+
+        let mut sweep = vec![sweep_points(a, b, c)];
+        if two_d {
+            sweep.push(sweep_points(d, e, 1));
+        }
+        let sweep: Option<Vec<_>> = sweep.into_iter().collect();
+        prop_assert!(sweep.is_some(), "empty range compiled: {plan:?}");
+        let sweep = sweep.unwrap();
+        for (got, (_, count, _)) in plan.sweep_counts.iter().zip(&sweep) {
+            prop_assert_eq!(*got as i128, *count, "sweep count");
+        }
+        let len = dims.iter().map(|&n| n as i128).product::<i128>();
+        let range = read_range(&info, &dims, &sweep);
+        prop_assert!(range.is_some(), "reads overflow i128 yet compiled: {plan:?}");
+        let (lo, hi) = range.unwrap();
+        prop_assert!(0 <= lo && hi < len, "plan reads [{lo}, {hi}] of {len} elements: {plan:?}");
+
+        if plan.array_numel() <= 4096 && plan.numel() <= 4096 {
+            let data: Vec<f32> = (0..plan.array_numel()).map(|k| k as f32).collect();
+            let t = gather(&plan, &data).unwrap();
+            let mut back = vec![0.0f32; data.len()];
+            scatter(&plan, t.data(), &mut back).unwrap();
+        }
     }
 }

@@ -11,11 +11,11 @@ use std::time::Instant;
 pub struct RegionStats {
     pub invocations: u64,
     pub surrogate_invocations: u64,
-    /// Application memory → tensor space (gather + compose).
+    /// Application memory → tensor space (bridge gather into the model input).
     pub to_tensor_ns: u64,
     /// Model forward pass inside the inference engine.
     pub inference_ns: u64,
-    /// Tensor space → application memory (decompose + scatter).
+    /// Tensor space → application memory (bridge scatter of the model output).
     pub from_tensor_ns: u64,
     /// Accurate-path execution.
     pub accurate_ns: u64,

@@ -31,30 +31,33 @@ pub enum Expr {
 }
 
 impl Expr {
-    /// Evaluate with every identifier bound.
+    /// Evaluate with every identifier bound. Arithmetic is checked: a value
+    /// that does not fit an `i64` is a [`DirectiveError::Sema`], never a
+    /// panic or a wrapped result.
     pub fn eval(&self, lookup: &dyn Fn(&str) -> Option<i64>) -> Result<i64> {
-        match self {
-            Expr::Int(v) => Ok(*v),
-            Expr::Ident(name) => lookup(name).ok_or_else(|| DirectiveError::Unbound(name.clone())),
-            Expr::Neg(e) => Ok(-e.eval(lookup)?),
+        let v = match self {
+            Expr::Int(v) => Some(*v),
+            Expr::Ident(name) => {
+                return lookup(name).ok_or_else(|| DirectiveError::Unbound(name.clone()))
+            }
+            Expr::Neg(e) => e.eval(lookup)?.checked_neg(),
             Expr::Bin { op, lhs, rhs } => {
                 let l = lhs.eval(lookup)?;
                 let r = rhs.eval(lookup)?;
-                Ok(match op {
-                    BinOp::Add => l + r,
-                    BinOp::Sub => l - r,
-                    BinOp::Mul => l * r,
-                    BinOp::Div => {
-                        if r == 0 {
-                            return Err(DirectiveError::Sema(
-                                "division by zero in slice expression".into(),
-                            ));
-                        }
-                        l / r
+                match op {
+                    BinOp::Add => l.checked_add(r),
+                    BinOp::Sub => l.checked_sub(r),
+                    BinOp::Mul => l.checked_mul(r),
+                    BinOp::Div if r == 0 => {
+                        return Err(DirectiveError::Sema(
+                            "division by zero in slice expression".into(),
+                        ));
                     }
-                })
+                    BinOp::Div => l.checked_div(r),
+                }
             }
-        }
+        };
+        v.ok_or_else(|| DirectiveError::Sema(format!("`{self}` overflows a 64-bit integer")))
     }
 
     /// Collect every identifier mentioned.
@@ -306,6 +309,38 @@ mod tests {
             rhs: Box::new(Expr::Int(0)),
         };
         assert!(matches!(e.eval(&bind(&[])), Err(DirectiveError::Sema(_))));
+    }
+
+    #[test]
+    fn overflowing_arithmetic_errors() {
+        let int = |v| Box::new(Expr::Int(v));
+        let bin = |op, l, r| Expr::Bin {
+            op,
+            lhs: int(l),
+            rhs: int(r),
+        };
+        for e in [
+            bin(BinOp::Add, i64::MAX, 1),
+            bin(BinOp::Sub, i64::MIN, 1),
+            bin(BinOp::Mul, 1 << 62, 2),
+            bin(BinOp::Div, i64::MIN, -1),
+            Expr::Neg(int(i64::MIN)),
+        ] {
+            let err = e.eval(&bind(&[])).unwrap_err();
+            assert!(
+                matches!(&err, DirectiveError::Sema(s) if s.contains("overflows")),
+                "{e}: {err}"
+            );
+        }
+        // The edges themselves still evaluate.
+        assert_eq!(
+            bin(BinOp::Add, i64::MAX - 1, 1).eval(&bind(&[])).unwrap(),
+            i64::MAX
+        );
+        assert_eq!(
+            bin(BinOp::Div, i64::MIN, 1).eval(&bind(&[])).unwrap(),
+            i64::MIN
+        );
     }
 
     #[test]

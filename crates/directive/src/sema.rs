@@ -1,7 +1,7 @@
 //! Semantic analysis of functor declarations.
 //!
 //! Mirrors the checks HPAC-ML's Clang extension performs after parsing
-//! (§IV-A): the LHS of a functor must decompose into *sweep* dimensions
+//! (§IV-A): the LHS of a functor must split into *sweep* dimensions
 //! (named by symbolic constants) and constant *feature* dimensions; every RHS
 //! slice must be affine in the sweep symbols with a constant element count;
 //! and the total number of elements the RHS contributes per sweep point must
@@ -76,11 +76,13 @@ pub fn affine_form(expr: &Expr, syms: &[String]) -> Result<AffineForm> {
     }
     let eval_at =
         |assign: &dyn Fn(&str) -> i64| -> Result<i64> { expr.eval(&|name| Some(assign(name))) };
+    let overflow =
+        || DirectiveError::Sema(format!("expression `{expr}` overflows a 64-bit integer"));
     let constant = eval_at(&|_| 0)?;
     let mut coeffs = BTreeMap::new();
     for s in syms {
         let v = eval_at(&|name| if name == s { 1 } else { 0 })?;
-        coeffs.insert(s.clone(), v - constant);
+        coeffs.insert(s.clone(), v.checked_sub(constant).ok_or_else(overflow)?);
     }
     // Verify affinity at probe points: all-ones and a skewed assignment.
     for probe in [1i64, 3] {
@@ -88,10 +90,13 @@ pub fn affine_form(expr: &Expr, syms: &[String]) -> Result<AffineForm> {
             let idx = syms.iter().position(|s| s == name).unwrap_or(0) as i64;
             probe + idx
         })?;
-        let mut predicted = constant;
-        for (k, s) in syms.iter().enumerate() {
-            predicted += coeffs[s] * (probe + k as i64);
-        }
+        let predicted = syms
+            .iter()
+            .enumerate()
+            .try_fold(constant, |p, (k, s)| {
+                coeffs[s].checked_mul(probe + k as i64)?.checked_add(p)
+            })
+            .ok_or_else(overflow)?;
         if probe_val != predicted {
             return Err(DirectiveError::Sema(format!(
                 "expression `{expr}` is not affine in the sweep symbols"
@@ -140,7 +145,12 @@ fn slice_extent(slice: &Slice, syms: &[String], what: &str) -> Result<usize> {
             )));
         }
     }
-    let span = stop_form.constant - start_form.constant;
+    let span = stop_form
+        .constant
+        .checked_sub(start_form.constant)
+        .ok_or_else(|| {
+            DirectiveError::Sema(format!("{what}: slice `{slice}` has an overflowing extent"))
+        })?;
     let step = match &slice.step {
         None => 1,
         Some(e) => {
@@ -163,7 +173,7 @@ fn slice_extent(slice: &Slice, syms: &[String], what: &str) -> Result<usize> {
             "{what}: slice `{slice}` has non-positive extent {span}"
         )));
     }
-    Ok(((span + step - 1) / step) as usize)
+    Ok(((span - 1) / step + 1) as usize)
 }
 
 /// Run semantic analysis on a functor declaration.
@@ -201,13 +211,20 @@ pub fn analyze(decl: &FunctorDecl) -> Result<FunctorInfo> {
         let extent = slice_extent(slice, &[], &format!("functor `{}` LHS", decl.name))?;
         lhs_dims.push(LhsDim::Feature(extent));
     }
-    let feature_extent: usize = lhs_dims
+    let too_many = || {
+        DirectiveError::Sema(format!(
+            "functor `{}` has more feature elements per point than a usize holds",
+            decl.name
+        ))
+    };
+    let feature_extent = lhs_dims
         .iter()
         .filter_map(|d| match d {
             LhsDim::Feature(e) => Some(*e),
             LhsDim::Sweep(_) => None,
         })
-        .product::<usize>()
+        .try_fold(1usize, |p, e| p.checked_mul(e))
+        .ok_or_else(too_many)?
         .max(1);
 
     // 2. RHS slices: affine in the sweep symbols, constant element counts.
@@ -217,13 +234,17 @@ pub fn analyze(decl: &FunctorDecl) -> Result<FunctorInfo> {
         for slice in &spec.0 {
             // Affinity of the start expression (and stop via slice_extent).
             affine_form(&slice.start, &sweep_syms)?;
-            count *= slice_extent(slice, &sweep_syms, &format!("functor `{}` RHS", decl.name))?;
+            let extent = slice_extent(slice, &sweep_syms, &format!("functor `{}` RHS", decl.name))?;
+            count = count.checked_mul(extent).ok_or_else(too_many)?;
         }
         rhs_elem_counts.push(count);
     }
 
     // 3. LHS feature extent must match the RHS contribution.
-    let rhs_total: usize = rhs_elem_counts.iter().sum();
+    let rhs_total = rhs_elem_counts
+        .iter()
+        .try_fold(0usize, |t, &c| t.checked_add(c))
+        .ok_or_else(too_many)?;
     if rhs_total != feature_extent {
         return Err(DirectiveError::Sema(format!(
             "functor `{}`: LHS declares {feature_extent} feature element(s) per point but the RHS provides {rhs_total}",
@@ -332,6 +353,57 @@ mod tests {
     fn negative_or_zero_extent_rejected() {
         let f = functor("tensor functor(z: [i, 0:1] = ([5:5]))");
         assert!(analyze(&f).is_err());
+    }
+
+    /// Probing `2^62·i + 2^62·i` for affinity evaluates it at `i = 1`,
+    /// where it is `2^63`: a typed error, not an overflow panic.
+    #[test]
+    fn affine_probe_overflow_is_a_sema_error() {
+        let f = functor(
+            "tensor functor(big: [i, 0:1] = ([4611686018427387904*i + 4611686018427387904*i]))",
+        );
+        let err = analyze(&f).unwrap_err();
+        assert!(
+            matches!(&err, DirectiveError::Sema(s) if s.contains("overflows")),
+            "{err}"
+        );
+    }
+
+    /// A slice whose span does not fit an `i64`, and one whose span does but
+    /// whose rounded-up element count used to overflow on the way.
+    #[test]
+    fn slice_extent_overflow_is_a_sema_error() {
+        let f = functor("tensor functor(wide: [i, 0:1] = ([-2 : 9223372036854775807]))");
+        let err = analyze(&f).unwrap_err();
+        assert!(
+            matches!(&err, DirectiveError::Sema(s) if s.contains("overflowing extent")),
+            "{err}"
+        );
+        // Span i64::MAX, step 2: 2^62 elements, which the LHS does not hold.
+        let f = functor("tensor functor(half: [i, 0:1] = ([0 : 9223372036854775807 : 2]))");
+        let err = analyze(&f).unwrap_err();
+        assert!(
+            matches!(&err, DirectiveError::Sema(s) if s.contains("provides 4611686018427387904")),
+            "{err}"
+        );
+    }
+
+    /// Element counts multiply extents and add slices: 2^32 × 2^32 on
+    /// either side, and RHS slices of 2^63 - 1, 2^63 - 1 and 2, do not fit
+    /// a `usize`.
+    #[test]
+    fn element_count_overflow_is_a_sema_error() {
+        for src in [
+            "tensor functor(l: [i, 0:4294967296, 0:4294967296] = ([i]))",
+            "tensor functor(r: [i, 0:1] = ([0:4294967296, 0:4294967296]))",
+            "tensor functor(t: [i, 0:1] = ([0:9223372036854775807], [0:9223372036854775807], [0:2]))",
+        ] {
+            let err = analyze(&functor(src)).unwrap_err();
+            assert!(
+                matches!(&err, DirectiveError::Sema(s) if s.contains("than a usize holds")),
+                "{src}: {err}"
+            );
+        }
     }
 
     #[test]

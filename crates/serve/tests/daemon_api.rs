@@ -554,3 +554,46 @@ fn apply_returns_with_the_old_generation_idle_and_flushed() {
     assert_eq!(first.generation(), 1);
     assert_eq!(daemon.stats().served, 1);
 }
+
+/// Bindings come from config text. A `bind` whose sweep reaches past
+/// `usize` — 2^61 + 1 rows of 8 features end at element 2^64 + 7 — is a
+/// typed build error from `bootstrap` and from `apply`, never a panic, and
+/// the failed `apply` leaves the old generation serving.
+#[test]
+fn overflowing_bind_is_a_typed_build_error() {
+    let dir = tmpdir("overflowing-bind");
+    let model = dir.join("m.hml");
+    let spec = ModelSpec::mlp(8, &[8], 1, Activation::Tanh, 0.0);
+    let net = spec.build(37).unwrap();
+    hpacml_nn::serialize::save_model(&model, &spec, &net, None, None).unwrap();
+    let directive = format!(
+        r#"#pragma approx tensor functor(rows: [i, 0:8] = ([8*i : 8*i+8]))
+#pragma approx tensor functor(single: [i, 0:1] = ([i]))
+#pragma approx tensor map(to: rows(x[0:N]))
+#pragma approx ml(infer) in(x) out(single(y[0:N])) model("{}")"#,
+        model.display()
+    );
+    let cfg = |n: i64| {
+        format!(
+            "region wide {{\n directive \"{}\";\n bind N {n};\n input x 8;\n output y 1;\n max_batch 1;\n}}\n",
+            esc(&directive)
+        )
+    };
+    let huge = (1i64 << 61) + 1;
+    let assert_overflow = |err: DaemonError| match &err {
+        DaemonError::Build { region, msg } => {
+            assert_eq!(region, "wide");
+            assert!(msg.contains("reaches past element"), "{msg}");
+        }
+        other => panic!("expected Build, got: {other}"),
+    };
+
+    assert_overflow(DaemonBuilder::new().bootstrap(&cfg(huge)).unwrap_err());
+
+    let daemon = DaemonBuilder::new().bootstrap(&cfg(1)).unwrap();
+    assert_overflow(daemon.apply(&cfg(huge)).unwrap_err());
+    assert_eq!(daemon.generation(), 1);
+    let mut y = [0.0f32; 1];
+    daemon.submit("wide", &[&[0.25; 8]], &mut [&mut y]).unwrap();
+    assert!(y[0].is_finite());
+}

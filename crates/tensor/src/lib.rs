@@ -1,11 +1,11 @@
-//! Dense n-dimensional tensors and zero-copy strided views for HPAC-ML.
+//! Dense n-dimensional tensors for HPAC-ML.
 //!
 //! This crate is the reproduction's stand-in for the tensor layer the paper
-//! gets from Torch: owned dense tensors for the NN engine, plus strided
-//! *views* over application memory that the data bridge (Fig. 4 of the paper)
-//! wraps around benchmark arrays without copying. Gather (view → dense) and
-//! scatter (dense → view) are the two memory-concretization primitives the
-//! bridge is built on.
+//! gets from Torch: owned dense tensors for the NN engine, plus the
+//! run-length copy kernels ([`gather_chunks_raw`], [`scatter_chunks_raw`])
+//! the data bridge (Fig. 4 of the paper) moves every element through between
+//! application arrays and tensors — the two memory-concretization
+//! primitives the bridge's compiled plans are built on.
 //!
 //! Compute kernels (matmul, im2col convolution, pooling) run on the
 //! [`hpacml_par`] pool, the same substrate the accurate benchmark kernels run
@@ -25,7 +25,7 @@ pub use quant::{Precision, QPackedB};
 pub use scalar::Scalar;
 pub use shape::Shape;
 pub use tensor::Tensor;
-pub use view::{gather_chunks_raw, scatter_chunks_raw, View, ViewMut};
+pub use view::{gather_chunks_raw, scatter_chunks_raw};
 
 /// Errors raised by tensor construction and shape manipulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,10 +36,6 @@ pub enum TensorError {
     ReshapeMismatch { from: Vec<usize>, to: Vec<usize> },
     /// An axis index was out of range for the tensor rank.
     AxisOutOfRange { axis: usize, rank: usize },
-    /// Concatenation inputs disagree on non-concat dimensions.
-    ConcatShapeMismatch(String),
-    /// A view would read or write outside the underlying buffer.
-    ViewOutOfBounds(String),
     /// Dimension mismatch in a binary op (matmul, zip, ...).
     DimMismatch(String),
     /// A linear-algebra routine failed (e.g. Cholesky of a non-SPD matrix).
@@ -61,8 +57,6 @@ impl std::fmt::Display for TensorError {
             TensorError::AxisOutOfRange { axis, rank } => {
                 write!(f, "axis {axis} out of range for rank {rank}")
             }
-            TensorError::ConcatShapeMismatch(s) => write!(f, "concat shape mismatch: {s}"),
-            TensorError::ViewOutOfBounds(s) => write!(f, "view out of bounds: {s}"),
             TensorError::DimMismatch(s) => write!(f, "dimension mismatch: {s}"),
             TensorError::Numerical(s) => write!(f, "numerical error: {s}"),
         }

@@ -2,7 +2,6 @@
 
 use crate::scalar::Scalar;
 use crate::shape::Shape;
-use crate::view::View;
 use crate::{Result, TensorError};
 
 /// An owned dense tensor with row-major layout.
@@ -91,13 +90,6 @@ impl<T: Scalar> Tensor<T> {
         self.data[self.shape.offset_of(index)]
     }
 
-    /// Mutable element access by multi-index.
-    #[inline]
-    pub fn at_mut(&mut self, index: &[usize]) -> &mut T {
-        let off = self.shape.offset_of(index);
-        &mut self.data[off]
-    }
-
     /// Reshape this tensor in place to `dims`, growing or shrinking the
     /// backing storage as needed. Existing element values are preserved only
     /// up to `min(old, new)` elements; callers are expected to overwrite the
@@ -169,11 +161,6 @@ impl<T: Scalar> Tensor<T> {
         self.reshape([rows, cols.max(1)])
     }
 
-    /// A read-only view of the full tensor.
-    pub fn view(&self) -> View<'_, T> {
-        View::full(&self.data, self.shape.clone())
-    }
-
     /// Apply `f` to every element, in place.
     pub fn map_inplace(&mut self, f: impl Fn(T) -> T + Sync) {
         if self.data.len() >= 1 << 16 {
@@ -211,56 +198,6 @@ impl<T: Scalar> Tensor<T> {
             data: self.data.iter().map(|x| U::from_f64(x.to_f64())).collect(),
             shape: self.shape.clone(),
         }
-    }
-
-    /// Concatenate along `axis`. All inputs must agree on every other dim.
-    pub fn concat(parts: &[&Tensor<T>], axis: usize) -> Result<Tensor<T>> {
-        if parts.is_empty() {
-            return Err(TensorError::ConcatShapeMismatch("no inputs".into()));
-        }
-        let rank = parts[0].rank();
-        if axis >= rank {
-            return Err(TensorError::AxisOutOfRange { axis, rank });
-        }
-        for p in parts {
-            if p.rank() != rank {
-                return Err(TensorError::ConcatShapeMismatch(format!(
-                    "rank {} vs {}",
-                    p.rank(),
-                    rank
-                )));
-            }
-            for d in 0..rank {
-                if d != axis && p.dims()[d] != parts[0].dims()[d] {
-                    return Err(TensorError::ConcatShapeMismatch(format!(
-                        "dim {d}: {} vs {}",
-                        p.dims()[d],
-                        parts[0].dims()[d]
-                    )));
-                }
-            }
-        }
-        let cat_dim: usize = parts.iter().map(|p| p.dims()[axis]).sum();
-        let mut out_dims = parts[0].dims().to_vec();
-        out_dims[axis] = cat_dim;
-        let out_shape = Shape::new(out_dims);
-
-        // Copy in "outer × slice" blocks: everything before `axis` is the
-        // outer loop; `axis` and everything after form contiguous runs.
-        let outer: usize = parts[0].dims()[..axis].iter().product();
-        let inner: usize = parts[0].dims()[axis + 1..].iter().product();
-        let mut data = Vec::with_capacity(out_shape.numel());
-        for o in 0..outer {
-            for p in parts {
-                let run = p.dims()[axis] * inner;
-                let start = o * run;
-                data.extend_from_slice(&p.data[start..start + run]);
-            }
-        }
-        Ok(Tensor {
-            data,
-            shape: out_shape,
-        })
     }
 
     /// Max |a - b| over all elements; errors on shape mismatch.
@@ -342,31 +279,6 @@ mod tests {
         let t = Tensor::<f32>::zeros([4, 5, 6]);
         let f = t.flatten_to_2d(2).unwrap();
         assert_eq!(f.dims(), &[4, 30]);
-    }
-
-    #[test]
-    fn concat_last_axis() {
-        let a = Tensor::from_vec(vec![1.0f32, 2.0, 3.0, 4.0], [2, 2]).unwrap();
-        let b = Tensor::from_vec(vec![5.0f32, 6.0], [2, 1]).unwrap();
-        let c = Tensor::concat(&[&a, &b], 1).unwrap();
-        assert_eq!(c.dims(), &[2, 3]);
-        assert_eq!(c.data(), &[1.0, 2.0, 5.0, 3.0, 4.0, 6.0]);
-    }
-
-    #[test]
-    fn concat_first_axis() {
-        let a = Tensor::from_vec(vec![1.0f32, 2.0], [1, 2]).unwrap();
-        let b = Tensor::from_vec(vec![3.0f32, 4.0], [1, 2]).unwrap();
-        let c = Tensor::concat(&[&a, &b], 0).unwrap();
-        assert_eq!(c.dims(), &[2, 2]);
-        assert_eq!(c.data(), &[1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn concat_rejects_mismatch() {
-        let a = Tensor::<f32>::zeros([2, 2]);
-        let b = Tensor::<f32>::zeros([3, 1]);
-        assert!(Tensor::concat(&[&a, &b], 1).is_err());
     }
 
     #[test]
