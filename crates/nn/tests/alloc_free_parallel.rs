@@ -60,6 +60,15 @@ static WINDOW: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
 /// Count allocations performed **anywhere in the process** during `f`.
 fn global_allocations_during(f: impl FnOnce()) -> u64 {
+    // Thread start-up allocates, and a warm-up forward fast enough for the
+    // caller to finish it alone proves nothing about workers that have not
+    // run yet; a kernel on an override pool's worker also asks the
+    // process-wide pool for its width (`current_parallelism`), building that
+    // pool on first use. Run one job on every participant of both pools
+    // before the window opens: one-time set-up is not the steady state this
+    // file pins (release builds failed here most runs without it).
+    hpacml_par::broadcast(|_| {});
+    hpacml_par::global().broadcast(|_| {});
     let before = ALLOCS.load(Ordering::Relaxed);
     TRACKING.store(true, Ordering::SeqCst);
     f();

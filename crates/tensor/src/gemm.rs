@@ -15,7 +15,9 @@
 //!   dimension once. The `MR * NR` accumulator chains are independent, so
 //!   the autovectorizer turns the inner loop into wide mul/add (or FMA,
 //!   where the target contracts) with enough instruction-level parallelism
-//!   to hide the floating-point latency;
+//!   to hide the floating-point latency. A single row has only `NR` chains
+//!   per panel, so its tile spans `ROW_GROUP` panels side by side instead
+//!   (see *Batch-1 rows* below);
 //! * **panel packing** ([`PackedB`] / [`PackedA`]): the `B` operand is
 //!   repacked into `NR`-wide column panels laid out contiguously in the
 //!   `k` direction, so every micro-kernel step loads one cache line
@@ -39,8 +41,8 @@
 //! result is therefore **bit-identical** across:
 //!
 //! * thread counts (parallelism splits rows/samples, never the `k` sum),
-//! * blocking parameters (`KC`, stripe sizes — see
-//!   [`matmul_transb_packed_into_kc`]),
+//! * blocking parameters (`KC`, stripe sizes — the crate's tests sweep
+//!   `kc` from 1 up),
 //! * packed vs. unpacked operands, fused vs. unfused epilogues, and
 //! * the batch size a row happens to be computed under — the invariant
 //!   the runtime's dynamic batching relies on, and
@@ -58,6 +60,7 @@
 //! | [`KC`]  | 256 | k-depth per cache slab (`NR*KC` B-panel ≤ 16 KiB f32) |
 //! | `NARROW_N`  | 8  | widest `n` served by the narrow tiles, and their lane count |
 //! | `NARROW_MR` | 16 | rows per narrow tile |
+//! | `ROW_GROUP` | 4  | panels per single-row tile |
 //!
 //! [`par_rows_per_block`] is the one shared heuristic that converts these
 //! into parallel task sizes for every kernel in the crate.
@@ -78,17 +81,33 @@
 //! at every storage precision. `k > kc`, unpacked `B` and packed `A` keep
 //! the panel sweep.
 //!
+//! # Batch-1 rows
+//!
+//! An auto-regressive surrogate calls its forward one sample at a time, so
+//! every layer is a single row against the whole packed weight matrix. On
+//! a 1-row, 1-panel tile that is `NR` chains — two 256-bit accumulators —
+//! and every `k` step waits out one add's latency: the weight stream is
+//! not the bound, and storing fewer bytes per weight buys nothing
+//! (`m = 1, k = n = 4096`: int8 2.1–2.2 ms, bf16 2.2–2.5 ms). The 1-row
+//! tile therefore sweeps full groups of `ROW_GROUP` packed panels at once
+//! — 64 chains in eight accumulators for one load of `a[kk]` — and only
+//! the `< ROW_GROUP` remaining panels run one at a time. It is the same
+//! micro-kernel body with a panel count of 4 instead of 1: one chain per
+//! element, the same decode, slab resume and epilogue, so the bits do not
+//! change.
+//!
 //! # Panel codecs
 //!
 //! There is one macro-kernel. Everything in it — operand checks, the stripe
-//! split, the `kc` slab loop, the `MR`/4/2/1 step-down, the narrow tiles,
-//! the epilogue and the clipped store — is generic over a crate-private
-//! `PanelCodec`, whose only job is the `B`-row load: how the `NR` stored
-//! elements of one packed panel row become the `NR` values of `T` the
-//! accumulator chains consume. Full precision is the identity codec (the
-//! load itself); [`crate::quant`] supplies the bf16 and int8 ones. The
-//! chain after the load is the same code at every precision, so a reduced
-//! rung is bit-identical to this kernel run on its decoded weights.
+//! split, the `kc` slab loop, the `MR`/4/2/1 step-down and the grouped
+//! 1-row tile, the narrow tiles, the epilogue and the clipped store — is
+//! generic over a crate-private `PanelCodec`, whose only job is the `B`
+//! load: how one stored element of a packed panel (and its column's scale)
+//! becomes the value of `T` the accumulator chains consume. Full precision
+//! is the identity codec (the load itself); [`crate::quant`] supplies the
+//! bf16 and int8 ones. The chain after the load is the same code at every
+//! precision, so a reduced rung is bit-identical to this kernel run on its
+//! decoded weights.
 
 use crate::scalar::Scalar;
 use crate::tensor::Tensor;
@@ -511,72 +530,90 @@ fn panel_slab<Q>(data: &[Q], k: usize, p: usize, k0: usize) -> &[Q] {
     &data[(p * k + k0) * NR..(p + 1) * k * NR]
 }
 
-/// The `NR` scales of the panel starting at column `j0` (none for a codec
-/// without a scale table), sliced once per tile so the `k` loop indexes
-/// nothing.
+/// The `NR` scales of the panel starting at column `j0` — all `1` for a
+/// codec without a scale table — copied once per tile so the `k` loop
+/// indexes nothing.
 #[inline]
-fn panel_scales<T>(scales: &[T], j0: usize) -> &[T] {
-    scales.get(j0..j0 + NR).unwrap_or(&[])
+fn panel_scales<T: Scalar>(scales: &[T], j0: usize) -> [T; NR] {
+    scales
+        .get(j0..j0 + NR)
+        .map_or([T::ONE; NR], |s| s.try_into().expect("NR scales per panel"))
 }
 
 // ---------------------------------------------------------------------------
 // Panel codecs
 // ---------------------------------------------------------------------------
 
-/// How one stored `B`-panel row becomes the `NR` values the accumulator
+/// How one stored `B`-panel element becomes the value the accumulator
 /// chains consume — the only thing that differs between storage precisions
-/// (see the module docs). `raw` is exactly `NR` stored elements, `scales`
-/// the panel's `NR` scales or empty. Implementations are `#[inline(always)]`
-/// and decode through fixed-size array views, so no bounds check enters the
-/// `k` loop.
+/// (see the module docs). `scale` is the element's column scale (`1` for a
+/// codec without a scale table). A pure per-element function, so the tiles
+/// decode whole rows, or several panels' rows side by side, with one flat
+/// loop; implementations are `#[inline(always)]`.
 pub(crate) trait PanelCodec<T: Scalar> {
     /// Stored element type.
     type Q: Copy + Send + Sync;
-    fn decode_row(raw: &[Self::Q], scales: &[T]) -> [T; NR];
+    fn decode(raw: Self::Q, scale: T) -> T;
 }
 
-/// Full precision: the stored row *is* the decoded row.
+/// Full precision: the stored element *is* the decoded value.
 struct Identity;
 
 impl<T: Scalar> PanelCodec<T> for Identity {
     type Q = T;
     #[inline(always)]
-    fn decode_row(raw: &[T], _scales: &[T]) -> [T; NR] {
-        *<&[T; NR]>::try_from(raw).expect("a panel row is NR elements")
+    fn decode(raw: T, _scale: T) -> T {
+        raw
     }
+}
+
+/// One stored panel row (`NR` elements) decoded against its panel's scales.
+#[inline(always)]
+fn decode_row<T: Scalar, C: PanelCodec<T>>(raw: &[C::Q], scales: &[T; NR]) -> [T; NR] {
+    let raw: &[C::Q; NR] = raw.try_into().expect("a panel row is NR elements");
+    std::array::from_fn(|j| C::decode(raw[j], scales[j]))
 }
 
 // ---------------------------------------------------------------------------
 // Micro-kernel
 // ---------------------------------------------------------------------------
 
-/// The register-tiled micro-kernel: `M × NR` accumulator tile over a
-/// `klen`-deep slab.
+/// Panels a single-row tile sweeps at once (module docs, *Batch-1 rows*).
+/// Measured basis, 1-panel → 4-panel tile (`m = 1, k = n = 4096`,
+/// 1 thread, 2-vCPU AVX-512 KVM guest, p50 of 300 calls, median of five
+/// alternating runs, output bits identical): int8 2.15 → 1.44 ms, bf16
+/// 2.35 → 1.29 ms, f32 2.8–3.0 → 2.61 ms.
+const ROW_GROUP: usize = 4;
+
+/// The register-tiled micro-kernel: an `M`-row accumulator tile over `P`
+/// side-by-side `NR`-wide panels (`M × P·NR` chains) and a `klen`-deep slab.
 ///
 /// * `a[kk * a_kk + i * a_i]` is `A[row0+i, k0+kk]` — strides cover packed
 ///   (`a_kk = MR, a_i = 1`), row-major (`a_kk = 1, a_i = k`) and
 ///   single-row (`a_kk = 1, a_i = 0`) layouts with one body.
-/// * `C::decode_row(b[kk * b_kk ..][..NR], scales)[j]` is `B[k0+kk, j0+j]`,
-///   contiguous over `j` in both packed (`b_kk = NR`) and row-major
-///   (`b_kk = n`) layouts.
-/// * `accumulate` resumes a previous slab's partials from `c`;
-///   `finish` applies the epilogue (only on the last slab).
+/// * `C::decode(b[q][kk * b_kk + j], scales[q][j])` is
+///   `B[k0+kk, j0 + q·NR + j]`, contiguous over `j` in both packed
+///   (`b_kk = NR`) and row-major (`b_kk = n`) layouts.
+/// * `cols` counts the tile's live columns across all `P` panels (only the
+///   last may be ragged); `accumulate` resumes a previous slab's partials
+///   from `c`; `finish` applies the epilogue (only on the last slab).
 ///
-/// Every `acc[i][j]` is one add-chain in ascending `kk` — the determinism
-/// contract of the module.
+/// Every `acc[i][q][j]` is one add-chain in ascending `kk` — the
+/// determinism contract of the module — so how many panels share a tile
+/// never changes a bit.
 // allow: GEMM kernel plumbing — dims, panel slices and strides stay
 // individual scalars so they live in registers through the tile loops.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)] // keep the hot loop a small, standalone optimization unit:
                  // inlined into the (large) macro-kernel, LLVM runs out of unroll budget,
                  // spills the accumulator tile to the stack and never vectorizes it.
-fn micro_tile<T: Scalar, C: PanelCodec<T>, const M: usize>(
+fn micro_tile<T: Scalar, C: PanelCodec<T>, const M: usize, const P: usize>(
     a: &[T],
     a_kk: usize,
     a_i: usize,
-    b: &[C::Q],
+    b: [&[C::Q]; P],
     b_kk: usize,
-    scales: &[T],
+    scales: [[T; NR]; P],
     klen: usize,
     c: &mut [T],
     ldc: usize,
@@ -584,38 +621,51 @@ fn micro_tile<T: Scalar, C: PanelCodec<T>, const M: usize>(
     accumulate: bool,
     finish: Option<(&Epilogue<'_, T>, usize, usize)>,
 ) {
-    let mut acc = [[T::ZERO; NR]; M];
+    let mut acc = [[[T::ZERO; NR]; P]; M];
     if accumulate {
         for (i, arow) in acc.iter_mut().enumerate() {
-            for (j, v) in arow.iter_mut().enumerate().take(cols) {
-                *v = c[i * ldc + j];
-            }
+            arow.as_flattened_mut()[..cols].copy_from_slice(&c[i * ldc..i * ldc + cols]);
         }
     }
     for kk in 0..klen {
-        let brow = C::decode_row(&b[kk * b_kk..kk * b_kk + NR], scales);
+        // The tile's P stored rows side by side, decoded as one row of P·NR
+        // lanes: one flat loop, which the vectorizer widens and unrolls
+        // whole, so the decoded row stays in registers like `acc` (decoded
+        // panel by panel, the int8 rows went through the stack).
+        let raw: [[C::Q; NR]; P] = std::array::from_fn(|q| {
+            let row = &b[q][kk * b_kk..kk * b_kk + NR];
+            row.try_into().expect("a panel row is NR elements")
+        });
+        let mut brow = [[T::ZERO; NR]; P];
+        let lanes = raw.as_flattened().iter().zip(scales.as_flattened());
+        for (w, (&r, &s)) in brow.as_flattened_mut().iter_mut().zip(lanes) {
+            *w = C::decode(r, s);
+        }
         let abase = kk * a_kk;
         for (i, arow) in acc.iter_mut().enumerate() {
             let av = a[abase + i * a_i];
-            for (j, v) in arow.iter_mut().enumerate() {
+            for (v, bv) in arow.as_flattened_mut().iter_mut().zip(brow.as_flattened()) {
                 // One chain per element; mul+add (not mul_add) so targets
                 // without FMA autovectorize instead of calling libm, and
                 // the sum matches the naive reference bit for bit.
-                *v += av * brow[j];
+                *v += av * *bv;
             }
         }
     }
     // The epilogue and the variable-width store work on a copy of the
-    // accumulators: that is what lets the optimizer keep `acc` in registers
-    // across the k loop instead of storing it to the stack on every step
-    // (stores whose cost moved with the frame's alignment from build to
-    // build).
-    let mut tile = acc;
-    if let Some((epi, row0, col0)) = finish {
-        finish_tile(&mut tile, epi, row0, col0, cols);
-    }
-    for (i, trow) in tile.iter().enumerate() {
-        c[i * ldc..i * ldc + cols].copy_from_slice(&trow[..cols]);
+    // accumulators, one panel at a time: that is what lets the optimizer
+    // keep `acc` in registers across the k loop instead of storing it to
+    // the stack on every step (stores whose cost moved with the frame's
+    // alignment from build to build).
+    let tiles: [[[T; NR]; M]; P] = std::array::from_fn(|q| std::array::from_fn(|i| acc[i][q]));
+    for (q, mut tile) in tiles.into_iter().enumerate() {
+        let (j0, w) = (q * NR, cols.saturating_sub(q * NR).min(NR));
+        if let Some((epi, row0, col0)) = finish {
+            finish_tile(&mut tile, epi, row0, col0 + j0, w);
+        }
+        for (i, trow) in tile.iter().enumerate() {
+            c[i * ldc + j0..i * ldc + j0 + w].copy_from_slice(&trow[..w]);
+        }
     }
 }
 
@@ -768,7 +818,7 @@ fn narrow_blocks<T: Scalar, C: PanelCodec<T>>(
     a: &[T],
     k: usize,
     panel: &[C::Q],
-    scales: &[T],
+    scales: &[T; NR],
     c: &mut [T],
     n: usize,
     epi: &Epilogue<'_, T>,
@@ -814,7 +864,7 @@ fn narrow_tile<T: Scalar, C: PanelCodec<T>>(
     a: &[T],
     k: usize,
     panel: &[C::Q],
-    scales: &[T],
+    scales: &[T; NR],
     c: &mut [T],
     n: usize,
     epi: &Epilogue<'_, T>,
@@ -825,7 +875,7 @@ fn narrow_tile<T: Scalar, C: PanelCodec<T>>(
     // the k loop.
     let rows: [&[T]; NARROW_MR] = std::array::from_fn(|i| &a[i * k..(i + 1) * k]);
     for (kk, braw) in panel.chunks_exact(NR).take(k).enumerate() {
-        let brow = C::decode_row(braw, scales);
+        let brow = decode_row::<T, C>(braw, scales);
         for (arow, row) in acc.iter_mut().zip(&rows) {
             let av = row[kk];
             for (v, b) in arow.iter_mut().zip(&brow) {
@@ -856,7 +906,7 @@ fn column_tile<T: Scalar, C: PanelCodec<T>>(
     a: &[T],
     k: usize,
     panel: &[C::Q],
-    scales: &[T],
+    scales: &[T; NR],
     c: &mut [T],
     epi_t: &Epilogue<'_, T>,
     lane0: usize,
@@ -864,7 +914,7 @@ fn column_tile<T: Scalar, C: PanelCodec<T>>(
     let mut acc = [[T::ZERO; NARROW_MR]; 1];
     let rows: [&[T]; NARROW_MR] = std::array::from_fn(|i| &a[i * k..(i + 1) * k]);
     for (kk, wraw) in panel.chunks_exact(NR).take(k).enumerate() {
-        let wv = C::decode_row(wraw, scales)[0];
+        let wv = C::decode(wraw[0], scales[0]);
         for (v, row) in acc[0].iter_mut().zip(&rows) {
             *v += row[kk] * wv;
         }
@@ -987,7 +1037,7 @@ fn stripe_body<T: Scalar, C: PanelCodec<T>>(
                 if n <= NARROW_N && (1..=kc).contains(&k) =>
             {
                 let ab = &ad[row0 * k..][..rows * k];
-                narrow_blocks::<T, C>(ab, k, data, panel_scales(scales, 0), stripe, n, epi, row0)
+                narrow_blocks::<T, C>(ab, k, data, &panel_scales(scales, 0), stripe, n, epi, row0)
             }
             _ => 0,
         };
@@ -1011,9 +1061,10 @@ fn stripe_body<T: Scalar, C: PanelCodec<T>>(
         }
         // Remainder rows (< MR): step down through 4/2/1-row tiles so even
         // small-m problems (e.g. a 4-filter convolution) keep several
-        // independent accumulator chains in flight. Per-row arithmetic is
-        // identical at every tile height, so the decomposition never
-        // changes results.
+        // independent accumulator chains in flight; the 1-row tile makes up
+        // for its height by sweeping ROW_GROUP panels at once (see
+        // `panel_sweep`). Per-row arithmetic is identical at every tile
+        // height and width, so the decomposition never changes results.
         while r < rows {
             let row = row0 + r;
             let (ab, a_i): (&[T], usize) = match a {
@@ -1061,15 +1112,40 @@ fn panel_sweep<T: Scalar, C: PanelCodec<T>, const M: usize>(
 ) {
     match b {
         BView::Panels { data, scales } => {
-            for p in 0..n.div_ceil(NR) {
+            let panels = n.div_ceil(NR);
+            // A single row sweeps full groups of ROW_GROUP panels per tile
+            // (module docs, *Batch-1 rows*); the rest go one panel at a time.
+            let grouped = if M == 1 {
+                panels - panels % ROW_GROUP
+            } else {
+                0
+            };
+            for p in (0..grouped).step_by(ROW_GROUP) {
                 let j0 = p * NR;
-                micro_tile::<T, C, M>(
+                micro_tile::<T, C, 1, ROW_GROUP>(
                     a,
                     a_kk,
                     a_i,
-                    panel_slab(data, k, p, k0),
+                    std::array::from_fn(|q| panel_slab(data, k, p + q, k0)),
                     NR,
-                    panel_scales(scales, j0),
+                    std::array::from_fn(|q| panel_scales(scales, j0 + q * NR)),
+                    klen,
+                    &mut c[j0..],
+                    n,
+                    (ROW_GROUP * NR).min(n - j0),
+                    accumulate,
+                    epi.map(|e| (e, row0, j0)),
+                );
+            }
+            for p in grouped..panels {
+                let j0 = p * NR;
+                micro_tile::<T, C, M, 1>(
+                    a,
+                    a_kk,
+                    a_i,
+                    [panel_slab(data, k, p, k0)],
+                    NR,
+                    [panel_scales(scales, j0)],
                     klen,
                     &mut c[j0..],
                     n,
@@ -1084,13 +1160,13 @@ fn panel_sweep<T: Scalar, C: PanelCodec<T>, const M: usize>(
             let full = n / NR;
             for p in 0..full {
                 let j0 = p * NR;
-                micro_tile::<T, Identity, M>(
+                micro_tile::<T, Identity, M, 1>(
                     a,
                     a_kk,
                     a_i,
-                    &slab[j0..],
+                    [&slab[j0..]],
                     n,
-                    &[],
+                    [[T::ONE; NR]],
                     klen,
                     &mut c[j0..],
                     n,
@@ -1171,9 +1247,9 @@ pub fn matmul_transb_packed_into<T: Scalar>(
     matmul_transb_packed_into_kc(a, bp, epi, c, KC)
 }
 
-/// [`matmul_transb_packed_into`] with an explicit cache-slab depth (the
-/// documented determinism/tuning hook).
-pub fn matmul_transb_packed_into_kc<T: Scalar>(
+/// [`matmul_transb_packed_into`] with an explicit cache-slab depth — the
+/// hook the tests sweep to pin "results do not depend on `kc`".
+pub(crate) fn matmul_transb_packed_into_kc<T: Scalar>(
     a: &Tensor<T>,
     bp: &PackedB<T>,
     epi: Epilogue<'_, T>,
@@ -1349,18 +1425,91 @@ mod tests {
 
     #[test]
     fn kc_slabs_do_not_change_results() {
-        let (m, k, n) = (13usize, 37usize, 29usize);
-        let a = Tensor::from_vec(lcg(5, m * k), [m, k]).unwrap();
-        let bt = Tensor::from_vec(lcg(6, n * k), [n, k]).unwrap();
-        let bp = PackedB::from_transb(&bt).unwrap();
-        let bias = lcg(7, n);
-        let epi = Epilogue::col_bias(&bias).with_act(Some(Act::Tanh));
-        let mut base = Tensor::zeros([0usize; 2]);
-        matmul_transb_packed_into_kc(&a, &bp, epi, &mut base, 1).unwrap();
-        for kc in [2usize, 3, 8, 16, 64, 4096] {
-            let mut c = Tensor::zeros([0usize; 2]);
-            matmul_transb_packed_into_kc(&a, &bp, epi, &mut c, kc).unwrap();
-            assert_eq!(c.data(), base.data(), "kc={kc}");
+        // The single row against 136 columns (nine panels) runs two
+        // grouped tiles and a ragged 1-panel one.
+        for (m, k, n) in [(13usize, 37usize, 29usize), (1, 37, 136)] {
+            let a = Tensor::from_vec(lcg(5, m * k), [m, k]).unwrap();
+            let bt = Tensor::from_vec(lcg(6, n * k), [n, k]).unwrap();
+            let bp = PackedB::from_transb(&bt).unwrap();
+            let bias = lcg(7, n);
+            let epi = Epilogue::col_bias(&bias).with_act(Some(Act::Tanh));
+            let mut base = Tensor::zeros([0usize; 2]);
+            matmul_transb_packed_into_kc(&a, &bp, epi, &mut base, 1).unwrap();
+            for kc in [2usize, 3, 8, 16, 64, 4096] {
+                let mut c = Tensor::zeros([0usize; 2]);
+                matmul_transb_packed_into_kc(&a, &bp, epi, &mut c, kc).unwrap();
+                assert_eq!(c.data(), base.data(), "kc={kc}");
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_is_bitwise_identical_across_kc_slabs() {
+        // k spans multiple default slabs; the single row against 136
+        // columns resumes the grouped tiles' chains.
+        for (m, k, n) in [(45usize, 530usize, 40usize), (1, 530, 136)] {
+            let a = Tensor::from_vec(lcg(3, m * k), [m, k]).unwrap();
+            let bt = Tensor::from_vec(lcg(4, n * k), [n, k]).unwrap();
+            let bp = PackedB::from_transb(&bt).unwrap();
+            let bias: Vec<f32> = (0..n).map(|j| (j as f32).sin()).collect();
+            let epi = Epilogue::col_bias(&bias).with_act(Some(Act::Tanh));
+            let mut base = Tensor::zeros([0usize; 2]);
+            matmul_transb_packed_into_kc(&a, &bp, epi, &mut base, KC).unwrap();
+            for kc in [1usize, 7, 64, 256, 1 << 20] {
+                let mut c = Tensor::zeros([0usize; 2]);
+                matmul_transb_packed_into_kc(&a, &bp, epi, &mut c, kc).unwrap();
+                assert_eq!(c.data(), base.data(), "kc={kc}");
+            }
+        }
+    }
+
+    /// The narrow-N tiles under pool-width and `kc` sweeps, at every storage
+    /// precision, on the stencil surrogate's two layer shapes with an `m`
+    /// that is neither a multiple of the 16-row narrow block nor of the
+    /// 8-row stripe grain — and a single row against 136 columns, which runs
+    /// the grouped tiles (`k = 300` resumes them across the default slab). Pool
+    /// totals {1, 2, 3, 8} move the stripe boundaries (every stripe starts
+    /// its own run of 16-row blocks); `kc` decides the *path*: `k ≤ kc`
+    /// takes the narrow tiles, `k > kc` has slabs to resume and takes the
+    /// generic panel sweep — so equal bits across `kc` prove the two paths
+    /// equal to each other, for the bf16 and int8 codecs as for full
+    /// precision.
+    #[test]
+    fn narrow_gemm_bits_are_identical_across_pool_sizes_and_kc() {
+        use crate::quant::{matmul_transb_qpacked_into_kc, Precision, QPackedB};
+        type Run<'a> = &'a dyn Fn(usize, &mut Tensor<f32>);
+        for (m, k, n) in [(4099usize, 5usize, 8usize), (4099, 8, 1), (1, 300, 136)] {
+            let a = Tensor::from_vec(lcg(25, m * k), [m, k]).unwrap();
+            let bt = Tensor::from_vec(lcg(26, n * k), [n, k]).unwrap();
+            let bp = PackedB::from_transb(&bt).unwrap();
+            let q16 = QPackedB::from_transb(&bt, Precision::Bf16).unwrap();
+            let q8 = QPackedB::from_transb(&bt, Precision::Int8).unwrap();
+            let bias: Vec<f32> = (0..n).map(|j| (j as f32) * 0.11 - 0.3).collect();
+            let epi = Epilogue::col_bias(&bias).with_act(Some(Act::Relu));
+            let f32_run: Run = &|kc, c| matmul_transb_packed_into_kc(&a, &bp, epi, c, kc).unwrap();
+            let bf16_run: Run =
+                &|kc, c| matmul_transb_qpacked_into_kc(&a, &q16, epi, c, kc).unwrap();
+            let int8_run: Run =
+                &|kc, c| matmul_transb_qpacked_into_kc(&a, &q8, epi, c, kc).unwrap();
+            for (rung, run) in [("f32", f32_run), ("bf16", bf16_run), ("int8", int8_run)] {
+                let mut base = Tensor::zeros([0usize; 2]);
+                run(KC, &mut base);
+                for workers in [0usize, 1, 2, 7] {
+                    let pool = hpacml_par::Pool::new(workers);
+                    hpacml_par::with_pool(&pool, || {
+                        for kc in [1usize, 3, 7, KC] {
+                            let mut c = Tensor::zeros([0usize; 2]);
+                            run(kc, &mut c);
+                            assert_eq!(
+                                c.data(),
+                                base.data(),
+                                "{rung} [{m},{k}]·[{k},{n}]: {} total threads, kc={kc} changed the bits",
+                                workers + 1
+                            );
+                        }
+                    });
+                }
+            }
         }
     }
 

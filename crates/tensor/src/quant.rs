@@ -3,18 +3,18 @@
 //!
 //! # Why this module exists
 //!
-//! The fused multicore GEMM made MLP inference memory-bandwidth-bound at
-//! the weight stream: every forward pass walks the whole packed weight
-//! panel once, and for models larger than the last-level cache that walk
-//! is a DRAM read. Halving (bf16) or quartering (int8) the bytes per
-//! weight therefore converts directly into forward-pass speedup, on any
-//! host — including single-core ones, where there is no parallel lever
-//! left to pull.
+//! Every forward pass walks the whole packed weight panel once, and for
+//! models larger than the last-level cache that walk is a DRAM read.
+//! Where that stream is the bound — a single row against a wide layer,
+//! once the row's tile keeps enough chains in flight (see `crate::gemm`'s
+//! *Batch-1 rows*) — halving (bf16) or quartering (int8) the bytes per
+//! weight converts into forward-pass speedup, on any host, including
+//! single-core ones, where there is no parallel lever left to pull.
 //!
 //! # What lives here
 //!
 //! No kernel. This module supplies the two things that are about
-//! quantization — the scalar codecs with their `gemm::PanelCodec` row
+//! quantization — the scalar codecs with their `gemm::PanelCodec`
 //! decoders, and [`QPackedB`] packing/audit — to the one macro-kernel in
 //! [`crate::gemm`], which every precision runs: the same stripe split, `kc`
 //! slabs, register and narrow tiles, epilogue and store.
@@ -307,28 +307,25 @@ impl QPackedB {
 // Panel codecs
 // ---------------------------------------------------------------------------
 
-/// bf16 panels: a lossless shift per lane; reads no scales.
+/// bf16 panels: a lossless shift; reads no scale.
 struct Bf16Panel;
 
 impl PanelCodec<f32> for Bf16Panel {
     type Q = u16;
     #[inline(always)]
-    fn decode_row(raw: &[u16], _scales: &[f32]) -> [f32; NR] {
-        let raw = <&[u16; NR]>::try_from(raw).expect("a panel row is NR elements");
-        std::array::from_fn(|j| bf16_decode(raw[j]))
+    fn decode(raw: u16, _scale: f32) -> f32 {
+        bf16_decode(raw)
     }
 }
 
-/// int8 panels: `q as f32 * scale` against the panel's `NR` channel scales.
+/// int8 panels: `q as f32 * scale` against the element's channel scale.
 struct Int8Panel;
 
 impl PanelCodec<f32> for Int8Panel {
     type Q = i8;
     #[inline(always)]
-    fn decode_row(raw: &[i8], scales: &[f32]) -> [f32; NR] {
-        let raw = <&[i8; NR]>::try_from(raw).expect("a panel row is NR elements");
-        let scales = <&[f32; NR]>::try_from(scales).expect("one scale per panel lane");
-        std::array::from_fn(|j| int8_dequantize(raw[j], scales[j]))
+    fn decode(raw: i8, scale: f32) -> f32 {
+        int8_dequantize(raw, scale)
     }
 }
 
@@ -349,9 +346,9 @@ pub fn matmul_transb_qpacked_into(
     matmul_transb_qpacked_into_kc(a, qb, epi, c, KC)
 }
 
-/// [`matmul_transb_qpacked_into`] with an explicit cache-slab depth (the
-/// determinism/tuning hook, mirroring the f32 entry points).
-pub fn matmul_transb_qpacked_into_kc(
+/// [`matmul_transb_qpacked_into`] with an explicit cache-slab depth — the
+/// hook the tests sweep, mirroring the f32 entry points.
+pub(crate) fn matmul_transb_qpacked_into_kc(
     a: &Tensor<f32>,
     qb: &QPackedB,
     epi: Epilogue<'_, f32>,
@@ -379,6 +376,7 @@ pub fn matmul_transb_qpacked_into_kc(
 mod tests {
     use super::*;
     use crate::gemm::{Act, Bias};
+    use proptest::prelude::*;
 
     fn lcg(seed: u64, len: usize) -> Vec<f32> {
         let mut s = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -498,19 +496,57 @@ mod tests {
 
     #[test]
     fn kc_slabs_do_not_change_quantized_results() {
-        let (m, k, n) = (13usize, 37usize, 29usize);
-        let a = Tensor::from_vec(lcg(5, m * k), [m, k]).unwrap();
-        let bt = Tensor::from_vec(lcg(6, n * k), [n, k]).unwrap();
-        let bias = lcg(7, n);
-        for prec in [Precision::Bf16, Precision::Int8] {
-            let qb = QPackedB::from_transb(&bt, prec).unwrap();
-            let epi = Epilogue::col_bias(&bias).with_act(Some(Act::Tanh));
-            let mut base = Tensor::zeros([0usize; 2]);
-            matmul_transb_qpacked_into_kc(&a, &qb, epi, &mut base, 1).unwrap();
-            for kc in [2usize, 3, 8, 16, 64, 4096] {
-                let mut c = Tensor::zeros([0usize; 2]);
-                matmul_transb_qpacked_into_kc(&a, &qb, epi, &mut c, kc).unwrap();
-                assert_eq!(c.data(), base.data(), "{prec} kc={kc}");
+        // The single row against 136 columns (nine panels) runs two
+        // grouped tiles and a ragged 1-panel one.
+        for (m, k, n) in [(13usize, 37usize, 29usize), (1, 37, 136)] {
+            let a = Tensor::from_vec(lcg(5, m * k), [m, k]).unwrap();
+            let bt = Tensor::from_vec(lcg(6, n * k), [n, k]).unwrap();
+            let bias = lcg(7, n);
+            for prec in [Precision::Bf16, Precision::Int8] {
+                let qb = QPackedB::from_transb(&bt, prec).unwrap();
+                let epi = Epilogue::col_bias(&bias).with_act(Some(Act::Tanh));
+                let mut base = Tensor::zeros([0usize; 2]);
+                matmul_transb_qpacked_into_kc(&a, &qb, epi, &mut base, 1).unwrap();
+                for kc in [2usize, 3, 8, 16, 64, 4096] {
+                    let mut c = Tensor::zeros([0usize; 2]);
+                    matmul_transb_qpacked_into_kc(&a, &qb, epi, &mut c, kc).unwrap();
+                    assert_eq!(c.data(), base.data(), "{prec} kc={kc}");
+                }
+            }
+        }
+    }
+
+    /// The three shape families of `tests/prop_quant_gemm.rs` (general,
+    /// narrow, batch-1 wide).
+    fn shape() -> impl Strategy<Value = (usize, usize, usize, u64)> {
+        prop_oneof![
+            (1usize..70, 1usize..40, 0usize..50, any::<u64>()),
+            (1usize..200, 1usize..=8, 0usize..50, any::<u64>()),
+            (1usize..=2, 40usize..=150, 0usize..=300, any::<u64>()),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The cache-slab depth partitions the `k` chain into partials that
+        /// are stored and reloaded losslessly — no `kc` may change a bit.
+        #[test]
+        fn quantized_gemm_bits_survive_kc_blocking((m, n, k, seed) in shape()) {
+            let a = Tensor::from_vec(lcg(seed, m * k), [m, k]).unwrap();
+            let btt = Tensor::from_vec(lcg(seed ^ 0xA5A5A5A5, n * k), [n, k]).unwrap();
+            let bias = lcg(seed ^ 0x777, n);
+            let epi = Epilogue::col_bias(Box::leak(bias.into_boxed_slice()))
+                .with_act(Some(Act::Tanh));
+            for prec in [Precision::Bf16, Precision::Int8] {
+                let qb = QPackedB::from_transb(&btt, prec).unwrap();
+                let mut base = Tensor::zeros([0usize; 2]);
+                matmul_transb_qpacked_into(&a, &qb, epi, &mut base).unwrap();
+                for kc in [1usize, 3, 16, 1 << 20] {
+                    let mut c = Tensor::zeros([0usize; 2]);
+                    matmul_transb_qpacked_into_kc(&a, &qb, epi, &mut c, kc).unwrap();
+                    prop_assert_eq!(c.data(), base.data(), "{:?}, kc {}", prec, kc);
+                }
             }
         }
     }

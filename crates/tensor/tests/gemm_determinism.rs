@@ -1,8 +1,9 @@
 //! Bit-determinism of the tiled GEMM: the same problem must produce the
-//! same bytes regardless of how many worker threads execute it, which
-//! cache-slab depth (`kc`) the macro-kernel walks, and whether operands
-//! are packed — because every output element is one ascending-`k`
-//! accumulator chain no matter how the work is partitioned.
+//! same bytes regardless of how many worker threads execute it and whether
+//! operands are packed — because every output element is one ascending-`k`
+//! accumulator chain no matter how the work is partitioned. (The sweeps
+//! over the cache-slab depth `kc` live in the crate's own `gemm`/`quant`
+//! tests, beside the crate-private entry points that take it.)
 //!
 //! This is an integration test (own process) so it can pin the global
 //! pool's worker count via `HPACML_THREADS` *before* anything touches the
@@ -10,7 +11,7 @@
 //! nested-dispatch rule (a `parallel_for` issued from inside a worker runs
 //! inline), giving a true 1-thread/N-thread comparison in one process.
 
-use hpacml_tensor::gemm::{self, ASource, Act, BSource, Epilogue, PackedA, PackedB, KC};
+use hpacml_tensor::gemm::{self, ASource, Act, BSource, Epilogue, PackedA, PackedB};
 use hpacml_tensor::ops::{self, Conv2dGeom};
 use hpacml_tensor::quant::{self, QPackedB};
 use hpacml_tensor::{Precision, Tensor};
@@ -73,24 +74,6 @@ fn gemm_is_bitwise_identical_at_1_and_n_threads() {
             serial.lock().data(),
             "act {act:?}: parallel and serial runs must be bit-identical"
         );
-    }
-}
-
-#[test]
-fn gemm_is_bitwise_identical_across_kc_slabs() {
-    setup();
-    let (m, k, n) = (45usize, 530usize, 40usize); // k spans multiple default slabs
-    let a = mat(m, k, 3);
-    let bt = mat(n, k, 4);
-    let bp = PackedB::from_transb(&bt).unwrap();
-    let bias: Vec<f32> = (0..n).map(|j| (j as f32).sin()).collect();
-    let epi = Epilogue::col_bias(&bias).with_act(Some(Act::Tanh));
-    let mut base = Tensor::zeros([0usize; 2]);
-    gemm::matmul_transb_packed_into_kc(&a, &bp, epi, &mut base, KC).unwrap();
-    for kc in [1usize, 7, 64, 256, 1 << 20] {
-        let mut c = Tensor::zeros([0usize; 2]);
-        gemm::matmul_transb_packed_into_kc(&a, &bp, epi, &mut c, kc).unwrap();
-        assert_eq!(c.data(), base.data(), "kc={kc}");
     }
 }
 
@@ -177,55 +160,6 @@ fn gemm_bits_are_identical_across_pool_sizes() {
                 workers + 1
             );
         });
-    }
-}
-
-/// The narrow-N tiles under the same two sweeps, at every storage
-/// precision, on the stencil surrogate's two layer shapes with an `m` that
-/// is neither a multiple of the 16-row narrow block nor of the 8-row stripe
-/// grain. Pool totals {1, 2, 3, 8} move the stripe boundaries (every stripe
-/// starts its own run of 16-row blocks); `kc` decides the *path*: `k ≤ kc`
-/// takes the narrow tiles, `k > kc` has slabs to resume and takes the
-/// generic panel sweep — so equal bits across `kc` prove the two paths
-/// equal to each other, for the bf16 and int8 codecs as for full precision.
-#[test]
-fn narrow_gemm_bits_are_identical_across_pool_sizes_and_kc() {
-    setup();
-    type Run<'a> = &'a dyn Fn(usize, &mut Tensor<f32>);
-    for (k, n) in [(5usize, 8usize), (8, 1)] {
-        let m = 4099usize;
-        let a = mat(m, k, 25);
-        let bt = mat(n, k, 26);
-        let bp = PackedB::from_transb(&bt).unwrap();
-        let q16 = QPackedB::from_transb(&bt, Precision::Bf16).unwrap();
-        let q8 = QPackedB::from_transb(&bt, Precision::Int8).unwrap();
-        let bias: Vec<f32> = (0..n).map(|j| (j as f32) * 0.11 - 0.3).collect();
-        let epi = Epilogue::col_bias(&bias).with_act(Some(Act::Relu));
-        let f32_run: Run =
-            &|kc, c| gemm::matmul_transb_packed_into_kc(&a, &bp, epi, c, kc).unwrap();
-        let bf16_run: Run =
-            &|kc, c| quant::matmul_transb_qpacked_into_kc(&a, &q16, epi, c, kc).unwrap();
-        let int8_run: Run =
-            &|kc, c| quant::matmul_transb_qpacked_into_kc(&a, &q8, epi, c, kc).unwrap();
-        for (rung, run) in [("f32", f32_run), ("bf16", bf16_run), ("int8", int8_run)] {
-            let mut base = Tensor::zeros([0usize; 2]);
-            run(KC, &mut base);
-            for workers in [0usize, 1, 2, 7] {
-                let pool = hpacml_par::Pool::new(workers);
-                hpacml_par::with_pool(&pool, || {
-                    for kc in [1usize, 3, 7, KC] {
-                        let mut c = Tensor::zeros([0usize; 2]);
-                        run(kc, &mut c);
-                        assert_eq!(
-                            c.data(),
-                            base.data(),
-                            "{rung} [{m},{k}]·[{k},{n}]: {} total threads, kc={kc} changed the bits",
-                            workers + 1
-                        );
-                    }
-                });
-            }
-        }
     }
 }
 

@@ -55,13 +55,33 @@ fn values(len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-/// Random shape strategy: m spans batch sizes from single samples through
-/// several register blocks; n and k cross the panel/tile boundaries.
+/// Random shape strategy, two families drawn equally often. General: m
+/// spans batch sizes from single samples through several register blocks;
+/// n and k cross the panel/tile boundaries. Batch-1 wide: see
+/// [`batch1_wide_shape`].
 fn shape() -> impl Strategy<Value = (usize, usize, usize, u64)> {
+    prop_oneof![general_shape(), batch1_wide_shape()]
+}
+
+fn general_shape() -> impl Strategy<Value = (usize, usize, usize, u64)> {
     (
         1usize..70,
         1usize..40,
         0usize..50,
+        proptest::prelude::any::<u64>(),
+    )
+}
+
+/// Batch-1 wide shape strategy: one or two rows against three to ten
+/// panels, so the single-row tile sweeps whole groups of four panels, then
+/// a remainder of fewer than four, usually with a ragged last panel; `k` up
+/// to 300 crosses the default `KC = 256` slab, so the grouped tile also
+/// resumes its chains.
+fn batch1_wide_shape() -> impl Strategy<Value = (usize, usize, usize, u64)> {
+    (
+        1usize..=2,
+        40usize..=150,
+        0usize..=300,
         proptest::prelude::any::<u64>(),
     )
 }
@@ -143,6 +163,41 @@ proptest! {
     /// covers the bias add.
     #[test]
     fn narrow_gemm_is_within_the_f64_oracle_bound((m, n, k, seed) in narrow_shape()) {
+        let a = values(m * k, seed);
+        let bt = values(n * k, seed ^ 0x0BAC1E);
+        let bias = values(n, seed ^ 0xFACADE);
+        let at = Tensor::from_vec(a.clone(), [m, k]).unwrap();
+        let bp = PackedB::from_transb(&Tensor::from_vec(bt.clone(), [n, k]).unwrap()).unwrap();
+        let mut c = Tensor::zeros([0usize; 2]);
+        gemm::matmul_transb_packed_into(&at, &bp, Epilogue::col_bias(&bias), &mut c).unwrap();
+        let eps = f64::from(f32::EPSILON) / 2.0;
+        for i in 0..m {
+            for j in 0..n {
+                let (mut exact, mut mag) = (f64::from(bias[j]), f64::from(bias[j]).abs());
+                for kk in 0..k {
+                    let p = f64::from(a[i * k + kk]) * f64::from(bt[j * k + kk]);
+                    exact += p;
+                    mag += p.abs();
+                }
+                let err = (f64::from(c.data()[i * n + j]) - exact).abs();
+                let bound = (k + 1) as f64 * eps * mag * 1.01;
+                prop_assert!(
+                    err <= bound,
+                    "({}, {}) of [{}, {}]·[{}, {}]: |{} - {}| = {:e} > {:e}",
+                    i, j, m, k, k, n, c.data()[i * n + j], exact, err, bound
+                );
+            }
+        }
+    }
+
+    /// Correct, not only reproducible: the packed-panel path against an f64
+    /// oracle, over all three shape families. An f32 chain of `k` mul+add
+    /// steps is off by at most `γ_k · Σ|a||w|` with `γ_k ≈ k·ε` (ε = 2⁻²⁴,
+    /// unit roundoff); `k + 1` covers the bias add.
+    #[test]
+    fn packed_gemm_is_within_the_f64_oracle_bound(
+        (m, n, k, seed) in prop_oneof![general_shape(), narrow_shape(), batch1_wide_shape()],
+    ) {
         let a = values(m * k, seed);
         let bt = values(n * k, seed ^ 0x0BAC1E);
         let bias = values(n, seed ^ 0xFACADE);
