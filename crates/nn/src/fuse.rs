@@ -13,10 +13,10 @@
 //!    output tile while it is register/L1-hot (two full-tensor memory
 //!    sweeps deleted per pair);
 //! 3. **pre-pack weights** — `Linear` packs `Wᵀ` into
-//!    [`PackedB`](hpacml_tensor::gemm::PackedB) column panels, `Conv2d`
-//!    packs its `[filters, c*kh*kw]` matrix into
-//!    [`PackedA`](hpacml_tensor::gemm::PackedA) row blocks, so the
-//!    steady-state kernels never repack.
+//!    [`PackedB`](hpacml_tensor::gemm::PackedB) column panels, so the
+//!    steady-state kernels never repack. (`Conv2d` has nothing to pack: its
+//!    `[filters, c*kh*kw]` weights are the GEMM's row-major `A` operand as
+//!    stored.)
 //!
 //! The pass is **semantics-preserving at the bit level** for inference:
 //! every fused/packed kernel accumulates in the same ascending-`k` order
@@ -212,7 +212,8 @@ mod tests {
         let mut compiled = spec.build(3).unwrap();
         let info = compile_for_inference(&mut compiled);
         assert_eq!(info.fused_activations, 2);
-        assert_eq!(info.packed_layers, 2);
+        // The linear head; the conv reads its weights in place.
+        assert_eq!(info.packed_layers, 1);
         assert_eq!(
             compiled.layer_names(),
             vec!["conv2d", "maxpool2d", "flatten", "linear"]

@@ -6,7 +6,7 @@
 //! `backward`.
 
 use crate::{NnError, Result};
-use hpacml_tensor::gemm::{self, Act, Epilogue, PackedA, PackedB};
+use hpacml_tensor::gemm::{self, Act, Epilogue, PackedB};
 use hpacml_tensor::ops::{self, Conv2dGeom};
 use hpacml_tensor::quant::{self, Precision, QPackedB};
 use hpacml_tensor::Tensor;
@@ -108,14 +108,16 @@ pub trait Layer: Send + Sync {
         false
     }
 
-    /// `(a_pack_elems, b_pack_elems, col_elems)` of per-thread GEMM scratch
-    /// one forward pass at `in_dims` (batch included) may use — lets
-    /// workspaces pre-size the scratch (on every pool thread, via
+    /// `(b_pack_elems, col_elems)` of per-thread GEMM scratch one forward
+    /// pass at `in_dims` (batch included) may use — lets workspaces
+    /// pre-size the scratch (on every pool thread, via
     /// `hpacml_par::broadcast`) so even a session's first invocation
-    /// allocates nothing. `a` covers on-the-fly conv weight packs, `b`
-    /// uncompiled `Linear` weight panels, `col` im2col columns.
-    fn scratch_hint(&self, _in_dims: &[usize]) -> (usize, usize, usize) {
-        (0, 0, 0)
+    /// allocates nothing. `b` covers uncompiled `Linear` weight panels and
+    /// the conv GEMM routes' im2col panels, `col` the other conv staging
+    /// (the GEMM routes' zero-padded sample, the strided direct route's
+    /// im2col columns).
+    fn scratch_hint(&self, _in_dims: &[usize]) -> (usize, usize) {
+        (0, 0)
     }
 
     /// Pure forward pass at a serving precision. Layers that carry
@@ -369,15 +371,12 @@ impl Layer for Linear {
         true
     }
 
-    fn scratch_hint(&self, _in_dims: &[usize]) -> (usize, usize, usize) {
+    fn scratch_hint(&self, _in_dims: &[usize]) -> (usize, usize) {
         if self.packed.is_some() {
-            (0, 0, 0) // steady state never repacks
+            (0, 0) // steady state never repacks
         } else {
-            (
-                0,
-                PackedB::<f32>::packed_elems(self.in_features(), self.out_features()),
-                0,
-            )
+            let b = PackedB::<f32>::packed_elems(self.in_features(), self.out_features());
+            (b, 0)
         }
     }
 }
@@ -644,15 +643,13 @@ impl Layer for Flatten {
 
 /// 2-D convolution over `[N, C, H, W]`.
 ///
-/// Like [`Linear`], a compiled model carries the weights pre-packed (the
-/// `[filters, c*kh*kw]` GEMM `A` operand) and may have a following
-/// activation fused into the convolution's epilogue.
+/// A compiled model may have a following activation fused into the
+/// convolution's epilogue. There is nothing to pre-pack: the weights,
+/// `[filters, c*kh*kw]` row-major, are the GEMM's `A` operand as stored.
 pub struct Conv2d {
     pub w: Param,
     pub b: Param,
     pub geom: Conv2dGeom,
-    /// Pre-packed weight panels (compile pass; inference only).
-    packed: Option<PackedA<f32>>,
     /// Activation fused into the epilogue (compile pass; inference only).
     act: Option<Act>,
     cache_x: Option<Tensor>,
@@ -686,7 +683,6 @@ impl Conv2d {
             w: Param::new(w),
             b: Param::new(b),
             geom,
-            packed: None,
             act: None,
             cache_x: None,
         }
@@ -721,7 +717,6 @@ impl Layer for Conv2d {
         ops::conv2d_fused_into(
             x,
             &self.w.value,
-            self.packed.as_ref(),
             self.b.value.data(),
             self.geom,
             self.act,
@@ -769,11 +764,6 @@ impl Layer for Conv2d {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         f(&mut self.w);
         f(&mut self.b);
-        // See Linear::visit_params: refresh rather than drop, so packs are
-        // never stale and never silently lost to a read-only visit.
-        if self.packed.is_some() {
-            self.prepack();
-        }
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -792,36 +782,25 @@ impl Layer for Conv2d {
         true
     }
 
-    fn prepack(&mut self) -> bool {
-        self.packed = Some(PackedA::from_rows(
-            self.w.value.data(),
-            self.filters(),
-            self.taps(),
-        ));
-        true
-    }
-
-    fn scratch_hint(&self, in_dims: &[usize]) -> (usize, usize, usize) {
+    fn scratch_hint(&self, in_dims: &[usize]) -> (usize, usize) {
         if in_dims.len() != 4 {
-            return (0, 0, 0);
+            return (0, 0);
         }
-        let (oh, ow) = self.geom.out_hw(in_dims[2], in_dims[3]);
+        let (h, w) = (in_dims[2], in_dims[3]);
+        let (oh, ow) = self.geom.out_hw(h, w);
         let l = oh * ow;
         let ckk = self.taps();
-        // The GEMM route's inner-parallel branch packs an uncompiled weight
-        // into the per-thread A scratch once per forward.
-        let worthwhile = ops::conv_gemm_worthwhile(self.filters(), ckk, l);
-        let a = if worthwhile && self.packed.is_none() {
-            self.filters() * ckk
+        // Per-sample staging: the GEMM route fills im2col panels from a
+        // zero-padded copy of the sample, the strided direct route im2col
+        // columns.
+        if ops::conv_gemm_worthwhile(self.filters(), ckk, l) {
+            let (ph, pw) = self.geom.pad;
+            let padded = in_dims[1] * (h + 2 * ph) * (w + 2 * pw);
+            (PackedB::<f32>::packed_elems(ckk, l), padded)
+        } else if self.geom.stride != (1, 1) {
+            (0, ckk * l)
         } else {
-            0
-        };
-        // The im2col column buffer is per-sample; both the GEMM route and
-        // the strided fallback stage through it.
-        if worthwhile || self.geom.stride != (1, 1) {
-            (a, 0, ckk * l)
-        } else {
-            (0, 0, 0)
+            (0, 0)
         }
     }
 }

@@ -76,8 +76,8 @@ impl ForwardWorkspace {
     /// (e.g. a session's `max_batch`), forward passes at **any** smaller
     /// batch reuse the grown arenas — the zero-allocation guarantee of
     /// runtime-batched inference. Also pre-sizes the per-thread GEMM
-    /// scratch (conv weight-pack blocks, weight panels for uncompiled
-    /// `Linear`s, im2col columns) from the layers' scratch hints — on
+    /// scratch (weight panels for uncompiled `Linear`s, im2col panels and
+    /// columns) from the layers' scratch hints — on
     /// **every pool participant**, via `hpacml_par::broadcast`, so neither
     /// this thread's first forward nor a worker's first stolen sample
     /// allocates anything. Returns the widest activation element count, so
@@ -87,19 +87,18 @@ impl ForwardWorkspace {
         let mut dims = in_dims.to_vec();
         let mut max_elems: usize = dims.iter().product();
         let mut max_rank = dims.len();
-        let (mut a_elems, mut b_elems, mut col_elems) = (0usize, 0usize, 0usize);
+        let (mut b_elems, mut col_elems) = (0usize, 0usize);
         for layer in model.layers() {
-            let (a, b, c) = layer.scratch_hint(&dims);
-            a_elems = a_elems.max(a);
+            let (b, c) = layer.scratch_hint(&dims);
             b_elems = b_elems.max(b);
             col_elems = col_elems.max(c);
             dims = layer.out_dims(&dims)?;
             max_elems = max_elems.max(dims.iter().product());
             max_rank = max_rank.max(dims.len());
         }
-        if a_elems > 0 || b_elems > 0 || col_elems > 0 {
+        if b_elems > 0 || col_elems > 0 {
             hpacml_par::broadcast(|_| {
-                hpacml_tensor::gemm::reserve_scratch::<f32>(a_elems, b_elems, col_elems);
+                hpacml_tensor::gemm::reserve_scratch::<f32>(b_elems, col_elems);
             });
         }
         // Reserve at the widest rank the pass will use, so the in-place

@@ -12,18 +12,20 @@
 //!
 //! * **register tile** ([`MR`] × [`NR`]): the micro-kernel keeps an
 //!   `MR × NR` accumulator block in registers and sweeps the shared `k`
-//!   dimension once. The `MR * NR` accumulator chains are independent, so
-//!   the autovectorizer turns the inner loop into wide mul/add (or FMA,
-//!   where the target contracts) with enough instruction-level parallelism
-//!   to hide the floating-point latency. A single row has only `NR` chains
-//!   per panel, so its tile spans `ROW_GROUP` panels side by side instead
-//!   (see *Batch-1 rows* below);
-//! * **panel packing** ([`PackedB`] / [`PackedA`]): the `B` operand is
-//!   repacked into `NR`-wide column panels laid out contiguously in the
-//!   `k` direction, so every micro-kernel step loads one cache line
-//!   instead of gathering a strided column. Inference weights never
-//!   change, so layers pack **once at model load** and steady-state
-//!   forwards never repack;
+//!   dimension once (what keeps it there: *Register tiles* below). The
+//!   `MR * NR` accumulator chains are independent, so the autovectorizer
+//!   turns the inner loop into wide mul/add (or FMA, where the target
+//!   contracts) with enough instruction-level parallelism to hide the
+//!   floating-point latency. A shorter tile spans several panels side by
+//!   side instead, so it keeps as many chains in flight (see *Batch-1 rows*
+//!   below for the single row);
+//! * **panel packing** ([`PackedB`]): the `B` operand is repacked into
+//!   `NR`-wide column panels laid out contiguously in the `k` direction, so
+//!   every micro-kernel step loads one cache line instead of gathering a
+//!   strided column. Inference weights never change, so layers pack **once
+//!   at model load** and steady-state forwards never repack; convolution
+//!   writes its im2col columns straight into panels. `A` is read in place,
+//!   row-major — one layout per operand;
 //! * **cache blocking** ([`KC`]): the `k` dimension is walked in `KC`-deep
 //!   slabs so the active `B` panel stays L1-resident for large problems;
 //! * **fused epilogue** ([`Epilogue`]): β/bias/activation are applied to
@@ -43,7 +45,8 @@
 //! * thread counts (parallelism splits rows/samples, never the `k` sum),
 //! * blocking parameters (`KC`, stripe sizes — the crate's tests sweep
 //!   `kc` from 1 up),
-//! * packed vs. unpacked operands, fused vs. unfused epilogues, and
+//! * weights packed at model load or per call, fused vs. unfused
+//!   epilogues, and
 //! * the batch size a row happens to be computed under — the invariant
 //!   the runtime's dynamic batching relies on, and
 //! * the tile shape an element lands in: the narrow-N tiles below put other
@@ -60,7 +63,7 @@
 //! | [`KC`]  | 256 | k-depth per cache slab (`NR*KC` B-panel ≤ 16 KiB f32) |
 //! | `NARROW_N`  | 8  | widest `n` served by the narrow tiles, and their lane count |
 //! | `NARROW_MR` | 16 | rows per narrow tile |
-//! | `ROW_GROUP` | 4  | panels per single-row tile |
+//! | `ROW_GROUP` | 4  | panels per single-row tile (`MR / M` per `M`-row tile, at most this) |
 //!
 //! [`par_rows_per_block`] is the one shared heuristic that converts these
 //! into parallel task sizes for every kernel in the crate.
@@ -78,8 +81,7 @@
 //! `n == 1`: the 16 rows themselves on the SIMD axis — and only the
 //! `< NARROW_MR` remainder rows on the tiles above. The choice is a pure
 //! function of `(n, k, kc)`; nothing selects it from outside, and it holds
-//! at every storage precision. `k > kc`, unpacked `B` and packed `A` keep
-//! the panel sweep.
+//! at every storage precision. `k > kc` keeps the panel sweep.
 //!
 //! # Batch-1 rows
 //!
@@ -96,11 +98,38 @@
 //! element, the same decode, slab resume and epilogue, so the bits do not
 //! change.
 //!
+//! # Register tiles
+//!
+//! Whether a tile's accumulators stay in registers is up to the optimizer,
+//! and three rules of the micro-kernel are what keep them there from the
+//! first `k` step to the last (read off the release build's `objdump`;
+//! breaking any one put a store of every accumulator back into each step):
+//!
+//! 1. each `k` step is a rank-1 update with the lanes outer and the rows
+//!    inner, so the row loop unrolls whole and the lane loop vectorizes
+//!    (with the rows outer, the `MR`-row tile vectorized along `k` instead,
+//!    with gathers);
+//! 2. the `k` loop reads only views cut to exactly `klen` before it starts
+//!    (A rows, and B rows as `[_; NR]` chunks), so it has no panicking edge;
+//! 3. after the loop the accumulators are read only as whole `[T; NR]`
+//!    panel rows, each finished as a value and stored with one fixed-width
+//!    copy. Finished in place, or copied whole, they stayed in memory.
+//!
+//! A tile of `M < MR` rows sweeps `MR / M` panels at once (at most
+//! `ROW_GROUP`), so the 4- and 2-row tiles hold as many chains as the
+//! `MR`-row one. Measured against the rows-outer kernel that stored its
+//! accumulators every step (same process, 1 thread, 2-vCPU AVX-512 KVM
+//! guest, p50 of 300 calls, output bits identical): `[1024,128]·[128,64]` +
+//! bias + ReLU 680–690 → 290 µs (≈ 24 → 58 GFLOP/s), `[1024,6]·[6,128]` +
+//! bias + ReLU 216–222 → 92–98 µs (its epilogue now costs no more than none
+//! at all), `[1024,300]·[300,64]` 1490–1530 → 676–690 µs, the 4-filter
+//! `[4,36]·[36,1152]` 13.0 → 7.5 µs.
+//!
 //! # Panel codecs
 //!
 //! There is one macro-kernel. Everything in it — operand checks, the stripe
-//! split, the `kc` slab loop, the `MR`/4/2/1 step-down and the grouped
-//! 1-row tile, the narrow tiles, the epilogue and the clipped store — is
+//! split, the `kc` slab loop, the `MR`/4/2/1 step-down and its panel
+//! grouping, the narrow tiles, the epilogue and the clipped store — is
 //! generic over a crate-private `PanelCodec`, whose only job is the `B`
 //! load: how one stored element of a packed panel (and its column's scale)
 //! becomes the value of `T` the accumulator chains consume. Full precision
@@ -133,12 +162,15 @@ pub const KC: usize = 256;
 /// Parallelism threshold: below this many multiply-adds a kernel runs
 /// inline on the calling thread — dispatch overhead would dominate.
 ///
-/// Measured basis (re-tuned against the work-stealing pool on the shapes
+/// Measured basis (tuned against the work-stealing pool on the shapes
 /// `benchmark/`'s `sweep_mlp` runs — MLP 6-128-64-1, batch 1024): one pool
 /// dispatch costs on the order of a few microseconds (publish + wake +
-/// barrier), and the micro-kernel sustains a few multiply-adds per cycle,
-/// so ~32 Ki multiply-adds (≈ 10 µs of work) is the break-even point below
-/// which the dispatch itself would be a measurable fraction of the kernel.
+/// barrier). The tuning assumed a few multiply-adds per cycle, ~32 Ki
+/// multiply-adds ≈ 10 µs of work. The register tiles now sustain ≈ 29 G
+/// multiply-adds/s (≈ 58 GFLOP/s on `[1024,128]·[128,64]`, module docs
+/// *Register tiles*), so 32 Ki is ≈ 1 µs — below one dispatch, and the
+/// break-even by this arithmetic lies several times higher. Not re-tuned:
+/// two shared vCPUs cannot measure a parallel break-even.
 pub const PAR_FLOPS_MIN: usize = 1 << 15;
 
 /// Multiply-adds targeted per parallel task. Tasks much smaller than this
@@ -338,22 +370,13 @@ impl<T: Scalar> PackedB<T> {
         }
     }
 
-    /// Pack from row-major `[k, n]` storage (columns of `B` as stored).
-    pub fn pack_cols_into(&mut self, b: &[T], k: usize, n: usize) {
-        assert_eq!(b.len(), k * n, "PackedB::pack_cols_into: bad B length");
+    /// Size this pack for `[k, n]` and hand its panels to the caller to fill
+    /// (`panels() * k * NR` elements, `[(p*k + kk)*NR + j]`; lanes past
+    /// column `n` must be written as zero) — the convolution GEMM routes
+    /// write their im2col columns straight into them.
+    pub(crate) fn panels_mut(&mut self, k: usize, n: usize) -> &mut [T] {
         self.prepare(k, n);
-        for p in 0..self.panels() {
-            let j0 = p * NR;
-            let w = NR.min(n - j0);
-            let panel = &mut self.data[p * k * NR..(p + 1) * k * NR];
-            for (kk, row) in panel.chunks_exact_mut(NR).enumerate() {
-                let src = &b[kk * n + j0..kk * n + j0 + w];
-                row[..w].copy_from_slice(src);
-                for v in &mut row[w..] {
-                    *v = T::ZERO;
-                }
-            }
-        }
+        &mut self.data[..Self::packed_elems(k, n)]
     }
 
     /// Pack from row-major `[n, k]` storage — the `Bᵀ` ("transb") layout
@@ -379,8 +402,8 @@ impl<T: Scalar> PackedB<T> {
 
     /// This pack as the driver sees it: stored panels read by the identity
     /// codec, which wants no scales.
-    fn view(&self) -> BView<'_, T, T> {
-        BView::Panels {
+    fn view(&self) -> Panels<'_, T, T> {
+        Panels {
             data: &self.data[..Self::packed_elems(self.k, self.n)],
             scales: &[],
         }
@@ -411,117 +434,18 @@ pub(crate) fn pack_transb_panels<T: Scalar, Q>(
     }
 }
 
-/// The `A` operand, repacked by `MR`-row blocks: full blocks are stored
-/// `k`-major interleaved (`data[(blk*k + kk)*MR + i]`) so the micro-kernel
-/// reads its `MR` broadcast values from one cache line; the `m % MR`
-/// remainder rows are appended row-major and processed by the single-row
-/// kernel. `Conv2d` weights (`[filters, c*kh*kw]`) pre-pack into this at
-/// model load.
-#[derive(Debug, Clone, Default)]
-pub struct PackedA<T: Scalar> {
-    m: usize,
-    k: usize,
-    blocks: usize,
-    data: Vec<T>,
-}
-
-impl<T: Scalar> PackedA<T> {
-    pub fn new() -> Self {
-        PackedA {
-            m: 0,
-            k: 0,
-            blocks: 0,
-            data: Vec::new(),
-        }
-    }
-
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Pack from row-major `[m, k]` storage.
-    pub fn pack_rows_into(&mut self, a: &[T], m: usize, k: usize) {
-        assert_eq!(a.len(), m * k, "PackedA::pack_rows_into: bad A length");
-        self.m = m;
-        self.k = k;
-        self.blocks = m / MR;
-        if self.data.len() < m * k {
-            self.data.resize(m * k, T::ZERO);
-        }
-        for blk in 0..self.blocks {
-            let dst = &mut self.data[blk * k * MR..(blk + 1) * k * MR];
-            for (kk, row) in dst.chunks_exact_mut(MR).enumerate() {
-                for (i, v) in row.iter_mut().enumerate() {
-                    *v = a[(blk * MR + i) * k + kk];
-                }
-            }
-        }
-        // Remainder rows verbatim.
-        let rem0 = self.blocks * MR;
-        self.data[rem0 * k..m * k].copy_from_slice(&a[rem0 * k..]);
-    }
-
-    /// Pack a row-major `[m, k]` tensor view (any rank collapsed by caller).
-    pub fn from_rows(data: &[T], m: usize, k: usize) -> Self {
-        let mut p = PackedA::new();
-        p.pack_rows_into(data, m, k);
-        p
-    }
-
-    #[inline]
-    fn block_slab(&self, blk: usize, k0: usize) -> &[T] {
-        &self.data[blk * self.k * MR + k0 * MR..(blk + 1) * self.k * MR]
-    }
-
-    /// The row-major remainder region from `row` to the end (`row` must be
-    /// past the packed blocks) — multi-row remainder tiles read across
-    /// consecutive rows with stride `k`.
-    #[inline]
-    fn rem_rows(&self, row: usize) -> &[T] {
-        debug_assert!(row >= self.blocks * MR && row < self.m);
-        &self.data[row * self.k..self.m * self.k]
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Operand sources
+// The B operand as the driver walks it
 // ---------------------------------------------------------------------------
 
-/// Where the `A` operand comes from.
+/// `NR`-wide `k`-major panels (`data[(p*k + kk)*NR + j]`) of any stored
+/// element type `Q`, and the per-column scale table their codec reads:
+/// `panels * NR` entries, or empty for codecs that want none. `A` has one
+/// layout too: row-major `[m, k]`, read in place.
 #[derive(Clone, Copy)]
-pub enum ASource<'a, T: Scalar> {
-    /// Row-major `[m, k]` slice, read in place (no packing sweep).
-    Rows(&'a [T]),
-    /// Pre-packed `MR`-row blocks (see [`PackedA`]).
-    Packed(&'a PackedA<T>),
-}
-
-/// Where the `B` operand comes from.
-#[derive(Clone, Copy)]
-pub enum BSource<'a, T: Scalar> {
-    /// Row-major `[k, n]` slice, read in place. Panel loads are contiguous
-    /// here too (a `B` row *is* `n` consecutive columns); the ragged last
-    /// panel falls back to a per-column scalar loop.
-    Cols(&'a [T]),
-    /// Pre-packed `NR`-wide zero-padded panels (see [`PackedB`]).
-    Packed(&'a PackedB<T>),
-}
-
-/// The `B` operand as the driver walks it: [`BSource`] with the packed case
-/// opened up into stored panels of any element type `Q`.
-#[derive(Clone, Copy)]
-pub(crate) enum BView<'a, T, Q> {
-    /// Row-major `[k, n]` of `T`, read in place with the identity codec —
-    /// the unpacked path is full precision only.
-    Cols(&'a [T]),
-    /// `NR`-wide `k`-major panels (`data[(p*k + kk)*NR + j]`) and the
-    /// per-column scale table their codec reads: `panels * NR` entries, or
-    /// empty for codecs that want none.
-    Panels { data: &'a [Q], scales: &'a [T] },
+pub(crate) struct Panels<'a, T, Q> {
+    pub(crate) data: &'a [Q],
+    pub(crate) scales: &'a [T],
 }
 
 /// Panel `p`'s `k`-major rows from slab offset `k0` to the panel's end.
@@ -569,8 +493,7 @@ impl<T: Scalar> PanelCodec<T> for Identity {
 
 /// One stored panel row (`NR` elements) decoded against its panel's scales.
 #[inline(always)]
-fn decode_row<T: Scalar, C: PanelCodec<T>>(raw: &[C::Q], scales: &[T; NR]) -> [T; NR] {
-    let raw: &[C::Q; NR] = raw.try_into().expect("a panel row is NR elements");
+fn decode_row<T: Scalar, C: PanelCodec<T>>(raw: &[C::Q; NR], scales: &[T; NR]) -> [T; NR] {
     std::array::from_fn(|j| C::decode(raw[j], scales[j]))
 }
 
@@ -588,31 +511,41 @@ const ROW_GROUP: usize = 4;
 /// The register-tiled micro-kernel: an `M`-row accumulator tile over `P`
 /// side-by-side `NR`-wide panels (`M × P·NR` chains) and a `klen`-deep slab.
 ///
-/// * `a[kk * a_kk + i * a_i]` is `A[row0+i, k0+kk]` — strides cover packed
-///   (`a_kk = MR, a_i = 1`), row-major (`a_kk = 1, a_i = k`) and
-///   single-row (`a_kk = 1, a_i = 0`) layouts with one body.
-/// * `C::decode(b[q][kk * b_kk + j], scales[q][j])` is
-///   `B[k0+kk, j0 + q·NR + j]`, contiguous over `j` in both packed
-///   (`b_kk = NR`) and row-major (`b_kk = n`) layouts.
+/// * `a[i][kk]` is `A[row0+i, k0+kk]`: `M` row views, each at least `klen`
+///   long (row-major `A`, read in place).
+/// * `C::decode(b[q][kk·NR + j], scales[q][j])` is `B[k0+kk, j0 + q·NR + j]`:
+///   panel `q`'s stored rows from the slab's first, at least `klen·NR` long.
 /// * `cols` counts the tile's live columns across all `P` panels (only the
 ///   last may be ragged); `accumulate` resumes a previous slab's partials
 ///   from `c`; `finish` applies the epilogue (only on the last slab).
 ///
 /// Every `acc[i][q][j]` is one add-chain in ascending `kk` — the
-/// determinism contract of the module — so how many panels share a tile
-/// never changes a bit.
+/// determinism contract of the module — so how many rows or panels share a
+/// tile never changes a bit.
+///
+/// What keeps all `M × P·NR` accumulators in registers from the first `k`
+/// step to the last (module docs, *Register tiles*; breaking any one rule
+/// put a store of every accumulator back into each `k` step):
+///
+/// 1. each `k` step is a rank-1 update with the lanes outer and the rows
+///    inner, so the row loop unrolls whole and the lane loop vectorizes;
+/// 2. the `k` loop indexes only views cut to exactly `klen` (A rows, and B
+///    rows as `[_; NR]` chunks) before it starts, so it has no panicking
+///    edge;
+/// 3. after the loop, `acc` is read only as whole `[T; NR]` panel rows: each
+///    is finished as a value and stored with one fixed-width copy (a
+///    variable-width one only on a ragged panel). Finishing `acc` in place
+///    keeps it in memory, and the loop then stores it on every step.
 // allow: GEMM kernel plumbing — dims, panel slices and strides stay
 // individual scalars so they live in registers through the tile loops.
 #[allow(clippy::too_many_arguments)]
-#[inline(never)] // keep the hot loop a small, standalone optimization unit:
-                 // inlined into the (large) macro-kernel, LLVM runs out of unroll budget,
-                 // spills the accumulator tile to the stack and never vectorizes it.
+// Never inlined: the tile stays a small, standalone optimization unit, so
+// the three rules above are all the optimizer sees (inlined into the large
+// macro-kernel, it ran out of unroll budget and left the tile on the stack).
+#[inline(never)]
 fn micro_tile<T: Scalar, C: PanelCodec<T>, const M: usize, const P: usize>(
-    a: &[T],
-    a_kk: usize,
-    a_i: usize,
+    a: [&[T]; M],
     b: [&[C::Q]; P],
-    b_kk: usize,
     scales: [[T; NR]; P],
     klen: usize,
     c: &mut [T],
@@ -621,65 +554,71 @@ fn micro_tile<T: Scalar, C: PanelCodec<T>, const M: usize, const P: usize>(
     accumulate: bool,
     finish: Option<(&Epilogue<'_, T>, usize, usize)>,
 ) {
+    let a: [&[T]; M] = std::array::from_fn(|i| &a[i][..klen]);
+    let b: [&[[C::Q; NR]]; P] = std::array::from_fn(|q| &b[q].as_chunks::<NR>().0[..klen]);
     let mut acc = [[[T::ZERO; NR]; P]; M];
     if accumulate {
         for (i, arow) in acc.iter_mut().enumerate() {
-            arow.as_flattened_mut()[..cols].copy_from_slice(&c[i * ldc..i * ldc + cols]);
+            for (q, v) in arow.iter_mut().enumerate() {
+                let (j0, w) = (q * NR, cols.saturating_sub(q * NR).min(NR));
+                if w == NR {
+                    v.copy_from_slice(&c[i * ldc + j0..][..NR]);
+                } else {
+                    v[..w].copy_from_slice(&c[i * ldc + j0..][..w]);
+                }
+            }
         }
     }
     for kk in 0..klen {
+        let av: [T; M] = std::array::from_fn(|i| a[i][kk]);
         // The tile's P stored rows side by side, decoded as one row of P·NR
         // lanes: one flat loop, which the vectorizer widens and unrolls
         // whole, so the decoded row stays in registers like `acc` (decoded
         // panel by panel, the int8 rows went through the stack).
-        let raw: [[C::Q; NR]; P] = std::array::from_fn(|q| {
-            let row = &b[q][kk * b_kk..kk * b_kk + NR];
-            row.try_into().expect("a panel row is NR elements")
-        });
+        let raw: [[C::Q; NR]; P] = std::array::from_fn(|q| b[q][kk]);
         let mut brow = [[T::ZERO; NR]; P];
         let lanes = raw.as_flattened().iter().zip(scales.as_flattened());
         for (w, (&r, &s)) in brow.as_flattened_mut().iter_mut().zip(lanes) {
             *w = C::decode(r, s);
         }
-        let abase = kk * a_kk;
-        for (i, arow) in acc.iter_mut().enumerate() {
-            let av = a[abase + i * a_i];
-            for (v, bv) in arow.as_flattened_mut().iter_mut().zip(brow.as_flattened()) {
+        for (j, &bv) in brow.as_flattened().iter().enumerate() {
+            for (arow, &a) in acc.iter_mut().zip(&av) {
                 // One chain per element; mul+add (not mul_add) so targets
                 // without FMA autovectorize instead of calling libm, and
                 // the sum matches the naive reference bit for bit.
-                *v += av * *bv;
+                arow.as_flattened_mut()[j] += a * bv;
             }
         }
     }
-    // The epilogue and the variable-width store work on a copy of the
-    // accumulators, one panel at a time: that is what lets the optimizer
-    // keep `acc` in registers across the k loop instead of storing it to
-    // the stack on every step (stores whose cost moved with the frame's
-    // alignment from build to build).
-    let tiles: [[[T; NR]; M]; P] = std::array::from_fn(|q| std::array::from_fn(|i| acc[i][q]));
-    for (q, mut tile) in tiles.into_iter().enumerate() {
-        let (j0, w) = (q * NR, cols.saturating_sub(q * NR).min(NR));
-        if let Some((epi, row0, col0)) = finish {
-            finish_tile(&mut tile, epi, row0, col0 + j0, w);
-        }
-        for (i, trow) in tile.iter().enumerate() {
-            c[i * ldc + j0..i * ldc + j0 + w].copy_from_slice(&trow[..w]);
+    for (i, arow) in acc.iter().enumerate() {
+        for (q, &v) in arow.iter().enumerate() {
+            // Panel q's live columns: all NR but on the ragged last panel.
+            let (j0, w) = (q * NR, cols.saturating_sub(q * NR).min(NR));
+            let mut v = [v];
+            if let Some((epi, row0, col0)) = finish {
+                finish_tile(&mut v, epi, row0 + i, col0 + j0, w);
+            }
+            let [v] = v;
+            if w == NR {
+                c[i * ldc + j0..][..NR].copy_from_slice(&v);
+            } else {
+                c[i * ldc + j0..i * ldc + j0 + w].copy_from_slice(&v[..w]);
+            }
         }
     }
 }
 
 /// Apply the fused epilogue to one register tile — the one float expression
 /// every tile shape and storage precision runs after its `k`-sum. `W` is the
-/// tile's lane count: [`NR`] on the panel sweep, [`NARROW_N`] or
-/// [`NARROW_MR`] on the narrow tiles.
+/// tile's lane count: [`NR`] on the panel sweep (one row at a time, see
+/// [`micro_tile`]), [`NARROW_N`] or [`NARROW_MR`] on the narrow tiles.
 ///
 /// Branch-free full-width passes over the tile: the bias/activation
 /// selectors are matched once per tile, outside the row loops, so each
 /// pass vectorizes like the k-loop (matched per row, the 16-row narrow
 /// tile took 367–397 µs on `[65536,5]·[5,8]` + bias + ReLU against 255–294
-/// µs; the `MR`-row tiles measure the same either way). Padding lanes past
-/// `cols` compute garbage and are clipped by the caller's store.
+/// µs). Padding lanes past `cols` compute garbage and are clipped by the
+/// caller's store.
 #[inline(always)]
 fn finish_tile<T: Scalar, const M: usize, const W: usize>(
     acc: &mut [[T; W]; M],
@@ -692,23 +631,35 @@ fn finish_tile<T: Scalar, const M: usize, const W: usize>(
         Bias::None => {}
         Bias::Col(bias) if cols == W => {
             let bs = &bias[col0..col0 + W];
-            for arow in acc.iter_mut() {
-                for (v, b) in arow.iter_mut().zip(bs) {
-                    *v += *b;
+            if M == 1 {
+                // One row is straight-line code, which the vectorizer will
+                // not version on whether `bias` overlaps it: read the lanes
+                // into a local first (several rows stay a loop, vectorized
+                // behind an overlap test; a local there gets vectorized
+                // across the rows instead).
+                let bs: [T; W] = bs.try_into().expect("W bias lanes");
+                for (v, b) in acc.as_flattened_mut().iter_mut().zip(bs) {
+                    *v += b;
+                }
+            } else {
+                for arow in acc.iter_mut() {
+                    for (v, b) in arow.iter_mut().zip(bs) {
+                        *v += *b;
+                    }
                 }
             }
         }
         Bias::Col(bias) => {
             for arow in acc.iter_mut() {
-                for (j, v) in arow.iter_mut().enumerate().take(cols) {
-                    *v += bias[col0 + j];
+                for (v, b) in arow.iter_mut().zip(&bias[col0..col0 + cols]) {
+                    *v += *b;
                 }
             }
         }
         Bias::Row(bias) => {
-            for (arow, rb) in acc.iter_mut().zip(&bias[row0..row0 + M]) {
+            for (arow, &rb) in acc.iter_mut().zip(&bias[row0..row0 + M]) {
                 for v in arow.iter_mut() {
-                    *v += *rb;
+                    *v += rb;
                 }
             }
         }
@@ -735,45 +686,6 @@ fn finish_tile<T: Scalar, const M: usize, const W: usize>(
                     *v = T::ONE / (T::ONE + (-*v).exp());
                 }
             }
-        }
-    }
-}
-
-/// Scalar fallback for the ragged last panel of an unpacked `B`: one
-/// ascending-`k` chain per element, bit-identical to [`micro_tile`].
-// allow: GEMM kernel plumbing — dims, panel slices and strides stay
-// individual scalars so they live in registers through the tile loops.
-#[allow(clippy::too_many_arguments)]
-#[inline(never)]
-fn tail_cols<T: Scalar>(
-    aval: impl Fn(usize, usize) -> T, // (i, kk) -> A[row0+i, k0+kk]
-    rows: usize,
-    b: &[T], // B slab base: b[kk * n + j] = B[k0+kk, j]
-    n: usize,
-    jr: std::ops::Range<usize>,
-    klen: usize,
-    c: &mut [T],
-    ldc: usize,
-    accumulate: bool,
-    finish: Option<(&Epilogue<'_, T>, usize)>, // (epi, row0); col index is j itself
-) {
-    for i in 0..rows {
-        for j in jr.clone() {
-            let mut acc = if accumulate { c[i * ldc + j] } else { T::ZERO };
-            for kk in 0..klen {
-                acc += aval(i, kk) * b[kk * n + j];
-            }
-            if let Some((epi, row0)) = finish {
-                acc = match epi.bias {
-                    Bias::None => acc,
-                    Bias::Col(bias) => acc + bias[j],
-                    Bias::Row(bias) => acc + bias[row0 + i],
-                };
-                if let Some(act) = epi.act {
-                    acc = act.apply(acc);
-                }
-            }
-            c[i * ldc + j] = acc;
         }
     }
 }
@@ -870,23 +782,32 @@ fn narrow_tile<T: Scalar, C: PanelCodec<T>>(
     epi: &Epilogue<'_, T>,
     row0: usize,
 ) {
+    // The k loop follows the micro-kernel's first two rules (module docs,
+    // *Register tiles*): views cut to exactly `k`, lanes outer and rows
+    // inner. With the rows outer, some builds kept the row loop rolled and
+    // the tile on the stack.
+    let rows: [&[T]; NARROW_MR] = std::array::from_fn(|i| &a[i * k..][..k]);
+    let panel = &panel.as_chunks::<NR>().0[..k];
     let mut acc = [[T::ZERO; NARROW_N]; NARROW_MR];
-    // Fixed-count row views of equal length keep the bounds checks out of
-    // the k loop.
-    let rows: [&[T]; NARROW_MR] = std::array::from_fn(|i| &a[i * k..(i + 1) * k]);
-    for (kk, braw) in panel.chunks_exact(NR).take(k).enumerate() {
+    for (kk, braw) in panel.iter().enumerate() {
+        let av: [T; NARROW_MR] = std::array::from_fn(|i| rows[i][kk]);
         let brow = decode_row::<T, C>(braw, scales);
-        for (arow, row) in acc.iter_mut().zip(&rows) {
-            let av = row[kk];
-            for (v, b) in arow.iter_mut().zip(&brow) {
-                *v += av * *b;
+        for (j, &bv) in brow[..NARROW_N].iter().enumerate() {
+            for (arow, &a) in acc.iter_mut().zip(&av) {
+                arow[j] += a * bv;
             }
         }
     }
-    let mut tile = acc; // keeps `acc` in registers, as in micro_tile
+    // Finished on a copy, which keeps `acc` in registers through the k loop
+    // (finished row by row instead, the 8-lane rows measured slower), and
+    // stored row by row: as one 512-byte copy the store was a `memcpy` call
+    // whose cost moved with the frame's alignment from build to build.
+    let mut tile = acc;
     finish_tile(&mut tile, epi, row0, 0, n);
     if n == NARROW_N {
-        c.copy_from_slice(tile.as_flattened());
+        for (crow, trow) in c.chunks_exact_mut(NARROW_N).zip(&tile) {
+            crow.copy_from_slice(trow);
+        }
     } else {
         for (crow, trow) in c.chunks_exact_mut(n).zip(&tile) {
             crow.copy_from_slice(&trow[..n]);
@@ -927,28 +848,14 @@ fn column_tile<T: Scalar, C: PanelCodec<T>>(
 // Macro-kernel / driver
 // ---------------------------------------------------------------------------
 
-/// `C[m, n] = epilogue(A · B)` over raw slices, parallelized over row
-/// stripes with the default [`KC`] slab depth. `c` must be a row-major
-/// `[m, n]` slice; every element is overwritten. Panics on operand/size
-/// mismatches (callers validate shapes; the tensor-level wrappers return
-/// errors instead).
-pub fn gemm_into<T: Scalar>(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: ASource<'_, T>,
-    b: BSource<'_, T>,
-    epi: Epilogue<'_, T>,
-    c: &mut [T],
-) {
-    let b = match b {
-        BSource::Cols(bd) => BView::Cols(bd),
-        BSource::Packed(pb) => {
-            assert_eq!((pb.k(), pb.n()), (k, n), "gemm: PackedB dims mismatch");
-            pb.view()
-        }
-    };
-    gemm_driver::<T, Identity>(m, n, k, a, b, epi, c, KC)
+/// `C[m, n] = epilogue(A · B)` over a row-major `A` (`[m, k]`, read in
+/// place) and a packed `B` (`[k, n]`), parallelized over row stripes with
+/// the default [`KC`] slab depth. `c` must be a row-major `[m, n]` slice;
+/// every element is overwritten. Panics on operand/size mismatches
+/// (callers validate shapes; the tensor-level wrappers return errors
+/// instead).
+pub fn gemm_into<T: Scalar>(m: usize, a: &[T], b: &PackedB<T>, epi: Epilogue<'_, T>, c: &mut [T]) {
+    gemm_driver::<T, Identity>(m, b.n(), b.k(), a, b.view(), epi, c, KC)
 }
 
 /// The one macro-kernel driver, at every storage precision: checks the
@@ -963,25 +870,15 @@ pub(crate) fn gemm_driver<T: Scalar, C: PanelCodec<T>>(
     m: usize,
     n: usize,
     k: usize,
-    a: ASource<'_, T>,
-    b: BView<'_, T, C::Q>,
+    a: &[T],
+    b: Panels<'_, T, C::Q>,
     epi: Epilogue<'_, T>,
     c: &mut [T],
     kc: usize,
 ) {
     assert_eq!(c.len(), m * n, "gemm: bad C length");
-    match a {
-        ASource::Rows(ad) => assert_eq!(ad.len(), m * k, "gemm: bad A length"),
-        ASource::Packed(pa) => {
-            assert_eq!((pa.m(), pa.k()), (m, k), "gemm: PackedA dims mismatch")
-        }
-    }
-    match b {
-        BView::Cols(bd) => assert_eq!(bd.len(), k * n, "gemm: bad B length"),
-        BView::Panels { data, .. } => {
-            assert_eq!(data.len(), n.div_ceil(NR) * k * NR, "gemm: bad B panels")
-        }
-    }
+    assert_eq!(a.len(), m * k, "gemm: bad A length");
+    assert_eq!(b.data.len(), n.div_ceil(NR) * k * NR, "gemm: bad B panels");
     if let Bias::Col(bias) = epi.bias {
         assert_eq!(bias.len(), n, "gemm: col bias length");
     }
@@ -998,15 +895,18 @@ pub(crate) fn gemm_driver<T: Scalar, C: PanelCodec<T>>(
     if par_worthwhile(m, n, k) {
         let rows = par_rows_per_block(m, n, k).div_ceil(MR) * MR;
         hpacml_par::par_chunks_mut(c, rows * n, |start, stripe| {
-            stripe_body::<T, C>(start / n, stripe, n, k, a, b, &epi, kc);
+            let row0 = start / n;
+            let a = &a[row0 * k..][..stripe.len() / n * k];
+            stripe_body::<T, C>(row0, stripe, n, k, a, b, &epi, kc);
         });
     } else {
         stripe_body::<T, C>(0, c, n, k, a, b, &epi, kc);
     }
 }
 
-/// Compute one C row-stripe (`row0 ..` covering `stripe.len() / n` rows),
-/// walking `k` in `kc`-deep slabs and `n` in `NR`-wide panels.
+/// Compute one C row-stripe (`row0 ..` covering `stripe.len() / n` rows,
+/// `a` its rows of `A`), walking `k` in `kc`-deep slabs and `n` in
+/// `NR`-wide panels.
 // allow: GEMM kernel plumbing — dims, panel slices and strides stay
 // individual scalars so they live in registers through the tile loops.
 #[allow(clippy::too_many_arguments)]
@@ -1015,8 +915,8 @@ fn stripe_body<T: Scalar, C: PanelCodec<T>>(
     stripe: &mut [T],
     n: usize,
     k: usize,
-    a: ASource<'_, T>,
-    b: BView<'_, T, C::Q>,
+    a: &[T],
+    b: Panels<'_, T, C::Q>,
     epi: &Epilogue<'_, T>,
     kc: usize,
 ) {
@@ -1032,57 +932,44 @@ fn stripe_body<T: Scalar, C: PanelCodec<T>>(
         // is a pure epilogue pass) run their full NARROW_MR-row blocks on
         // the narrow tiles; whatever is left (< NARROW_MR rows) falls
         // through to the tiles below.
-        let mut r = match (a, b, epi) {
-            (ASource::Rows(ad), BView::Panels { data, scales }, Some(epi))
-                if n <= NARROW_N && (1..=kc).contains(&k) =>
-            {
-                let ab = &ad[row0 * k..][..rows * k];
-                narrow_blocks::<T, C>(ab, k, data, &panel_scales(scales, 0), stripe, n, epi, row0)
+        let mut r = match epi {
+            Some(epi) if n <= NARROW_N && (1..=kc).contains(&k) => {
+                let scales = panel_scales(b.scales, 0);
+                narrow_blocks::<T, C>(a, k, b.data, &scales, stripe, n, epi, row0)
             }
             _ => 0,
         };
-        // Full MR-row register tiles. Stripes start MR-aligned by
-        // construction, so `row0 + r` is always a block boundary here.
-        while rows - r >= MR {
-            let row = row0 + r;
-            let (ab, a_kk, a_i): (&[T], usize, usize) = match a {
-                ASource::Rows(ad) => (&ad[row * k + k0..], 1, k),
-                ASource::Packed(pa) => {
-                    // `row + MR <= m` here, and PackedA blocks cover the
-                    // first `m - m % MR` rows, so this block is always in
-                    // the packed region.
-                    debug_assert!(row / MR < pa.blocks);
-                    (pa.block_slab(row / MR, k0), MR, 1)
-                }
-            };
-            let cb = &mut stripe[r * n..(r + MR) * n];
-            panel_sweep::<T, C, MR>(ab, a_kk, a_i, b, n, k, k0, klen, cb, row, accumulate, epi);
-            r += MR;
-        }
-        // Remainder rows (< MR): step down through 4/2/1-row tiles so even
-        // small-m problems (e.g. a 4-filter convolution) keep several
-        // independent accumulator chains in flight; the 1-row tile makes up
-        // for its height by sweeping ROW_GROUP panels at once (see
-        // `panel_sweep`). Per-row arithmetic is identical at every tile
-        // height and width, so the decomposition never changes results.
+        // MR-row register tiles, then the remainder (< MR) stepping down
+        // through 4/2/1-row tiles. A shorter tile makes up for its height
+        // by sweeping more panels at once (`panel_sweep`'s `G`: MR / M, at
+        // most ROW_GROUP), so even small-m problems (e.g. a 4-filter
+        // convolution) keep MR·NR independent accumulator chains in flight,
+        // and a single row 64. Per-row arithmetic is identical at every
+        // tile height and width, so the decomposition never changes results.
         while r < rows {
-            let row = row0 + r;
-            let (ab, a_i): (&[T], usize) = match a {
-                ASource::Rows(ad) => (&ad[row * k + k0..], k),
-                ASource::Packed(pa) => (&pa.rem_rows(row)[k0..], pa.k),
-            };
-            let cb = &mut stripe[r * n..];
+            let (row, cb) = (row0 + r, &mut stripe[r * n..]);
+            let rows_at = |i: usize| &a[(r + i) * k + k0..];
             let step = match rows - r {
+                MR.. => {
+                    let a = std::array::from_fn(rows_at);
+                    panel_sweep::<T, C, MR, 1>(a, b, n, k, k0, klen, cb, row, accumulate, epi);
+                    MR
+                }
                 4.. => {
-                    panel_sweep::<T, C, 4>(ab, 1, a_i, b, n, k, k0, klen, cb, row, accumulate, epi);
+                    let a = std::array::from_fn(rows_at);
+                    panel_sweep::<T, C, 4, 2>(a, b, n, k, k0, klen, cb, row, accumulate, epi);
                     4
                 }
                 2.. => {
-                    panel_sweep::<T, C, 2>(ab, 1, a_i, b, n, k, k0, klen, cb, row, accumulate, epi);
+                    let a = std::array::from_fn(rows_at);
+                    panel_sweep::<T, C, 2, 4>(a, b, n, k, k0, klen, cb, row, accumulate, epi);
                     2
                 }
                 _ => {
-                    panel_sweep::<T, C, 1>(ab, 1, 0, b, n, k, k0, klen, cb, row, accumulate, epi);
+                    let a = [rows_at(0)];
+                    panel_sweep::<T, C, 1, ROW_GROUP>(
+                        a, b, n, k, k0, klen, cb, row, accumulate, epi,
+                    );
                     1
                 }
             };
@@ -1091,16 +978,16 @@ fn stripe_body<T: Scalar, C: PanelCodec<T>>(
     }
 }
 
-/// Sweep the `NR`-wide column panels of one `M`-row block (`c`: its rows
-/// from the block's first, `ldc == n`).
+/// Sweep the `NR`-wide column panels of one `M`-row block, `G` side by side
+/// per tile and the `< G` left over one at a time (`a`: the block's rows of
+/// `A` from the slab's first column; `c`: its rows of `C` from the block's
+/// first, `ldc == n`).
 // allow: GEMM kernel plumbing — dims, panel slices and strides stay
 // individual scalars so they live in registers through the tile loops.
 #[allow(clippy::too_many_arguments)]
-fn panel_sweep<T: Scalar, C: PanelCodec<T>, const M: usize>(
-    a: &[T],
-    a_kk: usize,
-    a_i: usize,
-    b: BView<'_, T, C::Q>,
+fn panel_sweep<T: Scalar, C: PanelCodec<T>, const M: usize, const G: usize>(
+    a: [&[T]; M],
+    b: Panels<'_, T, C::Q>,
     n: usize,
     k: usize,
     k0: usize,
@@ -1110,86 +997,36 @@ fn panel_sweep<T: Scalar, C: PanelCodec<T>, const M: usize>(
     accumulate: bool,
     epi: Option<&Epilogue<'_, T>>,
 ) {
-    match b {
-        BView::Panels { data, scales } => {
-            let panels = n.div_ceil(NR);
-            // A single row sweeps full groups of ROW_GROUP panels per tile
-            // (module docs, *Batch-1 rows*); the rest go one panel at a time.
-            let grouped = if M == 1 {
-                panels - panels % ROW_GROUP
-            } else {
-                0
-            };
-            for p in (0..grouped).step_by(ROW_GROUP) {
-                let j0 = p * NR;
-                micro_tile::<T, C, 1, ROW_GROUP>(
-                    a,
-                    a_kk,
-                    a_i,
-                    std::array::from_fn(|q| panel_slab(data, k, p + q, k0)),
-                    NR,
-                    std::array::from_fn(|q| panel_scales(scales, j0 + q * NR)),
-                    klen,
-                    &mut c[j0..],
-                    n,
-                    (ROW_GROUP * NR).min(n - j0),
-                    accumulate,
-                    epi.map(|e| (e, row0, j0)),
-                );
-            }
-            for p in grouped..panels {
-                let j0 = p * NR;
-                micro_tile::<T, C, M, 1>(
-                    a,
-                    a_kk,
-                    a_i,
-                    [panel_slab(data, k, p, k0)],
-                    NR,
-                    [panel_scales(scales, j0)],
-                    klen,
-                    &mut c[j0..],
-                    n,
-                    NR.min(n - j0),
-                    accumulate,
-                    epi.map(|e| (e, row0, j0)),
-                );
-            }
-        }
-        BView::Cols(bd) => {
-            let slab = &bd[k0 * n..];
-            let full = n / NR;
-            for p in 0..full {
-                let j0 = p * NR;
-                micro_tile::<T, Identity, M, 1>(
-                    a,
-                    a_kk,
-                    a_i,
-                    [&slab[j0..]],
-                    n,
-                    [[T::ONE; NR]],
-                    klen,
-                    &mut c[j0..],
-                    n,
-                    NR,
-                    accumulate,
-                    epi.map(|e| (e, row0, j0)),
-                );
-            }
-            if full * NR < n {
-                tail_cols(
-                    |i, kk| a[kk * a_kk + i * a_i],
-                    M,
-                    slab,
-                    n,
-                    full * NR..n,
-                    klen,
-                    c,
-                    n,
-                    accumulate,
-                    epi.map(|e| (e, row0)),
-                );
-            }
-        }
+    let Panels { data, scales } = b;
+    let panels = n.div_ceil(NR);
+    let grouped = panels - panels % G;
+    for p in (0..grouped).step_by(G) {
+        let j0 = p * NR;
+        micro_tile::<T, C, M, G>(
+            a,
+            std::array::from_fn(|q| panel_slab(data, k, p + q, k0)),
+            std::array::from_fn(|q| panel_scales(scales, j0 + q * NR)),
+            klen,
+            &mut c[j0..],
+            n,
+            (G * NR).min(n - j0),
+            accumulate,
+            epi.map(|e| (e, row0, j0)),
+        );
+    }
+    for p in grouped..panels {
+        let j0 = p * NR;
+        micro_tile::<T, C, M, 1>(
+            a,
+            [panel_slab(data, k, p, k0)],
+            [panel_scales(scales, j0)],
+            klen,
+            &mut c[j0..],
+            n,
+            NR.min(n - j0),
+            accumulate,
+            epi.map(|e| (e, row0, j0)),
+        );
     }
 }
 
@@ -1259,8 +1096,7 @@ pub(crate) fn matmul_transb_packed_into_kc<T: Scalar>(
     let n = bp.n();
     let (m, k) = check_operands("matmul_transb_packed", a, n, bp.k(), &epi)?;
     c.resize(&[m, n]);
-    let a = ASource::Rows(a.data());
-    gemm_driver::<T, Identity>(m, n, k, a, bp.view(), epi, c.data_mut(), kc);
+    gemm_driver::<T, Identity>(m, n, k, a.data(), bp.view(), epi, c.data_mut(), kc);
     Ok(())
 }
 
@@ -1269,16 +1105,15 @@ pub(crate) fn matmul_transb_packed_into_kc<T: Scalar>(
 // ---------------------------------------------------------------------------
 
 /// Reusable per-thread staging buffers for kernels whose operands are not
-/// pre-packed: a [`PackedA`] for on-the-fly weight packing on the conv
-/// inner-parallel route, a [`PackedB`] for on-the-fly weight packing
-/// (training-time and uncompiled-model `Linear` forwards) and a column
-/// buffer for im2col convolution. One instance lives per thread (see
-/// [`WithScratch`]), so parallel kernels never contend on — or repack —
-/// another thread's panels. Grow-only, so steady-state use is
-/// allocation-free.
+/// pre-packed: a [`PackedB`] for on-the-fly weight packing (training-time
+/// and uncompiled-model `Linear` forwards) and for the im2col panels of the
+/// convolution GEMM routes, and a buffer the other convolution staging goes
+/// through (the GEMM routes' zero-padded sample, the strided direct route's
+/// im2col columns). One instance lives per thread (see [`WithScratch`]), so
+/// parallel kernels never contend on — or repack — another thread's panels.
+/// Grow-only, so steady-state use is allocation-free.
 #[derive(Default)]
 pub struct GemmScratch<T: Scalar> {
-    pub packed_a: PackedA<T>,
     pub packed_b: PackedB<T>,
     pub col: Vec<T>,
 }
@@ -1286,10 +1121,7 @@ pub struct GemmScratch<T: Scalar> {
 impl<T: Scalar> GemmScratch<T> {
     /// Pre-size the buffers (elements) so even a first use allocates
     /// nothing. Grow-only.
-    pub fn reserve(&mut self, a_elems: usize, b_elems: usize, col_elems: usize) {
-        if self.packed_a.data.len() < a_elems {
-            self.packed_a.data.resize(a_elems, T::ZERO);
-        }
+    pub fn reserve(&mut self, b_elems: usize, col_elems: usize) {
         if self.packed_b.data.len() < b_elems {
             self.packed_b.data.resize(b_elems, T::ZERO);
         }
@@ -1332,8 +1164,8 @@ impl_with_scratch!(f64, GEMM_SCRATCH_F64);
 /// hook sessions use so their first forward pass is already allocation-free.
 /// Sessions broadcast this across the pool (`hpacml_par::broadcast`) so
 /// every worker's per-thread scratch is warm before the first dispatch.
-pub fn reserve_scratch<T: WithScratch>(a_elems: usize, b_elems: usize, col_elems: usize) {
-    T::with_gemm_scratch(|s| s.reserve(a_elems, b_elems, col_elems));
+pub fn reserve_scratch<T: WithScratch>(b_elems: usize, col_elems: usize) {
+    T::with_gemm_scratch(|s| s.reserve(b_elems, col_elems));
 }
 
 #[cfg(test)]
@@ -1546,67 +1378,31 @@ mod tests {
         }
     }
 
+    /// Multi-row tiles (`M` of 8, 4 and 2) whose panels are all full store
+    /// fixed-width rows; a ragged last panel is clipped. Both, resuming
+    /// their chains across `kc` slabs, under every epilogue, against the
+    /// naive reference.
     #[test]
-    fn unpacked_cols_b_matches_packed() {
-        // Conv-style: B given row-major [k, n] with a ragged tail panel.
-        let (m, k, n) = (5usize, 12usize, 37usize);
-        let a = lcg(11, m * k);
-        let b_cols = lcg(12, k * n);
-        let bias_r = lcg(13, m);
-        let mut pb = PackedB::new();
-        pb.pack_cols_into(&b_cols, k, n);
-        let epi = Epilogue::row_bias(&bias_r).with_act(Some(Act::Relu));
-        let mut c1 = vec![0.0f32; m * n];
-        let mut c2 = vec![0.0f32; m * n];
-        gemm_into(
-            m,
-            n,
-            k,
-            ASource::Rows(&a),
-            BSource::Cols(&b_cols),
-            epi,
-            &mut c1,
-        );
-        gemm_into(
-            m,
-            n,
-            k,
-            ASource::Rows(&a),
-            BSource::Packed(&pb),
-            epi,
-            &mut c2,
-        );
-        assert_eq!(c1, c2);
-    }
-
-    #[test]
-    fn packed_a_matches_rows_a() {
-        for &(m, k, n) in &[(4usize, 36usize, 50usize), (19, 8, 33), (8, 5, 16)] {
-            let a = lcg(21, m * k);
-            let b_cols = lcg(22, k * n);
-            let pa = PackedA::from_rows(&a, m, k);
-            let mut c1 = vec![0.0f32; m * n];
-            let mut c2 = vec![0.0f32; m * n];
-            let epi = Epilogue::none().with_act(Some(Act::Sigmoid));
-            gemm_into(
-                m,
-                n,
-                k,
-                ASource::Rows(&a),
-                BSource::Cols(&b_cols),
-                epi,
-                &mut c1,
-            );
-            gemm_into(
-                m,
-                n,
-                k,
-                ASource::Packed(&pa),
-                BSource::Cols(&b_cols),
-                epi,
-                &mut c2,
-            );
-            assert_eq!(c1, c2, "({m},{k},{n})");
+    fn full_and_ragged_tiles_match_reference_across_kc() {
+        for (m, k, n) in [(14usize, 300usize, 64usize), (14, 40, 70)] {
+            let a = Tensor::from_vec(lcg(41, m * k), [m, k]).unwrap();
+            let bt = Tensor::from_vec(lcg(42, n * k), [n, k]).unwrap();
+            let bp = PackedB::from_transb(&bt).unwrap();
+            let (bias_c, bias_r) = (lcg(43, n), lcg(44, m));
+            for act in [None, Some(Act::Relu), Some(Act::Tanh), Some(Act::Sigmoid)] {
+                for epi in [
+                    Epilogue::none().with_act(act),
+                    Epilogue::col_bias(&bias_c).with_act(act),
+                    Epilogue::row_bias(&bias_r).with_act(act),
+                ] {
+                    let want = reference(m, n, k, a.data(), bt.data(), &epi);
+                    for kc in [KC, 64, 7] {
+                        let mut c = Tensor::zeros([0usize; 2]);
+                        matmul_transb_packed_into_kc(&a, &bp, epi, &mut c, kc).unwrap();
+                        assert_eq!(c.data(), &want[..], "({m},{k},{n}) kc={kc} {epi:?}");
+                    }
+                }
+            }
         }
     }
 
@@ -1616,10 +1412,8 @@ mod tests {
         let mut c = vec![9.0f32; 2 * 2];
         gemm_into(
             2,
-            2,
-            0,
-            ASource::Rows(&[]),
-            BSource::Cols(&[]),
+            &[],
+            &PackedB::from_transb(&Tensor::zeros([2usize, 0])).unwrap(),
             Epilogue::col_bias(&bias).with_act(Some(Act::Relu)),
             &mut c,
         );
@@ -1657,9 +1451,8 @@ mod tests {
 
     #[test]
     fn scratch_reserve_grows_once() {
-        reserve_scratch::<f32>(512, 1024, 2048);
+        reserve_scratch::<f32>(1024, 2048);
         f32::with_gemm_scratch(|s| {
-            assert!(s.packed_a.data.len() >= 512);
             assert!(s.packed_b.data.len() >= 1024);
             assert!(s.col.len() >= 2048);
         });

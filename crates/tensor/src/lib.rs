@@ -20,7 +20,7 @@ pub mod shape;
 pub mod tensor;
 pub mod view;
 
-pub use gemm::{Act, Bias, Epilogue, PackedA, PackedB};
+pub use gemm::{Act, Bias, Epilogue, PackedB};
 pub use quant::{Precision, QPackedB};
 pub use scalar::Scalar;
 pub use shape::Shape;

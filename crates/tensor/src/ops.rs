@@ -11,7 +11,7 @@
 //! fused bias/activation epilogues; the remaining training-side kernels
 //! keep their simpler axpy formulations.
 
-use crate::gemm::{self, ASource, Act, BSource, Epilogue, PackedA, WithScratch};
+use crate::gemm::{self, Act, Epilogue, PackedB, WithScratch, NR};
 use crate::scalar::Scalar;
 use crate::tensor::Tensor;
 use crate::{Result, TensorError};
@@ -88,15 +88,7 @@ pub fn matmul_transb_into<T: Scalar + WithScratch>(
     if m >= PACK_MIN_ROWS {
         T::with_gemm_scratch(|s| {
             s.packed_b.pack_rows_into(bd, n, k);
-            gemm::gemm_into(
-                m,
-                n,
-                k,
-                ASource::Rows(ad),
-                BSource::Packed(&s.packed_b),
-                epi,
-                c.data_mut(),
-            );
+            gemm::gemm_into(m, ad, &s.packed_b, epi, c.data_mut());
         });
         return Ok(());
     }
@@ -236,9 +228,6 @@ impl Conv2dGeom {
 
 /// Fill one im2col row: `row` encodes the tap `(ch, ki, kj)` as
 /// `(ch * kh + ki) * kw + kj`, `dst` is that row's `OH*OW` destination.
-/// Shared verbatim by the sequential and parallel fills — each row's
-/// content depends only on the input and its own tap, so fill order (and
-/// which thread runs it) cannot change a single bit.
 fn im2col_fill_row<T: Scalar>(
     input: &[T],
     h: usize,
@@ -293,31 +282,117 @@ pub fn im2col<T: Scalar>(input: &[T], c: usize, h: usize, w: usize, g: Conv2dGeo
     }
 }
 
-/// [`im2col`] with the row fills dispatched across the pool — the conv
-/// inner-parallel route uses this so the column-matrix build scales along
-/// with the GEMM that consumes it. Row contents are produced by the same
-/// scalar fill as the sequential version, so results are bit-identical;
-/// small problems fall back to the sequential loop inline.
-pub fn im2col_par<T: Scalar + Send>(
+/// Zero-pad one sample: `input` `[C, H, W]` into `dst` `[C, H + 2·ph,
+/// W + 2·pw]`, so that every im2col read of the padded sample is in bounds
+/// and needs no edge test.
+fn pad_sample<T: Scalar>(input: &[T], c: usize, h: usize, w: usize, g: Conv2dGeom, dst: &mut [T]) {
+    let (ph, pw) = g.pad;
+    let wp = w + 2 * pw;
+    dst.fill(T::ZERO);
+    let planes = dst
+        .chunks_exact_mut((h + 2 * ph) * wp)
+        .zip(input.chunks_exact(h * w));
+    for (dplane, plane) in planes.take(c) {
+        for (drow, row) in dplane[ph * wp..]
+            .chunks_exact_mut(wp)
+            .zip(plane.chunks_exact(w))
+        {
+            drow[pw..pw + w].copy_from_slice(row);
+        }
+    }
+}
+
+/// Fill panel `p` of one sample's im2col matrix (`[C*KH*KW, OH*OW]`) in the
+/// GEMM's packed-`B` layout from the zero-padded sample `xpad` (see
+/// [`pad_sample`]): `dst[row * NR + j]` is tap `row` at output pixel
+/// `p * NR + j`, zero past the last pixel. Every element is the one
+/// [`im2col`] writes at `(row, p * NR + j)`, so the GEMM reads the same
+/// values, with every `k` step one contiguous `NR`-vector.
+fn im2col_fill_panel<T: Scalar>(
+    xpad: &[T],
+    c: usize,
+    (hp, wp): (usize, usize),
+    g: Conv2dGeom,
+    p: usize,
+    dst: &mut [T],
+) {
+    let (kh, kw) = g.kernel;
+    let (sh, sw) = g.stride;
+    let (oh, ow) = (conv_out_dim(hp, kh, sh, 0), conv_out_dim(wp, kw, sw, 0));
+    // The panel's pixels one output row at a time: lanes `lane0..lane0 + len`
+    // are pixels `(oy, ox0..ox0 + len)`; lanes past the last pixel are zero.
+    let (mut px, end) = (p * NR, (p * NR + NR).min(oh * ow));
+    if end < px + NR {
+        for drow in dst.chunks_exact_mut(NR) {
+            drow[end - px..].fill(T::ZERO);
+        }
+    }
+    while px < end {
+        let (oy, ox0) = (px / ow, px % ow);
+        let (lane0, len) = (px - p * NR, (ow - ox0).min(end - px));
+        let mut drows = dst.chunks_exact_mut(NR);
+        for ch in 0..c {
+            for ki in 0..kh {
+                let xrow = &xpad[(ch * hp + oy * sh + ki) * wp..][..wp];
+                for kj in 0..kw {
+                    let drow = drows.next().expect("c·kh·kw rows per panel");
+                    // Lane `t` reads padded column `x0 + t·sw`.
+                    let x0 = ox0 * sw + kj;
+                    if sw == 1 && len == NR {
+                        drow.copy_from_slice(&xrow[x0..x0 + NR]);
+                    } else {
+                        let src = xrow[x0..].iter().step_by(sw);
+                        for (v, x) in drow[lane0..lane0 + len].iter_mut().zip(src) {
+                            *v = *x;
+                        }
+                    }
+                }
+            }
+        }
+        px += len;
+    }
+}
+
+/// im2col for one sample straight into `dst`'s GEMM panels (`[C*KH*KW,
+/// OH*OW]` packed as [`PackedB`]), so the convolution GEMM needs no second
+/// pass to pack its `B` operand. The sample is first zero-padded into
+/// `xpad` so that no read needs an edge test. Large fills are dispatched
+/// across the pool one panel per chunk (inline when already on a worker);
+/// each panel's content depends only on the input and its own pixels, so
+/// neither order nor thread can change a bit.
+// allow: conv kernel plumbing — every dim/stride is an individually hot
+// scalar the optimizer keeps in registers; a params struct defeats that.
+#[allow(clippy::too_many_arguments)]
+fn im2col_panels<T: Scalar + Send>(
     input: &[T],
     c: usize,
     h: usize,
     w: usize,
     g: Conv2dGeom,
-    col: &mut [T],
+    xpad: &mut Vec<T>,
+    dst: &mut PackedB<T>,
 ) {
     let (kh, kw) = g.kernel;
     let (oh, ow) = g.out_hw(h, w);
-    let l = oh * ow;
-    let rows = c * kh * kw;
-    assert_eq!(col.len(), rows * l, "im2col_par: bad col buffer size");
-    if rows <= 1 || rows * l < PAR_FLOPS_MIN {
-        im2col(input, c, h, w, g, col);
+    let (rows, l) = (c * kh * kw, oh * ow);
+    let (hp, wp) = (h + 2 * g.pad.0, w + 2 * g.pad.1);
+    let padded = c * hp * wp;
+    if xpad.len() < padded {
+        xpad.resize(padded, T::ZERO);
+    }
+    let xpad = &mut xpad[..padded];
+    pad_sample(input, c, h, w, g, xpad);
+    let (xpad, dims) = (&*xpad, (hp, wp));
+    let panel = (rows * NR).max(1);
+    let panels = dst.panels_mut(rows, l);
+    if l <= NR || rows * l < PAR_FLOPS_MIN {
+        for (p, dst) in panels.chunks_exact_mut(panel).enumerate() {
+            im2col_fill_panel(xpad, c, dims, g, p, dst);
+        }
         return;
     }
-    hpacml_par::par_chunks_mut(col, l, |start, dst| {
-        // One chunk == one col row (the grain divides col.len() exactly).
-        im2col_fill_row(input, h, w, g, start / l, dst);
+    hpacml_par::par_chunks_mut(panels, panel, |start, dst| {
+        im2col_fill_panel(xpad, c, dims, g, start / panel, dst);
     });
 }
 
@@ -362,10 +437,11 @@ pub fn col2im<T: Scalar>(col: &[T], c: usize, h: usize, w: usize, g: Conv2dGeom,
 ///
 /// `input [N, C, H, W]`, `weight [F, C, KH, KW]`, `bias [F]` → `[N, F, OH, OW]`.
 ///
-/// Large per-sample problems route through im2col into this thread's
-/// reusable scratch column buffer and the register-tiled packed GEMM
-/// (`out[f, l] = W[f, ckk] · col[ckk, l]` with the bias — and, for fused
-/// layers, the activation — applied in the GEMM epilogue). Small problems
+/// Large per-sample problems route through im2col straight into this
+/// thread's reusable scratch GEMM panels and the register-tiled GEMM
+/// (`out[f, l] = W[f, ckk] · col[ckk, l]`, the weight read in place as the
+/// row-major `A` operand, with the bias — and, for fused layers, the
+/// activation — applied in the GEMM epilogue). Small problems
 /// keep the direct kernels: a row-span `axpy` path for stride 1, im2col +
 /// `axpy` otherwise. The choice depends only on the per-sample geometry,
 /// never on the batch size or thread count, so batched and per-sample
@@ -377,7 +453,7 @@ pub fn conv2d<T: Scalar + WithScratch>(
     g: Conv2dGeom,
 ) -> Result<Tensor<T>> {
     let mut out = Tensor::zeros([0usize; 4]);
-    conv2d_fused_into(input, weight, None, bias, g, None, &mut out)?;
+    conv2d_fused_into(input, weight, bias, g, None, &mut out)?;
     Ok(out)
 }
 
@@ -392,16 +468,13 @@ pub fn conv_gemm_worthwhile(f: usize, ckk: usize, l: usize) -> bool {
 }
 
 /// [`conv2d`] writing into a caller-owned output tensor (resized in place),
-/// with the compiled-layer extras: optionally pre-packed weight panels (`W`
-/// viewed as the `[f, ckk]` GEMM `A` operand, packed once at model load)
-/// and a fused activation applied while each output tile is hot.
-/// Steady-state allocation-free on every path: the direct kernels touch no
-/// scratch, and the im2col/GEMM paths reuse this thread's grow-only
-/// [`gemm::GemmScratch`] column buffer.
+/// with the compiled-layer extra: a fused activation applied while each
+/// output tile is hot. Steady-state allocation-free on every path: the
+/// direct kernels touch no scratch, and the im2col/GEMM paths reuse this
+/// thread's grow-only [`gemm::GemmScratch`] panels and column buffer.
 pub fn conv2d_fused_into<T: Scalar + WithScratch>(
     input: &Tensor<T>,
     weight: &Tensor<T>,
-    packed_w: Option<&PackedA<T>>,
     bias: &[T],
     g: Conv2dGeom,
     act: Option<Act>,
@@ -421,16 +494,6 @@ pub fn conv2d_fused_into<T: Scalar + WithScratch>(
             bias.len()
         )));
     }
-    if let Some(p) = packed_w {
-        if (p.m(), p.k()) != (f, c * kh * kw) {
-            return Err(TensorError::DimMismatch(format!(
-                "conv2d: packed weight is [{}, {}], expected [{f}, {}]",
-                p.m(),
-                p.k(),
-                c * kh * kw
-            )));
-        }
-    }
     let (oh, ow) = g.out_hw(h, w);
     let l = oh * ow;
     let ckk = c * kh * kw;
@@ -441,45 +504,23 @@ pub fn conv2d_fused_into<T: Scalar + WithScratch>(
     let id = input.data();
     let use_gemm = conv_gemm_worthwhile(f, ckk, l);
     let direct = g.stride == (1, 1);
+    let epi = Epilogue::row_bias(bias).with_act(act);
 
     // Small batches on a wide pool starve it if samples are the only
     // parallel axis (n < threads leaves cores idle); route those through
     // intra-sample parallelism — parallel im2col fill plus the row-parallel
     // GEMM — on the caller's thread instead. The per-sample math is the
     // same on both routes (each output element keeps its one ascending-k
-    // chain; packed and row-major A are bit-identical by the packing
-    // tests), and the route choice is a pure function of batch size and
+    // chain), and the route choice is a pure function of batch size and
     // pool width, so batched == sequential stays bitwise.
     if use_gemm && !gemm::outer_saturates(n) {
         let od = out.data_mut();
         T::with_gemm_scratch(|s| {
-            // Pack the weight once per call into this thread's scratch when
-            // the model didn't pre-pack: every sample's GEMM then reads
-            // MR-interleaved panels instead of re-walking row-major rows.
-            if packed_w.is_none() {
-                s.packed_a.pack_rows_into(wd, f, ckk);
-            }
-            let gemm::GemmScratch { packed_a, col, .. } = s;
-            if col.len() < ckk * l {
-                col.resize(ckk * l, T::ZERO);
-            }
-            let col = &mut col[..ckk * l];
-            let a = match packed_w {
-                Some(p) => ASource::Packed(p),
-                None => ASource::Packed(packed_a),
-            };
+            let gemm::GemmScratch { packed_b, col } = s;
             for (sample, out_n) in od.chunks_exact_mut(out_sample).enumerate() {
                 let inp = &id[sample * in_sample..(sample + 1) * in_sample];
-                im2col_par(inp, c, h, w, g, col);
-                gemm::gemm_into(
-                    f,
-                    l,
-                    ckk,
-                    a,
-                    BSource::Cols(col),
-                    Epilogue::row_bias(bias).with_act(act),
-                    out_n,
-                );
+                im2col_panels(inp, c, h, w, g, col, packed_b);
+                gemm::gemm_into(f, wd, packed_b, epi, out_n);
             }
         });
         return Ok(());
@@ -489,29 +530,13 @@ pub fn conv2d_fused_into<T: Scalar + WithScratch>(
         let sample = start / out_sample;
         let inp = &id[sample * in_sample..(sample + 1) * in_sample];
         if use_gemm {
+            // Nested dispatch (the panel fill, the GEMM's stripes) runs
+            // inline here — on pool workers and on the participating caller
+            // alike (both are flagged in-worker while draining) — so the
+            // outer per-sample parallelism is preserved.
             T::with_gemm_scratch(|s| {
-                if s.col.len() < ckk * l {
-                    s.col.resize(ckk * l, T::ZERO);
-                }
-                let col = &mut s.col[..ckk * l];
-                im2col(inp, c, h, w, g, col);
-                let a = match packed_w {
-                    Some(p) => ASource::Packed(p),
-                    None => ASource::Rows(wd),
-                };
-                // Nested dispatch runs inline here — on pool workers and
-                // on the participating caller alike (both are flagged
-                // in-worker while draining) — so the outer per-sample
-                // parallelism is preserved.
-                gemm::gemm_into(
-                    f,
-                    l,
-                    ckk,
-                    a,
-                    BSource::Cols(col),
-                    Epilogue::row_bias(bias).with_act(act),
-                    out_n,
-                );
+                im2col_panels(inp, c, h, w, g, &mut s.col, &mut s.packed_b);
+                gemm::gemm_into(f, wd, &s.packed_b, epi, out_n);
             });
         } else if direct {
             conv2d_sample_direct_s1(inp, c, h, w, wd, bias, g, oh, ow, act, out_n);
@@ -1028,6 +1053,43 @@ mod tests {
         let lhs: f64 = cx.iter().zip(&y).map(|(a, b)| a * b).sum();
         let rhs: f64 = x.iter().zip(&aty).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-9 * lhs.abs().max(1.0));
+    }
+
+    /// The GEMM routes' panel fill holds exactly the row-major im2col
+    /// values, zero-padded past the last pixel: panels within one output
+    /// row, across row ends, narrower than a panel, at strides 1–3, and
+    /// large enough to fill in parallel.
+    #[test]
+    fn im2col_panels_hold_the_im2col_values() {
+        for (c, h, w, k, stride, pad) in [
+            (2usize, 5usize, 6usize, 3usize, 1usize, 1usize),
+            (3, 9, 40, 3, 1, 1),
+            (2, 11, 13, 3, 2, 1),
+            (1, 17, 50, 5, 3, 2),
+            (8, 40, 37, 3, 1, 0),
+        ] {
+            let g = Conv2dGeom::square(k, stride, pad);
+            let (oh, ow) = g.out_hw(h, w);
+            let (rows, l) = (c * k * k, oh * ow);
+            let x = rand_mat(c * h * w, 1, 41).into_vec();
+            let mut col = vec![0.0f64; rows * l];
+            im2col(&x, c, h, w, g, &mut col);
+            let (mut xpad, mut panels) = (Vec::new(), PackedB::new());
+            im2col_panels(&x, c, h, w, g, &mut xpad, &mut panels);
+            let stored = panels.panels_mut(rows, l);
+            for (p, panel) in stored.chunks_exact(rows * gemm::NR).enumerate() {
+                for (row, lanes) in panel.chunks_exact(gemm::NR).enumerate() {
+                    for (j, &v) in lanes.iter().enumerate() {
+                        let px = p * gemm::NR + j;
+                        let want = if px < l { col[row * l + px] } else { 0.0 };
+                        assert_eq!(
+                            v, want,
+                            "{c}x{h}x{w} k{k} s{stride} p{pad}: tap {row}, pixel {px}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

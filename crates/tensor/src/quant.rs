@@ -44,7 +44,7 @@
 //!   mode dependence). Decode is `q as f32 * scale`. Zero maps to zero
 //!   exactly, so panel padding decodes to `0.0` at both precisions.
 
-use crate::gemm::{self, ASource, BView, Epilogue, PanelCodec, KC, NR};
+use crate::gemm::{self, Epilogue, PanelCodec, Panels, KC, NR};
 use crate::tensor::Tensor;
 use crate::{Result, TensorError};
 
@@ -358,14 +358,14 @@ pub(crate) fn matmul_transb_qpacked_into_kc(
     let n = qb.n;
     let (m, k) = gemm::check_operands("matmul_transb_qpacked", a, n, qb.k, &epi)?;
     c.resize(&[m, n]);
-    let (a, scales, c) = (ASource::Rows(a.data()), &qb.scales[..], c.data_mut());
+    let (a, scales, c) = (a.data(), &qb.scales[..], c.data_mut());
     match &qb.data {
         QData::Bf16(data) => {
-            let b = BView::Panels { data, scales };
+            let b = Panels { data, scales };
             gemm::gemm_driver::<f32, Bf16Panel>(m, n, k, a, b, epi, c, kc)
         }
         QData::Int8(data) => {
-            let b = BView::Panels { data, scales };
+            let b = Panels { data, scales };
             gemm::gemm_driver::<f32, Int8Panel>(m, n, k, a, b, epi, c, kc)
         }
     }
@@ -516,13 +516,19 @@ mod tests {
         }
     }
 
-    /// The three shape families of `tests/prop_quant_gemm.rs` (general,
-    /// narrow, batch-1 wide).
+    /// The four shape families of `tests/prop_quant_gemm.rs` (general,
+    /// narrow, batch-1 wide, full tiles).
     fn shape() -> impl Strategy<Value = (usize, usize, usize, u64)> {
         prop_oneof![
             (1usize..70, 1usize..40, 0usize..50, any::<u64>()),
             (1usize..200, 1usize..=8, 0usize..50, any::<u64>()),
             (1usize..=2, 40usize..=150, 0usize..=300, any::<u64>()),
+            (
+                2usize..=40,
+                (1usize..=4, 0usize..3).prop_map(|(p, d)| 16 * p - 1 + d),
+                0usize..=300,
+                any::<u64>(),
+            ),
         ]
     }
 

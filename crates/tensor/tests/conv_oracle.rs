@@ -1,0 +1,121 @@
+//! Correct, not only reproducible: every convolution route against an f64
+//! oracle with a stated bound. The routes are the direct stride-1 kernel,
+//! im2col + `axpy` at stride > 1, and the im2col + GEMM kernel, which runs
+//! intra-sample when the batch leaves the pool idle and per sample when it
+//! does not. Elsewhere they are only checked against each other, bit for bit
+//! (`gemm_determinism`), which a mistake shared by all of them would pass.
+
+use hpacml_tensor::gemm::Act;
+use hpacml_tensor::ops::{self, Conv2dGeom};
+use hpacml_tensor::Tensor;
+
+fn values(len: usize, seed: u64) -> Vec<f32> {
+    let mut s = seed
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    (0..len)
+        .map(|_| {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((s >> 33) as f32 / (1u64 << 31) as f32) - 1.0
+        })
+        .collect()
+}
+
+/// `(exact, Σ|w·x|)` of output `(n, f, oy, ox)` without its bias, in f64.
+fn oracle(x: &Tensor<f32>, w: &Tensor<f32>, g: Conv2dGeom, out: [usize; 4]) -> (f64, f64) {
+    let [n, f, oy, ox] = out;
+    let [_, c, h, wd] = [x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]];
+    let (kh, kw) = g.kernel;
+    let (mut exact, mut mag) = (0.0f64, 0.0f64);
+    for ch in 0..c {
+        for ki in 0..kh {
+            for kj in 0..kw {
+                let iy = (oy * g.stride.0 + ki).checked_sub(g.pad.0);
+                let ix = (ox * g.stride.1 + kj).checked_sub(g.pad.1);
+                if let (Some(iy), Some(ix)) = (iy, ix) {
+                    if iy < h && ix < wd {
+                        let p =
+                            f64::from(x.at(&[n, ch, iy, ix])) * f64::from(w.at(&[f, ch, ki, kj]));
+                        exact += p;
+                        mag += p.abs();
+                    }
+                }
+            }
+        }
+    }
+    (exact, mag)
+}
+
+/// Every output of `conv2d_fused_into` is within `(ckk+1)·ε·(Σ|w·x| + |bias|)`
+/// of the f64 result (ε = 2⁻²⁴): `ckk` rounded products and `ckk` rounded
+/// adds, with the bias added first (direct routes) or last (GEMM); a fused
+/// ReLU is exact and 1-Lipschitz, so it keeps the bound.
+fn check(label: &str, x: &Tensor<f32>, w: &Tensor<f32>, bias: &[f32], g: Conv2dGeom) {
+    let ckk = w.numel() / w.dims()[0];
+    let eps = f64::from(f32::EPSILON) / 2.0;
+    for act in [None, Some(Act::Relu)] {
+        let mut y = Tensor::zeros([0usize; 4]);
+        ops::conv2d_fused_into(x, w, bias, g, act, &mut y).unwrap();
+        let [n, f, oh, ow] = [y.dims()[0], y.dims()[1], y.dims()[2], y.dims()[3]];
+        for out in (0..n * f * oh * ow)
+            .map(|i| [i / (f * oh * ow), i / (oh * ow) % f, i / ow % oh, i % ow])
+        {
+            let (sum, mag) = oracle(x, w, g, out);
+            let b = f64::from(bias[out[1]]);
+            let want = match act {
+                Some(Act::Relu) => (sum + b).max(0.0),
+                _ => sum + b,
+            };
+            let got = f64::from(y.at(&out));
+            let bound = (ckk + 1) as f64 * eps * (mag + b.abs()) * 1.01;
+            assert!(
+                (got - want).abs() <= bound,
+                "{label} {act:?} {out:?}: |{got} - {want}| = {:e} > {bound:e}",
+                (got - want).abs()
+            );
+        }
+    }
+}
+
+/// Every output of the routes a `c×h×w → f` problem takes (`gemm`: the
+/// im2col + GEMM routes, else the direct ones) at strides 1 and 2, with and
+/// without padding, for a batch of one and of two on a two-participant pool:
+/// a batch of one leaves a participant idle (intra-sample GEMM route), a
+/// batch of two does not (per-sample GEMM route).
+fn check_routes((c, h, w, f): (usize, usize, usize, usize), gemm: bool) {
+    let pool = hpacml_par::Pool::new(1);
+    hpacml_par::with_pool(&pool, || {
+        for (stride, pad) in [(1usize, 1usize), (2, 1), (1, 2), (2, 0)] {
+            let g = Conv2dGeom::square(3, stride, pad);
+            let (oh, ow) = g.out_hw(h, w);
+            assert_eq!(
+                ops::conv_gemm_worthwhile(f, c * 9, oh * ow),
+                gemm,
+                "{c}x{h}x{w} -> {f} filters, stride {stride}, pad {pad}: not the intended route"
+            );
+            let wt = Tensor::from_vec(values(f * c * 9, 7), [f, c, 3, 3]).unwrap();
+            let bias = values(f, 8);
+            for batch in [1usize, 2] {
+                let x = Tensor::from_vec(values(batch * c * h * w, 9), [batch, c, h, w]).unwrap();
+                let label = format!("{c}x{h}x{w} -> {f}, s{stride} p{pad}, batch {batch}");
+                check(&label, &x, &wt, &bias, g);
+            }
+        }
+    });
+}
+
+/// The direct stride-1 kernel and im2col + `axpy` at stride 2.
+#[test]
+fn conv_direct_routes_are_within_the_f64_oracle_bound() {
+    check_routes((3, 9, 9, 2), false);
+}
+
+/// im2col into GEMM panels + the register-tiled GEMM, both routes. A width
+/// of 27 leaves ragged last panels, and at stride 2 (14 or 13 output
+/// columns) every panel spans more than one output row.
+#[test]
+fn conv_gemm_routes_are_within_the_f64_oracle_bound() {
+    check_routes((3, 30, 27, 8), true);
+}

@@ -1,7 +1,8 @@
 //! Bit-determinism of the tiled GEMM: the same problem must produce the
 //! same bytes regardless of how many worker threads execute it and whether
-//! operands are packed — because every output element is one ascending-`k`
-//! accumulator chain no matter how the work is partitioned. (The sweeps
+//! weights were packed at load or on the fly — because every output element
+//! is one ascending-`k` accumulator chain no matter how the work is
+//! partitioned. (The sweeps
 //! over the cache-slab depth `kc` live in the crate's own `gemm`/`quant`
 //! tests, beside the crate-private entry points that take it.)
 //!
@@ -11,7 +12,7 @@
 //! nested-dispatch rule (a `parallel_for` issued from inside a worker runs
 //! inline), giving a true 1-thread/N-thread comparison in one process.
 
-use hpacml_tensor::gemm::{self, ASource, Act, BSource, Epilogue, PackedA, PackedB};
+use hpacml_tensor::gemm::{self, Act, Epilogue, PackedB};
 use hpacml_tensor::ops::{self, Conv2dGeom};
 use hpacml_tensor::quant::{self, QPackedB};
 use hpacml_tensor::{Precision, Tensor};
@@ -78,41 +79,6 @@ fn gemm_is_bitwise_identical_at_1_and_n_threads() {
 }
 
 #[test]
-fn gemm_is_bitwise_identical_across_operand_layouts() {
-    setup();
-    // A [m,k] · B [k,n] with every (A, B) source combination.
-    let (m, k, n) = (23usize, 19usize, 37usize);
-    let a = mat(m, k, 5);
-    let b_cols = mat(k, n, 6);
-    let pa = PackedA::from_rows(a.data(), m, k);
-    let mut pb = PackedB::new();
-    pb.pack_cols_into(b_cols.data(), k, n);
-    let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.1).collect();
-    let epi = Epilogue::row_bias(&bias).with_act(Some(Act::Relu));
-    let mut outs: Vec<Vec<f32>> = Vec::new();
-    for packed_a in [false, true] {
-        for packed_b in [false, true] {
-            let mut c = vec![0.0f32; m * n];
-            let asrc = if packed_a {
-                ASource::Packed(&pa)
-            } else {
-                ASource::Rows(a.data())
-            };
-            let bsrc = if packed_b {
-                BSource::Packed(&pb)
-            } else {
-                BSource::Cols(b_cols.data())
-            };
-            gemm::gemm_into(m, n, k, asrc, bsrc, epi, &mut c);
-            outs.push(c);
-        }
-    }
-    for o in &outs[1..] {
-        assert_eq!(&outs[0], o, "operand layout changed the result bits");
-    }
-}
-
-#[test]
 fn conv_forward_is_bitwise_identical_at_1_and_n_threads() {
     setup();
     // Batched conv parallelizes over samples; the GEMM inside each sample
@@ -122,12 +88,12 @@ fn conv_forward_is_bitwise_identical_at_1_and_n_threads() {
     let weight = mat(4 * 4 * 3 * 3, 1, 8).reshape([4, 4, 3, 3]).unwrap();
     let bias = vec![0.05f32, -0.1, 0.2, 0.0];
     let mut par = Tensor::zeros([0usize; 4]);
-    ops::conv2d_fused_into(&input, &weight, None, &bias, g, Some(Act::Tanh), &mut par).unwrap();
+    ops::conv2d_fused_into(&input, &weight, &bias, g, Some(Act::Tanh), &mut par).unwrap();
 
     let serial = parking_lot::Mutex::new(Tensor::zeros([0usize; 4]));
     run_serial(|| {
         let mut c = Tensor::zeros([0usize; 4]);
-        ops::conv2d_fused_into(&input, &weight, None, &bias, g, Some(Act::Tanh), &mut c).unwrap();
+        ops::conv2d_fused_into(&input, &weight, &bias, g, Some(Act::Tanh), &mut c).unwrap();
         *serial.lock() = c;
     });
     assert_eq!(par.data(), serial.lock().data());
@@ -224,7 +190,7 @@ fn conv_routes_agree_bitwise() {
     let weight = mat(4 * 4 * 3 * 3, 1, 18).reshape([4, 4, 3, 3]).unwrap();
     let bias = vec![0.05f32, -0.1, 0.2, 0.0];
     let mut big = Tensor::zeros([0usize; 4]);
-    ops::conv2d_fused_into(&input, &weight, None, &bias, g, Some(Act::Tanh), &mut big).unwrap();
+    ops::conv2d_fused_into(&input, &weight, &bias, g, Some(Act::Tanh), &mut big).unwrap();
 
     let small_in = Tensor::from_vec(
         input.data()[..small_n * 4 * 24 * 48].to_vec(),
@@ -232,16 +198,7 @@ fn conv_routes_agree_bitwise() {
     )
     .unwrap();
     let mut small = Tensor::zeros([0usize; 4]);
-    ops::conv2d_fused_into(
-        &small_in,
-        &weight,
-        None,
-        &bias,
-        g,
-        Some(Act::Tanh),
-        &mut small,
-    )
-    .unwrap();
+    ops::conv2d_fused_into(&small_in, &weight, &bias, g, Some(Act::Tanh), &mut small).unwrap();
     assert_eq!(
         small.data(),
         &big.data()[..small.data().len()],
@@ -251,8 +208,7 @@ fn conv_routes_agree_bitwise() {
     let serial_pool = hpacml_par::Pool::new(0);
     hpacml_par::with_pool(&serial_pool, || {
         let mut c = Tensor::zeros([0usize; 4]);
-        ops::conv2d_fused_into(&small_in, &weight, None, &bias, g, Some(Act::Tanh), &mut c)
-            .unwrap();
+        ops::conv2d_fused_into(&small_in, &weight, &bias, g, Some(Act::Tanh), &mut c).unwrap();
         assert_eq!(c.data(), small.data(), "caller-only pool changed the bits");
     });
 }

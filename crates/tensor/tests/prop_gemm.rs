@@ -5,7 +5,7 @@
 //! chain per output element, so reassociation never happens and every
 //! epilogue variant is the same float expression the unfused stack runs.
 
-use hpacml_tensor::gemm::{self, ASource, Act, BSource, Bias, Epilogue, PackedA, PackedB};
+use hpacml_tensor::gemm::{self, Act, Bias, Epilogue, PackedB};
 use hpacml_tensor::ops;
 use hpacml_tensor::Tensor;
 use proptest::prelude::*;
@@ -55,12 +55,12 @@ fn values(len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-/// Random shape strategy, two families drawn equally often. General: m
+/// Random shape strategy, three families drawn equally often. General: m
 /// spans batch sizes from single samples through several register blocks;
 /// n and k cross the panel/tile boundaries. Batch-1 wide: see
-/// [`batch1_wide_shape`].
+/// [`batch1_wide_shape`]. Full tiles: see [`full_tile_shape`].
 fn shape() -> impl Strategy<Value = (usize, usize, usize, u64)> {
-    prop_oneof![general_shape(), batch1_wide_shape()]
+    prop_oneof![general_shape(), batch1_wide_shape(), full_tile_shape()]
 }
 
 fn general_shape() -> impl Strategy<Value = (usize, usize, usize, u64)> {
@@ -81,6 +81,22 @@ fn batch1_wide_shape() -> impl Strategy<Value = (usize, usize, usize, u64)> {
     (
         1usize..=2,
         40usize..=150,
+        0usize..=300,
+        proptest::prelude::any::<u64>(),
+    )
+}
+
+/// Full-tile shape strategy: multi-row tiles (m from 2 through five 8-row
+/// blocks, so 8-, 4- and 2-row tiles all occur) against one to four whole
+/// panels, each `n` one short of, exactly on, or one past a panel edge —
+/// so most tiles are full (every panel finished and stored at full width),
+/// and the `+1` case adds a one-column ragged panel beside them. `k` up to
+/// 300 crosses the default `KC = 256` slab, so full tiles also resume their
+/// chains.
+fn full_tile_shape() -> impl Strategy<Value = (usize, usize, usize, u64)> {
+    (
+        2usize..=40,
+        (1usize..=4, 0usize..3).prop_map(|(p, d)| 16 * p - 1 + d),
         0usize..=300,
         proptest::prelude::any::<u64>(),
     )
@@ -191,12 +207,17 @@ proptest! {
     }
 
     /// Correct, not only reproducible: the packed-panel path against an f64
-    /// oracle, over all three shape families. An f32 chain of `k` mul+add
+    /// oracle, over all four shape families. An f32 chain of `k` mul+add
     /// steps is off by at most `γ_k · Σ|a||w|` with `γ_k ≈ k·ε` (ε = 2⁻²⁴,
     /// unit roundoff); `k + 1` covers the bias add.
     #[test]
     fn packed_gemm_is_within_the_f64_oracle_bound(
-        (m, n, k, seed) in prop_oneof![general_shape(), narrow_shape(), batch1_wide_shape()],
+        (m, n, k, seed) in prop_oneof![
+            general_shape(),
+            narrow_shape(),
+            batch1_wide_shape(),
+            full_tile_shape(),
+        ],
     ) {
         let a = values(m * k, seed);
         let bt = values(n * k, seed ^ 0x0BAC1E);
@@ -223,25 +244,6 @@ proptest! {
                 );
             }
         }
-    }
-
-    /// Cols-B GEMM (the conv/im2col kernel) with packed and unpacked A.
-    #[test]
-    fn cols_gemm_bitwise_matches_reference((m, n, k, seed) in shape()) {
-        let a = values(m * k, seed);
-        let b = values(k * n, seed ^ 0xA5A5A5A5);
-        let pa = PackedA::from_rows(&a, m, k);
-        let bias_row = values(m, seed ^ 0x1234);
-        let epi = Epilogue::row_bias(
-            Box::leak(bias_row.into_boxed_slice()),
-        ).with_act(Some(Act::Relu));
-        let want = reference(m, n, k, &a, |kk, j| b[kk * n + j], &epi);
-        let mut c1 = vec![0.0f32; m * n];
-        gemm::gemm_into(m, n, k, ASource::Rows(&a), BSource::Cols(&b), epi, &mut c1);
-        prop_assert_eq!(&c1, &want);
-        let mut c2 = vec![0.0f32; m * n];
-        gemm::gemm_into(m, n, k, ASource::Packed(&pa), BSource::Cols(&b), epi, &mut c2);
-        prop_assert_eq!(&c2, &want);
     }
 
     /// The batch axis is pure stacking at the kernel level: any leading

@@ -56,7 +56,7 @@ fn values(len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-/// Random shape strategy, three families drawn equally often (the same
+/// Random shape strategy, four families drawn equally often (the same
 /// generators `prop_gemm.rs` uses). General: m spans batch sizes from
 /// single samples through several register blocks; n and k cross the
 /// panel/tile boundaries. Narrow (`n ≤ 8`): the shapes the one driver sends
@@ -64,12 +64,21 @@ fn values(len: usize, seed: u64) -> Vec<f32> {
 /// through a dozen of them, k from the pure-epilogue case up. Batch-1 wide:
 /// one or two rows against three to ten panels, so the single-row tile
 /// sweeps whole groups of panels with a ragged remainder, with `k` crossing
-/// the default `KC = 256` slab.
+/// the default `KC = 256` slab. Full tiles: 2 to 40 rows against one to
+/// four panels with `n` one short of, on, or one past a panel edge, so
+/// most multi-row tiles are full (every panel stored at full width), `k`
+/// crossing the slab too.
 fn shape() -> impl Strategy<Value = (usize, usize, usize, u64)> {
     prop_oneof![
         (1usize..70, 1usize..40, 0usize..50, any::<u64>()),
         (1usize..200, 1usize..=8, 0usize..50, any::<u64>()),
         (1usize..=2, 40usize..=150, 0usize..=300, any::<u64>()),
+        (
+            2usize..=40,
+            (1usize..=4, 0usize..3).prop_map(|(p, d)| 16 * p - 1 + d),
+            0usize..=300,
+            any::<u64>(),
+        ),
     ]
 }
 
