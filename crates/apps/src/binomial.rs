@@ -42,16 +42,10 @@ impl OptionBatch {
         }
         OptionBatch { data, n }
     }
-
-    #[inline]
-    pub fn option(&self, i: usize) -> [f32; FEATURES] {
-        let o = &self.data[i * FEATURES..(i + 1) * FEATURES];
-        [o[0], o[1], o[2], o[3], o[4]]
-    }
 }
 
 /// Price one European call by CRR backward induction.
-pub fn crr_price(s: f32, k: f32, t: f32, r: f32, sigma: f32, steps: usize) -> f32 {
+pub(crate) fn crr_price(s: f32, k: f32, t: f32, r: f32, sigma: f32, steps: usize) -> f32 {
     let dt = t / steps as f32;
     let v_sqrt_dt = sigma * dt.sqrt();
     let u = v_sqrt_dt.exp();
@@ -91,12 +85,14 @@ pub fn price_batch(batch: &OptionBatch, steps: usize, prices: &mut [f32]) {
 }
 
 /// Black–Scholes closed form (used by tests to validate CRR convergence).
-pub fn black_scholes_call(s: f64, k: f64, t: f64, r: f64, sigma: f64) -> f64 {
+#[cfg(test)]
+fn black_scholes_call(s: f64, k: f64, t: f64, r: f64, sigma: f64) -> f64 {
     let d1 = ((s / k).ln() + (r + 0.5 * sigma * sigma) * t) / (sigma * t.sqrt());
     let d2 = d1 - sigma * t.sqrt();
     s * norm_cdf(d1) - k * (-r * t).exp() * norm_cdf(d2)
 }
 
+#[cfg(test)]
 fn norm_cdf(x: f64) -> f64 {
     // Abramowitz–Stegun 7.1.26 erf approximation.
     let t = 1.0 / (1.0 + 0.3275911 * x.abs() / std::f64::consts::SQRT_2);
@@ -199,21 +195,11 @@ impl BinomialOptions {
     /// active (one point of the fig10 error-budget sweep): the annotated
     /// sweep runs `use_model = true` under `policy`; chunks the controller
     /// routes to fallback execute the real CRR kernel, so the achieved
-    /// speedup honestly reflects the accuracy-speedup tradeoff.
-    pub fn evaluate_with_policy(
-        &self,
-        cfg: &BenchConfig,
-        model_path: &Path,
-        policy: hpacml_core::ValidationPolicy,
-    ) -> AppResult<PolicyEval> {
-        self.evaluate_with_policy_at(cfg, model_path, policy, hpacml_core::Precision::F32)
-    }
-
-    /// [`evaluate_with_policy`](Self::evaluate_with_policy) with a serving
-    /// precision: the region's model is quantized to `precision` before the
-    /// sweep, and the validation controller demotes through the precision
-    /// ladder (int8 → bf16 → f32) before any host fallback — the fig10
-    /// precision axis.
+    /// speedup honestly reflects the accuracy-speedup tradeoff. At a serving
+    /// `precision` below f32, the region's model is quantized to `precision`
+    /// before the sweep, and the validation controller demotes through the
+    /// precision ladder (int8 → bf16 → f32) before any host fallback — the
+    /// fig10 precision axis.
     pub fn evaluate_with_policy_at(
         &self,
         cfg: &BenchConfig,
@@ -420,7 +406,7 @@ mod tests {
         let mut prices = vec![0.0f32; 64];
         price_batch(&batch, 64, &mut prices);
         for i in (0..64).step_by(17) {
-            let o = batch.option(i);
+            let o = &batch.data[i * FEATURES..(i + 1) * FEATURES];
             assert_eq!(prices[i], crr_price(o[0], o[1], o[2], o[3], o[4], 64));
         }
     }

@@ -9,19 +9,19 @@
 /// A calendar date stored as a serial day number (days since 1900-01-01,
 /// which is serial 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Date {
+pub(crate) struct Date {
     serial: i32,
 }
 
 const DAYS_IN_MONTH: [i32; 12] = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31];
 
 /// Gregorian leap-year rule.
-pub fn is_leap(year: i32) -> bool {
+pub(crate) fn is_leap(year: i32) -> bool {
     (year % 4 == 0 && year % 100 != 0) || year % 400 == 0
 }
 
 /// Days in a given month (1-based) of a given year.
-pub fn days_in_month(year: i32, month: u32) -> i32 {
+pub(crate) fn days_in_month(year: i32, month: u32) -> i32 {
     if month == 2 && is_leap(year) {
         29
     } else {
@@ -40,7 +40,7 @@ fn days_in_year(year: i32) -> i32 {
 impl Date {
     /// Construct from year/month/day; panics on invalid dates (callers are
     /// generators and tests, never untrusted input).
-    pub fn from_ymd(year: i32, month: u32, day: u32) -> Date {
+    pub(crate) fn from_ymd(year: i32, month: u32, day: u32) -> Date {
         assert!((1..=12).contains(&month), "month {month} out of range");
         assert!(
             (1..=days_in_month(year, month) as u32).contains(&day),
@@ -64,16 +64,18 @@ impl Date {
         }
     }
 
-    pub fn from_serial(serial: i32) -> Date {
+    #[cfg(test)]
+    fn from_serial(serial: i32) -> Date {
         Date { serial }
     }
 
-    pub fn serial(self) -> i32 {
+    #[cfg(test)]
+    fn serial(self) -> i32 {
         self.serial
     }
 
     /// Decompose into (year, month, day).
-    pub fn ymd(self) -> (i32, u32, u32) {
+    pub(crate) fn ymd(self) -> (i32, u32, u32) {
         let mut remaining = self.serial;
         let mut year = 1900;
         if remaining >= 0 {
@@ -95,20 +97,8 @@ impl Date {
         (year, month, remaining as u32 + 1)
     }
 
-    pub fn year(self) -> i32 {
-        self.ymd().0
-    }
-
-    pub fn month(self) -> u32 {
-        self.ymd().1
-    }
-
-    pub fn day(self) -> u32 {
-        self.ymd().2
-    }
-
     /// Add (or subtract) calendar days.
-    pub fn add_days(self, days: i32) -> Date {
+    pub(crate) fn add_days(self, days: i32) -> Date {
         Date {
             serial: self.serial + days,
         }
@@ -116,7 +106,7 @@ impl Date {
 
     /// Add calendar months, clamping the day to the target month's end
     /// (QuantLib semantics: Jan 31 + 1 month = Feb 28/29).
-    pub fn add_months(self, months: i32) -> Date {
+    pub(crate) fn add_months(self, months: i32) -> Date {
         let (y, m, d) = self.ymd();
         let total = y * 12 + (m as i32 - 1) + months;
         let ny = total.div_euclid(12);
@@ -126,7 +116,7 @@ impl Date {
     }
 
     /// Calendar days between two dates (`other - self`).
-    pub fn days_until(self, other: Date) -> i32 {
+    pub(crate) fn days_until(self, other: Date) -> i32 {
         other.serial - self.serial
     }
 }
@@ -140,7 +130,7 @@ impl std::fmt::Display for Date {
 
 /// Day-count conventions used by the bond analytics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DayCount {
+pub(crate) enum DayCount {
     /// US (NASD) 30/360.
     Thirty360,
     /// Actual/365 Fixed.
@@ -149,7 +139,7 @@ pub enum DayCount {
 
 impl DayCount {
     /// Day count between two dates under this convention.
-    pub fn days_between(self, d1: Date, d2: Date) -> i32 {
+    pub(crate) fn days_between(self, d1: Date, d2: Date) -> i32 {
         match self {
             DayCount::Act365 => d1.days_until(d2),
             DayCount::Thirty360 => {
@@ -167,7 +157,7 @@ impl DayCount {
     }
 
     /// Year fraction between two dates.
-    pub fn year_fraction(self, d1: Date, d2: Date) -> f64 {
+    pub(crate) fn year_fraction(self, d1: Date, d2: Date) -> f64 {
         match self {
             DayCount::Act365 => self.days_between(d1, d2) as f64 / 365.0,
             DayCount::Thirty360 => self.days_between(d1, d2) as f64 / 360.0,

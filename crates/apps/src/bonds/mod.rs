@@ -28,10 +28,10 @@ use std::time::{Duration, Instant};
 pub const FEATURES: usize = 6;
 
 /// Face value of every bond (the benchmark's convention).
-pub const FACE: f64 = 100.0;
+pub(crate) const FACE: f64 = 100.0;
 
 /// The schedule anchor all issue offsets count from.
-pub fn reference_date() -> Date {
+pub(crate) fn reference_date() -> Date {
     Date::from_ymd(2000, 1, 1)
 }
 
@@ -65,7 +65,7 @@ impl BondBatch {
 }
 
 /// Full analytics for one bond; returns `(accrued, clean_price, solved_yield)`.
-pub fn bond_analytics(features: &[f32]) -> (f64, f64, f64) {
+pub(crate) fn bond_analytics(features: &[f32]) -> (f64, f64, f64) {
     let rate = features[0] as f64;
     let yield_ = features[1] as f64;
     let issue = reference_date().add_days(features[2] as i32);
@@ -209,7 +209,7 @@ pub fn bonds_kernel(batch: &BondBatch, out: &mut [f32]) {
 
 /// Sizes per scale.
 #[derive(Debug, Clone, Copy)]
-pub struct BondsConfig {
+pub(crate) struct BondsConfig {
     pub n_bonds: usize,
     pub collect_batch: usize,
     pub eval_reps: u32,
@@ -279,7 +279,7 @@ pub fn run_annotated(
 }
 
 /// The Bonds benchmark.
-pub struct Bonds;
+pub(crate) struct Bonds;
 
 impl Benchmark for Bonds {
     fn name(&self) -> &'static str {

@@ -117,6 +117,7 @@ impl BenchConfig {
 
 /// Result of a data-collection run (Table III columns).
 #[derive(Debug, Clone)]
+// lint: allow(crate-local-pub) — returned by `Benchmark::collect`, read without naming the type
 pub struct CollectStats {
     /// Runtime without collection (the "Original Runtime" column).
     pub plain_runtime: Duration,
@@ -130,6 +131,7 @@ pub struct CollectStats {
 
 /// Result of training one surrogate.
 #[derive(Debug, Clone)]
+// lint: allow(crate-local-pub) — returned by `Benchmark::train_spec` and `Benchmark::pipeline`, read without naming the type
 pub struct TrainStats {
     /// Validation loss (MSE in normalized target space).
     pub val_loss: f64,
@@ -253,7 +255,7 @@ pub trait Benchmark: Send + Sync {
 /// one forward pass per chunk, the tail included, through a single
 /// compilation. This replaces the old full+tail two-session workaround: the
 /// batch dimension is a runtime parameter now.
-pub struct SweepSession<'r> {
+pub(crate) struct SweepSession<'r> {
     session: Session<'r>,
     input: String,
     feat: usize,
@@ -280,11 +282,6 @@ impl<'r> SweepSession<'r> {
             feat,
             output: output.to_string(),
         })
-    }
-
-    /// The underlying compiled session.
-    pub fn session(&self) -> &Session<'r> {
-        &self.session
     }
 
     /// Run the whole sweep: `data` holds `out.len() * feat` features, and
@@ -326,7 +323,7 @@ impl<'r> SweepSession<'r> {
 }
 
 /// Count non-blank, non-comment lines — the LoC convention of Table II.
-pub fn source_loc(src: &str) -> usize {
+pub(crate) fn source_loc(src: &str) -> usize {
     src.lines()
         .map(str::trim)
         .filter(|l| !l.is_empty() && !l.starts_with("//") && !l.starts_with("//!"))
@@ -334,7 +331,7 @@ pub fn source_loc(src: &str) -> usize {
 }
 
 /// Outcome of [`train_surrogate`].
-pub struct TrainedSurrogate {
+pub(crate) struct TrainedSurrogate {
     pub val_loss: f64,
     pub params: usize,
     pub train_time: Duration,
@@ -347,7 +344,7 @@ pub struct TrainedSurrogate {
 // epochs, lr, batch, seed); a config struct would just rename the problem
 // for the four app harnesses that call it positionally.
 #[allow(clippy::too_many_arguments)]
-pub fn train_surrogate(
+pub(crate) fn train_surrogate(
     x: Tensor,
     y: Tensor,
     x_axis: NormAxis,
@@ -399,7 +396,7 @@ pub fn train_surrogate(
 /// Deterministic xorshift-based f32 stream used by input generators (kept
 /// independent of `rand` so generated datasets are stable across releases).
 #[derive(Debug, Clone)]
-pub struct GenRng(u64);
+pub(crate) struct GenRng(u64);
 
 impl GenRng {
     pub fn new(seed: u64) -> Self {
@@ -407,7 +404,7 @@ impl GenRng {
     }
 
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let mut x = self.0;
         x ^= x << 13;
         x ^= x >> 7;
@@ -429,7 +426,7 @@ impl GenRng {
     }
 
     /// Standard normal (Box–Muller).
-    pub fn normal(&mut self) -> f32 {
+    pub(crate) fn normal(&mut self) -> f32 {
         let u1 = self.unit().max(1e-7);
         let u2 = self.unit();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()

@@ -19,7 +19,7 @@ pub fn rmse(a: &[f32], b: &[f32]) -> f64 {
 
 /// Mean absolute percentage error (MiniBUDE's metric), in percent.
 /// Entries where the reference is ~0 are skipped, as is conventional.
-pub fn mape(reference: &[f32], approx: &[f32]) -> f64 {
+pub(crate) fn mape(reference: &[f32], approx: &[f32]) -> f64 {
     assert_eq!(reference.len(), approx.len(), "mape: length mismatch");
     let mut total = 0.0f64;
     let mut count = 0usize;
@@ -59,17 +59,6 @@ pub fn cdf_at(values: &[f64], thresholds: &[f64]) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Value below which `q` of the distribution lies (0 ≤ q ≤ 1).
-pub fn quantile(values: &[f64], q: f64) -> f64 {
-    if values.is_empty() {
-        return f64::NAN;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let idx = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-    sorted[idx]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,15 +84,6 @@ mod tests {
         assert_eq!(cdf[1].1, 0.5);
         assert_eq!(cdf[2].1, 0.75);
         assert_eq!(cdf[3].1, 1.0);
-    }
-
-    #[test]
-    fn quantile_selects() {
-        let vals = vec![5.0, 1.0, 3.0, 2.0, 4.0];
-        assert_eq!(quantile(&vals, 0.0), 1.0);
-        assert_eq!(quantile(&vals, 0.5), 3.0);
-        assert_eq!(quantile(&vals, 1.0), 5.0);
-        assert!(quantile(&[], 0.5).is_nan());
     }
 
     #[test]

@@ -22,11 +22,11 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Degrees of freedom per pose (3 rotations + 3 translations).
-pub const POSE_DOF: usize = 6;
+pub(crate) const POSE_DOF: usize = 6;
 
 /// Forcefield parameters per atom type (modeled on BUDE's `FFParams`).
 #[derive(Debug, Clone, Copy)]
-pub struct FfParams {
+pub(crate) struct FfParams {
     pub radius: f32,
     pub hardness: f32,
     pub charge: f32,
@@ -36,7 +36,7 @@ pub struct FfParams {
 
 /// One atom: position plus a type index into the forcefield table.
 #[derive(Debug, Clone, Copy)]
-pub struct Atom {
+pub(crate) struct Atom {
     pub x: f32,
     pub y: f32,
     pub z: f32,
@@ -46,9 +46,9 @@ pub struct Atom {
 /// The docking deck: protein, ligand and forcefield.
 #[derive(Debug, Clone)]
 pub struct Deck {
-    pub protein: Vec<Atom>,
-    pub ligand: Vec<Atom>,
-    pub forcefield: Vec<FfParams>,
+    pub(crate) protein: Vec<Atom>,
+    pub(crate) ligand: Vec<Atom>,
+    pub(crate) forcefield: Vec<FfParams>,
 }
 
 impl Deck {
@@ -129,7 +129,7 @@ impl PoseBatch {
 }
 
 /// Energy of one pose: transform the ligand rigidly, then sum pair terms.
-pub fn pose_energy(deck: &Deck, pose: &[f32]) -> f32 {
+pub(crate) fn pose_energy(deck: &Deck, pose: &[f32]) -> f32 {
     let (sx, cx) = pose[0].sin_cos();
     let (sy, cy) = pose[1].sin_cos();
     let (sz, cz) = pose[2].sin_cos();
@@ -187,7 +187,7 @@ pub fn energies(deck: &Deck, poses: &PoseBatch, out: &mut [f32]) {
 
 /// Sizes per scale.
 #[derive(Debug, Clone, Copy)]
-pub struct BudeConfig {
+pub(crate) struct BudeConfig {
     pub n_poses: usize,
     pub protein_atoms: usize,
     pub ligand_atoms: usize,

@@ -27,11 +27,11 @@ use std::path::Path;
 use std::time::Instant;
 
 /// Number of prognostic variables.
-pub const NUM_VARS: usize = 4;
+pub(crate) const NUM_VARS: usize = 4;
 /// Variable indices.
-pub const ID_DENS: usize = 0;
-pub const ID_UMOM: usize = 1;
-pub const ID_WMOM: usize = 2;
+pub(crate) const ID_DENS: usize = 0;
+pub(crate) const ID_UMOM: usize = 1;
+pub(crate) const ID_WMOM: usize = 2;
 pub const ID_RHOT: usize = 3;
 /// Halo width (the 4th-order stencil needs 2).
 pub const HS: usize = 2;
@@ -162,7 +162,7 @@ impl Sim {
     }
 
     /// Overwrite the interior state from a `[NUM_VARS * nz * nx]` buffer.
-    pub fn set_interior(&mut self, interior: &[f32]) {
+    pub(crate) fn set_interior(&mut self, interior: &[f32]) {
         assert_eq!(interior.len(), NUM_VARS * self.nz * self.nx);
         let mut it = interior.iter();
         for v in 0..NUM_VARS {
@@ -373,7 +373,8 @@ impl Sim {
 
     /// Total perturbation mass (density integrated over the interior) — a
     /// conserved quantity of the flux-form scheme used by tests.
-    pub fn total_mass(&self) -> f64 {
+    #[cfg(test)]
+    fn total_mass(&self) -> f64 {
         let mut mass = 0.0f64;
         for k in 0..self.nz {
             for i in 0..self.nx {

@@ -29,14 +29,14 @@ use std::time::{Duration, Instant};
 /// Frames coalesced into one batched region invocation wherever frames are
 /// independent (collection and surrogate evaluation). A runtime batch — any
 /// tail length reuses the same compiled session.
-pub const FRAME_BATCH: usize = 32;
+pub(crate) const FRAME_BATCH: usize = 32;
 
 /// Foreground (object) pixel intensity, per Rodinia.
-pub const FG: f32 = 100.0;
+pub(crate) const FG: f32 = 100.0;
 /// Background pixel intensity, per Rodinia.
-pub const BG: f32 = 228.0;
+pub(crate) const BG: f32 = 228.0;
 /// Object disk radius in pixels.
-pub const RADIUS: i32 = 4;
+pub(crate) const RADIUS: i32 = 4;
 
 /// A synthetic video with known ground truth.
 #[derive(Debug, Clone)]
@@ -105,7 +105,7 @@ impl Video {
 }
 
 /// Pixel offsets of the disk footprint (Rodinia's `disk` / `getneighbors`).
-pub fn disk_offsets() -> Vec<(i32, i32)> {
+pub(crate) fn disk_offsets() -> Vec<(i32, i32)> {
     let mut out = Vec::new();
     for dy in -RADIUS..=RADIUS {
         for dx in -RADIUS..=RADIUS {
@@ -201,7 +201,7 @@ pub fn particle_filter(video: &Video, n_particles: usize, seed: u64) -> Vec<(f32
 }
 
 /// RMSE of a 2-D track against ground truth (Euclidean, per frame).
-pub fn track_rmse(estimates: &[(f32, f32)], truth: &[(f32, f32)]) -> f64 {
+pub(crate) fn track_rmse(estimates: &[(f32, f32)], truth: &[(f32, f32)]) -> f64 {
     assert_eq!(estimates.len(), truth.len());
     let sum: f64 = estimates
         .iter()
@@ -292,21 +292,11 @@ impl ParticleFilter {
     /// region invocations to act across. The accurate closure runs the real
     /// particle filter — computed once per video and cached across that
     /// video's frame chunks, so shadow validations and fallback-served
-    /// chunks pay the genuine host cost exactly once per video.
-    pub fn evaluate_with_policy(
-        &self,
-        cfg: &BenchConfig,
-        model_path: &Path,
-        policy: hpacml_core::ValidationPolicy,
-    ) -> AppResult<PolicyEval> {
-        self.evaluate_with_policy_at(cfg, model_path, policy, hpacml_core::Precision::F32)
-    }
-
-    /// [`evaluate_with_policy`](Self::evaluate_with_policy) with a serving
-    /// precision: the region's model is quantized to `precision` before the
-    /// sweep, and the validation controller demotes through the precision
-    /// ladder (int8 → bf16 → f32) before any host fallback — the fig10
-    /// precision axis.
+    /// chunks pay the genuine host cost exactly once per video. At a serving
+    /// `precision` below f32, the region's model is quantized to `precision`
+    /// before the sweep, and the validation controller demotes through the
+    /// precision ladder (int8 → bf16 → f32) before any host fallback — the
+    /// fig10 precision axis.
     pub fn evaluate_with_policy_at(
         &self,
         cfg: &BenchConfig,

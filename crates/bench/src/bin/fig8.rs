@@ -138,56 +138,6 @@ fn run_batch(
     out.finish().expect("finish");
 }
 
-/// Panel (e): per-layer forward-time split (weight-panel pack vs bare GEMM
-/// vs fused bias+activation epilogue) at the w128 MLP shapes. The pack
-/// column is paid **once at model load**; steady-state forwards spend only
-/// the GEMM + epilogue columns — so a kernel regression shows up here as a
-/// movement in exactly one column.
-fn kernel_split_panel(args: &hpacml_bench::HarnessArgs) {
-    use hpacml_tensor::Act;
-    let split = hpacml_bench::linear_kernel_split(
-        1024,
-        &[
-            (6, 128, Some(Act::Relu)),
-            (128, 64, Some(Act::Relu)),
-            (64, 1, None),
-        ],
-    );
-    println!("\n(e) Per-layer forward split, w128 MLP at batch 1024 (ns/call):\n");
-    println!(
-        "{:>6} {:>14} {:>12} {:>12} {:>12} {:>10}",
-        "layer", "shape (mxkxn)", "pack(load)", "gemm", "epilogue", "GFLOP/s"
-    );
-    let mut rows = Vec::new();
-    for s in &split {
-        let gflops = (2 * s.m * s.k * s.n) as f64 / s.gemm_ns.max(1) as f64;
-        println!(
-            "{:>6} {:>14} {:>12} {:>12} {:>12} {:>10.1}",
-            s.layer,
-            format!("{}x{}x{}", s.m, s.k, s.n),
-            s.pack_ns,
-            s.gemm_ns,
-            s.epilogue_ns,
-            gflops
-        );
-        rows.push(format!(
-            "{},{},{},{},{},{},{}",
-            s.layer, s.m, s.k, s.n, s.pack_ns, s.gemm_ns, s.epilogue_ns
-        ));
-    }
-    println!(
-        "\n  Packing is a one-time model-load cost (pre-packed panels live on \
-         the layer); bias+activation ride the epilogue instead of two extra \
-         full-tensor sweeps."
-    );
-    hpacml_bench::write_csv(
-        &args.results_dir,
-        "fig8_kernel_split.csv",
-        "layer,m,k,n,pack_ns,gemm_ns,epilogue_ns",
-        &rows,
-    );
-}
-
 fn main() {
     let args = hpacml_bench::parse_args("fig8");
     println!(
@@ -263,7 +213,4 @@ fn main() {
 
     // Panel (d): the batch-size axis, on one compiled session.
     batch_sweep(&args);
-
-    // Panel (e): where a forward pass actually spends its time.
-    kernel_split_panel(&args);
 }

@@ -41,7 +41,10 @@ pub fn parse_args(bin: &str) -> HarnessArgs {
                 i += 2;
             }
             "--seed" if i + 1 < args.len() => {
-                seed = args[i + 1].parse().unwrap_or(42);
+                seed = args[i + 1].parse().unwrap_or_else(|_| {
+                    eprintln!("--seed: `{}` is not a non-negative integer", args[i + 1]);
+                    std::process::exit(2);
+                });
                 i += 2;
             }
             "--help" | "-h" => {
@@ -92,7 +95,7 @@ pub fn fmt_secs(d: std::time::Duration) -> String {
 
 /// Which Table IV architecture space a benchmark searches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpecKind {
+pub(crate) enum SpecKind {
     MiniBude,
     BinomialBonds { input_dim: usize },
     MiniWeather { nz: usize, nx: usize },
@@ -127,7 +130,7 @@ impl SpecKind {
     }
 
     /// The right [`SpecKind`] for a benchmark at a given scale.
-    pub fn for_benchmark(name: &str, scale: Scale) -> SpecKind {
+    pub(crate) fn for_benchmark(name: &str, scale: Scale) -> SpecKind {
         match name {
             "minibude" => SpecKind::MiniBude,
             "binomial" => SpecKind::BinomialBonds {
@@ -154,17 +157,16 @@ impl SpecKind {
 
 /// A trained model produced during a campaign, ready for end-to-end eval.
 #[derive(Debug, Clone)]
-pub struct TrainedCandidate {
+pub(crate) struct TrainedCandidate {
     pub model_path: PathBuf,
     pub spec_summary: String,
     pub params: usize,
     pub val_loss: f64,
-    pub inference_latency_s: f64,
 }
 
 /// Adapter: drives [`Benchmark::train_spec`] from the nested-BO search,
 /// logging every trained model for later end-to-end evaluation.
-pub struct AppSearchProblem<'a> {
+pub(crate) struct AppSearchProblem<'a> {
     pub bench: &'a dyn Benchmark,
     pub cfg: &'a BenchConfig,
     pub kind: SpecKind,
@@ -186,7 +188,7 @@ impl<'a> AppSearchProblem<'a> {
         }
     }
 
-    pub fn into_log(self) -> Vec<TrainedCandidate> {
+    pub(crate) fn into_log(self) -> Vec<TrainedCandidate> {
         self.log.into_inner()
     }
 }
@@ -240,7 +242,6 @@ impl SearchProblem for AppSearchProblem<'_> {
                     spec_summary: spec.summary(),
                     params: stats.params,
                     val_loss: stats.val_loss,
-                    inference_latency_s: stats.inference_latency.as_secs_f64(),
                 });
                 (stats.val_loss, stats.inference_latency.as_secs_f64())
             }
@@ -253,6 +254,7 @@ impl SearchProblem for AppSearchProblem<'_> {
 
 /// One evaluated scatter point for Figs. 7–8.
 #[derive(Debug, Clone)]
+// lint: allow(crate-local-pub) — returned by `run_campaign`, whose rows the fig7/fig8 bins read without naming the type
 pub struct CampaignPoint {
     pub spec_summary: String,
     pub params: usize,
@@ -365,89 +367,4 @@ mod tests {
         assert!(fmt_secs(Duration::from_millis(12)).ends_with("ms"));
         assert!(fmt_secs(Duration::from_secs(2)).ends_with('s'));
     }
-}
-
-// ---------------------------------------------------------------------------
-// Kernel timing for the fig8 kernel-split panel
-// ---------------------------------------------------------------------------
-
-/// Median nanoseconds per call over `samples` timed batches of `batch`
-/// calls each (warm-up included).
-pub fn measure_ns(samples: usize, batch: u32, mut f: impl FnMut()) -> u64 {
-    for _ in 0..batch.min(100) {
-        f();
-    }
-    let mut times: Vec<u64> = (0..samples)
-        .map(|_| {
-            let t0 = std::time::Instant::now();
-            for _ in 0..batch {
-                f();
-            }
-            t0.elapsed().as_nanos() as u64 / batch as u64
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
-}
-
-/// Forward-time split of one `Linear` layer at a given batch: weight-panel
-/// **pack** (what the model-load compile pass pays once), bare **GEMM**
-/// (packed operands, no epilogue), and the fused **epilogue** increment
-/// (bias + activation applied in-tile). Makes kernel regressions
-/// attributable: a slower forward is a pack, compute, or epilogue problem.
-#[derive(Debug, Clone)]
-pub struct KernelSplit {
-    pub layer: String,
-    pub m: usize,
-    pub k: usize,
-    pub n: usize,
-    pub pack_ns: u64,
-    pub gemm_ns: u64,
-    pub epilogue_ns: u64,
-}
-
-/// Measure [`KernelSplit`]s for a stack of `Linear` layers
-/// (`(in_features, out_features, fused activation)`) at batch `m`.
-pub fn linear_kernel_split(
-    m: usize,
-    layers: &[(usize, usize, Option<hpacml_tensor::Act>)],
-) -> Vec<KernelSplit> {
-    use hpacml_tensor::gemm::{matmul_transb_packed_into, PackedB};
-    use hpacml_tensor::{Epilogue, Tensor};
-    use std::hint::black_box;
-    let mut out = Vec::new();
-    for (i, &(k, n, act)) in layers.iter().enumerate() {
-        let a = Tensor::<f32>::from_shape_fn([m, k], |ix| ((ix[0] * 7 + ix[1]) % 13) as f32 * 0.05);
-        let wt = Tensor::<f32>::from_shape_fn([n, k], |ix| (ix[0] as f32 - ix[1] as f32) * 0.01);
-        let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.001).collect();
-        let mut packed = PackedB::from_transb(&wt).expect("rank 2");
-        let mut c = Tensor::<f32>::zeros([m, n]);
-        let pack_ns = measure_ns(15, 20, || {
-            packed.pack_rows_into(black_box(wt.data()), n, k);
-        });
-        let gemm_ns = measure_ns(15, 10, || {
-            matmul_transb_packed_into(black_box(&a), &packed, Epilogue::none(), &mut c).unwrap();
-            black_box(c.data());
-        });
-        let fused_ns = measure_ns(15, 10, || {
-            matmul_transb_packed_into(
-                black_box(&a),
-                &packed,
-                Epilogue::col_bias(&bias).with_act(act),
-                &mut c,
-            )
-            .unwrap();
-            black_box(c.data());
-        });
-        out.push(KernelSplit {
-            layer: format!("l{i}"),
-            m,
-            k,
-            n,
-            pack_ns,
-            gemm_ns,
-            epilogue_ns: fused_ns.saturating_sub(gemm_ns).max(1),
-        });
-    }
-    out
 }

@@ -12,7 +12,7 @@ use hpacml_directive::sema::{affine_form, AffineForm, FunctorInfo};
 
 /// One dimension of one RHS slice after extraction.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DimExtract {
+pub(crate) struct DimExtract {
     /// Affine form of the first index accessed in this dimension.
     pub start: AffineForm,
     /// Elements retrieved along this dimension (1 for single indices).
@@ -23,7 +23,7 @@ pub struct DimExtract {
 
 /// All dimensions of one RHS slice.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SliceExtract {
+pub(crate) struct SliceExtract {
     pub dims: Vec<DimExtract>,
 }
 
@@ -66,7 +66,7 @@ fn extract_dim(slice: &Slice, syms: &[String]) -> Result<DimExtract> {
 }
 
 /// Extract every RHS slice of an analyzed functor.
-pub fn extract(info: &FunctorInfo) -> Result<Vec<SliceExtract>> {
+pub(crate) fn extract(info: &FunctorInfo) -> Result<Vec<SliceExtract>> {
     info.decl
         .rhs
         .iter()

@@ -13,7 +13,7 @@ use hpacml_directive::sema::Bindings;
 
 /// One concretized sweep symbol: the range its values take.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepRange {
+pub(crate) struct SweepRange {
     pub symbol: String,
     pub start: i64,
     /// Number of points.
@@ -24,7 +24,7 @@ pub struct SweepRange {
 /// Resolve the map target's concrete slices into sweep ranges, binding them
 /// positionally to the functor's sweep symbols (paper §III-B: "i goes from 1
 /// to N−1; j is similarly concretized").
-pub fn resolve_sweep(
+pub(crate) fn resolve_sweep(
     sweep_syms: &[String],
     target: &MapTarget,
     binds: &Bindings,
@@ -82,7 +82,7 @@ fn resolve_one(symbol: &str, slice: &Slice, binds: &Bindings) -> Result<SweepRan
 /// `(count, stride)` pair per tensor dimension — sweep dimensions first (in
 /// sweep-symbol order), then the slice's own range dimensions.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResolvedView {
+pub(crate) struct ResolvedView {
     pub offset: i64,
     pub dims: Vec<(usize, i64)>,
     /// How many of `dims` are sweep dimensions.
@@ -97,7 +97,7 @@ pub struct ResolvedView {
 /// `offset + Σ_s k_s·σ_s + Σ_d e_d·(S_d·step_d)` where
 /// `σ_s = sweep_step_s · Σ_d S_d·a_{d,s}` and `offset` folds the affine
 /// constants and sweep starts.
-pub fn resolve_slice(
+pub(crate) fn resolve_slice(
     ex: &SliceExtract,
     array_dims: &[usize],
     sweep: &[SweepRange],

@@ -82,7 +82,6 @@
 
 pub mod error;
 pub mod region;
-pub mod registry;
 pub mod serve;
 pub mod session;
 pub mod timing;
@@ -93,7 +92,6 @@ pub use hpacml_faults::retry::RetryPolicy;
 pub use hpacml_nn::PrecisionPolicy;
 pub use hpacml_tensor::Precision;
 pub use region::{PrecisionReport, Region, RegionBuilder};
-pub use registry::{registered_regions, RegionRecord};
 pub use serve::BatchServer;
 pub use session::{PathTaken, Session, SessionOutcome, SessionRun};
 pub use timing::RegionStats;

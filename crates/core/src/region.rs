@@ -1,6 +1,5 @@
 //! Approx regions: construction, validation, plan compilation and persistence.
 
-use crate::registry::{register, RegionRecord};
 use crate::session::{RegionRef, Session};
 use crate::timing::RegionStats;
 use crate::validate::{ErrorMetric, FallbackController, RegionValidation};
@@ -62,6 +61,7 @@ pub struct Region {
 /// many layers grew reduced-precision packs, and the calibration evidence
 /// from the region's collected input rows.
 #[derive(Debug, Clone)]
+// lint: allow(crate-local-pub) — returned by `Region::precision_report`, read without naming the type
 pub struct PrecisionReport {
     /// The coarsest rung of the installed demotion ladder.
     pub target: Precision,
@@ -97,7 +97,7 @@ impl Region {
         &self.name
     }
 
-    pub fn ml_mode(&self) -> MlMode {
+    pub(crate) fn ml_mode(&self) -> MlMode {
         self.ml.mode
     }
 
@@ -568,6 +568,7 @@ impl Region {
 }
 
 /// Builder accumulating directive strings for a region.
+// lint: allow(crate-local-pub) — returned by `Region::builder`, which callers chain without naming the type
 pub struct RegionBuilder {
     name: String,
     sources: Vec<String>,
@@ -595,7 +596,7 @@ impl RegionBuilder {
         self
     }
 
-    /// Parse, analyze and validate everything; register the annotation.
+    /// Parse, analyze and validate everything.
     pub fn build(self) -> Result<Region> {
         let mut functors = BTreeMap::new();
         let mut to_maps = BTreeMap::new();
@@ -713,11 +714,6 @@ impl RegionBuilder {
         let db_path = self
             .database
             .or_else(|| ml.database.clone().map(PathBuf::from));
-
-        register(RegionRecord {
-            region: self.name.clone(),
-            directives: self.sources.clone(),
-        });
 
         Ok(Region {
             name: self.name,

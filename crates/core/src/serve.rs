@@ -342,8 +342,8 @@ impl<'r> BatchServer<'r> {
 
     /// Submit **one** sample and block until a coalesced forward pass has
     /// produced its outputs. `inputs` and `outputs` are slices per declared
-    /// array in declaration order (the order of
-    /// [`Session::input_arrays`]/[`Session::output_arrays`]), each exactly
+    /// array in declaration order (the order of the `ml` directive's
+    /// `in(...)`/`out(...)` clauses), each exactly
     /// one per-sample array long. Safe to call from any number of threads;
     /// whatever is pending when a batch closes shares one forward pass.
     pub fn submit(&self, inputs: &[&[f32]], outputs: &mut [&mut [f32]]) -> Result<()> {

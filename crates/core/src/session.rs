@@ -538,7 +538,7 @@ impl<'r> Session<'r> {
     /// Declared input arrays with their **per-sample** element counts, in
     /// assembly (declaration) order. A batched invocation's `input` data for
     /// array `i` holds `n *` this many elements, samples back to back.
-    pub fn input_arrays(&self) -> impl Iterator<Item = (&str, usize)> {
+    pub(crate) fn input_arrays(&self) -> impl Iterator<Item = (&str, usize)> {
         self.core
             .inputs
             .iter()
@@ -547,7 +547,7 @@ impl<'r> Session<'r> {
 
     /// Declared output arrays with their **per-sample** element counts, in
     /// `out()` declaration order.
-    pub fn output_arrays(&self) -> impl Iterator<Item = (&str, usize)> {
+    pub(crate) fn output_arrays(&self) -> impl Iterator<Item = (&str, usize)> {
         self.outputs
             .iter()
             .map(|(n, p, _)| (n.as_str(), p.array_numel()))
@@ -645,6 +645,7 @@ impl ShadowState {
 }
 
 /// The input-gathering phase of one compiled invocation (batch of `n`).
+// lint: allow(crate-local-pub) — returned by `Session::invoke`/`invoke_batch`, which callers chain without naming the type
 pub struct SessionRun<'s, 'r> {
     session: &'s Session<'r>,
     scratch: ScratchGuard,
@@ -932,6 +933,7 @@ fn core_run(
 }
 
 /// The output phase of a compiled invocation.
+// lint: allow(crate-local-pub) — returned by `SessionRun::run`, which callers chain without naming the type
 pub struct SessionOutcome<'s, 'r> {
     session: &'s Session<'r>,
     scratch: ScratchGuard,

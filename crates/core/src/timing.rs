@@ -85,7 +85,7 @@ pub struct RegionStats {
 
 impl RegionStats {
     /// Total time spent inside the runtime for surrogate invocations.
-    pub fn surrogate_total_ns(&self) -> u64 {
+    pub(crate) fn surrogate_total_ns(&self) -> u64 {
         self.to_tensor_ns + self.inference_ns + self.from_tensor_ns
     }
 
@@ -131,7 +131,7 @@ impl RegionStats {
 
 /// Measure one closure, returning its result and elapsed nanoseconds.
 #[inline]
-pub fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
+pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let t0 = Instant::now();
     let out = f();
     (out, t0.elapsed().as_nanos() as u64)

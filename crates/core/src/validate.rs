@@ -177,7 +177,7 @@ impl ValidationPolicy {
 
     /// Check the knobs are in-range (called by
     /// [`Region::set_validation_policy`]).
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.sample_rate == 0 {
             return Err(CoreError::Region(
                 "validation policy: sample_rate must be >= 1".into(),
@@ -217,11 +217,12 @@ impl ValidationPolicy {
 ///   rolling mean is back within budget. Re-enabling therefore never
 ///   oscillates within one window of a disable.
 ///
-/// With a **precision ladder** installed ([`FallbackController::with_ladder`],
-/// rungs ordered coarsest first, e.g. `[Int8, Bf16, F32]`), an over-budget
-/// window first **demotes** one rung toward full precision — clearing the
-/// window so the finer rung is judged on its own evidence — and only an
-/// over-budget window on the *last* rung disables the surrogate outright.
+/// With a **precision ladder** installed (a region installs one when a
+/// precision policy is attached; rungs ordered coarsest first, e.g.
+/// `[Int8, Bf16, F32]`), an over-budget window first **demotes** one rung
+/// toward full precision — clearing the window so the finer rung is judged
+/// on its own evidence — and only an over-budget window on the *last* rung
+/// disables the surrogate outright.
 /// Symmetrically, `2 * window` consecutive under-budget observations
 /// **promote** one rung back toward the coarse target (the same doubled-span
 /// hysteresis that keeps disable/re-enable from oscillating). A re-enable
@@ -256,8 +257,6 @@ pub struct FallbackController {
     /// Consecutive under-budget observations at the current rung (promotion
     /// hysteresis counter).
     stable: usize,
-    demotes: u64,
-    promotes: u64,
 }
 
 impl FallbackController {
@@ -273,21 +272,13 @@ impl FallbackController {
             ladder: Vec::new(),
             rung: 0,
             stable: 0,
-            demotes: 0,
-            promotes: 0,
         }
     }
 
-    /// Install a serving-precision ladder, coarsest rung first. See the
-    /// type docs for the demotion/promotion rules.
-    pub fn with_ladder(mut self, ladder: Vec<Precision>) -> Self {
-        self.set_ladder(ladder);
-        self
-    }
-
-    /// Replace the ladder and restart at its coarsest rung with a fresh
-    /// window.
-    pub fn set_ladder(&mut self, ladder: Vec<Precision>) {
+    /// Install a serving-precision ladder, coarsest rung first, and restart
+    /// at its coarsest rung with a fresh window. See the type docs for the
+    /// demotion/promotion rules.
+    pub(crate) fn set_ladder(&mut self, ladder: Vec<Precision>) {
         self.ladder = ladder;
         self.rung = 0;
         self.stable = 0;
@@ -296,7 +287,7 @@ impl FallbackController {
 
     /// The canonical ladder for a quantization target: every rung from the
     /// target up to full precision, or no ladder at all for an `F32` target.
-    pub fn ladder_for(target: Precision) -> Vec<Precision> {
+    pub(crate) fn ladder_for(target: Precision) -> Vec<Precision> {
         match target {
             Precision::Int8 => vec![Precision::Int8, Precision::Bf16, Precision::F32],
             Precision::Bf16 => vec![Precision::Bf16, Precision::F32],
@@ -319,11 +310,6 @@ impl FallbackController {
         self.rung
     }
 
-    /// Lifetime demote / promote transition counts.
-    pub fn precision_transitions(&self) -> (u64, u64) {
-        (self.demotes, self.promotes)
-    }
-
     /// Mean error over the current window (0 when nothing observed yet).
     pub fn rolling(&self) -> f64 {
         if self.errors.is_empty() {
@@ -341,7 +327,7 @@ impl FallbackController {
     /// (model load or forward pass errored permanently) rather than accuracy
     /// drift. Recovery follows the normal path: a cooldown window, then
     /// under-budget shadow probes re-enable.
-    pub fn trip(&mut self) {
+    pub(crate) fn trip(&mut self) {
         if self.enabled {
             self.enabled = false;
             self.disables += 1;
@@ -367,7 +353,6 @@ impl FallbackController {
                     // is judged on its own evidence, not the coarse rung's
                     // over-budget window.
                     self.rung += 1;
-                    self.demotes += 1;
                     self.errors.clear();
                 } else {
                     self.enabled = false;
@@ -380,7 +365,6 @@ impl FallbackController {
                     // A doubled window of healthy observations: promote one
                     // rung back toward the coarse target.
                     self.rung -= 1;
-                    self.promotes += 1;
                     self.stable = 0;
                     self.errors.clear();
                 }
@@ -642,7 +626,7 @@ impl Region {
     }
 
     /// Whether [`Region::force_fallback`] is currently engaged.
-    pub fn fallback_forced(&self) -> bool {
+    pub(crate) fn fallback_forced(&self) -> bool {
         self.forced_fallback_flag().load(Ordering::Relaxed)
     }
 
@@ -781,13 +765,12 @@ mod tests {
 
     #[test]
     fn ladder_demotes_before_disabling() {
-        let mut c = FallbackController::new(0.5, 2)
-            .with_ladder(FallbackController::ladder_for(Precision::Int8));
+        let mut c = FallbackController::new(0.5, 2);
+        c.set_ladder(FallbackController::ladder_for(Precision::Int8));
         assert_eq!(c.precision(), Some(Precision::Int8));
         // Over budget at int8: demote, stay enabled, fresh window.
         assert!(c.observe(2.0));
         assert_eq!(c.precision(), Some(Precision::Bf16));
-        assert_eq!(c.precision_transitions(), (1, 0));
         // Over budget at bf16 too: demote to f32, still enabled.
         assert!(c.observe(2.0));
         assert_eq!(c.precision(), Some(Precision::F32));
@@ -799,8 +782,8 @@ mod tests {
 
     #[test]
     fn ladder_promotes_after_doubled_stable_window() {
-        let mut c = FallbackController::new(0.5, 2)
-            .with_ladder(FallbackController::ladder_for(Precision::Int8));
+        let mut c = FallbackController::new(0.5, 2);
+        c.set_ladder(FallbackController::ladder_for(Precision::Int8));
         assert!(c.observe(2.0)); // int8 -> bf16
         assert_eq!(c.precision(), Some(Precision::Bf16));
         // 2 * window = 4 consecutive healthy observations heal one rung.
@@ -810,7 +793,6 @@ mod tests {
         }
         assert!(c.observe(0.1));
         assert_eq!(c.precision(), Some(Precision::Int8));
-        assert_eq!(c.precision_transitions(), (1, 1));
         // An over-budget window resets the stability count.
         assert!(c.observe(2.0));
         assert_eq!(c.precision(), Some(Precision::Bf16));
@@ -820,8 +802,8 @@ mod tests {
 
     #[test]
     fn ladder_reenable_lands_on_finest_rung() {
-        let mut c = FallbackController::new(0.5, 1)
-            .with_ladder(FallbackController::ladder_for(Precision::Bf16));
+        let mut c = FallbackController::new(0.5, 1);
+        c.set_ladder(FallbackController::ladder_for(Precision::Bf16));
         assert!(c.observe(2.0)); // bf16 -> f32
         assert!(!c.observe(2.0)); // f32 over budget: disabled
         assert!(c.observe(0.0)); // window-1 cooldown: one good probe re-enables

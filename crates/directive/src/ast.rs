@@ -6,6 +6,7 @@ use std::collections::BTreeSet;
 
 /// Binary arithmetic operator inside slice expressions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// lint: allow(crate-local-pub) — in `Expr::Bin`, a public variant
 pub enum BinOp {
     Add,
     Sub,
@@ -19,6 +20,7 @@ pub enum BinOp {
 /// declarations and *integer variables* (`N`, `M`) inside map targets; both
 /// resolve through [`crate::sema::Bindings`] at evaluation time.
 #[derive(Debug, Clone, PartialEq)]
+// lint: allow(crate-local-pub) — `Slice`'s public fields; the bridge evaluates them without naming the type
 pub enum Expr {
     Int(i64),
     Ident(String),
@@ -61,7 +63,7 @@ impl Expr {
     }
 
     /// Collect every identifier mentioned.
-    pub fn symbols(&self, out: &mut BTreeSet<String>) {
+    pub(crate) fn symbols(&self, out: &mut BTreeSet<String>) {
         match self {
             Expr::Int(_) => {}
             Expr::Ident(n) => {
@@ -122,18 +124,8 @@ impl Slice {
     }
 
     /// True when this slice addresses exactly one element.
-    pub fn is_single(&self) -> bool {
+    pub(crate) fn is_single(&self) -> bool {
         self.stop.is_none()
-    }
-
-    pub fn symbols(&self, out: &mut BTreeSet<String>) {
-        self.start.symbols(out);
-        if let Some(s) = &self.stop {
-            s.symbols(out);
-        }
-        if let Some(s) = &self.step {
-            s.symbols(out);
-        }
     }
 }
 
@@ -158,14 +150,6 @@ impl SSpec {
     pub fn rank(&self) -> usize {
         self.0.len()
     }
-
-    pub fn symbols(&self) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        for s in &self.0 {
-            s.symbols(&mut out);
-        }
-        out
-    }
 }
 
 impl std::fmt::Display for SSpec {
@@ -183,6 +167,7 @@ impl std::fmt::Display for SSpec {
 
 /// `#pragma approx tensor functor(name: lhs = (rhs, ...))`.
 #[derive(Debug, Clone, PartialEq)]
+// lint: allow(crate-local-pub) — carried by `Directive::Functor`, which the bridge matches without naming the type
 pub struct FunctorDecl {
     pub name: String,
     pub lhs: SSpec,
@@ -345,17 +330,14 @@ mod tests {
 
     #[test]
     fn symbols_collected() {
-        let s = Slice {
-            start: Expr::Ident("i".into()),
-            stop: Some(Expr::Bin {
-                op: BinOp::Add,
-                lhs: Box::new(Expr::Ident("j".into())),
-                rhs: Box::new(Expr::Int(2)),
-            }),
-            step: None,
+        let e = Expr::Bin {
+            op: BinOp::Add,
+            lhs: Box::new(Expr::Ident("j".into())),
+            rhs: Box::new(Expr::Neg(Box::new(Expr::Ident("i".into())))),
         };
-        let spec = SSpec(vec![s, Slice::index(Expr::Int(0))]);
-        let syms = spec.symbols();
+        let mut syms = BTreeSet::new();
+        e.symbols(&mut syms);
+        Expr::Int(2).symbols(&mut syms);
         assert_eq!(syms.into_iter().collect::<Vec<_>>(), vec!["i", "j"]);
     }
 

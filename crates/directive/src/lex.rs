@@ -6,7 +6,7 @@ use crate::{DirectiveError, Result};
 /// identifiers; the parser matches them contextually, as Clang does for
 /// pragma keywords.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+pub(crate) enum Tok {
     Ident(String),
     Int(i64),
     Str(String),
@@ -26,14 +26,14 @@ pub enum Tok {
 
 /// A token with its starting byte offset.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     pub tok: Tok,
     pub pos: usize,
 }
 
 /// Tokenize a directive string. Backslash-newline continuations (as used in
 /// multi-line C pragmas, cf. the paper's Fig. 2) are treated as whitespace.
-pub fn lex(src: &str) -> Result<Vec<Token>> {
+pub(crate) fn lex(src: &str) -> Result<Vec<Token>> {
     let bytes = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;

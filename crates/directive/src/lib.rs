@@ -16,7 +16,7 @@
 //! the data bridge (`hpacml-bridge`) consumes.
 
 pub mod ast;
-pub mod lex;
+mod lex;
 pub mod parse;
 pub mod sema;
 
@@ -26,10 +26,6 @@ pub use ast::{
 };
 pub use parse::{parse_directive, parse_directives};
 pub use sema::{Bindings, FunctorInfo};
-
-/// Source location (byte offset) carried by lexer and parser errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Pos(pub usize);
 
 /// Errors from lexing, parsing or semantic analysis.
 #[derive(Debug, Clone, PartialEq)]

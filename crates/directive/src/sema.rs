@@ -30,10 +30,6 @@ impl Bindings {
         self
     }
 
-    pub fn set(&mut self, name: impl Into<String>, value: i64) {
-        self.0.insert(name.into(), value);
-    }
-
     pub fn get(&self, name: &str) -> Option<i64> {
         self.0.get(name).copied()
     }
@@ -45,12 +41,6 @@ impl Bindings {
 
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.0.keys().map(String::as_str)
-    }
-
-    /// Iterate `(name, value)` pairs in sorted (BTreeMap) order — the stable
-    /// form cache keys are built from.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, i64)> {
-        self.0.iter().map(|(k, v)| (k.as_str(), *v))
     }
 }
 

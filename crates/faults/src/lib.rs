@@ -232,6 +232,7 @@ impl Plan {
 
 /// One injection that actually fired (for test assertions / diagnostics).
 #[derive(Debug, Clone, PartialEq, Eq)]
+// lint: allow(crate-local-pub) — returned by `injected()`, which the chaos suites call without naming the type
 pub struct InjectionRecord {
     pub site: String,
     pub hit: u64,
@@ -275,7 +276,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// SplitMix64 finalizer — mixes `(seed, site, hit)` into a chaos coin.
-pub fn splitmix64(mut x: u64) -> u64 {
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -285,7 +286,7 @@ pub fn splitmix64(mut x: u64) -> u64 {
 /// Deterministic busy-wait for `ticks` iterations. No clock is consulted;
 /// the duration scales with CPU speed, which is fine for injected latency
 /// and backoff (ordering pressure, not timing guarantees).
-pub fn spin_ticks(ticks: u64) {
+pub(crate) fn spin_ticks(ticks: u64) {
     for _ in 0..ticks {
         std::hint::spin_loop();
     }

@@ -63,7 +63,7 @@ impl RetryPolicy {
 
     /// Backoff ticks before retry number `retry` (0-based):
     /// `min(cap, base << retry)`, saturating.
-    pub fn backoff_ticks(&self, retry: u32) -> u64 {
+    pub(crate) fn backoff_ticks(&self, retry: u32) -> u64 {
         let raw = u64::from(self.base).saturating_mul(1u64 << retry.min(32));
         raw.min(u64::from(self.cap))
     }

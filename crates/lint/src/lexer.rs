@@ -19,7 +19,7 @@
 //!   loop labels `'outer:`.
 
 /// One file, lexed: per-line masked code and per-line comment text.
-pub struct Lexed {
+pub(crate) struct Lexed {
     /// Source lines with comment bodies and literal contents replaced by
     /// spaces. Columns are preserved, so findings can point at real code.
     pub code: Vec<String>,
@@ -32,7 +32,7 @@ pub struct Lexed {
 impl Lexed {
     /// True if the comment on `line` (0-based) is a plain (non-doc) comment
     /// with any content.
-    pub fn plain_comment(&self, line: usize) -> Option<&str> {
+    pub(crate) fn plain_comment(&self, line: usize) -> Option<&str> {
         let c = self.comments.get(line)?.trim();
         if c.is_empty() || c.starts_with('/') || c.starts_with('!') {
             return None;
@@ -77,7 +77,7 @@ fn string_open(chars: &[char], i: usize) -> Option<(usize, usize, bool)> {
 }
 
 /// Lex `src` into masked code lines plus per-line comment text.
-pub fn lex(src: &str) -> Lexed {
+pub(crate) fn lex(src: &str) -> Lexed {
     let chars: Vec<char> = src.chars().collect();
     let mut code = vec![String::new()];
     let mut comments = vec![String::new()];
@@ -166,8 +166,14 @@ pub fn lex(src: &str) -> Lexed {
                             newline(&mut code, &mut comments);
                             i += 1;
                         } else if !raw && chars[i] == '\\' {
-                            code.last_mut().unwrap().push_str("  ");
-                            i += 2; // escape sequence: skip the escaped char too
+                            // Escape sequence: skip the escaped char too,
+                            // unless it is a line continuation's newline.
+                            code.last_mut().unwrap().push(' ');
+                            i += 1;
+                            if i < chars.len() && chars[i] != '\n' {
+                                code.last_mut().unwrap().push(' ');
+                                i += 1;
+                            }
                         } else {
                             code.last_mut().unwrap().push(' ');
                             i += 1;
@@ -354,6 +360,13 @@ mod tests {
         let l = lex(src);
         assert_eq!(l.code.len(), 3);
         assert!(!l.code[1].contains("line two"));
+        assert!(l.code[2].contains("after();"));
+    }
+
+    #[test]
+    fn string_line_continuation_preserves_line_count() {
+        let l = lex("let s = \"one \\\n    two\";\nafter();");
+        assert_eq!(l.code.len(), 3);
         assert!(l.code[2].contains("after();"));
     }
 

@@ -5,7 +5,9 @@
 //! source-level invariants that tests can only probe after the fact. This
 //! crate enforces them at the line that would break them: determinism lints
 //! for the kernel crates, an unsafe audit, concurrency discipline,
-//! allow-attribute hygiene, and a ratchet on unused `pub fn`s. See [`rules`]
+//! allow-attribute hygiene, and a ratchet on the public surface: a `pub`
+//! item no other crate, test, bin, example or benchmark names is flagged
+//! (`crate-local-pub`). See [`rules`]
 //! for the rule table and the README "Static analysis & invariants" section
 //! for rationale.
 //!
@@ -19,7 +21,7 @@
 //! The justification is mandatory; an escape without one (or naming an
 //! unknown rule) is itself a finding (`escape-hygiene`).
 
-pub mod lexer;
+mod lexer;
 pub mod rules;
 
 pub use rules::WordIndex;
@@ -75,7 +77,7 @@ impl Finding {
 
 /// Where a file sits in the workspace, which decides which rules apply.
 /// Derived purely from the workspace-relative path (forward slashes).
-pub struct FileScope {
+pub(crate) struct FileScope {
     pub rel: String,
     /// Kernel code: `crates/{tensor,nn,bridge}/src/` — the determinism rules.
     pub kernel: bool,
@@ -88,7 +90,7 @@ pub struct FileScope {
     /// same guard discipline as the batch server, so lock-across-wait
     /// applies there too.
     pub serve_src: bool,
-    /// `crates/*/src/` — where `dead-pub` looks for `pub fn` definitions.
+    /// `crates/*/src/` — where `crate-local-pub` looks for `pub` items.
     pub crate_src: bool,
 }
 
@@ -122,7 +124,12 @@ impl FileScope {
     }
 
     /// Build a finding at 0-based line `i`.
-    pub fn finding(&self, i: usize, rule: &'static str, message: impl Into<String>) -> Finding {
+    pub(crate) fn finding(
+        &self,
+        i: usize,
+        rule: &'static str,
+        message: impl Into<String>,
+    ) -> Finding {
         Finding {
             file: self.rel.clone(),
             line: i + 1,
@@ -185,8 +192,8 @@ pub fn parse_rules(spec: &str) -> Result<BTreeSet<String>, String> {
 
 /// Analyze one file's source. `rel` is the workspace-relative path used for
 /// scoping and reporting; findings come back sorted by line. `corpus` is
-/// the word index of the tree the file belongs to; the cross-file `dead-pub`
-/// rule only runs when there is one.
+/// the word index of the tree the file belongs to; the cross-file
+/// `crate-local-pub` rule only runs when there is one.
 pub fn analyze_source(
     rel: &str,
     src: &str,
@@ -289,36 +296,45 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Index every identifier a `pub fn` could be used from: the lintable
-/// files plus the umbrella crate's `examples/` and the standalone
-/// `benchmark/src/`, which call into `crates/*` but are not linted.
+/// Index every identifier a `pub` item could be used from, by compilation
+/// unit: the lintable files plus the umbrella crate's `examples/` and the
+/// standalone `benchmark/src/`, which call into `crates/*` but are not
+/// linted.
 fn corpus_index(root: &Path) -> std::io::Result<WordIndex> {
     let mut files = workspace_files(root)?;
     collect_rs(&root.join("examples"), &mut files)?;
     collect_rs(&root.join("benchmark").join("src"), &mut files)?;
     let mut index = WordIndex::default();
     for path in files {
-        index.add(&lexer::lex(&std::fs::read_to_string(&path)?));
+        index.add(&rel_path(root, &path), &std::fs::read_to_string(&path)?);
     }
     Ok(index)
 }
 
+/// `path` relative to `root`, with forward slashes.
+fn rel_path(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root)
+        .unwrap_or(path)
+        .to_string_lossy()
+        .replace('\\', "/")
+}
+
 /// Lint every workspace file under `root`, returning all findings.
 pub fn lint_workspace(root: &Path, enabled: &BTreeSet<String>) -> std::io::Result<Vec<Finding>> {
-    let corpus = if enabled.contains("dead-pub") {
+    let corpus = if enabled.contains("crate-local-pub") {
         Some(corpus_index(root)?)
     } else {
         None
     };
     let mut findings = Vec::new();
     for path in workspace_files(root)? {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
         let src = std::fs::read_to_string(&path)?;
-        findings.extend(analyze_source(&rel, &src, enabled, corpus.as_ref()));
+        findings.extend(analyze_source(
+            &rel_path(root, &path),
+            &src,
+            enabled,
+            corpus.as_ref(),
+        ));
     }
     findings.sort();
     Ok(findings)

@@ -109,7 +109,7 @@ fn run() -> i32 {
                 .and_then(|c| root.canonicalize().ok().map(|r| (c, r)))
                 .and_then(|(c, r)| c.strip_prefix(&r).map(|p| p.to_path_buf()).ok())
                 .unwrap_or_else(|| t.clone());
-            // No corpus for loose paths: `dead-pub` runs under `--workspace`.
+            // No corpus for loose paths: `crate-local-pub` runs under `--workspace`.
             findings.extend(analyze_source(
                 &rel.to_string_lossy().replace('\\', "/"),
                 &src,

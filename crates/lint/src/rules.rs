@@ -1,7 +1,7 @@
 //! The lint rules. Each rule scans the masked code (and the captured
 //! comments) of one file and reports findings; `lib.rs` applies the
-//! per-line escape hatch afterwards. One rule, `dead-pub`, also consults a
-//! [`WordIndex`] over the whole workspace.
+//! per-line escape hatch afterwards. One rule, `crate-local-pub`, also
+//! consults a [`WordIndex`] over the whole workspace.
 //!
 //! Rule scopes follow the invariants the workspace actually depends on:
 //!
@@ -16,11 +16,11 @@
 //! | `std-sync-lock`       | everywhere                 | `parking_lot` is the workspace lock standard |
 //! | `lock-across-wait`    | `crates/{core,serve}/src/` | no lock guard held across an unrelated blocking wait |
 //! | `allow-justification` | everywhere                 | every `#[allow(...)]` has an adjacent `//` justification |
-//! | `dead-pub`            | `crates/*/src/`            | every `pub fn` is named somewhere besides its own definition |
+//! | `crate-local-pub`     | `crates/*/src/`            | every `pub` item is named by another compilation unit |
 
 use crate::lexer::Lexed;
 use crate::{FileScope, Finding};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Every shipped rule id, in documentation order.
 pub const ALL_RULES: &[&str] = &[
@@ -33,7 +33,7 @@ pub const ALL_RULES: &[&str] = &[
     "std-sync-lock",
     "lock-across-wait",
     "allow-justification",
-    "dead-pub",
+    "crate-local-pub",
     "escape-hygiene",
 ];
 
@@ -107,7 +107,7 @@ fn method_calls(line: &str, method: &str) -> Vec<usize> {
     out
 }
 
-pub fn det_no_fma(scope: &FileScope, lexed: &Lexed, out: &mut Vec<Finding>) {
+pub(crate) fn det_no_fma(scope: &FileScope, lexed: &Lexed, out: &mut Vec<Finding>) {
     if !scope.kernel {
         return;
     }
@@ -124,7 +124,7 @@ pub fn det_no_fma(scope: &FileScope, lexed: &Lexed, out: &mut Vec<Finding>) {
     }
 }
 
-pub fn det_no_wall_clock(scope: &FileScope, lexed: &Lexed, out: &mut Vec<Finding>) {
+pub(crate) fn det_no_wall_clock(scope: &FileScope, lexed: &Lexed, out: &mut Vec<Finding>) {
     if !scope.kernel {
         return;
     }
@@ -144,7 +144,7 @@ pub fn det_no_wall_clock(scope: &FileScope, lexed: &Lexed, out: &mut Vec<Finding
     }
 }
 
-pub fn det_no_hash_collections(scope: &FileScope, lexed: &Lexed, out: &mut Vec<Finding>) {
+pub(crate) fn det_no_hash_collections(scope: &FileScope, lexed: &Lexed, out: &mut Vec<Finding>) {
     if !scope.kernel {
         return;
     }
@@ -165,7 +165,7 @@ pub fn det_no_hash_collections(scope: &FileScope, lexed: &Lexed, out: &mut Vec<F
     }
 }
 
-pub fn unsafe_rules(scope: &FileScope, lexed: &Lexed, out: &mut Vec<Finding>) {
+pub(crate) fn unsafe_rules(scope: &FileScope, lexed: &Lexed, out: &mut Vec<Finding>) {
     for (i, l) in lexed.code.iter().enumerate() {
         if !contains_word(l, "unsafe") {
             continue;
@@ -246,7 +246,7 @@ fn has_bare_ordering_variant(args: &str) -> bool {
     false
 }
 
-pub fn atomic_ordering(scope: &FileScope, lexed: &Lexed, out: &mut Vec<Finding>) {
+pub(crate) fn atomic_ordering(scope: &FileScope, lexed: &Lexed, out: &mut Vec<Finding>) {
     for (i, l) in lexed.code.iter().enumerate() {
         if l.contains("use ") && l.contains("std::sync::atomic::Ordering::") {
             out.push(scope.finding(
@@ -298,7 +298,7 @@ pub fn atomic_ordering(scope: &FileScope, lexed: &Lexed, out: &mut Vec<Finding>)
     }
 }
 
-pub fn std_sync_lock(scope: &FileScope, lexed: &Lexed, out: &mut Vec<Finding>) {
+pub(crate) fn std_sync_lock(scope: &FileScope, lexed: &Lexed, out: &mut Vec<Finding>) {
     for (i, l) in lexed.code.iter().enumerate() {
         if !l.contains("std::sync::") {
             continue;
@@ -322,7 +322,7 @@ pub fn std_sync_lock(scope: &FileScope, lexed: &Lexed, out: &mut Vec<Finding>) {
 
 /// Waits that hand a named guard to the condvar (releasing the lock) are
 /// fine; everything else that blocks while a guard is live is flagged.
-pub fn lock_across_wait(scope: &FileScope, lexed: &Lexed, out: &mut Vec<Finding>) {
+pub(crate) fn lock_across_wait(scope: &FileScope, lexed: &Lexed, out: &mut Vec<Finding>) {
     if !scope.core_src && !scope.serve_src {
         return;
     }
@@ -391,7 +391,7 @@ pub fn lock_across_wait(scope: &FileScope, lexed: &Lexed, out: &mut Vec<Finding>
     }
 }
 
-pub fn allow_justification(scope: &FileScope, lexed: &Lexed, out: &mut Vec<Finding>) {
+pub(crate) fn allow_justification(scope: &FileScope, lexed: &Lexed, out: &mut Vec<Finding>) {
     for (i, l) in lexed.code.iter().enumerate() {
         if !l.contains("#[allow(") && !l.contains("#![allow(") {
             continue;
@@ -410,65 +410,189 @@ pub fn allow_justification(scope: &FileScope, lexed: &Lexed, out: &mut Vec<Findi
     }
 }
 
-/// How often each identifier occurs in the masked code of a set of files —
-/// the corpus `dead-pub` looks names up in. Comments and literals are
-/// already blanked by the lexer, so prose that mentions a function is not a
-/// use of it.
-#[derive(Default)]
-pub struct WordIndex {
-    counts: BTreeMap<String, usize>,
+/// The stand-in unit of code that compiles in another crate although it
+/// sits in this one: `#[macro_export]` bodies expand in the caller's crate,
+/// and doc tests are built as crates of their own.
+const ELSEWHERE: &str = "<another crate>";
+
+/// The compilation unit a workspace-relative path belongs to: a crate's lib
+/// (`crates/X/src`), one of its bins (`src/main.rs`, `src/bin/<name>`), its
+/// integration tests (`crates/X/tests`), or one of the umbrella's trees
+/// (`src`, `examples`, `benchmark/src`).
+fn unit_of(rel: &str) -> String {
+    match rel.split('/').collect::<Vec<_>>().as_slice() {
+        ["crates", _, "src", "main.rs"] => rel.to_string(),
+        ["crates", krate, "src", "bin", bin, ..] => {
+            format!("crates/{krate}/src/bin/{}", bin.trim_end_matches(".rs"))
+        }
+        ["crates", krate, tree, ..] => format!("crates/{krate}/{tree}"),
+        ["benchmark", tree, ..] => format!("benchmark/{tree}"),
+        [top, ..] => top.to_string(),
+        [] => String::new(),
+    }
 }
 
-impl WordIndex {
-    pub fn add(&mut self, lexed: &Lexed) {
-        for l in &lexed.code {
-            for word in l.split(|c| !is_ident(c)).filter(|w| !w.is_empty()) {
-                *self.counts.entry(word.to_string()).or_insert(0) += 1;
+/// Per masked-code line: is it inside a `#[macro_export] macro_rules!`
+/// body (the attribute's line through the definition's closing delimiter)?
+fn macro_export_lines(lexed: &Lexed) -> Vec<bool> {
+    let mut inside = vec![false; lexed.code.len()];
+    let mut i = 0;
+    while i < lexed.code.len() {
+        if !lexed.code[i].contains("#[macro_export]") {
+            i += 1;
+            continue;
+        }
+        let mut depth = 0i32;
+        let mut opened = false;
+        while i < lexed.code.len() {
+            inside[i] = true;
+            for c in lexed.code[i].chars() {
+                match c {
+                    '{' | '(' | '[' => {
+                        depth += 1;
+                        opened |= lexed.code[i].contains("macro_rules!");
+                    }
+                    '}' | ')' | ']' => depth -= 1,
+                    _ => {}
+                }
+            }
+            i += 1;
+            if opened && depth == 0 {
+                break;
             }
         }
     }
+    inside
+}
 
-    pub fn count(&self, word: &str) -> usize {
-        self.counts.get(word).copied().unwrap_or(0)
+/// The Rust code blocks of a file's doc comments (`///`, `//!`), lexed as
+/// one file: rustdoc compiles each as a crate of its own. Hidden `# ` lines
+/// count; `text`, `ignore` and other non-Rust fences do not.
+fn doc_test_code(lexed: &Lexed) -> Lexed {
+    let mut code = String::new();
+    let mut rust_block = None;
+    for c in &lexed.comments {
+        let Some(doc) = c.strip_prefix(['/', '!']) else {
+            rust_block = None;
+            continue;
+        };
+        let line = doc.strip_prefix(' ').unwrap_or(doc);
+        if let Some(info) = line.trim_start().strip_prefix("```") {
+            rust_block = match rust_block {
+                Some(_) => None,
+                None => Some(info.split(',').map(str::trim).all(|t| {
+                    ["", "rust", "no_run", "should_panic", "compile_fail"].contains(&t)
+                        || t.starts_with("edition")
+                })),
+            };
+        } else if rust_block == Some(true) {
+            let hidden = line.trim_start();
+            let shown = match hidden.strip_prefix('#') {
+                Some(rest) if rest.is_empty() || rest.starts_with(' ') => rest,
+                _ => line,
+            };
+            code.push_str(shown);
+            code.push('\n');
+        }
+    }
+    crate::lexer::lex(&code)
+}
+
+/// Which compilation units name each identifier in their masked code — the
+/// corpus `crate-local-pub` looks names up in. Comments and literals are
+/// already blanked by the lexer, so prose that mentions an item is not a use
+/// of it; doc-test code and `#[macro_export]` bodies count as another
+/// crate's.
+#[derive(Default)]
+pub struct WordIndex {
+    units: BTreeMap<String, BTreeSet<String>>,
+}
+
+impl WordIndex {
+    /// Index one file's source; `rel` is its workspace-relative path, which
+    /// decides its compilation unit.
+    pub fn add(&mut self, rel: &str, src: &str) {
+        let lexed = &crate::lexer::lex(src);
+        let unit = unit_of(rel);
+        let exported = macro_export_lines(lexed);
+        for (l, exported) in lexed.code.iter().zip(exported) {
+            self.add_words(l, if exported { ELSEWHERE } else { &unit });
+        }
+        for l in &doc_test_code(lexed).code {
+            self.add_words(l, ELSEWHERE);
+        }
+    }
+
+    fn add_words(&mut self, line: &str, unit: &str) {
+        for word in line.split(|c| !is_ident(c)).filter(|w| !w.is_empty()) {
+            self.units
+                .entry(word.to_string())
+                .or_default()
+                .insert(unit.to_string());
+        }
+    }
+
+    fn named_outside(&self, word: &str, unit: &str) -> bool {
+        self.units
+            .get(word)
+            .is_some_and(|units| units.iter().any(|u| u != unit))
     }
 }
 
-/// The name declared by a `pub fn` item on `line` (qualifiers allowed;
-/// `pub(crate)` and narrower are not public surface).
-fn pub_fn_name(line: &str) -> Option<&str> {
+/// The `(kind, name)` a `pub` item on `line` declares: a fn (method or free,
+/// qualifiers allowed), struct, enum, union, trait, type alias, const or
+/// static. `pub(crate)` and narrower are not public surface; `pub use`,
+/// `pub mod` and fields are not items this rule narrows.
+fn pub_item(line: &str) -> Option<(&str, &str)> {
     let at = *word_positions(line, "pub").first()?;
     let mut toks = line[at + 3..].split_whitespace().peekable();
-    while toks
-        .next_if(|t| ["const", "async", "unsafe"].contains(t))
-        .is_some()
-    {}
-    if toks.next()? != "fn" {
+    while toks.next_if(|t| ["async", "unsafe"].contains(t)).is_some() {}
+    let mut kind = toks.next()?;
+    if kind == "const" && toks.next_if_eq(&"fn").is_some() {
+        kind = "fn";
+    }
+    if kind == "static" {
+        toks.next_if_eq(&"mut");
+    }
+    const KINDS: [&str; 8] = [
+        "fn", "struct", "enum", "union", "trait", "type", "const", "static",
+    ];
+    if !KINDS.contains(&kind) {
         return None;
     }
     let name = toks.next()?;
     let end = name.find(|c| !is_ident(c)).unwrap_or(name.len());
-    (end > 0).then(|| &name[..end])
+    (end > 0).then(|| (kind, &name[..end]))
 }
 
-/// A `pub fn` whose name the corpus holds once is named by its definition
-/// and nothing else: no caller, no test, no example, no benchmark. Matching
-/// is by name, so two unused functions that share one hide each other.
-pub fn dead_pub(scope: &FileScope, lexed: &Lexed, corpus: &WordIndex, out: &mut Vec<Finding>) {
+/// A `pub` item in `crates/*/src` whose name no other compilation unit's
+/// code holds is used by nothing that needs it public: not another crate,
+/// not this crate's tests or bins, not an example, the benchmark, an
+/// exported macro or a doc test. Matching is by name, so an item that shares
+/// its name with something used elsewhere hides behind it.
+pub(crate) fn crate_local_pub(
+    scope: &FileScope,
+    lexed: &Lexed,
+    corpus: &WordIndex,
+    out: &mut Vec<Finding>,
+) {
     if !scope.crate_src {
         return;
     }
+    let unit = unit_of(&scope.rel);
     for (i, l) in lexed.code.iter().enumerate() {
-        let Some(name) = pub_fn_name(l) else {
+        let Some((kind, name)) = pub_item(l) else {
             continue;
         };
-        if corpus.count(name) <= 1 {
+        if !corpus.named_outside(name, &unit) {
             out.push(scope.finding(
                 i,
-                "dead-pub",
+                "crate-local-pub",
                 format!(
-                    "`pub fn {name}` is named nowhere in crates/*/{{src,tests}}, src/, \
-                     examples/ or benchmark/src/ but here; delete it together with what \
-                     only it kept alive, or give it the test it was missing"
+                    "`pub {kind} {name}` is named in no compilation unit but `{unit}` (no \
+                     other crate, tests/, bin, example, benchmark/src, exported macro or \
+                     doc test); make it `pub(crate)`, and delete it if rustc then finds it \
+                     dead"
                 ),
             ));
         }
@@ -477,10 +601,10 @@ pub fn dead_pub(scope: &FileScope, lexed: &Lexed, corpus: &WordIndex, out: &mut 
 
 /// Dispatch every enabled rule over one lexed file. `corpus` is the
 /// workspace word index; without one the cross-file rule does not run.
-pub fn run_all(
+pub(crate) fn run_all(
     scope: &FileScope,
     lexed: &Lexed,
-    enabled: &std::collections::BTreeSet<String>,
+    enabled: &BTreeSet<String>,
     corpus: Option<&WordIndex>,
     out: &mut Vec<Finding>,
 ) {
@@ -512,7 +636,7 @@ pub fn run_all(
     if on("allow-justification") {
         allow_justification(scope, lexed, out);
     }
-    if let Some(corpus) = corpus.filter(|_| on("dead-pub")) {
-        dead_pub(scope, lexed, corpus, out);
+    if let Some(corpus) = corpus.filter(|_| on("crate-local-pub")) {
+        crate_local_pub(scope, lexed, corpus, out);
     }
 }

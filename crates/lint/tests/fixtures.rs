@@ -270,60 +270,119 @@ fn allow_justification_accepts_preceding_or_trailing_comment() {
     assert!(f.is_empty(), "{f:?}");
 }
 
-/// The three `dead_pub` fixtures as one corpus: definitions plus the test
-/// file that calls one of them.
-fn dead_pub_corpus() -> WordIndex {
+/// The `crate_local_pub` fixtures as one corpus, each file placed in the
+/// compilation unit it stands for: `fire.rs` and `allow.rs` define items in
+/// `nn`'s lib, and `users/` names them from the same crate, from another
+/// crate, from `nn`'s tests, main and bin, from `examples/` and from
+/// `benchmark/src/`.
+fn crate_local_pub_corpus() -> WordIndex {
     let mut corpus = WordIndex::default();
-    for src in [
-        include_str!("../fixtures/dead_pub/fire.rs"),
-        include_str!("../fixtures/dead_pub/allow.rs"),
-        include_str!("../fixtures/dead_pub/caller.rs"),
+    for (path, src) in [
+        (
+            "crates/nn/src/fixture.rs",
+            include_str!("../fixtures/crate_local_pub/fire.rs"),
+        ),
+        (
+            "crates/nn/src/fixture_allow.rs",
+            include_str!("../fixtures/crate_local_pub/allow.rs"),
+        ),
+        (
+            "crates/nn/src/sibling.rs",
+            include_str!("../fixtures/crate_local_pub/users/sibling.rs"),
+        ),
+        (
+            "crates/apps/src/prose.rs",
+            include_str!("../fixtures/crate_local_pub/users/prose.rs"),
+        ),
+        (
+            "crates/apps/src/lib.rs",
+            include_str!("../fixtures/crate_local_pub/users/other_crate.rs"),
+        ),
+        (
+            "crates/nn/tests/api.rs",
+            include_str!("../fixtures/crate_local_pub/users/own_tests.rs"),
+        ),
+        (
+            "crates/nn/src/main.rs",
+            include_str!("../fixtures/crate_local_pub/users/own_main.rs"),
+        ),
+        (
+            "crates/nn/src/bin/tool.rs",
+            include_str!("../fixtures/crate_local_pub/users/own_bin.rs"),
+        ),
+        (
+            "examples/demo.rs",
+            include_str!("../fixtures/crate_local_pub/users/example.rs"),
+        ),
+        (
+            "benchmark/src/main.rs",
+            include_str!("../fixtures/crate_local_pub/users/benchmark.rs"),
+        ),
     ] {
-        corpus.add(&hpacml_lint::lexer::lex(src));
+        corpus.add(path, src);
     }
     corpus
 }
 
 #[test]
-fn dead_pub_fires_on_unnamed_and_prose_only_functions() {
+fn crate_local_pub_fires_on_every_kind_and_on_names_used_elsewhere_only_in_prose() {
     let f = analyze_source(
         "crates/nn/src/fixture.rs",
-        include_str!("../fixtures/dead_pub/fire.rs"),
+        include_str!("../fixtures/crate_local_pub/fire.rs"),
         &all_rules(),
-        Some(&dead_pub_corpus()),
+        Some(&crate_local_pub_corpus()),
     );
-    assert_eq!(rules_of(&f), ["dead-pub", "dead-pub"], "{f:?}");
-    assert!(f[0].message.contains("orphaned_getter"), "{f:?}");
-    assert!(f[1].message.contains("praised_in_prose"), "{f:?}");
+    assert!(f.iter().all(|f| f.rule == "crate-local-pub"), "{f:?}");
+    let flagged: Vec<&str> = f
+        .iter()
+        .map(|f| f.message.split('`').nth(1).expect("quoted item"))
+        .collect();
+    assert_eq!(
+        flagged,
+        [
+            "pub fn only_here",
+            "pub struct OnlyHereStruct",
+            "pub enum OnlyHereEnum",
+            "pub const ONLY_HERE_CONST",
+            "pub trait OnlyHereTrait",
+            "pub type OnlyHereAlias",
+            "pub fn only_here_method",
+            "pub fn praised_in_prose",
+            "pub static QUOTED_IN_A_STRING",
+            "pub fn shown_in_a_text_block",
+        ],
+        "{f:?}"
+    );
 }
 
 #[test]
-fn dead_pub_test_reference_and_escape_pass() {
+fn crate_local_pub_other_units_exported_macros_doc_tests_and_escapes_pass() {
     let f = analyze_source(
-        "crates/nn/src/fixture.rs",
-        include_str!("../fixtures/dead_pub/allow.rs"),
+        "crates/nn/src/fixture_allow.rs",
+        include_str!("../fixtures/crate_local_pub/allow.rs"),
         &all_rules(),
-        Some(&dead_pub_corpus()),
+        Some(&crate_local_pub_corpus()),
     );
     assert!(f.is_empty(), "{f:?}");
 }
 
 #[test]
-fn dead_pub_is_scoped_to_crate_sources_and_needs_a_corpus() {
-    // Definitions are only looked for under `crates/*/src/`…
+fn crate_local_pub_is_scoped_to_crate_sources_and_needs_a_corpus() {
+    // Items are only looked for under `crates/*/src/`…
     for path in ["crates/nn/tests/fixture.rs", "examples/fixture.rs"] {
         let f = analyze_source(
             path,
-            include_str!("../fixtures/dead_pub/fire.rs"),
+            include_str!("../fixtures/crate_local_pub/fire.rs"),
             &all_rules(),
-            Some(&dead_pub_corpus()),
+            Some(&crate_local_pub_corpus()),
         );
         assert!(f.is_empty(), "{path}: {f:?}");
     }
-    // …and a file linted on its own has nothing to be unused *in*.
+    // …and a file linted on its own (no `--workspace`) has no corpus to be
+    // crate-local *in*.
     let f = lint(
         "crates/nn/src/fixture.rs",
-        include_str!("../fixtures/dead_pub/fire.rs"),
+        include_str!("../fixtures/crate_local_pub/fire.rs"),
     );
     assert!(f.is_empty(), "{f:?}");
 }

@@ -39,7 +39,7 @@ impl InMemoryDataset {
     }
 
     /// Per-sample element counts of (x, y).
-    pub fn sample_numel(&self) -> (usize, usize) {
+    pub(crate) fn sample_numel(&self) -> (usize, usize) {
         (
             self.x.dims()[1..].iter().product::<usize>().max(1),
             self.y.dims()[1..].iter().product::<usize>().max(1),
@@ -77,7 +77,7 @@ impl InMemoryDataset {
     }
 
     /// Iterate `(x_batch, y_batch)` mini-batches, optionally shuffled.
-    pub fn batches(&self, batch_size: usize, shuffle: Option<u64>) -> Batches<'_> {
+    pub(crate) fn batches(&self, batch_size: usize, shuffle: Option<u64>) -> Batches<'_> {
         let mut order: Vec<usize> = (0..self.len()).collect();
         if let Some(seed) = shuffle {
             order.shuffle(&mut SmallRng::seed_from_u64(seed));
@@ -92,7 +92,7 @@ impl InMemoryDataset {
 }
 
 /// Mini-batch iterator over an [`InMemoryDataset`].
-pub struct Batches<'a> {
+pub(crate) struct Batches<'a> {
     ds: &'a InMemoryDataset,
     order: Vec<usize>,
     batch_size: usize,
@@ -235,18 +235,18 @@ impl Normalizer {
 
     /// Standardize into a caller-owned tensor (resized in place;
     /// allocation-free once `out` has capacity).
-    pub fn transform_into(&self, x: &Tensor, out: &mut Tensor) {
+    pub(crate) fn transform_into(&self, x: &Tensor, out: &mut Tensor) {
         x.copy_into(out);
         self.transform_in_place(out);
     }
 
     /// Standardize in place (allocation-free).
-    pub fn transform_in_place(&self, x: &mut Tensor) {
+    pub(crate) fn transform_in_place(&self, x: &mut Tensor) {
         self.apply_in_place(x, true);
     }
 
     /// Undo standardization in place (allocation-free).
-    pub fn inverse_in_place(&self, x: &mut Tensor) {
+    pub(crate) fn inverse_in_place(&self, x: &mut Tensor) {
         self.apply_in_place(x, false);
     }
 

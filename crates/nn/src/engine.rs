@@ -35,7 +35,7 @@ impl InferenceEngine {
     }
 
     /// An engine with an explicit retry budget for model loads.
-    pub fn with_retry(retry: RetryPolicy) -> Self {
+    pub(crate) fn with_retry(retry: RetryPolicy) -> Self {
         InferenceEngine {
             cache: RwLock::new(BTreeMap::new()),
             loads: AtomicU64::new(0),

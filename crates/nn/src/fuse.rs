@@ -31,6 +31,7 @@ use hpacml_tensor::quant::Precision;
 /// What [`compile_for_inference`] did to a model — surfaced so runtimes
 /// and benches can attribute their speedups.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+// lint: allow(crate-local-pub) — returned by `compile_for_inference` and `SavedModel::compile`, whose callers do not name it
 pub struct CompileInfo {
     /// Inference-identity layers (Dropout) removed.
     pub removed_identity: usize,
@@ -147,7 +148,10 @@ pub fn compile_for_inference(model: &mut Sequential) -> CompileInfo {
 /// packing, each layer that supports reduced precision builds packs for
 /// `policy.target` and every finer ladder rung. With an `F32` target this
 /// is exactly `compile_for_inference`.
-pub fn compile_for_inference_with(model: &mut Sequential, policy: &PrecisionPolicy) -> CompileInfo {
+pub(crate) fn compile_for_inference_with(
+    model: &mut Sequential,
+    policy: &PrecisionPolicy,
+) -> CompileInfo {
     let mut info = compile_for_inference(model);
     if policy.target != Precision::F32 {
         for l in model.layers_mut().iter_mut() {

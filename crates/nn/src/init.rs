@@ -11,7 +11,7 @@ pub fn rng(seed: u64) -> SmallRng {
 
 /// Kaiming/He uniform initialization for a weight tensor with `fan_in`
 /// incoming connections — the PyTorch default for Linear/Conv layers.
-pub fn kaiming_uniform(rng: &mut SmallRng, fan_in: usize, n: usize) -> Vec<f32> {
+pub(crate) fn kaiming_uniform(rng: &mut SmallRng, fan_in: usize, n: usize) -> Vec<f32> {
     let bound = if fan_in > 0 {
         (1.0 / fan_in as f32).sqrt() * 3.0f32.sqrt()
     } else {
@@ -21,7 +21,7 @@ pub fn kaiming_uniform(rng: &mut SmallRng, fan_in: usize, n: usize) -> Vec<f32> 
 }
 
 /// Uniform bias initialization matching PyTorch's `1/sqrt(fan_in)` bound.
-pub fn bias_uniform(rng: &mut SmallRng, fan_in: usize, n: usize) -> Vec<f32> {
+pub(crate) fn bias_uniform(rng: &mut SmallRng, fan_in: usize, n: usize) -> Vec<f32> {
     let bound = if fan_in > 0 {
         (1.0 / fan_in as f32).sqrt()
     } else {

@@ -34,7 +34,9 @@ impl Param {
 }
 
 /// A differentiable network layer.
+// lint: allow(crate-local-pub) — the element type of `Sequential::new`'s `Vec<Box<dyn Layer>>`; callers box concrete layers without naming the trait
 pub trait Layer: Send + Sync {
+    #[cfg(test)]
     fn name(&self) -> &'static str;
 
     /// Pure forward pass (inference). Must not mutate the layer.
@@ -182,14 +184,14 @@ impl Linear {
     }
 
     /// Every parameter zero and no random draw: what a loader fills in.
-    pub fn zeroed(in_features: usize, out_features: usize) -> Self {
+    pub(crate) fn zeroed(in_features: usize, out_features: usize) -> Self {
         Linear::from_params(
             Tensor::zeros([out_features, in_features]),
             Tensor::zeros([out_features]),
         )
     }
 
-    pub fn from_params(w: Tensor, b: Tensor) -> Self {
+    pub(crate) fn from_params(w: Tensor, b: Tensor) -> Self {
         Linear {
             w: Param::new(w),
             b: Param::new(b),
@@ -209,11 +211,6 @@ impl Linear {
         self.w.value.dims()[0]
     }
 
-    /// The activation fused into this layer's epilogue, if any.
-    pub fn fused_act(&self) -> Option<Act> {
-        self.act
-    }
-
     /// The quantized pack serving requests at `prec`, honoring the
     /// fallthrough rule (a missing int8 pack serves bf16; a missing bf16
     /// pack serves f32 — i.e. `None`).
@@ -227,6 +224,7 @@ impl Linear {
 }
 
 impl Layer for Linear {
+    #[cfg(test)]
     fn name(&self) -> &'static str {
         "linear"
     }
@@ -392,6 +390,7 @@ pub struct ReLU {
 }
 
 impl Layer for ReLU {
+    #[cfg(test)]
     fn name(&self) -> &'static str {
         "relu"
     }
@@ -435,6 +434,7 @@ pub struct Tanh {
 }
 
 impl Layer for Tanh {
+    #[cfg(test)]
     fn name(&self) -> &'static str {
         "tanh"
     }
@@ -475,6 +475,7 @@ pub struct Sigmoid {
 }
 
 impl Layer for Sigmoid {
+    #[cfg(test)]
     fn name(&self) -> &'static str {
         "sigmoid"
     }
@@ -533,6 +534,7 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
+    #[cfg(test)]
     fn name(&self) -> &'static str {
         "dropout"
     }
@@ -598,6 +600,7 @@ pub struct Flatten {
 }
 
 impl Layer for Flatten {
+    #[cfg(test)]
     fn name(&self) -> &'static str {
         "flatten"
     }
@@ -669,7 +672,7 @@ impl Conv2d {
     }
 
     /// Every parameter zero and no random draw: what a loader fills in.
-    pub fn zeroed(in_ch: usize, out_ch: usize, geom: Conv2dGeom) -> Self {
+    pub(crate) fn zeroed(in_ch: usize, out_ch: usize, geom: Conv2dGeom) -> Self {
         let (kh, kw) = geom.kernel;
         Conv2d::from_params(
             Tensor::zeros([out_ch, in_ch, kh, kw]),
@@ -678,7 +681,7 @@ impl Conv2d {
         )
     }
 
-    pub fn from_params(w: Tensor, b: Tensor, geom: Conv2dGeom) -> Self {
+    pub(crate) fn from_params(w: Tensor, b: Tensor, geom: Conv2dGeom) -> Self {
         Conv2d {
             w: Param::new(w),
             b: Param::new(b),
@@ -695,14 +698,10 @@ impl Conv2d {
     fn taps(&self) -> usize {
         self.w.value.numel() / self.filters().max(1)
     }
-
-    /// The activation fused into this layer's epilogue, if any.
-    pub fn fused_act(&self) -> Option<Act> {
-        self.act
-    }
 }
 
 impl Layer for Conv2d {
+    #[cfg(test)]
     fn name(&self) -> &'static str {
         "conv2d"
     }
@@ -822,6 +821,7 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
+    #[cfg(test)]
     fn name(&self) -> &'static str {
         "maxpool2d"
     }

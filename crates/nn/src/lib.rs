@@ -33,7 +33,7 @@ pub mod workspace;
 
 pub use data::{InMemoryDataset, Normalizer};
 pub use engine::InferenceEngine;
-pub use fuse::{compile_for_inference, compile_for_inference_with, CompileInfo, PrecisionPolicy};
+pub use fuse::{compile_for_inference, CompileInfo, PrecisionPolicy};
 pub use layer::Layer;
 pub use model::Sequential;
 pub use serialize::SavedModel;

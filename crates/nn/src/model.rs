@@ -23,11 +23,11 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    pub fn layers(&self) -> &[Box<dyn Layer>] {
+    pub(crate) fn layers(&self) -> &[Box<dyn Layer>] {
         &self.layers
     }
 
-    pub fn layers_mut(&mut self) -> &mut Vec<Box<dyn Layer>> {
+    pub(crate) fn layers_mut(&mut self) -> &mut Vec<Box<dyn Layer>> {
         &mut self.layers
     }
 
@@ -63,7 +63,7 @@ impl Sequential {
     }
 
     /// Visit every parameter across layers in deterministic order.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    pub(crate) fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         for layer in &mut self.layers {
             layer.visit_params(f);
         }
@@ -79,13 +79,14 @@ impl Sequential {
         self.layers.iter().map(|l| l.param_count()).sum()
     }
 
-    /// Layer names, for debugging and serialization sanity checks.
-    pub fn layer_names(&self) -> Vec<&'static str> {
+    /// Layer names, for the tests' sanity checks.
+    #[cfg(test)]
+    pub(crate) fn layer_names(&self) -> Vec<&'static str> {
         self.layers.iter().map(|l| l.name()).collect()
     }
 
-    /// Every parameter across layers, read-only, in [`Sequential::visit_params`]
-    /// order.
+    /// Every parameter across layers, read-only, in layer order (the order
+    /// `export_weights` and `import_weights` use).
     pub fn params(&self) -> Vec<&Param> {
         self.layers.iter().flat_map(|l| l.params()).collect()
     }
@@ -100,7 +101,7 @@ impl Sequential {
     /// [`Sequential::visit_params`] with each parameter's index, stopping
     /// the work (not the walk) at the first error. Returns how many
     /// parameters the model has.
-    pub fn try_visit_params(
+    pub(crate) fn try_visit_params(
         &mut self,
         f: &mut dyn FnMut(usize, &mut Param) -> Result<()>,
     ) -> Result<usize> {

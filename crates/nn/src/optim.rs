@@ -48,12 +48,6 @@ impl Optimizer {
             Optimizer::Sgd { lr, .. } | Optimizer::Adam { lr, .. } => *lr,
         }
     }
-
-    pub fn set_lr(&mut self, new_lr: f32) {
-        match self {
-            Optimizer::Sgd { lr, .. } | Optimizer::Adam { lr, .. } => *lr = new_lr,
-        }
-    }
 }
 
 /// Per-parameter optimizer state, allocated lazily on the first step.
@@ -75,14 +69,6 @@ impl OptimState {
             v: Vec::new(),
             t: 0,
         }
-    }
-
-    pub fn optimizer(&self) -> Optimizer {
-        self.opt
-    }
-
-    pub fn set_lr(&mut self, lr: f32) {
-        self.opt.set_lr(lr);
     }
 
     /// Apply one update step from the accumulated gradients, then leave the
@@ -220,12 +206,5 @@ mod tests {
             after > before * 0.25,
             "decay should not overshoot: {after} vs {before}"
         );
-    }
-
-    #[test]
-    fn set_lr_updates() {
-        let mut o = Optimizer::adam(0.01, 0.0);
-        o.set_lr(0.1);
-        assert_eq!(o.lr(), 0.1);
     }
 }

@@ -214,7 +214,7 @@ pub fn save_model(
 /// [`save_model`] with an explicit serving-precision target. Weights are
 /// still stored at f32 (see the module docs); the byte only tells loaders
 /// which ladder rung to quantize for.
-pub fn save_model_with_precision(
+pub(crate) fn save_model_with_precision(
     path: impl AsRef<Path>,
     spec: &ModelSpec,
     model: &Sequential,

@@ -50,7 +50,7 @@ pub enum LayerSpec {
 impl LayerSpec {
     /// Scalar parameter count of this layer; `None` where it does not fit a
     /// `usize` (a spec read from a file may say anything).
-    pub fn checked_param_count(&self) -> Option<usize> {
+    pub(crate) fn checked_param_count(&self) -> Option<usize> {
         let (out, taps) = match *self {
             LayerSpec::Linear {
                 in_features,
@@ -223,7 +223,7 @@ impl ModelSpec {
 
     /// [`ModelSpec::param_count`] with checked arithmetic: `None` where the
     /// total does not fit a `usize`.
-    pub fn checked_param_count(&self) -> Option<usize> {
+    pub(crate) fn checked_param_count(&self) -> Option<usize> {
         let add = |n: usize, l: &LayerSpec| n.checked_add(l.checked_param_count()?);
         self.layers.iter().try_fold(0, add)
     }
@@ -241,7 +241,7 @@ impl ModelSpec {
 
     /// Validate and instantiate with every parameter zero and no random
     /// draw — the network a loader decodes a file's weights into.
-    pub fn build_zeroed(&self) -> Result<Sequential> {
+    pub(crate) fn build_zeroed(&self) -> Result<Sequential> {
         self.instantiate(None, 0)
     }
 

@@ -35,6 +35,7 @@ impl Default for TrainConfig {
 
 /// Loss curves and the best validation point seen.
 #[derive(Debug, Clone)]
+// lint: allow(crate-local-pub) — returned by `train`, whose callers read it without naming the type
 pub struct History {
     pub train_loss: Vec<f64>,
     pub val_loss: Vec<f64>,

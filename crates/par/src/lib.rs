@@ -36,10 +36,7 @@
 pub mod pool;
 pub mod slice;
 
-pub use pool::{
-    broadcast, current_parallelism, global, join, parallel_for, parallel_reduce,
-    total_threads_from_env, with_pool, Pool,
-};
+pub use pool::{broadcast, current_parallelism, global, join, parallel_for, with_pool, Pool};
 pub use slice::{par_chunks_mut, par_map_inplace};
 
 /// Statistics snapshot for a pool, used by benchmarks and the fig8

@@ -257,7 +257,7 @@ mod affinity {
     /// whether the kernel accepted the mask; failure (sandboxes, exotic
     /// platforms) is harmless — the thread simply stays unpinned.
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    pub fn pin_current_thread(cpu: usize) -> bool {
+    pub(crate) fn pin_current_thread(cpu: usize) -> bool {
         const WORDS: usize = 16; // 1024-bit CPU mask
         let mut mask = [0usize; WORDS];
         mask[(cpu / 64) % WORDS] |= 1usize << (cpu % 64);
@@ -283,7 +283,7 @@ mod affinity {
     }
 
     #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-    pub fn pin_current_thread(_cpu: usize) -> bool {
+    pub(crate) fn pin_current_thread(_cpu: usize) -> bool {
         false
     }
 }
@@ -302,7 +302,7 @@ pub struct Pool {
 impl Pool {
     /// Create a pool with `workers` worker threads (callers participate too,
     /// so total parallelism is `workers + 1`). Workers are not pinned; the
-    /// [`global`] pool uses [`Pool::with_affinity`].
+    /// [`global`] pool uses `Pool::with_affinity`.
     pub fn new(workers: usize) -> Self {
         Self::with_affinity(workers, false)
     }
@@ -312,7 +312,7 @@ impl Pool {
     /// share), giving a stable worker→CPU mapping where the platform
     /// allows (`sched_setaffinity`; silently skipped elsewhere or on a
     /// single-CPU host).
-    pub fn with_affinity(workers: usize, pin: bool) -> Self {
+    pub(crate) fn with_affinity(workers: usize, pin: bool) -> Self {
         let participants = workers + 1;
         let ncpus = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -523,30 +523,6 @@ impl Pool {
             panic!("hpacml-par: a parallel_for task panicked");
         }
     }
-
-    /// Parallel map-reduce over `0..len`: `map` produces a partial result per
-    /// chunk, `fold` combines partials (in unspecified order), starting from
-    /// `identity`.
-    pub fn parallel_reduce<T, M, R>(
-        &self,
-        len: usize,
-        grain: usize,
-        identity: T,
-        map: M,
-        fold: R,
-    ) -> T
-    where
-        T: Send,
-        M: Fn(Range<usize>) -> T + Sync,
-        R: Fn(T, T) -> T,
-    {
-        let partials = Mutex::new(Vec::new());
-        self.parallel_for(len, grain, |r| {
-            let part = map(r);
-            partials.lock().push(part);
-        });
-        partials.into_inner().into_iter().fold(identity, fold)
-    }
 }
 
 impl Drop for Pool {
@@ -595,7 +571,7 @@ static GLOBAL: OnceLock<Pool> = OnceLock::new();
 /// * `0` or `1` → 1 total thread (caller-only pool, no workers; `0` is
 ///   clamped so it cannot mean "no threads at all");
 /// * `N ≥ 2` → `N - 1` workers plus the participating caller.
-pub fn total_threads_from_env(raw: Option<&str>) -> usize {
+pub(crate) fn total_threads_from_env(raw: Option<&str>) -> usize {
     match raw
         .map(str::trim)
         .filter(|s| !s.is_empty())
@@ -609,7 +585,7 @@ pub fn total_threads_from_env(raw: Option<&str>) -> usize {
 }
 
 /// The process-wide pool, built on first use with
-/// [`total_threads_from_env`] (`HPACML_THREADS`) and persistent worker
+/// `total_threads_from_env` (`HPACML_THREADS`) and persistent worker
 /// affinity.
 pub fn global() -> &'static Pool {
     GLOBAL.get_or_init(|| {
@@ -672,16 +648,6 @@ where
     with_current(|p| p.parallel_for(len, grain, task))
 }
 
-/// Convenience: `parallel_reduce` on the current pool.
-pub fn parallel_reduce<T, M, R>(len: usize, grain: usize, identity: T, map: M, fold: R) -> T
-where
-    T: Send,
-    M: Fn(Range<usize>) -> T + Sync,
-    R: Fn(T, T) -> T,
-{
-    with_current(|p| p.parallel_reduce(len, grain, identity, map, fold))
-}
-
 /// Convenience: `broadcast` on the current pool.
 pub fn broadcast<F>(f: F)
 where
@@ -739,20 +705,6 @@ mod tests {
             }
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn parallel_reduce_matches_sequential_sum() {
-        let pool = Pool::new(4);
-        let data: Vec<u64> = (0..100_000).collect();
-        let total = pool.parallel_reduce(
-            data.len(),
-            1024,
-            0u64,
-            |r| r.map(|i| data[i]).sum::<u64>(),
-            |a, b| a + b,
-        );
-        assert_eq!(total, data.iter().sum::<u64>());
     }
 
     #[test]

@@ -1,15 +1,15 @@
-//! Bayesian optimization: single-objective EI and ParEGO-style
-//! multi-objective scalarization.
+//! Bayesian optimization: single-objective EI, and the ParEGO-style
+//! scalarization the nested search's outer level minimizes.
 
 use crate::gp::Gp;
 use crate::space::{Config, Space};
 use crate::Result;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Budget and knobs of a BO run.
 #[derive(Debug, Clone, Copy)]
-pub struct BoConfig {
+pub(crate) struct BoConfig {
     /// Total objective evaluations (including initial random ones).
     pub iterations: usize,
     /// Random evaluations before the GP takes over.
@@ -39,40 +39,12 @@ pub struct Trial {
     pub values: Vec<f64>,
 }
 
-/// Result of a BO run.
-#[derive(Debug, Clone)]
-pub struct BoResult {
-    pub trials: Vec<Trial>,
-    /// Index of the best trial (single-objective: minimum value).
-    pub best: usize,
-}
-
-impl BoResult {
-    pub fn best_trial(&self) -> &Trial {
-        &self.trials[self.best]
-    }
-
-    /// Pareto-optimal trials under minimization of every objective.
-    pub fn pareto_front(&self) -> Vec<&Trial> {
-        self.trials
-            .iter()
-            .filter(|t| {
-                !self.trials.iter().any(|o| {
-                    !std::ptr::eq(*t, o)
-                        && o.values.iter().zip(&t.values).all(|(a, b)| a <= b)
-                        && o.values.iter().zip(&t.values).any(|(a, b)| a < b)
-                })
-            })
-            .collect()
-    }
-}
-
-/// Minimize a scalar objective over `space`.
-pub fn minimize(
+/// Minimize a scalar objective over `space`; returns every trial, in order.
+pub(crate) fn minimize(
     space: &Space,
     mut objective: impl FnMut(&Config) -> f64,
     cfg: &BoConfig,
-) -> Result<BoResult> {
+) -> Result<Vec<Trial>> {
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut trials: Vec<Trial> = Vec::with_capacity(cfg.iterations);
 
@@ -80,7 +52,8 @@ pub fn minimize(
         let unit = if it < cfg.init_samples.max(2) || trials.len() < 2 {
             space.sample_unit(&mut rng)
         } else {
-            propose_ei(space, &trials, |t| t.values[0], cfg, &mut rng)?
+            let values: Vec<f64> = trials.iter().map(|t| t.values[0]).collect();
+            propose_ei(space, &trials, &values, cfg, &mut rng)?
         };
         let config = space.decode(&unit)?;
         let value = objective(&config);
@@ -90,56 +63,11 @@ pub fn minimize(
             values: vec![value],
         });
     }
-    let best = argmin(&trials, |t| t.values[0]);
-    Ok(BoResult { trials, best })
-}
-
-/// Minimize a vector objective (both coordinates minimized) with
-/// random-weight Tchebycheff scalarization per iteration (ParEGO).
-pub fn minimize_multi(
-    space: &Space,
-    mut objective: impl FnMut(&Config) -> Vec<f64>,
-    cfg: &BoConfig,
-) -> Result<BoResult> {
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let mut trials: Vec<Trial> = Vec::with_capacity(cfg.iterations);
-
-    for it in 0..cfg.iterations {
-        let unit = if it < cfg.init_samples.max(2) || trials.len() < 2 {
-            space.sample_unit(&mut rng)
-        } else {
-            // Fresh random weights each iteration explore the whole front.
-            let w: f64 = rng.gen();
-            let weights = [w, 1.0 - w];
-            let scalarized = scalarize(&trials, &weights);
-            propose_ei_values(space, &trials, &scalarized, cfg, &mut rng)?
-        };
-        let config = space.decode(&unit)?;
-        let values = objective(&config);
-        trials.push(Trial {
-            unit,
-            config,
-            values,
-        });
-    }
-    // "Best" for multi-objective: minimum error (second axis convention is
-    // decided by the caller; we use values[0]).
-    let best = argmin(&trials, |t| t.values[0]);
-    Ok(BoResult { trials, best })
-}
-
-fn argmin(trials: &[Trial], key: impl Fn(&Trial) -> f64) -> usize {
-    let mut best = 0usize;
-    for (i, t) in trials.iter().enumerate() {
-        if key(t) < key(&trials[best]) {
-            best = i;
-        }
-    }
-    best
+    Ok(trials)
 }
 
 /// Augmented Tchebycheff scalarization over min-max-normalized objectives.
-fn scalarize(trials: &[Trial], weights: &[f64]) -> Vec<f64> {
+pub(crate) fn scalarize(trials: &[Trial], weights: &[f64]) -> Vec<f64> {
     let k = trials[0].values.len();
     let mut lo = vec![f64::INFINITY; k];
     let mut hi = vec![f64::NEG_INFINITY; k];
@@ -165,18 +93,9 @@ fn scalarize(trials: &[Trial], weights: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-fn propose_ei(
-    space: &Space,
-    trials: &[Trial],
-    key: impl Fn(&Trial) -> f64,
-    cfg: &BoConfig,
-    rng: &mut SmallRng,
-) -> Result<Vec<f64>> {
-    let values: Vec<f64> = trials.iter().map(key).collect();
-    propose_ei_values(space, trials, &values, cfg, rng)
-}
-
-fn propose_ei_values(
+/// The best of `cfg.candidates` random points by expected improvement under
+/// a GP fit of `values` (one per trial, minimized).
+pub(crate) fn propose_ei(
     space: &Space,
     trials: &[Trial],
     values: &[f64],
@@ -207,6 +126,14 @@ fn propose_ei_values(
 mod tests {
     use super::*;
 
+    /// The first trial with the smallest value.
+    fn best_trial(trials: &[Trial]) -> &Trial {
+        trials
+            .iter()
+            .min_by(|a, b| a.values[0].total_cmp(&b.values[0]))
+            .expect("at least one trial")
+    }
+
     /// BO must beat random search on a smooth bowl within the same budget.
     #[test]
     fn minimizes_quadratic_bowl() {
@@ -222,8 +149,8 @@ mod tests {
             candidates: 256,
             seed: 3,
         };
-        let res = minimize(&space, objective, &cfg).unwrap();
-        let best = res.best_trial();
+        let trials = minimize(&space, objective, &cfg).unwrap();
+        let best = best_trial(&trials);
         assert!(best.values[0] < 0.05, "best={}", best.values[0]);
         assert!((best.config.get("x").unwrap() - 0.7).abs() < 0.4);
     }
@@ -237,59 +164,10 @@ mod tests {
                 seed,
                 ..Default::default()
             };
-            minimize(&space, |c| (c.get("x").unwrap() - 0.5).abs(), &cfg)
-                .unwrap()
-                .best_trial()
-                .values[0]
+            let trials = minimize(&space, |c| (c.get("x").unwrap() - 0.5).abs(), &cfg).unwrap();
+            best_trial(&trials).values[0]
         };
         assert_eq!(run(7), run(7));
-    }
-
-    #[test]
-    fn multi_objective_finds_tradeoff_front() {
-        // f1 = x, f2 = 1 - x: every x is Pareto-optimal; the front should
-        // span a wide range of x.
-        let space = Space::new().float("x", 0.0, 1.0);
-        let cfg = BoConfig {
-            iterations: 25,
-            init_samples: 6,
-            candidates: 128,
-            seed: 5,
-        };
-        let res = minimize_multi(
-            &space,
-            |c| {
-                let x = c.get("x").unwrap();
-                vec![x, 1.0 - x]
-            },
-            &cfg,
-        )
-        .unwrap();
-        let front = res.pareto_front();
-        assert!(front.len() >= 5, "front of {} points", front.len());
-        let xs: Vec<f64> = front.iter().map(|t| t.config.get("x").unwrap()).collect();
-        let span = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-            - xs.iter().cloned().fold(f64::INFINITY, f64::min);
-        assert!(
-            span > 0.5,
-            "front should spread along the trade-off: span {span}"
-        );
-    }
-
-    #[test]
-    fn pareto_front_filters_dominated_points() {
-        let t = |v: Vec<f64>| Trial {
-            unit: vec![],
-            config: Config::default(),
-            values: v,
-        };
-        let res = BoResult {
-            trials: vec![t(vec![1.0, 1.0]), t(vec![0.5, 2.0]), t(vec![2.0, 2.0])],
-            best: 0,
-        };
-        let front = res.pareto_front();
-        assert_eq!(front.len(), 2);
-        assert!(front.iter().all(|t| t.values != vec![2.0, 2.0]));
     }
 
     #[test]
@@ -299,7 +177,7 @@ mod tests {
             iterations: 10,
             ..Default::default()
         };
-        let res = minimize(&space, |_| 1.0, &cfg).unwrap();
-        assert_eq!(res.trials.len(), 10);
+        let trials = minimize(&space, |_| 1.0, &cfg).unwrap();
+        assert_eq!(trials.len(), 10);
     }
 }

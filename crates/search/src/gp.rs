@@ -9,7 +9,7 @@ use hpacml_tensor::linalg::{cholesky, solve_lower, solve_lower_transpose};
 
 /// Fitted GP posterior.
 #[derive(Debug, Clone)]
-pub struct Gp {
+pub(crate) struct Gp {
     x: Vec<Vec<f64>>,
     lengthscale: f64,
     signal2: f64,
@@ -86,7 +86,7 @@ impl Gp {
     }
 
     /// Fit with a median-pairwise-distance length scale.
-    pub fn fit_auto(x: Vec<Vec<f64>>, y: &[f64], noise: f64) -> Result<Gp> {
+    pub(crate) fn fit_auto(x: Vec<Vec<f64>>, y: &[f64], noise: f64) -> Result<Gp> {
         let mut dists = Vec::new();
         for i in 0..x.len() {
             for j in 0..i {
@@ -106,7 +106,7 @@ impl Gp {
     }
 
     /// Posterior mean and variance at a query point (in original y units).
-    pub fn predict(&self, q: &[f64]) -> (f64, f64) {
+    pub(crate) fn predict(&self, q: &[f64]) -> (f64, f64) {
         let n = self.x.len();
         let kstar: Vec<f64> = self
             .x
@@ -126,7 +126,7 @@ impl Gp {
     }
 
     /// Expected improvement for *minimization* below `best` at `q`.
-    pub fn expected_improvement(&self, q: &[f64], best: f64) -> f64 {
+    pub(crate) fn expected_improvement(&self, q: &[f64], best: f64) -> f64 {
         let (mu, var) = self.predict(q);
         let sigma = var.sqrt();
         if sigma < 1e-12 {

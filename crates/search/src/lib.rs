@@ -27,19 +27,17 @@ pub mod nested;
 pub mod space;
 pub mod spaces;
 
-pub use bo::{minimize, minimize_multi, BoConfig, BoResult};
-pub use nested::{nested_search, Candidate, NestedConfig, SearchProblem};
+pub use nested::{nested_search, NestedConfig, SearchProblem};
 pub use space::{Config, Param, Space};
 
 /// Errors raised by the search stack.
 #[derive(Debug)]
+// lint: allow(crate-local-pub) — the error of every public search entry point; callers format it without naming the type
 pub enum SearchError {
     /// GP fit failed (degenerate kernel matrix even after jitter).
     Gp(String),
     /// Invalid space definition or configuration.
     Space(String),
-    /// Objective evaluation failed.
-    Objective(String),
 }
 
 impl std::fmt::Display for SearchError {
@@ -47,7 +45,6 @@ impl std::fmt::Display for SearchError {
         match self {
             SearchError::Gp(s) => write!(f, "gp error: {s}"),
             SearchError::Space(s) => write!(f, "space error: {s}"),
-            SearchError::Objective(s) => write!(f, "objective error: {s}"),
         }
     }
 }

@@ -6,8 +6,7 @@
 //! validation error. The outer loop stops early after `patience` consecutive
 //! trials that improve neither objective (the paper uses 5).
 
-use crate::bo::{minimize, BoConfig, Trial};
-use crate::gp::Gp;
+use crate::bo::{minimize, propose_ei, scalarize, BoConfig, Trial};
 use crate::space::{Config, Space};
 use crate::Result;
 use hpacml_nn::ModelSpec;
@@ -57,6 +56,7 @@ impl Default for NestedConfig {
 
 /// One fully evaluated architecture.
 #[derive(Debug, Clone)]
+// lint: allow(crate-local-pub) — returned by `nested_search`, whose callers read the fields without naming the type
 pub struct Candidate {
     pub arch: Config,
     pub hyper: Config,
@@ -161,44 +161,12 @@ pub fn nested_search(problem: &dyn SearchProblem, cfg: &NestedConfig) -> Result<
 /// objectives.
 fn propose_outer(space: &Space, trials: &[Trial], rng: &mut SmallRng) -> Result<Vec<f64>> {
     let w: f64 = rng.gen();
-    let weights = [w, 1.0 - w];
-    let (mut lo, mut hi) = ([f64::INFINITY; 2], [f64::NEG_INFINITY; 2]);
-    for t in trials {
-        for j in 0..2 {
-            lo[j] = lo[j].min(t.values[j]);
-            hi[j] = hi[j].max(t.values[j]);
-        }
-    }
-    let scalarized: Vec<f64> = trials
-        .iter()
-        .map(|t| {
-            let mut worst = f64::NEG_INFINITY;
-            let mut sum = 0.0;
-            for j in 0..2 {
-                let norm = (t.values[j] - lo[j]) / (hi[j] - lo[j]).max(1e-12);
-                worst = worst.max(weights[j] * norm);
-                sum += weights[j] * norm;
-            }
-            worst + 0.05 * sum
-        })
-        .collect();
-    let xs: Vec<Vec<f64>> = trials.iter().map(|t| t.unit.clone()).collect();
-    let gp = match Gp::fit_auto(xs, &scalarized, 1e-3) {
-        Ok(gp) => gp,
-        Err(_) => return Ok(space.sample_unit(rng)),
+    let scalarized = scalarize(trials, &[w, 1.0 - w]);
+    let cfg = BoConfig {
+        candidates: 256,
+        ..BoConfig::default()
     };
-    let best = scalarized.iter().cloned().fold(f64::INFINITY, f64::min);
-    let mut best_cand = space.sample_unit(rng);
-    let mut best_ei = f64::NEG_INFINITY;
-    for _ in 0..256 {
-        let cand = space.sample_unit(rng);
-        let ei = gp.expected_improvement(&cand, best);
-        if ei > best_ei {
-            best_ei = ei;
-            best_cand = cand;
-        }
-    }
-    Ok(best_cand)
+    propose_ei(space, trials, &scalarized, &cfg, rng)
 }
 
 #[cfg(test)]

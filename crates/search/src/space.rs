@@ -82,7 +82,7 @@ impl Space {
         Space::default()
     }
 
-    pub fn float(mut self, name: &str, lo: f64, hi: f64) -> Self {
+    pub(crate) fn float(mut self, name: &str, lo: f64, hi: f64) -> Self {
         self.params.push(Param::Float {
             name: name.into(),
             lo,
@@ -92,7 +92,7 @@ impl Space {
         self
     }
 
-    pub fn log_float(mut self, name: &str, lo: f64, hi: f64) -> Self {
+    pub(crate) fn log_float(mut self, name: &str, lo: f64, hi: f64) -> Self {
         self.params.push(Param::Float {
             name: name.into(),
             lo,
@@ -111,7 +111,7 @@ impl Space {
         self
     }
 
-    pub fn choice(mut self, name: &str, options: &[f64]) -> Self {
+    pub(crate) fn choice(mut self, name: &str, options: &[f64]) -> Self {
         self.params.push(Param::Choice {
             name: name.into(),
             options: options.to_vec(),

@@ -111,6 +111,7 @@ impl From<CoreError> for DaemonError {
 
 /// What an `apply` did: the new generation and the regions it serves.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// lint: allow(crate-local-pub) — returned by `Daemon::apply`, read without naming the type
 pub struct ApplyReport {
     pub generation: u64,
     pub regions: Vec<String>,

@@ -40,4 +40,4 @@ pub use config::{
     Config, ConfigError, DaemonConfig, Metric, Precision, RegionConfig, ValidationConfig,
 };
 pub use daemon::{ApplyReport, Daemon, DaemonBuilder, DaemonError, DaemonStats};
-pub use snapshot::{HostHandler, RuntimeSnapshot};
+pub use snapshot::RuntimeSnapshot;

@@ -39,7 +39,8 @@ use std::time::Duration;
 /// computes the `n` staged samples with the original code (the same
 /// contract as [`BatchServer::with_fallback`]). Registered on the daemon
 /// builder by region name; required for regions with a validation policy.
-pub type HostHandler = Arc<dyn Fn(usize, &[Vec<f32>], &mut [Vec<f32>]) + Send + Sync + 'static>;
+pub(crate) type HostHandler =
+    Arc<dyn Fn(usize, &[Vec<f32>], &mut [Vec<f32>]) + Send + Sync + 'static>;
 
 /// Per-region entry in a snapshot: the batch server the daemon submits
 /// into (it checks each submit's arrays against the session's shapes), the
@@ -53,6 +54,7 @@ pub(crate) struct Unit {
 /// An immutable compiled configuration: every region resolved, probed, and
 /// serving. The daemon holds the current snapshot in an `Arc`; `apply()`
 /// builds the next one off to the side and swaps atomically.
+// lint: allow(crate-local-pub) — returned by `Daemon::snapshot`, read without naming the type
 pub struct RuntimeSnapshot {
     generation: u64,
     config: Config,

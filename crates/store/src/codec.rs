@@ -3,12 +3,12 @@
 use crate::frame::Cursor;
 use crate::{Result, StoreError};
 
-pub fn put_str(buf: &mut Vec<u8>, s: &str) {
+pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend((s.len() as u32).to_le_bytes());
     buf.extend(s.as_bytes());
 }
 
-pub fn get_str(buf: &mut Cursor) -> Result<String> {
+pub(crate) fn get_str(buf: &mut Cursor) -> Result<String> {
     let len = buf.u32()? as usize;
     let bytes = buf.take(len)?.to_vec();
     String::from_utf8(bytes).map_err(|_| StoreError::Corrupt("invalid utf8 string".into()))

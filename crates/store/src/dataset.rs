@@ -40,6 +40,7 @@ impl DType {
 /// A dataset of logical shape `[rows, inner_shape...]` where `rows` grows by
 /// appending. Raw storage is little-endian bytes.
 #[derive(Debug, Clone)]
+// lint: allow(crate-local-pub) — returned by `Group::dataset`, which callers read without naming the type
 pub struct Dataset {
     dtype: DType,
     /// Shape of one entry (may be empty: scalar entries).

@@ -86,6 +86,7 @@ const COMMIT: u8 = 1;
 /// when something was actually dropped or cut short; a clean open carries
 /// no report.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
+// lint: allow(crate-local-pub) — returned by `H5File::recovery`
 pub struct RecoveryReport {
     /// `/`-joined paths of datasets that lost rows to a failed checksum: in
     /// a v3 log the rows from the damaged frame on, in a v2 file the whole
@@ -222,6 +223,7 @@ impl H5File {
     }
 
     /// The recovery the last [`H5File::open`] had to perform, if any.
+    // lint: allow(crate-local-pub) — what `open` dropped from a damaged db, for the operator; no caller outside the store's own tests yet
     pub fn recovery(&self) -> Option<&RecoveryReport> {
         self.recovery.as_ref()
     }

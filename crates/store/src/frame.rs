@@ -31,7 +31,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// bijection of the state, so damage confined to one word of the string
 /// (any single bit or byte flip) always changes the result.
 #[derive(Debug, Clone)]
-pub struct WordFnv {
+pub(crate) struct WordFnv {
     h: u64,
     /// Bytes of a word that straddles two parts (or the string's tail).
     carry: [u8; 8],
@@ -78,7 +78,7 @@ impl WordFnv {
     }
 }
 
-/// [`WordFnv`] over `parts` as one concatenated string — the frame checksum.
+/// `WordFnv` over `parts` as one concatenated string — the frame checksum.
 pub fn fnv1a64_words(parts: &[&[u8]]) -> u64 {
     let mut h = WordFnv::default();
     parts.iter().for_each(|part| h.update(part));
@@ -111,6 +111,7 @@ pub fn rename_synced(tmp: &Path, path: &Path) -> io::Result<()> {
 
 /// One frame as a reader found it.
 #[derive(Debug)]
+// lint: allow(crate-local-pub) — returned by `FrameReader::next_frame`, which the model loader reads without naming the type
 pub struct Frame<'a> {
     /// The checksum matched. The body of a frame that is not sound is
     /// whatever the file holds there.

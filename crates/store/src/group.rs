@@ -14,7 +14,7 @@ pub enum Attr {
 
 /// A child of a group.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Node {
+pub(crate) enum Node {
     Group(Group),
     Dataset(Dataset),
 }
@@ -47,10 +47,6 @@ impl Group {
     /// Child names in sorted order.
     pub fn child_names(&self) -> impl Iterator<Item = &str> {
         self.children.keys().map(String::as_str)
-    }
-
-    pub fn child(&self, name: &str) -> Option<&Node> {
-        self.children.get(name)
     }
 
     /// Get or create a sub-group.
@@ -124,15 +120,6 @@ impl Group {
         }
     }
 
-    /// Resolve a `/`-separated path to a group.
-    pub fn group_at(&self, path: &str) -> Result<&Group> {
-        let mut g = self;
-        for part in path.split('/').filter(|p| !p.is_empty()) {
-            g = g.group(part)?;
-        }
-        Ok(g)
-    }
-
     /// Total payload bytes of every dataset beneath this group — the
     /// "Collected Data Size" column of the paper's Table III.
     pub fn size_bytes(&self) -> usize {
@@ -172,8 +159,9 @@ mod tests {
         root.group_mut("region_a").group_mut("nested");
         root.group_mut("region_b");
         assert!(root.group("region_a").is_ok());
-        assert!(root.group_at("region_a/nested").is_ok());
-        assert!(root.group_at("region_a/missing").is_err());
+        let region_a = root.group("region_a").unwrap();
+        assert!(region_a.group("nested").is_ok());
+        assert!(region_a.group("missing").is_err());
         assert_eq!(
             root.child_names().collect::<Vec<_>>(),
             vec!["region_a", "region_b"]

@@ -20,7 +20,7 @@ pub mod group;
 
 pub use dataset::{DType, Dataset};
 pub use file::{H5File, RecoveryReport};
-pub use group::{Attr, Group, Node};
+pub use group::{Attr, Group};
 
 /// Errors raised by the store.
 #[derive(Debug)]

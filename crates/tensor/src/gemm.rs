@@ -10,7 +10,7 @@
 //! *more* full sweeps over its output for bias and activation. This module
 //! restructures the same arithmetic into the classic BLIS-style hierarchy:
 //!
-//! * **register tile** ([`MR`] × [`NR`]): the micro-kernel keeps an
+//! * **register tile** (`MR` × `NR`): the micro-kernel keeps an
 //!   `MR × NR` accumulator block in registers and sweeps the shared `k`
 //!   dimension once (what keeps it there: *Register tiles* below). The
 //!   `MR * NR` accumulator chains are independent, so the autovectorizer
@@ -26,7 +26,7 @@
 //!   at model load** and steady-state forwards never repack; convolution
 //!   writes its im2col columns straight into panels. `A` is read in place,
 //!   row-major — one layout per operand;
-//! * **cache blocking** ([`KC`]): the `k` dimension is walked in `KC`-deep
+//! * **cache blocking** (`KC`): the `k` dimension is walked in `KC`-deep
 //!   slabs so the active `B` panel stays L1-resident for large problems;
 //! * **fused epilogue** ([`Epilogue`]): β/bias/activation are applied to
 //!   each output tile while it is still register/L1-hot, deleting the
@@ -58,14 +58,14 @@
 //!
 //! | const | value | role |
 //! |-------|-------|------|
-//! | [`MR`]  | 8   | rows per register tile (accumulator block height) |
-//! | [`NR`]  | 16  | columns per register tile and per packed panel |
-//! | [`KC`]  | 256 | k-depth per cache slab (`NR*KC` B-panel ≤ 16 KiB f32) |
+//! | `MR`  | 8   | rows per register tile (accumulator block height) |
+//! | `NR`  | 16  | columns per register tile and per packed panel |
+//! | `KC`  | 256 | k-depth per cache slab (`NR*KC` B-panel ≤ 16 KiB f32) |
 //! | `NARROW_N`  | 8  | widest `n` served by the narrow tiles, and their lane count |
 //! | `NARROW_MR` | 16 | rows per narrow tile |
 //! | `ROW_GROUP` | 4  | panels per single-row tile (`MR / M` per `M`-row tile, at most this) |
 //!
-//! [`par_rows_per_block`] is the one shared heuristic that converts these
+//! `par_rows_per_block` is the one shared heuristic that converts these
 //! into parallel task sizes for every kernel in the crate.
 //!
 //! # Skinny shapes
@@ -145,15 +145,15 @@ use std::cell::RefCell;
 
 /// Rows per register tile: height of the accumulator block held in
 /// registers by the micro-kernel.
-pub const MR: usize = 8;
+pub(crate) const MR: usize = 8;
 
 /// Columns per register tile **and** width of one packed `B` panel. The
 /// micro-kernel's unit of SIMD work is an `NR`-wide row.
-pub const NR: usize = 16;
+pub(crate) const NR: usize = 16;
 
 /// `k`-depth of one cache slab. One `B` panel slab is `NR * KC` elements
 /// (16 KiB at f32), sized to stay L1-resident while a C stripe is swept.
-pub const KC: usize = 256;
+pub(crate) const KC: usize = 256;
 
 // ---------------------------------------------------------------------------
 // Parallel blocking heuristic (shared by matmul / conv / gemm)
@@ -171,7 +171,7 @@ pub const KC: usize = 256;
 /// *Register tiles*), so 32 Ki is ≈ 1 µs — below one dispatch, and the
 /// break-even by this arithmetic lies several times higher. Not re-tuned:
 /// two shared vCPUs cannot measure a parallel break-even.
-pub const PAR_FLOPS_MIN: usize = 1 << 15;
+pub(crate) const PAR_FLOPS_MIN: usize = 1 << 15;
 
 /// Multiply-adds targeted per parallel task. Tasks much smaller than this
 /// pay per-claim overhead (an atomic compare-exchange each); much larger
@@ -180,13 +180,13 @@ pub const PAR_FLOPS_MIN: usize = 1 << 15;
 /// keeps the MLP bench layer (`m=1024, n=128, k=128` → 16 rows/task, 64
 /// tasks) fine-grained enough that 8 participants each claim ~8 tasks and
 /// the steal path can level any imbalance.
-pub const PAR_TASK_FLOPS: usize = PAR_FLOPS_MIN * 8;
+pub(crate) const PAR_TASK_FLOPS: usize = PAR_FLOPS_MIN * 8;
 
 /// Lower bound on tasks per participant when a problem is row-abundant:
 /// with at least this many claimable tasks per thread, the work-stealing
 /// cursor can rebalance a straggler without the tail dominating. 4 keeps
 /// per-claim overhead under a percent at [`PAR_TASK_FLOPS`] task sizes.
-pub const PAR_TASKS_PER_THREAD: usize = 4;
+pub(crate) const PAR_TASKS_PER_THREAD: usize = 4;
 
 /// The one block-size heuristic shared by every row-parallel kernel
 /// (GEMM stripes, the legacy matmul family, convolution sample blocks):
@@ -204,7 +204,7 @@ pub const PAR_TASKS_PER_THREAD: usize = 4;
 ///
 /// Keeping matmul, conv and GEMM on this single function means their task
 /// granularities cannot drift apart as the constants are tuned.
-pub fn par_rows_per_block(m: usize, n: usize, k: usize) -> usize {
+pub(crate) fn par_rows_per_block(m: usize, n: usize, k: usize) -> usize {
     let flops_rows = (PAR_TASK_FLOPS / (n * k).max(1)).max(1);
     let threads = hpacml_par::current_parallelism();
     let balance_rows = m.div_ceil(threads * PAR_TASKS_PER_THREAD).max(MR);
@@ -214,7 +214,7 @@ pub fn par_rows_per_block(m: usize, n: usize, k: usize) -> usize {
 /// Is an `[m, n] = [m, k] · [k, n]` problem big enough to leave the
 /// calling thread? (Single-row problems never are: rows are the parallel
 /// axis.)
-pub fn par_worthwhile(m: usize, n: usize, k: usize) -> bool {
+pub(crate) fn par_worthwhile(m: usize, n: usize, k: usize) -> bool {
     m > 1 && m * n * k >= PAR_FLOPS_MIN
 }
 
@@ -225,7 +225,7 @@ pub fn par_worthwhile(m: usize, n: usize, k: usize) -> bool {
 /// drops to intra-GEMM row parallelism instead. A pure function of the
 /// item count and the pool width, so whether a sample was computed inside
 /// a big batch or alone never changes which math runs on its data.
-pub fn outer_saturates(outer: usize) -> bool {
+pub(crate) fn outer_saturates(outer: usize) -> bool {
     outer >= hpacml_par::current_parallelism()
 }
 
@@ -241,7 +241,7 @@ pub enum Act {
     /// `max(v, 0)`
     Relu,
     /// `tanh(v)` via [`Scalar::tanh_activation`] (vectorizable rational
-    /// approximation for `f32`; see [`crate::scalar::fast_tanh_f32`])
+    /// approximation for `f32`; see `crate::scalar::fast_tanh_f32`)
     Tanh,
     /// `1 / (1 + e^-v)`
     Sigmoid,
@@ -348,11 +348,6 @@ impl<T: Scalar> PackedB<T> {
 
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// Number of `NR`-wide panels (last one possibly zero-padded).
-    pub fn panels(&self) -> usize {
-        self.n.div_ceil(NR)
     }
 
     /// Elements a pack of `[k, n]` needs — for workspace pre-sizing.
@@ -854,7 +849,13 @@ fn column_tile<T: Scalar, C: PanelCodec<T>>(
 /// every element is overwritten. Panics on operand/size mismatches
 /// (callers validate shapes; the tensor-level wrappers return errors
 /// instead).
-pub fn gemm_into<T: Scalar>(m: usize, a: &[T], b: &PackedB<T>, epi: Epilogue<'_, T>, c: &mut [T]) {
+pub(crate) fn gemm_into<T: Scalar>(
+    m: usize,
+    a: &[T],
+    b: &PackedB<T>,
+    epi: Epilogue<'_, T>,
+    c: &mut [T],
+) {
     gemm_driver::<T, Identity>(m, b.n(), b.k(), a, b.view(), epi, c, KC)
 }
 
@@ -1113,6 +1114,7 @@ pub(crate) fn matmul_transb_packed_into_kc<T: Scalar>(
 /// parallel kernels never contend on — or repack — another thread's panels.
 /// Grow-only, so steady-state use is allocation-free.
 #[derive(Default)]
+// lint: allow(crate-local-pub) — in `WithScratch`'s signature
 pub struct GemmScratch<T: Scalar> {
     pub packed_b: PackedB<T>,
     pub col: Vec<T>,
@@ -1134,6 +1136,7 @@ impl<T: Scalar> GemmScratch<T> {
 /// Access to this thread's [`GemmScratch`]. Implemented for the concrete
 /// scalar types (thread-locals cannot be generic); kernels that need
 /// scratch bound `T: Scalar + WithScratch`.
+// lint: allow(crate-local-pub) — the bound of the public GEMM and conv entry points; callers satisfy it with `f32`/`f64` and never name it
 pub trait WithScratch: Scalar {
     fn with_gemm_scratch<R>(f: impl FnOnce(&mut GemmScratch<Self>) -> R) -> R;
 }

@@ -4,7 +4,7 @@
 //! is about: NN inference is implemented by dense kernels that use hardware
 //! efficiently. All kernels parallelize over the [`hpacml_par`] pool and fall
 //! back to inline execution for small problems; block sizes come from the
-//! shared heuristic in [`crate::gemm::par_rows_per_block`].
+//! shared heuristic in `crate::gemm::par_rows_per_block`.
 //!
 //! The inference-critical kernels (`matmul_transb_into`, the convolution
 //! forward) route through the register-tiled [`crate::gemm`] subsystem with
@@ -54,13 +54,6 @@ pub fn matmul<T: Scalar>(a: &Tensor<T>, b: &Tensor<T>) -> Result<Tensor<T>> {
     Ok(c)
 }
 
-/// `C[m,n] = A[m,k] · B[n,k]ᵀ` (dot products of rows — cache friendly).
-pub fn matmul_transb<T: Scalar + WithScratch>(a: &Tensor<T>, b: &Tensor<T>) -> Result<Tensor<T>> {
-    let mut c = Tensor::zeros([0usize; 2]);
-    matmul_transb_into(a, b, &mut c, Epilogue::none())?;
-    Ok(c)
-}
-
 /// Below this many `A` rows, packing `B` costs more than it saves and the
 /// row-wise dot kernel wins; at or above it, `B` is packed into this
 /// thread's scratch panels and the tiled GEMM runs. The cutover is a pure
@@ -68,8 +61,9 @@ pub fn matmul_transb<T: Scalar + WithScratch>(a: &Tensor<T>, b: &Tensor<T>) -> R
 /// path serves it (both accumulate in ascending-`k` order).
 const PACK_MIN_ROWS: usize = 4;
 
-/// [`matmul_transb`] writing into a caller-owned output tensor (resized in
-/// place; allocation-free once `c` has capacity) with a fused
+/// `C[m,n] = A[m,k] · B[n,k]ᵀ` (dot products of rows — cache friendly)
+/// into a caller-owned output tensor (resized in place; allocation-free
+/// once `c` has capacity) with a fused
 /// [`Epilogue`] — bias add and activation applied to each output tile
 /// while it is register/L1-hot instead of in separate full sweeps. This is
 /// the linear-layer kernel the zero-alloc inference workspace uses; when
@@ -165,32 +159,6 @@ where
     hpacml_par::par_chunks_mut(c, gemm::par_rows_per_block(m, n, k) * n, body);
 }
 
-/// `out[i, :] += bias` for every row of a rank-2 tensor.
-///
-/// This is the non-fused fallback — the inference path applies bias inside
-/// the GEMM epilogue instead. Parallelizes over row blocks (shared
-/// heuristic, `k = 1`: one multiply-add-equivalent per element) for the
-/// large tensors the training loop feeds it.
-pub fn add_bias_rows<T: Scalar>(out: &mut Tensor<T>, bias: &[T]) -> Result<()> {
-    let (m, n) = mat_dims(out, "add_bias_rows")?;
-    if bias.len() != n {
-        return Err(TensorError::DimMismatch(format!(
-            "bias has {} entries for {} columns",
-            bias.len(),
-            n
-        )));
-    }
-    let body = |_start: usize, rows: &mut [T]| {
-        for row in rows.chunks_exact_mut(n) {
-            for (o, b) in row.iter_mut().zip(bias) {
-                *o += *b;
-            }
-        }
-    };
-    dispatch_rows(out.data_mut(), m, n, 1, body);
-    Ok(())
-}
-
 /// Convolution geometry helper: output extent for one spatial dim.
 #[inline]
 pub fn conv_out_dim(input: usize, kernel: usize, stride: usize, pad: usize) -> usize {
@@ -267,7 +235,14 @@ fn im2col_fill_row<T: Scalar>(
 }
 
 /// im2col for one sample: input `[C, H, W]` slice → col `[C*KH*KW, OH*OW]`.
-pub fn im2col<T: Scalar>(input: &[T], c: usize, h: usize, w: usize, g: Conv2dGeom, col: &mut [T]) {
+pub(crate) fn im2col<T: Scalar>(
+    input: &[T],
+    c: usize,
+    h: usize,
+    w: usize,
+    g: Conv2dGeom,
+    col: &mut [T],
+) {
     let (kh, kw) = g.kernel;
     let (oh, ow) = g.out_hw(h, w);
     assert_eq!(
@@ -398,7 +373,14 @@ fn im2col_panels<T: Scalar + Send>(
 
 /// Reverse of [`im2col`]: accumulate col `[C*KH*KW, OH*OW]` back into the
 /// input gradient `[C, H, W]`.
-pub fn col2im<T: Scalar>(col: &[T], c: usize, h: usize, w: usize, g: Conv2dGeom, dinput: &mut [T]) {
+pub(crate) fn col2im<T: Scalar>(
+    col: &[T],
+    c: usize,
+    h: usize,
+    w: usize,
+    g: Conv2dGeom,
+    dinput: &mut [T],
+) {
     let (kh, kw) = g.kernel;
     let (sh, sw) = g.stride;
     let (ph, pw) = g.pad;
@@ -433,7 +415,19 @@ pub fn col2im<T: Scalar>(col: &[T], c: usize, h: usize, w: usize, g: Conv2dGeom,
     }
 }
 
-/// Forward 2-D convolution.
+/// Does a per-sample conv problem (`f` filters, `ckk = c*kh*kw` taps,
+/// `l = oh*ow` output pixels) pay for the im2col + packed-GEMM route?
+/// The column matrix costs `ckk * l` writes; the GEMM amortizes that only
+/// when the spatial extent spans whole register panels and the arithmetic
+/// clears the shared `PAR_FLOPS_MIN` bar. Pure shape function — see
+/// [`conv2d_fused_into`] for why that matters.
+pub fn conv_gemm_worthwhile(f: usize, ckk: usize, l: usize) -> bool {
+    l >= 2 * gemm::NR && f * ckk * l >= PAR_FLOPS_MIN
+}
+
+/// Forward 2-D convolution into a caller-owned output tensor (resized in
+/// place), with the compiled-layer extra: a fused activation applied while
+/// each output tile is hot.
 ///
 /// `input [N, C, H, W]`, `weight [F, C, KH, KW]`, `bias [F]` → `[N, F, OH, OW]`.
 ///
@@ -445,31 +439,7 @@ pub fn col2im<T: Scalar>(col: &[T], c: usize, h: usize, w: usize, g: Conv2dGeom,
 /// keep the direct kernels: a row-span `axpy` path for stride 1, im2col +
 /// `axpy` otherwise. The choice depends only on the per-sample geometry,
 /// never on the batch size or thread count, so batched and per-sample
-/// forwards stay bit-identical.
-pub fn conv2d<T: Scalar + WithScratch>(
-    input: &Tensor<T>,
-    weight: &Tensor<T>,
-    bias: &[T],
-    g: Conv2dGeom,
-) -> Result<Tensor<T>> {
-    let mut out = Tensor::zeros([0usize; 4]);
-    conv2d_fused_into(input, weight, bias, g, None, &mut out)?;
-    Ok(out)
-}
-
-/// Does a per-sample conv problem (`f` filters, `ckk = c*kh*kw` taps,
-/// `l = oh*ow` output pixels) pay for the im2col + packed-GEMM route?
-/// The column matrix costs `ckk * l` writes; the GEMM amortizes that only
-/// when the spatial extent spans whole register panels and the arithmetic
-/// clears the shared [`PAR_FLOPS_MIN`] bar. Pure shape function — see
-/// [`conv2d`] for why that matters.
-pub fn conv_gemm_worthwhile(f: usize, ckk: usize, l: usize) -> bool {
-    l >= 2 * gemm::NR && f * ckk * l >= PAR_FLOPS_MIN
-}
-
-/// [`conv2d`] writing into a caller-owned output tensor (resized in place),
-/// with the compiled-layer extra: a fused activation applied while each
-/// output tile is hot. Steady-state allocation-free on every path: the
+/// forwards stay bit-identical. Steady-state allocation-free on every path: the
 /// direct kernels touch no scratch, and the im2col/GEMM paths reuse this
 /// thread's grow-only [`gemm::GemmScratch`] panels and column buffer.
 pub fn conv2d_fused_into<T: Scalar + WithScratch>(
@@ -632,7 +602,7 @@ fn conv2d_sample_direct_s1<T: Scalar>(
     }
 }
 
-/// Gradients of [`conv2d`]: returns `(dinput, dweight, dbias)`.
+/// Gradients of [`conv2d_fused_into`]: returns `(dinput, dweight, dbias)`.
 pub fn conv2d_backward<T: Scalar>(
     input: &Tensor<T>,
     weight: &Tensor<T>,
@@ -825,6 +795,23 @@ fn rank4<T: Scalar>(t: &Tensor<T>, what: &str) -> Result<[usize; 4]> {
 mod tests {
     use super::*;
 
+    fn matmul_transb<T: Scalar + WithScratch>(a: &Tensor<T>, b: &Tensor<T>) -> Result<Tensor<T>> {
+        let mut c = Tensor::zeros([0usize; 2]);
+        matmul_transb_into(a, b, &mut c, Epilogue::none())?;
+        Ok(c)
+    }
+
+    fn conv2d<T: Scalar + WithScratch>(
+        input: &Tensor<T>,
+        weight: &Tensor<T>,
+        bias: &[T],
+        g: Conv2dGeom,
+    ) -> Result<Tensor<T>> {
+        let mut out = Tensor::zeros([0usize; 4]);
+        conv2d_fused_into(input, weight, bias, g, None, &mut out)?;
+        Ok(out)
+    }
+
     fn naive_matmul(a: &Tensor<f64>, b: &Tensor<f64>) -> Tensor<f64> {
         let (m, k) = (a.dims()[0], a.dims()[1]);
         let n = b.dims()[1];
@@ -893,14 +880,6 @@ mod tests {
         let a = Tensor::<f32>::zeros([2, 3]);
         let b = Tensor::<f32>::zeros([4, 2]);
         assert!(matmul(&a, &b).is_err());
-    }
-
-    #[test]
-    fn bias_rows() {
-        let mut t = Tensor::from_vec(vec![1.0f32, 2.0, 3.0, 4.0], [2, 2]).unwrap();
-        add_bias_rows(&mut t, &[10.0, 20.0]).unwrap();
-        assert_eq!(t.data(), &[11.0, 22.0, 13.0, 24.0]);
-        assert!(add_bias_rows(&mut t, &[1.0]).is_err());
     }
 
     fn naive_conv2d(
@@ -1044,8 +1023,8 @@ mod tests {
         let (c, h, w) = (2usize, 5usize, 6usize);
         let (oh, ow) = g.out_hw(h, w);
         let ckk = c * 9;
-        let x = rand_mat(c * h * w, 1, 31).into_vec();
-        let y = rand_mat(ckk * oh * ow, 1, 32).into_vec();
+        let x = rand_mat(c * h * w, 1, 31).data().to_vec();
+        let y = rand_mat(ckk * oh * ow, 1, 32).data().to_vec();
         let mut cx = vec![0.0f64; ckk * oh * ow];
         im2col(&x, c, h, w, g, &mut cx);
         let mut aty = vec![0.0f64; c * h * w];
@@ -1071,7 +1050,7 @@ mod tests {
             let g = Conv2dGeom::square(k, stride, pad);
             let (oh, ow) = g.out_hw(h, w);
             let (rows, l) = (c * k * k, oh * ow);
-            let x = rand_mat(c * h * w, 1, 41).into_vec();
+            let x = rand_mat(c * h * w, 1, 41).data().to_vec();
             let mut col = vec![0.0f64; rows * l];
             im2col(&x, c, h, w, g, &mut col);
             let (mut xpad, mut panels) = (Vec::new(), PackedB::new());

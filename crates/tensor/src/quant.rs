@@ -110,7 +110,7 @@ impl std::fmt::Display for Precision {
 /// Encode an f32 as bf16 (top 16 bits) with round-to-nearest-even.
 /// NaN payloads are truncated but kept NaN (quiet bit forced).
 #[inline(always)]
-pub fn bf16_encode(v: f32) -> u16 {
+pub(crate) fn bf16_encode(v: f32) -> u16 {
     let bits = v.to_bits();
     if v.is_nan() {
         // Truncation could zero a signaling NaN's payload into an
@@ -123,14 +123,14 @@ pub fn bf16_encode(v: f32) -> u16 {
 
 /// Decode a bf16 back to f32 — exact (bf16 values are a subset of f32).
 #[inline(always)]
-pub fn bf16_decode(q: u16) -> f32 {
+pub(crate) fn bf16_decode(q: u16) -> f32 {
     f32::from_bits((q as u32) << 16)
 }
 
 /// Symmetric int8 scale for a channel with the given abs-max. An all-zero
 /// channel gets scale `1.0` so decode still maps `0 -> 0.0` exactly.
 #[inline]
-pub fn int8_scale(absmax: f32) -> f32 {
+pub(crate) fn int8_scale(absmax: f32) -> f32 {
     if absmax == 0.0 {
         1.0
     } else {
@@ -142,13 +142,13 @@ pub fn int8_scale(absmax: f32) -> f32 {
 /// half-away-from-zero — a deterministic scalar op, no FPU rounding-mode
 /// dependence — and the clamp keeps the encoding symmetric (`-128` unused).
 #[inline(always)]
-pub fn int8_quantize(v: f32, scale: f32) -> i8 {
+pub(crate) fn int8_quantize(v: f32, scale: f32) -> i8 {
     (v / scale).round().clamp(-127.0, 127.0) as i8
 }
 
 /// Decode one int8 weight: the canonical f32 the accumulator chain sees.
 #[inline(always)]
-pub fn int8_dequantize(q: i8, scale: f32) -> f32 {
+pub(crate) fn int8_dequantize(q: i8, scale: f32) -> f32 {
     q as f32 * scale
 }
 
@@ -175,39 +175,13 @@ enum QData {
 pub struct QPackedB {
     k: usize,
     n: usize,
-    /// Per-column dequant scales, padded to `panels() * NR` with `1.0`.
+    /// Per-column dequant scales, padded with `1.0` to whole `NR`-wide
+    /// panels.
     scales: Vec<f32>,
     data: QData,
 }
 
 impl QPackedB {
-    /// Logical dims of the packed matrix: `[k, n]`.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Number of `NR`-wide panels (last one possibly zero-padded).
-    pub fn panels(&self) -> usize {
-        self.n.div_ceil(NR)
-    }
-
-    /// Storage precision of this pack.
-    pub fn precision(&self) -> Precision {
-        match self.data {
-            QData::Bf16(_) => Precision::Bf16,
-            QData::Int8(_) => Precision::Int8,
-        }
-    }
-
-    /// Per-output-channel dequant scales (first `n` entries meaningful).
-    pub fn scales(&self) -> &[f32] {
-        &self.scales[..self.n]
-    }
-
     /// Bytes of packed weight storage — the bandwidth the forward pass
     /// actually streams (bench reporting).
     pub fn packed_bytes(&self) -> usize {
@@ -273,8 +247,9 @@ impl QPackedB {
     /// `max |w - dequant(quant(w))| / scale` over all weights. For a
     /// correct symmetric quantizer this is ≤ 0.5 (half a quantization
     /// step); bf16 packs report the analogous bound in ulps-at-bf16,
-    /// which round-to-nearest-even also keeps ≤ 0.5. Bench/audit hook.
-    pub fn max_abs_scale_err(&self, t: &Tensor<f32>) -> f32 {
+    /// which round-to-nearest-even also keeps ≤ 0.5.
+    #[cfg(test)]
+    fn max_abs_scale_err(&self, t: &Tensor<f32>) -> f32 {
         let (n, k) = (self.n, self.k);
         assert_eq!(t.dims(), &[n, k], "max_abs_scale_err: dims mismatch");
         let bt = t.data();
@@ -608,7 +583,7 @@ mod tests {
         }
         let bt = Tensor::from_vec(w, [5, 8]).unwrap();
         let qb = QPackedB::from_transb(&bt, Precision::Int8).unwrap();
-        assert_eq!(qb.scales()[2], 1.0);
+        assert_eq!(qb.scales[2], 1.0);
         for kk in 0..8 {
             assert_eq!(qb.dequant(2, kk), 0.0);
         }

@@ -43,7 +43,7 @@ pub trait Scalar:
     fn tanh(self) -> Self;
 
     /// `tanh` for activation sweeps: for `f32` a branch-free rational
-    /// minimax approximation (see [`fast_tanh_f32`]) that the
+    /// minimax approximation (see `fast_tanh_f32`) that the
     /// autovectorizer turns into wide SIMD — libm's scalar `tanhf` costs
     /// ~10 ns/element and dominates whole CNN forwards; for `f64` (linear
     /// algebra, error metrics) the exact libm `tanh`. The NN layers and the
@@ -66,7 +66,7 @@ pub trait Scalar:
 /// NaN propagates; ±∞ and every `|x|` past the clamp saturate to within a
 /// few ulps of ±1 (and never exceed 1 in magnitude).
 #[inline(always)]
-pub fn fast_tanh_f32(x: f32) -> f32 {
+pub(crate) fn fast_tanh_f32(x: f32) -> f32 {
     const CLAMP: f32 = 7.905_311_5;
     const A1: f32 = 4.893_525_6e-3;
     const A3: f32 = 6.372_619_3e-4;

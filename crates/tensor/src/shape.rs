@@ -4,16 +4,12 @@ use crate::{Result, TensorError};
 
 /// The extents of an n-dimensional tensor. Row-major (C) layout throughout.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+// lint: allow(crate-local-pub) — in `Tensor`'s constructors (`impl Into<Shape>`) and `Tensor::shape`; callers pass a `Vec<usize>` and never name it
 pub struct Shape(Vec<usize>);
 
 impl Shape {
     pub fn new(dims: impl Into<Vec<usize>>) -> Self {
         Shape(dims.into())
-    }
-
-    /// Scalar shape (rank 0, one element).
-    pub fn scalar() -> Self {
-        Shape(Vec::new())
     }
 
     pub fn rank(&self) -> usize {
@@ -50,7 +46,7 @@ impl Shape {
 
     /// Linear offset of a multi-index; panics in debug if out of range.
     #[inline]
-    pub fn offset_of(&self, index: &[usize]) -> usize {
+    pub(crate) fn offset_of(&self, index: &[usize]) -> usize {
         debug_assert_eq!(index.len(), self.0.len(), "index rank mismatch");
         let strides = self.strides();
         let mut off = 0usize;
@@ -67,7 +63,7 @@ impl Shape {
 
     /// Iterate every multi-index in row-major order. Intended for tests and
     /// cold paths; hot kernels use explicit loops.
-    pub fn indices(&self) -> IndexIter {
+    pub(crate) fn indices(&self) -> IndexIter {
         IndexIter {
             dims: self.0.clone(),
             cur: vec![0; self.0.len()],
@@ -75,17 +71,10 @@ impl Shape {
         }
     }
 
-    /// Shape with `extra` appended as a new trailing dimension.
-    pub fn with_trailing(&self, extra: usize) -> Shape {
-        let mut d = self.0.clone();
-        d.push(extra);
-        Shape(d)
-    }
-
     /// Overwrite the dims in place, reusing the existing allocation when the
     /// capacity suffices. This is what lets workspace tensors change shape on
     /// every forward pass without touching the heap in steady state.
-    pub fn set_dims(&mut self, dims: &[usize]) {
+    pub(crate) fn set_dims(&mut self, dims: &[usize]) {
         self.0.clear();
         self.0.extend_from_slice(dims);
     }
@@ -123,7 +112,7 @@ impl std::fmt::Display for Shape {
 }
 
 /// Row-major multi-index iterator.
-pub struct IndexIter {
+pub(crate) struct IndexIter {
     dims: Vec<usize>,
     cur: Vec<usize>,
     remaining: usize,
@@ -170,7 +159,7 @@ mod tests {
 
     #[test]
     fn scalar_shape() {
-        let s = Shape::scalar();
+        let s = Shape::new([0usize; 0]);
         assert_eq!(s.numel(), 1);
         assert_eq!(s.rank(), 0);
         assert_eq!(s.offset_of(&[]), 0);
@@ -211,11 +200,5 @@ mod tests {
     fn dim_out_of_range_errors() {
         let s = Shape::new([2, 2]);
         assert!(matches!(s.dim(5), Err(TensorError::AxisOutOfRange { .. })));
-    }
-
-    #[test]
-    fn with_trailing_appends() {
-        let s = Shape::new([2, 3]).with_trailing(5);
-        assert_eq!(s.dims(), &[2, 3, 5]);
     }
 }

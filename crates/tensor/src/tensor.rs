@@ -80,10 +80,6 @@ impl<T: Scalar> Tensor<T> {
         &mut self.data
     }
 
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Element access by multi-index.
     #[inline]
     pub fn at(&self, index: &[usize]) -> T {
@@ -146,23 +142,8 @@ impl<T: Scalar> Tensor<T> {
         })
     }
 
-    /// Collapse to rank 2 `[rows, cols]` where `cols` is the product of the
-    /// last `keep_last` dims. Used to feed sweep×feature tensors to MLPs.
-    pub fn flatten_to_2d(self, keep_last: usize) -> Result<Self> {
-        let rank = self.rank();
-        if keep_last > rank {
-            return Err(TensorError::AxisOutOfRange {
-                axis: keep_last,
-                rank,
-            });
-        }
-        let cols: usize = self.dims()[rank - keep_last..].iter().product();
-        let rows: usize = self.dims()[..rank - keep_last].iter().product();
-        self.reshape([rows, cols.max(1)])
-    }
-
     /// Apply `f` to every element, in place.
-    pub fn map_inplace(&mut self, f: impl Fn(T) -> T + Sync) {
+    pub(crate) fn map_inplace(&mut self, f: impl Fn(T) -> T + Sync) {
         if self.data.len() >= 1 << 16 {
             hpacml_par::par_map_inplace(&mut self.data, 4096, |_, x| f(x));
         } else {
@@ -190,14 +171,6 @@ impl<T: Scalar> Tensor<T> {
             return 0.0;
         }
         self.sum() / self.data.len() as f64
-    }
-
-    /// Convert the element type.
-    pub fn cast<U: Scalar>(&self) -> Tensor<U> {
-        Tensor {
-            data: self.data.iter().map(|x| U::from_f64(x.to_f64())).collect(),
-            shape: self.shape.clone(),
-        }
     }
 
     /// Max |a - b| over all elements; errors on shape mismatch.
@@ -272,16 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn flatten_to_2d_shapes() {
-        let t = Tensor::<f32>::zeros([4, 5, 6]);
-        let f = t.flatten_to_2d(1).unwrap();
-        assert_eq!(f.dims(), &[20, 6]);
-        let t = Tensor::<f32>::zeros([4, 5, 6]);
-        let f = t.flatten_to_2d(2).unwrap();
-        assert_eq!(f.dims(), &[4, 30]);
-    }
-
-    #[test]
     fn resize_reuses_capacity_and_reshape_in_place_checks() {
         let mut t = Tensor::from_vec(vec![1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0], [2, 3]).unwrap();
         let cap = t.data.capacity();
@@ -312,13 +275,6 @@ mod tests {
         let m = t.map(|x| x * 2.0);
         assert_eq!(m.data(), &[2.0, 4.0, 6.0, 8.0]);
         assert_eq!(m.mean(), 5.0);
-    }
-
-    #[test]
-    fn cast_roundtrip() {
-        let t = Tensor::from_vec(vec![1.5f32, -2.5], [2]).unwrap();
-        let d: Tensor<f64> = t.cast();
-        assert_eq!(d.data(), &[1.5, -2.5]);
     }
 
     #[test]
