@@ -31,6 +31,20 @@ pub(crate) struct Token {
     pub pos: usize,
 }
 
+/// What a backslash followed by `c` stands for in a string literal, or
+/// `None` for an unknown escape (a typed error). The daemon's config grammar
+/// reads its strings by the same rule, so a directive quoted inside a config
+/// string means the same thing in both languages.
+pub fn unescape(c: char) -> Option<char> {
+    match c {
+        '"' => Some('"'),
+        '\\' => Some('\\'),
+        'n' => Some('\n'),
+        't' => Some('\t'),
+        _ => None,
+    }
+}
+
 /// Tokenize a directive string. Backslash-newline continuations (as used in
 /// multi-line C pragmas, cf. the paper's Fig. 2) are treated as whitespace.
 pub(crate) fn lex(src: &str) -> Result<Vec<Token>> {
@@ -134,28 +148,26 @@ pub(crate) fn lex(src: &str) -> Result<Vec<Token>> {
             }
             '"' => {
                 let start = i;
-                i += 1;
                 let mut s = String::new();
+                let mut chars = src[start + 1..].char_indices();
+                let unterminated = || DirectiveError::Lex {
+                    pos: start,
+                    message: "unterminated string literal".into(),
+                };
                 loop {
-                    if i >= bytes.len() {
-                        return Err(DirectiveError::Lex {
-                            pos: start,
-                            message: "unterminated string literal".into(),
-                        });
-                    }
-                    match bytes[i] {
-                        b'"' => {
-                            i += 1;
+                    match chars.next().ok_or_else(unterminated)? {
+                        (off, '"') => {
+                            i = start + 1 + off + 1;
                             break;
                         }
-                        b'\\' if i + 1 < bytes.len() => {
-                            s.push(bytes[i + 1] as char);
-                            i += 2;
+                        (off, '\\') => {
+                            let (_, e) = chars.next().ok_or_else(unterminated)?;
+                            s.push(unescape(e).ok_or_else(|| DirectiveError::Lex {
+                                pos: start + 1 + off,
+                                message: format!("unknown escape `\\{e}` in string literal"),
+                            })?);
                         }
-                        b => {
-                            s.push(b as char);
-                            i += 1;
-                        }
+                        (_, c) => s.push(c),
                     }
                 }
                 out.push(Token {
@@ -190,7 +202,10 @@ pub(crate) fn lex(src: &str) -> Result<Vec<Token>> {
                     pos: start,
                 });
             }
-            other => {
+            _ => {
+                // `i` is on a character boundary: every other arm steps
+                // over ASCII bytes, and strings end on their closing quote.
+                let other = src[i..].chars().next().unwrap_or_default();
                 return Err(DirectiveError::Lex {
                     pos: i,
                     message: format!("unexpected character `{other}`"),
@@ -224,6 +239,44 @@ mod tests {
         let toks = kinds(r#"model("/path/to/model.hml") db("a\"b")"#);
         assert!(toks.contains(&Tok::Str("/path/to/model.hml".into())));
         assert!(toks.contains(&Tok::Str("a\"b".into())));
+    }
+
+    /// A string literal is read as characters: a path outside ASCII stays
+    /// the path (it used to come back one `char` per UTF-8 byte).
+    #[test]
+    fn non_ascii_string_literals_survive() {
+        let toks = kinds(r#"model("/tmp/é.hml") db("données/δ.h5")"#);
+        assert!(toks.contains(&Tok::Str("/tmp/é.hml".into())));
+        assert!(toks.contains(&Tok::Str("données/δ.h5".into())));
+        let toks = lex(r#"db("é") x"#).unwrap();
+        assert_eq!(
+            toks[4].pos, 9,
+            "positions after a non-ASCII literal are byte offsets"
+        );
+    }
+
+    /// The config grammar's escape rule: `\n` is a newline, `\t` a tab, and
+    /// an unknown escape is a typed error, not the escaped character.
+    #[test]
+    fn escapes_follow_the_config_rule() {
+        let toks = kinds(r#"db("a\nb\tc\\d")"#);
+        assert!(toks.contains(&Tok::Str("a\nb\tc\\d".into())));
+        assert!(matches!(
+            lex(r#"db("a\qb")"#),
+            Err(DirectiveError::Lex { pos: 5, .. })
+        ));
+        assert!(matches!(
+            lex(r#"db("a\"#),
+            Err(DirectiveError::Lex { pos: 3, .. })
+        ));
+    }
+
+    #[test]
+    fn non_ascii_outside_a_literal_is_named_in_the_error() {
+        let Err(DirectiveError::Lex { message, .. }) = lex("a é") else {
+            panic!("expected a lex error");
+        };
+        assert!(message.contains('é'), "{message}");
     }
 
     #[test]

@@ -24,6 +24,7 @@ pub use ast::{
     BinOp, Direction, Directive, Expr, FunctorDecl, MapDirective, MapTarget, MlDirective, MlMode,
     SSpec, Slice,
 };
+pub use lex::unescape;
 pub use parse::{parse_directive, parse_directives};
 pub use sema::{Bindings, FunctorInfo};
 

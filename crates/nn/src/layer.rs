@@ -6,7 +6,7 @@
 //! `backward`.
 
 use crate::{NnError, Result};
-use hpacml_tensor::gemm::{self, Act, Epilogue, PackedB};
+use hpacml_tensor::gemm::{self, Act, Epilogue, NarrowStage, PackedB};
 use hpacml_tensor::ops::{self, Conv2dGeom};
 use hpacml_tensor::quant::{self, Precision, QPackedB};
 use hpacml_tensor::Tensor;
@@ -140,6 +140,15 @@ pub trait Layer: Send + Sync {
     /// (the f32 panels from [`Layer::prepack`] are that rung).
     fn quantize(&mut self, _target: Precision) -> bool {
         false
+    }
+
+    /// This layer as one stage of a depth-first narrow chain at `prec`
+    /// (see [`hpacml_tensor::gemm::NarrowChain`]): its packed weights at
+    /// that rung, bias and fused activation. Only compiled `Linear` layers
+    /// have one; whether a run of them forms a chain is then a pure function
+    /// of their widths.
+    fn narrow_stage(&self, _prec: Precision) -> Option<NarrowStage<'_>> {
+        None
     }
 }
 
@@ -367,6 +376,14 @@ impl Layer for Linear {
             self.prepack();
         }
         true
+    }
+
+    fn narrow_stage(&self, prec: Precision) -> Option<NarrowStage<'_>> {
+        let bias = self.b.value.data();
+        match self.qpack_for(prec) {
+            Some(q) => Some(NarrowStage::quantized(q, bias, self.act)),
+            None => Some(NarrowStage::new(self.packed.as_ref()?, bias, self.act)),
+        }
     }
 
     fn scratch_hint(&self, _in_dims: &[usize]) -> (usize, usize) {

@@ -5,7 +5,10 @@
 //! pair of activation tensors that are resized in place on every pass, so
 //! after the first (warm-up) invocation a forward pass performs **no heap
 //! allocation** in the activation path — each layer writes into the opposite
-//! arena through [`crate::layer::Layer::forward_into`].
+//! arena through [`crate::layer::Layer::forward_into`], except that a run of
+//! two or more narrow compiled `Linear` layers is one step
+//! ([`hpacml_tensor::gemm::NarrowChain`]): it writes only its last layer's
+//! output, and its intermediates never reach an arena.
 //!
 //! [`InferWorkspace`] adds the normalization staging buffer a
 //! [`SavedModel`](crate::serialize::SavedModel) needs for end-to-end
@@ -13,8 +16,10 @@
 //! allocating convenience APIs (`Sequential::forward`, `SavedModel::infer`)
 //! so every caller benefits without holding a workspace themselves.
 
+use crate::layer::Layer;
 use crate::model::Sequential;
 use crate::Result;
+use hpacml_tensor::gemm::NarrowChain;
 use hpacml_tensor::quant::Precision;
 use hpacml_tensor::Tensor;
 use std::cell::RefCell;
@@ -42,6 +47,11 @@ impl ForwardWorkspace {
     /// reduced-precision packs route through their quantized kernels;
     /// everything else (and `F32`) is the plain forward. Same arenas,
     /// same zero-allocation steady state.
+    ///
+    /// The layers run in steps (see `step`): a maximal run of narrow
+    /// compiled `Linear` layers is one depth-first chain, every other layer
+    /// a step of its own. Which runs is a function of the layer widths
+    /// only, and the bits are those of the layers run one by one.
     pub fn forward_at<'a>(
         &'a mut self,
         model: &Sequential,
@@ -49,16 +59,16 @@ impl ForwardWorkspace {
         prec: Precision,
     ) -> Result<&'a mut Tensor> {
         let layers = model.layers();
-        let Some(first) = layers.first() else {
+        if layers.is_empty() {
             x.copy_into(&mut self.ping);
             return Ok(&mut self.ping);
-        };
-        // The first layer reads the caller's tensor directly — no staging
+        }
+        // The first step reads the caller's tensor directly — no staging
         // copy of the input batch on the hot path.
-        first.forward_into_at(x, &mut self.ping, prec)?;
+        let mut rest = &layers[step(layers, x, &mut self.ping, prec)?..];
         let (mut cur, mut nxt) = (&mut self.ping, &mut self.pong);
-        for layer in &layers[1..] {
-            layer.forward_into_at(cur, nxt, prec)?;
+        while !rest.is_empty() {
+            rest = &rest[step(rest, cur, nxt, prec)?..];
             std::mem::swap(&mut cur, &mut nxt);
         }
         Ok(cur)
@@ -88,13 +98,21 @@ impl ForwardWorkspace {
         let mut max_elems: usize = dims.iter().product();
         let mut max_rank = dims.len();
         let (mut b_elems, mut col_elems) = (0usize, 0usize);
-        for layer in model.layers() {
-            let (b, c) = layer.scratch_hint(&dims);
-            b_elems = b_elems.max(b);
-            col_elems = col_elems.max(c);
-            dims = layer.out_dims(&dims)?;
+        let mut layers = model.layers();
+        while !layers.is_empty() {
+            // A chain's intermediates never reach an arena: only the last
+            // output of each step is sized. (Chains form from widths alone,
+            // so the F32 partition is the partition at every rung.)
+            let (this, rest) = layers.split_at(step_len(layers, Precision::F32));
+            for layer in this {
+                let (b, c) = layer.scratch_hint(&dims);
+                b_elems = b_elems.max(b);
+                col_elems = col_elems.max(c);
+                dims = layer.out_dims(&dims)?;
+            }
             max_elems = max_elems.max(dims.iter().product());
             max_rank = max_rank.max(dims.len());
+            layers = rest;
         }
         if b_elems > 0 || col_elems > 0 {
             hpacml_par::broadcast(|_| {
@@ -113,6 +131,38 @@ impl ForwardWorkspace {
         }
         Ok(max_elems)
     }
+}
+
+/// The maximal narrow chain at the head of `layers` at `prec` (possibly
+/// empty or a single layer, which then runs on its own).
+fn chain_at(layers: &[Box<dyn Layer>], prec: Precision) -> NarrowChain<'_> {
+    let mut chain = NarrowChain::default();
+    for layer in layers {
+        match layer.narrow_stage(prec) {
+            Some(stage) if chain.push(stage) => {}
+            _ => break,
+        }
+    }
+    chain
+}
+
+/// How many layers the step at the head of `layers` runs: a chain of two or
+/// more, else one.
+fn step_len(layers: &[Box<dyn Layer>], prec: Precision) -> usize {
+    chain_at(layers, prec).stages().max(1)
+}
+
+/// Run the step at the head of `layers` from `x` into `out`: a narrow chain
+/// of two or more layers depth-first, else the first layer alone (single
+/// narrow layers keep their GEMM tiles). Returns how many layers it ran.
+fn step(layers: &[Box<dyn Layer>], x: &Tensor, out: &mut Tensor, prec: Precision) -> Result<usize> {
+    let chain = chain_at(layers, prec);
+    if chain.stages() >= 2 {
+        chain.forward_into(x, out)?;
+        return Ok(chain.stages());
+    }
+    layers[0].forward_into_at(x, out, prec)?;
+    Ok(1)
 }
 
 /// Workspace for end-to-end [`SavedModel`](crate::serialize::SavedModel)

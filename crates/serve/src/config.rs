@@ -304,11 +304,10 @@ fn lex(src: &str) -> Result<Vec<Tok>, ConfigError> {
                         None => return err(start, "unterminated string"),
                         Some('"') => break,
                         Some('\\') => match chars.next() {
-                            Some('"') => s.push('"'),
-                            Some('\\') => s.push('\\'),
-                            Some('n') => s.push('\n'),
-                            Some('t') => s.push('\t'),
-                            Some(other) => return err(line, format!("unknown escape '\\{other}'")),
+                            Some(c) => match hpacml_directive::unescape(c) {
+                                Some(e) => s.push(e),
+                                None => return err(line, format!("unknown escape '\\{c}'")),
+                            },
                             None => return err(start, "unterminated string"),
                         },
                         Some('\n') => {

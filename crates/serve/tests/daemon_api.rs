@@ -223,6 +223,44 @@ fn failed_apply_keeps_the_old_snapshot_serving() {
     );
 }
 
+/// The last `apply` seam: the candidate's model file loads, but the
+/// bootstrap probe cannot run it — it reads 4 features where the region
+/// gathers 3. The apply is a typed build error naming the probe, and the old
+/// generation keeps serving bitwise.
+#[test]
+fn apply_whose_probe_forward_fails_keeps_the_old_generation_serving() {
+    let dir = tmpdir("probe-forward-fails");
+    let v1 = dir.join("v1.hml");
+    save_mlp(&v1, 5);
+    let wide = dir.join("wide.hml");
+    let spec = ModelSpec::mlp(4, &[8], 1, Activation::Tanh, 0.0);
+    let model = spec.build(6).unwrap();
+    hpacml_nn::serialize::save_model(&wide, &spec, &model, None, None).unwrap();
+    hpacml_nn::serialize::load_model(&wide).expect("the candidate's model loads");
+    let samples = [sample(0), sample(1)];
+    let want = direct_outputs(&v1, &samples);
+
+    let body = "max_batch 4;\n max_wait 100us;";
+    let daemon = DaemonBuilder::new()
+        .bootstrap(&region_cfg("demo", &v1, body))
+        .unwrap();
+    let err = daemon.apply(&region_cfg("demo", &wide, body)).unwrap_err();
+    match &err {
+        DaemonError::Build { region, msg } => {
+            assert_eq!(region, "demo");
+            assert!(msg.contains("probe"), "probe failure must be named: {msg}");
+        }
+        other => panic!("expected Build, got: {other}"),
+    }
+    assert_eq!(daemon.generation(), 1, "a failed apply must not swap");
+    assert_eq!(daemon.stats().swaps, 0);
+    for (s, want) in samples.iter().zip(&want) {
+        let mut y = [0.0f32; 1];
+        daemon.submit("demo", &[s], &mut [&mut y]).unwrap();
+        assert_eq!(y[0].to_bits(), want.to_bits(), "old generation, bitwise");
+    }
+}
+
 #[test]
 fn validation_policy_requires_a_host_handler() {
     let dir = tmpdir("validation-handler");

@@ -164,35 +164,33 @@ impl Dataset {
     /// Append one or more entries of f32 data (length must be a multiple of
     /// the entry size). Returns the new row count.
     pub fn append_f32(&mut self, batch: &[f32]) -> Result<usize> {
-        self.check_dtype(DType::F32)?;
-        let new_rows = self.check_batch(batch.len())?;
-        self.data.reserve(batch.len() * 4);
-        for v in batch {
-            self.data.extend_from_slice(&v.to_le_bytes());
-        }
-        self.rows += new_rows;
-        Ok(self.rows)
+        self.append(DType::F32, batch, f32::to_le_bytes)
     }
 
     /// Append f64 entries.
     pub fn append_f64(&mut self, batch: &[f64]) -> Result<usize> {
-        self.check_dtype(DType::F64)?;
-        let new_rows = self.check_batch(batch.len())?;
-        self.data.reserve(batch.len() * 8);
-        for v in batch {
-            self.data.extend_from_slice(&v.to_le_bytes());
-        }
-        self.rows += new_rows;
-        Ok(self.rows)
+        self.append(DType::F64, batch, f64::to_le_bytes)
     }
 
     /// Append i64 entries.
     pub fn append_i64(&mut self, batch: &[i64]) -> Result<usize> {
-        self.check_dtype(DType::I64)?;
+        self.append(DType::I64, batch, i64::to_le_bytes)
+    }
+
+    /// Append `batch` as little-endian `W`-byte elements: one grow of the
+    /// byte buffer, then one pass encoding into the new bytes.
+    fn append<T: Copy, const W: usize>(
+        &mut self,
+        dtype: DType,
+        batch: &[T],
+        le: fn(T) -> [u8; W],
+    ) -> Result<usize> {
+        self.check_dtype(dtype)?;
         let new_rows = self.check_batch(batch.len())?;
-        self.data.reserve(batch.len() * 8);
-        for v in batch {
-            self.data.extend_from_slice(&v.to_le_bytes());
+        let start = self.data.len();
+        self.data.resize(start + batch.len() * W, 0);
+        for (dst, &v) in self.data[start..].chunks_exact_mut(W).zip(batch) {
+            dst.copy_from_slice(&le(v));
         }
         self.rows += new_rows;
         Ok(self.rows)

@@ -52,7 +52,9 @@
 //! * the tile shape an element lands in: the narrow-N tiles below put other
 //!   *elements* side by side (16 rows × 8 lanes, or 16 rows on the lanes of
 //!   one column) but run the identical chain — `acc += a*w`, ascending `k`,
-//!   mul then add, then the shared epilogue — for each of them.
+//!   mul then add, then the shared epilogue — for each of them, and
+//! * whether a layer runs alone or inside a [`NarrowChain`], which runs the
+//!   same chain per element with the rows on the lanes.
 //!
 //! # Blocking parameters
 //!
@@ -82,6 +84,39 @@
 //! `< NARROW_MR` remainder rows on the tiles above. The choice is a pure
 //! function of `(n, k, kc)`; nothing selects it from outside, and it holds
 //! at every storage precision. `k > kc` keeps the panel sweep.
+//!
+//! Those tiles still serve one layer at a time, and a narrow MLP is a
+//! chain of such layers: the stencil MLP writes its whole `[m, 8]` hidden
+//! activation (2 MB at `m = 65 536`) only for the next layer to read it
+//! back. [`NarrowChain`] runs a run of them **depth-first** instead: two or
+//! more consecutive compiled `Linear` layers, each with `1 ≤ n ≤ NARROW_N`
+//! outputs, the first with `1 ≤ k ≤ KC` inputs (so every layer is one
+//! panel and one slab), at most eight at a time. Each `NARROW_MR`-row
+//! block reads its inputs once, runs every layer on a register tile with
+//! the rows on the SIMD lanes (`acc[j][r]`, the weights broadcast, decoded
+//! once per call through each layer's own codec), passes each finished
+//! tile to the next layer through L1 (512 bytes), and writes only the last
+//! layer's output. The rule is a pure function of the
+//! layer widths (`nn`'s forward applies it; a single narrow layer keeps
+//! the tiles above); each element still runs its layer's chain — `acc = 0`,
+//! `acc + a*w` in ascending `k`, then bias, then activation — so the bits
+//! are those of the layers run one by one, at every precision, row count
+//! and pool width. Same process, 1 thread, 2-vCPU AVX-512 KVM guest, p50 of
+//! 300 alternating calls, output bits identical: `[65536,5]` · 5→8 + ReLU
+//! → 8→1, layer by layer 493–624 µs, chained 303–404 µs (six runs; the
+//! test `chain_against_layer_by_layer_same_process` in `nn` prints them).
+//! A prototype that only row-blocked the two GEMMs, without fusing them,
+//! moved the same shape by 0–5 % at any block size from 64 to 4 096 rows:
+//! the per-layer tiles are the cost, not the activation traffic.
+//!
+//! The chain keeps the *Register tiles* rules below, transposed: the
+//! accumulators' contiguous axis is the rows, so the row loop is outermost
+//! in each `k` step (it vectorizes; the features unroll inside it), the
+//! block's rows are cut to exactly `k` before the loop, and every layer is
+//! finished as a copy — one feature at a time, because finishing the
+//! `N`-feature tile whole vectorized across the features, through gathers
+//! and scatters. With the rows inner instead, the `k` loop stayed scalar
+//! with every accumulator in memory, 3× slower than the per-layer GEMMs.
 //!
 //! # Batch-1 rows
 //!
@@ -697,7 +732,7 @@ fn finish_tile<T: Scalar, const M: usize, const W: usize>(
 /// process, medians): `[65536,5]·[5,8]` + bias + ReLU 970–1155 µs on the
 /// `MR × NR` tile, 255–294 µs on the narrow one; `[65536,8]·[8,1]` 740–820
 /// µs against 171–191 µs; `[65536,64]·[64,1]` 3.3–4.0 ms against 1.5–1.9 ms.
-const NARROW_N: usize = NR / 2;
+pub(crate) const NARROW_N: usize = NR / 2;
 
 /// Rows per narrow block. Half-width lanes leave room for twice [`MR`]
 /// accumulator rows in the same registers, halving the per-tile overhead;
@@ -837,6 +872,335 @@ fn column_tile<T: Scalar, C: PanelCodec<T>>(
     }
     finish_tile(&mut acc, epi_t, 0, lane0, NARROW_MR);
     c.copy_from_slice(&acc[0]);
+}
+
+// ---------------------------------------------------------------------------
+// Narrow chains
+// ---------------------------------------------------------------------------
+
+/// The most layers one [`NarrowChain`] holds. Its decoded weights live on
+/// the stack (`KC` rows for the first layer, `NARROW_N` for each later
+/// one, ≈ 10 KiB in all); a longer run of narrow layers is served as
+/// several chains, each materializing only its last output.
+const CHAIN_MAX: usize = 8;
+
+/// Row `kk` of a chain layer's weights decoded to f32: `B[kk, 0..NARROW_N]`,
+/// zero past the layer's `n` (the panel's padding, decoded).
+type WeightRow = [f32; NARROW_N];
+
+/// One feature of a [`NARROW_MR`]-row block, the rows on the lanes.
+type Lanes = [f32; NARROW_MR];
+
+/// A chain layer's activations for one row block: `h[j][r]` is feature `j`
+/// of row `r` (features past the layer's `n` are unused).
+type Hidden = [Lanes; NARROW_N];
+
+/// The stored weights of one chain layer, at the precision it serves.
+#[derive(Clone, Copy)]
+enum StageWeights<'a> {
+    F32(&'a PackedB<f32>),
+    Quant(&'a crate::quant::QPackedB),
+}
+
+/// One `Linear` layer as a [`NarrowChain`] runs it: `y = act(x·Wᵀ + b)` from
+/// its packed weights (full precision or a quantized rung, decoded through
+/// that pack's own codec), its bias and its fused activation.
+#[derive(Clone, Copy)]
+pub struct NarrowStage<'a> {
+    weights: StageWeights<'a>,
+    bias: &'a [f32],
+    act: Option<Act>,
+}
+
+impl<'a> NarrowStage<'a> {
+    /// A layer served from full-precision panels.
+    pub fn new(weights: &'a PackedB<f32>, bias: &'a [f32], act: Option<Act>) -> Self {
+        let weights = StageWeights::F32(weights);
+        NarrowStage { weights, bias, act }
+    }
+
+    /// A layer served from a reduced-precision pack.
+    pub fn quantized(
+        weights: &'a crate::quant::QPackedB,
+        bias: &'a [f32],
+        act: Option<Act>,
+    ) -> Self {
+        let weights = StageWeights::Quant(weights);
+        NarrowStage { weights, bias, act }
+    }
+
+    /// `(k, n)`: input and output features.
+    fn dims(&self) -> (usize, usize) {
+        match self.weights {
+            StageWeights::F32(p) => (p.k(), p.n()),
+            StageWeights::Quant(q) => q.dims(),
+        }
+    }
+
+    /// Decode the layer's `k` weight rows into `dst` (`dst.len() == k`).
+    fn decode_into(&self, dst: &mut [WeightRow]) {
+        match self.weights {
+            StageWeights::F32(p) => decode_rows::<f32, Identity>(p.view(), dst),
+            StageWeights::Quant(q) => q.decode_narrow_rows(dst),
+        }
+    }
+}
+
+/// Decode the first [`NARROW_N`] lanes of every row of a single-panel
+/// (`n ≤ NARROW_N`) pack through its codec — the values [`narrow_tile`] and
+/// [`micro_tile`] feed their chains, so a chain layer multiplies the same
+/// f32 weights the per-layer kernels do.
+pub(crate) fn decode_rows<T: Scalar, C: PanelCodec<T>>(
+    b: Panels<'_, T, C::Q>,
+    dst: &mut [[T; NARROW_N]],
+) {
+    let scales = panel_scales(b.scales, 0);
+    let rows = &b.data.as_chunks::<NR>().0[..dst.len()];
+    for (d, raw) in dst.iter_mut().zip(rows) {
+        *d = std::array::from_fn(|j| C::decode(raw[j], scales[j]));
+    }
+}
+
+/// A run of consecutive narrow `Linear` layers served **depth-first**: each
+/// 16-row block of the input is read once, each layer of the
+/// block accumulates in registers (rows on the SIMD lanes, weights
+/// broadcast) and hands the next one its finished tile — eight 16-lane
+/// vectors, 512 bytes that never leave L1 — and only the last layer's
+/// output is written, instead of one GEMM per layer, each writing and
+/// re-reading its whole activation (module docs, *Skinny shapes*).
+///
+/// A layer joins ([`NarrowChain::push`]) when it has `1 ≤ n ≤ 8` outputs,
+/// one bias per output, and reads the previous layer's `n` (the first:
+/// `1 ≤ k ≤ 256` inputs, one cache slab), up to eight layers; anything else
+/// ends the chain. Every output element keeps the per-layer chain — `acc = 0`,
+/// `acc + a*w` in ascending `k` (mul, then add), then bias, then activation,
+/// through the shared epilogue — on the weights the layer's codec decodes, so the
+/// result is bit-identical to running the layers one by one, at every
+/// precision, row count and pool width.
+pub struct NarrowChain<'a> {
+    stages: [Option<NarrowStage<'a>>; CHAIN_MAX],
+    len: usize,
+}
+
+impl Default for NarrowChain<'_> {
+    fn default() -> Self {
+        NarrowChain {
+            stages: [None; CHAIN_MAX],
+            len: 0,
+        }
+    }
+}
+
+impl<'a> NarrowChain<'a> {
+    /// Append the next layer if it keeps the chain narrow (see the type
+    /// docs); returns whether it was taken.
+    pub fn push(&mut self, stage: NarrowStage<'a>) -> bool {
+        let (k, n) = stage.dims();
+        let fits = match self.len {
+            0 => (1..=KC).contains(&k),
+            CHAIN_MAX => false,
+            len => self.stages[len - 1].is_some_and(|prev| prev.dims().1 == k),
+        };
+        if !fits || !(1..=NARROW_N).contains(&n) || stage.bias.len() != n {
+            return false;
+        }
+        self.stages[self.len] = Some(stage);
+        self.len += 1;
+        true
+    }
+
+    /// How many layers the chain holds.
+    pub fn stages(&self) -> usize {
+        self.len
+    }
+
+    /// `out = layerₗ(…layer₁(x))` for the `[m, k]` input `x`, resized in place
+    /// to `[m, n]` of the last layer (allocation-free once it has capacity).
+    /// Row blocks are split across the pool like a GEMM's stripes.
+    pub fn forward_into(&self, x: &Tensor<f32>, out: &mut Tensor<f32>) -> Result<()> {
+        let first = self.stages[0]
+            .ok_or_else(|| TensorError::DimMismatch("narrow chain: no layers".into()))?;
+        let (k0, n0) = first.dims();
+        let (m, _) = check_operands("narrow chain", x, n0, k0, &Epilogue::none())?;
+        let mut plan = ChainPlan {
+            len: self.len,
+            k0,
+            w0: [[0.0; NARROW_N]; KC],
+            w: [[[0.0; NARROW_N]; NARROW_N]; CHAIN_MAX],
+            n: [0; CHAIN_MAX],
+            bias: [&[]; CHAIN_MAX],
+            act: [None; CHAIN_MAX],
+        };
+        for (s, stage) in self.stages[..self.len].iter().flatten().enumerate() {
+            let (k, n) = stage.dims();
+            match s {
+                0 => stage.decode_into(&mut plan.w0[..k]),
+                _ => stage.decode_into(&mut plan.w[s][..k]),
+            }
+            (plan.n[s], plan.bias[s], plan.act[s]) = (n, stage.bias, stage.act);
+        }
+        let n = plan.n[self.len - 1];
+        out.resize(&[m, n]);
+        let (a, c) = (x.data(), out.data_mut());
+        // Multiply-adds per row, the unit the shared heuristics count in.
+        let per_row = k0 * n0 + plan.n.windows(2).map(|w| w[0] * w[1]).sum::<usize>();
+        if par_worthwhile(m, 1, per_row) {
+            let rows = par_rows_per_block(m, 1, per_row).div_ceil(NARROW_MR) * NARROW_MR;
+            hpacml_par::par_chunks_mut(c, rows * n, |start, stripe| {
+                let row0 = start / n;
+                chain_rows(&a[row0 * k0..][..stripe.len() / n * k0], &plan, stripe);
+            });
+        } else {
+            chain_rows(a, &plan, c);
+        }
+        Ok(())
+    }
+}
+
+/// A [`NarrowChain`] with its weights decoded, as the row blocks read it.
+struct ChainPlan<'a> {
+    len: usize,
+    k0: usize,
+    /// The first layer's `k0` weight rows.
+    w0: [WeightRow; KC],
+    /// Layer `s ≥ 1`'s weight rows (`w[s][..k]`, `k` = layer `s - 1`'s `n`).
+    w: [[WeightRow; NARROW_N]; CHAIN_MAX],
+    n: [usize; CHAIN_MAX],
+    bias: [&'a [f32]; CHAIN_MAX],
+    act: [Option<Act>; CHAIN_MAX],
+}
+
+/// Run the chain over `a`'s rows (`rows × k0`, row-major) into `c`
+/// (`rows × n`): every full [`NARROW_MR`]-row block in place, then a ragged
+/// tail through a zero-padded block (padding rows are computed and dropped;
+/// rows never mix, so they cannot change a bit of the real ones).
+fn chain_rows(a: &[f32], plan: &ChainPlan<'_>, c: &mut [f32]) {
+    let (k0, n) = (plan.k0, plan.n[plan.len - 1]);
+    let a_blocks = a.chunks_exact(NARROW_MR * k0);
+    let a_tail = a_blocks.remainder();
+    let mut c_blocks = c.chunks_exact_mut(NARROW_MR * n);
+    for (ab, cb) in a_blocks.zip(&mut c_blocks) {
+        chain_block(ab, plan, cb);
+    }
+    let c_tail = c_blocks.into_remainder();
+    if !c_tail.is_empty() {
+        let mut ab = [0.0f32; NARROW_MR * KC];
+        let mut cb = [0.0f32; NARROW_MR * NARROW_N];
+        ab[..a_tail.len()].copy_from_slice(a_tail);
+        chain_block(&ab[..NARROW_MR * k0], plan, &mut cb[..NARROW_MR * n]);
+        c_tail.copy_from_slice(&cb[..c_tail.len()]);
+    }
+}
+
+/// Expand a runtime width `1..=NARROW_N` into the const-generic call
+/// `$f::<N>($args)`.
+macro_rules! by_width {
+    ($n:expr, $f:ident ( $($arg:expr),* )) => {
+        match $n {
+            1 => $f::<1>($($arg),*),
+            2 => $f::<2>($($arg),*),
+            3 => $f::<3>($($arg),*),
+            4 => $f::<4>($($arg),*),
+            5 => $f::<5>($($arg),*),
+            6 => $f::<6>($($arg),*),
+            7 => $f::<7>($($arg),*),
+            _ => $f::<8>($($arg),*),
+        }
+    };
+}
+
+/// One [`NARROW_MR`]-row block through every layer of the chain: `a` is the
+/// block's `NARROW_MR × k0` inputs, `c` its `NARROW_MR × n` outputs.
+fn chain_block(a: &[f32], plan: &ChainPlan<'_>, c: &mut [f32]) {
+    let w0 = &plan.w0[..plan.k0];
+    let epi = |s: usize| Epilogue::row_bias(plan.bias[s]).with_act(plan.act[s]);
+    let mut h = [[0.0f32; NARROW_MR]; NARROW_N];
+    let mut g = [[0.0f32; NARROW_MR]; NARROW_N];
+    by_width!(plan.n[0], first_layer(a, w0, &epi(0), &mut h));
+    for s in 1..plan.len {
+        let k = plan.n[s - 1];
+        by_width!(plan.n[s], next_layer(&h, &plan.w[s][..k], &epi(s), &mut g));
+        std::mem::swap(&mut h, &mut g);
+    }
+    let n = plan.n[plan.len - 1];
+    if n == 1 {
+        c.copy_from_slice(&h[0]);
+    } else {
+        for (r, crow) in c.chunks_exact_mut(n).enumerate() {
+            for (v, hj) in crow.iter_mut().zip(&h) {
+                *v = hj[r];
+            }
+        }
+    }
+}
+
+/// The chain's first layer on one block: `N` features of the
+/// `NARROW_MR × k` row-major inputs `a` against the `k` decoded weight rows
+/// `w`, into `h[..N]`.
+///
+/// The *Register tiles* rules, transposed: each `k` step reads the block's
+/// column `kk` into one row-lanes vector, and the loop over the
+/// accumulators' contiguous axis — the rows — is outermost, so it
+/// vectorizes and the `N` features unroll inside it; every view is cut to
+/// exactly `k` before the loop; the tile is finished as a copy.
+#[inline(never)]
+fn first_layer<const N: usize>(
+    a: &[f32],
+    w: &[WeightRow],
+    epi: &Epilogue<'_, f32>,
+    h: &mut Hidden,
+) {
+    let k = w.len();
+    let rows: [&[f32]; NARROW_MR] = std::array::from_fn(|i| &a[i * k..][..k]);
+    let mut acc = [[0.0f32; NARROW_MR]; N];
+    for (kk, wrow) in w.iter().enumerate() {
+        let av: Lanes = std::array::from_fn(|r| rows[r][kk]);
+        rank1(&mut acc, &av, wrow);
+    }
+    finish_into(acc, epi, h);
+}
+
+/// A later layer on one block: `N` features from the previous layer's
+/// hidden tile `h` (its first `w.len()` features) and its decoded weight
+/// rows `w`, into `g[..N]` — [`first_layer`] with the columns read from the
+/// tile.
+#[inline(never)]
+fn next_layer<const N: usize>(
+    h: &Hidden,
+    w: &[WeightRow],
+    epi: &Epilogue<'_, f32>,
+    g: &mut Hidden,
+) {
+    let mut acc = [[0.0f32; NARROW_MR]; N];
+    for (av, wrow) in h.iter().zip(w) {
+        rank1(&mut acc, av, wrow);
+    }
+    finish_into(acc, epi, g);
+}
+
+/// One `k` step of a chain layer: `acc[j][r] += a[r] * w[j]`, rows outer.
+#[inline(always)]
+fn rank1<const N: usize>(acc: &mut [Lanes; N], a: &Lanes, w: &WeightRow) {
+    for (r, &av) in a.iter().enumerate() {
+        for (acc_j, &wv) in acc.iter_mut().zip(w) {
+            // One chain per element, mul then add — as in micro_tile.
+            acc_j[r] += av * wv;
+        }
+    }
+}
+
+/// Bias and activation on a copy of a layer's accumulators, one feature
+/// at a time (a feature is one row-lanes vector, its bias one value: a row
+/// bias of a 1-row tile, as in [`column_tile`]), stored into `h[..N]`.
+/// Finished as one `N`-row tile instead, the epilogue vectorized across the
+/// features, through gathers and scatters.
+#[inline(always)]
+fn finish_into<const N: usize>(acc: [Lanes; N], epi: &Epilogue<'_, f32>, h: &mut Hidden) {
+    for (j, (&lanes, hj)) in acc.iter().zip(h.iter_mut()).enumerate() {
+        let mut tile = [lanes];
+        finish_tile(&mut tile, epi, j, 0, NARROW_MR);
+        *hj = tile[0];
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -243,6 +243,22 @@ impl QPackedB {
         }
     }
 
+    /// Logical dims `[k, n]` of the packed matrix.
+    pub(crate) fn dims(&self) -> (usize, usize) {
+        (self.k, self.n)
+    }
+
+    /// Decode the first `NARROW_N` lanes of the first `dst.len()` panel rows
+    /// through this pack's codec (`n ≤ NARROW_N`: one panel) — the weights a
+    /// `gemm::NarrowChain` layer multiplies.
+    pub(crate) fn decode_narrow_rows(&self, dst: &mut [[f32; gemm::NARROW_N]]) {
+        let scales = &self.scales[..];
+        match &self.data {
+            QData::Bf16(data) => gemm::decode_rows::<f32, Bf16Panel>(Panels { data, scales }, dst),
+            QData::Int8(data) => gemm::decode_rows::<f32, Int8Panel>(Panels { data, scales }, dst),
+        }
+    }
+
     /// Worst-case int8 round-trip error in scale units:
     /// `max |w - dequant(quant(w))| / scale` over all weights. For a
     /// correct symmetric quantizer this is ≤ 0.5 (half a quantization

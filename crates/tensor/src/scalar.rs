@@ -56,18 +56,24 @@ pub trait Scalar:
     fn is_finite(self) -> bool;
 }
 
+/// Past this `|x|`, `tanh` is 1.0 within f32 epsilon: [`fast_tanh_f32`]
+/// clamps its input here.
+const CLAMP: f32 = 7.905_311_5;
+
 /// Rational minimax approximation of `tanh` for `f32`, after the widely
 /// used Eigen `ptanh` kernel: odd polynomial over even polynomial in `x²`
-/// on the clamped range `|x| ≤ 7.90531` (where `|tanh|` saturates to 1.0
-/// within f32 epsilon). Maximum error is a couple of ulps — indistinguishable
-/// at every tolerance the training/QoI tests use — and the body is
-/// branch-free mul/add/div, so activation sweeps and fused GEMM epilogues
-/// autovectorize instead of calling scalar libm `tanhf` per element.
+/// on the clamped range `|x| ≤ CLAMP`. Its error against f64 `tanh` stays
+/// below 5e-7 absolute (≈ 8 ulps near ±1; the largest seen is 4.7e-7), which
+/// is what the unit test checks, on every 4093rd f32 of `[0, CLAMP]` and its
+/// negation — indistinguishable at every tolerance the training/QoI tests
+/// use. Relative to tiny `|x|` the error is larger in ulps (≈ 100 among the
+/// subnormals), never in absolute terms. The body is branch-free
+/// mul/add/div, so activation sweeps and fused GEMM epilogues autovectorize
+/// instead of calling scalar libm `tanhf` per element. It is exactly odd;
 /// NaN propagates; ±∞ and every `|x|` past the clamp saturate to within a
 /// few ulps of ±1 (and never exceed 1 in magnitude).
 #[inline(always)]
 pub(crate) fn fast_tanh_f32(x: f32) -> f32 {
-    const CLAMP: f32 = 7.905_311_5;
     const A1: f32 = 4.893_525_6e-3;
     const A3: f32 = 6.372_619_3e-4;
     const A5: f32 = 1.485_722_4e-5;
@@ -187,25 +193,25 @@ mod tests {
 mod fast_tanh_tests {
     use super::*;
 
+    /// The bound the docs state, on every 4093rd f32 bit pattern from 0 to
+    /// the clamp (≈ 266 000 inputs, every binade) and its negation.
     #[test]
     fn fast_tanh_matches_libm_closely() {
         let mut max_err = 0f64;
-        let mut x = -12.0f32;
-        while x < 12.0 {
-            let err = (fast_tanh_f32(x) as f64 - (x as f64).tanh()).abs();
-            max_err = max_err.max(err);
-            x += 0.0007;
+        for bits in (0..=CLAMP.to_bits()).step_by(4093).chain([CLAMP.to_bits()]) {
+            let x = f32::from_bits(bits);
+            let y = fast_tanh_f32(x);
+            max_err = max_err.max((y as f64 - (x as f64).tanh()).abs());
+            // Odd symmetry (exact) and boundedness.
+            assert_eq!(fast_tanh_f32(-x).to_bits(), (-y).to_bits(), "x = {x}");
+            assert!(y.abs() <= 1.0, "x = {x}");
         }
-        assert!(max_err < 2e-6, "max |fast_tanh - tanh| = {max_err}");
+        assert!(max_err < 5e-7, "max |fast_tanh - tanh| = {max_err}");
         assert_eq!(fast_tanh_f32(0.0), 0.0);
         // Saturation: clamped inputs land within a few ulps of ±1.
         assert!((fast_tanh_f32(f32::INFINITY) - 1.0).abs() <= 5e-7);
         assert!((fast_tanh_f32(f32::NEG_INFINITY) + 1.0).abs() <= 5e-7);
         assert!(fast_tanh_f32(f32::NAN).is_nan());
-        // Odd symmetry and boundedness.
-        for &v in &[0.1f32, 0.9, 3.3, 7.9, 25.0] {
-            assert_eq!(fast_tanh_f32(-v), -fast_tanh_f32(v));
-            assert!(fast_tanh_f32(v).abs() <= 1.0);
-        }
+        assert_eq!(fast_tanh_f32(25.0), fast_tanh_f32(CLAMP));
     }
 }
