@@ -96,6 +96,23 @@ impl ErrorMetric {
         }
     }
 
+    /// The lowercase word a serving config spells the metric with
+    /// (`metric rmse;`).
+    pub fn word(&self) -> &'static str {
+        match self {
+            ErrorMetric::Rmse => "rmse",
+            ErrorMetric::Mape => "mape",
+            ErrorMetric::MaxAbs => "max_abs",
+        }
+    }
+
+    /// Inverse of [`ErrorMetric::word`].
+    pub fn from_word(word: &str) -> Option<Self> {
+        [ErrorMetric::Rmse, ErrorMetric::Mape, ErrorMetric::MaxAbs]
+            .into_iter()
+            .find(|m| m.word() == word)
+    }
+
     /// Stable numeric code used for the `metric` column of recorded
     /// validation rows.
     pub fn code(&self) -> u32 {

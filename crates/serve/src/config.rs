@@ -45,6 +45,7 @@
 //! form; `parse(render(parse(text)))` equals `parse(text)` for every valid
 //! `text` (pinned by proptest in `tests/prop_config.rs`).
 
+use hpacml_core::{ErrorMetric, Precision};
 use std::fmt;
 use std::time::Duration;
 
@@ -149,66 +150,11 @@ impl RegionConfig {
     }
 }
 
-/// Inference precision for a region's surrogate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Precision {
-    F32,
-    Bf16,
-    Int8,
-}
-
-impl Precision {
-    fn parse(word: &str) -> Option<Self> {
-        match word {
-            "f32" => Some(Precision::F32),
-            "bf16" => Some(Precision::Bf16),
-            "int8" => Some(Precision::Int8),
-            _ => None,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            Precision::F32 => "f32",
-            Precision::Bf16 => "bf16",
-            Precision::Int8 => "int8",
-        }
-    }
-}
-
-/// Online validation metric (the config-file spelling of
-/// `hpacml_core::ErrorMetric`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Metric {
-    Rmse,
-    Mape,
-    MaxAbs,
-}
-
-impl Metric {
-    fn parse(word: &str) -> Option<Self> {
-        match word {
-            "rmse" => Some(Metric::Rmse),
-            "mape" => Some(Metric::Mape),
-            "max_abs" => Some(Metric::MaxAbs),
-            _ => None,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            Metric::Rmse => "rmse",
-            Metric::Mape => "mape",
-            Metric::MaxAbs => "max_abs",
-        }
-    }
-}
-
 /// A `validation { … }` block: metric and budget are required, the
 /// sampling knobs keep the policy's own defaults when absent.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ValidationConfig {
-    pub metric: Metric,
+    pub metric: ErrorMetric,
     pub budget: f64,
     pub rate: Option<u32>,
     pub window: Option<usize>,
@@ -641,7 +587,7 @@ impl Config {
             }
             if let Some(v) = &r.validation {
                 out.push_str("    validation {\n");
-                out.push_str(&format!("        metric {};\n", v.metric.name()));
+                out.push_str(&format!("        metric {};\n", v.metric.word()));
                 out.push_str(&format!("        budget {};\n", v.budget));
                 if let Some(rate) = v.rate {
                     out.push_str(&format!("        rate {rate};\n"));
@@ -791,7 +737,7 @@ fn parse_region_block(
             "precision" => {
                 precision.set(line)?;
                 let (v, vline) = p.expect_word("precision")?;
-                r.precision = Precision::parse(&v).ok_or(ConfigError {
+                r.precision = Precision::from_name(&v).ok_or(ConfigError {
                     line: vline,
                     msg: format!("unknown precision '{v}' (use f32/bf16/int8)"),
                 })?;
@@ -827,10 +773,10 @@ fn parse_region_block(
 
 fn parse_validation_block(p: &mut Parser) -> Result<ValidationConfig, ConfigError> {
     let open = p.expect_kind(TokKind::LBrace)?;
-    let mut metric: Option<Metric> = None;
+    let mut metric: Option<ErrorMetric> = None;
     let mut budget: Option<f64> = None;
     let mut cfg = ValidationConfig {
-        metric: Metric::Rmse,
+        metric: ErrorMetric::Rmse,
         budget: 0.0,
         rate: None,
         window: None,
@@ -855,7 +801,7 @@ fn parse_validation_block(p: &mut Parser) -> Result<ValidationConfig, ConfigErro
             "metric" => {
                 metric_once.set(line)?;
                 let (v, vline) = p.expect_word("metric")?;
-                metric = Some(Metric::parse(&v).ok_or(ConfigError {
+                metric = Some(ErrorMetric::from_word(&v).ok_or(ConfigError {
                     line: vline,
                     msg: format!("unknown metric '{v}' (use rmse/mape/max_abs)"),
                 })?);

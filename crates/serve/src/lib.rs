@@ -36,8 +36,6 @@ pub mod config;
 mod daemon;
 mod snapshot;
 
-pub use config::{
-    Config, ConfigError, DaemonConfig, Metric, Precision, RegionConfig, ValidationConfig,
-};
+pub use config::{Config, ConfigError, DaemonConfig, RegionConfig, ValidationConfig};
 pub use daemon::{ApplyReport, Daemon, DaemonBuilder, DaemonError, DaemonStats};
 pub use snapshot::RuntimeSnapshot;

@@ -24,10 +24,10 @@
 //! threads publish on their own; [`RuntimeSnapshot::retire`] returns once
 //! nothing is in flight and the region's database is flushed.
 
-use crate::config::{Config, DaemonConfig, Metric, Precision, RegionConfig, ValidationConfig};
+use crate::config::{Config, DaemonConfig, RegionConfig, ValidationConfig};
 use crate::daemon::DaemonError;
 use hpacml_core::{
-    BatchServer, CoreError, ErrorMetric, PrecisionPolicy, Region, RegionStats, Session,
+    BatchServer, CoreError, Precision, PrecisionPolicy, Region, RegionStats, Session,
     ValidationPolicy,
 };
 use hpacml_directive::sema::Bindings;
@@ -210,12 +210,7 @@ fn apply_precision(region: &Region, cfg: &RegionConfig) -> Result<(), CoreError>
 }
 
 fn validation_policy(v: &ValidationConfig) -> ValidationPolicy {
-    let metric = match v.metric {
-        Metric::Rmse => ErrorMetric::Rmse,
-        Metric::Mape => ErrorMetric::Mape,
-        Metric::MaxAbs => ErrorMetric::MaxAbs,
-    };
-    let mut policy = ValidationPolicy::new(metric, v.budget);
+    let mut policy = ValidationPolicy::new(v.metric, v.budget);
     if let Some(rate) = v.rate {
         policy = policy.with_sample_rate(rate);
     }

@@ -1,7 +1,8 @@
 //! The config grammar: full-surface parses, typed line-numbered errors,
 //! and canonical rendering.
 
-use hpacml_serve::{Config, Metric, Precision};
+use hpacml_core::{ErrorMetric, Precision};
+use hpacml_serve::Config;
 use std::time::Duration;
 
 #[test]
@@ -72,7 +73,7 @@ fn full_grammar_parses() {
     assert_eq!(r.precision, Precision::Int8);
     assert_eq!(r.calib_rows, Some(512));
     let v = r.validation.as_ref().unwrap();
-    assert_eq!(v.metric, Metric::Rmse);
+    assert_eq!(v.metric, ErrorMetric::Rmse);
     assert_eq!(v.budget, 0.05);
     assert_eq!(v.rate, Some(16));
     assert_eq!(v.window, Some(32));

@@ -1,9 +1,8 @@
 //! Property tests for the config parser: totality over garbage (never a
 //! panic) and parse→render→parse as the identity on valid configs.
 
-use hpacml_serve::config::{
-    Config, DaemonConfig, Metric, Precision, RegionConfig, ValidationConfig,
-};
+use hpacml_core::{ErrorMetric, Precision};
+use hpacml_serve::config::{Config, DaemonConfig, RegionConfig, ValidationConfig};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -65,7 +64,8 @@ fn sample_config(nregions: usize, knob: u64) -> Config {
         let salt = r as u64;
         let validation = if pick(salt, 3) == 0 {
             Some(ValidationConfig {
-                metric: [Metric::Rmse, Metric::Mape, Metric::MaxAbs][pick(salt + 1, 3) as usize],
+                metric: [ErrorMetric::Rmse, ErrorMetric::Mape, ErrorMetric::MaxAbs]
+                    [pick(salt + 1, 3) as usize],
                 budget: 0.001 * (1 + pick(salt + 2, 5000)) as f64,
                 rate: (pick(salt + 3, 2) == 0).then(|| 1 + pick(salt + 3, 64) as u32),
                 window: (pick(salt + 4, 2) == 0).then(|| 1 + pick(salt + 4, 128) as usize),

@@ -39,8 +39,10 @@
 //! reference kernel (`acc = acc + a*b`, no `mul_add`). Tiling only changes
 //! *which elements* are computed together, never the order of additions
 //! within an element, and `KC` slabs resume the same chain (partials are
-//! stored and reloaded exactly — f32/f64 round-trips are lossless). The
-//! result is therefore **bit-identical** across:
+//! stored and reloaded exactly — f32/f64 round-trips are lossless — and
+//! stored before a codec's finishing scale, which only the last slab
+//! applies; no epilogue reads `C` back). The result is therefore
+//! **bit-identical** across:
 //!
 //! * thread counts (parallelism splits rows/samples, never the `k` sum),
 //! * blocking parameters (`KC`, stripe sizes — the crate's tests sweep
@@ -52,7 +54,8 @@
 //! * the tile shape an element lands in: the narrow-N tiles below put other
 //!   *elements* side by side (16 rows × 8 lanes, or 16 rows on the lanes of
 //!   one column) but run the identical chain — `acc += a*w`, ascending `k`,
-//!   mul then add, then the shared epilogue — for each of them, and
+//!   mul then add, then the codec's finish and the shared epilogue — for
+//!   each of them, and
 //! * whether a layer runs alone or inside a [`NarrowChain`], which runs the
 //!   same chain per element with the rows on the lanes.
 //!
@@ -62,7 +65,7 @@
 //! |-------|-------|------|
 //! | `MR`  | 8   | rows per register tile (accumulator block height) |
 //! | `NR`  | 16  | columns per register tile and per packed panel |
-//! | `KC`  | 256 | k-depth per cache slab (`NR*KC` B-panel ≤ 16 KiB f32) |
+//! | `KC`  | 256 | k-depth per cache slab (`NR*KC` B-panel ≤ 16 KiB f32); a single row takes all of `k` as one slab |
 //! | `NARROW_N`  | 8  | widest `n` served by the narrow tiles, and their lane count |
 //! | `NARROW_MR` | 16 | rows per narrow tile |
 //! | `ROW_GROUP` | 4  | panels per single-row tile (`MR / M` per `M`-row tile, at most this) |
@@ -99,7 +102,8 @@
 //! layer's output. The rule is a pure function of the
 //! layer widths (`nn`'s forward applies it; a single narrow layer keeps
 //! the tiles above); each element still runs its layer's chain — `acc = 0`,
-//! `acc + a*w` in ascending `k`, then bias, then activation — so the bits
+//! `acc + a*w` in ascending `k`, then the codec's finish (int8: `× scale`),
+//! then bias, then activation — so the bits
 //! are those of the layers run one by one, at every precision, row count
 //! and pool width. Same process, 1 thread, 2-vCPU AVX-512 KVM guest, p50 of
 //! 300 alternating calls, output bits identical: `[65536,5]` · 5→8 + ReLU
@@ -133,6 +137,14 @@
 //! element, the same decode, slab resume and epilogue, so the bits do not
 //! change.
 //!
+//! A single row also walks `k` as **one slab** (`slab_depth`): a `KC`
+//! slab keeps a `B` panel in L1 for the next rows, and one row has none, so
+//! its slabs only cut each tile's `k` loop short — at `k = n = 4096`,
+//! 1 024 tile calls of 256 steps, each storing and reloading its 64
+//! partials, instead of 64 calls of 4 096. The default entry points choose
+//! the depth from `(m, k)`; the `_kc` hooks keep honouring an explicit one,
+//! so the tests still resume 1-row slabs.
+//!
 //! # Register tiles
 //!
 //! Whether a tile's accumulators stay in registers is up to the optimizer,
@@ -164,14 +176,25 @@
 //!
 //! There is one macro-kernel. Everything in it — operand checks, the stripe
 //! split, the `kc` slab loop, the `MR`/4/2/1 step-down and its panel
-//! grouping, the narrow tiles, the epilogue and the clipped store — is
-//! generic over a crate-private `PanelCodec`, whose only job is the `B`
-//! load: how one stored element of a packed panel (and its column's scale)
-//! becomes the value of `T` the accumulator chains consume. Full precision
-//! is the identity codec (the load itself); [`crate::quant`] supplies the
-//! bf16 and int8 ones. The chain after the load is the same code at every
-//! precision, so a reduced rung is bit-identical to this kernel run on its
-//! decoded weights.
+//! grouping, the narrow tiles, the narrow chain, the epilogue and the
+//! clipped store — is generic over a crate-private `PanelCodec`, which says
+//! the two things that differ between storage precisions: the `B` load (how
+//! one stored element of a packed panel becomes the value of `T` the
+//! accumulator chains multiply) and the finish (how a column's chain, after
+//! its last `k` and before bias and activation, becomes its output). Full
+//! precision is the identity codec (the load itself, no finish);
+//! [`crate::quant`] supplies the bf16 one (a shift, no finish) and the int8
+//! one (the stored integer as `f32`, then `× scale[j]` once per column:
+//! per-channel scaling after the accumulation, which spares every weight a
+//! multiply). The chain between load and finish is the same code at every
+//! precision; a bf16 rung is bit-identical to this kernel run on its
+//! decoded weights, an int8 rung to it run on the integers and then scaled.
+//! Same process, 1 thread, 2-vCPU AVX-512 KVM guest, p50 of 200 alternating
+//! calls, `m = 1, k = n = 4096` + bias + ReLU, bits asserted against each
+//! oracle: int8 1 470–1 660 µs, against 1 890–2 130 µs for every weight
+//! decoded to `q·scale` in `KC` slabs and 1 810–2 190 µs for bf16 (seven
+//! runs; the test `int8_against_decode_scaled_int8_and_bf16_same_process`
+//! in `quant` prints them).
 
 use crate::scalar::Scalar;
 use crate::tensor::Tensor;
@@ -189,6 +212,19 @@ pub(crate) const NR: usize = 16;
 /// `k`-depth of one cache slab. One `B` panel slab is `NR * KC` elements
 /// (16 KiB at f32), sized to stay L1-resident while a C stripe is swept.
 pub(crate) const KC: usize = 256;
+
+/// The slab depth the default entry points use for an `[m, k]` left-hand
+/// side: [`KC`], except that a single row walks all of `k` as one slab. A
+/// slab pays off only when several rows reuse it, and one row reuses
+/// nothing, so its slabs bought only tile calls (module docs, *Batch-1
+/// rows*). A pure function of `(m, k)`; slabs never change a bit.
+pub(crate) fn slab_depth(m: usize, k: usize) -> usize {
+    if m == 1 {
+        k.max(1)
+    } else {
+        KC
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Parallel blocking heuristic (shared by matmul / conv / gemm)
@@ -498,16 +534,32 @@ fn panel_scales<T: Scalar>(scales: &[T], j0: usize) -> [T; NR] {
 // Panel codecs
 // ---------------------------------------------------------------------------
 
-/// How one stored `B`-panel element becomes the value the accumulator
-/// chains consume — the only thing that differs between storage precisions
-/// (see the module docs). `scale` is the element's column scale (`1` for a
-/// codec without a scale table). A pure per-element function, so the tiles
-/// decode whole rows, or several panels' rows side by side, with one flat
-/// loop; implementations are `#[inline(always)]`.
+/// What differs between storage precisions (see the module docs): how one
+/// stored `B`-panel element becomes the value the accumulator chains
+/// multiply, and how a column's finished chain becomes its output. `scale`
+/// is the element's column scale (`1` for a codec without a scale table).
+/// Both are pure per-element functions, so the tiles decode whole rows, or
+/// several panels' rows side by side, with one flat loop; implementations
+/// are `#[inline(always)]`.
 pub(crate) trait PanelCodec<T: Scalar> {
     /// Stored element type.
     type Q: Copy + Send + Sync;
+    /// Whether a column's finished chain is multiplied by its scale (int8:
+    /// the chain runs on the stored integers), or is the output as it stands.
+    const SCALED: bool = false;
     fn decode(raw: Self::Q, scale: T) -> T;
+    /// A column's chain after its last `k`, ahead of bias and activation:
+    /// `acc * scale` for a [`SCALED`](Self::SCALED) codec, `acc` otherwise.
+    /// Only the last slab applies it, so the partials that cross `KC` slabs
+    /// in `C` are unscaled.
+    #[inline(always)]
+    fn finish(acc: T, scale: T) -> T {
+        if Self::SCALED {
+            acc * scale
+        } else {
+            acc
+        }
+    }
 }
 
 /// Full precision: the stored element *is* the decoded value.
@@ -527,6 +579,15 @@ fn decode_row<T: Scalar, C: PanelCodec<T>>(raw: &[C::Q; NR], scales: &[T; NR]) -
     std::array::from_fn(|j| C::decode(raw[j], scales[j]))
 }
 
+/// A row of finished chains through their columns' [`PanelCodec::finish`]
+/// (`scales[j]` is lane `j`'s column scale): a no-op but on a scaled codec.
+#[inline(always)]
+fn finish_row<T: Scalar, C: PanelCodec<T>, const W: usize>(v: &mut [T; W], scales: &[T]) {
+    for (x, &s) in v.iter_mut().zip(scales) {
+        *x = C::finish(*x, s);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Micro-kernel
 // ---------------------------------------------------------------------------
@@ -535,7 +596,10 @@ fn decode_row<T: Scalar, C: PanelCodec<T>>(raw: &[C::Q; NR], scales: &[T; NR]) -
 /// Measured basis, 1-panel → 4-panel tile (`m = 1, k = n = 4096`,
 /// 1 thread, 2-vCPU AVX-512 KVM guest, p50 of 300 calls, median of five
 /// alternating runs, output bits identical): int8 2.15 → 1.44 ms, bf16
-/// 2.35 → 1.29 ms, f32 2.8–3.0 → 2.61 ms.
+/// 2.35 → 1.29 ms, f32 2.8–3.0 → 2.61 ms, with `k` in `KC` slabs and int8
+/// decoding every weight to `q·scale`. Since a single row walks `k` as one
+/// slab and int8 scales after the chain, the int8 tile is faster than the
+/// bf16 one (module docs, *Panel codecs*, for its same-process A/B).
 const ROW_GROUP: usize = 4;
 
 /// The register-tiled micro-kernel: an `M`-row accumulator tile over `P`
@@ -547,7 +611,9 @@ const ROW_GROUP: usize = 4;
 ///   panel `q`'s stored rows from the slab's first, at least `klen·NR` long.
 /// * `cols` counts the tile's live columns across all `P` panels (only the
 ///   last may be ragged); `accumulate` resumes a previous slab's partials
-///   from `c`; `finish` applies the epilogue (only on the last slab).
+///   from `c`; `finish` applies the codec's [`PanelCodec::finish`] and the
+///   epilogue (only on the last slab: earlier slabs store their partials
+///   unscaled).
 ///
 /// Every `acc[i][q][j]` is one add-chain in ascending `kk` — the
 /// determinism contract of the module — so how many rows or panels share a
@@ -626,6 +692,7 @@ fn micro_tile<T: Scalar, C: PanelCodec<T>, const M: usize, const P: usize>(
             let (j0, w) = (q * NR, cols.saturating_sub(q * NR).min(NR));
             let mut v = [v];
             if let Some((epi, row0, col0)) = finish {
+                finish_row::<T, C, NR>(&mut v[0], &scales[q]);
                 finish_tile(&mut v, epi, row0 + i, col0 + j0, w);
             }
             let [v] = v;
@@ -751,8 +818,9 @@ const NARROW_MR: usize = 2 * MR;
 ///   lanes against the head of the panel.
 /// * `n == 1`: [`column_tile`], rows on the SIMD axis.
 ///
-/// Both keep one ascending-`k` `acc += a*w` chain per element and apply the
-/// epilogue through [`finish_tile`], so the bits equal the panel sweep's.
+/// Both keep one ascending-`k` `acc += a*w` chain per element, finish it
+/// through the codec ([`PanelCodec::finish`]) and apply the epilogue through
+/// [`finish_tile`], so the bits equal the panel sweep's.
 // allow: GEMM kernel plumbing — dims, panel slices and strides stay
 // individual scalars so they live in registers through the tile loops.
 #[allow(clippy::too_many_arguments)]
@@ -795,9 +863,9 @@ fn narrow_blocks<T: Scalar, C: PanelCodec<T>>(
 /// the whole (single-slab) `k`. `a` is the block's `NARROW_MR × k` rows,
 /// `panel[kk * NR ..]` the stored `B` row `kk`, `c` the block's contiguous
 /// `NARROW_MR × n` outputs. Same chain per element as [`micro_tile`]
-/// (`acc += a * w`, ascending `kk`, mul then add) on the first `NARROW_N`
-/// decoded lanes; lanes past `n` multiply the panel's zero padding and are
-/// dropped by the store.
+/// (`acc += a * w`, ascending `kk`, mul then add, then the codec's finish)
+/// on the first `NARROW_N` decoded lanes; lanes past `n` multiply the
+/// panel's zero padding and are dropped by the store.
 // allow: GEMM kernel plumbing — dims, panel slices and strides stay
 // individual scalars so they live in registers through the tile loops.
 #[allow(clippy::too_many_arguments)]
@@ -833,6 +901,9 @@ fn narrow_tile<T: Scalar, C: PanelCodec<T>>(
     // stored row by row: as one 512-byte copy the store was a `memcpy` call
     // whose cost moved with the frame's alignment from build to build.
     let mut tile = acc;
+    for row in &mut tile {
+        finish_row::<T, C, NARROW_N>(row, scales);
+    }
     finish_tile(&mut tile, epi, row0, 0, n);
     if n == NARROW_N {
         for (crow, trow) in c.chunks_exact_mut(NARROW_N).zip(&tile) {
@@ -869,6 +940,9 @@ fn column_tile<T: Scalar, C: PanelCodec<T>>(
         for (v, row) in acc[0].iter_mut().zip(&rows) {
             *v += row[kk] * wv;
         }
+    }
+    for v in &mut acc[0] {
+        *v = C::finish(*v, scales[0]);
     }
     finish_tile(&mut acc, epi_t, 0, lane0, NARROW_MR);
     c.copy_from_slice(&acc[0]);
@@ -937,8 +1011,9 @@ impl<'a> NarrowStage<'a> {
         }
     }
 
-    /// Decode the layer's `k` weight rows into `dst` (`dst.len() == k`).
-    fn decode_into(&self, dst: &mut [WeightRow]) {
+    /// Decode the layer's `k` weight rows into `dst` (`dst.len() == k`);
+    /// returns the per-feature scales its codec finishes with, if it has any.
+    fn decode_into(&self, dst: &mut [WeightRow]) -> Option<WeightRow> {
         match self.weights {
             StageWeights::F32(p) => decode_rows::<f32, Identity>(p.view(), dst),
             StageWeights::Quant(q) => q.decode_narrow_rows(dst),
@@ -949,16 +1024,18 @@ impl<'a> NarrowStage<'a> {
 /// Decode the first [`NARROW_N`] lanes of every row of a single-panel
 /// (`n ≤ NARROW_N`) pack through its codec — the values [`narrow_tile`] and
 /// [`micro_tile`] feed their chains, so a chain layer multiplies the same
-/// f32 weights the per-layer kernels do.
+/// f32 weights the per-layer kernels do. Returns the lanes' scales when the
+/// codec is [`PanelCodec::SCALED`]: the multipliers its `finish` applies.
 pub(crate) fn decode_rows<T: Scalar, C: PanelCodec<T>>(
     b: Panels<'_, T, C::Q>,
     dst: &mut [[T; NARROW_N]],
-) {
+) -> Option<[T; NARROW_N]> {
     let scales = panel_scales(b.scales, 0);
     let rows = &b.data.as_chunks::<NR>().0[..dst.len()];
     for (d, raw) in dst.iter_mut().zip(rows) {
         *d = std::array::from_fn(|j| C::decode(raw[j], scales[j]));
     }
+    C::SCALED.then(|| std::array::from_fn(|j| scales[j]))
 }
 
 /// A run of consecutive narrow `Linear` layers served **depth-first**: each
@@ -973,10 +1050,11 @@ pub(crate) fn decode_rows<T: Scalar, C: PanelCodec<T>>(
 /// one bias per output, and reads the previous layer's `n` (the first:
 /// `1 ≤ k ≤ 256` inputs, one cache slab), up to eight layers; anything else
 /// ends the chain. Every output element keeps the per-layer chain — `acc = 0`,
-/// `acc + a*w` in ascending `k` (mul, then add), then bias, then activation,
-/// through the shared epilogue — on the weights the layer's codec decodes, so the
-/// result is bit-identical to running the layers one by one, at every
-/// precision, row count and pool width.
+/// `acc + a*w` in ascending `k` (mul, then add), then the codec's scale
+/// (int8), then bias, then activation, through the shared epilogue — on the
+/// weights the layer's codec decodes, so the result is bit-identical to
+/// running the layers one by one, at every precision, row count and pool
+/// width.
 pub struct NarrowChain<'a> {
     stages: [Option<NarrowStage<'a>>; CHAIN_MAX],
     len: usize,
@@ -1027,16 +1105,17 @@ impl<'a> NarrowChain<'a> {
             k0,
             w0: [[0.0; NARROW_N]; KC],
             w: [[[0.0; NARROW_N]; NARROW_N]; CHAIN_MAX],
+            scale: [None; CHAIN_MAX],
             n: [0; CHAIN_MAX],
             bias: [&[]; CHAIN_MAX],
             act: [None; CHAIN_MAX],
         };
         for (s, stage) in self.stages[..self.len].iter().flatten().enumerate() {
             let (k, n) = stage.dims();
-            match s {
+            plan.scale[s] = match s {
                 0 => stage.decode_into(&mut plan.w0[..k]),
                 _ => stage.decode_into(&mut plan.w[s][..k]),
-            }
+            };
             (plan.n[s], plan.bias[s], plan.act[s]) = (n, stage.bias, stage.act);
         }
         let n = plan.n[self.len - 1];
@@ -1065,6 +1144,8 @@ struct ChainPlan<'a> {
     w0: [WeightRow; KC],
     /// Layer `s ≥ 1`'s weight rows (`w[s][..k]`, `k` = layer `s - 1`'s `n`).
     w: [[WeightRow; NARROW_N]; CHAIN_MAX],
+    /// Layer `s`'s per-feature finishing scales, if its codec has them.
+    scale: [Option<WeightRow>; CHAIN_MAX],
     n: [usize; CHAIN_MAX],
     bias: [&'a [f32]; CHAIN_MAX],
     act: [Option<Act>; CHAIN_MAX],
@@ -1114,12 +1195,21 @@ macro_rules! by_width {
 fn chain_block(a: &[f32], plan: &ChainPlan<'_>, c: &mut [f32]) {
     let w0 = &plan.w0[..plan.k0];
     let epi = |s: usize| Epilogue::row_bias(plan.bias[s]).with_act(plan.act[s]);
-    let mut h = [[0.0f32; NARROW_MR]; NARROW_N];
-    let mut g = [[0.0f32; NARROW_MR]; NARROW_N];
-    by_width!(plan.n[0], first_layer(a, w0, &epi(0), &mut h));
+    let scale = |s: usize| plan.scale[s].as_ref();
+    // The layers hand their tiles on by swapping references: swapping the
+    // 512-byte tiles themselves stalled on their stack stores, by up to
+    // 15 % of `stencil_step` in some builds and not in others.
+    let (mut h, mut g) = (
+        &mut [[0.0f32; NARROW_MR]; NARROW_N],
+        &mut [[0.0f32; NARROW_MR]; NARROW_N],
+    );
+    by_width!(plan.n[0], first_layer(a, w0, scale(0), &epi(0), h));
     for s in 1..plan.len {
         let k = plan.n[s - 1];
-        by_width!(plan.n[s], next_layer(&h, &plan.w[s][..k], &epi(s), &mut g));
+        by_width!(
+            plan.n[s],
+            next_layer(h, &plan.w[s][..k], scale(s), &epi(s), g)
+        );
         std::mem::swap(&mut h, &mut g);
     }
     let n = plan.n[plan.len - 1];
@@ -1127,7 +1217,7 @@ fn chain_block(a: &[f32], plan: &ChainPlan<'_>, c: &mut [f32]) {
         c.copy_from_slice(&h[0]);
     } else {
         for (r, crow) in c.chunks_exact_mut(n).enumerate() {
-            for (v, hj) in crow.iter_mut().zip(&h) {
+            for (v, hj) in crow.iter_mut().zip(h.iter()) {
                 *v = hj[r];
             }
         }
@@ -1136,7 +1226,7 @@ fn chain_block(a: &[f32], plan: &ChainPlan<'_>, c: &mut [f32]) {
 
 /// The chain's first layer on one block: `N` features of the
 /// `NARROW_MR × k` row-major inputs `a` against the `k` decoded weight rows
-/// `w`, into `h[..N]`.
+/// `w` (finished with `scale` when the layer's codec has one), into `h[..N]`.
 ///
 /// The *Register tiles* rules, transposed: each `k` step reads the block's
 /// column `kk` into one row-lanes vector, and the loop over the
@@ -1147,6 +1237,7 @@ fn chain_block(a: &[f32], plan: &ChainPlan<'_>, c: &mut [f32]) {
 fn first_layer<const N: usize>(
     a: &[f32],
     w: &[WeightRow],
+    scale: Option<&WeightRow>,
     epi: &Epilogue<'_, f32>,
     h: &mut Hidden,
 ) {
@@ -1157,7 +1248,7 @@ fn first_layer<const N: usize>(
         let av: Lanes = std::array::from_fn(|r| rows[r][kk]);
         rank1(&mut acc, &av, wrow);
     }
-    finish_into(acc, epi, h);
+    finish_into(acc, scale, epi, h);
 }
 
 /// A later layer on one block: `N` features from the previous layer's
@@ -1168,6 +1259,7 @@ fn first_layer<const N: usize>(
 fn next_layer<const N: usize>(
     h: &Hidden,
     w: &[WeightRow],
+    scale: Option<&WeightRow>,
     epi: &Epilogue<'_, f32>,
     g: &mut Hidden,
 ) {
@@ -1175,7 +1267,7 @@ fn next_layer<const N: usize>(
     for (av, wrow) in h.iter().zip(w) {
         rank1(&mut acc, av, wrow);
     }
-    finish_into(acc, epi, g);
+    finish_into(acc, scale, epi, g);
 }
 
 /// One `k` step of a chain layer: `acc[j][r] += a[r] * w[j]`, rows outer.
@@ -1189,15 +1281,27 @@ fn rank1<const N: usize>(acc: &mut [Lanes; N], a: &Lanes, w: &WeightRow) {
     }
 }
 
-/// Bias and activation on a copy of a layer's accumulators, one feature
-/// at a time (a feature is one row-lanes vector, its bias one value: a row
-/// bias of a 1-row tile, as in [`column_tile`]), stored into `h[..N]`.
+/// The codec's scale (if `scale` holds one), bias and activation on a copy
+/// of a layer's accumulators, one feature at a time (a feature is one
+/// row-lanes vector, its scale and bias one value each: as in
+/// [`column_tile`], a row bias of a 1-row tile), stored into `h[..N]`.
 /// Finished as one `N`-row tile instead, the epilogue vectorized across the
 /// features, through gathers and scatters.
 #[inline(always)]
-fn finish_into<const N: usize>(acc: [Lanes; N], epi: &Epilogue<'_, f32>, h: &mut Hidden) {
+fn finish_into<const N: usize>(
+    acc: [Lanes; N],
+    scale: Option<&WeightRow>,
+    epi: &Epilogue<'_, f32>,
+    h: &mut Hidden,
+) {
     for (j, (&lanes, hj)) in acc.iter().zip(h.iter_mut()).enumerate() {
         let mut tile = [lanes];
+        if let Some(scale) = scale {
+            // A scaled codec's `PanelCodec::finish`: `acc * scale`.
+            for v in &mut tile[0] {
+                *v *= scale[j];
+            }
+        }
         finish_tile(&mut tile, epi, j, 0, NARROW_MR);
         *hj = tile[0];
     }
@@ -1209,10 +1313,10 @@ fn finish_into<const N: usize>(acc: [Lanes; N], epi: &Epilogue<'_, f32>, h: &mut
 
 /// `C[m, n] = epilogue(A · B)` over a row-major `A` (`[m, k]`, read in
 /// place) and a packed `B` (`[k, n]`), parallelized over row stripes with
-/// the default [`KC`] slab depth. `c` must be a row-major `[m, n]` slice;
-/// every element is overwritten. Panics on operand/size mismatches
-/// (callers validate shapes; the tensor-level wrappers return errors
-/// instead).
+/// the default slab depth ([`slab_depth`]). `c` must be a row-major
+/// `[m, n]` slice; every element is overwritten. Panics on operand/size
+/// mismatches (callers validate shapes; the tensor-level wrappers return
+/// errors instead).
 pub(crate) fn gemm_into<T: Scalar>(
     m: usize,
     a: &[T],
@@ -1220,7 +1324,8 @@ pub(crate) fn gemm_into<T: Scalar>(
     epi: Epilogue<'_, T>,
     c: &mut [T],
 ) {
-    gemm_driver::<T, Identity>(m, b.n(), b.k(), a, b.view(), epi, c, KC)
+    let kc = slab_depth(m, b.k());
+    gemm_driver::<T, Identity>(m, b.n(), b.k(), a, b.view(), epi, c, kc)
 }
 
 /// The one macro-kernel driver, at every storage precision: checks the
@@ -1446,7 +1551,8 @@ pub fn matmul_transb_packed_into<T: Scalar>(
     epi: Epilogue<'_, T>,
     c: &mut Tensor<T>,
 ) -> Result<()> {
-    matmul_transb_packed_into_kc(a, bp, epi, c, KC)
+    let kc = slab_depth(a.dims().first().copied().unwrap_or(0), bp.k());
+    matmul_transb_packed_into_kc(a, bp, epi, c, kc)
 }
 
 /// [`matmul_transb_packed_into`] with an explicit cache-slab depth — the
@@ -1708,6 +1814,64 @@ mod tests {
                         }
                     });
                 }
+            }
+        }
+    }
+
+    /// A single row walks `k` as one slab in the default entry points
+    /// (`slab_depth`); the `_kc` hooks still resume explicit slabs. Both
+    /// give the same bits at every precision, with `k` four default slabs
+    /// and a ragged one deep, against grouped and ragged panels.
+    #[test]
+    fn single_row_default_slab_equals_every_kc() {
+        use crate::quant::{
+            matmul_transb_qpacked_into, matmul_transb_qpacked_into_kc, Precision, QPackedB,
+        };
+        type Run<'a> = &'a dyn Fn(Option<usize>, &mut Tensor<f32>);
+        let (k, n) = (4 * KC + 3, 136usize);
+        assert_eq!(slab_depth(1, k), k);
+        assert_eq!(slab_depth(2, k), KC);
+        let a = Tensor::from_vec(lcg(51, k), [1, k]).unwrap();
+        let bt = Tensor::from_vec(lcg(52, n * k), [n, k]).unwrap();
+        let bp = PackedB::from_transb(&bt).unwrap();
+        let q16 = QPackedB::from_transb(&bt, Precision::Bf16).unwrap();
+        let q8 = QPackedB::from_transb(&bt, Precision::Int8).unwrap();
+        let bias = lcg(53, n);
+        let epi = Epilogue::col_bias(&bias).with_act(Some(Act::Tanh));
+        let f32_run: Run = &|kc, c| match kc {
+            None => matmul_transb_packed_into(&a, &bp, epi, c).unwrap(),
+            Some(kc) => matmul_transb_packed_into_kc(&a, &bp, epi, c, kc).unwrap(),
+        };
+        let gemm_into_run: Run = &|kc, c| {
+            c.resize(&[1, n]);
+            match kc {
+                None => gemm_into(1, a.data(), &bp, epi, c.data_mut()),
+                Some(kc) => {
+                    let c = c.data_mut();
+                    gemm_driver::<f32, Identity>(1, n, k, a.data(), bp.view(), epi, c, kc)
+                }
+            }
+        };
+        let bf16_run: Run = &|kc, c| match kc {
+            None => matmul_transb_qpacked_into(&a, &q16, epi, c).unwrap(),
+            Some(kc) => matmul_transb_qpacked_into_kc(&a, &q16, epi, c, kc).unwrap(),
+        };
+        let int8_run: Run = &|kc, c| match kc {
+            None => matmul_transb_qpacked_into(&a, &q8, epi, c).unwrap(),
+            Some(kc) => matmul_transb_qpacked_into_kc(&a, &q8, epi, c, kc).unwrap(),
+        };
+        for (rung, run) in [
+            ("f32", f32_run),
+            ("f32 gemm_into", gemm_into_run),
+            ("bf16", bf16_run),
+            ("int8", int8_run),
+        ] {
+            let mut base = Tensor::zeros([0usize; 2]);
+            run(None, &mut base);
+            for kc in [1usize, 7, KC] {
+                let mut c = Tensor::zeros([0usize; 2]);
+                run(Some(kc), &mut c);
+                assert_eq!(c.data(), base.data(), "{rung}: kc={kc} against one slab");
             }
         }
     }

@@ -1,18 +1,22 @@
 //! Property tests for the quantized GEMM: over random `(m, n, k)` shapes,
-//! the bf16 and int8 kernels must reproduce a *dequantize-then-reference*
-//! oracle **bit for bit** — not within a tolerance. Quantization loses
-//! information exactly once, at pack time: each stored weight decodes to
-//! one canonical f32, and from there the kernel is the same ascending-`k`
-//! f32 accumulator chain the full-precision GEMM runs. So the naive loop
-//! over `qb.dequant(j, kk)` is the complete semantics of the fast path.
+//! the bf16 and int8 kernels must reproduce a naive oracle **bit for bit** —
+//! not within a tolerance. Quantization loses information exactly once, at
+//! pack time: each stored weight decodes to one canonical f32
+//! (`qb.chain_weight(j, kk)`: the bf16 value, or the int8 integer), the
+//! kernel runs the same ascending-`k` f32 accumulator chain the
+//! full-precision GEMM runs, and multiplies the finished chain by its
+//! column's scale (`qb.col_scale(j)`: int8's, `1` for bf16). So the naive
+//! integer-weight chain, then `× scale`, then bias and activation, is the
+//! complete semantics of the fast path.
 
 use hpacml_tensor::gemm::{Act, Bias, Epilogue};
 use hpacml_tensor::quant::{self, QPackedB};
 use hpacml_tensor::{Precision, Tensor};
 use proptest::prelude::*;
 
-/// Naive reference over the *dequantized* weights: one accumulator per
-/// element, ascending `k`, bias then activation.
+/// Naive reference: one accumulator per element over the weights the chain
+/// multiplies, ascending `k`, then the column scale (`x * 1.0 == x` for
+/// bf16), then bias, then activation.
 fn reference(
     m: usize,
     n: usize,
@@ -26,8 +30,9 @@ fn reference(
         for j in 0..n {
             let mut acc = 0.0f32;
             for kk in 0..k {
-                acc += a[i * k + kk] * qb.dequant(j, kk);
+                acc += a[i * k + kk] * qb.chain_weight(j, kk);
             }
+            acc *= qb.col_scale(j);
             acc = match epi.bias {
                 Bias::None => acc,
                 Bias::Col(bias) => acc + bias[j],
@@ -122,12 +127,24 @@ proptest! {
 
     /// Correct, not only reproducible. The decode: every stored weight is
     /// within half a quantization step of the weight it was packed from
-    /// (int8: `½·scale[j]` with `scale[j] = absmax_j / 127`; bf16: half a
-    /// bf16 ulp of `w`, 8 significand bits) — so a wrong-but-deterministic
-    /// codec cannot pass by agreeing with itself. The sum: every output is
-    /// within `(k+1)·ε·Σ|a||ŵ|` of the f64 sum over the decoded weights `ŵ`
-    /// (an f32 chain of `k` mul+add steps errs by at most `γ_k ≈ k·ε`,
-    /// ε = 2⁻²⁴; `k + 1` covers the bias add).
+    /// (int8: `q·scale[j]` within `½·scale[j]`, `scale[j] = absmax_j / 127`;
+    /// bf16: half a bf16 ulp of `w`, 8 significand bits) — so a
+    /// wrong-but-deterministic codec cannot pass by agreeing with itself.
+    ///
+    /// The sum: every output `ĉ = fl(fl(ŝ · scale) + b)`, with `ŝ` the f32
+    /// chain over the stored weights `q` (int8 integers, bf16 values), is
+    /// within `(k+2)·ε·(|b| + Σ|a·q·scale|)` of the f64 sum
+    /// `b + Σ a·q·scale` (ε = 2⁻²⁴, the f32 unit roundoff). Each product
+    /// `a·q` enters `ŝ` through at most `k` roundings (its multiply and the
+    /// adds after it), so `|ŝ − Σ a·q| ≤ γ_k·Σ|a·q|` with `γ_k ≈ k·ε`; the
+    /// scale multiply rounds once more and the bias add once more, so every
+    /// term carries at most `k + 2` roundings and `b` one: `γ_{k+2}`. The
+    /// scale multiply is the one rounding the old decode-then-chain int8
+    /// rung did not have; it traded away the `k` roundings of decoding each
+    /// weight to `q·scale`, which that rung's bound never counted because
+    /// it summed the decoded f32 weights. bf16 multiplies by `1.0`, exactly,
+    /// so it is held to `(k+1)·ε`. The `1.01` absorbs the f64 sum's own
+    /// rounding and `γ`'s higher-order terms.
     #[test]
     fn quantized_gemm_is_within_the_f64_oracle_bound((m, n, k, seed) in shape()) {
         let a = values(m * k, seed);
@@ -147,7 +164,7 @@ proptest! {
                         Precision::Bf16 => f32::from_bits(w.to_bits() & 0x7F80_0000) / 256.0,
                         _ => 0.5 * (absmax / 127.0) * (1.0 + 1e-4), // f32 rounding of w/s, q·s
                     };
-                    let err = (w - qb.dequant(j, kk)).abs();
+                    let err = (w - qb.chain_weight(j, kk) * qb.col_scale(j)).abs();
                     prop_assert!(
                         err <= half_step,
                         "{:?} w[{}, {}] = {}: decode error {:e} > {:e}",
@@ -160,13 +177,15 @@ proptest! {
             for i in 0..m {
                 for (j, &b) in bias.iter().enumerate() {
                     let (mut exact, mut mag) = (f64::from(b), f64::from(b).abs());
+                    let scale = f64::from(qb.col_scale(j));
                     for kk in 0..k {
-                        let p = f64::from(a[i * k + kk]) * f64::from(qb.dequant(j, kk));
+                        let p = f64::from(a[i * k + kk]) * f64::from(qb.chain_weight(j, kk)) * scale;
                         exact += p;
                         mag += p.abs();
                     }
                     let err = (f64::from(c.data()[i * n + j]) - exact).abs();
-                    let bound = (k + 1) as f64 * eps * mag * 1.01;
+                    let roundings = if prec == Precision::Int8 { k + 2 } else { k + 1 };
+                    let bound = roundings as f64 * eps * mag * 1.01;
                     prop_assert!(
                         err <= bound,
                         "{:?} ({}, {}) of [{}, {}]·[{}, {}]: |{} - {}| = {:e} > {:e}",
