@@ -16,10 +16,10 @@
 //!    strided view against the array (bounds, strides, feature columns,
 //!    overflow) and its classification into contiguous runs for the copy
 //!    kernel; no wrapper object outlives [`compile`];
-//! 4. **Tensor composition** — the fused interleaved gather
-//!    ([`CompiledMap::gather_batch_into`]): every slice's runs land directly
-//!    at their feature columns of the LHS tensor in one pass, so flatten,
-//!    concatenate and reshape never materialize.
+//! 4. **Tensor composition** — the row gather
+//!    ([`CompiledMap::gather_batch_into`]): each sweep point's features,
+//!    from every slice, land as one row of the LHS tensor in one store, so
+//!    flatten, concatenate and reshape never materialize.
 //!
 //! The `from` direction reuses steps 1–3 and *scatters* instead of composing
 //! ([`CompiledMap::scatter_batch`]), exactly as §IV-A describes.

@@ -13,25 +13,34 @@
 //! dimensions hold exactly the feature columns the LHS reserves for it) with
 //! checked arithmetic — bindings and directive strings come from config
 //! text, so an address or extent that overflows is a typed error — and
-//! classifies it for the tensor layer's run-length copy kernel: per sweep
-//! point, `run` contiguous elements at `offset + Σ idx·stride`, landing at
-//! feature column `col`. A point slice is a run of 1, `[i, j-1:j+2]` a run
-//! of 3; a non-contiguous (stepped) feature range is unrolled into
-//! single-element runs here, once. Adjacent sweep axes that every view
-//! steps through contiguously are merged (a full-array identity map walks
-//! one axis: a single `memcpy`). Gather and scatter then make **one fused
-//! pass** per sample: the outer axes are walked once, and at each position
-//! every view's runs along the innermost axis are copied into (or out of)
-//! that position's block of LHS rows, so the block is written while it is
-//! cache-resident by all slices together rather than once per slice — with
-//! no shape analysis, division or allocation per call.
+//! classifies it into views: per sweep point, `run` contiguous elements at
+//! `offset + Σ idx·stride`, landing at feature column `col`. A point slice
+//! is a run of 1, `[i, j-1:j+2]` a run of 3; a non-contiguous (stepped)
+//! feature range is unrolled into single-element runs here, once. Adjacent
+//! sweep axes that every view steps through contiguously are merged (a
+//! full-array identity map walks one axis). The views are then expanded
+//! once more, for the gather, into one source per feature column.
+//!
+//! Both directions walk the outer axes once per sample, with no shape
+//! analysis, division or allocation per call, and differ in what they
+//! write in one step:
+//!
+//! - The gather writes **one row per point**: at each outer position, each
+//!   sweep point's `feat_total` features land with one fixed-width store
+//!   (`tensor::gather_rows_raw`), every LHS line written once. When each
+//!   position's block is one contiguous run of the array (identity maps,
+//!   row functors) it is one copy, and a batch of samples that are each
+//!   their whole array is one copy for the batch.
+//! - The scatter writes **runs**, view by view: its writes into the
+//!   application array are contiguous, and where views overlap the later
+//!   one wins.
 
 use crate::extract::extract;
 use crate::resolve::{resolve_slice, resolve_sweep, ResolvedView};
 use crate::{BridgeError, Result};
 use hpacml_directive::ast::{Direction, MapDirective};
 use hpacml_directive::sema::{Bindings, FunctorInfo, LhsDim};
-use hpacml_tensor::{gather_chunks_raw, scatter_chunks_raw, Tensor};
+use hpacml_tensor::{gather_rows_raw, scatter_chunks_raw, Tensor};
 
 /// Element-count threshold, over the whole batch, above which batched
 /// gather/scatter parallelize over the leading (sample) dimension; smaller
@@ -48,13 +57,14 @@ const MAX_SWEEP_RANK: usize = 16;
 /// `offset + Σ idx[a] · stride[a]` (the strides live, view-major, in
 /// [`CompiledMap::view_strides`]), landing at feature column `col` of that
 /// point's LHS row. Bounds and shape are checked once in [`compile`], so
-/// every later gather/scatter runs the run-length copy kernel with no
-/// per-call shape analysis, view construction or allocation.
+/// every later scatter runs the run-length copy kernel — and every gather
+/// the row kernel, on the views expanded per feature — with no per-call
+/// shape analysis, view construction or allocation.
 #[derive(Debug, Clone)]
 struct CompiledView {
     offset: usize,
-    /// Contiguous elements per sweep point — the kernel class (the tensor
-    /// layer copies runs of 1..=4 with a compile-time length).
+    /// Contiguous elements per sweep point — the scatter kernel's class
+    /// (the tensor layer copies runs of 1..=4 with a compile-time length).
     run: usize,
     /// Feature column of the run inside one sweep row.
     col: usize,
@@ -93,6 +103,16 @@ pub struct CompiledMap {
     /// `walk_counts.len()` entries per view, outermost axis first (the last
     /// one is the copy kernel's source step).
     view_strides: Vec<usize>,
+    /// The views expanded for the gather: the array offset of every
+    /// feature column at walk position zero, in column order.
+    feat_offsets: Vec<usize>,
+    /// Every feature column's strides, laid out like `view_strides`.
+    feat_strides: Vec<usize>,
+    /// Whether each outer position's LHS block is one contiguous run of
+    /// the array — consecutive feature offsets, one set of strides, and
+    /// an inner step of `feat_total` (identity maps, row functors) — so
+    /// the gather copies it in one piece.
+    block_copy: bool,
 }
 
 impl CompiledMap {
@@ -120,24 +140,15 @@ impl CompiledMap {
     }
 
     /// Walk the outer axes once, in row-major order, and hand `f` every
-    /// view's innermost-axis row at every outer position:
-    /// `f(row, view, base, step)` with `row` the linear outer position,
-    /// `base` the flat array offset of the view's first run there and `step`
-    /// its stride along the inner axis. Allocation-free.
+    /// position: `f(row, idx)` with `row` the linear outer position and
+    /// `idx` its multi-index. Allocation-free.
     #[inline]
-    fn for_each_view_row(&self, mut f: impl FnMut(usize, &CompiledView, usize, usize)) {
-        let rank = self.walk_counts.len();
-        let outer = &self.walk_counts[..rank - 1];
+    fn for_each_outer(&self, mut f: impl FnMut(usize, &[usize])) {
+        let outer = &self.walk_counts[..self.walk_counts.len() - 1];
         let mut idx = [0usize; MAX_SWEEP_RANK];
         let idx = &mut idx[..outer.len()];
         for row in 0..outer.iter().product() {
-            for (cv, strides) in self.views.iter().zip(self.view_strides.chunks_exact(rank)) {
-                let base = idx
-                    .iter()
-                    .zip(strides)
-                    .fold(cv.offset, |o, (i, s)| o + i * s);
-                f(row, cv, base, strides[rank - 1]);
-            }
+            f(row, idx);
             // Odometer step over the outer axes.
             for axis in (0..outer.len()).rev() {
                 idx[axis] += 1;
@@ -149,46 +160,71 @@ impl CompiledMap {
         }
     }
 
-    /// Gather one sample into its `[sweep..., features]` chunk in a single
-    /// fused pass: walk the outer axes once and, per position, copy every
-    /// view's runs along the innermost axis into that position's
-    /// (cache-resident) block of LHS rows — each destination line is
-    /// written once, by all slices, instead of once per slice.
+    /// Gather one sample into its `[sweep..., features]` chunk: walk the
+    /// outer axes once and, per position, write each of the block's
+    /// `inner` LHS rows with one fixed-width store of its `feat_total`
+    /// features or, for a `block_copy` plan, copy the block in one piece.
     #[inline]
     fn gather_sample(&self, sample: &[f32], dst: &mut [f32]) {
-        let inner = self.walk_counts[self.walk_counts.len() - 1];
+        let rank = self.walk_counts.len();
+        let inner = self.walk_counts[rank - 1];
         let block = inner * self.feat_total;
-        self.for_each_view_row(|row, cv, base, step| {
-            gather_chunks_raw(
-                sample,
-                base,
-                inner,
-                step,
-                &mut dst[row * block + cv.col..(row + 1) * block],
-                cv.run,
-                self.feat_total,
-            );
+        self.for_each_outer(|row, idx| {
+            let dst = &mut dst[row * block..(row + 1) * block];
+            let source = |f: usize| {
+                let strides = &self.feat_strides[f * rank..(f + 1) * rank];
+                let base = idx
+                    .iter()
+                    .zip(strides)
+                    .fold(self.feat_offsets[f], |o, (i, s)| o + i * s);
+                (base, strides[rank - 1])
+            };
+            if self.block_copy {
+                let (base, _) = source(0);
+                dst.copy_from_slice(&sample[base..base + block]);
+            } else {
+                gather_rows_raw(sample, self.feat_total, source, inner, dst);
+            }
         });
     }
 
     /// Scatter one sample's `[sweep..., features]` chunk back through the
-    /// precompiled views into the per-sample application array — the same
-    /// fused walk as [`CompiledMap::gather_sample`], copying the other way.
+    /// precompiled views into the per-sample application array: walk the
+    /// outer axes once and, per position, copy every view's runs along the
+    /// innermost axis out of that position's block of LHS rows, in view
+    /// order — each view's writes are contiguous runs in the array, and
+    /// where views overlap the later one wins.
     #[inline]
     fn scatter_sample(&self, src: &[f32], sample: &mut [f32]) {
-        let inner = self.walk_counts[self.walk_counts.len() - 1];
+        let rank = self.walk_counts.len();
+        let inner = self.walk_counts[rank - 1];
         let block = inner * self.feat_total;
-        self.for_each_view_row(|row, cv, base, step| {
-            scatter_chunks_raw(
-                sample,
-                base,
-                inner,
-                step,
-                &src[row * block + cv.col..(row + 1) * block],
-                cv.run,
-                self.feat_total,
-            );
+        self.for_each_outer(|row, idx| {
+            for (cv, strides) in self.views.iter().zip(self.view_strides.chunks_exact(rank)) {
+                let base = idx
+                    .iter()
+                    .zip(strides)
+                    .fold(cv.offset, |o, (i, s)| o + i * s);
+                scatter_chunks_raw(
+                    sample,
+                    base,
+                    inner,
+                    strides[rank - 1],
+                    &src[row * block + cv.col..(row + 1) * block],
+                    cv.run,
+                    self.feat_total,
+                );
+            }
         });
+    }
+
+    /// Whether one sample's LHS chunk is its whole application array, in
+    /// order: a batch of such samples gathers and scatters as one copy.
+    fn whole_sample(&self) -> bool {
+        self.block_copy
+            && self.walk_counts.len() == 1
+            && self.feat_offsets[0] == 0
+            && self.numel() == self.array_numel()
     }
 
     /// Batched gather: `data` holds `n` per-sample arrays back to back, and
@@ -197,7 +233,9 @@ impl CompiledMap {
     /// over the leading dimension through the same precompiled per-sample
     /// strides — any `n` runs on a plan compiled once. Allocation-free once
     /// `out` has capacity; large batches parallelize over samples on the
-    /// `hpacml-par` pool.
+    /// `hpacml-par` pool, and a smaller batch of samples that are each
+    /// their whole array, in order (identity maps, row functors), is one
+    /// copy.
     pub fn gather_batch_into(&self, data: &[f32], n: usize, out: &mut Tensor) -> Result<()> {
         self.check_buffer(data.len(), n)?;
         let pn = self.numel();
@@ -212,6 +250,8 @@ impl CompiledMap {
                 let i = start / pn;
                 self.gather_sample(&data[i * an..(i + 1) * an], dst);
             });
+        } else if self.whole_sample() {
+            od.copy_from_slice(data);
         } else {
             for (i, dst) in od.chunks_exact_mut(pn).enumerate() {
                 self.gather_sample(&data[i * an..(i + 1) * an], dst);
@@ -226,7 +266,9 @@ impl CompiledMap {
     /// scatters them into `data[i * array_numel ..]` — the stride/offset form
     /// lets the runtime consume one model-output chunk per sample without
     /// copying when a forward pass produces several output arrays
-    /// interleaved. Allocation-free; large batches parallelize over samples.
+    /// interleaved. Allocation-free; large batches parallelize over samples,
+    /// and a smaller batch of back-to-back samples that are each their whole
+    /// array, in order, is one copy.
     pub fn scatter_batch(
         &self,
         lhs: &[f32],
@@ -254,6 +296,8 @@ impl CompiledMap {
                 let i = start / an;
                 self.scatter_sample(&lhs[i * lhs_stride + lhs_offset..][..pn], sample);
             });
+        } else if self.whole_sample() && lhs_stride == pn && lhs_offset == 0 {
+            data.copy_from_slice(&lhs[..n * pn]);
         } else {
             for (i, sample) in data.chunks_exact_mut(an).enumerate() {
                 self.scatter_sample(&lhs[i * lhs_stride + lhs_offset..][..pn], sample);
@@ -380,6 +424,8 @@ pub fn compile(
         sweep_counts.clone()
     };
     merge_contiguous_axes(&mut walk_counts, &mut view_strides);
+    let (feat_offsets, feat_strides) = expand_features(&views, &view_strides, walk_counts.len());
+    let block_copy = is_block_copy(&feat_offsets, &feat_strides, &walk_counts);
     let mut lhs_shape = Vec::with_capacity(info.lhs_dims.len());
     let mut sweep_iter = sweep_counts.iter();
     for d in &info.lhs_dims {
@@ -413,6 +459,9 @@ pub fn compile(
         walk_counts,
         views,
         view_strides,
+        feat_offsets,
+        feat_strides,
+        block_copy,
     })
 }
 
@@ -496,7 +545,43 @@ fn merge_contiguous_axes(counts: &mut Vec<usize>, view_strides: &mut Vec<usize>)
     }
 }
 
-/// Classify one validated RHS slice for the run-length kernel and append it
+/// Expand the views into one gather source per feature column: the `e`-th
+/// element of a view's run is column `col + e`, at `offset + e`, with the
+/// view's strides. Returns `(feat_offsets, feat_strides)`.
+fn expand_features(
+    views: &[CompiledView],
+    view_strides: &[usize],
+    rank: usize,
+) -> (Vec<usize>, Vec<usize>) {
+    let mut offsets = Vec::new();
+    let mut strides = Vec::new();
+    for (cv, st) in views.iter().zip(view_strides.chunks_exact(rank)) {
+        for e in 0..cv.run {
+            offsets.push(cv.offset + e);
+            strides.extend_from_slice(st);
+        }
+    }
+    (offsets, strides)
+}
+
+/// Whether every outer position's block of `inner × F` LHS elements is one
+/// contiguous run of the array: feature `f` sits at `offsets[0] + f` with
+/// the strides of feature 0, and consecutive sweep points are `F` apart
+/// (or there is one point per block).
+fn is_block_copy(offsets: &[usize], strides: &[usize], walk_counts: &[usize]) -> bool {
+    let rank = walk_counts.len();
+    let f_total = offsets.len();
+    let first = &strides[..rank];
+    f_total > 0
+        && offsets
+            .iter()
+            .enumerate()
+            .all(|(f, &o)| o == offsets[0] + f)
+        && strides.chunks_exact(rank).all(|st| st == first)
+        && (walk_counts[rank - 1] == 1 || first[rank - 1] == f_total)
+}
+
+/// Classify one validated RHS slice into run-length views and append it
 /// to `views`. The slice's trailing feature dimensions that are contiguous
 /// in memory collapse into one run per sweep point (`[i, j-1:j+2]` → a run
 /// of 3; a point slice → a run of 1). Feature dimensions that are *not*
@@ -1011,6 +1096,114 @@ mod tests {
         assert!(plan_from
             .scatter_batch(&wide, stride, offset, n, &mut dst[..an])
             .is_err());
+    }
+
+    /// The per-view gather the row gather replaced, kept as the A/B
+    /// reference: at every outer position each view writes its runs into
+    /// every row of the block, `feat_total` apart — one pass per view.
+    fn gather_sample_per_view(plan: &CompiledMap, sample: &[f32], dst: &mut [f32]) {
+        fn runs<const R: usize>(
+            src: &[f32],
+            step: usize,
+            dst: &mut [f32],
+            stride: usize,
+            n: usize,
+        ) {
+            let src = &src[..(n - 1) * step + R];
+            let dst = &mut dst[..(n - 1) * stride + R];
+            for p in 0..n {
+                let to = <&mut [f32; R]>::try_from(&mut dst[p * stride..][..R]).unwrap();
+                *to = <[f32; R]>::try_from(&src[p * step..][..R]).unwrap();
+            }
+        }
+        let rank = plan.walk_counts.len();
+        let (inner, f_total) = (plan.walk_counts[rank - 1], plan.feat_total);
+        plan.for_each_outer(|row, idx| {
+            for (cv, st) in plan.views.iter().zip(plan.view_strides.chunks_exact(rank)) {
+                let base = idx.iter().zip(st).fold(cv.offset, |o, (i, s)| o + i * s);
+                let (src, step) = (&sample[base..], st[rank - 1]);
+                let dst = &mut dst[row * inner * f_total + cv.col..];
+                match cv.run {
+                    r if step == r && f_total == r => {
+                        dst[..inner * r].copy_from_slice(&src[..inner * r])
+                    }
+                    1 => runs::<1>(src, step, dst, f_total, inner),
+                    2 => runs::<2>(src, step, dst, f_total, inner),
+                    3 => runs::<3>(src, step, dst, f_total, inner),
+                    r => (0..inner).for_each(|p| {
+                        dst[p * f_total..][..r].copy_from_slice(&src[p * step..][..r])
+                    }),
+                }
+            }
+        });
+    }
+
+    /// Same-process A/B of the row gather against the per-view walk it
+    /// replaced, on the two shapes the gather serves in practice: the
+    /// 258² 5-point stencil (one sample of `[256, 256, 5]`) and a sweep of
+    /// 1 024 samples of a 6-wide row functor (each sample one whole-array
+    /// copy). One thread, alternating calls; prints both p50s and asserts
+    /// only that the bits agree.
+    #[test]
+    fn row_gather_against_per_view_walk_same_process() {
+        let calls = if cfg!(debug_assertions) { 5 } else { 300 };
+        let stencil = (
+            "tensor functor(st: [i, j, 0:5] = (([i-1, j], [i+1, j], [i, j-1:j+2])))",
+            "tensor map(to: st(t[1:N-1, 1:N-1]))",
+            vec![258usize, 258],
+            258i64,
+            1usize,
+        );
+        let sweep = (
+            "tensor functor(rows: [i, 0:6] = ([6*i : 6*i+6]))",
+            "tensor map(to: rows(x[0:N]))",
+            vec![6usize],
+            1i64,
+            1024usize,
+        );
+        for (functor, map, dims, bind, n) in [stencil, sweep] {
+            let info = functor_info(functor);
+            let plan = compile(
+                &info,
+                &map_dir(map),
+                &dims,
+                &Bindings::new().with("N", bind),
+            )
+            .unwrap();
+            let (an, pn) = (plan.array_numel(), plan.numel());
+            let data: Vec<f32> = (0..n * an).map(|k| (k % 1013) as f32 * 0.25).collect();
+            let (mut new, mut old) = (Tensor::default(), vec![0.0f32; n * pn]);
+            let time_us = |f: &mut dyn FnMut()| {
+                // lint: allow(no-wall-clock) — a test's stopwatch around whole calls; no result reads it
+                let start = std::time::Instant::now();
+                f();
+                start.elapsed().as_secs_f64() * 1e6
+            };
+            let (mut t_new, mut t_old) = (Vec::new(), Vec::new());
+            for _ in 0..calls {
+                t_new.push(time_us(&mut || {
+                    plan.gather_batch_into(&data, n, &mut new).unwrap()
+                }));
+                t_old.push(time_us(&mut || {
+                    for (i, dst) in old.chunks_exact_mut(pn).enumerate() {
+                        gather_sample_per_view(&plan, &data[i * an..(i + 1) * an], dst);
+                    }
+                }));
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(new.data()), bits(&old), "{functor}");
+            let p50 = |t: &mut Vec<f64>| {
+                t.sort_by(f64::total_cmp);
+                t[t.len() / 2]
+            };
+            println!(
+                "{n} × {:?} via {functor}, 1 thread, p50 of {calls}: row gather {:.1} µs, \
+                 per-view walk {:.1} µs",
+                plan.lhs_shape,
+                p50(&mut t_new),
+                p50(&mut t_old)
+            );
+        }
     }
 
     /// Channel-major functor for CNN-style inputs: sweep (c, i, j) with a

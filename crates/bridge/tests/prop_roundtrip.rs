@@ -178,6 +178,52 @@ proptest! {
         check_against_index_map(&functor, &target, &dims, &Bindings::new(), batch, &index_map)?;
     }
 
+    /// A transposed functor, `[i, j, 0:w] = ([j, w*i : w*i+w])`: the inner
+    /// sweep axis `j` walks the array's outer one, so every feature column
+    /// steps by a whole array row — the gather's strided arm — at row
+    /// widths across every fixed-width arm and into a second column group.
+    #[test]
+    fn transposed_functor_roundtrips(
+        n in 1usize..6,
+        m in 1usize..7,
+        w in 1usize..13,
+        batch in prop_oneof![Just(1usize), Just(3usize)],
+    ) {
+        let functor = format!("tensor functor(tr: [i, j, 0:{w}] = ([j, {w}*i : {w}*i+{w}]))");
+        let target = format!("x[0:{n}, 0:{m}]");
+        let mut index_map = Vec::new();
+        for i in 0..n {
+            for j in 0..m {
+                index_map.extend((0..w).map(|e| j * n * w + w * i + e));
+            }
+        }
+        check_against_index_map(&functor, &target, &[m, n * w], &Bindings::new(), batch, &index_map)?;
+    }
+
+    /// A point slice beside an overlapping window of `w` unit-step columns,
+    /// `[i, j, 0:1+w] = (([i-1, j], [i, j : j+w]))`: rows of 2..=13
+    /// features through the unit-step arm, wider ones split into column
+    /// groups.
+    #[test]
+    fn feature_widths_past_the_fixed_width_arms_roundtrip(
+        n in 2usize..6,
+        m in 1usize..8,
+        w in 1usize..13,
+        batch in prop_oneof![Just(1usize), Just(3usize)],
+    ) {
+        let functor = format!("tensor functor(wd: [i, j, 0:{}] = (([i-1, j], [i, j : j+{w}])))", 1 + w);
+        let cols = m + w - 1;
+        let target = format!("x[1:{n}, 0:{m}]");
+        let mut index_map = Vec::new();
+        for i in 1..n {
+            for j in 0..m {
+                index_map.push((i - 1) * cols + j);
+                index_map.extend((j..j + w).map(|jj| i * cols + jj));
+            }
+        }
+        check_against_index_map(&functor, &target, &[n, cols], &Bindings::new(), batch, &index_map)?;
+    }
+
     /// Random symmetric stencil radius + grid: gathered features equal the
     /// directly indexed neighborhood at every interior sweep point.
     #[test]
@@ -277,6 +323,32 @@ proptest! {
         let mut buf = vec![0.0f32; n * feat];
         prop_assert!(scatter(&plan, wrong.data(), &mut buf).is_err());
     }
+}
+
+/// A batch large enough (`n · numel ≥ 2^16`) that gather and scatter split
+/// it across samples on the pool: the Fig. 2 stencil on a 20² grid, 41
+/// samples.
+#[test]
+fn parallel_batch_roundtrips() {
+    let (g, n) = (20usize, 41usize);
+    let functor = "tensor functor(st: [i, j, 0:5] = (([i-1, j], [i+1, j], [i, j-1:j+2])))";
+    let mut index_map = Vec::new();
+    for i in 1..g - 1 {
+        for j in 1..g - 1 {
+            index_map.extend([(i - 1) * g + j, (i + 1) * g + j]);
+            index_map.extend((j - 1..j + 2).map(|jj| i * g + jj));
+        }
+    }
+    assert!(n * index_map.len() >= 1 << 16);
+    check_against_index_map(
+        functor,
+        "t[1:19, 1:19]",
+        &[g, g],
+        &Bindings::new(),
+        n,
+        &index_map,
+    )
+    .unwrap();
 }
 
 /// Small values (half the draws, so that enough ranges are non-empty and

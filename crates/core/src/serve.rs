@@ -212,6 +212,27 @@ pub struct BatchServer<'r> {
     fallback: Option<FallbackFn<'r>>,
 }
 
+/// One empty staging buffer per input array, each with room for
+/// `max_batch` samples: checked arithmetic and a fallible reservation, so
+/// a configured batch width no buffer can hold is a typed error.
+fn new_staging(in_arrays: &[(String, usize)], max_batch: usize) -> Result<Vec<Vec<f32>>> {
+    in_arrays
+        .iter()
+        .map(|(name, per)| {
+            let mut buf = Vec::new();
+            max_batch
+                .checked_mul(*per)
+                .and_then(|elems| buf.try_reserve_exact(elems).ok())
+                .map(|()| buf)
+                .ok_or_else(|| {
+                    CoreError::Region(format!(
+                        "input `{name}`: cannot stage max_batch {max_batch} × {per} elements"
+                    ))
+                })
+        })
+        .collect()
+}
+
 impl<'r> BatchServer<'r> {
     /// Serve a clone of a compiled session (the caller keeps its own for
     /// direct invocations). `max_wait` bounds how long the first sample
@@ -234,13 +255,16 @@ impl<'r> BatchServer<'r> {
             .output_arrays()
             .map(|(n, c)| (n.to_string(), c))
             .collect();
+        // One staging set up front: a `max_batch` whose batch cannot be
+        // staged fails here, typed, instead of aborting the first submit.
+        let spare = vec![new_staging(&in_arrays, session.max_batch())?];
         Ok(BatchServer {
             session: session.clone(),
             max_wait,
             max_pending: usize::MAX,
             state: Mutex::new(ServerState {
                 forming: None,
-                spare: Vec::new(),
+                spare,
                 shutdown: false,
                 in_flight: 0,
                 // Start at the configured bound (the pre-adaptive
@@ -469,12 +493,10 @@ impl<'r> BatchServer<'r> {
             }
         }
         if st.forming.is_none() {
-            let staging = st.spare.pop().unwrap_or_else(|| {
-                self.in_arrays
-                    .iter()
-                    .map(|(_, per)| Vec::with_capacity(self.session.max_batch() * per))
-                    .collect()
-            });
+            let staging = match st.spare.pop() {
+                Some(staging) => staging,
+                None => new_staging(&self.in_arrays, self.session.max_batch())?,
+            };
             // Leader wait = configured bound scaled by recent occupancy,
             // further shortened to the leading request's own budget.
             let mut wait = self.max_wait.mul_f64(st.occupancy_ewma);

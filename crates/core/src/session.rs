@@ -112,8 +112,11 @@ impl Scratch {
     /// per-sample plans, once per (thread, core, max_batch). After this,
     /// gathers and assembly at any `n <= max_batch` reuse capacity — the
     /// zero-allocation steady state holds from the first invocation
-    /// regardless of the order batch sizes arrive in.
-    fn warm_buffers(&mut self, core: &Arc<SessionCore>, max_batch: usize) {
+    /// regardless of the order batch sizes arrive in. `max_batch` comes
+    /// from configuration, so every size is checked arithmetic and every
+    /// reservation fallible: a batch that cannot be held is a typed error,
+    /// not an abort.
+    fn warm_buffers(&mut self, core: &Arc<SessionCore>, max_batch: usize) -> Result<()> {
         let count = core.input_count();
         // The arity check runs unconditionally: the warm token keys on the
         // core's address, and a dropped core's allocation can be reused by a
@@ -124,24 +127,31 @@ impl Scratch {
         }
         let token = (Arc::as_ptr(core) as usize, max_batch);
         if self.buf_warm == token {
-            return;
+            return Ok(());
         }
         let mut total = 0usize;
         for i in 0..count {
             let pn = core.input_plan(i).numel();
-            total += pn;
-            if self.gathered[i].capacity() < max_batch * pn {
-                self.gathered[i].resize(&[max_batch * pn]);
-            }
+            total = total.saturating_add(pn);
+            self.gathered[i].try_reserve(batch_elems(max_batch, pn)?)?;
         }
         // The staging buffer ping-pongs with `gathered[0]` on single-input
         // regions and holds the interleaved batch on multi-input ones; size
         // it for the full batch either way.
-        if self.staged.capacity() < max_batch * total {
-            self.staged.resize(&[max_batch * total]);
-        }
+        self.staged.try_reserve(batch_elems(max_batch, total)?)?;
         self.buf_warm = token;
+        Ok(())
     }
+}
+
+/// `max_batch × per` elements, or a typed error when the product does not
+/// fit a `usize`.
+fn batch_elems(max_batch: usize, per: usize) -> Result<usize> {
+    max_batch.checked_mul(per).ok_or_else(|| {
+        CoreError::Region(format!(
+            "max_batch {max_batch} × {per} elements per sample overflows a usize"
+        ))
+    })
 }
 
 thread_local! {
@@ -305,16 +315,16 @@ impl SessionCore {
         }
         let asm = &state.assembly;
         scratch.dims_buf.clear();
-        scratch.dims_buf.push(max_batch * asm.in_dims[0]);
+        scratch
+            .dims_buf
+            .push(batch_elems(max_batch, asm.in_dims[0])?);
         scratch.dims_buf.extend_from_slice(&asm.in_dims[1..]);
         let widest = state
             .model
             .reserve_workspace(&mut scratch.ws, &scratch.dims_buf)?;
         // `out` swaps with the final activation arena every run; size it
         // to match so the swapped-in buffer never has to regrow.
-        if scratch.out.capacity() < widest {
-            scratch.out.resize(&[widest]);
-        }
+        scratch.out.try_reserve(widest)?;
         scratch.ws_warm = token;
         Ok(())
     }
@@ -508,6 +518,9 @@ impl<'r> Session<'r> {
             inputs.push((name.clone(), dims_of(name)?));
         }
         let core = Arc::new(SessionCore::build(&region, binds, &inputs)?);
+        // Reserve this thread's buffers for `max_batch` now, so a batch
+        // width no buffer can hold fails the build with a typed error.
+        ScratchGuard::take().warm_buffers(&core, max_batch)?;
         let mut outputs = Vec::new();
         let mut offset = 0usize;
         for name in region.output_order() {
@@ -577,7 +590,10 @@ impl<'r> Session<'r> {
 
     fn begin(&self, n: usize) -> SessionRun<'_, 'r> {
         let mut scratch = ScratchGuard::take();
-        scratch.warm_buffers(&self.core, self.max_batch);
+        // `Session::build` reserved these sizes once; a thread that cannot
+        // reserve them again runs unwarmed, its buffers growing to the
+        // batches it actually sees.
+        let _ = scratch.warm_buffers(&self.core, self.max_batch);
         SessionRun {
             session: self,
             scratch,

@@ -55,7 +55,7 @@ use crate::data::{NormAxis, Normalizer};
 use crate::fuse::PrecisionPolicy;
 use crate::model::Sequential;
 use crate::spec::{LayerSpec, ModelSpec};
-use crate::workspace::{with_thread_workspace, InferWorkspace};
+use crate::workspace::{checked_numel, with_thread_workspace, InferWorkspace};
 use crate::{NnError, Result};
 use hpacml_faults::fault_point;
 use hpacml_store::frame::{rename_synced, write_frame, Cursor, FrameReader, Truncated};
@@ -156,9 +156,8 @@ impl SavedModel {
     /// warm-up. Returns the widest activation element count (see
     /// [`crate::ForwardWorkspace::reserve`]).
     pub fn reserve_workspace(&self, ws: &mut InferWorkspace, in_dims: &[usize]) -> Result<usize> {
-        let numel: usize = in_dims.iter().product();
-        if self.in_norm.is_some() && ws.staged.capacity() < numel {
-            ws.staged.resize(&[numel]);
+        if self.in_norm.is_some() {
+            ws.staged.try_reserve(checked_numel(in_dims)?)?;
         }
         ws.fw.reserve(&self.model, in_dims)
     }

@@ -21,7 +21,7 @@ use crate::model::Sequential;
 use crate::Result;
 use hpacml_tensor::gemm::NarrowChain;
 use hpacml_tensor::quant::Precision;
-use hpacml_tensor::Tensor;
+use hpacml_tensor::{Tensor, TensorError};
 use std::cell::RefCell;
 
 /// Ping-pong activation arena for pure forward passes.
@@ -95,7 +95,7 @@ impl ForwardWorkspace {
     /// model-output hand-off) can size those to match.
     pub fn reserve(&mut self, model: &Sequential, in_dims: &[usize]) -> Result<usize> {
         let mut dims = in_dims.to_vec();
-        let mut max_elems: usize = dims.iter().product();
+        let mut max_elems = checked_numel(&dims)?;
         let mut max_rank = dims.len();
         let (mut b_elems, mut col_elems) = (0usize, 0usize);
         let mut layers = model.layers();
@@ -110,7 +110,7 @@ impl ForwardWorkspace {
                 col_elems = col_elems.max(c);
                 dims = layer.out_dims(&dims)?;
             }
-            max_elems = max_elems.max(dims.iter().product());
+            max_elems = max_elems.max(checked_numel(&dims)?);
             max_rank = max_rank.max(dims.len());
             layers = rest;
         }
@@ -119,18 +119,28 @@ impl ForwardWorkspace {
                 hpacml_tensor::gemm::reserve_scratch::<f32>(b_elems, col_elems);
             });
         }
-        // Reserve at the widest rank the pass will use, so the in-place
-        // per-layer reshapes never regrow a shape vector either.
-        let mut reserve_dims = vec![1usize; max_rank.max(1)];
-        *reserve_dims.last_mut().expect("non-empty") = max_elems;
-        if self.ping.capacity() < max_elems || self.ping.rank() < max_rank {
-            self.ping.resize(&reserve_dims);
-        }
-        if self.pong.capacity() < max_elems || self.pong.rank() < max_rank {
-            self.pong.resize(&reserve_dims);
+        // Reserve the storage without writing it — a batch width from
+        // configuration that no arena can hold is a typed error, not an
+        // abort, and a granted one is not paged in until a pass uses it —
+        // at the widest rank the pass will use, so the in-place per-layer
+        // reshapes never regrow a shape vector either.
+        let empty = vec![0usize; max_rank.max(1)];
+        for arena in [&mut self.ping, &mut self.pong] {
+            if arena.capacity() < max_elems || arena.rank() < max_rank {
+                arena.try_reserve(max_elems)?;
+                arena.resize(&empty);
+            }
         }
         Ok(max_elems)
     }
+}
+
+/// `Π dims`, or a typed error when the product does not fit a `usize`:
+/// the batch dimension of a reservation comes from configuration.
+pub(crate) fn checked_numel(dims: &[usize]) -> Result<usize> {
+    dims.iter()
+        .try_fold(1usize, |p, &d| p.checked_mul(d))
+        .ok_or_else(|| TensorError::Reserve { elems: usize::MAX }.into())
 }
 
 /// The maximal narrow chain at the head of `layers` at `prec` (possibly

@@ -261,6 +261,49 @@ fn apply_whose_probe_forward_fails_keeps_the_old_generation_serving() {
     }
 }
 
+/// `max_batch` sizes every staging and gather buffer, and it is config
+/// text: 2^40 (13 TB of staged floats) and `usize::MAX` (whose products
+/// overflow) aborted the process, at `bootstrap` and at `apply`. Both are
+/// typed build errors now, and a failed `apply` leaves the old generation
+/// serving bitwise.
+#[test]
+fn max_batch_no_buffer_can_hold_is_a_typed_build_error() {
+    let dir = tmpdir("max-batch-too-wide");
+    let v1 = dir.join("v1.hml");
+    save_mlp(&v1, 5);
+    let samples = [sample(0), sample(1)];
+    let want = direct_outputs(&v1, &samples);
+    let expect_build = |err: DaemonError, width: u64| match err {
+        DaemonError::Build { region, .. } => assert_eq!(region, "demo", "max_batch {width}"),
+        other => panic!("max_batch {width}: expected Build, got: {other}"),
+    };
+    let widths = [1u64 << 40, u64::MAX];
+    let body = |width: u64| format!("max_batch {width};\n max_wait 100us;");
+    for width in widths {
+        let err = DaemonBuilder::new()
+            .bootstrap(&region_cfg("demo", &v1, &body(width)))
+            .unwrap_err();
+        expect_build(err, width);
+    }
+
+    let daemon = DaemonBuilder::new()
+        .bootstrap(&region_cfg("demo", &v1, &body(4)))
+        .unwrap();
+    for width in widths {
+        let err = daemon
+            .apply(&region_cfg("demo", &v1, &body(width)))
+            .unwrap_err();
+        expect_build(err, width);
+        assert_eq!(daemon.generation(), 1, "a failed apply must not swap");
+        for (s, want) in samples.iter().zip(&want) {
+            let mut y = [0.0f32; 1];
+            daemon.submit("demo", &[s], &mut [&mut y]).unwrap();
+            assert_eq!(y[0].to_bits(), want.to_bits(), "old generation, bitwise");
+        }
+    }
+    assert_eq!(daemon.stats().swaps, 0);
+}
+
 #[test]
 fn validation_policy_requires_a_host_handler() {
     let dir = tmpdir("validation-handler");

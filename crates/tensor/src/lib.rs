@@ -2,8 +2,8 @@
 //!
 //! This crate is the reproduction's stand-in for the tensor layer the paper
 //! gets from Torch: owned dense tensors for the NN engine, plus the
-//! run-length copy kernels ([`gather_chunks_raw`], [`scatter_chunks_raw`])
-//! the data bridge (Fig. 4 of the paper) moves every element through between
+//! copy kernels ([`gather_rows_raw`], [`scatter_chunks_raw`]) the data
+//! bridge (Fig. 4 of the paper) moves every element through between
 //! application arrays and tensors — the two memory-concretization
 //! primitives the bridge's compiled plans are built on.
 //!
@@ -25,7 +25,7 @@ pub use quant::{Precision, QPackedB};
 pub use scalar::Scalar;
 pub use shape::Shape;
 pub use tensor::Tensor;
-pub use view::{gather_chunks_raw, scatter_chunks_raw};
+pub use view::{gather_rows_raw, scatter_chunks_raw, GATHER_ROW_MAX};
 
 /// Errors raised by tensor construction and shape manipulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,6 +40,8 @@ pub enum TensorError {
     DimMismatch(String),
     /// A linear-algebra routine failed (e.g. Cholesky of a non-SPD matrix).
     Numerical(String),
+    /// The allocator refused storage for this many elements.
+    Reserve { elems: usize },
 }
 
 impl std::fmt::Display for TensorError {
@@ -59,6 +61,9 @@ impl std::fmt::Display for TensorError {
             }
             TensorError::DimMismatch(s) => write!(f, "dimension mismatch: {s}"),
             TensorError::Numerical(s) => write!(f, "numerical error: {s}"),
+            TensorError::Reserve { elems } => {
+                write!(f, "cannot reserve storage for {elems} elements")
+            }
         }
     }
 }

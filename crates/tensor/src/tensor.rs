@@ -72,6 +72,16 @@ impl<T: Scalar> Tensor<T> {
         self.data.capacity()
     }
 
+    /// Grow the backing storage to hold `numel` elements without touching
+    /// the shape or the data, or a typed error when the allocator refuses —
+    /// for sizes that come from configuration, where an infallible
+    /// allocation would abort the process.
+    pub fn try_reserve(&mut self, numel: usize) -> Result<()> {
+        self.data
+            .try_reserve(numel.saturating_sub(self.data.len()))
+            .map_err(|_| TensorError::Reserve { elems: numel })
+    }
+
     pub fn data(&self) -> &[T] {
         &self.data
     }

@@ -214,9 +214,10 @@ fn conv_routes_agree_bitwise() {
 }
 
 /// Pool width must never change a bit of the *quantized* kernels either:
-/// in-register dequantization happens per weight inside the micro-kernel,
-/// so partitioning is as irrelevant to the bits as it is for f32. Same
-/// totals as the f32 sweep, at both reduced precisions.
+/// each weight is decoded in registers inside the micro-kernel (bf16 to its
+/// f32 value, int8 to its integer as f32), and an int8 column is scaled once
+/// after its last `k`, so partitioning is as irrelevant to the bits as it
+/// is for f32. Same totals as the f32 sweep, at both reduced precisions.
 #[test]
 fn quantized_gemm_bits_are_identical_across_pool_sizes() {
     setup();
