@@ -520,6 +520,50 @@ fn db_flush_failure_retries_then_counts() {
     );
 }
 
+/// A db written in the pre-log v2 layout is no longer read: the
+/// first collection into it is a typed error, counted once, and the file is
+/// left byte-identical — the region never replaces it with a fresh log, not
+/// on a later flush and not on drop.
+#[test]
+fn a_pre_log_db_is_refused_never_overwritten() {
+    let dir = tmpdir("pre-log-db");
+    let db = dir.join("old.h5");
+    // The v2 magic (`H5LITE` then `02`) and root block: length, FNV-1a
+    // checksum, then an empty group.
+    let empty = [0u8; 8];
+    let mut old = b"H5LITE0".to_vec();
+    old.push(b'2');
+    old.extend(8u64.to_le_bytes());
+    old.extend(hpacml_faults::fnv1a64(&empty).to_le_bytes());
+    old.extend(empty);
+    std::fs::write(&db, &old).unwrap();
+    {
+        let region = collect_region("prelog", &db);
+        region.set_retry_policy(RetryPolicy::none());
+        let binds = Bindings::new().with("N", 1);
+        let session = region
+            .session(&binds, &[("x", &[3]), ("y", &[1])], 1)
+            .unwrap();
+        let mut y = [0.0f32; 1];
+        let mut out = session
+            .invoke()
+            .input("x", &[0.1, 0.2, 0.3])
+            .unwrap()
+            .run(|| y[0] = 1.0)
+            .unwrap();
+        out.output("y", &mut y).unwrap();
+        let err = out.finish().unwrap_err();
+        assert!(
+            matches!(err, CoreError::Store(hpacml_store::StoreError::BadMagic)),
+            "{err}"
+        );
+        assert_eq!(region.stats().db_errors, 1);
+        region.flush_db().unwrap();
+        assert_eq!(std::fs::read(&db).unwrap(), old);
+    }
+    assert_eq!(std::fs::read(&db).unwrap(), old, "the drop wrote");
+}
+
 #[test]
 fn retry_policy_none_fails_fast() {
     let dir = tmpdir("fail-fast");

@@ -4,9 +4,19 @@ use crate::ast::*;
 use crate::lex::{lex, Tok, Token};
 use crate::{DirectiveError, Result};
 
+/// Deepest expression a directive may spell. Each parenthesis, each unary
+/// minus and each binary operator of a chain is one level: the parser
+/// recurses once per parenthesis or minus, and every later pass over an
+/// `Expr` (evaluation, printing, drop) once per node of a chain. Real
+/// index expressions are a handful of levels deep; a deeper one is a
+/// parse error rather than a stack overflow.
+const MAX_EXPR_DEPTH: usize = 64;
+
 struct Parser {
     toks: Vec<Token>,
     pos: usize,
+    /// Expression levels open at the current token.
+    depth: usize,
 }
 
 impl Parser {
@@ -78,7 +88,19 @@ impl Parser {
 
     // -- expressions --------------------------------------------------------
 
+    /// Open one more expression level, or fail past [`MAX_EXPR_DEPTH`].
+    fn descend(&mut self) -> Result<()> {
+        self.depth += 1;
+        if self.depth > MAX_EXPR_DEPTH {
+            return self.err(format!(
+                "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+            ));
+        }
+        Ok(())
+    }
+
     fn parse_expr(&mut self) -> Result<Expr> {
+        let outer = self.depth;
         let mut lhs = self.parse_term()?;
         loop {
             let op = match self.peek() {
@@ -87,6 +109,7 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.descend()?;
             let rhs = self.parse_term()?;
             lhs = Expr::Bin {
                 op,
@@ -94,10 +117,12 @@ impl Parser {
                 rhs: Box::new(rhs),
             };
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
     fn parse_term(&mut self) -> Result<Expr> {
+        let outer = self.depth;
         let mut lhs = self.parse_unary()?;
         loop {
             let op = match self.peek() {
@@ -106,6 +131,7 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.descend()?;
             let rhs = self.parse_unary()?;
             lhs = Expr::Bin {
                 op,
@@ -113,13 +139,17 @@ impl Parser {
                 rhs: Box::new(rhs),
             };
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
     fn parse_unary(&mut self) -> Result<Expr> {
         if matches!(self.peek(), Some(Tok::Minus)) {
             self.bump();
-            return Ok(Expr::Neg(Box::new(self.parse_unary()?)));
+            self.descend()?;
+            let e = self.parse_unary()?;
+            self.depth -= 1;
+            return Ok(Expr::Neg(Box::new(e)));
         }
         self.parse_primary()
     }
@@ -129,7 +159,9 @@ impl Parser {
             Some(Tok::Int(v)) => Ok(Expr::Int(v)),
             Some(Tok::Ident(s)) => Ok(Expr::Ident(s)),
             Some(Tok::LParen) => {
+                self.descend()?;
                 let e = self.parse_expr()?;
+                self.depth -= 1;
                 self.expect(Tok::RParen)?;
                 Ok(e)
             }
@@ -453,7 +485,11 @@ impl Parser {
 /// prefix; backslash continuations allowed).
 pub fn parse_directive(src: &str) -> Result<Directive> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     let d = p.parse_one()?;
     if p.pos != p.toks.len() {
         return Err(DirectiveError::Parse {
@@ -483,7 +519,11 @@ pub fn parse_directives(src: &str) -> Result<Vec<Directive>> {
         .into_iter()
         .filter(|g| !g.is_empty())
         .map(|g| {
-            let mut p = Parser { toks: g, pos: 0 };
+            let mut p = Parser {
+                toks: g,
+                pos: 0,
+                depth: 0,
+            };
             let d = p.parse_one()?;
             if p.pos != p.toks.len() {
                 return Err(DirectiveError::Parse {
@@ -654,6 +694,37 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    /// `tensor functor(g: [i, 0:1] = ([E]))` with `E` spelled by `shape`
+    /// at `levels` levels: parses up to [`MAX_EXPR_DEPTH`], and past it is
+    /// a parse error, at 10^5 levels too (which overflowed the stack).
+    fn depth_is_bounded(shape: fn(usize) -> String) {
+        let functor = |levels| format!("tensor functor(g: [i, 0:1] = ([{}]))", shape(levels));
+        assert!(parse_directive(&functor(MAX_EXPR_DEPTH)).is_ok());
+        for levels in [MAX_EXPR_DEPTH + 1, 100_000] {
+            match parse_directive(&functor(levels)) {
+                Err(DirectiveError::Parse { message, .. }) => {
+                    assert!(message.contains("nested deeper"), "{message}")
+                }
+                other => panic!("{levels} levels: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn nested_parentheses_are_bounded() {
+        depth_is_bounded(|n| format!("{}i{}", "(".repeat(n), ")".repeat(n)));
+    }
+
+    #[test]
+    fn unary_minus_runs_are_bounded() {
+        depth_is_bounded(|n| format!("{}i", "-".repeat(n)));
+    }
+
+    #[test]
+    fn binary_chains_are_bounded() {
+        depth_is_bounded(|n| vec!["i"; n + 1].join("+"));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Property-based tests for the directive front end: display → parse
-//! roundtrips, evaluation consistency, and sema invariants over random
-//! affine functors.
+//! roundtrips, evaluation consistency, sema invariants over random affine
+//! functors, and every near miss of the app directives (a truncation or a
+//! one-char substitution) a typed outcome.
 
 use hpacml_directive::ast::Directive;
-use hpacml_directive::parse::parse_directive;
+use hpacml_directive::parse::{parse_directive, parse_directives};
 use hpacml_directive::sema::{affine_form, analyze, Bindings};
 use proptest::prelude::*;
 
@@ -78,5 +79,62 @@ proptest! {
     #[test]
     fn parser_never_panics(s in "[a-z0-9:,()\\[\\]*+\\- ]{0,48}") {
         let _ = parse_directive(&s);
+    }
+}
+
+/// Every directive string the benchmark apps annotate their regions with,
+/// read from their sources so that a new or edited directive is swept too.
+fn app_directives() -> Vec<&'static str> {
+    let sources = [
+        include_str!("../../apps/src/binomial.rs"),
+        include_str!("../../apps/src/bonds/mod.rs"),
+        include_str!("../../apps/src/minibude.rs"),
+        include_str!("../../apps/src/miniweather.rs"),
+        include_str!("../../apps/src/particlefilter.rs"),
+    ];
+    let directives: Vec<&str> = sources
+        .iter()
+        .flat_map(|src| src.lines())
+        .filter_map(|line| line.trim().strip_prefix('"')?.strip_suffix("\","))
+        .filter(|s| s.starts_with("#pragma approx"))
+        .collect();
+    assert!(directives.len() >= 19, "found {directives:?}");
+    directives
+}
+
+/// Every truncation of `s` at a char boundary, and every single-char
+/// substitution from a set of characters the grammar gives meaning to (or
+/// that sit outside ASCII).
+fn near_misses(s: &str) -> Vec<String> {
+    const SUBS: [char; 7] = ['(', '-', '"', '\\', 'é', '\0', '{'];
+    let mut out: Vec<String> = (0..=s.len())
+        .filter(|&end| s.is_char_boundary(end))
+        .map(|end| s[..end].to_string())
+        .collect();
+    for (at, c) in s.char_indices() {
+        for sub in SUBS {
+            let (head, tail) = (&s[..at], &s[at + c.len_utf8()..]);
+            out.push(format!("{head}{sub}{tail}"));
+        }
+    }
+    out
+}
+
+/// The near misses of every app directive parse and analyze to a value or a
+/// typed error, never a panic.
+#[test]
+fn near_misses_of_the_app_directives_are_typed() {
+    for directive in app_directives() {
+        for text in near_misses(directive) {
+            let outcome = std::panic::catch_unwind(|| {
+                for d in parse_directives(&text)? {
+                    if let Directive::Functor(f) = d {
+                        analyze(&f)?;
+                    }
+                }
+                Ok::<_, hpacml_directive::DirectiveError>(())
+            });
+            assert!(outcome.is_ok(), "panicked on {text:?}");
+        }
     }
 }

@@ -39,11 +39,9 @@
 //! 1, … each exactly once and in order; `End` must follow and the file end
 //! there. Anything else is `NnError::Serialize`, never a model.
 //!
-//! **v1 / v2** (the same header fields unframed and unchecksummed — v1
-//! without `prec`, implicitly f32 — then `n_tensors:u32, { len:u64, f32* }*`)
-//! still load: read whole, so the one allocation is the file's own size,
-//! then through the same cursor with the same checks minus the checksum,
-//! decoded in place. The next save writes v3.
+//! v3 is the only version [`load_model`] reads. A file of any other
+//! version — the unframed v1/v2 layouts included — is
+//! `NnError::Serialize("unsupported .hml version N")`.
 //!
 //! Weights are always stored at full f32 precision; the precision byte
 //! only records the *serving* target. The quantized packs are rebuilt
@@ -93,7 +91,7 @@ pub struct SavedModel {
     pub in_norm: Option<Normalizer>,
     pub out_norm: Option<Normalizer>,
     /// Serving precision target (the coarsest ladder rung this model was
-    /// saved/quantized for). `F32` for v1 files and unquantized models.
+    /// saved/quantized for). `F32` for unquantized models.
     pub precision: Precision,
 }
 
@@ -272,11 +270,10 @@ pub fn load_model(path: impl AsRef<Path>) -> Result<SavedModel> {
     if magic[..8] != MAGIC[..] {
         return Err(bad("not an .hml model (bad magic)"));
     }
-    let mut saved = match magic[8] {
-        VERSION => load_v3(FrameReader::new(f, left))?,
-        version @ 1..=2 => load_legacy(version, f, left)?,
-        version => return Err(bad(format!("unsupported .hml version {version}"))),
-    };
+    if magic[8] != VERSION {
+        return Err(bad(format!("unsupported .hml version {}", magic[8])));
+    }
+    let mut saved = load_v3(FrameReader::new(f, left))?;
     // Models loaded from disk are inference models: compile once here
     // (fusion + weight pre-packing + quantization at the recorded
     // serving precision) so every forward pass downstream — engine cache
@@ -304,7 +301,7 @@ fn next_body(frames: &mut FrameReader<File>, kind: u8) -> Result<&[u8]> {
 
 fn load_v3(mut frames: FrameReader<File>) -> Result<SavedModel> {
     let mut cur = Cursor::new(next_body(&mut frames, HEADER)?);
-    let mut saved = decode_header(&mut cur, VERSION)?;
+    let mut saved = decode_header(&mut cur)?;
     let n = cur.u32()? as usize;
     if n.checked_mul(8) != Some(cur.remaining()) {
         return Err(bad(format!("header lists {n} tensors in the wrong space")));
@@ -343,30 +340,6 @@ fn load_v3(mut frames: FrameReader<File>) -> Result<SavedModel> {
     Ok(saved)
 }
 
-/// v1/v2, read whole (the one allocation is the file's own size) and
-/// decoded through the cursor straight into the tensors.
-fn load_legacy(version: u8, mut f: File, left: u64) -> Result<SavedModel> {
-    let mut raw = vec![0; usize::try_from(left).map_err(|_| bad("file too large"))?];
-    f.read_exact(&mut raw)?;
-    let mut cur = Cursor::new(&raw);
-    let mut saved = decode_header(&mut cur, version)?;
-    let n = cur.u32()? as usize;
-    build_blank(&mut saved, cur.remaining() as u64)?;
-    let tensors = saved.model.try_visit_params(&mut |tensor, p| {
-        let values = p.value.data_mut();
-        if cur.u64()? != values.len() as u64 {
-            return Err(bad(format!("tensor {tensor}: file and spec disagree")));
-        }
-        // No overflow: `build_blank` saw all the parameter bytes fit the file.
-        decode_f32s(values, cur.take(values.len() * 4)?);
-        Ok(())
-    })?;
-    if tensors != n {
-        return Err(bad(format!("file holds {n} tensors, spec has {tensors}")));
-    }
-    Ok(saved)
-}
-
 fn decode_f32s(values: &mut [f32], le: &[u8]) {
     for (v, le) in values.iter_mut().zip(le.chunks_exact(4)) {
         *v = f32::from_le_bytes(le.try_into().expect("chunks_exact(4)"));
@@ -386,17 +359,12 @@ fn build_blank(saved: &mut SavedModel, left: u64) -> Result<()> {
     Ok(())
 }
 
-/// What every version's header says before any weight; the model is empty
-/// until [`build_blank`].
-fn decode_header(cur: &mut Cursor, version: u8) -> Result<SavedModel> {
-    // v1 files predate the precision byte and are implicitly f32.
-    let precision = match version {
-        1 => Precision::F32,
-        _ => {
-            let tag = cur.u8()?;
-            Precision::from_tag(tag).ok_or_else(|| bad(format!("bad precision tag {tag}")))?
-        }
-    };
+/// What the header says before any weight; the model is empty until
+/// [`build_blank`].
+fn decode_header(cur: &mut Cursor) -> Result<SavedModel> {
+    let tag = cur.u8()?;
+    let precision =
+        Precision::from_tag(tag).ok_or_else(|| bad(format!("bad precision tag {tag}")))?;
     Ok(SavedModel {
         precision,
         spec: decode_spec(cur)?,
@@ -609,87 +577,6 @@ mod tests {
         assert!((scaled - (raw * 10.0 + 100.0)).abs() < 1e-5);
     }
 
-    /// The v2 writer as it shipped — and, with `prec: None`, the v1 writer
-    /// before it. Test-only since v3, so the legacy loader keeps real input.
-    fn legacy_bytes(
-        spec: &ModelSpec,
-        model: &Sequential,
-        prec: Option<u8>,
-        norms: [Option<&Normalizer>; 2],
-    ) -> Vec<u8> {
-        let mut buf = MAGIC.to_vec();
-        buf.push(if prec.is_some() { 2 } else { 1 });
-        buf.extend(prec);
-        encode_spec(&mut buf, spec);
-        encode_norm(&mut buf, norms[0]);
-        encode_norm(&mut buf, norms[1]);
-        let weights = model.export_weights();
-        buf.extend((weights.len() as u32).to_le_bytes());
-        for w in &weights {
-            buf.extend((w.len() as u64).to_le_bytes());
-            w.iter().for_each(|v| buf.extend(v.to_le_bytes()));
-        }
-        buf
-    }
-
-    #[test]
-    fn v1_files_still_load_as_f32() {
-        // No precision byte, implicitly f32. Models saved before the
-        // version bumps must keep loading bit-for-bit.
-        let spec = ModelSpec::mlp(3, &[8], 1, Activation::Tanh, 0.0);
-        let model = spec.build(6).unwrap();
-        let x = Tensor::from_shape_fn([4, 3], |ix| (ix[0] as f32 - ix[1] as f32) * 0.11);
-        let before = model.forward(&x).unwrap();
-        let path = tmp("v1_compat.hml");
-        std::fs::write(&path, legacy_bytes(&spec, &model, None, [None; 2])).unwrap();
-
-        let loaded = load_model(&path).unwrap();
-        assert_eq!(loaded.precision, Precision::F32);
-        assert_eq!(loaded.model.forward(&x).unwrap().data(), before.data());
-    }
-
-    #[test]
-    fn v2_fixture_loads_to_the_same_predictions_and_resaves_as_v3() {
-        // Written by the parent commit's `save_model_with_precision`; the
-        // helper reproduces it byte for byte.
-        let fixture: &[u8] = include_bytes!("../tests/fixtures/sample_v2.hml");
-        let spec = ModelSpec::mlp(3, &[8], 2, Activation::Tanh, 0.1);
-        let model = spec.build(6).unwrap();
-        let in_norm = Normalizer {
-            axis: NormAxis::PerFeature,
-            mean: vec![0.5, -1.0, 2.0],
-            std: vec![1.0, 2.0, 0.5],
-        };
-        let out_norm = Normalizer {
-            axis: NormAxis::Global,
-            mean: vec![10.0],
-            std: vec![4.0],
-        };
-        let norms = [Some(&in_norm), Some(&out_norm)];
-        let tag = Precision::Bf16.tag();
-        assert_eq!(legacy_bytes(&spec, &model, Some(tag), norms), fixture);
-
-        let path = tmp("sample_v2.hml");
-        std::fs::write(&path, fixture).unwrap();
-        let old = load_model(&path).unwrap();
-        assert_eq!((&old.spec, old.precision), (&spec, Precision::Bf16));
-        assert_eq!(
-            (&old.in_norm, &old.out_norm),
-            (&Some(in_norm), &Some(out_norm))
-        );
-        assert_eq!(old.model.export_weights(), model.export_weights());
-        let x = Tensor::from_shape_fn([5, 3], |ix| ix[0] as f32 * 0.4 - ix[1] as f32);
-        let want = old.infer(&x).unwrap();
-
-        // The upgrade is the next save of what was loaded.
-        let norms = (old.in_norm.as_ref(), old.out_norm.as_ref());
-        save_model_with_precision(&path, &spec, &old.model, norms.0, norms.1, old.precision)
-            .unwrap();
-        assert_eq!(std::fs::read(&path).unwrap()[..9], *b"HMLMODEL\x03");
-        let new = load_model(&path).unwrap();
-        assert_eq!(new.infer(&x).unwrap().data(), want.data());
-    }
-
     #[test]
     fn precision_tag_round_trips_and_quantizes_on_load() {
         let spec = ModelSpec::mlp(4, &[16], 2, Activation::Tanh, 0.0);
@@ -728,12 +615,20 @@ mod tests {
         let spec = ModelSpec::mlp(2, &[4], 1, Activation::ReLU, 0.0);
         let model = spec.build(2).unwrap();
         let path = tmp("badprec.hml");
-        std::fs::write(&path, legacy_bytes(&spec, &model, Some(0xEE), [None; 2])).unwrap();
+        // A header frame whose checksum is computed over the bad tag: the
+        // tag itself must be refused.
+        let mut head = vec![HEADER, 0xEE];
+        encode_spec(&mut head, &spec);
+        head.extend([0, 0, 0, 0, 0, 0]); // no normalizers, no tensors
+        let mut bytes = b"HMLMODEL\x03".to_vec();
+        write_frame(&mut bytes, &head, &[]).unwrap();
+        std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             load_model(&path),
             Err(NnError::Serialize(msg)) if msg.contains("precision tag")
         ));
-        // In a v3 file the same byte sits under the header's checksum.
+        // Flipped under a checksum computed over the good tag, the same
+        // byte is caught by the checksum first.
         save_model(&path, &spec, &model, None, None).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         assert_eq!((bytes[8], bytes[25], bytes[26]), (VERSION, HEADER, 0));
@@ -752,6 +647,20 @@ mod tests {
         assert!(load_model(&path).is_err());
         std::fs::write(&path, b"HM").unwrap();
         assert!(load_model(&path).is_err());
+        // Versions before the framed layout are no longer read, and the
+        // refusal leaves the file as it is.
+        for version in [1u8, 2] {
+            let mut bytes = b"HMLMODEL".to_vec();
+            bytes.push(version);
+            bytes.extend([0; 24]);
+            std::fs::write(&path, &bytes).unwrap();
+            let want = format!("unsupported .hml version {version}");
+            assert!(matches!(
+                load_model(&path),
+                Err(NnError::Serialize(msg)) if msg == want
+            ));
+            assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        }
         // Truncated real model.
         let spec = ModelSpec::mlp(2, &[4], 1, Activation::ReLU, 0.0);
         let model = spec.build(2).unwrap();

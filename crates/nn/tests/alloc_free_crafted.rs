@@ -4,13 +4,13 @@
 //! fields (rank, dims, layer count, layer geometry, normalizer length,
 //! tensor count, element counts, frame lengths, a weight frame's place) and
 //! every checksum is computed over the lie, so the loader's own bounds
-//! checks are all that stands. For v1, v2 and v3: `load_model` never panics,
-//! never overflows (the suite runs with overflow checks on), never asks the
-//! allocator for more than the file's own size plus 64 KiB in one request,
-//! and returns a typed error or a model that runs.
+//! checks are all that stands: `load_model` never panics, never overflows
+//! (the suite runs with overflow checks on), never asks the allocator for
+//! more than the file's own size plus 64 KiB in one request, and returns a
+//! typed error or a model that runs.
 //!
-//! The writers below are the test's own (an independent pin of the three
-//! layouts). The allocation bound is measured by a `#[global_allocator]`
+//! The writer below is the test's own (an independent pin of the v3
+//! layout). The allocation bound is measured by a `#[global_allocator]`
 //! that records the largest request made on the calling thread — the
 //! pattern of `store/tests/alloc_free_crafted.rs`.
 
@@ -106,12 +106,9 @@ fn f32s(out: &mut Vec<u8>, values: &[f32]) {
     out.extend(values.iter().flat_map(|v| v.to_le_bytes()));
 }
 
-/// Precision byte (v2+), spec and both normalizers — fields 0.. in file
-/// order.
-fn header(l: &mut Lies, out: &mut Vec<u8>, version: u8) {
-    if version >= 2 {
-        out.push(0);
-    }
+/// Precision byte, spec and both normalizers — fields 0.. in file order.
+fn header(l: &mut Lies, out: &mut Vec<u8>) {
+    out.push(0);
     l.u32(out, 3);
     for dim in [2, 4, 4] {
         l.u64(out, dim);
@@ -137,19 +134,6 @@ fn header(l: &mut Lies, out: &mut Vec<u8>, version: u8) {
     out.push(0);
 }
 
-/// v1 and v2: the header unframed, then `n, { len, f32* }*`.
-fn legacy(l: &mut Lies, version: u8) -> Vec<u8> {
-    let mut out = b"HMLMODEL".to_vec();
-    out.push(version);
-    header(l, &mut out, version);
-    l.u32(&mut out, TENSORS.len() as u32);
-    for (tensor, numel) in TENSORS.iter().enumerate() {
-        l.u64(&mut out, *numel as u64);
-        f32s(&mut out, &weights(tensor));
-    }
-    out
-}
-
 /// v3: a header frame, the first tensor in two weight frames and the rest in
 /// one each, an end frame.
 fn v3(l: &mut Lies) -> Vec<u8> {
@@ -162,7 +146,7 @@ fn v3(l: &mut Lies) -> Vec<u8> {
     }
     let mut out = b"HMLMODEL\x03".to_vec();
     let mut body = vec![0u8];
-    header(l, &mut body, 3);
+    header(l, &mut body);
     l.u32(&mut body, TENSORS.len() as u32);
     for numel in TENSORS {
         l.u64(&mut body, numel as u64);
@@ -187,12 +171,9 @@ fn v3(l: &mut Lies) -> Vec<u8> {
     out
 }
 
-fn craft(version: u8, at: [(usize, u64); 2]) -> (Vec<u8>, usize) {
+fn craft(at: [(usize, u64); 2]) -> (Vec<u8>, usize) {
     let mut l = Lies { next: 0, at };
-    let bytes = match version {
-        3 => v3(&mut l),
-        legacy_version => legacy(&mut l, legacy_version),
-    };
+    let bytes = v3(&mut l);
     (bytes, l.next)
 }
 
@@ -249,39 +230,35 @@ const ALLOC_SLACK: usize = 64 << 10;
 
 #[test]
 fn honest_files_load_to_the_model_within_the_bound() {
-    for version in 1..=3 {
-        let (bytes, fields) = craft(version, [(usize::MAX, 0); 2]);
-        assert!(fields >= 20, "v{version} numbers {fields} fields");
-        let path = std::env::temp_dir().join(format!("hpacml-nn-crafted-honest-{version}.hml"));
-        std::fs::write(&path, &bytes).unwrap();
-        let saved = load_model(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(saved.spec.layers.len(), 6);
-        assert_eq!(
-            saved.spec.layers[5],
-            LayerSpec::Linear {
-                in_features: 8,
-                out_features: 2
-            }
-        );
-        assert_eq!(saved.in_norm.as_ref().unwrap().std, [2.0, 4.0]);
-        let want: Vec<Vec<f32>> = (0..TENSORS.len()).map(weights).collect();
-        assert_eq!(saved.model.export_weights(), want, "v{version}");
-        let (spec, largest) = load_crafted(&bytes, &format!("honest-{version}"));
-        assert_eq!(spec.unwrap(), saved.spec);
-        assert!(
-            largest <= bytes.len() + ALLOC_SLACK,
-            "v{version}: {largest}"
-        );
-    }
+    let (bytes, fields) = craft([(usize::MAX, 0); 2]);
+    assert!(fields >= 20, "the file numbers {fields} fields");
+    let path = std::env::temp_dir().join("hpacml-nn-crafted-honest.hml");
+    std::fs::write(&path, &bytes).unwrap();
+    let saved = load_model(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(saved.spec.layers.len(), 6);
+    assert_eq!(
+        saved.spec.layers[5],
+        LayerSpec::Linear {
+            in_features: 8,
+            out_features: 2
+        }
+    );
+    assert_eq!(saved.in_norm.as_ref().unwrap().std, [2.0, 4.0]);
+    let want: Vec<Vec<f32>> = (0..TENSORS.len()).map(weights).collect();
+    assert_eq!(saved.model.export_weights(), want);
+    let (spec, largest) = load_crafted(&bytes, "honest");
+    assert_eq!(spec.unwrap(), saved.spec);
+    assert!(largest <= bytes.len() + ALLOC_SLACK, "{largest}");
 }
 
 #[test]
 fn the_lies_the_old_loader_fell_for_are_typed_errors() {
-    // v2 fields, in the order `header`/`legacy` write them: 4 = layer count,
-    // 12/13 = Linear in/out features, 14 = normalizer length, 15 = tensor
-    // count, 16 = the first tensor's element count.
-    let cases: [(&str, [(usize, u64); 2]); 5] = [
+    // Fields in the order `header`/`v3` write them: 4 = layer count, 12/13
+    // = Linear in/out features, 14 = normalizer length, 15 = tensor count,
+    // 16 = the first tensor's element count in the header, 23 = the element
+    // count of its first `Weights` frame (20 honest).
+    let cases: [(&str, [(usize, u64); 2]); 6] = [
         ("layer count", [(4, u64::from(u32::MAX)), (usize::MAX, 0)]),
         ("Linear 2^40 x 2^40", [(12, 1 << 40), (13, 1 << 40)]),
         (
@@ -290,12 +267,16 @@ fn the_lies_the_old_loader_fell_for_are_typed_errors() {
         ),
         ("tensor count", [(15, u64::from(u32::MAX)), (usize::MAX, 0)]),
         (
-            "len * 4 wraps to 144",
+            "header numel 2^62 + 36",
             [(16, (1 << 62) + 36), (usize::MAX, 0)],
+        ),
+        (
+            "count * 4 wraps to 80",
+            [(23, (1 << 62) + 20), (usize::MAX, 0)],
         ),
     ];
     for (what, at) in cases {
-        let (bytes, _) = craft(2, at);
+        let (bytes, _) = craft(at);
         let (out, largest) = load_crafted(&bytes, "old-lies");
         assert!(matches!(out, Err(NnError::Serialize(_))), "{what}: {out:?}");
         assert!(largest <= bytes.len() + ALLOC_SLACK, "{what}: {largest}");
@@ -307,23 +288,22 @@ proptest! {
 
     #[test]
     fn crafted_fields_never_panic_or_over_allocate(
-        version in 1u8..=3,
         (first, second) in (0usize..4096, 0usize..4096),
         (kind_a, kind_b) in (0u32..12, 0u32..14),
         (near, noise) in (0u64..40, any::<u64>()),
     ) {
-        let (_, fields) = craft(version, [(usize::MAX, 0); 2]);
+        let (_, fields) = craft([(usize::MAX, 0); 2]);
         // `kind_b` past the table leaves the second field honest.
         let second = if kind_b < 12 { second % fields } else { usize::MAX };
         let at = [
             (first % fields, lie(kind_a, near, noise)),
             (second, lie(kind_b, near + 1, noise.rotate_left(17))),
         ];
-        let (bytes, _) = craft(version, at);
-        let (_, largest) = load_crafted(&bytes, &format!("v{version}-{first}-{second}-{kind_a}-{kind_b}"));
+        let (bytes, _) = craft(at);
+        let (_, largest) = load_crafted(&bytes, &format!("{first}-{second}-{kind_a}-{kind_b}"));
         prop_assert!(
             largest <= bytes.len() + ALLOC_SLACK,
-            "v{version} fields {at:?}: load asked for {largest} bytes of a {}-byte file",
+            "fields {at:?}: load asked for {largest} bytes of a {}-byte file",
             bytes.len()
         );
     }
@@ -333,17 +313,15 @@ proptest! {
 /// the random pairs above cannot promise.
 #[test]
 fn every_field_under_every_lie_is_survived() {
-    for version in 1..=3 {
-        let (_, fields) = craft(version, [(usize::MAX, 0); 2]);
-        for field in 0..fields {
-            for kind in 0..10 {
-                let (bytes, _) = craft(version, [(field, lie(kind, 3, 0)), (usize::MAX, 0)]);
-                let (_, largest) = load_crafted(&bytes, &format!("sweep-{version}"));
-                assert!(
-                    largest <= bytes.len() + ALLOC_SLACK,
-                    "v{version} field {field} lie {kind}: {largest} bytes"
-                );
-            }
+    let (_, fields) = craft([(usize::MAX, 0); 2]);
+    for field in 0..fields {
+        for kind in 0..10 {
+            let (bytes, _) = craft([(field, lie(kind, 3, 0)), (usize::MAX, 0)]);
+            let (_, largest) = load_crafted(&bytes, "sweep");
+            assert!(
+                largest <= bytes.len() + ALLOC_SLACK,
+                "field {field} lie {kind}: {largest} bytes"
+            );
         }
     }
 }

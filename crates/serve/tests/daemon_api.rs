@@ -189,23 +189,32 @@ fn failed_apply_keeps_the_old_snapshot_serving() {
     let err = daemon.apply("region { ").unwrap_err();
     assert!(matches!(err, DaemonError::Config(_)), "{err}");
 
-    // Valid config, missing model: the shadow probe fails the build, the
-    // candidate never serves, the old snapshot is untouched.
-    let missing = dir.join("missing.hml");
-    let err = daemon
-        .apply(&region_cfg(
-            "demo",
-            &missing,
-            "max_batch 4;\n max_wait 100us;",
-        ))
-        .unwrap_err();
-    match &err {
-        DaemonError::Build { region, msg } => {
-            assert_eq!(region, "demo");
-            assert!(msg.contains("probe"), "probe failure must be named: {msg}");
+    // Valid config, a model that does not load — missing, or a file whose
+    // header names `.hml` version 2, which is no longer read (nor written
+    // to): the shadow probe fails the build, the candidate never serves,
+    // the old snapshot is untouched.
+    let old_layout = dir.join("v2.hml");
+    save_mlp(&old_layout, 5);
+    let mut bytes = std::fs::read(&old_layout).unwrap();
+    bytes[8] = 2;
+    std::fs::write(&old_layout, &bytes).unwrap();
+    for model in [dir.join("missing.hml"), old_layout] {
+        let err = daemon
+            .apply(&region_cfg(
+                "demo",
+                &model,
+                "max_batch 4;\n max_wait 100us;",
+            ))
+            .unwrap_err();
+        match &err {
+            DaemonError::Build { region, msg } => {
+                assert_eq!(region, "demo");
+                assert!(msg.contains("probe"), "probe failure must be named: {msg}");
+            }
+            other => panic!("expected Build, got: {other}"),
         }
-        other => panic!("expected Build, got: {other}"),
     }
+    assert_eq!(std::fs::read(dir.join("v2.hml")).unwrap(), bytes);
 
     assert_eq!(
         daemon.generation(),
@@ -259,6 +268,49 @@ fn apply_whose_probe_forward_fails_keeps_the_old_generation_serving() {
         daemon.submit("demo", &[s], &mut [&mut y]).unwrap();
         assert_eq!(y[0].to_bits(), want.to_bits(), "old generation, bitwise");
     }
+}
+
+/// A directive is config text. Its expressions were parsed with unbounded
+/// recursion, so one `directive` line of 10^5 nested parentheses, leading
+/// minuses or `+` terms overflowed the stack and aborted the daemon at
+/// `apply`. Each is a typed build error now, and the old generation keeps
+/// serving bitwise.
+#[test]
+fn apply_of_a_directive_nested_past_the_bound_keeps_the_old_generation_serving() {
+    let dir = tmpdir("deep-directive");
+    let v1 = dir.join("v1.hml");
+    save_mlp(&v1, 5);
+    let samples = [sample(0), sample(1)];
+    let want = direct_outputs(&v1, &samples);
+    let body = "max_batch 4;\n max_wait 100us;";
+    let daemon = DaemonBuilder::new()
+        .bootstrap(&region_cfg("demo", &v1, body))
+        .unwrap();
+    let n = 100_000;
+    let deep = [
+        format!("{}i{}", "(".repeat(n), ")".repeat(n)),
+        format!("{}i", "-".repeat(n)),
+        vec!["i"; n].join("+"),
+    ];
+    for expr in deep {
+        let cfg = region_cfg("demo", &v1, body);
+        let cfg = cfg.replace("= ([i]))", &format!("= ([{expr}]))"));
+        assert!(cfg.len() > n, "the deep expression is in the config");
+        match daemon.apply(&cfg).unwrap_err() {
+            DaemonError::Build { region, msg } => {
+                assert_eq!(region, "demo");
+                assert!(msg.contains("nested deeper"), "{msg}");
+            }
+            other => panic!("expected Build, got: {other}"),
+        }
+        assert_eq!(daemon.generation(), 1, "a failed apply must not swap");
+        for (s, want) in samples.iter().zip(&want) {
+            let mut y = [0.0f32; 1];
+            daemon.submit("demo", &[s], &mut [&mut y]).unwrap();
+            assert_eq!(y[0].to_bits(), want.to_bits(), "old generation, bitwise");
+        }
+    }
+    assert_eq!(daemon.stats().swaps, 0);
 }
 
 /// `max_batch` sizes every staging and gather buffer, and it is config

@@ -1,7 +1,10 @@
-//! Property tests for the config parser: totality over garbage (never a
-//! panic) and parse→render→parse as the identity on valid configs.
+//! Property tests for the config parser: totality over garbage and over
+//! every near miss of a valid config (never a panic), and
+//! parse→render→parse as the identity on valid configs.
 
 use hpacml_core::{ErrorMetric, Precision};
+use hpacml_directive::sema::analyze;
+use hpacml_directive::{parse_directives, Directive};
 use hpacml_serve::config::{Config, DaemonConfig, RegionConfig, ValidationConfig};
 use proptest::prelude::*;
 use std::time::Duration;
@@ -46,6 +49,46 @@ proptest! {
             end -= 1;
         }
         let _ = Config::parse(&full[..end]);
+    }
+}
+
+/// Every truncation of `s` at a char boundary, and every single-char
+/// substitution from a set of characters the grammars give meaning to (or
+/// that sit outside ASCII).
+fn near_misses(s: &str) -> Vec<String> {
+    const SUBS: [char; 7] = ['(', '-', '"', '\\', 'é', '\0', '{'];
+    let mut out: Vec<String> = (0..=s.len())
+        .filter(|&end| s.is_char_boundary(end))
+        .map(|end| s[..end].to_string())
+        .collect();
+    for (at, c) in s.char_indices() {
+        for sub in SUBS {
+            let (head, tail) = (&s[..at], &s[at + c.len_utf8()..]);
+            out.push(format!("{head}{sub}{tail}"));
+        }
+    }
+    out
+}
+
+/// The near misses of a rendered config parse to a config or a typed error,
+/// never a panic; and the directive text of each that parses goes on
+/// through the directive parser and sema the same way.
+#[test]
+fn near_misses_of_a_rendered_config_are_typed() {
+    for text in near_misses(&sample_config(3, 7).render()) {
+        let outcome = std::panic::catch_unwind(|| {
+            let Ok(config) = Config::parse(&text) else {
+                return;
+            };
+            for region in &config.regions {
+                for d in parse_directives(&region.directive).into_iter().flatten() {
+                    if let Directive::Functor(f) = d {
+                        let _ = analyze(&f);
+                    }
+                }
+            }
+        });
+        assert!(outcome.is_ok(), "panicked on {text:?}");
     }
 }
 

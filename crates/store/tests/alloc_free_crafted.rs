@@ -3,16 +3,15 @@
 //! catches it; here the file is *written* with a lie in one or two numeric
 //! header fields (rank, dims, rows, first-row, payload/string/frame
 //! lengths, counts) and every checksum is computed over the lie, so the
-//! decoders' own bounds checks are all that stands. For v1, v2 and v3:
-//! `H5File::open` never panics, never overflows, never asks the allocator
-//! for more than a small multiple of the file's size, and returns a typed
-//! error or a tree whose every dataset reads back whole.
+//! decoder's own bounds checks are all that stands: `H5File::open` never
+//! panics, never overflows, never asks the allocator for more than a small
+//! multiple of the file's size, and returns a typed error or a tree whose
+//! every dataset reads back whole.
 //!
-//! The writers below are the test's own (an independent pin of the three
-//! layouts). The allocation bound is measured by a `#[global_allocator]`
+//! The writer below is the test's own (an independent pin of the log
+//! layout). The allocation bound is measured by a `#[global_allocator]`
 //! that records the largest request made on the calling thread.
 
-use hpacml_faults::fnv1a64;
 use hpacml_store::frame::fnv1a64_words;
 use hpacml_store::{DType, Group, H5File};
 use proptest::prelude::*;
@@ -66,12 +65,12 @@ static GLOBAL: PeakAlloc = PeakAlloc;
 
 /// Numbers every numeric header field as it is written and replaces the
 /// chosen ones.
-struct Lies {
+struct Lies<'a> {
     next: usize,
-    at: [(usize, u64); 2],
+    at: &'a [(usize, u64)],
 }
 
-impl Lies {
+impl Lies<'_> {
     fn field(&mut self, honest: u64) -> u64 {
         let n = self.next;
         self.next += 1;
@@ -98,7 +97,6 @@ struct Ds {
     name: &'static str,
     dtype: u8,
     dims: &'static [u64],
-    rows: u64,
     payload: Vec<u8>,
 }
 
@@ -113,14 +111,12 @@ fn datasets() -> [Ds; 2] {
             name: "t",
             dtype: 1,
             dims: &[],
-            rows: 2,
             payload: t,
         },
         Ds {
             name: "x",
             dtype: 0,
             dims: &[2, 3],
-            rows: 2,
             payload: x,
         },
     ]
@@ -139,40 +135,6 @@ fn attrs(l: &mut Lies, out: &mut Vec<u8>) {
     l.str(out, "steps");
     out.push(0);
     out.extend(2i64.to_le_bytes());
-}
-
-/// v1 (`framed = false`) and v2: nested records, v2 wrapping each child and
-/// the root in `len, fnv1a64, body`.
-fn legacy(l: &mut Lies, framed: bool) -> Vec<u8> {
-    fn block(l: &mut Lies, out: &mut Vec<u8>, body: &[u8], framed: bool) {
-        if framed {
-            l.u64(out, body.len() as u64);
-            out.extend(fnv1a64(body).to_le_bytes());
-        }
-        out.extend(body);
-    }
-    let mut g = Vec::new();
-    l.u32(&mut g, 0);
-    l.u32(&mut g, 2);
-    for d in datasets() {
-        l.str(&mut g, d.name);
-        g.push(1);
-        let mut body = Vec::new();
-        shape(l, &mut body, &d);
-        l.u64(&mut body, d.rows);
-        l.u64(&mut body, d.payload.len() as u64);
-        body.extend(&d.payload);
-        block(l, &mut g, &body, framed);
-    }
-    let mut root = Vec::new();
-    attrs(l, &mut root);
-    l.u32(&mut root, 1);
-    l.str(&mut root, "g");
-    root.push(0);
-    block(l, &mut root, &g, framed);
-    let mut out = Vec::from(if framed { *b"H5LITE02" } else { *b"H5LITE01" });
-    block(l, &mut out, &root, framed);
-    out
 }
 
 /// v3: two generations, one row of each dataset per generation.
@@ -216,13 +178,9 @@ fn v3(l: &mut Lies) -> Vec<u8> {
     out
 }
 
-fn craft(version: u32, at: [(usize, u64); 2]) -> (Vec<u8>, usize) {
+fn craft(at: &[(usize, u64)]) -> (Vec<u8>, usize) {
     let mut l = Lies { next: 0, at };
-    let bytes = match version {
-        1 => legacy(&mut l, false),
-        2 => legacy(&mut l, true),
-        _ => v3(&mut l),
-    };
+    let bytes = v3(&mut l);
     (bytes, l.next)
 }
 
@@ -290,31 +248,30 @@ const ALLOC_BOUND: usize = 64 << 10;
 
 #[test]
 fn honest_files_open_to_the_tree_within_the_bound() {
-    for version in 1..=3 {
-        let (bytes, fields) = craft(version, [(usize::MAX, 0); 2]);
-        assert!(fields >= 16, "v{version} numbers {fields} fields");
-        let path = std::env::temp_dir().join(format!("hpacml-store-crafted-honest-{version}"));
-        std::fs::write(&path, &bytes).unwrap();
-        let f = H5File::open(&path).unwrap();
-        assert!(f.recovery().is_none(), "v{version}");
-        let g = f.root().group("g").unwrap();
-        assert_eq!(g.dataset("t").unwrap().read_f64().unwrap(), [100.0, 110.0]);
-        assert_eq!(g.dataset("x").unwrap().shape(), [2, 2, 3]);
-        drop(f);
-        let _ = std::fs::remove_file(&path);
-        assert!(open_crafted(&bytes, &format!("honest-{version}")) <= ALLOC_BOUND);
-    }
+    let (bytes, fields) = craft(&[]);
+    assert!(fields >= 16, "the log numbers {fields} fields");
+    let path = std::env::temp_dir().join("hpacml-store-crafted-honest");
+    std::fs::write(&path, &bytes).unwrap();
+    let f = H5File::open(&path).unwrap();
+    assert!(f.recovery().is_none());
+    let g = f.root().group("g").unwrap();
+    assert_eq!(g.dataset("t").unwrap().read_f64().unwrap(), [100.0, 110.0]);
+    assert_eq!(g.dataset("x").unwrap().shape(), [2, 2, 3]);
+    drop(f);
+    let _ = std::fs::remove_file(&path);
+    assert!(open_crafted(&bytes, "honest") <= ALLOC_BOUND);
 }
 
 #[test]
 fn wrapping_dims_are_a_typed_error() {
-    // The two cases from the issue, on a v1 file (no checksum to hide
-    // behind): dims whose product overflows, and dims whose product wraps
-    // to 0 so that a 4-byte payload used to be *accepted* as the dataset.
-    // Fields 8 and 9, in the order `legacy` writes a v1 file, are x's two
-    // inner dims.
+    // Dims whose product overflows, and dims whose product wraps to 0 so
+    // that a 4-byte payload would be *accepted* as the dataset. The lie is
+    // told consistently, every checksum computed over it: x's two inner
+    // dims in both of its Rows frames (fields 11/12 and 42/43, in the
+    // order `v3` writes them) and in both Commits (27/28 and 58/59).
     for dim in [1u64 << 40, 1 << 32] {
-        let (bytes, _) = craft(1, [(8, dim), (9, dim)]);
+        let at = [11, 12, 27, 28, 42, 43, 58, 59].map(|field| (field, dim));
+        let (bytes, _) = craft(&at);
         let path = std::env::temp_dir().join(format!("hpacml-store-crafted-wrap-{dim}"));
         std::fs::write(&path, &bytes).unwrap();
         let err = H5File::open(&path).unwrap_err();
@@ -328,23 +285,22 @@ proptest! {
 
     #[test]
     fn crafted_headers_never_panic_or_over_allocate(
-        version in 1u32..=3,
         (first, second) in (0usize..4096, 0usize..4096),
         (kind_a, kind_b) in (0u32..12, 0u32..14),
         (near, noise) in (0u64..8, any::<u64>()),
     ) {
-        let (_, fields) = craft(version, [(usize::MAX, 0); 2]);
+        let (_, fields) = craft(&[]);
         // `kind_b` past the table leaves the second field honest.
         let second = if kind_b < 12 { second % fields } else { usize::MAX };
         let at = [
             (first % fields, lie(kind_a, near, noise)),
             (second, lie(kind_b, near + 1, noise.rotate_left(17))),
         ];
-        let (bytes, _) = craft(version, at);
-        let largest = open_crafted(&bytes, &format!("v{version}-{first}-{second}-{kind_a}-{kind_b}"));
+        let (bytes, _) = craft(&at);
+        let largest = open_crafted(&bytes, &format!("{first}-{second}-{kind_a}-{kind_b}"));
         prop_assert!(
             largest <= ALLOC_BOUND,
-            "v{version} fields {at:?}: open asked for {largest} bytes of a {}-byte file",
+            "fields {at:?}: open asked for {largest} bytes of a {}-byte file",
             bytes.len()
         );
     }
