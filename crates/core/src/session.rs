@@ -67,6 +67,7 @@ use hpacml_nn::{InferWorkspace, SavedModel};
 use hpacml_tensor::Tensor;
 use parking_lot::Mutex;
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Which execution path an invocation took.
@@ -99,12 +100,12 @@ struct Scratch {
     out: Tensor,
     /// Reusable dims scratch for batched reshapes (no per-run allocation).
     dims_buf: Vec<usize>,
-    /// `(session-core address, max_batch)` the gather/staging buffers were
-    /// last sized for. See [`Scratch::warm_buffers`].
-    buf_warm: (usize, usize),
-    /// `(session-core address, max_batch)` the inference workspace was last
+    /// `(session-core id, max_batch)` the gather/staging buffers were last
+    /// sized for. See [`Scratch::warm_buffers`].
+    buf_warm: (u64, usize),
+    /// `(session-core id, max_batch)` the inference workspace was last
     /// reserved for (set on the first surrogate run, when the model exists).
-    ws_warm: (usize, usize),
+    ws_warm: (u64, usize),
 }
 
 impl Scratch {
@@ -118,14 +119,13 @@ impl Scratch {
     /// not an abort.
     fn warm_buffers(&mut self, core: &Arc<SessionCore>, max_batch: usize) -> Result<()> {
         let count = core.input_count();
-        // The arity check runs unconditionally: the warm token keys on the
-        // core's address, and a dropped core's allocation can be reused by a
-        // new one (ABA) — capacity warming is only a perf hint then, but
-        // `gathered` must always have one slot per declared input.
         if self.gathered.len() < count {
             self.gathered.resize_with(count, Tensor::default);
         }
-        let token = (Arc::as_ptr(core) as usize, max_batch);
+        // Keyed on the core's process-unique id, never its address: a new
+        // core allocated where a dropped one was must not skip the
+        // reservation, which is also the build's size gate.
+        let token = (core.id, max_batch);
         if self.buf_warm == token {
             return Ok(());
         }
@@ -234,10 +234,17 @@ struct SurrogateState {
 /// [`crate::serve::BatchServer`]'s clone and the caller's session resolve
 /// the model once between them).
 struct SessionCore {
+    /// Process-unique, never reused (see [`NEXT_CORE_ID`]): what the
+    /// per-thread warm tokens key on.
+    id: u64,
     /// (array name, gather plan) in assembly order.
     inputs: Vec<(String, Arc<CompiledMap>)>,
     surrogate: Mutex<Option<Arc<SurrogateState>>>,
 }
+
+/// The next [`SessionCore::id`]. Starts at 1, so a fresh [`Scratch`]'s
+/// `(0, 0)` tokens match no core.
+static NEXT_CORE_ID: AtomicU64 = AtomicU64::new(1);
 
 impl SessionCore {
     fn build(
@@ -260,6 +267,7 @@ impl SessionCore {
             plans.push((name.clone(), plan));
         }
         Ok(SessionCore {
+            id: NEXT_CORE_ID.fetch_add(1, Ordering::Relaxed),
             inputs: plans,
             surrogate: Mutex::new(None),
         })
@@ -309,7 +317,7 @@ impl SessionCore {
         scratch: &mut Scratch,
         max_batch: usize,
     ) -> Result<()> {
-        let token = (self as *const SessionCore as usize, max_batch);
+        let token = (self.id, max_batch);
         if max_batch <= 1 || scratch.ws_warm == token {
             return Ok(());
         }

@@ -214,3 +214,81 @@ fn steady_state_stencil_step_is_allocation_free() {
     assert_ne!(t[GRID + 1..2 * GRID - 1], before[GRID + 1..2 * GRID - 1]);
     assert_eq!(t[..GRID], before[..GRID]);
 }
+
+/// A thread reserves its inference workspace once per session core and
+/// `max_batch`, on the core's first surrogate run. That record used to key
+/// on the core's address, so a session built where a dropped session's core
+/// had been — same thread, same `max_batch` — skipped the reservation for
+/// its own, wider model, and its forward passes then grew the arenas. Its
+/// first invocation (a single sample, which resolves the model) may
+/// allocate; every batch after it, up to `max_batch`, must not.
+#[test]
+fn a_session_built_after_a_dropped_one_reserves_its_own_workspace() {
+    const MAX_BATCH: usize = 64;
+    let dir = std::env::temp_dir().join("hpacml-alloc-free-after-drop");
+    std::fs::create_dir_all(&dir).unwrap();
+    let region_of = |name: &str, hidden: usize| {
+        let path = dir.join(format!("{name}.hml"));
+        let spec = ModelSpec::mlp(2, &[hidden], 1, Activation::ReLU, 0.0);
+        let model = spec.build(hidden as u64).unwrap();
+        hpacml_nn::serialize::save_model(&path, &spec, &model, None, None).unwrap();
+        Region::from_source(
+            name,
+            &format!(
+                r#"
+                #pragma approx tensor functor(rows: [i, 0:2] = ([2*i : 2*i+2]))
+                #pragma approx tensor functor(single: [i, 0:1] = ([i]))
+                #pragma approx tensor map(to: rows(x[0:N]))
+                #pragma approx ml(infer) in(x) out(single(y[0:N])) model("{}")
+                "#,
+                path.display()
+            ),
+        )
+        .unwrap()
+    };
+    let (narrow, wide) = (region_of("narrow", 4), region_of("wide", 512));
+    let binds = Bindings::new().with("N", 1);
+    let x: Vec<f32> = (0..MAX_BATCH * 2)
+        .map(|k| (k as f32 * 0.07).cos())
+        .collect();
+    // Build a session of `region`, invoke it at `first`, then count the
+    // allocations of one batch of `MAX_BATCH`; drops the session.
+    let run = |region: &Region, first: usize| {
+        let session = region
+            .session(&binds, &[("x", &[2]), ("y", &[1])], MAX_BATCH)
+            .unwrap();
+        let mut y = vec![0.0f32; MAX_BATCH];
+        let invoke = |n: usize, y: &mut [f32]| {
+            let mut out = session
+                .invoke_batch(n)
+                .unwrap()
+                .input("x", &x[..n * 2])
+                .unwrap()
+                .run(|| unreachable!())
+                .unwrap();
+            out.output("y", &mut y[..n]).unwrap();
+            out.finish().unwrap();
+        };
+        invoke(first, &mut y);
+        let allocs = allocations_during(|| invoke(MAX_BATCH, &mut y));
+        // The batch ran (guards against a silent no-op): its first sample
+        // equals a single-sample invocation's, bit for bit.
+        let mut y1 = [0.0f32; 1];
+        invoke(1, &mut y1);
+        assert_eq!(y[0].to_bits(), y1[0].to_bits());
+        allocs
+    };
+
+    // Process-wide lazy state (the pool a batch's forward fans out to, the
+    // wide model's load) is set up from another thread, so this thread's
+    // scratch has only ever seen the narrow model.
+    std::thread::scope(|s| s.spawn(|| run(&wide, MAX_BATCH)).join().unwrap());
+    // Warm this thread on the narrow model at `MAX_BATCH`; its session is
+    // dropped before the wide one is built.
+    run(&narrow, MAX_BATCH);
+    let allocs = run(&wide, 1);
+    assert_eq!(
+        allocs, 0,
+        "a batch of {MAX_BATCH} on a session built after a dropped one allocated {allocs} times"
+    );
+}

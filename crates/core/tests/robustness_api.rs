@@ -10,6 +10,7 @@ use hpacml_core::{
 };
 use hpacml_directive::sema::Bindings;
 use hpacml_nn::spec::{Activation, ModelSpec};
+use hpacml_tensor::TensorError;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -708,4 +709,48 @@ fn tripped_controller_recovers_when_the_model_appears() {
     // And the next invocation actually serves the surrogate.
     let (path, _) = invoke_host(f32::NAN);
     assert_eq!(path, PathTaken::Surrogate);
+}
+
+/// A session build reserves its gather and staging buffers, so a plan no
+/// buffer can hold fails the build with a typed error. The per-thread
+/// record of what was reserved used to key on the session core's address:
+/// a core allocated where a dropped one had been skipped the reservation,
+/// the build returned `Ok`, and the first `input()` then aborted the
+/// process on a 4 TB allocation. The sweep below reads `x[0]` at every `i`,
+/// so `N` sizes the plan without any array of that size existing.
+#[test]
+fn a_plan_no_buffer_can_hold_fails_the_build_after_a_dropped_session() {
+    let dir = tmpdir("size-gate-after-drop");
+    let model = dir.join("m.hml");
+    let spec = ModelSpec::mlp(1, &[8], 1, Activation::Tanh, 0.0);
+    let built = spec.build(3).unwrap();
+    hpacml_nn::serialize::save_model(&model, &spec, &built, None, None).unwrap();
+    let region = Region::from_source(
+        "size-gate-after-drop",
+        &format!(
+            r#"
+            #pragma approx tensor functor(first: [i, 0:1] = ([0]))
+            #pragma approx tensor functor(single: [i, 0:1] = ([i]))
+            #pragma approx tensor map(to: first(x[0:N]))
+            #pragma approx ml(infer) in(x) out(single(y[0:N])) model("{}")
+            "#,
+            model.display()
+        ),
+    )
+    .unwrap();
+    let build = |n: usize| {
+        let binds = Bindings::new().with("N", n as i64);
+        region
+            .session(&binds, &[("x", &[n]), ("y", &[n])], 1)
+            .map(drop)
+    };
+    for round in 0..16 {
+        build(1 << 20).unwrap();
+        match build(1 << 40) {
+            Err(CoreError::Tensor(TensorError::Reserve { elems })) => {
+                assert_eq!(elems, 1 << 40, "round {round}")
+            }
+            other => panic!("round {round}: N = 2^40 built: {other:?}"),
+        }
+    }
 }

@@ -360,21 +360,17 @@ impl Layer for Linear {
         // Build every rung from `target` up: the validation controller
         // may demote int8 → bf16 → f32 at runtime, and each hop must be
         // a pointer swap, not a repack. The f32 rung is the plain packed
-        // panels — ensure they exist so demotion lands on the fast path.
-        self.q_bf16 = Some(
-            QPackedB::from_transb(&self.w.value, Precision::Bf16).expect("weights are rank 2"),
-        );
-        if target == Precision::Int8 {
-            self.q_int8 = Some(
-                QPackedB::from_transb(&self.w.value, Precision::Int8).expect("weights are rank 2"),
-            );
-        } else {
-            // A bf16-target model must not keep serving a coarser rung.
-            self.q_int8 = None;
-        }
+        // panels — ensure they exist so demotion lands on the fast path —
+        // and the reduced rungs are encoded from them, so the weights are
+        // transposed once.
         if self.packed.is_none() {
             self.prepack();
         }
+        let packed = self.packed.as_ref().expect("prepacked above");
+        let encode = |prec| QPackedB::from_packed(packed, prec).expect("a reduced rung");
+        self.q_bf16 = Some(encode(Precision::Bf16));
+        // A bf16-target model must not keep serving a coarser rung.
+        self.q_int8 = (target == Precision::Int8).then(|| encode(Precision::Int8));
         true
     }
 
@@ -916,6 +912,47 @@ mod tests {
         let mut n = 0;
         l.visit_params(&mut |_| n += 1);
         assert_eq!(n, 2);
+    }
+
+    /// `quantize` on a `Linear` that was never prepacked packs the f32
+    /// panels first and encodes both rungs from them: each rung equals
+    /// packing the weights directly, in every chain weight and scale, and
+    /// serves its forward.
+    #[test]
+    fn quantize_without_a_prepack_packs_first_then_encodes_the_rungs() {
+        let (k, n) = (37, 21);
+        let mut l = Linear::new(k, n, &mut rng(7));
+        assert!(l.packed.is_none());
+        assert!(l.quantize(Precision::Int8));
+        assert!(l.packed.is_some(), "the f32 rung is packed too");
+        let x = sample_x(3, k, 8);
+        for (prec, q) in [
+            (Precision::Bf16, l.q_bf16.as_ref()),
+            (Precision::Int8, l.q_int8.as_ref()),
+        ] {
+            let (q, want) = (
+                q.expect("rung built"),
+                QPackedB::from_transb(&l.w.value, prec).unwrap(),
+            );
+            for j in 0..n {
+                assert_eq!(
+                    q.col_scale(j).to_bits(),
+                    want.col_scale(j).to_bits(),
+                    "{prec}"
+                );
+                for kk in 0..k {
+                    assert_eq!(
+                        q.chain_weight(j, kk).to_bits(),
+                        want.chain_weight(j, kk).to_bits()
+                    );
+                }
+            }
+            let (mut got, mut direct) = (Tensor::default(), Tensor::default());
+            l.forward_into_at(&x, &mut got, prec).unwrap();
+            let epi = Epilogue::col_bias(l.b.value.data());
+            quant::matmul_transb_qpacked_into(&x, &want, epi, &mut direct).unwrap();
+            assert_eq!(got.data(), direct.data(), "{prec}");
+        }
     }
 
     #[test]

@@ -45,9 +45,11 @@
 //!
 //! Weights are always stored at full f32 precision; the precision byte
 //! only records the *serving* target. The quantized packs are rebuilt
-//! deterministically from the f32 weights at load/compile time (bf16
-//! round-to-nearest-even and int8 abs-max scales are pure functions of
-//! the weights), so a model file never bakes in quantization error twice.
+//! deterministically at load/compile time: the compile pass packs each
+//! layer's f32 weights into panels once, and the bf16 and int8 packs are
+//! encoded from those panels (bf16 round-to-nearest-even and int8 abs-max
+//! scales are pure functions of the weights), so a model file never bakes
+//! in quantization error twice.
 
 use crate::data::{NormAxis, Normalizer};
 use crate::fuse::PrecisionPolicy;

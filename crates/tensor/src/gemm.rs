@@ -449,7 +449,7 @@ impl<T: Scalar> PackedB<T> {
     /// `Linear` weights use (`w[out, in]`, logical `B = wᵀ`).
     pub fn pack_rows_into(&mut self, bt: &[T], n: usize, k: usize) {
         self.prepare(k, n);
-        pack_transb_panels(bt, n, k, &mut self.data, |_, v| v);
+        pack_transb_panels(bt, n, k, &mut self.data);
     }
 
     /// Pack a rank-2 tensor stored in transb layout `[n, k]`.
@@ -466,36 +466,56 @@ impl<T: Scalar> PackedB<T> {
         Ok(p)
     }
 
+    /// The stored panels, `packed_elems(k, n)` of them: the grow-only
+    /// buffer may hold more from an earlier, larger pack.
+    pub(crate) fn panel_data(&self) -> &[T] {
+        &self.data[..Self::packed_elems(self.k, self.n)]
+    }
+
     /// This pack as the driver sees it: stored panels read by the identity
     /// codec, which wants no scales.
     fn view(&self) -> Panels<'_, T, T> {
         Panels {
-            data: &self.data[..Self::packed_elems(self.k, self.n)],
+            data: self.panel_data(),
             scales: &[],
         }
     }
 }
 
 /// Fill `NR`-wide `k`-major panels (`dst[(p*k + kk)*NR + j]`) from row-major
-/// `[n, k]` ("transb") storage, storing `encode(column, value)` per element
-/// — the one packer behind every storage precision. Lanes past column `n`
-/// store `encode(column, 0)`, which is zero at every precision (the int8
-/// scale table is padded with `1.0`), so padding decodes to exactly `0`.
-pub(crate) fn pack_transb_panels<T: Scalar, Q>(
-    bt: &[T],
-    n: usize,
-    k: usize,
-    dst: &mut [Q],
-    encode: impl Fn(usize, T) -> Q,
-) {
+/// `[n, k]` ("transb") storage — the one transpose a weight matrix gets.
+/// Lanes past column `n` are stored as zero. The reduced-precision packs
+/// are encoded from these panels ([`crate::quant::QPackedB::from_packed`]),
+/// never from the row-major weights.
+fn pack_transb_panels<T: Scalar>(bt: &[T], n: usize, k: usize, dst: &mut [T]) {
     assert_eq!(bt.len(), n * k, "pack_transb_panels: bad B length");
-    for p in 0..n.div_ceil(NR) {
-        let panel = &mut dst[p * k * NR..(p + 1) * k * NR];
-        for (kk, row) in panel.chunks_exact_mut(NR).enumerate() {
-            for (j, v) in row.iter_mut().enumerate() {
-                let col = p * NR + j;
-                *v = encode(col, if col < n { bt[col * k + kk] } else { T::ZERO });
+    if k == 0 {
+        return;
+    }
+    let full = n / NR;
+    let (full_panels, ragged) = dst[..n.div_ceil(NR) * k * NR].split_at_mut(full * k * NR);
+    // Full panels: the 16 source rows are cut to `k` up front, so the
+    // `kk` loop is branch-free.
+    for (panel, rows) in full_panels
+        .chunks_exact_mut(k * NR)
+        .zip(bt.chunks_exact(k * NR))
+    {
+        let rows: [&[T]; NR] = std::array::from_fn(|j| &rows[j * k..(j + 1) * k]);
+        for (kk, out) in panel.chunks_exact_mut(NR).enumerate() {
+            for (v, row) in out.iter_mut().zip(&rows) {
+                *v = row[kk];
             }
+        }
+    }
+    // The ragged last panel: `n % NR` live lanes, then zeros.
+    let live = n % NR;
+    for (kk, out) in ragged.chunks_exact_mut(NR).enumerate() {
+        for (j, v) in out.iter_mut().enumerate() {
+            *v = if j < live {
+                bt[(full * NR + j) * k + kk]
+            } else {
+                T::ZERO
+            };
         }
     }
 }

@@ -13,11 +13,18 @@
 //!
 //! # What lives here
 //!
-//! No kernel. This module supplies the two things that are about
-//! quantization — the scalar codecs with their `gemm::PanelCodec`
-//! decoders, and [`QPackedB`] packing/audit — to the one macro-kernel in
+//! No kernel and no packer. This module supplies the two things that are
+//! about quantization — the scalar codecs with their `gemm::PanelCodec`
+//! decoders, and [`QPackedB`] encoding/audit — to the one macro-kernel in
 //! [`crate::gemm`], which every precision runs: the same stripe split, `kc`
 //! slabs, register and narrow tiles, epilogue and store.
+//!
+//! A [`QPackedB`] is encoded from the f32 [`PackedB`] panels
+//! ([`QPackedB::from_packed`]), whose layout every rung stores: the
+//! weights are transposed into panels once, by `gemm`'s one packer, and
+//! each rung is then a pass over the panels in storage order — bf16 one
+//! encode per element, int8 one abs-max pass over each panel's rows (a
+//! lane is an output channel) and one quantize per element.
 //!
 //! # Determinism
 //!
@@ -55,7 +62,7 @@
 //!   per weight than `Σ a·(q·scale)`. Zero maps to zero exactly, so panel
 //!   padding decodes to `0.0` at both precisions.
 
-use crate::gemm::{self, Epilogue, PanelCodec, Panels, NR};
+use crate::gemm::{self, Epilogue, PackedB, PanelCodec, Panels, NR};
 use crate::tensor::Tensor;
 use crate::{Result, TensorError};
 
@@ -160,9 +167,20 @@ pub(crate) fn int8_scale(absmax: f32) -> f32 {
 /// Quantize one weight against its channel scale. `f32::round` is
 /// half-away-from-zero — a deterministic scalar op, no FPU rounding-mode
 /// dependence — and the clamp keeps the encoding symmetric (`-128` unused).
+/// A NaN quotient stores `0`.
+///
+/// Equal to `(v / scale).round().clamp(-127.0, 127.0) as i8` for every
+/// input, but that saturating cast compiles to one scalar convert per
+/// weight. The clamped value is an integer in `±127` (or NaN, sent to
+/// `0.0` first), so adding `1.5·2²³` — where the f32 spacing is exactly 1 —
+/// leaves it in the low mantissa bits, and the low byte of the sum's bits
+/// is its two's complement. Both steps vectorize.
 #[inline(always)]
 pub(crate) fn int8_quantize(v: f32, scale: f32) -> i8 {
-    (v / scale).round().clamp(-127.0, 127.0) as i8
+    const MAGIC: f32 = 12_582_912.0; // 1.5·2²³, bits 0x4B40_0000
+    let r = (v / scale).round().clamp(-127.0, 127.0);
+    let r = if r.is_nan() { 0.0 } else { r };
+    (r + MAGIC).to_bits() as i8
 }
 
 /// The f32 an int8 weight stands for (`q · scale`): the quantization
@@ -170,18 +188,6 @@ pub(crate) fn int8_quantize(v: f32, scale: f32) -> i8 {
 #[cfg(test)]
 fn int8_dequantize(q: i8, scale: f32) -> f32 {
     q as f32 * scale
-}
-
-/// A channel's abs-max, NaN if the channel holds one (`f32::max` would skip
-/// it, and every weight of the channel would then quantize to a silent 0).
-fn channel_absmax(ch: &[f32]) -> f32 {
-    ch.iter().fold(0.0f32, |m, &v| {
-        if m.is_nan() || v.is_nan() {
-            f32::NAN
-        } else {
-            m.max(v.abs())
-        }
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -224,38 +230,43 @@ impl QPackedB {
     }
 
     /// Pack a rank-2 transb tensor `[n, k]` (the `Linear` weight layout
-    /// `w[out, in]`) at the given precision. `F32` has no quantized pack —
-    /// callers keep using [`crate::gemm::PackedB`] for it.
+    /// `w[out, in]`) at the given precision: the f32 panels first, then
+    /// [`QPackedB::from_packed`]. `F32` has no quantized pack — callers keep
+    /// using [`crate::gemm::PackedB`] for it.
     pub fn from_transb(t: &Tensor<f32>, prec: Precision) -> Result<Self> {
-        if t.rank() != 2 {
-            return Err(TensorError::DimMismatch(format!(
-                "QPackedB::from_transb: expected rank 2, got {:?}",
-                t.dims()
-            )));
-        }
-        let (n, k) = (t.dims()[0], t.dims()[1]);
-        let bt = t.data();
-        let panels = n.div_ceil(NR);
-        let mut scales = vec![1.0f32; panels * NR];
+        QPackedB::from_packed(&PackedB::from_transb(t)?, prec)
+    }
+
+    /// Encode f32 panels at the given precision. The panels already have
+    /// the layout every rung stores, so each encode is a pass over them in
+    /// storage order — no transpose: bf16 encodes element by element; int8
+    /// takes each lane's abs-max over its panel's `k` rows (a lane is an
+    /// output channel), then quantizes element by element. Padding lanes
+    /// hold `0.0`, so they store `0` with scale `1.0`.
+    pub fn from_packed(pb: &PackedB<f32>, prec: Precision) -> Result<Self> {
+        let (k, n) = (pb.k(), pb.n());
+        let src = pb.panel_data();
+        let mut scales = vec![1.0f32; n.div_ceil(NR) * NR];
         let data = match prec {
             Precision::F32 => {
                 return Err(TensorError::DimMismatch(
-                    "QPackedB::from_transb: F32 uses the unquantized PackedB".into(),
+                    "QPackedB::from_packed: F32 uses the unquantized PackedB".into(),
                 ))
             }
-            Precision::Bf16 => {
-                let mut d = vec![0u16; panels * k * NR];
-                gemm::pack_transb_panels(bt, n, k, &mut d, |_, v| bf16_encode(v));
-                QData::Bf16(d)
-            }
+            Precision::Bf16 => QData::Bf16(src.iter().map(|&v| bf16_encode(v)).collect()),
             Precision::Int8 => {
-                // Per-output-channel abs-max scales: output channel j is
-                // row j of the transb weight matrix = packed column j.
-                for (s, ch) in scales.iter_mut().zip(bt.chunks_exact(k.max(1))) {
-                    *s = int8_scale(channel_absmax(ch));
+                let mut d = vec![0i8; src.len()];
+                if k > 0 {
+                    let panels = src.chunks_exact(k * NR).zip(d.chunks_exact_mut(k * NR));
+                    for ((panel, out), s) in panels.zip(scales.chunks_exact_mut(NR)) {
+                        let lanes = panel_scales(panel);
+                        s.copy_from_slice(&lanes);
+                        for (row, q) in panel.chunks_exact(NR).zip(out.chunks_exact_mut(NR)) {
+                            let (row, q) = (row.try_into(), q.try_into());
+                            quantize_row(row.expect("NR lanes"), &lanes, q.expect("NR lanes"));
+                        }
+                    }
                 }
-                let mut d = vec![0i8; panels * k * NR];
-                gemm::pack_transb_panels(bt, n, k, &mut d, |j, v| int8_quantize(v, scales[j]));
                 QData::Int8(d)
             }
         };
@@ -339,6 +350,32 @@ impl QPackedB {
         }
         worst
     }
+}
+
+/// One panel row quantized against its lanes' scales: one 16-lane divide,
+/// round, clamp and narrowing store. Kept out of line on purpose: inlined
+/// into the row loop, LLVM's loop vectorizer took the loop across rows
+/// instead, loading each lane with a gather, and a 4096 × 4096 pack took
+/// 41–45 ms against 27–28 ms (one thread of a 2-vCPU AVX-512 KVM guest).
+#[inline(never)]
+fn quantize_row(row: &[f32; NR], scales: &[f32; NR], q: &mut [i8; NR]) {
+    *q = std::array::from_fn(|j| int8_quantize(row[j], scales[j]));
+}
+
+/// The int8 scales of one f32 panel's `NR` lanes: `int8_scale` of each
+/// lane's abs-max over the panel's rows, NaN for a lane that holds a NaN
+/// (`f32::max` skips NaN, so the flag is kept apart from the max; a NaN
+/// weight must not quantize to a silent 0 beside its channel's others).
+fn panel_scales(panel: &[f32]) -> [f32; NR] {
+    let mut max = [0.0f32; NR];
+    let mut nan = [false; NR];
+    for row in panel.chunks_exact(NR) {
+        for ((m, is_nan), &v) in max.iter_mut().zip(&mut nan).zip(row) {
+            *m = m.max(v.abs());
+            *is_nan |= v.is_nan();
+        }
+    }
+    std::array::from_fn(|j| int8_scale(if nan[j] { f32::NAN } else { max[j] }))
 }
 
 // ---------------------------------------------------------------------------
@@ -463,6 +500,133 @@ mod tests {
             }
         }
         c
+    }
+
+    /// The packer this module had before the rungs were encoded from the
+    /// f32 panels, kept as the oracle of [`QPackedB::from_packed`]: each
+    /// channel's abs-max folded over its row of the `[n, k]` weights, and
+    /// every stored element read back out of the row-major matrix with a
+    /// strided gather, quantized with the saturating cast.
+    fn strided_oracle(t: &Tensor<f32>, prec: Precision) -> QPackedB {
+        let (n, k) = (t.dims()[0], t.dims()[1]);
+        let bt = t.data();
+        let panels = n.div_ceil(NR);
+        let mut scales = vec![1.0f32; panels * NR];
+        let data = match prec {
+            Precision::F32 => unreachable!("no quantized f32 pack"),
+            Precision::Bf16 => {
+                let mut d = vec![0u16; panels * k * NR];
+                strided_pack(bt, n, k, &mut d, |_, v| bf16_encode(v));
+                QData::Bf16(d)
+            }
+            Precision::Int8 => {
+                for (s, ch) in scales.iter_mut().zip(bt.chunks_exact(k.max(1))) {
+                    let absmax = ch.iter().fold(0.0f32, |m, &v| {
+                        if m.is_nan() || v.is_nan() {
+                            f32::NAN
+                        } else {
+                            m.max(v.abs())
+                        }
+                    });
+                    *s = int8_scale(absmax);
+                }
+                let mut d = vec![0i8; panels * k * NR];
+                strided_pack(bt, n, k, &mut d, |j, v| {
+                    (v / scales[j]).round().clamp(-127.0, 127.0) as i8
+                });
+                QData::Int8(d)
+            }
+        };
+        QPackedB { k, n, scales, data }
+    }
+
+    /// The oracle's packer: `encode(column, value)` per panel element, each
+    /// gathered from the row-major `[n, k]` weights; `encode(column, 0)`
+    /// past column `n`.
+    fn strided_pack<Q>(
+        bt: &[f32],
+        n: usize,
+        k: usize,
+        dst: &mut [Q],
+        encode: impl Fn(usize, f32) -> Q,
+    ) {
+        for p in 0..n.div_ceil(NR) {
+            let panel = &mut dst[p * k * NR..(p + 1) * k * NR];
+            for (kk, row) in panel.chunks_exact_mut(NR).enumerate() {
+                for (j, v) in row.iter_mut().enumerate() {
+                    let col = p * NR + j;
+                    *v = encode(col, if col < n { bt[col * k + kk] } else { 0.0 });
+                }
+            }
+        }
+    }
+
+    /// Byte-for-byte equality of two packs: dims, every stored element
+    /// (padding lanes included) and every scale's bits.
+    fn assert_same_pack(got: &QPackedB, want: &QPackedB, what: &str) {
+        assert_eq!((got.k, got.n), (want.k, want.n), "{what}: dims");
+        let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.scales), bits(&want.scales), "{what}: scales");
+        match (&got.data, &want.data) {
+            (QData::Bf16(g), QData::Bf16(w)) => assert!(g == w, "{what}: bf16 panels"),
+            (QData::Int8(g), QData::Int8(w)) => assert!(g == w, "{what}: int8 panels"),
+            _ => panic!("{what}: packs of different precisions"),
+        }
+    }
+
+    /// `[n, k]` weights from `seed` with the encodes' edge cases, one kind
+    /// per channel, cycling: plain; ±inf, ±0, subnormals, ±0.5 and the
+    /// largest finite values sprinkled in; every weight subnormal or tiny;
+    /// one NaN (quiet, with a payload, or signaling) among plain weights;
+    /// all zero; abs-max exactly 127 (scale 1) over ±x.5 — exact ties of
+    /// the int8 rounding.
+    fn edge_weights(n: usize, k: usize, seed: u64) -> Vec<f32> {
+        const SPECIAL: [f32; 9] = [
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1e-40,
+            -1e-45,
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            -0.5,
+        ];
+        const NAN_BITS: [u32; 4] = [0x7FC0_0000, 0x7FC0_0001, 0xFFC1_2345, 0x7F80_0001];
+        let mut w = lcg(seed, n * k);
+        if k == 0 {
+            return w;
+        }
+        let mut s = seed | 1;
+        let mut draw = || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 33) as usize
+        };
+        for (j, ch) in w.chunks_exact_mut(k).enumerate() {
+            match j % 6 {
+                0 => {}
+                1 => {
+                    for v in ch.iter_mut() {
+                        let r = draw();
+                        if r % 4 == 0 {
+                            *v = SPECIAL[r / 4 % SPECIAL.len()];
+                        }
+                    }
+                }
+                2 => ch.iter_mut().for_each(|v| *v *= 1e-38),
+                3 => ch[draw() % k] = f32::from_bits(NAN_BITS[draw() % NAN_BITS.len()]),
+                4 => ch.fill(0.0),
+                _ => {
+                    for (kk, v) in ch.iter_mut().enumerate() {
+                        *v = (kk % 254) as f32 - 126.5;
+                    }
+                    ch[0] = -127.0;
+                }
+            }
+        }
+        w
     }
 
     #[test]
@@ -689,6 +853,123 @@ mod tests {
         let qb = QPackedB::from_transb(&bt, Precision::Int8).unwrap();
         assert!(qb.col_scale(3).is_nan());
         assert!(qb.col_scale(2).is_finite());
+    }
+
+    /// The packs encoded from the f32 panels equal the strided packer's
+    /// byte for byte, on every `n` from 1 to 70 (ragged panels of every
+    /// width) at depths 0, 1, 5, 256 and 300, over weights holding NaN,
+    /// ±inf, ±0, subnormals, an all-zero channel and exact int8 ties.
+    #[test]
+    fn packs_from_the_f32_panels_equal_the_strided_oracle() {
+        for n in 1..=70usize {
+            for k in [0usize, 1, 5, 256, 300] {
+                let w = edge_weights(n, k, (n * 1000 + k) as u64);
+                let t = Tensor::from_vec(w, [n, k]).unwrap();
+                let pb = PackedB::from_transb(&t).unwrap();
+                for prec in [Precision::Bf16, Precision::Int8] {
+                    let what = format!("{prec} n={n} k={k}");
+                    let got = QPackedB::from_packed(&pb, prec).unwrap();
+                    assert_same_pack(&got, &strided_oracle(&t, prec), &what);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The same equality at random shapes and seeds, from a grow-only
+        /// pack first filled for a larger matrix: only the first
+        /// `packed_elems(k, n)` panel elements are read.
+        #[test]
+        fn packs_from_a_reused_f32_pack_equal_the_strided_oracle(
+            n in 1usize..70,
+            k in 0usize..40,
+            seed in any::<u64>(),
+        ) {
+            let mut pb = PackedB::new();
+            let big = edge_weights(80, 48, seed ^ 0xBEEF);
+            pb.pack_rows_into(&big, 80, 48);
+            let w = edge_weights(n, k, seed);
+            pb.pack_rows_into(&w, n, k);
+            let t = Tensor::from_vec(w, [n, k]).unwrap();
+            for prec in [Precision::Bf16, Precision::Int8] {
+                let got = QPackedB::from_packed(&pb, prec).unwrap();
+                assert_same_pack(&got, &strided_oracle(&t, prec), &format!("{prec} n={n} k={k}"));
+            }
+        }
+    }
+
+    #[test]
+    fn int8_quantize_equals_the_saturating_cast() {
+        let scales = [1.0f32, 0.0, 1e-40, f32::INFINITY, f32::NAN, 0.37, -2.0];
+        let mut s = 5u32;
+        for i in 0..200_000u32 {
+            s = s.wrapping_mul(747796405).wrapping_add(2891336453);
+            let v = f32::from_bits(s.rotate_left(i % 32));
+            for scale in scales {
+                let want = (v / scale).round().clamp(-127.0, 127.0) as i8;
+                assert_eq!(
+                    int8_quantize(v, scale),
+                    want,
+                    "v={v:e} ({:#x}) scale={scale}",
+                    v.to_bits()
+                );
+            }
+        }
+        for t in -300..=300 {
+            let v = t as f32 * 0.5;
+            assert_eq!(
+                int8_quantize(v, 1.0),
+                v.round().clamp(-127.0, 127.0) as i8,
+                "{v}"
+            );
+        }
+    }
+
+    /// Same-process A/B of the two ways to build the reduced rungs of one
+    /// `k = n = 4096` weight matrix (the hidden layer `wide_b1_int8` is made
+    /// of): the strided packer this module had (each rung transposes the
+    /// row-major weights again) against encoding the f32 panels the compile
+    /// pass has already packed. One thread, alternating calls, p50 of each;
+    /// prints both times per rung and asserts the packs equal byte for byte.
+    /// Run it in the release build with `--nocapture --test-threads=1`.
+    #[test]
+    fn packs_from_panels_against_strided_oracle_same_process() {
+        let (k, n, calls) = if cfg!(debug_assertions) {
+            (256, 256, 2)
+        } else {
+            (4096, 4096, 9)
+        };
+        let t = Tensor::from_vec(lcg(31, n * k), [n, k]).unwrap();
+        let pb = PackedB::from_transb(&t).unwrap();
+        let time_us = |f: &mut dyn FnMut() -> QPackedB| {
+            // lint: allow(no-wall-clock) — a test's stopwatch around whole calls; no result reads it
+            let start = std::time::Instant::now();
+            let q = f();
+            (start.elapsed().as_secs_f64() * 1e6, q)
+        };
+        let p50 = |t: &mut Vec<f64>| {
+            t.sort_by(f64::total_cmp);
+            t[t.len() / 2]
+        };
+        let mut line = format!("[{n}, {k}] weights, 1 thread, p50 of {calls}:");
+        for prec in [Precision::Bf16, Precision::Int8] {
+            let (mut t_old, mut t_new) = (Vec::new(), Vec::new());
+            for _ in 0..calls {
+                let (us, old) = time_us(&mut || strided_oracle(&t, prec));
+                t_old.push(us);
+                let (us, new) = time_us(&mut || QPackedB::from_packed(&pb, prec).unwrap());
+                t_new.push(us);
+                assert_same_pack(&new, &old, &format!("{prec}"));
+            }
+            line += &format!(
+                " {prec} strided {:.0} µs, from panels {:.0} µs;",
+                p50(&mut t_old),
+                p50(&mut t_new)
+            );
+        }
+        println!("{line}");
     }
 
     /// The int8 rung as it was before the chain ran on the stored integers:
