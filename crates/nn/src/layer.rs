@@ -1,10 +1,11 @@
 //! Layers with hand-derived backward passes.
 //!
-//! Each layer offers two forward entry points: a pure `forward` used by the
-//! inference engine (no mutation, shareable across threads) and a caching
-//! `forward_train` used by the training loop, whose cached activations feed
-//! `backward`.
+//! Each layer has one inference forward, `forward_into` (pure: no mutation,
+//! shareable across threads, writing a caller-owned tensor at a serving
+//! precision), and a caching `forward_train` used by the training loop,
+//! whose cached activations feed `backward`.
 
+use crate::workspace::checked_numel;
 use crate::{NnError, Result};
 use hpacml_tensor::gemm::{self, Act, Epilogue, NarrowStage, PackedB};
 use hpacml_tensor::ops::{self, Conv2dGeom};
@@ -39,16 +40,21 @@ pub trait Layer: Send + Sync {
     #[cfg(test)]
     fn name(&self) -> &'static str;
 
-    /// Pure forward pass (inference). Must not mutate the layer.
-    fn forward(&self, x: &Tensor) -> Result<Tensor>;
+    /// Pure forward pass (inference) at a serving precision, writing into a
+    /// caller-owned output tensor (resized in place) — allocation-free once
+    /// `out` has capacity, the contract the zero-alloc inference workspace
+    /// relies on. Must not mutate the layer. Layers that carry
+    /// reduced-precision weight packs (see [`Layer::quantize`]) route to
+    /// their quantized kernel; a layer asked for a precision it has no pack
+    /// for serves the next finer one it does have (int8 → bf16 → f32), so a
+    /// mixed-precision model is always well-defined at every ladder rung.
+    fn forward_into(&self, x: &Tensor, out: &mut Tensor, prec: Precision) -> Result<()>;
 
-    /// Pure forward pass writing into a caller-owned output tensor (resized
-    /// in place). Built-in layers override this to be allocation-free once
-    /// `out` has capacity — the contract the zero-alloc inference workspace
-    /// relies on. The default falls back to [`Layer::forward`] + move.
-    fn forward_into(&self, x: &Tensor, out: &mut Tensor) -> Result<()> {
-        *out = self.forward(x)?;
-        Ok(())
+    /// [`Layer::forward_into`] at f32 into a fresh tensor.
+    fn forward(&self, x: &Tensor) -> Result<Tensor> {
+        let mut y = Tensor::default();
+        self.forward_into(x, &mut y, Precision::F32)?;
+        Ok(y)
     }
 
     /// Output dims (batch-inclusive) for a given input dims, without running
@@ -58,10 +64,9 @@ pub trait Layer: Send + Sync {
         Ok(in_dims.to_vec())
     }
 
-    /// Caching forward pass (training). Default: same as `forward`.
-    fn forward_train(&mut self, x: &Tensor) -> Result<Tensor> {
-        self.forward(x)
-    }
+    /// Caching forward pass (training): the values of [`Layer::forward`],
+    /// plus whatever `backward` needs.
+    fn forward_train(&mut self, x: &Tensor) -> Result<Tensor>;
 
     /// Backward pass: gradient w.r.t. the layer input, accumulating parameter
     /// gradients. Requires a preceding `forward_train`.
@@ -111,26 +116,15 @@ pub trait Layer: Send + Sync {
     }
 
     /// `(b_pack_elems, col_elems)` of per-thread GEMM scratch one forward
-    /// pass at `in_dims` (batch included) may use — lets workspaces
-    /// pre-size the scratch (on every pool thread, via
-    /// `hpacml_par::broadcast`) so even a session's first invocation
-    /// allocates nothing. `b` covers uncompiled `Linear` weight panels and
-    /// the conv GEMM routes' im2col panels, `col` the other conv staging
-    /// (the GEMM routes' zero-padded sample, the strided direct route's
-    /// im2col columns).
-    fn scratch_hint(&self, _in_dims: &[usize]) -> (usize, usize) {
-        (0, 0)
-    }
-
-    /// Pure forward pass at a serving precision. Layers that carry
-    /// reduced-precision weight packs (see [`Layer::quantize`]) route to
-    /// their quantized kernel; everything else — and every layer at
-    /// `F32` — falls back to [`Layer::forward_into`]. A layer asked for a
-    /// precision it has no pack for serves the next finer one it does
-    /// have (int8 → bf16 → f32), so a mixed-precision model is always
-    /// well-defined at every ladder rung.
-    fn forward_into_at(&self, x: &Tensor, out: &mut Tensor, _prec: Precision) -> Result<()> {
-        self.forward_into(x, out)
+    /// pass at `in_dims` (batch included) may use, or a typed error when a
+    /// count does not fit a `usize` — lets workspaces pre-size the scratch
+    /// (on every pool thread, via `hpacml_par::broadcast`) so even a
+    /// session's first invocation allocates nothing. `b` covers uncompiled
+    /// `Linear` weight panels and the conv GEMM routes' im2col panels, `col`
+    /// the other conv staging (the GEMM routes' zero-padded sample, the
+    /// strided direct route's im2col columns).
+    fn scratch_hint(&self, _in_dims: &[usize]) -> Result<(usize, usize)> {
+        Ok((0, 0))
     }
 
     /// Build reduced-precision weight packs so the layer can serve at
@@ -238,30 +232,14 @@ impl Layer for Linear {
         "linear"
     }
 
-    fn forward(&self, x: &Tensor) -> Result<Tensor> {
-        let mut y = Tensor::default();
-        self.forward_into(x, &mut y)?;
-        Ok(y)
-    }
-
-    fn forward_into(&self, x: &Tensor, out: &mut Tensor) -> Result<()> {
+    fn forward_into(&self, x: &Tensor, out: &mut Tensor, prec: Precision) -> Result<()> {
         let epi = Epilogue::col_bias(self.b.value.data()).with_act(self.act);
-        match &self.packed {
-            Some(p) => gemm::matmul_transb_packed_into(x, p, epi, out)?,
-            None => ops::matmul_transb_into(x, &self.w.value, out, epi)?,
+        match (self.qpack_for(prec), &self.packed) {
+            (Some(q), _) => quant::matmul_transb_qpacked_into(x, q, epi, out)?,
+            (None, Some(p)) => gemm::matmul_transb_packed_into(x, p, epi, out)?,
+            (None, None) => ops::matmul_transb_into(x, &self.w.value, out, epi)?,
         }
         Ok(())
-    }
-
-    fn forward_into_at(&self, x: &Tensor, out: &mut Tensor, prec: Precision) -> Result<()> {
-        match self.qpack_for(prec) {
-            Some(q) => {
-                let epi = Epilogue::col_bias(self.b.value.data()).with_act(self.act);
-                quant::matmul_transb_qpacked_into(x, q, epi, out)?;
-                Ok(())
-            }
-            None => self.forward_into(x, out),
-        }
     }
 
     fn out_dims(&self, in_dims: &[usize]) -> Result<Vec<usize>> {
@@ -382,12 +360,12 @@ impl Layer for Linear {
         }
     }
 
-    fn scratch_hint(&self, _in_dims: &[usize]) -> (usize, usize) {
+    fn scratch_hint(&self, _in_dims: &[usize]) -> Result<(usize, usize)> {
         if self.packed.is_some() {
-            (0, 0) // steady state never repacks
+            Ok((0, 0)) // steady state never repacks
         } else {
             let b = PackedB::<f32>::packed_elems(self.in_features(), self.out_features());
-            (b, 0)
+            Ok((b, 0))
         }
     }
 }
@@ -408,11 +386,7 @@ impl Layer for ReLU {
         "relu"
     }
 
-    fn forward(&self, x: &Tensor) -> Result<Tensor> {
-        Ok(x.map(|v| v.max(0.0)))
-    }
-
-    fn forward_into(&self, x: &Tensor, out: &mut Tensor) -> Result<()> {
+    fn forward_into(&self, x: &Tensor, out: &mut Tensor, _prec: Precision) -> Result<()> {
         x.map_into(out, |v| v.max(0.0));
         Ok(())
     }
@@ -452,11 +426,7 @@ impl Layer for Tanh {
         "tanh"
     }
 
-    fn forward(&self, x: &Tensor) -> Result<Tensor> {
-        Ok(x.map(hpacml_tensor::Scalar::tanh_activation))
-    }
-
-    fn forward_into(&self, x: &Tensor, out: &mut Tensor) -> Result<()> {
+    fn forward_into(&self, x: &Tensor, out: &mut Tensor, _prec: Precision) -> Result<()> {
         x.map_into(out, hpacml_tensor::Scalar::tanh_activation);
         Ok(())
     }
@@ -493,11 +463,7 @@ impl Layer for Sigmoid {
         "sigmoid"
     }
 
-    fn forward(&self, x: &Tensor) -> Result<Tensor> {
-        Ok(x.map(|v| 1.0 / (1.0 + (-v).exp())))
-    }
-
-    fn forward_into(&self, x: &Tensor, out: &mut Tensor) -> Result<()> {
+    fn forward_into(&self, x: &Tensor, out: &mut Tensor, _prec: Precision) -> Result<()> {
         x.map_into(out, |v| 1.0 / (1.0 + (-v).exp()));
         Ok(())
     }
@@ -552,11 +518,7 @@ impl Layer for Dropout {
         "dropout"
     }
 
-    fn forward(&self, x: &Tensor) -> Result<Tensor> {
-        Ok(x.clone())
-    }
-
-    fn forward_into(&self, x: &Tensor, out: &mut Tensor) -> Result<()> {
+    fn forward_into(&self, x: &Tensor, out: &mut Tensor, _prec: Precision) -> Result<()> {
         x.copy_into(out); // inference-time dropout is the identity
         Ok(())
     }
@@ -618,13 +580,7 @@ impl Layer for Flatten {
         "flatten"
     }
 
-    fn forward(&self, x: &Tensor) -> Result<Tensor> {
-        let n = x.dims()[0];
-        let rest: usize = x.dims()[1..].iter().product();
-        Ok(x.clone().reshape([n, rest])?)
-    }
-
-    fn forward_into(&self, x: &Tensor, out: &mut Tensor) -> Result<()> {
+    fn forward_into(&self, x: &Tensor, out: &mut Tensor, _prec: Precision) -> Result<()> {
         let n = x.dims()[0];
         let rest: usize = x.dims()[1..].iter().product();
         x.copy_into(out);
@@ -719,13 +675,7 @@ impl Layer for Conv2d {
         "conv2d"
     }
 
-    fn forward(&self, x: &Tensor) -> Result<Tensor> {
-        let mut y = Tensor::default();
-        self.forward_into(x, &mut y)?;
-        Ok(y)
-    }
-
-    fn forward_into(&self, x: &Tensor, out: &mut Tensor) -> Result<()> {
+    fn forward_into(&self, x: &Tensor, out: &mut Tensor, _prec: Precision) -> Result<()> {
         ops::conv2d_fused_into(
             x,
             &self.w.value,
@@ -794,25 +744,25 @@ impl Layer for Conv2d {
         true
     }
 
-    fn scratch_hint(&self, in_dims: &[usize]) -> (usize, usize) {
+    fn scratch_hint(&self, in_dims: &[usize]) -> Result<(usize, usize)> {
         if in_dims.len() != 4 {
-            return (0, 0);
+            return Ok((0, 0));
         }
         let (h, w) = (in_dims[2], in_dims[3]);
         let (oh, ow) = self.geom.out_hw(h, w);
-        let l = oh * ow;
+        let l = checked_numel(&[oh, ow])?;
         let ckk = self.taps();
         // Per-sample staging: the GEMM route fills im2col panels from a
         // zero-padded copy of the sample, the strided direct route im2col
         // columns.
         if ops::conv_gemm_worthwhile(self.filters(), ckk, l) {
             let (ph, pw) = self.geom.pad;
-            let padded = in_dims[1] * (h + 2 * ph) * (w + 2 * pw);
-            (PackedB::<f32>::packed_elems(ckk, l), padded)
+            let padded = checked_numel(&[in_dims[1], h + 2 * ph, w + 2 * pw])?;
+            Ok((PackedB::<f32>::packed_elems(ckk, l), padded))
         } else if self.geom.stride != (1, 1) {
-            (0, ckk * l)
+            Ok((0, checked_numel(&[ckk, l])?))
         } else {
-            (0, 0)
+            Ok((0, 0))
         }
     }
 }
@@ -839,11 +789,7 @@ impl Layer for MaxPool2d {
         "maxpool2d"
     }
 
-    fn forward(&self, x: &Tensor) -> Result<Tensor> {
-        Ok(ops::maxpool2d(x, self.geom)?.0)
-    }
-
-    fn forward_into(&self, x: &Tensor, out: &mut Tensor) -> Result<()> {
+    fn forward_into(&self, x: &Tensor, out: &mut Tensor, _prec: Precision) -> Result<()> {
         ops::maxpool2d_into(x, self.geom, out)?;
         Ok(())
     }
@@ -948,7 +894,7 @@ mod tests {
                 }
             }
             let (mut got, mut direct) = (Tensor::default(), Tensor::default());
-            l.forward_into_at(&x, &mut got, prec).unwrap();
+            l.forward_into(&x, &mut got, prec).unwrap();
             let epi = Epilogue::col_bias(l.b.value.data());
             quant::matmul_transb_qpacked_into(&x, &want, epi, &mut direct).unwrap();
             assert_eq!(got.data(), direct.data(), "{prec}");
@@ -1056,6 +1002,53 @@ mod tests {
         assert_eq!(y.dims(), &[1, 1, 2, 2]);
         let dx = p.backward(&Tensor::full([1, 1, 2, 2], 1.0f32)).unwrap();
         assert_eq!(dx.sum(), 4.0);
+    }
+
+    /// Training and inference run the same values: for every layer kind,
+    /// `forward_train` equals `forward_into(.., F32)` bit for bit — at
+    /// activations past `map_into`'s parallel split, on a two-worker pool,
+    /// and equal to the same forward on a serial pool.
+    #[test]
+    fn forward_train_equals_the_inference_forward_for_every_layer_kind() {
+        let mut r = rng(21);
+        let img = Tensor::from_shape_fn([4, 4, 128, 128], |_| r.gen_range(-2.0f32..2.0));
+        let rows = Tensor::from_shape_fn([1024, 64], |_| r.gen_range(-2.0f32..2.0));
+        assert!(img.numel() >= 1 << 16 && rows.numel() >= 1 << 16);
+        let cases: Vec<(Box<dyn Layer>, &Tensor)> = vec![
+            (Box::new(Linear::new(64, 64, &mut rng(22))), &rows),
+            (Box::new(ReLU::default()), &img),
+            (Box::new(Tanh::default()), &img),
+            (Box::new(Sigmoid::default()), &img),
+            (Box::new(Dropout::new(0.0, 23)), &img),
+            (Box::new(Flatten::default()), &img),
+            (
+                Box::new(Conv2d::new(4, 4, Conv2dGeom::square(3, 1, 1), &mut rng(24))),
+                &img,
+            ),
+            (Box::new(MaxPool2d::new(Conv2dGeom::square(2, 2, 0))), &img),
+        ];
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (pooled, serial) = (hpacml_par::Pool::new(2), hpacml_par::Pool::new(0));
+        for (mut layer, x) in cases {
+            let (trained, inferred) = hpacml_par::with_pool(&pooled, || {
+                let mut y = Tensor::default();
+                layer.forward_into(x, &mut y, Precision::F32).unwrap();
+                (layer.forward_train(x).unwrap(), y)
+            });
+            let once = hpacml_par::with_pool(&serial, || layer.forward(x).unwrap());
+            assert_eq!(trained.dims(), inferred.dims(), "{}", layer.name());
+            assert!(bits(&trained) == bits(&inferred), "{}", layer.name());
+            assert!(bits(&once) == bits(&inferred), "{} serial", layer.name());
+        }
+    }
+
+    /// The hint's element counts are checked products: a conv input whose
+    /// im2col columns overflow a `usize` is an error, not a wrapped size.
+    #[test]
+    fn conv_scratch_hint_of_an_overflowing_input_is_an_error() {
+        let c = Conv2d::new(1, 4, Conv2dGeom::square(3, 1, 1), &mut rng(25));
+        assert!(c.scratch_hint(&[1, 1, 8, 8]).is_ok());
+        assert!(c.scratch_hint(&[1, 1, 1 << 33, 1 << 33]).is_err());
     }
 
     #[test]

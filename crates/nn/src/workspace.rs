@@ -23,6 +23,7 @@ use hpacml_tensor::gemm::NarrowChain;
 use hpacml_tensor::quant::Precision;
 use hpacml_tensor::{Tensor, TensorError};
 use std::cell::RefCell;
+use std::sync::OnceLock;
 
 /// Ping-pong activation arena for pure forward passes.
 #[derive(Default)]
@@ -90,9 +91,11 @@ impl ForwardWorkspace {
     /// columns) from the layers' scratch hints — on
     /// **every pool participant**, via `hpacml_par::broadcast`, so neither
     /// this thread's first forward nor a worker's first stolen sample
-    /// allocates anything. Returns the widest activation element count, so
-    /// callers that swap buffers with the arenas (the runtime's
-    /// model-output hand-off) can size those to match.
+    /// allocates anything. A size no buffer can hold, in an arena or in any
+    /// participant's scratch, is a typed error, not an abort. Returns the
+    /// widest activation element count, so callers that swap buffers with
+    /// the arenas (the runtime's model-output hand-off) can size those to
+    /// match.
     pub fn reserve(&mut self, model: &Sequential, in_dims: &[usize]) -> Result<usize> {
         let mut dims = in_dims.to_vec();
         let mut max_elems = checked_numel(&dims)?;
@@ -105,7 +108,7 @@ impl ForwardWorkspace {
             // so the F32 partition is the partition at every rung.)
             let (this, rest) = layers.split_at(step_len(layers, Precision::F32));
             for layer in this {
-                let (b, c) = layer.scratch_hint(&dims);
+                let (b, c) = layer.scratch_hint(&dims)?;
                 b_elems = b_elems.max(b);
                 col_elems = col_elems.max(c);
                 dims = layer.out_dims(&dims)?;
@@ -115,15 +118,20 @@ impl ForwardWorkspace {
             layers = rest;
         }
         if b_elems > 0 || col_elems > 0 {
+            let refused = OnceLock::new();
             hpacml_par::broadcast(|_| {
-                hpacml_tensor::gemm::reserve_scratch::<f32>(b_elems, col_elems);
+                if let Err(e) = hpacml_tensor::gemm::reserve_scratch::<f32>(b_elems, col_elems) {
+                    let _ = refused.set(e);
+                }
             });
+            if let Some(e) = refused.into_inner() {
+                return Err(e.into());
+            }
         }
-        // Reserve the storage without writing it — a batch width from
-        // configuration that no arena can hold is a typed error, not an
-        // abort, and a granted one is not paged in until a pass uses it —
-        // at the widest rank the pass will use, so the in-place per-layer
-        // reshapes never regrow a shape vector either.
+        // Reserve the storage without writing it (a granted one is not
+        // paged in until a pass uses it), at the widest rank the pass will
+        // use, so the in-place per-layer reshapes never regrow a shape
+        // vector either.
         let empty = vec![0usize; max_rank.max(1)];
         for arena in [&mut self.ping, &mut self.pong] {
             if arena.capacity() < max_elems || arena.rank() < max_rank {
@@ -171,7 +179,7 @@ fn step(layers: &[Box<dyn Layer>], x: &Tensor, out: &mut Tensor, prec: Precision
         chain.forward_into(x, out)?;
         return Ok(chain.stages());
     }
-    layers[0].forward_into_at(x, out, prec)?;
+    layers[0].forward_into(x, out, prec)?;
     Ok(1)
 }
 
@@ -210,6 +218,7 @@ pub(crate) fn with_thread_workspace<R>(f: impl FnOnce(&mut InferWorkspace) -> R)
 mod tests {
     use super::*;
     use crate::spec::{Activation, LayerSpec, ModelSpec};
+    use crate::NnError;
 
     #[test]
     fn workspace_forward_matches_allocating_forward() {
@@ -274,6 +283,32 @@ mod tests {
         assert_eq!(y_small.dims(), &[2, 1]);
         ws.forward(&model, &big).unwrap();
         assert_eq!(ws.capacity_elems(), warm);
+    }
+
+    /// A conv input whose im2col panels no allocator can grant (~40 TB) is a
+    /// typed error from every participant's scratch reserve, on a serial
+    /// pool and with a worker, not an abort.
+    #[test]
+    fn reserve_of_a_conv_input_no_scratch_can_hold_is_an_error() {
+        let conv = LayerSpec::Conv2d {
+            in_ch: 1,
+            out_ch: 4,
+            kernel: 3,
+            stride: 1,
+            pad: 1,
+        };
+        let model = ModelSpec::new(vec![1, 8, 8], vec![conv]).build(1).unwrap();
+        for workers in [0, 1] {
+            hpacml_par::with_pool(&hpacml_par::Pool::new(workers), || {
+                let mut ws = ForwardWorkspace::new();
+                let got = ws.reserve(&model, &[1, 1, 1 << 20, 1 << 20]);
+                assert!(
+                    matches!(got, Err(NnError::Tensor(TensorError::Reserve { .. }))),
+                    "{workers} worker(s): {:?}",
+                    got.map(|_| ())
+                );
+            });
+        }
     }
 
     #[test]

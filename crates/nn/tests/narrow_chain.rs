@@ -1,7 +1,7 @@
 //! Depth-first narrow chains (`hpacml_tensor::gemm::NarrowChain`): a run of
 //! two or more narrow compiled `Linear` layers served by
 //! `ForwardWorkspace::forward_at` as one pass must give, bit for bit, what
-//! the same layers give run one by one through `Layer::forward_into_at` — at
+//! the same layers give run one by one through `Layer::forward_into` — at
 //! every width, activation, precision, row count and pool width — and leave
 //! its intermediates out of the arenas. (That a warm chain allocates nothing
 //! is `core/tests/alloc_free_batch.rs`'s stencil session, whose 5→8→1 model
@@ -56,7 +56,7 @@ fn layer_by_layer(layers: &[Linear], x: &Tensor, prec: Precision) -> Tensor {
     let mut cur = x.clone();
     for l in layers {
         let mut out = Tensor::default();
-        l.forward_into_at(&cur, &mut out, prec).unwrap();
+        l.forward_into(&cur, &mut out, prec).unwrap();
         cur = out;
     }
     cur
@@ -217,12 +217,8 @@ fn chain_against_layer_by_layer_same_process() {
             ws.forward_at(&chained, &x, Precision::F32).unwrap();
             t_chain.push(t.elapsed().as_secs_f64() * 1e6);
             let t = Instant::now();
-            layers[0]
-                .forward_into_at(&x, &mut h, Precision::F32)
-                .unwrap();
-            layers[1]
-                .forward_into_at(&h, &mut y, Precision::F32)
-                .unwrap();
+            layers[0].forward_into(&x, &mut h, Precision::F32).unwrap();
+            layers[1].forward_into(&h, &mut y, Precision::F32).unwrap();
             t_layers.push(t.elapsed().as_secs_f64() * 1e6);
         }
     });

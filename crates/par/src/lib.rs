@@ -24,8 +24,6 @@
 //!   no oversubscription), and stealing moves only *where/when* a chunk runs,
 //!   never what it computes — results stay bitwise identical across worker
 //!   counts and schedules;
-//! * workers take persistent CPU affinity where the platform allows it
-//!   (Linux `sched_setaffinity`), giving a stable worker→CPU mapping;
 //! * [`with_pool`] scopes the free functions to an explicit pool, which is
 //!   how benches compare thread counts within one process.
 //!
@@ -36,8 +34,8 @@
 pub mod pool;
 pub mod slice;
 
-pub use pool::{broadcast, current_parallelism, global, join, parallel_for, with_pool, Pool};
-pub use slice::{par_chunks_mut, par_map_inplace};
+pub use pool::{broadcast, current_parallelism, global, parallel_for, with_pool, Pool};
+pub use slice::par_chunks_mut;
 
 /// Statistics snapshot for a pool, used by benchmarks and the fig8
 /// "was the machine busy" diagnostics.

@@ -251,43 +251,6 @@ fn run_inline(len: usize, grain: usize, task: &(dyn Fn(Range<usize>) + Sync)) {
     }
 }
 
-/// Best-effort thread pinning for persistent worker affinity.
-mod affinity {
-    /// Pin the calling thread to `cpu` (modulo the mask width). Returns
-    /// whether the kernel accepted the mask; failure (sandboxes, exotic
-    /// platforms) is harmless — the thread simply stays unpinned.
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    pub(crate) fn pin_current_thread(cpu: usize) -> bool {
-        const WORDS: usize = 16; // 1024-bit CPU mask
-        let mut mask = [0usize; WORDS];
-        mask[(cpu / 64) % WORDS] |= 1usize << (cpu % 64);
-        let ret: isize;
-        // SAFETY: raw `sched_setaffinity(0, sizeof(mask), &mask)` syscall
-        // (number 203 on x86_64). pid 0 targets the calling thread; the
-        // kernel only reads `WORDS * 8` bytes from the mask, which is a
-        // live stack array for the duration of the call. `syscall`
-        // clobbers rcx/r11 per the ABI, declared below.
-        unsafe {
-            std::arch::asm!(
-                "syscall",
-                inlateout("rax") 203isize => ret,
-                in("rdi") 0,
-                in("rsi") WORDS * 8,
-                in("rdx") mask.as_ptr(),
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
-        ret == 0
-    }
-
-    #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-    pub(crate) fn pin_current_thread(_cpu: usize) -> bool {
-        false
-    }
-}
-
 /// A persistent pool of worker threads.
 ///
 /// All parallel work in the workspace — accurate benchmark kernels, NN
@@ -301,22 +264,9 @@ pub struct Pool {
 
 impl Pool {
     /// Create a pool with `workers` worker threads (callers participate too,
-    /// so total parallelism is `workers + 1`). Workers are not pinned; the
-    /// [`global`] pool uses `Pool::with_affinity`.
+    /// so total parallelism is `workers + 1`).
     pub fn new(workers: usize) -> Self {
-        Self::with_affinity(workers, false)
-    }
-
-    /// [`Pool::new`] with optional persistent worker affinity: worker `i`
-    /// pins itself to CPU `(i + 1) % ncpus` (the caller keeps CPU 0's
-    /// share), giving a stable worker→CPU mapping where the platform
-    /// allows (`sched_setaffinity`; silently skipped elsewhere or on a
-    /// single-CPU host).
-    pub(crate) fn with_affinity(workers: usize, pin: bool) -> Self {
         let participants = workers + 1;
-        let ncpus = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         let shared = Arc::new(Shared {
             state: Mutex::new(DispatchState {
                 desc: None,
@@ -337,10 +287,9 @@ impl Pool {
         let handles = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let cpu = (pin && ncpus > 1).then_some((i + 1) % ncpus);
                 std::thread::Builder::new()
                     .name(format!("hpacml-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, i + 1, cpu))
+                    .spawn(move || worker_loop(&shared, i + 1))
                     .expect("failed to spawn pool worker")
             })
             .collect();
@@ -539,10 +488,7 @@ impl Drop for Pool {
     }
 }
 
-fn worker_loop(shared: &Shared, me: usize, pin_cpu: Option<usize>) {
-    if let Some(cpu) = pin_cpu {
-        affinity::pin_current_thread(cpu);
-    }
+fn worker_loop(shared: &Shared, me: usize) {
     IN_WORKER.with(|f| f.set(true));
     let mut seen_epoch = 0u64;
     loop {
@@ -585,12 +531,11 @@ pub(crate) fn total_threads_from_env(raw: Option<&str>) -> usize {
 }
 
 /// The process-wide pool, built on first use with
-/// `total_threads_from_env` (`HPACML_THREADS`) and persistent worker
-/// affinity.
+/// `total_threads_from_env` (`HPACML_THREADS`).
 pub fn global() -> &'static Pool {
     GLOBAL.get_or_init(|| {
         let total = total_threads_from_env(std::env::var("HPACML_THREADS").ok().as_deref());
-        Pool::with_affinity(total - 1, true)
+        Pool::new(total - 1)
     })
 }
 
@@ -654,39 +599,6 @@ where
     F: Fn(usize) + Sync,
 {
     with_current(|p| p.broadcast(f))
-}
-
-/// Run two independent closures, potentially in parallel, returning both
-/// results. Routed through the pool (a two-chunk job — no ad-hoc thread
-/// spawn); runs sequentially inside pool workers or on a workerless pool.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    let fa = Mutex::new(Some(a));
-    let fb = Mutex::new(Some(b));
-    let ra: Mutex<Option<RA>> = Mutex::new(None);
-    let rb: Mutex<Option<RB>> = Mutex::new(None);
-    with_current(|p| {
-        p.parallel_for(2, 1, |r| {
-            for i in r {
-                if i == 0 {
-                    let f = fa.lock().take().expect("join: side A claimed twice");
-                    *ra.lock() = Some(f());
-                } else {
-                    let f = fb.lock().take().expect("join: side B claimed twice");
-                    *rb.lock() = Some(f());
-                }
-            }
-        })
-    });
-    (
-        ra.into_inner().expect("join: side A never ran"),
-        rb.into_inner().expect("join: side B never ran"),
-    )
 }
 
 #[cfg(test)]
@@ -782,13 +694,6 @@ mod tests {
             acc.fetch_add(r.len(), Ordering::Relaxed);
         });
         assert_eq!(acc.load(Ordering::Relaxed), 1000);
-    }
-
-    #[test]
-    fn join_runs_both_and_returns_results() {
-        let (a, b) = join(|| 2 + 2, || "ok".to_string());
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
     }
 
     #[test]

@@ -32,19 +32,6 @@ where
     });
 }
 
-/// Map every element of `data` in place: `data[i] = f(i, data[i])`.
-pub fn par_map_inplace<T, F>(data: &mut [T], grain: usize, f: F)
-where
-    T: Send + Sync + Copy,
-    F: Fn(usize, T) -> T + Sync,
-{
-    par_chunks_mut(data, grain, |start, sub| {
-        for (k, v) in sub.iter_mut().enumerate() {
-            *v = f(start + k, *v);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,17 +47,6 @@ mod tests {
         for (i, x) in v.iter().enumerate() {
             assert_eq!(*x, i);
         }
-    }
-
-    #[test]
-    fn par_map_inplace_matches_sequential() {
-        let mut a = (0..10_000).map(|i| i as f64).collect::<Vec<_>>();
-        let mut b = a.clone();
-        par_map_inplace(&mut a, 128, |i, x| x * 2.0 + i as f64);
-        for (i, x) in b.iter_mut().enumerate() {
-            *x = *x * 2.0 + i as f64;
-        }
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -423,7 +423,9 @@ impl<T: Scalar> PackedB<T> {
 
     /// Elements a pack of `[k, n]` needs — for workspace pre-sizing.
     pub fn packed_elems(k: usize, n: usize) -> usize {
-        n.div_ceil(NR) * k * NR
+        // Saturating: a size hint for a shape no buffer can hold stays too
+        // large to reserve instead of wrapping to a small one.
+        n.div_ceil(NR).saturating_mul(k).saturating_mul(NR)
     }
 
     fn prepare(&mut self, k: usize, n: usize) {
@@ -1611,15 +1613,18 @@ pub struct GemmScratch<T: Scalar> {
 }
 
 impl<T: Scalar> GemmScratch<T> {
-    /// Pre-size the buffers (elements) so even a first use allocates
-    /// nothing. Grow-only.
-    pub fn reserve(&mut self, b_elems: usize, col_elems: usize) {
-        if self.packed_b.data.len() < b_elems {
-            self.packed_b.data.resize(b_elems, T::ZERO);
+    /// Reserve capacity (elements) so even a first use allocates nothing;
+    /// the kernels write it when they use it. Grow-only; a size the
+    /// allocator refuses is a typed error, not an abort.
+    pub fn reserve(&mut self, b_elems: usize, col_elems: usize) -> Result<()> {
+        for (buf, elems) in [
+            (&mut self.packed_b.data, b_elems),
+            (&mut self.col, col_elems),
+        ] {
+            buf.try_reserve(elems.saturating_sub(buf.len()))
+                .map_err(|_| TensorError::Reserve { elems })?;
         }
-        if self.col.len() < col_elems {
-            self.col.resize(col_elems, T::ZERO);
-        }
+        Ok(())
     }
 }
 
@@ -1657,8 +1662,8 @@ impl_with_scratch!(f64, GEMM_SCRATCH_F64);
 /// hook sessions use so their first forward pass is already allocation-free.
 /// Sessions broadcast this across the pool (`hpacml_par::broadcast`) so
 /// every worker's per-thread scratch is warm before the first dispatch.
-pub fn reserve_scratch<T: WithScratch>(b_elems: usize, col_elems: usize) {
-    T::with_gemm_scratch(|s| s.reserve(b_elems, col_elems));
+pub fn reserve_scratch<T: WithScratch>(b_elems: usize, col_elems: usize) -> Result<()> {
+    T::with_gemm_scratch(|s| s.reserve(b_elems, col_elems))
 }
 
 #[cfg(test)]
@@ -2002,10 +2007,10 @@ mod tests {
 
     #[test]
     fn scratch_reserve_grows_once() {
-        reserve_scratch::<f32>(1024, 2048);
+        reserve_scratch::<f32>(1024, 2048).unwrap();
         f32::with_gemm_scratch(|s| {
-            assert!(s.packed_b.data.len() >= 1024);
-            assert!(s.col.len() >= 2048);
+            assert!(s.packed_b.data.capacity() >= 1024);
+            assert!(s.col.capacity() >= 2048);
         });
     }
 }

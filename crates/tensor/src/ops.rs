@@ -422,7 +422,7 @@ pub(crate) fn col2im<T: Scalar>(
 /// clears the shared `PAR_FLOPS_MIN` bar. Pure shape function — see
 /// [`conv2d_fused_into`] for why that matters.
 pub fn conv_gemm_worthwhile(f: usize, ckk: usize, l: usize) -> bool {
-    l >= 2 * gemm::NR && f * ckk * l >= PAR_FLOPS_MIN
+    l >= 2 * gemm::NR && f.saturating_mul(ckk).saturating_mul(l) >= PAR_FLOPS_MIN
 }
 
 /// Forward 2-D convolution into a caller-owned output tensor (resized in

@@ -123,11 +123,21 @@ impl<T: Scalar> Tensor<T> {
     }
 
     /// Write `f` applied to every element of `self` into `out`, resizing
-    /// `out` to match. Allocation-free once `out` has capacity.
-    pub fn map_into(&self, out: &mut Tensor<T>, f: impl Fn(T) -> T) {
+    /// `out` to match. Allocation-free once `out` has capacity; from
+    /// `1 << 16` elements on, the current pool splits the pass.
+    pub fn map_into(&self, out: &mut Tensor<T>, f: impl Fn(T) -> T + Sync) {
         out.resize(self.dims());
-        for (o, x) in out.data.iter_mut().zip(&self.data) {
-            *o = f(*x);
+        let apply = |dst: &mut [T], src: &[T]| {
+            for (o, x) in dst.iter_mut().zip(src) {
+                *o = f(*x);
+            }
+        };
+        if self.data.len() >= 1 << 16 {
+            hpacml_par::par_chunks_mut(&mut out.data, 4096, |start, dst| {
+                apply(dst, &self.data[start..])
+            });
+        } else {
+            apply(&mut out.data, &self.data);
         }
     }
 
@@ -150,24 +160,6 @@ impl<T: Scalar> Tensor<T> {
             data: self.data,
             shape,
         })
-    }
-
-    /// Apply `f` to every element, in place.
-    pub(crate) fn map_inplace(&mut self, f: impl Fn(T) -> T + Sync) {
-        if self.data.len() >= 1 << 16 {
-            hpacml_par::par_map_inplace(&mut self.data, 4096, |_, x| f(x));
-        } else {
-            for x in &mut self.data {
-                *x = f(*x);
-            }
-        }
-    }
-
-    /// New tensor with `f` applied to every element.
-    pub fn map(&self, f: impl Fn(T) -> T + Sync) -> Tensor<T> {
-        let mut out = self.clone();
-        out.map_inplace(f);
-        out
     }
 
     /// Sum of all elements (f64 accumulator for stability).
@@ -282,7 +274,8 @@ mod tests {
     #[test]
     fn map_and_mean() {
         let t = Tensor::from_vec(vec![1.0f32, 2.0, 3.0, 4.0], [4]).unwrap();
-        let m = t.map(|x| x * 2.0);
+        let mut m = Tensor::default();
+        t.map_into(&mut m, |x| x * 2.0);
         assert_eq!(m.data(), &[2.0, 4.0, 6.0, 8.0]);
         assert_eq!(m.mean(), 5.0);
     }
