@@ -21,7 +21,8 @@
 //!
 //! **One pass, one copy.** [`save_model`] encodes each parameter tensor
 //! straight from `Param::value` through one reusable 1 MiB buffer, a frame
-//! at a time, into `<path>.tmp`; then `fsync`, rename, directory sync — a
+//! at a time (each hashed beside its write, [`write_frame`]), into
+//! `<path>.tmp`; then `fsync`, rename, directory sync — a
 //! crash leaves the old file or the new one, never a torn one (a failed save
 //! can leave the `.tmp` behind; the next save overwrites it). Fault seams:
 //! `nn.save.write` before the first weight byte, `.sync` before the `fsync`,
@@ -62,7 +63,8 @@ use hpacml_store::frame::{rename_synced, write_frame, Cursor, FrameReader, Trunc
 use hpacml_tensor::quant::Precision;
 use hpacml_tensor::Tensor;
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::Read;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"HMLMODEL";
@@ -236,9 +238,9 @@ pub(crate) fn save_model_with_precision(
     }
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
-    let mut f = File::create(&tmp)?;
-    f.write_all(&[&MAGIC[..], &[VERSION]].concat())?;
-    write_frame(&mut f, &head, &[])?;
+    let f = File::create(&tmp)?;
+    f.write_all_at(&[&MAGIC[..], &[VERSION]].concat(), 0)?;
+    let mut at = 9 + write_frame(&f, 9, &head, &[])?;
     fault_point!("nn.save.write");
     let mut buf = Vec::new();
     for (tensor, p) in params.iter().enumerate() {
@@ -251,10 +253,10 @@ pub(crate) fn save_model_with_precision(
             for (le, v) in buf.chunks_exact_mut(4).zip(values) {
                 le.copy_from_slice(&v.to_le_bytes());
             }
-            write_frame(&mut f, &head, &buf)?;
+            at += write_frame(&f, at, &head, &buf)?;
         }
     }
-    write_frame(&mut f, &[END], &[])?;
+    write_frame(&f, at, &[END], &[])?;
     fault_point!("nn.save.sync");
     f.sync_all()?;
     fault_point!("nn.save.rename");
@@ -622,9 +624,9 @@ mod tests {
         let mut head = vec![HEADER, 0xEE];
         encode_spec(&mut head, &spec);
         head.extend([0, 0, 0, 0, 0, 0]); // no normalizers, no tensors
-        let mut bytes = b"HMLMODEL\x03".to_vec();
-        write_frame(&mut bytes, &head, &[]).unwrap();
-        std::fs::write(&path, &bytes).unwrap();
+        let f = File::create(&path).unwrap();
+        f.write_all_at(b"HMLMODEL\x03", 0).unwrap();
+        write_frame(&f, 9, &head, &[]).unwrap();
         assert!(matches!(
             load_model(&path),
             Err(NnError::Serialize(msg)) if msg.contains("precision tag")

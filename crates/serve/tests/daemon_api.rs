@@ -730,3 +730,50 @@ fn overflowing_bind_is_a_typed_build_error() {
     daemon.submit("wide", &[&[0.25; 8]], &mut [&mut y]).unwrap();
     assert!(y[0].is_finite());
 }
+
+/// Bindings size the compiled plan, and they are config text. `bind N 2^40`
+/// over a sweep that reads `x[0]` at every point fits in `usize`, so no
+/// overflow check catches it; the plan's buffers would be 4 TB. `apply`
+/// must refuse it with a typed error before anything of that size is
+/// allocated, and the old generation keeps serving bitwise.
+#[test]
+fn apply_of_a_plan_too_large_to_allocate_keeps_the_old_generation_serving() {
+    let dir = tmpdir("plan-too-large");
+    let model = dir.join("m.hml");
+    let spec = ModelSpec::mlp(1, &[8], 1, Activation::Tanh, 0.0);
+    let net = spec.build(41).unwrap();
+    hpacml_nn::serialize::save_model(&model, &spec, &net, None, None).unwrap();
+    let directive = format!(
+        r#"#pragma approx tensor functor(first: [i, 0:1] = ([0]))
+#pragma approx tensor functor(single: [i, 0:1] = ([i]))
+#pragma approx tensor map(to: first(x[0:N]))
+#pragma approx ml(infer) in(x) out(single(y[0:N])) model("{}")"#,
+        model.display()
+    );
+    let cfg = |n: i64| {
+        format!(
+            "region big {{\n directive \"{}\";\n bind N {n};\n input x 1;\n output y {n};\n max_batch 1;\n}}\n",
+            esc(&directive)
+        )
+    };
+    let daemon = DaemonBuilder::new().bootstrap(&cfg(4)).unwrap();
+    let x = [0.75f32];
+    let serve = || {
+        let mut y = [0.0f32; 4];
+        daemon.submit("big", &[&x], &mut [&mut y]).unwrap();
+        y.map(f32::to_bits)
+    };
+    let want = serve();
+    for _ in 0..3 {
+        match daemon.apply(&cfg(1 << 40)).unwrap_err() {
+            DaemonError::Build { region, msg } => {
+                assert_eq!(region, "big");
+                assert!(msg.contains("cannot reserve storage"), "{msg}");
+            }
+            other => panic!("expected Build, got: {other}"),
+        }
+        assert_eq!(daemon.generation(), 1, "a failed apply must not swap");
+        assert_eq!(serve(), want, "old generation, bitwise");
+    }
+    assert_eq!(daemon.stats().swaps, 0);
+}

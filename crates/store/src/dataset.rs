@@ -177,8 +177,9 @@ impl Dataset {
         self.append(DType::I64, batch, i64::to_le_bytes)
     }
 
-    /// Append `batch` as little-endian `W`-byte elements: one grow of the
-    /// byte buffer, then one pass encoding into the new bytes.
+    /// Append `batch` as little-endian `W`-byte elements: one pass that
+    /// encodes each element straight into reserved space (no zero-fill
+    /// first).
     fn append<T: Copy, const W: usize>(
         &mut self,
         dtype: DType,
@@ -187,11 +188,8 @@ impl Dataset {
     ) -> Result<usize> {
         self.check_dtype(dtype)?;
         let new_rows = self.check_batch(batch.len())?;
-        let start = self.data.len();
-        self.data.resize(start + batch.len() * W, 0);
-        for (dst, &v) in self.data[start..].chunks_exact_mut(W).zip(batch) {
-            dst.copy_from_slice(&le(v));
-        }
+        self.data.reserve(batch.len() * W);
+        self.data.extend(batch.iter().flat_map(|&v| le(v)));
         self.rows += new_rows;
         Ok(self.rows)
     }

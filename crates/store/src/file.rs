@@ -22,9 +22,10 @@
 //! model files; the bodies are this module's. A `Rows` frame carries rows
 //! `first_row..first_row + n_rows` of one dataset and describes itself; a
 //! `Commit` is the tree *without* payloads. One flush is one *generation*: a
-//! `Rows` frame per dataset with unpersisted rows (the payload goes from the
-//! dataset's buffer to the file uncopied and is hashed once), then one
-//! `Commit`, then a single `fsync`.
+//! `Rows` frame per dataset with unpersisted rows, then one `Commit`, then a
+//! single `fsync`. Each frame is written in place at its offset: its payload
+//! goes from the dataset's buffer to the file uncopied while the pool hashes
+//! it, and its header follows.
 //!
 //! **Append or rewrite.** A handle whose file is the v3 log it wrote or
 //! cleanly opened *appends* at its committed length: a flush costs the new
@@ -37,11 +38,17 @@
 //! flush with nothing new (same `Commit` body) makes no filesystem call.
 //!
 //! **Crash safety: old or new, never torn.** Committed rows are never
-//! rewritten. A generation counts once its `Commit` verifies, and that is
-//! written after every `Rows` frame of the generation, so a crash mid-append
-//! leaves a tail without one: [`H5File::open`] returns the previous
-//! generation exactly and reports `truncated`. A writer whose append fails
-//! cuts its tail off (`set_len`) before returning the error. The fault seams
+//! rewritten: an append writes only from the committed length on. A
+//! generation counts once its `Commit` verifies, and that is written after
+//! every `Rows` frame of the generation, header included. A crash mid-append
+//! leaves a tail without a `Commit`, or whose last `Rows` frame has its
+//! payload on disk and its header still zeros, which fails its checksum.
+//! Either way [`H5File::open`] returns the previous generation exactly and
+//! reports `truncated`. Until the `fsync`, pages may reach the disk in any
+//! order. A `Commit` that lands before a `Rows` header of its generation
+//! sits in a generation with a bad frame, which reads as a torn append (see
+//! *Salvage*). A writer whose append fails cuts its tail off (`set_len`)
+//! before returning the error. The fault seams
 //! mean the same on both paths: `store.flush.write` before payload bytes,
 //! `.sync` before the `fsync`, `.rename` before the step that makes the
 //! generation visible — the rename, or the `Commit` frame of an append.
@@ -72,7 +79,8 @@ use crate::{Result, StoreError};
 use hpacml_faults::fault_point;
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::Read;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -242,12 +250,12 @@ impl H5File {
         // Append only to the very file the record describes: one that was
         // replaced, cut or grown behind the handle is rewritten.
         let log = extends.and_then(|disk| {
-            let f = File::options().append(true).open(&self.path).ok()?;
+            let f = File::options().write(true).open(&self.path).ok()?;
             (f.metadata().ok()?.len() == disk.len).then_some((f, disk))
         });
         let len = match log {
-            Some((mut f, disk)) => {
-                let wrote = write_generation(&mut f, &datasets, &commit, Some(disk));
+            Some((f, disk)) => {
+                let wrote = write_generation(&f, &datasets, &commit, Some(disk));
                 if wrote.is_err() {
                     // Cut the failed attempt off so nothing is ever appended
                     // after garbage (if this fails too, the length check
@@ -258,9 +266,9 @@ impl H5File {
             }
             None => {
                 let tmp = self.path.with_extension("h5lite.tmp");
-                let mut f = File::create(&tmp)?;
-                f.write_all(MAGIC)?;
-                let n = write_generation(&mut f, &datasets, &commit, None)?;
+                let f = File::create(&tmp)?;
+                f.write_all_at(MAGIC, 0)?;
+                let n = write_generation(&f, &datasets, &commit, None)?;
                 fault_point!("store.flush.rename");
                 rename_synced(&tmp, &self.path)?;
                 8 + n
@@ -304,14 +312,16 @@ fn datasets_mut(root: &mut Group) -> Vec<(DsPath, &mut Dataset)> {
 
 /// Write one generation and `fsync`: a `Rows` frame for each dataset's rows
 /// past those `log` holds (all of them for a rewrite, `None`), then the
-/// `Commit`. Returns its length.
+/// `Commit`, from the log's committed length (after the magic for a
+/// rewrite). Returns its length.
 fn write_generation(
-    f: &mut File,
+    f: &File,
     datasets: &[(DsPath, &mut Dataset)],
     commit: &[u8],
     log: Option<&Disk>,
 ) -> Result<u64> {
     fault_point!("store.flush.write");
+    let start = log.map_or(MAGIC.len() as u64, |l| l.len);
     let mut n = 0;
     for (path, d) in datasets {
         let first = log.and_then(|l| l.rows.get(path)).map_or(0, |r| r.1);
@@ -322,13 +332,13 @@ fn write_generation(
             put_shape(&mut head, d);
             head.extend((first as u64).to_le_bytes());
             head.extend(((d.rows() - first) as u64).to_le_bytes());
-            n += write_frame(f, &head, d.raw_from(first))?;
+            n += write_frame(f, start + n, &head, d.raw_from(first))?;
         }
     }
     if log.is_some() {
         fault_point!("store.flush.rename");
     }
-    n += write_frame(f, commit, &[])?;
+    n += write_frame(f, start + n, commit, &[])?;
     fault_point!("store.flush.sync");
     f.sync_all()?;
     Ok(n)

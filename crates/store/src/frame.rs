@@ -8,17 +8,33 @@
 //!
 //! `cksum` is [`fnv1a64_words`] of the frame's bytes after the `cksum` field
 //! (`len`, then the body) as one string. What a body means is its format's
-//! business. This module is how one is written ([`write_frame`]: the payload
-//! goes from the caller's buffer to the file uncopied and is hashed once;
-//! [`rename_synced`] makes a rewritten file visible) and how one is read back
-//! from bytes nobody vouches for ([`Frame::split`] over a file held in
-//! memory, [`FrameReader`] over one that is streamed, [`Cursor`] inside a
-//! body): no length is believed before it has been checked against the bytes
-//! that are really there, and nothing is allocated for a length that has not
-//! been.
+//! business. This module is how one is written and how one is read back.
+//!
+//! **Written in place, hashed beside the write.** [`write_frame`] puts a
+//! frame at a given offset of a file. The payload goes from the caller's
+//! buffer to its place in the file uncopied. It is hashed on one pool
+//! participant while another writes it, so the hash costs no time beside a
+//! write that takes longer. The header (`cksum`, `len` and the format's own
+//! head) goes in last. On a serial pool the two parts run one after the
+//! other. The bytes are the same either way. Both formats write each frame
+//! where their file ends, so until its header is written the frame starts
+//! with zeros (a hole), and a reader sees a frame that fails its checksum.
+//! Neither format
+//! counts anything before its closing frame verifies: the `Commit` of an
+//! h5lite generation, the `End` of an `.hml` (behind an `fsync` and
+//! [`rename_synced`]).
+//!
+//! **Read from bytes nobody vouches for.** [`Frame::split`] works over a
+//! file held in memory, [`FrameReader`] over one that is streamed, and
+//! [`Cursor`] inside a body. No length is believed before it has been
+//! checked against the bytes that are really there, and nothing is
+//! allocated for a length that has not been.
 
-use std::io::{self, Read, Write};
+use std::fs::File;
+use std::io::{self, Read};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
+use std::sync::OnceLock;
 
 // FNV-1a, 64-bit — the parameters of `hpacml_faults::fnv1a64`.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -85,15 +101,27 @@ pub fn fnv1a64_words(parts: &[&[u8]]) -> u64 {
     h.finish()
 }
 
-/// Write one frame whose body is `head` then `payload`; the payload is
-/// hashed once and goes to `f` straight from the caller's buffer. Returns
-/// the frame's length.
-pub fn write_frame(f: &mut impl Write, head: &[u8], payload: &[u8]) -> io::Result<u64> {
+/// Write one frame whose body is `head` then `payload` at offset `pos` of
+/// `f`, and return the frame's length. Two parts run on the pool: one
+/// hashes the frame, the other writes the payload straight from the
+/// caller's buffer to its place. The header is written after both.
+pub fn write_frame(f: &File, pos: u64, head: &[u8], payload: &[u8]) -> io::Result<u64> {
     let len = ((head.len() + payload.len()) as u64).to_le_bytes();
-    let cksum = fnv1a64_words(&[&len, head, payload]).to_le_bytes();
-    f.write_all(&[&cksum, &len[..], head].concat())?;
-    f.write_all(payload)?;
-    Ok((16 + head.len() + payload.len()) as u64)
+    let payload_at = pos + 16 + head.len() as u64;
+    let (cksum, wrote) = (OnceLock::new(), OnceLock::new());
+    hpacml_par::parallel_for(2, 1, |parts| {
+        for part in parts {
+            if part == 0 {
+                _ = cksum.set(fnv1a64_words(&[&len, head, payload]));
+            } else {
+                _ = wrote.set(f.write_all_at(payload, payload_at));
+            }
+        }
+    });
+    wrote.into_inner().expect("both parts ran")?;
+    let cksum = cksum.into_inner().expect("both parts ran").to_le_bytes();
+    f.write_all_at(&[&cksum, &len[..], head].concat(), pos)?;
+    Ok(16 + head.len() as u64 + payload.len() as u64)
 }
 
 /// Put the fully written and `fsync`ed `tmp` in `path`'s place: readers see
@@ -304,12 +332,24 @@ mod tests {
         }
     }
 
+    /// The bytes of a file written frame by frame from offset 0.
+    fn framed(name: &str, frames: &[(&[u8], &[u8])]) -> (Vec<u8>, Vec<u64>) {
+        let dir = std::env::temp_dir().join("hpacml-store-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        let f = File::create(&path).unwrap();
+        let mut lens = Vec::new();
+        for (head, payload) in frames {
+            let at = lens.iter().sum();
+            lens.push(write_frame(&f, at, head, payload).unwrap());
+        }
+        (std::fs::read(&path).unwrap(), lens)
+    }
+
     #[test]
     fn frames_read_back_and_no_length_outruns_the_source() {
-        let mut file = Vec::new();
-        let n = write_frame(&mut file, &[7, 1], &[2, 3, 4]).unwrap();
-        let m = write_frame(&mut file, &[], &[]).unwrap();
-        assert_eq!((n, m, file.len()), (21, 16, 37));
+        let (file, lens) = framed("read_back.frames", &[(&[7, 1], &[2, 3, 4]), (&[], &[])]);
+        assert_eq!((lens, file.len()), (vec![21, 16], 37));
         let (f, rest) = Frame::split(&file).unwrap();
         assert!(f.sound && f.body == [7, 1, 2, 3, 4] && rest.len() == 16);
         assert!(Frame::split(&file[..20]).is_none() && Frame::split(&file[..15]).is_none());
@@ -337,6 +377,31 @@ mod tests {
         let mut rd = FrameReader::new(&file[..30], 37);
         assert!(rd.next_frame().unwrap().is_some());
         assert!(rd.next_frame().is_err());
+    }
+
+    #[test]
+    fn a_frame_is_the_same_bytes_at_every_pool_width() {
+        // Payloads below and above a page, and one that is not a whole
+        // number of words.
+        let payloads: Vec<Vec<u8>> = [0usize, 5, 4096, 100_003]
+            .iter()
+            .map(|&n| (0..n).map(|i| (i * 131 + 7) as u8).collect())
+            .collect();
+        let frames: Vec<(&[u8], &[u8])> = payloads.iter().map(|p| (&b"head"[..], &p[..])).collect();
+        let want: Vec<u8> = frames
+            .iter()
+            .flat_map(|(head, payload)| {
+                let len = ((head.len() + payload.len()) as u64).to_le_bytes();
+                let cksum = fnv1a64_words(&[&len, head, payload]).to_le_bytes();
+                [&cksum[..], &len, head, payload].concat()
+            })
+            .collect();
+        for workers in [0, 2] {
+            let pool = hpacml_par::Pool::new(workers);
+            let name = format!("width_{workers}.frames");
+            let (got, _) = hpacml_par::with_pool(&pool, || framed(&name, &frames));
+            assert!(got == want, "{workers} workers");
+        }
     }
 
     #[test]

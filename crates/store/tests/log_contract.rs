@@ -281,3 +281,37 @@ fn nothing_new_nothing_written() {
     f.flush().unwrap();
     assert_eq!(H5File::open(&path).unwrap().root(), f.root());
 }
+
+/// A flush writes each frame's payload before its header, and the next
+/// frame only once that header is written. A crash mid-append can leave
+/// the last `Rows` frame with its payload on disk and its 16-byte header
+/// still zeros (a hole), or whole with no `Commit` after it. Whichever
+/// frame of generation 2 it hits, `open` returns generation 1 bit for bit
+/// and reports the tail.
+#[test]
+fn an_append_cut_after_a_payload_or_before_its_commit_reads_as_the_last_generation() {
+    let (path, bytes, lens, trees) = three_generations("zero-header.h5lite");
+    let frames = frames(&bytes);
+    // Generation 2 is frames 4 (r/t), 5 (r/x) and 6 (its Commit).
+    assert_eq!((frames[3].1, frames[6].1), (lens[0], lens[1]));
+    for (k, zero_header) in [(4, true), (5, true), (4, false), (5, false)] {
+        let (start, end) = frames[k];
+        let mut cut = bytes[..end].to_vec();
+        if zero_header {
+            cut[start..start + 16].fill(0);
+        }
+        std::fs::write(&path, &cut).unwrap();
+        let f = H5File::open(&path).unwrap();
+        assert_eq!(f.root(), &trees[0], "frame {k}, zero header {zero_header}");
+        let report = f.recovery().expect("the tail is reported");
+        assert!(report.truncated && report.dropped.is_empty(), "{report:?}");
+    }
+    // Were the Commit to reach the disk before an earlier header did, the
+    // generation holds a bad frame: a torn append, and generation 1 again.
+    let mut torn = bytes[..lens[1]].to_vec();
+    torn[frames[5].0..frames[5].0 + 16].fill(0);
+    std::fs::write(&path, &torn).unwrap();
+    let f = H5File::open(&path).unwrap();
+    assert_eq!(f.root(), &trees[0]);
+    assert!(f.recovery().is_some_and(|r| r.truncated));
+}
