@@ -12,18 +12,23 @@
 //!    whose GEMM epilogue then applies bias *and* activation to each
 //!    output tile while it is register/L1-hot (two full-tensor memory
 //!    sweeps deleted per pair);
-//! 3. **pre-pack weights** — `Linear` packs `Wᵀ` into
-//!    [`PackedB`](hpacml_tensor::gemm::PackedB) column panels, so the
-//!    steady-state kernels never repack. (`Conv2d` has nothing to pack: its
-//!    `[filters, c*kh*kw]` weights are the GEMM's row-major `A` operand as
-//!    stored.)
+//! 3. **pre-pack weights** — `Linear` *moves* `Wᵀ` into
+//!    [`PackedB`](hpacml_tensor::gemm::PackedB) column panels and frees the
+//!    row-major weights and their gradients: the panels are the layer's one
+//!    f32 copy, and the steady-state kernels never repack. (`Conv2d` has
+//!    nothing to pack: its `[filters, c*kh*kw]` weights are the GEMM's
+//!    row-major `A` operand as stored.)
 //!
 //! The pass is **semantics-preserving at the bit level** for inference:
 //! every fused/packed kernel accumulates in the same ascending-`k` order
 //! and applies the same bias/activation expressions as the unfused stack
 //! (see the determinism notes on [`hpacml_tensor::gemm`]). It is applied
-//! automatically by [`crate::serialize::load_model`]; a compiled model is
-//! inference-only (its backward pass no longer sees the removed layers).
+//! automatically by [`crate::serialize::load_model`], whose `Linear` layers
+//! are built in panels to begin with. A compiled model is inference-only:
+//! its backward pass no longer sees the removed layers, and a packed
+//! `Linear` has no row-major weights to train. Its weights read back
+//! through [`Sequential::export_weights`] (unpacked to rows), and a
+//! `visit_params` hands a visitor the rows and repacks afterwards.
 
 use crate::model::Sequential;
 use hpacml_tensor::quant::Precision;
@@ -114,7 +119,8 @@ impl PrecisionPolicy {
 }
 
 /// Compile a model for inference: drop identities, fuse activations into
-/// GEMM epilogues, pre-pack weights. Idempotent; returns what changed.
+/// GEMM epilogues, move weights into packed panels (freeing the row-major
+/// copy). Idempotent; returns what changed.
 pub fn compile_for_inference(model: &mut Sequential) -> CompileInfo {
     let mut info = CompileInfo::default();
     let layers = model.layers_mut();

@@ -72,12 +72,15 @@ pub trait Layer: Send + Sync {
     /// gradients. Requires a preceding `forward_train`.
     fn backward(&mut self, dy: &Tensor) -> Result<Tensor>;
 
-    /// Visit every trainable parameter (deterministic order).
+    /// Visit every trainable parameter (deterministic order). A layer that
+    /// keeps its weights packed hands the visitor row-major copies and
+    /// repacks them afterwards.
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
-    /// The same parameters in the same order, read-only: nothing to
-    /// refresh afterwards, so a compiled layer is left exactly as it is.
-    fn params(&self) -> Vec<&Param> {
+    /// The same parameters in the same order, read-only and where the
+    /// layer keeps them: nothing to refresh afterwards, so a compiled layer
+    /// is left exactly as it is.
+    fn params(&self) -> Vec<ParamRef<'_>> {
         Vec::new()
     }
 
@@ -108,9 +111,9 @@ pub trait Layer: Send + Sync {
         false
     }
 
-    /// Pre-pack immutable weights into the panel layout the steady-state
-    /// inference kernels read (once, at model load). Returns `true` if
-    /// anything was packed.
+    /// Move immutable weights into the panel layout the steady-state
+    /// inference kernels read (once, at compile time). Returns `true` if the
+    /// layer serves from packed panels afterwards.
     fn prepack(&mut self) -> bool {
         false
     }
@@ -154,26 +157,115 @@ fn missing_cache(layer: &'static str) -> NnError {
 // Linear
 // ---------------------------------------------------------------------------
 
-/// Fully connected layer: `y = act(x·Wᵀ + b)`, weights stored `[out, in]`.
+/// Fully connected layer: `y = act(x·Wᵀ + b)`, weights `[out, in]`.
 ///
-/// Bias — and, once the inference compile pass has fused a following
-/// activation into this layer, the activation too — is applied in the GEMM
-/// epilogue while each output tile is register-hot. Compiled models also
-/// carry the weights pre-packed into [`PackedB`] panels so steady-state
-/// forwards never repack.
+/// A `Linear` is in one of two forms. Built from a spec, it holds `W`
+/// row-major beside its gradient and trains. Compiled for inference
+/// ([`Layer::prepack`], which the compile pass runs), it *moves* `W` into
+/// [`PackedB`] panels and frees the rows: the panels are then the only f32
+/// copy of the weights, and the reduced-precision rungs are encoded from
+/// them. `load_model` builds its layers in that form directly. Bias — and,
+/// once the compile pass has fused a following activation into this layer,
+/// the activation too — is applied in the GEMM epilogue while each output
+/// tile is register-hot.
 pub struct Linear {
-    pub w: Param,
-    pub b: Param,
-    /// Panel-packed weights (compile pass; inference only).
-    packed: Option<PackedB<f32>>,
-    /// Reduced-precision weight panels (quantize pass; inference only).
-    /// Both rungs below f32 are kept so the validation-driven demotion
-    /// ladder (int8 → bf16 → f32) can move without repacking.
-    q_bf16: Option<QPackedB>,
-    q_int8: Option<QPackedB>,
+    form: Form,
     /// Activation fused into the epilogue (compile pass; inference only).
     act: Option<Act>,
-    cache_x: Option<Tensor>,
+}
+
+enum Form {
+    /// Row-major weights and bias with their gradients, and the input
+    /// `backward` reads: a layer that trains.
+    Train {
+        w: Param,
+        b: Param,
+        cache_x: Option<Tensor>,
+    },
+    /// Compiled for inference: the weights only as packs, and the bias.
+    Serve { w: Packs, b: Tensor },
+}
+
+/// A compiled `Linear`'s weights: the f32 [`PackedB`] panels — the one
+/// f32 copy — and the reduced-precision rungs encoded from them. Both
+/// rungs below f32 are kept so the validation-driven demotion ladder
+/// (int8 → bf16 → f32) moves without repacking.
+// lint: allow(crate-local-pub) — held by `ParamRef::Packed`, which callers match without naming the type
+pub struct Packs {
+    f32: PackedB<f32>,
+    bf16: Option<QPackedB>,
+    int8: Option<QPackedB>,
+}
+
+impl Packs {
+    /// The f32 panels.
+    pub fn panels(&self) -> &PackedB<f32> {
+        &self.f32
+    }
+
+    /// The reduced-precision pack serving requests at `prec`, honoring the
+    /// fallthrough rule (a missing int8 pack serves bf16; a missing bf16
+    /// pack serves f32 — i.e. `None`).
+    pub fn rung(&self, prec: Precision) -> Option<&QPackedB> {
+        match prec {
+            Precision::Int8 => self.int8.as_ref().or(self.bf16.as_ref()),
+            Precision::Bf16 => self.bf16.as_ref(),
+            Precision::F32 => None,
+        }
+    }
+
+    /// Encode every rung from `target` up to bf16 from the f32 panels, so
+    /// the weights are transposed once. A bf16 target drops an int8 rung: a
+    /// bf16-target model must not keep serving a coarser one.
+    fn encode(&mut self, target: Precision) {
+        let encode = |prec| QPackedB::from_packed(&self.f32, prec).expect("a reduced rung");
+        self.bf16 = Some(encode(Precision::Bf16));
+        self.int8 = (target == Precision::Int8).then(|| encode(Precision::Int8));
+    }
+}
+
+/// One parameter tensor where its layer keeps it, for reading: row-major
+/// values, or a compiled `Linear`'s `[out, in]` weights held only as packs.
+/// Either way it reads as the row-major tensor, never as an empty one.
+#[derive(Clone, Copy)]
+pub enum ParamRef<'a> {
+    Rows(&'a [f32]),
+    Packed(&'a Packs),
+}
+
+impl ParamRef<'_> {
+    pub fn numel(self) -> usize {
+        match self {
+            ParamRef::Rows(v) => v.len(),
+            ParamRef::Packed(p) => p.f32.k() * p.f32.n(),
+        }
+    }
+
+    /// The tensor's values in row-major order.
+    pub fn to_vec(self) -> Vec<f32> {
+        match self {
+            ParamRef::Rows(v) => v.to_vec(),
+            ParamRef::Packed(p) => p.f32.read_rows(0).collect(),
+        }
+    }
+
+    /// Row-major elements from `first` on, little-endian, into `le` (four
+    /// bytes each, as many as it holds).
+    pub(crate) fn encode_le(self, first: usize, le: &mut [u8]) {
+        let put = |(le, v): (&mut [u8], f32)| le.copy_from_slice(&v.to_le_bytes());
+        let le = le.chunks_exact_mut(4);
+        match self {
+            ParamRef::Rows(v) => le.zip(v[first..].iter().copied()).for_each(put),
+            ParamRef::Packed(p) => le.zip(p.f32.read_rows(first)).for_each(put),
+        }
+    }
+}
+
+fn compiled_for_inference(layer: &str, what: &str) -> NnError {
+    NnError::Train(format!(
+        "{layer}: layer was compiled for inference ({what}); \
+         rebuild the model from its spec to train"
+    ))
 }
 
 impl Linear {
@@ -186,42 +278,64 @@ impl Linear {
         )
     }
 
-    /// Every parameter zero and no random draw: what a loader fills in.
-    pub(crate) fn zeroed(in_features: usize, out_features: usize) -> Self {
-        Linear::from_params(
-            Tensor::zeros([out_features, in_features]),
-            Tensor::zeros([out_features]),
-        )
+    /// A trainable layer from row-major `[out, in]` weights and its bias.
+    pub(crate) fn from_params(w: Tensor, b: Tensor) -> Self {
+        let (w, b) = (Param::new(w), Param::new(b));
+        Linear {
+            form: Form::Train {
+                w,
+                b,
+                cache_x: None,
+            },
+            act: None,
+        }
     }
 
-    pub(crate) fn from_params(w: Tensor, b: Tensor) -> Self {
+    /// A compiled layer from weights already in panels — what a loader
+    /// decodes a file into. No row-major copy and no gradient exist.
+    pub(crate) fn from_panels(w: PackedB<f32>, b: Vec<f32>) -> Self {
+        let n = b.len();
+        let b = Tensor::from_vec(b, [n]).expect("a bias of n values");
+        let w = Packs {
+            f32: w,
+            bf16: None,
+            int8: None,
+        };
         Linear {
-            w: Param::new(w),
-            b: Param::new(b),
-            packed: None,
-            q_bf16: None,
-            q_int8: None,
+            form: Form::Serve { w, b },
             act: None,
-            cache_x: None,
         }
     }
 
     pub fn in_features(&self) -> usize {
-        self.w.value.dims()[1]
+        match &self.form {
+            Form::Train { w, .. } => w.value.dims()[1],
+            Form::Serve { w, .. } => w.f32.k(),
+        }
     }
 
     pub fn out_features(&self) -> usize {
-        self.w.value.dims()[0]
+        match &self.form {
+            Form::Train { w, .. } => w.value.dims()[0],
+            Form::Serve { w, .. } => w.f32.n(),
+        }
     }
 
-    /// The quantized pack serving requests at `prec`, honoring the
-    /// fallthrough rule (a missing int8 pack serves bf16; a missing bf16
-    /// pack serves f32 — i.e. `None`).
-    fn qpack_for(&self, prec: Precision) -> Option<&QPackedB> {
-        match prec {
-            Precision::Int8 => self.q_int8.as_ref().or(self.q_bf16.as_ref()),
-            Precision::Bf16 => self.q_bf16.as_ref(),
-            Precision::F32 => None,
+    fn bias(&self) -> &[f32] {
+        match &self.form {
+            Form::Train { b, .. } => b.value.data(),
+            Form::Serve { b, .. } => b.data(),
+        }
+    }
+
+    /// The trainable state, or the typed refusal of a compiled layer.
+    fn train_state(&mut self) -> Result<(&mut Param, &mut Param, &mut Option<Tensor>)> {
+        match (&mut self.form, self.act) {
+            // The following activation layer was removed by the fusion
+            // pass; backward would silently skip its gradient.
+            (_, Some(_)) => Err(compiled_for_inference("linear", "fused activation")),
+            (Form::Serve { .. }, None) => Err(compiled_for_inference("linear", "packed weights")),
+            (Form::Train { w, b, cache_x }, None) => Ok((w, b, cache_x)),
         }
     }
 }
@@ -233,11 +347,13 @@ impl Layer for Linear {
     }
 
     fn forward_into(&self, x: &Tensor, out: &mut Tensor, prec: Precision) -> Result<()> {
-        let epi = Epilogue::col_bias(self.b.value.data()).with_act(self.act);
-        match (self.qpack_for(prec), &self.packed) {
-            (Some(q), _) => quant::matmul_transb_qpacked_into(x, q, epi, out)?,
-            (None, Some(p)) => gemm::matmul_transb_packed_into(x, p, epi, out)?,
-            (None, None) => ops::matmul_transb_into(x, &self.w.value, out, epi)?,
+        let epi = Epilogue::col_bias(self.bias()).with_act(self.act);
+        match &self.form {
+            Form::Train { w, .. } => ops::matmul_transb_into(x, &w.value, out, epi)?,
+            Form::Serve { w, .. } => match w.rung(prec) {
+                Some(q) => quant::matmul_transb_qpacked_into(x, q, epi, out)?,
+                None => gemm::matmul_transb_packed_into(x, &w.f32, epi, out)?,
+            },
         }
         Ok(())
     }
@@ -254,67 +370,71 @@ impl Layer for Linear {
     }
 
     fn forward_train(&mut self, x: &Tensor) -> Result<Tensor> {
-        if self.act.is_some() {
-            // The following activation layer was removed by the fusion pass;
-            // backward would silently skip its gradient. Compiled models are
-            // inference-only — rebuild from the spec to train.
-            return Err(NnError::Train(
-                "linear: layer was compiled for inference (fused activation); \
-                 rebuild the model from its spec to train"
-                    .into(),
-            ));
-        }
-        self.cache_x = Some(x.clone());
+        *self.train_state()?.2 = Some(x.clone());
         self.forward(x)
     }
 
     fn backward(&mut self, dy: &Tensor) -> Result<Tensor> {
-        let x = self
-            .cache_x
-            .as_ref()
-            .ok_or_else(|| missing_cache("linear"))?;
+        let (w, b, cache_x) = self.train_state()?;
+        let x = cache_x.as_ref().ok_or_else(|| missing_cache("linear"))?;
         // dW[out, in] += dyᵀ[out, N] · x[N, in]
         let dw = ops::matmul_transa(dy, x)?;
-        for (g, d) in self.w.grad.data_mut().iter_mut().zip(dw.data()) {
+        for (g, d) in w.grad.data_mut().iter_mut().zip(dw.data()) {
             *g += *d;
         }
         // db[out] += column sums of dy.
-        let out = self.out_features();
+        let out = w.value.dims()[0];
         for row in dy.data().chunks_exact(out) {
-            for (g, d) in self.b.grad.data_mut().iter_mut().zip(row) {
+            for (g, d) in b.grad.data_mut().iter_mut().zip(row) {
                 *g += *d;
             }
         }
         // dx[N, in] = dy[N, out] · W[out, in]
-        Ok(ops::matmul(dy, &self.w.value)?)
+        Ok(ops::matmul(dy, &w.value)?)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.w);
-        f(&mut self.b);
-        // Callers may have mutated the weights through the visit
-        // (`import_weights`, snapshot restores); refresh the panels so a
-        // compiled layer never reads stale packs — and never silently loses
-        // its packed steady state to a visit that changed nothing. Training
-        // loops visit every step, but compiled layers refuse training, so
-        // this repack only runs on occasional administrative visits.
-        if self.packed.is_some() {
-            self.prepack();
-        }
-        // Same stale-pack protection for the quantized rungs.
-        if self.q_int8.is_some() {
-            self.quantize(Precision::Int8);
-        } else if self.q_bf16.is_some() {
-            self.quantize(Precision::Bf16);
+        match &mut self.form {
+            Form::Train { w, b, .. } => {
+                f(w);
+                f(b);
+            }
+            Form::Serve { w, b } => {
+                // Callers may mutate the weights through the visit
+                // (`import_weights`, snapshot restores): hand them the rows,
+                // then repack the panels in place and re-encode the rungs
+                // held, so a compiled layer never reads stale packs. Only
+                // occasional administrative visits land here — compiled
+                // layers refuse training.
+                let (n, k) = (w.f32.n(), w.f32.k());
+                let rows = Tensor::from_vec(w.f32.read_rows(0).collect(), [n, k]);
+                let mut wp = Param::new(rows.expect("n·k rows"));
+                let mut bp = Param::new(std::mem::take(b));
+                f(&mut wp);
+                f(&mut bp);
+                *b = bp.value;
+                w.f32.pack_rows_into(wp.value.data(), n, k);
+                if w.int8.is_some() {
+                    w.encode(Precision::Int8);
+                } else if w.bf16.is_some() {
+                    w.encode(Precision::Bf16);
+                }
+            }
         }
     }
 
-    fn params(&self) -> Vec<&Param> {
-        vec![&self.w, &self.b]
+    fn params(&self) -> Vec<ParamRef<'_>> {
+        match &self.form {
+            Form::Train { w, b, .. } => vec![
+                ParamRef::Rows(w.value.data()),
+                ParamRef::Rows(b.value.data()),
+            ],
+            Form::Serve { w, b } => vec![ParamRef::Packed(w), ParamRef::Rows(b.data())],
+        }
     }
 
     fn param_count(&self) -> usize {
-        self.w.value.numel() + self.b.value.numel()
+        self.in_features() * self.out_features() + self.bias().len()
     }
 
     fn fuse_activation(&mut self, act: Act) -> bool {
@@ -327,7 +447,18 @@ impl Layer for Linear {
     }
 
     fn prepack(&mut self) -> bool {
-        self.packed = Some(PackedB::from_transb(&self.w.value).expect("weights are rank 2"));
+        if let Form::Train { w, b, .. } = &mut self.form {
+            // Move, not copy: the rows (and the gradients) are freed once
+            // the panels hold the weights.
+            let f32 = PackedB::from_transb(&w.value).expect("weights are rank 2");
+            let b = std::mem::take(&mut b.value);
+            let w = Packs {
+                f32,
+                bf16: None,
+                int8: None,
+            };
+            self.form = Form::Serve { w, b };
+        }
         true
     }
 
@@ -338,34 +469,32 @@ impl Layer for Linear {
         // Build every rung from `target` up: the validation controller
         // may demote int8 → bf16 → f32 at runtime, and each hop must be
         // a pointer swap, not a repack. The f32 rung is the plain packed
-        // panels — ensure they exist so demotion lands on the fast path —
-        // and the reduced rungs are encoded from them, so the weights are
-        // transposed once.
-        if self.packed.is_none() {
-            self.prepack();
-        }
-        let packed = self.packed.as_ref().expect("prepacked above");
-        let encode = |prec| QPackedB::from_packed(packed, prec).expect("a reduced rung");
-        self.q_bf16 = Some(encode(Precision::Bf16));
-        // A bf16-target model must not keep serving a coarser rung.
-        self.q_int8 = (target == Precision::Int8).then(|| encode(Precision::Int8));
+        // panels — pack first, so demotion lands on the fast path.
+        self.prepack();
+        let Form::Serve { w, .. } = &mut self.form else {
+            unreachable!("prepack leaves the layer in panels")
+        };
+        w.encode(target);
         true
     }
 
     fn narrow_stage(&self, prec: Precision) -> Option<NarrowStage<'_>> {
-        let bias = self.b.value.data();
-        match self.qpack_for(prec) {
-            Some(q) => Some(NarrowStage::quantized(q, bias, self.act)),
-            None => Some(NarrowStage::new(self.packed.as_ref()?, bias, self.act)),
-        }
+        let Form::Serve { w, b } = &self.form else {
+            return None;
+        };
+        Some(match w.rung(prec) {
+            Some(q) => NarrowStage::quantized(q, b.data(), self.act),
+            None => NarrowStage::new(&w.f32, b.data(), self.act),
+        })
     }
 
     fn scratch_hint(&self, _in_dims: &[usize]) -> Result<(usize, usize)> {
-        if self.packed.is_some() {
-            Ok((0, 0)) // steady state never repacks
-        } else {
-            let b = PackedB::<f32>::packed_elems(self.in_features(), self.out_features());
-            Ok((b, 0))
+        match self.form {
+            Form::Serve { .. } => Ok((0, 0)), // steady state never repacks
+            Form::Train { .. } => {
+                let b = PackedB::<f32>::packed_elems(self.in_features(), self.out_features());
+                Ok((b, 0))
+            }
         }
     }
 }
@@ -640,16 +769,6 @@ impl Conv2d {
         )
     }
 
-    /// Every parameter zero and no random draw: what a loader fills in.
-    pub(crate) fn zeroed(in_ch: usize, out_ch: usize, geom: Conv2dGeom) -> Self {
-        let (kh, kw) = geom.kernel;
-        Conv2d::from_params(
-            Tensor::zeros([out_ch, in_ch, kh, kw]),
-            Tensor::zeros([out_ch]),
-            geom,
-        )
-    }
-
     pub(crate) fn from_params(w: Tensor, b: Tensor, geom: Conv2dGeom) -> Self {
         Conv2d {
             w: Param::new(w),
@@ -697,12 +816,8 @@ impl Layer for Conv2d {
 
     fn forward_train(&mut self, x: &Tensor) -> Result<Tensor> {
         if self.act.is_some() {
-            // See Linear::forward_train — compiled models are inference-only.
-            return Err(NnError::Train(
-                "conv2d: layer was compiled for inference (fused activation); \
-                 rebuild the model from its spec to train"
-                    .into(),
-            ));
+            // See Linear::train_state — compiled models are inference-only.
+            return Err(compiled_for_inference("conv2d", "fused activation"));
         }
         self.cache_x = Some(x.clone());
         self.forward(x)
@@ -728,8 +843,11 @@ impl Layer for Conv2d {
         f(&mut self.b);
     }
 
-    fn params(&self) -> Vec<&Param> {
-        vec![&self.w, &self.b]
+    fn params(&self) -> Vec<ParamRef<'_>> {
+        vec![
+            ParamRef::Rows(self.w.value.data()),
+            ParamRef::Rows(self.b.value.data()),
+        ]
     }
 
     fn param_count(&self) -> usize {
@@ -868,17 +986,21 @@ mod tests {
     fn quantize_without_a_prepack_packs_first_then_encodes_the_rungs() {
         let (k, n) = (37, 21);
         let mut l = Linear::new(k, n, &mut rng(7));
-        assert!(l.packed.is_none());
+        assert!(matches!(l.form, Form::Train { .. }));
+        let (w, bias) = (l.params()[0].to_vec(), l.params()[1].to_vec());
+        let w = Tensor::from_vec(w, [n, k]).unwrap();
         assert!(l.quantize(Precision::Int8));
-        assert!(l.packed.is_some(), "the f32 rung is packed too");
+        let Form::Serve { w: packs, .. } = &l.form else {
+            panic!("the f32 rung is packed too")
+        };
         let x = sample_x(3, k, 8);
         for (prec, q) in [
-            (Precision::Bf16, l.q_bf16.as_ref()),
-            (Precision::Int8, l.q_int8.as_ref()),
+            (Precision::Bf16, packs.bf16.as_ref()),
+            (Precision::Int8, packs.int8.as_ref()),
         ] {
             let (q, want) = (
                 q.expect("rung built"),
-                QPackedB::from_transb(&l.w.value, prec).unwrap(),
+                QPackedB::from_transb(&w, prec).unwrap(),
             );
             for j in 0..n {
                 assert_eq!(
@@ -895,9 +1017,39 @@ mod tests {
             }
             let (mut got, mut direct) = (Tensor::default(), Tensor::default());
             l.forward_into(&x, &mut got, prec).unwrap();
-            let epi = Epilogue::col_bias(l.b.value.data());
+            let epi = Epilogue::col_bias(&bias);
             quant::matmul_transb_qpacked_into(&x, &want, epi, &mut direct).unwrap();
             assert_eq!(got.data(), direct.data(), "{prec}");
+        }
+    }
+
+    /// Compiling moves the weights: the layer keeps no row-major copy and
+    /// no gradient, reads back the same rows, serves the same bits, and
+    /// refuses training with or without a fused activation.
+    #[test]
+    fn prepack_moves_the_weights_into_panels() {
+        let (k, n) = (9, 20);
+        let x = sample_x(4, k, 31);
+        for act in [None, Some(Act::Tanh)] {
+            let mut l = Linear::new(k, n, &mut rng(30));
+            if let Some(act) = act {
+                l.fuse_activation(act);
+            }
+            let rows = l.params()[0].to_vec();
+            let before = l.forward(&x).unwrap();
+            assert!(l.prepack());
+            let Form::Serve { w, .. } = &l.form else {
+                panic!("prepack leaves panels")
+            };
+            let want = PackedB::from_transb(&Tensor::from_vec(rows.clone(), [n, k]).unwrap());
+            assert_eq!(w.panels().panel_data(), want.unwrap().panel_data());
+            assert!(matches!(l.params()[0], ParamRef::Packed(_)));
+            assert_eq!(l.params()[0].to_vec(), rows);
+            assert_eq!(l.forward(&x).unwrap().data(), before.data());
+            assert_eq!(l.scratch_hint(&[4, k]).unwrap(), (0, 0));
+            let refused = |r: Result<Tensor>| matches!(r, Err(NnError::Train(m)) if m.contains("compiled for inference"));
+            assert!(refused(l.forward_train(&x)), "{act:?}");
+            assert!(refused(l.backward(&before)), "{act:?}");
         }
     }
 
@@ -905,6 +1057,14 @@ mod tests {
     fn linear_input_gradient_matches_fd() {
         let mut l = Linear::new(6, 4, &mut rng(3));
         fd_check_input(&mut l, &sample_x(3, 6, 4), 1e-2);
+    }
+
+    /// A trainable `Linear`'s weights and bias.
+    fn train_params(l: &mut Linear) -> (&mut Param, &mut Param) {
+        match &mut l.form {
+            Form::Train { w, b, .. } => (w, b),
+            Form::Serve { .. } => panic!("compiled"),
+        }
     }
 
     #[test]
@@ -915,21 +1075,24 @@ mod tests {
         let dy = Tensor::full(y.dims().to_vec(), 1.0f32);
         l.backward(&dy).unwrap();
         let eps = 1e-3f32;
-        for flat in 0..l.w.value.numel() {
-            let orig = l.w.value.data()[flat];
-            l.w.value.data_mut()[flat] = orig + eps;
+        for flat in 0..4 * 2 {
+            let w = |l: &mut Linear, v: Option<f32>| {
+                let w = &mut train_params(l).0.value.data_mut()[flat];
+                *w = v.unwrap_or(*w);
+                *w
+            };
+            let orig = w(&mut l, None);
+            w(&mut l, Some(orig + eps));
             let fp = l.forward(&x).unwrap().sum();
-            l.w.value.data_mut()[flat] = orig - eps;
+            w(&mut l, Some(orig - eps));
             let fm = l.forward(&x).unwrap().sum();
-            l.w.value.data_mut()[flat] = orig;
+            w(&mut l, Some(orig));
             let fd = (fp - fm) / (2.0 * eps as f64);
-            assert!(
-                (fd - l.w.grad.data()[flat] as f64).abs() < 1e-2,
-                "w[{flat}]"
-            );
+            let grad = train_params(&mut l).0.grad.data()[flat];
+            assert!((fd - grad as f64).abs() < 1e-2, "w[{flat}]");
         }
         // Bias gradient of a sum-loss is the batch size.
-        for g in l.b.grad.data() {
+        for g in train_params(&mut l).1.grad.data() {
             assert!((*g - 3.0).abs() < 1e-4);
         }
     }

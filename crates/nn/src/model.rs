@@ -1,6 +1,6 @@
 //! Sequential model container.
 
-use crate::layer::{Layer, Param};
+use crate::layer::{Layer, Param, ParamRef};
 use crate::Result;
 use hpacml_tensor::Tensor;
 
@@ -85,51 +85,44 @@ impl Sequential {
         self.layers.iter().map(|l| l.name()).collect()
     }
 
-    /// Every parameter across layers, read-only, in layer order (the order
-    /// `export_weights` and `import_weights` use).
-    pub fn params(&self) -> Vec<&Param> {
+    /// Every parameter across layers, read-only and where each layer keeps
+    /// it, in layer order (the order `export_weights` and `import_weights`
+    /// use). A compiled `Linear`'s weights exist only as packed panels, so
+    /// they are handed out as such, never as a row-major tensor.
+    pub fn params(&self) -> Vec<ParamRef<'_>> {
         self.layers.iter().flat_map(|l| l.params()).collect()
     }
 
-    /// Snapshot every parameter tensor (deterministic order) — the
-    /// early-stopping restore point.
+    /// Snapshot every parameter tensor, row-major (deterministic order) —
+    /// the early-stopping restore point.
     pub fn export_weights(&self) -> Vec<Vec<f32>> {
-        let snapshot = |p: &Param| p.value.data().to_vec();
-        self.params().into_iter().map(snapshot).collect()
-    }
-
-    /// [`Sequential::visit_params`] with each parameter's index, stopping
-    /// the work (not the walk) at the first error. Returns how many
-    /// parameters the model has.
-    pub(crate) fn try_visit_params(
-        &mut self,
-        f: &mut dyn FnMut(usize, &mut Param) -> Result<()>,
-    ) -> Result<usize> {
-        let (mut idx, mut out) = (0, Ok(()));
-        self.visit_params(&mut |p| {
-            if out.is_ok() {
-                out = f(idx, p);
-            }
-            idx += 1;
-        });
-        out.map(|()| idx)
+        self.params().into_iter().map(ParamRef::to_vec).collect()
     }
 
     /// Restore parameters from an [`Sequential::export_weights`] snapshot.
     pub fn import_weights(&mut self, weights: &[Vec<f32>]) -> Result<()> {
         let err = |msg: String| Err(crate::NnError::Serialize(msg));
-        let params = self.try_visit_params(&mut |idx, p| match weights.get(idx) {
-            Some(w) if w.len() == p.value.numel() => {
-                p.value.data_mut().copy_from_slice(w);
-                Ok(())
+        // Stop the work, not the walk, at the first error: the walk counts
+        // the model's parameters.
+        let (mut params, mut out) = (0, Ok(()));
+        self.visit_params(&mut |p| {
+            if out.is_ok() {
+                out = match weights.get(params) {
+                    Some(w) if w.len() == p.value.numel() => {
+                        p.value.data_mut().copy_from_slice(w);
+                        Ok(())
+                    }
+                    Some(w) => err(format!(
+                        "param {params}: snapshot has {} values, layer expects {}",
+                        w.len(),
+                        p.value.numel()
+                    )),
+                    None => err(format!("snapshot has only {} params", weights.len())),
+                };
             }
-            Some(w) => err(format!(
-                "param {idx}: snapshot has {} values, layer expects {}",
-                w.len(),
-                p.value.numel()
-            )),
-            None => err(format!("snapshot has only {} params", weights.len())),
-        })?;
+            params += 1;
+        });
+        out?;
         if params != weights.len() {
             return err(format!(
                 "snapshot has {} params, model has {params}",

@@ -19,26 +19,34 @@
 //! norm    : present:u8 [axis:u8, len:u32, mean:f32*, std:f32*]
 //! ```
 //!
-//! **One pass, one copy.** [`save_model`] encodes each parameter tensor
-//! straight from `Param::value` through one reusable 1 MiB buffer, a frame
-//! at a time (each hashed beside its write, [`write_frame`]), into
-//! `<path>.tmp`; then `fsync`, rename, directory sync — a
-//! crash leaves the old file or the new one, never a torn one (a failed save
-//! can leave the `.tmp` behind; the next save overwrites it). Fault seams:
-//! `nn.save.write` before the first weight byte, `.sync` before the `fsync`,
-//! `.rename` before the rename. [`load_model`] reads a frame at a time into
-//! one buffer and decodes each verified `Weights` frame in place into its
-//! tensor of a network built *without* drawing random weights: besides that
-//! buffer, the only weight-sized memory a load holds is the model it returns.
+//! **One pass, one copy.** [`save_model`] encodes each parameter tensor in
+//! row-major order, straight from where its layer keeps it (a trained
+//! tensor, or a compiled `Linear`'s packed panels, read back row by row),
+//! through one reusable 1 MiB buffer, a frame at a time (each hashed beside
+//! its write, [`write_frame`]), into `<path>.tmp`; then `fsync`, rename,
+//! directory sync — a crash leaves the old file or the new one, never a torn
+//! one (a failed save can leave the `.tmp` behind; the next save overwrites
+//! it). A loaded model therefore saves exactly the bytes it was loaded from.
+//! Fault seams: `nn.save.write` before the first weight byte, `.sync` before
+//! the `fsync`, `.rename` before the rename. [`load_model`] reads a frame at
+//! a time into one buffer and builds the network layer by layer as their
+//! frames arrive, *without* drawing random weights: it decodes each verified
+//! `Weights` frame in place into its tensor — for a `Linear`'s weights,
+//! straight into the panels the kernels read, so the row-major matrix, a
+//! staging copy and a gradient never exist. Besides that buffer, the only
+//! weight-sized memory a load holds is the model it returns.
 //!
 //! **Verified before allocated.** A frame's length is checked against the
 //! bytes the file really has before its buffer grows, its checksum before
 //! its body is read, every count in a body against the body's own length
 //! before anything is sized by it, the spec's parameter bytes (checked
 //! arithmetic) against what is left of the file before the network is
-//! built. `Weights` frames must cover tensor 0 from element 0, then tensor
-//! 1, … each exactly once and in order; `End` must follow and the file end
-//! there. Anything else is `NnError::Serialize`, never a model.
+//! built. (A `Linear`'s panels round its outputs up to whole 16-lane
+//! panels, so they hold at most 16× its weight bytes — what compiling the
+//! decoded rows has always allocated.) `Weights` frames must cover tensor 0
+//! from element 0, then tensor 1, … each exactly once and in order; `End`
+//! must follow and the file end there. Anything else is
+//! `NnError::Serialize`, never a model.
 //!
 //! v3 is the only version [`load_model`] reads. A file of any other
 //! version — the unframed v1/v2 layouts included — is
@@ -46,20 +54,24 @@
 //!
 //! Weights are always stored at full f32 precision; the precision byte
 //! only records the *serving* target. The quantized packs are rebuilt
-//! deterministically at load/compile time: the compile pass packs each
-//! layer's f32 weights into panels once, and the bf16 and int8 packs are
-//! encoded from those panels (bf16 round-to-nearest-even and int8 abs-max
-//! scales are pure functions of the weights), so a model file never bakes
-//! in quantization error twice.
+//! deterministically at load/compile time: each `Linear`'s f32 weights are
+//! packed into panels once (by the loader, or by the compile pass on a
+//! built model), and the bf16 and int8 packs are encoded from those panels
+//! (bf16 round-to-nearest-even and int8 abs-max scales are pure functions
+//! of the weights), so a model file never bakes in quantization error
+//! twice.
 
 use crate::data::{NormAxis, Normalizer};
 use crate::fuse::PrecisionPolicy;
+use crate::layer::{Conv2d, Linear};
 use crate::model::Sequential;
 use crate::spec::{LayerSpec, ModelSpec};
 use crate::workspace::{checked_numel, with_thread_workspace, InferWorkspace};
 use crate::{NnError, Result};
 use hpacml_faults::fault_point;
 use hpacml_store::frame::{rename_synced, write_frame, Cursor, FrameReader, Truncated};
+use hpacml_tensor::gemm::PackedB;
+use hpacml_tensor::ops::Conv2dGeom;
 use hpacml_tensor::quant::Precision;
 use hpacml_tensor::Tensor;
 use std::fs::File;
@@ -166,7 +178,7 @@ impl SavedModel {
 
     /// Compile the contained network for inference: drop inference-identity
     /// layers, fuse `Linear`/`Conv2d` → activation pairs into GEMM epilogues
-    /// and pre-pack the (immutable) weights into panel layouts — see
+    /// and move the (immutable) weights into panel layouts — see
     /// [`crate::fuse`]. Bit-preserving for inference; applied automatically
     /// by [`load_model`], so every model resolved through the engine runs
     /// the steady-state kernels. A compiled model is inference-only.
@@ -234,7 +246,7 @@ pub(crate) fn save_model_with_precision(
     encode_norm(&mut head, out_norm);
     head.extend((params.len() as u32).to_le_bytes());
     for p in &params {
-        head.extend((p.value.numel() as u64).to_le_bytes());
+        head.extend((p.numel() as u64).to_le_bytes());
     }
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
@@ -244,15 +256,15 @@ pub(crate) fn save_model_with_precision(
     fault_point!("nn.save.write");
     let mut buf = Vec::new();
     for (tensor, p) in params.iter().enumerate() {
-        for (k, values) in p.value.data().chunks(FRAME_ELEMS).enumerate() {
+        let numel = p.numel();
+        for first in (0..numel).step_by(FRAME_ELEMS) {
+            let count = FRAME_ELEMS.min(numel - first);
             let mut head = vec![WEIGHTS];
             head.extend((tensor as u32).to_le_bytes());
-            head.extend(((k * FRAME_ELEMS) as u64).to_le_bytes());
-            head.extend((values.len() as u64).to_le_bytes());
-            buf.resize(values.len() * 4, 0);
-            for (le, v) in buf.chunks_exact_mut(4).zip(values) {
-                le.copy_from_slice(&v.to_le_bytes());
-            }
+            head.extend((first as u64).to_le_bytes());
+            head.extend((count as u64).to_le_bytes());
+            buf.resize(count * 4, 0);
+            p.encode_le(first, &mut buf);
             at += write_frame(&f, at, &head, &buf)?;
         }
     }
@@ -303,68 +315,124 @@ fn next_body(frames: &mut FrameReader<File>, kind: u8) -> Result<&[u8]> {
     }
 }
 
-fn load_v3(mut frames: FrameReader<File>) -> Result<SavedModel> {
-    let mut cur = Cursor::new(next_body(&mut frames, HEADER)?);
+fn load_v3(frames: FrameReader<File>) -> Result<SavedModel> {
+    let mut weights = Weights {
+        frames,
+        numels: Vec::new(),
+        tensor: 0,
+    };
+    let mut cur = Cursor::new(next_body(&mut weights.frames, HEADER)?);
     let mut saved = decode_header(&mut cur)?;
     let n = cur.u32()? as usize;
     if n.checked_mul(8) != Some(cur.remaining()) {
         return Err(bad(format!("header lists {n} tensors in the wrong space")));
     }
-    let numels: Vec<u64> = (0..n).map(|_| Ok(cur.u64()?)).collect::<Result<_>>()?;
-    build_blank(&mut saved, frames.left())?;
-    let tensors = saved.model.try_visit_params(&mut |tensor, p| {
-        let values = p.value.data_mut();
-        if numels.get(tensor) != Some(&(values.len() as u64)) {
+    weights.numels = (0..n).map(|_| Ok(cur.u64()?)).collect::<Result<_>>()?;
+    let bytes = saved.spec.checked_param_count();
+    let bytes = bytes.and_then(|n| u64::try_from(n).ok()?.checked_mul(4));
+    if bytes.is_none_or(|b| b > weights.frames.left()) {
+        return Err(bad("spec has more parameters than the file has bytes"));
+    }
+    // Each layer is built from its frames as they are read: a `Linear`'s
+    // weights are decoded straight into its panels, so the row-major matrix
+    // never exists.
+    let model = saved.spec.instantiate(0, |layer| {
+        Ok(Some(match *layer {
+            LayerSpec::Linear {
+                in_features: k,
+                out_features: n,
+            } => {
+                let mut w = PackedB::zeroed(k, n);
+                weights.next_tensor(n * k, |first, le| w.write_rows(first, f32s(le)))?;
+                Box::new(Linear::from_panels(w, weights.next_vec(n)?))
+            }
+            LayerSpec::Conv2d {
+                in_ch,
+                out_ch,
+                kernel,
+                stride,
+                pad,
+            } => {
+                let dims = [out_ch, in_ch, kernel, kernel];
+                let w = Tensor::from_vec(weights.next_vec(dims.iter().product())?, dims)?;
+                let b = Tensor::from_vec(weights.next_vec(out_ch)?, [out_ch])?;
+                let geom = Conv2dGeom::square(kernel, stride, pad);
+                Box::new(Conv2d::from_params(w, b, geom))
+            }
+            _ => return Ok(None),
+        }))
+    });
+    saved.model = model.map_err(|e| match e {
+        NnError::BadSpec(e) => bad(format!("spec does not build: {e}")),
+        e => e,
+    })?;
+    if weights.tensor != n {
+        let tensors = weights.tensor;
+        return Err(bad(format!("header lists {n} tensors, spec has {tensors}")));
+    }
+    if !next_body(&mut weights.frames, END)?.is_empty() || weights.frames.left() != 0 {
+        return Err(bad("bytes after the end of the model"));
+    }
+    Ok(saved)
+}
+
+/// The `Weights` frames of a file, read one tensor at a time in order.
+struct Weights {
+    frames: FrameReader<File>,
+    /// Each tensor's element count, as the header lists it.
+    numels: Vec<u64>,
+    /// The tensor due next.
+    tensor: usize,
+}
+
+impl Weights {
+    /// Read the next tensor, `numel` values, whatever frames it spans:
+    /// each verified frame's little-endian values go to
+    /// `put(first element, bytes)` in place.
+    fn next_tensor(&mut self, numel: usize, mut put: impl FnMut(usize, &[u8])) -> Result<()> {
+        let tensor = self.tensor;
+        if self.numels.get(tensor) != Some(&(numel as u64)) {
             return Err(bad(format!("tensor {tensor}: header and spec disagree")));
         }
         let mut at = 0;
-        while at < values.len() {
-            let mut cur = Cursor::new(next_body(&mut frames, WEIGHTS)?);
+        while at < numel {
+            let mut cur = Cursor::new(next_body(&mut self.frames, WEIGHTS)?);
             let (t, first, count) = (cur.u32()?, cur.u64()?, cur.u64()?);
             let due = (t as usize, first) == (tensor, at as u64);
-            let fits = (1..=(values.len() - at) as u64).contains(&count)
+            let fits = (1..=(numel - at) as u64).contains(&count)
                 && count.checked_mul(4) == Some(cur.remaining() as u64);
             if !(due && fits) {
                 return Err(bad(format!(
                     "weights ({t}, {first}, {count}) where tensor {tensor} element {at} is due"
                 )));
             }
-            let end = at + count as usize;
-            decode_f32s(&mut values[at..end], cur.take(cur.remaining())?);
-            at = end;
+            put(at, cur.take(cur.remaining())?);
+            at += count as usize;
         }
+        self.tensor += 1;
         Ok(())
-    })?;
-    if tensors != n {
-        return Err(bad(format!("header lists {n} tensors, spec has {tensors}")));
     }
-    if !next_body(&mut frames, END)?.is_empty() || frames.left() != 0 {
-        return Err(bad("bytes after the end of the model"));
+
+    /// The next tensor as a plain vector.
+    fn next_vec(&mut self, numel: usize) -> Result<Vec<f32>> {
+        let mut values = vec![0.0; numel];
+        self.next_tensor(numel, |first, le| decode_f32s(&mut values[first..], le))?;
+        Ok(values)
     }
-    Ok(saved)
+}
+
+/// Little-endian `f32`s.
+fn f32s(le: &[u8]) -> impl ExactSizeIterator<Item = f32> + '_ {
+    let f32 = |le: &[u8]| f32::from_le_bytes(le.try_into().expect("chunks_exact(4)"));
+    le.chunks_exact(4).map(f32)
 }
 
 fn decode_f32s(values: &mut [f32], le: &[u8]) {
-    for (v, le) in values.iter_mut().zip(le.chunks_exact(4)) {
-        *v = f32::from_le_bytes(le.try_into().expect("chunks_exact(4)"));
-    }
-}
-
-/// Build `saved.model` — every parameter zero — once the spec's parameters
-/// are known to fit in the `left` bytes that remain of the file.
-fn build_blank(saved: &mut SavedModel, left: u64) -> Result<()> {
-    let bytes = saved.spec.checked_param_count();
-    let bytes = bytes.and_then(|n| u64::try_from(n).ok()?.checked_mul(4));
-    if bytes.is_none_or(|b| b > left) {
-        return Err(bad("spec has more parameters than the file has bytes"));
-    }
-    let model = saved.spec.build_zeroed();
-    saved.model = model.map_err(|e| bad(format!("spec does not build: {e}")))?;
-    Ok(())
+    values.iter_mut().zip(f32s(le)).for_each(|(v, le)| *v = le);
 }
 
 /// What the header says before any weight; the model is empty until
-/// [`build_blank`].
+/// [`load_v3`] builds it.
 fn decode_header(cur: &mut Cursor) -> Result<SavedModel> {
     let tag = cur.u8()?;
     let precision =

@@ -10,7 +10,6 @@ use crate::layer::{Conv2d, Dropout, Flatten, Layer, Linear, MaxPool2d, ReLU, Sig
 use crate::model::Sequential;
 use crate::{NnError, Result};
 use hpacml_tensor::ops::{conv_out_dim, Conv2dGeom};
-use rand::rngs::SmallRng;
 
 /// Activation selector used in spec builders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,34 +235,13 @@ impl ModelSpec {
 
     /// Validate and instantiate with fresh (seeded) weights.
     pub fn build(&self, seed: u64) -> Result<Sequential> {
-        self.instantiate(Some(crate::init::rng(seed)), seed)
-    }
-
-    /// Validate and instantiate with every parameter zero and no random
-    /// draw — the network a loader decodes a file's weights into.
-    pub(crate) fn build_zeroed(&self) -> Result<Sequential> {
-        self.instantiate(None, 0)
-    }
-
-    fn instantiate(&self, mut rng: Option<SmallRng>, seed: u64) -> Result<Sequential> {
-        self.infer_shapes()?;
-        let mut layers: Vec<Box<dyn Layer>> = Vec::with_capacity(self.layers.len());
-        for (i, spec) in self.layers.iter().enumerate() {
-            layers.push(match spec {
+        let mut rng = crate::init::rng(seed);
+        self.instantiate(seed, |layer| {
+            Ok(match *layer {
                 LayerSpec::Linear {
                     in_features,
                     out_features,
-                } => Box::new(match &mut rng {
-                    Some(rng) => Linear::new(*in_features, *out_features, rng),
-                    None => Linear::zeroed(*in_features, *out_features),
-                }),
-                LayerSpec::ReLU => Box::new(ReLU::default()),
-                LayerSpec::Tanh => Box::new(Tanh::default()),
-                LayerSpec::Sigmoid => Box::new(Sigmoid::default()),
-                LayerSpec::Dropout { p } => {
-                    Box::new(Dropout::new(*p, seed.wrapping_add(1 + i as u64)))
-                }
-                LayerSpec::Flatten => Box::new(Flatten::default()),
+                } => Some(Box::new(Linear::new(in_features, out_features, &mut rng))),
                 LayerSpec::Conv2d {
                     in_ch,
                     out_ch,
@@ -271,14 +249,43 @@ impl ModelSpec {
                     stride,
                     pad,
                 } => {
-                    let geom = Conv2dGeom::square(*kernel, *stride, *pad);
-                    Box::new(match &mut rng {
-                        Some(rng) => Conv2d::new(*in_ch, *out_ch, geom, rng),
-                        None => Conv2d::zeroed(*in_ch, *out_ch, geom),
-                    })
+                    let geom = Conv2dGeom::square(kernel, stride, pad);
+                    Some(Box::new(Conv2d::new(in_ch, out_ch, geom, &mut rng)))
                 }
+                _ => None,
+            })
+        })
+    }
+
+    /// Validate, then build the layers in order: `weighted` is offered each
+    /// layer first and builds the ones with parameters (a seeded
+    /// initialization, or a loader decoding a file's weights); every layer
+    /// it returns `None` for is built here.
+    pub(crate) fn instantiate(
+        &self,
+        seed: u64,
+        mut weighted: impl FnMut(&LayerSpec) -> Result<Option<Box<dyn Layer>>>,
+    ) -> Result<Sequential> {
+        self.infer_shapes()?;
+        let mut layers: Vec<Box<dyn Layer>> = Vec::with_capacity(self.layers.len());
+        for (i, spec) in self.layers.iter().enumerate() {
+            if let Some(layer) = weighted(spec)? {
+                layers.push(layer);
+                continue;
+            }
+            layers.push(match *spec {
+                LayerSpec::ReLU => Box::new(ReLU::default()),
+                LayerSpec::Tanh => Box::new(Tanh::default()),
+                LayerSpec::Sigmoid => Box::new(Sigmoid::default()),
+                LayerSpec::Dropout { p } => {
+                    Box::new(Dropout::new(p, seed.wrapping_add(1 + i as u64)))
+                }
+                LayerSpec::Flatten => Box::new(Flatten::default()),
                 LayerSpec::MaxPool2d { kernel, stride } => {
-                    Box::new(MaxPool2d::new(Conv2dGeom::square(*kernel, *stride, 0)))
+                    Box::new(MaxPool2d::new(Conv2dGeom::square(kernel, stride, 0)))
+                }
+                LayerSpec::Linear { .. } | LayerSpec::Conv2d { .. } => {
+                    unreachable!("`weighted` builds every layer with parameters")
                 }
             });
         }

@@ -3,13 +3,16 @@
 //! more than 2 MiB beyond the model it is saving (no weight snapshot, no
 //! whole-file staging buffer), and that the most `load_model` ever holds is
 //! the model it returns plus 2 MiB (no whole-file read, no decoded copy, no
-//! random initialization to overwrite).
+//! random initialization to overwrite). The model it returns holds each
+//! weight matrix once, as the packed panels the kernels read, and
+//! quantizing it never peaks more than 2 MiB above what it ends with.
 //!
 //! One test function: the counters are process-wide, and a second test on
 //! another thread would be counted into this one's peaks.
 
 use hpacml_nn::serialize::{load_model, save_model};
-use hpacml_nn::spec::{Activation, ModelSpec};
+use hpacml_nn::spec::{Activation, LayerSpec, ModelSpec};
+use hpacml_tensor::{PackedB, Precision};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -101,4 +104,37 @@ fn save_and_load_hold_one_copy_of_the_weights() {
         "load peaked at {peak} bytes for a model that keeps {own}"
     );
     assert_eq!(saved.model.export_weights(), want);
+
+    // The weights are held once, as the panels the kernels read: no
+    // row-major copy and no gradient beside them.
+    let panels: usize = spec
+        .layers
+        .iter()
+        .filter_map(|l| match *l {
+            LayerSpec::Linear {
+                in_features: k,
+                out_features: n,
+            } => Some(4 * (PackedB::<f32>::packed_elems(k, n) + n)),
+            _ => None,
+        })
+        .sum();
+    assert!(
+        own <= panels + (64 << 10),
+        "the loaded model keeps {own} bytes for {panels} of panels and biases"
+    );
+    drop(saved);
+
+    // Quantizing a loaded model builds the rungs from those panels and
+    // never holds much more than what it ends with.
+    let before = mark();
+    let mut saved = load_model(&path).unwrap();
+    saved.quantize(Precision::Int8);
+    let (peak, end) = (
+        PEAK.load(Ordering::Relaxed) - before,
+        LIVE.load(Ordering::Relaxed) - before,
+    );
+    assert!(
+        peak <= end + SLACK,
+        "load + quantize peaked at {peak} bytes for a model that keeps {end}"
+    );
 }

@@ -107,7 +107,8 @@ fn p50_ms(mut ms: Vec<f64>) -> f64 {
 fn a_save_writes_the_sequential_bytes_at_every_pool_width() {
     let spec = ModelSpec::mlp(64, &[4096, 4096], 1, Activation::ReLU, 0.0);
     let model = spec.build(11).unwrap();
-    let params: Vec<&[f32]> = model.params().iter().map(|p| p.value.data()).collect();
+    let weights = model.export_weights();
+    let params: Vec<&[f32]> = weights.iter().map(Vec::as_slice).collect();
     let pools = [("width 1", Pool::new(0)), ("width 3", Pool::new(2))];
     let paths: Vec<PathBuf> = ["w1", "w3", "sequential"]
         .iter()
@@ -141,12 +142,7 @@ fn a_save_writes_the_sequential_bytes_at_every_pool_width() {
         }
     }
     let loaded = load_model(&paths[1]).unwrap();
-    let got: Vec<&[f32]> = loaded
-        .model
-        .params()
-        .iter()
-        .map(|p| p.value.data())
-        .collect();
+    let got = loaded.model.export_weights();
     assert!(got == params, "the saved weights load back");
     paths.iter().for_each(|p| std::fs::remove_file(p).unwrap());
 }

@@ -56,13 +56,14 @@ fn input(rows: usize, k: usize, seed: u64) -> Tensor {
 /// `Linear` (weights `[n, k]`, then bias) is followed by `act` except the
 /// last, as `ModelSpec::mlp` lays them out.
 fn reference(m: &SavedModel, act: Act, x: &Tensor, prec: Precision) -> Vec<f32> {
-    let params = m.model.params();
+    let params = m.model.export_weights();
     let layers = params.len() / 2;
     let rows = x.dims()[0];
     let mut cur = x.data().to_vec();
     for (l, wb) in params.chunks_exact(2).enumerate() {
-        let (w, bias) = (&wb[0].value, wb[1].value.data());
-        let (n, k) = (w.dims()[0], w.dims()[1]);
+        let bias = &wb[1][..];
+        let (n, k) = (bias.len(), wb[0].len() / bias.len());
+        let w = &Tensor::from_vec(wb[0].clone(), [n, k]).unwrap();
         let q = (prec != Precision::F32).then(|| QPackedB::from_transb(w, prec).unwrap());
         let mut next = vec![0.0f32; rows * n];
         for i in 0..rows {

@@ -265,7 +265,7 @@ impl H5File {
                 disk.len + wrote?
             }
             None => {
-                let tmp = self.path.with_extension("h5lite.tmp");
+                let tmp = rewrite_path(&self.path);
                 let f = File::create(&tmp)?;
                 f.write_all_at(MAGIC, 0)?;
                 let n = write_generation(&f, &datasets, &commit, None)?;
@@ -291,6 +291,15 @@ impl Drop for H5File {
             );
         }
     }
+}
+
+/// Where a rewrite of `path` is written before its rename:
+/// `<path>.h5lite.tmp`, the whole name kept, so files that differ only by
+/// extension never share one.
+fn rewrite_path(path: &Path) -> PathBuf {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".h5lite.tmp");
+    tmp.into()
 }
 
 /// Every dataset under `root` with its path, in tree order.
@@ -616,6 +625,46 @@ mod tests {
                 .unwrap(),
             vec![100.0, 110.0, 90.0]
         );
+    }
+
+    #[test]
+    fn a_rewrite_goes_through_the_whole_name_plus_a_suffix() {
+        for (path, tmp) in [
+            ("dir/d", "dir/d.h5lite.tmp"),
+            ("dir/d.h5", "dir/d.h5.h5lite.tmp"),
+            ("d.hdf", "d.hdf.h5lite.tmp"),
+        ] {
+            assert_eq!(rewrite_path(Path::new(path)), Path::new(tmp));
+        }
+    }
+
+    /// Two files whose names differ only by extension, each rewritten from
+    /// its own thread round after round: each rename moves its own
+    /// temporary file, so each reopens clean with its own rows.
+    #[test]
+    fn files_that_differ_by_extension_rewrite_side_by_side() {
+        let dir = tmp("by-extension");
+        std::fs::create_dir_all(&dir).unwrap();
+        let paths = [dir.join("d.h5"), dir.join("d.hdf")];
+        std::thread::scope(|s| {
+            for (who, path) in paths.iter().enumerate() {
+                s.spawn(move || {
+                    for round in 0..50 {
+                        let rows: Vec<i64> =
+                            (0..64).map(|i| (who * 1000 + round) as i64 * i).collect();
+                        let mut f = H5File::create(path);
+                        let d = f.root_mut().dataset_mut("d", DType::I64, &[]).unwrap();
+                        d.append_i64(&rows).unwrap();
+                        f.flush().unwrap();
+                        drop(f);
+                        let f = H5File::open(path).unwrap();
+                        assert!(f.recovery().is_none(), "{who} round {round}");
+                        let got = f.root().dataset("d").unwrap().read_i64().unwrap();
+                        assert_eq!(got, rows, "{who} round {round}");
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -131,10 +131,19 @@ pub fn rename_synced(tmp: &Path, path: &Path) -> io::Result<()> {
     // Directory sync makes the rename itself durable. Best-effort: some
     // filesystems refuse fsync on a directory handle, and the data file is
     // already safe either way.
-    if let Some(Ok(d)) = path.parent().map(std::fs::File::open) {
+    if let Ok(d) = std::fs::File::open(parent_dir(path)) {
         let _ = d.sync_all();
     }
     Ok(())
+}
+
+/// The directory holding `path`: a bare file name's parent is `""`, which
+/// names no directory, so it is the working directory `.`.
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    }
 }
 
 /// One frame as a reader found it.
@@ -265,6 +274,19 @@ le_reads!(u8 u32 u64 i64 f32 f64);
 mod tests {
     use super::*;
     use hpacml_faults::fnv1a64;
+
+    #[test]
+    fn a_rename_syncs_the_directory_that_holds_the_file() {
+        for (path, dir) in [
+            ("m.hml", "."),
+            ("./m.hml", "."),
+            ("models/m.hml", "models"),
+            ("/m.hml", "/"),
+        ] {
+            assert_eq!(parent_dir(Path::new(path)), Path::new(dir), "{path}");
+        }
+        assert!(std::fs::File::open(parent_dir(Path::new("m.hml"))).is_ok());
+    }
 
     #[test]
     fn word_checksum_sees_every_flip_and_ignores_slicing() {

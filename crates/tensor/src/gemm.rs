@@ -468,9 +468,60 @@ impl<T: Scalar> PackedB<T> {
         Ok(p)
     }
 
+    /// A `[k, n]` pack of zeros (padding lanes included) for
+    /// [`PackedB::write_rows`] to fill: a model loader decodes each weight
+    /// frame straight into one, so the row-major matrix never exists.
+    pub fn zeroed(k: usize, n: usize) -> Self {
+        PackedB {
+            k,
+            n,
+            data: vec![T::ZERO; Self::packed_elems(k, n)],
+        }
+    }
+
+    /// Write row-major elements `first..first + values.len()` of the
+    /// `[n, k]` (transb) matrix this pack holds, each straight to its panel
+    /// lane: element `e` goes to `((e / k) / NR · k + e % k) · NR + (e / k) % NR`.
+    /// A range may start and end mid-row. Panics past element `n · k`.
+    pub fn write_rows(&mut self, first: usize, values: impl ExactSizeIterator<Item = T>) {
+        for (at, v) in self.row_major(first, values.len()).zip(values) {
+            self.data[at] = v;
+        }
+    }
+
+    /// The `[n, k]` (transb) matrix this pack holds, read back in row-major
+    /// order from element `first` to the end: the inverse of
+    /// [`PackedB::write_rows`]. Panics past element `n · k`.
+    pub fn read_rows(&self, first: usize) -> impl ExactSizeIterator<Item = T> + '_ {
+        let count = (self.k * self.n).checked_sub(first);
+        let lanes = self.row_major(first, count.expect("PackedB::read_rows: past the end"));
+        lanes.map(|at| self.data[at])
+    }
+
+    /// The panel index of each of `count` row-major elements from `first` on.
+    fn row_major(&self, first: usize, count: usize) -> RowMajor {
+        assert!(
+            first
+                .checked_add(count)
+                .is_some_and(|end| end <= self.k * self.n),
+            "PackedB: row-major range {first}+{count} past [{}, {}]",
+            self.n,
+            self.k
+        );
+        let k = self.k.max(1);
+        let (row, col) = (first / k, first % k);
+        RowMajor {
+            k,
+            row,
+            col,
+            at: (row / NR * k + col) * NR + row % NR,
+            left: count,
+        }
+    }
+
     /// The stored panels, `packed_elems(k, n)` of them: the grow-only
     /// buffer may hold more from an earlier, larger pack.
-    pub(crate) fn panel_data(&self) -> &[T] {
+    pub fn panel_data(&self) -> &[T] {
         &self.data[..Self::packed_elems(self.k, self.n)]
     }
 
@@ -483,6 +534,40 @@ impl<T: Scalar> PackedB<T> {
         }
     }
 }
+
+/// Panel indices of consecutive row-major elements of a packed `[n, k]`:
+/// `NR` apart along a row, recomputed only when a row ends.
+struct RowMajor {
+    k: usize,
+    row: usize,
+    col: usize,
+    at: usize,
+    left: usize,
+}
+
+impl Iterator for RowMajor {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        self.left = self.left.checked_sub(1)?;
+        let at = self.at;
+        self.col += 1;
+        if self.col == self.k {
+            (self.row, self.col) = (self.row + 1, 0);
+            self.at = self.row / NR * self.k * NR + self.row % NR;
+        } else {
+            self.at += NR;
+        }
+        Some(at)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for RowMajor {}
 
 /// Fill `NR`-wide `k`-major panels (`dst[(p*k + kk)*NR + j]`) from row-major
 /// `[n, k]` ("transb") storage — the one transpose a weight matrix gets.
@@ -1751,6 +1836,49 @@ mod tests {
                 assert_eq!(c.data(), &want[..], "({m},{k},{n}) epilogue {name}");
             }
         }
+    }
+
+    /// Row-major ranges written into a zeroed pack, cut anywhere (mid-row,
+    /// across panels, one element), give the panels `from_transb` packs, bit
+    /// for bit and padding included; `read_rows` reads the rows back from
+    /// any element.
+    #[test]
+    fn row_ranges_written_into_a_zeroed_pack_equal_from_transb() {
+        for (n, k) in [
+            (1usize, 1usize),
+            (5, 3),
+            (16, 7),
+            (17, 1),
+            (33, 10),
+            (40, 0),
+        ] {
+            let bt = Tensor::from_vec(lcg((n * 31 + k) as u64, n * k), [n, k]).unwrap();
+            let want = PackedB::from_transb(&bt).unwrap();
+            for cut in [1usize, 2, 7, k.max(1) + 3, n * k + 1] {
+                let mut p = PackedB::zeroed(k, n);
+                for (i, chunk) in bt.data().chunks(cut).enumerate() {
+                    p.write_rows(i * cut, chunk.iter().copied());
+                }
+                let bits = |p: &PackedB<f32>| {
+                    p.panel_data()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&p), bits(&want), "[{n}, {k}] cut {cut}");
+                for first in [0, (n * k) / 2, n * k] {
+                    let rows: Vec<f32> = p.read_rows(first).collect();
+                    assert_eq!(rows, bt.data()[first..], "[{n}, {k}] from {first}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past")]
+    fn a_row_range_past_the_matrix_panics_rather_than_filling_padding() {
+        // Element 3 of a [1, 3] matrix would land on the zero lane of row 1.
+        PackedB::<f32>::zeroed(3, 1).write_rows(2, [1.0f32, 2.0].into_iter());
     }
 
     #[test]
