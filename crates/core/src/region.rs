@@ -453,9 +453,11 @@ impl Region {
         region_time_ns: u64,
     ) -> Result<()> {
         self.with_db(|name, file| {
-            let group = file.root_mut().group_mut(name);
+            // The tree may come from a file the directive names: a dataset
+            // where a group belongs is the db's error, not a panic.
+            let group = file.root_mut().try_group_mut(name)?;
             for (kind, tensors) in [("inputs", inputs), ("outputs", outputs)] {
-                let sub = group.group_mut(kind);
+                let sub = group.try_group_mut(kind)?;
                 for &(name, dims, data) in tensors {
                     let per: usize = dims.iter().product();
                     let ds = sub.dataset_mut(name, hpacml_store::DType::F32, dims)?;
@@ -532,7 +534,10 @@ impl Region {
             return Ok(());
         }
         self.with_db(|name, file| {
-            let group = file.root_mut().group_mut(name).group_mut("validation");
+            let group = file
+                .root_mut()
+                .try_group_mut(name)?
+                .try_group_mut("validation")?;
             for (col, value) in [("invocation", seq as f64), ("metric", metric.code() as f64)] {
                 let ds = group.dataset_mut(col, hpacml_store::DType::F64, &[])?;
                 ds.append_f64(&vec![value; errors.len()])?;

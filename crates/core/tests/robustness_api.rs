@@ -565,6 +565,99 @@ fn a_pre_log_db_is_refused_never_overwritten() {
     assert_eq!(std::fs::read(&db).unwrap(), old, "the drop wrote");
 }
 
+/// Flush a db whose tree holds a dataset at `at`, where the runtime keeps
+/// a group.
+fn squat(db: &std::path::Path, at: &[&str]) {
+    let mut f = hpacml_store::H5File::create(db);
+    let (name, dirs) = at.split_last().unwrap();
+    let g = dirs.iter().fold(f.root_mut(), |g, dir| g.group_mut(dir));
+    g.dataset_mut(name, hpacml_store::DType::F64, &[])
+        .unwrap()
+        .append_f64(&[1.0])
+        .unwrap();
+    f.flush().unwrap();
+}
+
+/// A db the directive names is read, not trusted: a dataset where the
+/// region's group, its `inputs` or its `validation` group belongs fails the
+/// write with a typed error counted in `db_errors`, and the outputs the
+/// invocation produced stand.
+#[test]
+fn a_dataset_where_a_group_belongs_is_a_db_error() {
+    let dir = tmpdir("dataset-for-group");
+    let binds = Bindings::new().with("N", 1);
+    let shapes: [(&str, &[usize]); 2] = [("x", &[3]), ("y", &[1])];
+    let not_a_group =
+        |err: &CoreError| matches!(err, CoreError::Store(hpacml_store::StoreError::NotFound(_)));
+
+    // The collect path: the region's group, then its `inputs`.
+    for at in [&["squat"][..], &["squat", "inputs"]] {
+        let db = dir.join(format!("{}.h5", at.join("-")));
+        squat(&db, at);
+        let region = collect_region("squat", &db);
+        region.set_retry_policy(RetryPolicy::none());
+        let session = region.session(&binds, &shapes, 1).unwrap();
+        let mut y = [0.0f32; 1];
+        let mut out = session
+            .invoke()
+            .input("x", &[0.1, 0.2, 0.3])
+            .unwrap()
+            .run(|| y[0] = 4.0)
+            .unwrap();
+        out.output("y", &mut y).unwrap();
+        let err = out.finish().unwrap_err();
+        assert!(not_a_group(&err), "{at:?}: {err}");
+        assert_eq!(y[0], 4.0, "{at:?}: the host output stands");
+        assert_eq!(region.stats().db_errors, 1, "{at:?}");
+    }
+
+    // The validation-row path: the surrogate's output is served and the
+    // invocation counted before the row write fails.
+    let model = dir.join("m.hml");
+    save_mlp(&model, 11);
+    let db = dir.join("validation.h5");
+    squat(&db, &["vsquat", "validation"]);
+    let region = Region::from_source(
+        "vsquat",
+        &format!(
+            r#"
+            #pragma approx tensor functor(rows: [i, 0:3] = ([3*i : 3*i+3]))
+            #pragma approx tensor functor(single: [i, 0:1] = ([i]))
+            #pragma approx tensor map(to: rows(x[0:N]))
+            #pragma approx ml(infer) in(x) out(single(y[0:N])) model("{}") db("{}")
+            "#,
+            model.display(),
+            db.display()
+        ),
+    )
+    .unwrap();
+    region.set_retry_policy(RetryPolicy::none());
+    let session = region.session(&binds, &shapes, 1).unwrap();
+    let infer = |host: f32| {
+        let mut y = [0.0f32; 1];
+        let mut out = session
+            .invoke()
+            .input("x", &[0.3, 0.2, 0.1])
+            .unwrap()
+            .run(|| y[0] = host)
+            .unwrap();
+        out.output("y", &mut y).unwrap();
+        (out.finish(), y[0])
+    };
+    let (path, served) = infer(f32::NAN);
+    assert_eq!(path.unwrap(), PathTaken::Surrogate);
+    region
+        .set_validation_policy(ValidationPolicy::new(ErrorMetric::Rmse, 1e9).with_sample_rate(1))
+        .unwrap();
+    let (res, y) = infer(9.0);
+    let err = res.unwrap_err();
+    assert!(not_a_group(&err), "validation: {err}");
+    assert_eq!(y, served, "the surrogate's output stands");
+    let s = region.stats();
+    assert_eq!((s.invocations, s.validated_invocations), (2, 1));
+    assert_eq!(s.db_errors, 1);
+}
+
 #[test]
 fn retry_policy_none_fails_fast() {
     let dir = tmpdir("fail-fast");

@@ -55,9 +55,14 @@
 //! Single writer; a reader racing an append sees the last committed
 //! generation.
 //!
-//! **Salvage.** `open` is one sequential replay. A frame that fails its
-//! checksum is stepped over by its length; a length that overruns the file
-//! ends the replay. The tree is the last `Commit`'s — but a last generation
+//! **Salvage.** `open` is one sequential replay, streamed from the file: the
+//! whole file is never in memory. A `Rows` payload that is the next rows of
+//! its dataset is read straight into that dataset's buffer and hashed as it
+//! lands; any other body is hashed through one buffer of at most 64 KiB
+//! (`Commit` bodies are kept whole). A frame that fails its checksum is
+//! stepped over by its length: rows it landed are cut back off, and a
+//! dataset it created is removed, so it leaves no trace. A length that
+//! overruns the file ends the replay. The tree is the last `Commit`'s — but a last generation
 //! holding a bad frame may be a torn append, so the generation before it
 //! (whole on disk before that append began) is returned when there is one.
 //! Under the chosen `Commit` a dataset that lost a `Rows` frame keeps its
@@ -73,7 +78,7 @@
 
 use crate::codec::{get_str, put_str};
 use crate::dataset::{DType, Dataset};
-use crate::frame::{rename_synced, write_frame, Cursor, Frame};
+use crate::frame::{read_onto, rename_synced, write_frame, Cursor, StreamedFrame, WordFnv};
 use crate::group::{Attr, Group, Node};
 use crate::{Result, StoreError};
 use hpacml_faults::fault_point;
@@ -170,7 +175,9 @@ impl H5File {
         }
     }
 
-    /// Open and parse an existing file.
+    /// Open and parse an existing file. The file is streamed: each `Rows`
+    /// payload is read once, straight into its dataset, so the tree is the
+    /// only copy of the rows an open holds.
     ///
     /// A damaged file does not fail the open: what cannot be trusted
     /// is dropped and the surviving generation or prefix is returned, with
@@ -179,16 +186,18 @@ impl H5File {
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         fault_point!("store.open");
         let path = path.as_ref();
-        let mut raw = Vec::new();
-        File::open(path)?.read_to_end(&mut raw)?;
-        let Some((magic, rest)) = raw.split_first_chunk::<8>() else {
+        let mut f = File::open(path)?;
+        let total = f.metadata()?.len();
+        let mut magic = [0u8; 8];
+        if total < 8 {
             return Err(StoreError::BadMagic);
-        };
-        if magic != MAGIC {
+        }
+        f.read_exact(&mut magic)?;
+        if magic != *MAGIC {
             return Err(StoreError::BadMagic);
         }
         let mut report = RecoveryReport::default();
-        let (mut root, len) = replay(rest, &mut report)?;
+        let (mut root, len) = replay(&mut f, total - 8, &mut report)?;
         // A repaired tree is not what is on disk: with no `disk` record the
         // repair is flushed (on drop at the latest), otherwise every later
         // `open` re-pays the recovery and re-reports the same damage.
@@ -434,31 +443,49 @@ fn encode_commit(root: &Group) -> Vec<u8> {
 /// Rows read from verified `Rows` frames, by dataset: shape and raw bytes.
 type Staged = BTreeMap<DsPath, (DType, Vec<usize>, Vec<u8>)>;
 
-/// Replay the log (`rest` starts after the magic) to the tree of its last
-/// trustworthy `Commit` and the file length that commit ends at; the module
-/// docs say what is skipped, cut and reported.
-fn replay(mut rest: &[u8], report: &mut RecoveryReport) -> Result<(Group, u64)> {
-    let total = rest.len() as u64 + 8;
+/// The most of a frame body [`replay`] reads into its own buffer at once: a
+/// `Rows` frame's head, any other body piece by piece. A `Rows` payload
+/// that lands goes straight into its dataset instead.
+const PIECE: u64 = 64 << 10;
+
+/// Replay the log (`src` is just past the magic and holds `left` more
+/// bytes) to the tree of its last trustworthy `Commit` and the file length
+/// that commit ends at; the module docs say what is skipped, cut and
+/// reported.
+fn replay(src: &mut impl Read, mut left: u64, report: &mut RecoveryReport) -> Result<(Group, u64)> {
+    let total = left + 8;
     let mut staged = Staged::new();
+    let mut piece = Vec::new();
     // Body and end offset of the last two commits. `bad`: a frame failed
     // since the last commit; `torn`: one failed between the last two.
     let (mut last, mut prev, mut bad, mut torn) = (None, None, false, false);
-    while let Some((frame, after)) = Frame::split(rest) {
-        rest = after;
-        if !frame.sound {
-            bad = true;
-            continue;
-        }
-        match frame.body.split_first() {
-            Some((&COMMIT, body)) => {
-                prev = last.replace((body, total - rest.len() as u64));
-                (torn, bad) = (bad, false);
+    while let Some(mut frame) = StreamedFrame::head(src, left)? {
+        left -= 16 + frame.len;
+        piece.clear();
+        read_onto(src, frame.len.min(PIECE), &mut piece, &mut frame.hash)?;
+        let rest = frame.len - piece.len() as u64;
+        match piece.first() {
+            Some(&COMMIT) => {
+                read_onto(src, rest, &mut piece, &mut frame.hash)?;
+                if frame.sound() {
+                    prev = last.replace((std::mem::take(&mut piece), total - left));
+                    (torn, bad) = (bad, false);
+                    continue;
+                }
             }
-            // A verified frame that does not parse is not ours to read; the
-            // commit accounts for whatever rows it should have brought.
-            Some((&ROWS, body)) => _ = stage_rows(Cursor::new(body), &mut staged),
-            _ => {}
+            Some(&ROWS) => {
+                if stage_rows(src, &mut frame, &mut piece, rest, &mut staged)? {
+                    continue;
+                }
+            }
+            _ => {
+                skim(src, rest, &mut piece, &mut frame.hash)?;
+                if frame.sound() {
+                    continue;
+                }
+            }
         }
+        bad = true;
     }
     // A last generation with a bad frame in it may be a torn append; the
     // one before it was whole on disk before that append began.
@@ -476,30 +503,106 @@ fn replay(mut rest: &[u8], report: &mut RecoveryReport) -> Result<(Group, u64)> 
         return Ok((root, 0));
     };
     report.truncated = end < total;
-    let root = decode_commit(&mut Cursor::new(body), &mut Vec::new(), &mut staged, report)?;
+    let mut body = Cursor::new(&body[1..]);
+    let root = decode_commit(&mut body, &mut Vec::new(), &mut staged, report)?;
     Ok((root, end))
 }
 
-/// Stage one `Rows` frame. Rows land only as the next rows of their
-/// dataset: a frame that follows a lost one leaves the dataset cut at the
-/// gap. Nothing is allocated beyond the frame's own (bounds-checked) bytes.
-fn stage_rows(mut body: Cursor, staged: &mut Staged) -> Result<()> {
-    let mut path = DsPath::new();
-    for _ in 0..body.u32()? {
-        path.push(get_str(&mut body)?);
-    }
-    let (dtype, inner) = decode_shape(&mut body)?;
-    let (first, rows) = (body.u64()?, body.u64()?);
-    let row_bytes = Dataset::row_bytes(dtype, &inner)? as u64;
-    let new = || (dtype, inner.clone(), Vec::new());
-    let (have_dtype, have_inner, data) = staged.entry(path).or_insert_with(new);
-    if (*have_dtype, &*have_inner) == (dtype, &inner)
-        && first.checked_mul(row_bytes) == Some(data.len() as u64)
-        && rows.checked_mul(row_bytes) == Some(body.remaining() as u64)
-    {
-        data.extend_from_slice(body.take(body.remaining())?);
+/// Feed the next `n` bytes of `src` to `hash` through `piece`, at most
+/// [`PIECE`] at a time.
+fn skim(src: &mut impl Read, mut n: u64, piece: &mut Vec<u8>, hash: &mut WordFnv) -> Result<()> {
+    while n > 0 {
+        let k = n.min(PIECE);
+        piece.clear();
+        read_onto(src, k, piece, hash)?;
+        n -= k;
     }
     Ok(())
+}
+
+/// A `Rows` frame's head: dataset path, shape, first row and row count.
+struct RowsHead {
+    path: DsPath,
+    dtype: DType,
+    inner: Vec<usize>,
+    first: u64,
+    rows: u64,
+    row_bytes: u64,
+}
+
+fn decode_rows_head(body: &mut Cursor) -> Result<RowsHead> {
+    let mut path = DsPath::new();
+    for _ in 0..body.u32()? {
+        path.push(get_str(body)?);
+    }
+    let (dtype, inner) = decode_shape(body)?;
+    let (first, rows) = (body.u64()?, body.u64()?);
+    let row_bytes = Dataset::row_bytes(dtype, &inner)? as u64;
+    Ok(RowsHead {
+        path,
+        dtype,
+        inner,
+        first,
+        rows,
+        row_bytes,
+    })
+}
+
+/// Stage one `Rows` frame, whose body is `piece` and then `rest` more bytes
+/// of `src`, and return whether it verified. Rows land only as the next
+/// rows of their dataset: a frame that follows a lost one leaves the
+/// dataset cut at the gap. A payload that lands is read from `src` straight
+/// into the dataset's buffer, hashed as it goes; if the checksum then fails
+/// it is cut back off, and a dataset the frame created is removed, so a
+/// damaged frame leaves no trace. Nothing is allocated beyond the frame's
+/// own (bounds-checked) bytes.
+fn stage_rows(
+    src: &mut impl Read,
+    frame: &mut StreamedFrame,
+    piece: &mut Vec<u8>,
+    mut rest: u64,
+    staged: &mut Staged,
+) -> Result<bool> {
+    let mut body = Cursor::new(&piece[1..]);
+    let mut head = decode_rows_head(&mut body);
+    if head.is_err() && rest > 0 {
+        // Names are unbounded, so a head may be longer than a piece: read
+        // the body whole, as only such a frame (or a damaged one) needs.
+        read_onto(src, rest, piece, &mut frame.hash)?;
+        rest = 0;
+        body = Cursor::new(&piece[1..]);
+        head = decode_rows_head(&mut body);
+    }
+    // A verified frame that does not parse is not ours to read; the commit
+    // accounts for whatever rows it should have brought.
+    let Ok(head) = head else {
+        skim(src, rest, piece, &mut frame.hash)?;
+        return Ok(frame.sound());
+    };
+    let in_piece = piece.len() - body.remaining();
+    let payload = body.remaining() as u64 + rest;
+    let created = !staged.contains_key(&head.path);
+    let new = || (head.dtype, head.inner.clone(), Vec::new());
+    let (dtype, inner, data) = staged.entry(head.path.clone()).or_insert_with(new);
+    let lands = (*dtype, &*inner) == (head.dtype, &head.inner)
+        && head.first.checked_mul(head.row_bytes) == Some(data.len() as u64)
+        && head.rows.checked_mul(head.row_bytes) == Some(payload);
+    let old = data.len();
+    if lands {
+        data.reserve_exact(payload as usize);
+        data.extend_from_slice(&piece[in_piece..]);
+        read_onto(src, rest, data, &mut frame.hash)?;
+    } else {
+        skim(src, rest, piece, &mut frame.hash)?;
+    }
+    let sound = frame.sound();
+    if !sound {
+        data.truncate(old);
+        if created {
+            staged.remove(&head.path);
+        }
+    }
+    Ok(sound)
 }
 
 /// The whole rows of `data`, `at_most` of them, as a dataset.

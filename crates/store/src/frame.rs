@@ -24,11 +24,16 @@
 //! h5lite generation, the `End` of an `.hml` (behind an `fsync` and
 //! [`rename_synced`]).
 //!
-//! **Read from bytes nobody vouches for.** [`Frame::split`] works over a
-//! file held in memory, [`FrameReader`] over one that is streamed, and
-//! [`Cursor`] inside a body. No length is believed before it has been
-//! checked against the bytes that are really there, and nothing is
-//! allocated for a length that has not been.
+//! **Read from bytes nobody vouches for.** [`Frame::split`] works over
+//! bytes held in memory and [`Cursor`] inside a body. A stream is read frame
+//! by frame: `StreamedFrame::head` reads a header and checks its length,
+//! and `read_onto` lands each part of the body where the caller wants it,
+//! hashed as it lands, so a frame's soundness is known once its last byte
+//! is in. [`FrameReader`] lands each body whole in one reusable buffer (an
+//! `.hml` model); an h5lite open lands a `Rows` payload straight in its
+//! dataset's own buffer. No length is believed before it has been checked
+//! against the bytes that are really there, and nothing is allocated for a
+//! length that has not been.
 
 use std::fs::File;
 use std::io::{self, Read};
@@ -169,6 +174,64 @@ impl<'a> Frame<'a> {
     }
 }
 
+/// The header of a frame read from a stream, its length checked against
+/// what the source holds. The caller reads the `len` body bytes that follow,
+/// feeding every one of them to `hash` (see [`read_onto`]), then asks
+/// [`StreamedFrame::sound`].
+#[derive(Debug)]
+pub(crate) struct StreamedFrame {
+    cksum: u64,
+    pub len: u64,
+    /// The checksum so far: `len`, then whatever body the caller has fed.
+    pub hash: WordFnv,
+}
+
+impl StreamedFrame {
+    /// Read the header at the front of `src`, which has `left` bytes. `None`
+    /// when `left` cannot hold a frame header or the body the header claims;
+    /// the header is read either way.
+    pub fn head(src: &mut impl Read, left: u64) -> io::Result<Option<Self>> {
+        if left < 16 {
+            return Ok(None);
+        }
+        let mut head = [0u8; 16];
+        src.read_exact(&mut head)?;
+        let (cksum, len) = head.split_at(8);
+        let [cksum, len] = [cksum, len].map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")));
+        if len > left - 16 || usize::try_from(len).is_err() {
+            return Ok(None);
+        }
+        let mut hash = WordFnv::default();
+        hash.update(&head[8..]);
+        Ok(Some(StreamedFrame { cksum, len, hash }))
+    }
+
+    /// The body fed to `hash` matches the checksum.
+    pub fn sound(&self) -> bool {
+        self.hash.finish() == self.cksum
+    }
+}
+
+/// Append exactly the next `n` bytes of `src` to `buf` and feed them to
+/// `hash`. `n` must already be checked against the bytes `src` holds: it is
+/// reserved up front, and the bytes land in it with no zero-fill. A source
+/// that ends first is an I/O error.
+pub(crate) fn read_onto(
+    src: &mut impl Read,
+    n: u64,
+    buf: &mut Vec<u8>,
+    hash: &mut WordFnv,
+) -> io::Result<()> {
+    let from = buf.len();
+    buf.reserve_exact(n as usize);
+    src.by_ref().take(n).read_to_end(buf)?;
+    if (buf.len() - from) as u64 != n {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    hash.update(&buf[from..]);
+    Ok(())
+}
+
 /// [`Frame::split`] for a source too large to hold in memory: one frame at
 /// a time through one reusable buffer, grown to the largest frame met and
 /// never past what the source still holds.
@@ -199,28 +262,19 @@ impl<R: Read> FrameReader<R> {
     /// The next frame, as [`Frame::split`] would give it. `None` when what
     /// is left cannot hold a frame header or the frame its header claims —
     /// [`FrameReader::left`] tells a clean end (0) from a cut one — and the
-    /// reader is spent.
+    /// reader is spent. A source that ends inside the frame is an I/O
+    /// error.
     pub fn next_frame(&mut self) -> io::Result<Option<Frame<'_>>> {
-        if self.left < 16 {
-            return Ok(None);
-        }
-        let mut head = [0u8; 16];
-        self.src.read_exact(&mut head)?;
-        let n = u64::from_le_bytes(head[8..].try_into().expect("8 of 16 bytes"));
-        let Some(n) = usize::try_from(n).ok().filter(|_| n <= self.left - 16) else {
+        let Some(mut frame) = StreamedFrame::head(&mut self.src, self.left)? else {
             return Ok(None);
         };
         self.buf.clear();
-        self.buf.reserve(16 + n);
-        self.buf.extend_from_slice(&head);
-        self.src
-            .by_ref()
-            .take(n as u64)
-            .read_to_end(&mut self.buf)?;
-        self.left -= 16 + n as u64;
-        // A source shorter than it promised leaves no whole frame to split.
-        let frame = Frame::split(&self.buf).map(|(frame, _)| frame);
-        Ok(Some(frame.ok_or(io::ErrorKind::UnexpectedEof)?))
+        read_onto(&mut self.src, frame.len, &mut self.buf, &mut frame.hash)?;
+        self.left -= 16 + frame.len;
+        Ok(Some(Frame {
+            sound: frame.sound(),
+            body: &self.buf,
+        }))
     }
 }
 
@@ -399,6 +453,44 @@ mod tests {
         let mut rd = FrameReader::new(&file[..30], 37);
         assert!(rd.next_frame().unwrap().is_some());
         assert!(rd.next_frame().is_err());
+    }
+
+    /// A streamed frame is read in parts and hashed as each part lands:
+    /// however the body is cut, it is sound exactly when `Frame::split`
+    /// says so, and the parts land whole, in order.
+    #[test]
+    fn a_frame_streamed_in_parts_is_sound_as_split_says() {
+        let (file, _) = framed(
+            "streamed.frames",
+            &[(&[7, 1], &[2, 3, 4, 5, 6]), (&[], &[])],
+        );
+        let stream = |bytes: &[u8], cut: u64| {
+            let mut src = bytes;
+            let mut frame = StreamedFrame::head(&mut src, bytes.len() as u64)
+                .unwrap()
+                .unwrap();
+            let mut body = Vec::new();
+            read_onto(&mut src, cut, &mut body, &mut frame.hash).unwrap();
+            read_onto(&mut src, frame.len - cut, &mut body, &mut frame.hash).unwrap();
+            (frame.sound(), body)
+        };
+        for cut in 0..=7 {
+            assert_eq!(stream(&file, cut), (true, vec![7, 1, 2, 3, 4, 5, 6]));
+            let mut bad = file.clone();
+            bad[16 + cut as usize % 7] ^= 0x10;
+            assert!(!Frame::split(&bad).unwrap().0.sound);
+            assert!(!stream(&bad, cut).0, "cut {cut}");
+        }
+
+        // A length the source cannot hold is no frame, and nothing is read
+        // past the header; a source shorter than its `left` is an I/O error.
+        let mut src = &file[..22];
+        assert!(StreamedFrame::head(&mut src, 22).unwrap().is_none());
+        assert!(StreamedFrame::head(&mut &file[..15], 15).unwrap().is_none());
+        let mut src = &file[..20];
+        let mut frame = StreamedFrame::head(&mut src, 23).unwrap().unwrap();
+        let mut body = Vec::new();
+        assert!(read_onto(&mut src, frame.len, &mut body, &mut frame.hash).is_err());
     }
 
     #[test]

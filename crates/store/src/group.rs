@@ -49,17 +49,24 @@ impl Group {
         self.children.keys().map(String::as_str)
     }
 
-    /// Get or create a sub-group.
+    /// Get or create a sub-group. Panics if `name` is a dataset; for a tree
+    /// read from a file, use [`Group::try_group_mut`].
     pub fn group_mut(&mut self, name: &str) -> &mut Group {
+        self.try_group_mut(name)
+            .unwrap_or_else(|e| panic!("h5lite: {e}"))
+    }
+
+    /// Get or create a sub-group; `NotFound` if `name` is a dataset.
+    pub fn try_group_mut(&mut self, name: &str) -> Result<&mut Group> {
         let node = self
             .children
             .entry(name.to_string())
             .or_insert_with(|| Node::Group(Group::new()));
         match node {
-            Node::Group(g) => g,
-            Node::Dataset(_) => {
-                panic!("h5lite: `{name}` already exists as a dataset, not a group")
-            }
+            Node::Group(g) => Ok(g),
+            Node::Dataset(_) => Err(StoreError::NotFound(format!(
+                "`{name}` is a dataset, not a group"
+            ))),
         }
     }
 
@@ -214,5 +221,10 @@ mod tests {
         assert!(root.dataset("x").is_err());
         root.dataset_mut("d", DType::F32, &[1]).unwrap();
         assert!(root.group("d").is_err());
+        assert!(matches!(
+            root.try_group_mut("d"),
+            Err(StoreError::NotFound(_))
+        ));
+        assert!(root.try_group_mut("x").is_ok());
     }
 }
