@@ -148,6 +148,11 @@ impl Region {
     /// demotion ladder (`int8 → bf16 → f32 → host`) into the validation
     /// controller when a [`crate::ValidationPolicy`] is attached.
     ///
+    /// Quantizing encodes only the target's packs. Scoring serves every
+    /// rung of the ladder, so with calibration rows each finer rung (bf16
+    /// under an int8 target) is encoded here and kept; without them it is
+    /// encoded when a demotion first serves it.
+    ///
     /// Subsequent surrogate passes serve at [`Region::serve_precision`],
     /// which the controller demotes/promotes as the rolling validation error
     /// crosses the budget (see [`crate::validate`]). An `F32` target reverts

@@ -363,6 +363,137 @@ fn model_save_killed_at_each_seam_leaves_the_old_file_whole() {
 }
 
 // ---------------------------------------------------------------------------
+// Lazy rung encode
+// ---------------------------------------------------------------------------
+
+/// One invocation whose host closure writes `host`: the value left in the
+/// output buffer, and the path taken.
+fn invoke_with_host(
+    session: &hpacml_core::Session<'_>,
+    x: &[f32; 3],
+    host: f32,
+) -> (f32, PathTaken) {
+    let mut y = [0.0f32; 1];
+    let mut out = session
+        .invoke()
+        .input("x", x)
+        .unwrap()
+        .run(|| y[0] = host)
+        .unwrap();
+    out.output("y", &mut y).unwrap();
+    let path = out.finish().unwrap();
+    (y[0], path)
+}
+
+/// An int8 model encodes its bf16 rung the first time it serves bf16. That
+/// encode killed at `nn.rung.encode` is a typed error from the model, and
+/// in a region demoted to bf16 a failed pass the host code serves; the f32
+/// and int8 rungs keep their bits, and the next use encodes the rung again
+/// and serves the bits of a model that never failed.
+#[test]
+fn a_rung_encode_killed_during_a_demotion_is_typed_and_retried() {
+    use hpacml_core::{Precision, PrecisionPolicy};
+    use hpacml_nn::serialize::{load_model, SavedModel};
+    use hpacml_nn::{InferWorkspace, NnError};
+
+    let dir = tmpdir("rung-encode");
+    let model = dir.join("m.hml");
+    save_mlp(&model, 37);
+    let x = [0.3f32, -0.6, 0.9];
+    let xt = hpacml_tensor::Tensor::from_vec(x.to_vec(), [1usize, 3]).unwrap();
+    let at = |m: &SavedModel, prec| {
+        let mut ws = InferWorkspace::new();
+        m.infer_with_at(&mut ws, &xt, prec).map(|y| y.data()[0])
+    };
+    let loaded = || {
+        let mut m = load_model(&model).unwrap();
+        m.quantize(Precision::Int8);
+        m
+    };
+    let [f32_val, bf16_val, int8_val] = with_plan(Plan::new(), || {
+        let m = loaded();
+        [Precision::F32, Precision::Bf16, Precision::Int8].map(|p| at(&m, p).unwrap())
+    });
+    assert_ne!(bf16_val.to_bits(), int8_val.to_bits(), "distinct rungs");
+
+    // The model: a typed error, nothing else changed, then a retry.
+    with_plan(Plan::new(), || {
+        let m = loaded();
+        hpacml_faults::install(Plan::seeded(0xC3).fail_once("nn.rung.encode", 0));
+        let err = at(&m, Precision::Bf16).unwrap_err();
+        assert!(
+            matches!(&err, NnError::Io(e) if e.to_string().contains("nn.rung.encode")),
+            "{err}"
+        );
+        assert_eq!(at(&m, Precision::F32).unwrap().to_bits(), f32_val.to_bits());
+        assert_eq!(
+            at(&m, Precision::Int8).unwrap().to_bits(),
+            int8_val.to_bits()
+        );
+        let retried = at(&m, Precision::Bf16).unwrap();
+        assert_eq!(retried.to_bits(), bf16_val.to_bits(), "the retry's bits");
+        assert_eq!(hpacml_faults::injected_at("nn.rung.encode"), 1);
+    });
+
+    // The region: int8 over budget demotes to bf16; the pass that first
+    // serves bf16 loses its encode and the host code serves it; the ladder
+    // then heals back through bf16, which encodes.
+    let binds = Bindings::new().with("N", 1);
+    with_plan(Plan::new(), || {
+        let region = infer_region("rungencode", &model);
+        region
+            .set_precision_policy(&PrecisionPolicy::int8())
+            .unwrap();
+        region
+            .set_validation_policy(
+                ValidationPolicy::new(ErrorMetric::MaxAbs, 1.0)
+                    .with_sample_rate(1)
+                    .with_window(1),
+            )
+            .unwrap();
+        let session = region
+            .session(&binds, &[("x", &[3]), ("y", &[1])], 1)
+            .unwrap();
+        let (y, path) = invoke_with_host(&session, &x, f32_val + 1000.0);
+        assert_eq!(
+            (y.to_bits(), path),
+            (int8_val.to_bits(), PathTaken::Surrogate)
+        );
+        assert_eq!(region.serve_precision(), Precision::Bf16);
+
+        hpacml_faults::install(Plan::seeded(0xC4).fail_once("nn.rung.encode", 0));
+        let (y, path) = invoke_with_host(&session, &x, 7.0);
+        assert_eq!((y, path), (7.0, PathTaken::Accurate), "the host served it");
+        assert_eq!(hpacml_faults::injected_at("nn.rung.encode"), 1);
+        assert_eq!(region.stats().surrogate_errors, 1);
+
+        let mut served = Vec::new();
+        for _ in 0..40 {
+            let prec = region.serve_precision();
+            let (y, path) = invoke_with_host(&session, &x, f32_val);
+            if path == PathTaken::Surrogate {
+                served.push(prec);
+                let want = match prec {
+                    Precision::F32 => f32_val,
+                    Precision::Bf16 => bf16_val,
+                    Precision::Int8 => int8_val,
+                };
+                assert_eq!(y.to_bits(), want.to_bits(), "served at {prec}");
+            }
+            if served.last() == Some(&Precision::Int8) {
+                break;
+            }
+        }
+        assert!(
+            served.contains(&Precision::Bf16),
+            "healed through bf16: {served:?}"
+        );
+        assert_eq!(served.last(), Some(&Precision::Int8), "{served:?}");
+        assert_eq!(region.stats().surrogate_errors, 1, "the retry encoded");
+    });
+}
+
+// ---------------------------------------------------------------------------
 // Shadow-exec panic
 // ---------------------------------------------------------------------------
 

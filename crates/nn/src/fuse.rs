@@ -51,10 +51,11 @@ pub struct CompileInfo {
 /// Per-layer weight precision for the compile pass's quantization stage.
 ///
 /// `target` is the *coarsest* rung the model will serve at; the stage
-/// builds that pack plus every finer one (int8 target also builds bf16)
-/// so the online-validation demotion ladder int8 → bf16 → f32 moves by a
-/// pointer swap, never a repack. Accumulation is always f32 — the policy
-/// only changes how many bytes per weight the forward pass streams.
+/// encodes that pack only. When the online-validation demotion ladder
+/// int8 → bf16 → f32 first lands on bf16, each layer encodes its bf16 pack
+/// from its f32 panels (once; later hops are a lookup), and f32 is the
+/// panels themselves. Accumulation is always f32 — the policy only changes
+/// how many bytes per weight the forward pass streams.
 ///
 /// `max_calib_rows` bounds how many collected input rows the runtime
 /// reads from the region db to score the quantized model against the f32
@@ -95,7 +96,7 @@ impl PrecisionPolicy {
         }
     }
 
-    /// Serve bf16 weights (2x weight bandwidth).
+    /// Serve bf16 weights (2x weight bandwidth); f32 is the panels.
     pub fn bf16() -> Self {
         PrecisionPolicy {
             target: Precision::Bf16,
@@ -103,7 +104,8 @@ impl PrecisionPolicy {
         }
     }
 
-    /// Serve int8 weights (4x weight bandwidth), bf16 + f32 rungs ready.
+    /// Serve int8 weights (4x weight bandwidth). f32 is the panels; the
+    /// bf16 rung is encoded the first time a demotion serves it.
     pub fn int8() -> Self {
         PrecisionPolicy {
             target: Precision::Int8,
@@ -151,9 +153,9 @@ pub fn compile_for_inference(model: &mut Sequential) -> CompileInfo {
 }
 
 /// [`compile_for_inference`] plus a quantization stage: after fusing and
-/// packing, each layer that supports reduced precision builds packs for
-/// `policy.target` and every finer ladder rung. With an `F32` target this
-/// is exactly `compile_for_inference`.
+/// packing, each layer that supports reduced precision encodes its pack for
+/// `policy.target` (a finer ladder rung is encoded when first served). With
+/// an `F32` target this is exactly `compile_for_inference`.
 pub(crate) fn compile_for_inference_with(
     model: &mut Sequential,
     policy: &PrecisionPolicy,
@@ -305,7 +307,7 @@ mod tests {
     #[test]
     fn quantize_stage_builds_ladder_packs() {
         let spec = ModelSpec::mlp(6, &[32, 16], 2, Activation::Tanh, 0.25);
-        // int8 target: every Linear gets int8 + bf16 rungs.
+        // int8 target: every Linear gets an int8 rung.
         let mut m = spec.build(7).unwrap();
         let info = compile_for_inference_with(&mut m, &PrecisionPolicy::int8());
         assert_eq!(info.quantized_layers, 3);

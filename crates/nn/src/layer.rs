@@ -7,12 +7,15 @@
 
 use crate::workspace::checked_numel;
 use crate::{NnError, Result};
+use hpacml_faults::fault_point;
 use hpacml_tensor::gemm::{self, Act, Epilogue, NarrowStage, PackedB};
 use hpacml_tensor::ops::{self, Conv2dGeom};
 use hpacml_tensor::quant::{self, Precision, QPackedB};
-use hpacml_tensor::Tensor;
+use hpacml_tensor::{Tensor, TensorError};
+use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// A trainable tensor together with its gradient accumulator.
 #[derive(Debug, Clone)]
@@ -45,9 +48,11 @@ pub trait Layer: Send + Sync {
     /// `out` has capacity, the contract the zero-alloc inference workspace
     /// relies on. Must not mutate the layer. Layers that carry
     /// reduced-precision weight packs (see [`Layer::quantize`]) route to
-    /// their quantized kernel; a layer asked for a precision it has no pack
-    /// for serves the next finer one it does have (int8 → bf16 → f32), so a
-    /// mixed-precision model is always well-defined at every ladder rung.
+    /// their quantized kernel at the finer of `prec` and the precision they
+    /// were quantized for (so a bf16 layer asked for int8 serves bf16), and
+    /// a mixed-precision model is always well-defined at every ladder rung.
+    /// Serving a rung for the first time encodes it, which may fail with a
+    /// typed error (see [`Packs::rung`]).
     fn forward_into(&self, x: &Tensor, out: &mut Tensor, prec: Precision) -> Result<()>;
 
     /// [`Layer::forward_into`] at f32 into a fresh tensor.
@@ -130,10 +135,11 @@ pub trait Layer: Send + Sync {
         Ok((0, 0))
     }
 
-    /// Build reduced-precision weight packs so the layer can serve at
-    /// `target` — and at every finer rung of the demotion ladder up to
-    /// f32, since the online-validation controller may demote at any
-    /// time. Returns `true` if anything was quantized. `F32` is a no-op
+    /// Make the layer serve at `target`: encode that rung's weight pack now
+    /// and drop any coarser one. A finer rung of the demotion ladder (bf16
+    /// for an int8 target) is encoded the first time it is served, since
+    /// the online-validation controller may demote at any time but seldom
+    /// does. Returns `true` if anything was quantized. `F32` is a no-op
     /// (the f32 panels from [`Layer::prepack`] are that rung).
     fn quantize(&mut self, _target: Precision) -> bool {
         false
@@ -143,9 +149,10 @@ pub trait Layer: Send + Sync {
     /// (see [`hpacml_tensor::gemm::NarrowChain`]): its packed weights at
     /// that rung, bias and fused activation. Only compiled `Linear` layers
     /// have one; whether a run of them forms a chain is then a pure function
-    /// of their widths.
-    fn narrow_stage(&self, _prec: Precision) -> Option<NarrowStage<'_>> {
-        None
+    /// of their widths. An error is a rung that could not be encoded (see
+    /// [`Packs::rung`]).
+    fn narrow_stage(&self, _prec: Precision) -> Result<Option<NarrowStage<'_>>> {
+        Ok(None)
     }
 }
 
@@ -187,40 +194,101 @@ enum Form {
 }
 
 /// A compiled `Linear`'s weights: the f32 [`PackedB`] panels — the one
-/// f32 copy — and the reduced-precision rungs encoded from them. Both
-/// rungs below f32 are kept so the validation-driven demotion ladder
-/// (int8 → bf16 → f32) moves without repacking.
+/// f32 copy — and the reduced-precision rungs encoded from them.
+///
+/// A layer quantized for a target serves a request at `prec` at the finer
+/// of `prec` and the target ([`Packs::rung`]): the f32 panels, or that
+/// rung. Only the target's rung is encoded when the layer is quantized;
+/// a finer one is encoded the first time it is served — for an int8 model,
+/// when validation first demotes it to bf16 — and kept from then on. So an
+/// int8 model holds 5 bytes per weight (f32 + int8), not 7, and the first
+/// demotion pays one encode of each layer.
 // lint: allow(crate-local-pub) — held by `ParamRef::Packed`, which callers match without naming the type
 pub struct Packs {
     f32: PackedB<f32>,
-    bf16: Option<QPackedB>,
-    int8: Option<QPackedB>,
+    /// The coarsest rung served; `F32` for a layer never quantized.
+    target: Precision,
+    bf16: OnceLock<QPackedB>,
+    int8: OnceLock<QPackedB>,
+    /// Held while a rung is encoded, so threads that first ask for the same
+    /// rung at once encode it once.
+    encoding: Mutex<()>,
 }
 
 impl Packs {
+    fn new(f32: PackedB<f32>) -> Self {
+        Packs {
+            f32,
+            target: Precision::F32,
+            bf16: OnceLock::new(),
+            int8: OnceLock::new(),
+            encoding: Mutex::new(()),
+        }
+    }
+
     /// The f32 panels.
     pub fn panels(&self) -> &PackedB<f32> {
         &self.f32
     }
 
-    /// The reduced-precision pack serving requests at `prec`, honoring the
-    /// fallthrough rule (a missing int8 pack serves bf16; a missing bf16
-    /// pack serves f32 — i.e. `None`).
-    pub fn rung(&self, prec: Precision) -> Option<&QPackedB> {
+    /// The precision a request at `prec` is served at: the finer of `prec`
+    /// and the target, so a model never serves coarser than it was
+    /// quantized for.
+    fn serves(&self, prec: Precision) -> Precision {
+        prec.max(self.target)
+    }
+
+    fn slot(&self, prec: Precision) -> Option<&OnceLock<QPackedB>> {
         match prec {
-            Precision::Int8 => self.int8.as_ref().or(self.bf16.as_ref()),
-            Precision::Bf16 => self.bf16.as_ref(),
+            Precision::Int8 => Some(&self.int8),
+            Precision::Bf16 => Some(&self.bf16),
             Precision::F32 => None,
         }
     }
 
-    /// Encode every rung from `target` up to bf16 from the f32 panels, so
-    /// the weights are transposed once. A bf16 target drops an int8 rung: a
-    /// bf16-target model must not keep serving a coarser one.
-    fn encode(&mut self, target: Precision) {
-        let encode = |prec| QPackedB::from_packed(&self.f32, prec).expect("a reduced rung");
-        self.bf16 = Some(encode(Precision::Bf16));
-        self.int8 = (target == Precision::Int8).then(|| encode(Precision::Int8));
+    /// The reduced-precision pack serving requests at `prec` — the rung of
+    /// the finer of `prec` and the target — encoded from the f32 panels by
+    /// [`QPackedB::from_packed`] the first time it is asked for, and the
+    /// same pack on every later call. An encode the allocator refuses (or
+    /// an injected `nn.rung.encode` fault) is a typed error that leaves the
+    /// layer as it was; the next call encodes again. A request the f32
+    /// panels serve has no reduced pack: `NnError::Tensor(DimMismatch)`.
+    pub fn rung(&self, prec: Precision) -> Result<&QPackedB> {
+        let serves = self.serves(prec);
+        let Some(slot) = self.slot(serves) else {
+            return Err(TensorError::DimMismatch(format!(
+                "a request at {prec} is served from the f32 panels"
+            ))
+            .into());
+        };
+        if let Some(q) = slot.get() {
+            return Ok(q);
+        }
+        let _one = self.encoding.lock();
+        if let Some(q) = slot.get() {
+            return Ok(q);
+        }
+        fault_point!("nn.rung.encode");
+        let q = QPackedB::from_packed(&self.f32, serves)?;
+        Ok(slot.get_or_init(|| q))
+    }
+
+    /// The rung at `prec` if it has been encoded; never encodes one.
+    pub fn held(&self, prec: Precision) -> Option<&QPackedB> {
+        self.slot(prec)?.get()
+    }
+
+    /// Serve from `target` on: drop every rung held (each was encoded from
+    /// the panels as they were), then encode the target's. If that encode
+    /// fails, the first request served at the target encodes it again and
+    /// reports the error.
+    fn retarget(&mut self, target: Precision) {
+        self.target = target;
+        self.bf16.take();
+        self.int8.take();
+        if target != Precision::F32 {
+            let _ = self.rung(target);
+        }
     }
 }
 
@@ -296,13 +364,11 @@ impl Linear {
     pub(crate) fn from_panels(w: PackedB<f32>, b: Vec<f32>) -> Self {
         let n = b.len();
         let b = Tensor::from_vec(b, [n]).expect("a bias of n values");
-        let w = Packs {
-            f32: w,
-            bf16: None,
-            int8: None,
-        };
         Linear {
-            form: Form::Serve { w, b },
+            form: Form::Serve {
+                w: Packs::new(w),
+                b,
+            },
             act: None,
         }
     }
@@ -350,9 +416,9 @@ impl Layer for Linear {
         let epi = Epilogue::col_bias(self.bias()).with_act(self.act);
         match &self.form {
             Form::Train { w, .. } => ops::matmul_transb_into(x, &w.value, out, epi)?,
-            Form::Serve { w, .. } => match w.rung(prec) {
-                Some(q) => quant::matmul_transb_qpacked_into(x, q, epi, out)?,
-                None => gemm::matmul_transb_packed_into(x, &w.f32, epi, out)?,
+            Form::Serve { w, .. } => match w.serves(prec) {
+                Precision::F32 => gemm::matmul_transb_packed_into(x, &w.f32, epi, out)?,
+                prec => quant::matmul_transb_qpacked_into(x, w.rung(prec)?, epi, out)?,
             },
         }
         Ok(())
@@ -402,10 +468,10 @@ impl Layer for Linear {
             Form::Serve { w, b } => {
                 // Callers may mutate the weights through the visit
                 // (`import_weights`, snapshot restores): hand them the rows,
-                // then repack the panels in place and re-encode the rungs
-                // held, so a compiled layer never reads stale packs. Only
-                // occasional administrative visits land here — compiled
-                // layers refuse training.
+                // then repack the panels in place, drop the rungs held and
+                // re-encode the target's, so a compiled layer never reads
+                // stale packs. Only occasional administrative visits land
+                // here — compiled layers refuse training.
                 let (n, k) = (w.f32.n(), w.f32.k());
                 let rows = Tensor::from_vec(w.f32.read_rows(0).collect(), [n, k]);
                 let mut wp = Param::new(rows.expect("n·k rows"));
@@ -414,11 +480,7 @@ impl Layer for Linear {
                 f(&mut bp);
                 *b = bp.value;
                 w.f32.pack_rows_into(wp.value.data(), n, k);
-                if w.int8.is_some() {
-                    w.encode(Precision::Int8);
-                } else if w.bf16.is_some() {
-                    w.encode(Precision::Bf16);
-                }
+                w.retarget(w.target);
             }
         }
     }
@@ -452,11 +514,7 @@ impl Layer for Linear {
             // the panels hold the weights.
             let f32 = PackedB::from_transb(&w.value).expect("weights are rank 2");
             let b = std::mem::take(&mut b.value);
-            let w = Packs {
-                f32,
-                bf16: None,
-                int8: None,
-            };
+            let w = Packs::new(f32);
             self.form = Form::Serve { w, b };
         }
         true
@@ -466,26 +524,27 @@ impl Layer for Linear {
         if target == Precision::F32 {
             return false;
         }
-        // Build every rung from `target` up: the validation controller
-        // may demote int8 → bf16 → f32 at runtime, and each hop must be
-        // a pointer swap, not a repack. The f32 rung is the plain packed
-        // panels — pack first, so demotion lands on the fast path.
+        // Encode the target's rung only. The validation controller may
+        // demote int8 → bf16 → f32 at runtime: the f32 rung is the plain
+        // packed panels (pack first, so demotion lands on the fast path),
+        // and the bf16 rung of an int8 layer is encoded from them the
+        // first time it is served.
         self.prepack();
         let Form::Serve { w, .. } = &mut self.form else {
             unreachable!("prepack leaves the layer in panels")
         };
-        w.encode(target);
+        w.retarget(target);
         true
     }
 
-    fn narrow_stage(&self, prec: Precision) -> Option<NarrowStage<'_>> {
+    fn narrow_stage(&self, prec: Precision) -> Result<Option<NarrowStage<'_>>> {
         let Form::Serve { w, b } = &self.form else {
-            return None;
+            return Ok(None);
         };
-        Some(match w.rung(prec) {
-            Some(q) => NarrowStage::quantized(q, b.data(), self.act),
-            None => NarrowStage::new(&w.f32, b.data(), self.act),
-        })
+        Ok(Some(match w.serves(prec) {
+            Precision::F32 => NarrowStage::new(&w.f32, b.data(), self.act),
+            prec => NarrowStage::quantized(w.rung(prec)?, b.data(), self.act),
+        }))
     }
 
     fn scratch_hint(&self, _in_dims: &[usize]) -> Result<(usize, usize)> {
@@ -979,9 +1038,9 @@ mod tests {
     }
 
     /// `quantize` on a `Linear` that was never prepacked packs the f32
-    /// panels first and encodes both rungs from them: each rung equals
-    /// packing the weights directly, in every chain weight and scale, and
-    /// serves its forward.
+    /// panels first and encodes the int8 rung from them, and the bf16 rung
+    /// the first time it is asked for: each rung equals packing the weights
+    /// directly, in every chain weight and scale, and serves its forward.
     #[test]
     fn quantize_without_a_prepack_packs_first_then_encodes_the_rungs() {
         let (k, n) = (37, 21);
@@ -993,13 +1052,12 @@ mod tests {
         let Form::Serve { w: packs, .. } = &l.form else {
             panic!("the f32 rung is packed too")
         };
+        assert!(packs.held(Precision::Int8).is_some());
+        assert!(packs.held(Precision::Bf16).is_none(), "not served yet");
         let x = sample_x(3, k, 8);
-        for (prec, q) in [
-            (Precision::Bf16, packs.bf16.as_ref()),
-            (Precision::Int8, packs.int8.as_ref()),
-        ] {
+        for prec in [Precision::Bf16, Precision::Int8] {
             let (q, want) = (
-                q.expect("rung built"),
+                packs.rung(prec).unwrap(),
                 QPackedB::from_transb(&w, prec).unwrap(),
             );
             for j in 0..n {

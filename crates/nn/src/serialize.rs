@@ -54,12 +54,13 @@
 //!
 //! Weights are always stored at full f32 precision; the precision byte
 //! only records the *serving* target. The quantized packs are rebuilt
-//! deterministically at load/compile time: each `Linear`'s f32 weights are
+//! deterministically from the weights: each `Linear`'s f32 weights are
 //! packed into panels once (by the loader, or by the compile pass on a
-//! built model), and the bf16 and int8 packs are encoded from those panels
-//! (bf16 round-to-nearest-even and int8 abs-max scales are pure functions
-//! of the weights), so a model file never bakes in quantization error
-//! twice.
+//! built model); the target's pack is encoded from those panels at
+//! load/compile time, and a finer rung (bf16 under an int8 target) the
+//! first time it is served (bf16 round-to-nearest-even and int8 abs-max
+//! scales are pure functions of the weights, so the bits do not depend on
+//! when). A model file never bakes in quantization error twice.
 
 use crate::data::{NormAxis, Normalizer};
 use crate::fuse::PrecisionPolicy;
@@ -193,8 +194,9 @@ impl SavedModel {
     }
 
     /// Quantize the (already compiled) model for serving at `target`:
-    /// builds reduced-precision weight packs on every layer that supports
-    /// them and records the target as the model's serving precision.
+    /// encodes the target's weight pack on every layer that supports one
+    /// (a finer rung is encoded the first time it is served) and records
+    /// the target as the model's serving precision.
     /// Returns the number of layers quantized. `F32` reverts the serving
     /// precision without touching existing packs.
     pub fn quantize(&mut self, target: Precision) -> usize {

@@ -106,7 +106,7 @@ impl ForwardWorkspace {
             // A chain's intermediates never reach an arena: only the last
             // output of each step is sized. (Chains form from widths alone,
             // so the F32 partition is the partition at every rung.)
-            let (this, rest) = layers.split_at(step_len(layers, Precision::F32));
+            let (this, rest) = layers.split_at(step_len(layers, Precision::F32)?);
             for layer in this {
                 let (b, c) = layer.scratch_hint(&dims)?;
                 b_elems = b_elems.max(b);
@@ -152,29 +152,30 @@ pub(crate) fn checked_numel(dims: &[usize]) -> Result<usize> {
 }
 
 /// The maximal narrow chain at the head of `layers` at `prec` (possibly
-/// empty or a single layer, which then runs on its own).
-fn chain_at(layers: &[Box<dyn Layer>], prec: Precision) -> NarrowChain<'_> {
+/// empty or a single layer, which then runs on its own), or the error of a
+/// rung that could not be encoded.
+fn chain_at(layers: &[Box<dyn Layer>], prec: Precision) -> Result<NarrowChain<'_>> {
     let mut chain = NarrowChain::default();
     for layer in layers {
-        match layer.narrow_stage(prec) {
+        match layer.narrow_stage(prec)? {
             Some(stage) if chain.push(stage) => {}
             _ => break,
         }
     }
-    chain
+    Ok(chain)
 }
 
 /// How many layers the step at the head of `layers` runs: a chain of two or
 /// more, else one.
-fn step_len(layers: &[Box<dyn Layer>], prec: Precision) -> usize {
-    chain_at(layers, prec).stages().max(1)
+fn step_len(layers: &[Box<dyn Layer>], prec: Precision) -> Result<usize> {
+    Ok(chain_at(layers, prec)?.stages().max(1))
 }
 
 /// Run the step at the head of `layers` from `x` into `out`: a narrow chain
 /// of two or more layers depth-first, else the first layer alone (single
 /// narrow layers keep their GEMM tiles). Returns how many layers it ran.
 fn step(layers: &[Box<dyn Layer>], x: &Tensor, out: &mut Tensor, prec: Precision) -> Result<usize> {
-    let chain = chain_at(layers, prec);
+    let chain = chain_at(layers, prec)?;
     if chain.stages() >= 2 {
         chain.forward_into(x, out)?;
         return Ok(chain.stages());

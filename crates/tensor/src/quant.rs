@@ -242,28 +242,36 @@ impl QPackedB {
     /// storage order — no transpose: bf16 encodes element by element; int8
     /// takes each lane's abs-max over its panel's `k` rows (a lane is an
     /// output channel), then quantizes element by element. Padding lanes
-    /// hold `0.0`, so they store `0` with scale `1.0`.
+    /// hold `0.0`, so they store `0` with scale `1.0`. Storage the allocator
+    /// refuses is [`TensorError::Reserve`], not an abort: a rung may be
+    /// encoded on a serving thread, the first time it is asked for.
     pub fn from_packed(pb: &PackedB<f32>, prec: Precision) -> Result<Self> {
         let (k, n) = (pb.k(), pb.n());
         let src = pb.panel_data();
-        let mut scales = vec![1.0f32; n.div_ceil(NR) * NR];
+        let lanes = n.div_ceil(NR) * NR;
+        let mut scales = reserved(lanes)?;
+        scales.resize(lanes, 1.0f32);
         let data = match prec {
             Precision::F32 => {
                 return Err(TensorError::DimMismatch(
                     "QPackedB::from_packed: F32 uses the unquantized PackedB".into(),
                 ))
             }
-            Precision::Bf16 => QData::Bf16(src.iter().map(|&v| bf16_encode(v)).collect()),
+            Precision::Bf16 => {
+                let mut d = reserved(src.len())?;
+                d.extend(src.iter().map(|&v| bf16_encode(v)));
+                QData::Bf16(d)
+            }
             Precision::Int8 => {
-                let mut d = vec![0i8; src.len()];
+                let mut d = reserved(src.len())?;
                 if k > 0 {
-                    let panels = src.chunks_exact(k * NR).zip(d.chunks_exact_mut(k * NR));
-                    for ((panel, out), s) in panels.zip(scales.chunks_exact_mut(NR)) {
+                    for (panel, s) in src.chunks_exact(k * NR).zip(scales.chunks_exact_mut(NR)) {
                         let lanes = panel_scales(panel);
                         s.copy_from_slice(&lanes);
-                        for (row, q) in panel.chunks_exact(NR).zip(out.chunks_exact_mut(NR)) {
-                            let (row, q) = (row.try_into(), q.try_into());
-                            quantize_row(row.expect("NR lanes"), &lanes, q.expect("NR lanes"));
+                        for row in panel.as_chunks::<NR>().0 {
+                            let mut q = [0i8; NR];
+                            quantize_row(row, &lanes, &mut q);
+                            d.extend_from_slice(&q);
                         }
                     }
                 }
@@ -350,6 +358,14 @@ impl QPackedB {
         }
         worst
     }
+}
+
+/// An empty `Vec` with room for exactly `len` values, or the typed refusal.
+fn reserved<T>(len: usize) -> Result<Vec<T>> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(len)
+        .map_err(|_| TensorError::Reserve { elems: len })?;
+    Ok(v)
 }
 
 /// One panel row quantized against its lanes' scales: one 16-lane divide,

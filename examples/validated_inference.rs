@@ -70,11 +70,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Deploy it behind an annotated region. The precision policy quantizes
     // the model's weights to int8 (per-output-channel symmetric scales,
-    // f32 accumulation) and readies the bf16 rung; the validation policy
-    // then shadow-validates every 2nd invocation under RMSE, budget 0.5
-    // (between the model's in-distribution error ~0.16 and its drifted
-    // error ~1.2), window 2. Because a precision target is attached, the
-    // controller demotes through int8 → bf16 → f32 before any disable.
+    // f32 accumulation); the bf16 rung is encoded when the first demotion
+    // serves it. The validation policy then shadow-validates every 2nd
+    // invocation under RMSE, budget 0.5 (between the model's
+    // in-distribution error ~0.16 and its drifted error ~1.2), window 2.
+    // Because a precision target is attached, the controller demotes
+    // through int8 → bf16 → f32 before any disable.
     let region = Region::from_source(
         "kernel",
         &format!(
