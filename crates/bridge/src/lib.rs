@@ -28,7 +28,7 @@ mod extract;
 mod plan;
 mod resolve;
 
-pub use plan::{compile, CompiledMap};
+pub use plan::{compile, CompiledMap, PlanColumns};
 
 use hpacml_directive::DirectiveError;
 

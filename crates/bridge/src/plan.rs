@@ -34,12 +34,21 @@
 //! - The scatter writes **runs**, view by view: its writes into the
 //!   application array are contiguous, and where views overlap the later
 //!   one wins.
+//!
+//! A plan whose every feature column steps through the innermost walk axis
+//! contiguously (stride 1: a stencil's slices) can also skip the gather:
+//! [`CompiledMap::columns`] hands the same per-feature `(base, stride)`
+//! sources out as runs of contiguous columns, one per outer position, and a
+//! narrow-chain surrogate reads its first layer's inputs from them in place
+//! (the runtime's implicit gather, `hpacml_core`'s session docs). Nothing is
+//! written; the rows the chain sees are the rows the gather would write.
 
 use crate::extract::extract;
 use crate::resolve::{resolve_slice, resolve_sweep, ResolvedView};
 use crate::{BridgeError, Result};
 use hpacml_directive::ast::{Direction, MapDirective};
 use hpacml_directive::sema::{Bindings, FunctorInfo, LhsDim};
+use hpacml_tensor::gemm::InputColumns;
 use hpacml_tensor::{gather_rows_raw, scatter_chunks_raw, Tensor};
 
 /// Element-count threshold, over the whole batch, above which batched
@@ -304,6 +313,87 @@ impl CompiledMap {
             }
         }
         Ok(())
+    }
+    /// The gather's per-feature sources, for reading a batch of `n`
+    /// samples in place instead of gathering it: `Some` when every feature
+    /// column steps through the innermost walk axis contiguously (stride 1 —
+    /// a stencil's slices do; a row functor's features, `F` apart, do not),
+    /// so each outer position's block is `k` contiguous columns. The
+    /// `(base, stride)` walk [`gather_rows_raw`] consumes, handed out as
+    /// runs ([`InputColumns`]); a chain that reads them sees the rows the
+    /// gather would have written, in the same order. `data` is checked as
+    /// the gather checks it.
+    pub fn columns<'a>(&'a self, data: &'a [f32], n: usize) -> Result<Option<PlanColumns<'a>>> {
+        self.check_buffer(data.len(), n)?;
+        let rank = self.walk_counts.len();
+        let contiguous = self
+            .feat_strides
+            .chunks_exact(rank)
+            .all(|st| st[rank - 1] == 1);
+        Ok(contiguous.then_some(PlanColumns {
+            plan: self,
+            data,
+            n,
+        }))
+    }
+}
+
+/// A batch of application arrays read in place through a gather plan: the
+/// `[n · points, features]` rows the plan would gather, as runs of
+/// contiguous feature columns, one run per outer walk position (see
+/// [`CompiledMap::columns`]).
+// lint: allow(crate-local-pub) — returned by `CompiledMap::columns`, whose callers pass it on as `&dyn InputColumns` without naming it
+pub struct PlanColumns<'a> {
+    plan: &'a CompiledMap,
+    data: &'a [f32],
+    n: usize,
+}
+
+impl InputColumns for PlanColumns<'_> {
+    fn data(&self) -> &[f32] {
+        self.data
+    }
+
+    fn dims(&self) -> (usize, usize) {
+        let points = self.plan.walk_counts.iter().product::<usize>();
+        (self.n * points, self.plan.feat_total)
+    }
+
+    /// Walk each sample's outer axes with the gather's odometer
+    /// (`for_each_outer`), handing on the part of each position's run
+    /// that falls in `row0..row0 + rows`; each position's feature bases cost
+    /// one multiply-add per axis.
+    fn runs(
+        &self,
+        row0: usize,
+        rows: usize,
+        base: &mut [usize],
+        f: &mut dyn FnMut(&[usize], usize),
+    ) {
+        let plan = self.plan;
+        if rows == 0 {
+            return;
+        }
+        // `rows > 0` rows exist, so no walk extent is zero.
+        let rank = plan.walk_counts.len();
+        let inner = plan.walk_counts[rank - 1];
+        let points = plan.walk_counts.iter().product::<usize>();
+        let (an, end) = (plan.array_numel(), row0 + rows);
+        for sample in row0 / points..end.div_ceil(points) {
+            plan.for_each_outer(|row, idx| {
+                let first = sample * points + row * inner;
+                let (lo, hi) = (first.max(row0), (first + inner).min(end));
+                if lo >= hi {
+                    return;
+                }
+                let strides = plan.feat_strides.chunks_exact(rank);
+                for (fb, (&off, st)) in base.iter_mut().zip(plan.feat_offsets.iter().zip(strides)) {
+                    let at = sample * an + off + (lo - first);
+                    *fb = idx.iter().zip(st).fold(at, |o, (x, s)| o + x * s);
+                }
+                f(base, hi - lo);
+            });
+        }
     }
 }
 

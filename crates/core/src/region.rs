@@ -283,6 +283,11 @@ impl Region {
         self.db_path.lock().clone()
     }
 
+    /// Whether the region collects into a database (no path clone).
+    pub(crate) fn has_db(&self) -> bool {
+        self.db_path.lock().is_some()
+    }
+
     /// Redirect data collection to a different file.
     pub fn set_db_path(&self, path: impl Into<PathBuf>) {
         *self.db_path.lock() = Some(path.into());

@@ -54,6 +54,31 @@
 //! # Ok(())
 //! # }
 //! ```
+//!
+//! # Implicit gather
+//!
+//! A surrogate whose model starts with a narrow chain (`hpacml_tensor`'s
+//! `NarrowChain`: two or more `Linear` layers of at most 8 outputs) can read
+//! its inputs where the application keeps them. When the invocation is
+//! certain to serve the surrogate by the time [`SessionRun::input`] sees its
+//! array — the decision is already `true` (`ml(infer)`, or an override or
+//! literal predicate of `true`), with no forced fallback, no validation
+//! policy and no database; one input array, whose plan's features are
+//! contiguous along the innermost walk axis (a stencil's slices are); a
+//! model already resolved, with no input normalizer, whose input is the
+//! plan's rows and whose first step at the serving rung is a chain — `input`
+//! runs the forward there and then, the chain's first layer loading each
+//! 16-row block's features straight from the array through the plan
+//! ([`CompiledMap::columns`]). No `[m, k]` tensor is gathered and no bit of
+//! the output changes. `run` serves that result (it passes the
+//! `core.surrogate` seam as a gathered pass does); if the decision has
+//! flipped by then (`use_surrogate(false)`, a forced fallback) it discards
+//! it and the host code serves. Anything else, and any failure of the
+//! in-place forward, gathers as before. Such an invocation records
+//! `to_tensor_ns = 0`: its read of the application array is part of
+//! `inference_ns`, the paper's Fig. 6 To-Tensor phase folded into
+//! Inference. Every other [`crate::RegionStats`] counter advances as for a
+//! gathered run.
 
 use crate::region::Region;
 use crate::timing::timed;
@@ -287,6 +312,12 @@ impl SessionCore {
 
     fn input_names(&self) -> impl Iterator<Item = &str> {
         self.inputs.iter().map(|(n, _)| n.as_str())
+    }
+
+    /// The model handle + assembly layout if a surrogate run has resolved
+    /// them already (counts nothing, loads nothing).
+    fn resolved(&self) -> Option<Arc<SurrogateState>> {
+        self.surrogate.lock().clone()
     }
 
     /// Resolve (or reuse) the model handle + assembly layout.
@@ -610,6 +641,7 @@ impl<'r> Session<'r> {
             host_path: true,
             supplied: 0,
             to_ns: 0,
+            in_place: None,
         }
     }
 }
@@ -684,6 +716,10 @@ pub struct SessionRun<'s, 'r> {
     /// more than 64 input arrays, so every index fits.
     supplied: u64,
     to_ns: u64,
+    /// The inference time of a forward that read the input in place (see
+    /// [`SessionRun::forward_in_place`]); its output is in `scratch.out`
+    /// and nothing was gathered.
+    in_place: Option<u64>,
 }
 
 impl<'s, 'r> SessionRun<'s, 'r> {
@@ -709,7 +745,8 @@ impl<'s, 'r> SessionRun<'s, 'r> {
     /// back to back (`n * per_sample_len` elements) and is gathered in one
     /// strided pass over the leading dimension. Steady-state allocation-free.
     pub fn input(mut self, name: &str, data: &[f32]) -> Result<Self> {
-        let core = &self.session.core;
+        let session = self.session;
+        let core = &session.core;
         let index = core.input_index(name).ok_or_else(|| {
             CoreError::Region(format!(
                 "region `{}`: `{name}` is not declared in(...)/inout(...)",
@@ -724,13 +761,80 @@ impl<'s, 'r> SessionRun<'s, 'r> {
             )));
         }
         let plan = core.input_plan(index);
-        let n = self.n;
-        let (res, ns) =
-            timed(|| plan.gather_batch_into(data, n, &mut self.scratch.gathered[index]));
-        res?;
-        self.to_ns += ns;
+        if let Some(ns) = self.forward_in_place(plan, data) {
+            self.in_place = Some(ns);
+        } else {
+            let n = self.n;
+            let (res, ns) =
+                timed(|| plan.gather_batch_into(data, n, &mut self.scratch.gathered[index]));
+            res?;
+            self.to_ns += ns;
+        }
         self.supplied |= 1 << index;
         Ok(self)
+    }
+
+    /// The implicit gather: when this invocation is certain to serve the
+    /// surrogate, run its forward now, straight from the application array
+    /// `data`, and return the inference time (the output is left in
+    /// `scratch.out`; `run` serves it). Certain means, as far as anything
+    /// observable at this point says:
+    ///
+    /// * the surrogate decision is already `true` (`ml(infer)`, or an
+    ///   override or literal predicate of `true`), with no forced fallback,
+    ///   no validation policy (which could turn it off or draw a shadow
+    ///   run) and no database (an invocation that turns accurate collects
+    ///   its gathered inputs);
+    /// * the region has one input array, and a surrogate run has resolved
+    ///   its model (this never loads one), whose input is the plan's rows;
+    /// * the plan's features are contiguous along its innermost walk axis
+    ///   ([`CompiledMap::columns`]), and the model, with no input
+    ///   normalizer, starts with a narrow chain at the serving rung
+    ///   ([`SavedModel::infer_columns_at`]).
+    ///
+    /// Anything else — and any error, which the gather path then meets
+    /// again as today — returns `None`, and the input is gathered.
+    fn forward_in_place(&mut self, plan: &CompiledMap, data: &[f32]) -> Option<u64> {
+        let session = self.session;
+        let region = session.region();
+        let core = &session.core;
+        let certain = core.input_count() == 1
+            && matches!(self.decide_surrogate(), Ok(true))
+            && !region.fallback_forced();
+        if !certain {
+            return None;
+        }
+        let columns = plan.columns(data, self.n).ok()??;
+        if region.validation().is_some() || region.has_db() {
+            return None;
+        }
+        let state = core.resolved()?;
+        let asm = &state.assembly;
+        if asm.in_dims != [asm.rows, asm.feat_total] {
+            return None;
+        }
+        core.warm_thread_workspace(&state, &mut self.scratch, session.max_batch)
+            .ok()?;
+        let prec = region.serve_precision();
+        let Scratch { ws, out, .. } = &mut *self.scratch;
+        let (y, ns) = timed(|| state.model.infer_columns_at(ws, &columns, prec));
+        std::mem::swap(out, y.ok()??);
+        // The hit a gathered run counts when it reuses the resolved model.
+        region.update_stats(|s| s.model_cache_hits += 1);
+        Some(ns)
+    }
+
+    /// This invocation's surrogate pass: the forward that already read the
+    /// input in place, or one through the gathered inputs. Either passes
+    /// the `core.surrogate` seam once.
+    fn surrogate_pass(&mut self) -> Result<u64> {
+        match self.in_place {
+            Some(ns) => {
+                fault_point!("core.surrogate");
+                Ok(ns)
+            }
+            None => core_run(self.session, &mut self.scratch, self.n, false),
+        }
     }
 
     fn decide_surrogate(&self) -> Result<bool> {
@@ -852,7 +956,7 @@ impl<'s, 'r> SessionRun<'s, 'r> {
                     shadow = None;
                 }
             }
-            match core_run(self.session, &mut self.scratch, self.n, false) {
+            match self.surrogate_pass() {
                 Ok(ns) => inference_ns = ns,
                 Err(e) => {
                     // Permanent surrogate failure (model load / forward
@@ -893,7 +997,9 @@ impl<'s, 'r> SessionRun<'s, 'r> {
             // caller that skipped inputs on the accurate path simply isn't
             // probed.
             if let Some(sh) = &mut shadow {
-                let probed = self.inputs_complete() && {
+                // An input read in place was never gathered: nothing to
+                // probe with.
+                let probed = self.inputs_complete() && self.in_place.is_none() && {
                     let (res, pns) = timed(|| {
                         contained(|| core_run(self.session, &mut self.scratch, self.n, true))
                     });
@@ -915,6 +1021,7 @@ impl<'s, 'r> SessionRun<'s, 'r> {
             scratch: self.scratch,
             n: self.n,
             supplied: self.supplied,
+            gathered: self.in_place.is_none(),
             path: if surrogate {
                 PathTaken::Surrogate
             } else {
@@ -963,6 +1070,9 @@ pub struct SessionOutcome<'s, 'r> {
     scratch: ScratchGuard,
     n: usize,
     supplied: u64,
+    /// The inputs were gathered into `scratch.gathered` (not read in
+    /// place), so an accurate invocation can record them.
+    gathered: bool,
     path: PathTaken,
     /// This invocation wanted the surrogate but was served by the host code
     /// (adaptive or forced fallback).
@@ -1033,7 +1143,7 @@ impl SessionOutcome<'_, '_> {
                 // run the host code for safety, not to collect training
                 // data — recording them would silently grow the db for
                 // every invocation of a sustained fallback period.
-                let collecting = !self.fallback && self.session.region.db_path().is_some();
+                let collecting = self.collects();
                 if collecting || self.shadow.is_some() {
                     // One gather serves both data collection and the
                     // fallback recovery probe's reference values.
@@ -1063,6 +1173,14 @@ impl SessionOutcome<'_, '_> {
             }
         }
         Ok(self)
+    }
+
+    /// Whether this (accurate) invocation records collection rows: it was
+    /// not a fallback, the region has a database, and its inputs were
+    /// gathered (a database set after an input was read in place finds no
+    /// gathered input to record).
+    fn collects(&self) -> bool {
+        !self.fallback && self.gathered && self.session.region.has_db()
     }
 
     /// Per-sample layout of `scratch.out` for one declared output: its
@@ -1118,7 +1236,7 @@ impl SessionOutcome<'_, '_> {
                 validation = region.observe_validation(&sh.v, sh.seq, &errors, sh.shadow_ns);
             }
         }
-        if path == PathTaken::Accurate && !self.fallback && region.db_path().is_some() {
+        if path == PathTaken::Accurate && self.collects() {
             let core = &self.session.core;
             let inputs: Vec<(&str, &[usize], &[f32])> = (0..core.input_count())
                 .filter(|i| self.supplied & (1 << i) != 0)

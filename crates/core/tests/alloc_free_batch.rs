@@ -292,3 +292,84 @@ fn a_session_built_after_a_dropped_one_reserves_its_own_workspace() {
         "a batch of {MAX_BATCH} on a session built after a dropped one allocated {allocs} times"
     );
 }
+
+/// A stencil session that reads its input in place (the implicit gather:
+/// `to_tensor_ns` stays 0) at the bf16 rung, batches of 1 to 3 grids whose
+/// inner extent (35) leaves blocks that cross grid rows and a ragged tail:
+/// the padded blocks, the column runs and the in-place forward all run on
+/// the stack and the warmed arenas.
+#[test]
+fn steady_state_in_place_stencil_is_allocation_free() {
+    const ROWS: usize = 24;
+    const COLS: usize = 37;
+    const MAX_BATCH: usize = 3;
+    let dir = std::env::temp_dir().join("hpacml-alloc-free-in-place");
+    std::fs::create_dir_all(&dir).unwrap();
+    let model_path = dir.join("m.hml");
+    let spec = ModelSpec::mlp(5, &[8, 4], 1, Activation::Tanh, 0.0);
+    let model = spec.build(21).unwrap();
+    hpacml_nn::serialize::save_model(&model_path, &spec, &model, None, None).unwrap();
+
+    let region = Region::from_source(
+        "alloc-free-in-place",
+        &format!(
+            r#"
+            #pragma approx tensor functor(ifnctr: [i, j, 0:5] = (([i-1, j], [i+1, j], [i, j-1:j+2])))
+            #pragma approx tensor functor(ofnctr: [i, j, 0:1] = ([i, j]))
+            #pragma approx tensor map(to: ifnctr(t[1:N-1, 1:M-1]))
+            #pragma approx tensor map(from: ofnctr(tnew[1:N-1, 1:M-1]))
+            #pragma approx ml(infer) in(t) out(tnew) model("{}")
+            "#,
+            model_path.display()
+        ),
+    )
+    .unwrap();
+    region
+        .set_precision_policy(&hpacml_core::PrecisionPolicy::at(
+            hpacml_core::Precision::Bf16,
+        ))
+        .unwrap();
+    let binds = Bindings::new()
+        .with("N", ROWS as i64)
+        .with("M", COLS as i64);
+    let grid: &[usize] = &[ROWS, COLS];
+    let session = region
+        .session(&binds, &[("t", grid), ("tnew", grid)], MAX_BATCH)
+        .unwrap();
+
+    let t: Vec<f32> = (0..MAX_BATCH * ROWS * COLS)
+        .map(|k| (k as f32 * 0.017).sin())
+        .collect();
+    let mut tnew = vec![0.0f32; MAX_BATCH * ROWS * COLS];
+    let step = |n: usize, tnew: &mut [f32]| {
+        let cells = n * ROWS * COLS;
+        let mut out = session
+            .invoke_batch(n)
+            .unwrap()
+            .input("t", &t[..cells])
+            .unwrap()
+            .run(|| unreachable!())
+            .unwrap();
+        out.output("tnew", &mut tnew[..cells]).unwrap();
+        out.finish().unwrap();
+    };
+
+    step(MAX_BATCH, &mut tnew);
+    step(1, &mut tnew);
+    region.reset_stats();
+    const STEPS: usize = 30;
+    let allocs = allocations_during(|| {
+        for s in 0..STEPS {
+            step(1 + s % MAX_BATCH, &mut tnew);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "steady-state in-place stencil step allocated {allocs} times over {STEPS} steps"
+    );
+    let stats = region.stats();
+    assert_eq!(stats.surrogate_invocations, 60);
+    assert_eq!(stats.to_tensor_ns, 0, "every step read its grid in place");
+    // Guards against a silent no-op: the interior was written.
+    assert!(tnew[COLS + 1..2 * COLS - 1].iter().all(|v| *v != 0.0));
+}

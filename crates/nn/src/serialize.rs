@@ -71,7 +71,7 @@ use crate::workspace::{checked_numel, with_thread_workspace, InferWorkspace};
 use crate::{NnError, Result};
 use hpacml_faults::fault_point;
 use hpacml_store::frame::{rename_synced, write_frame, Cursor, FrameReader, Truncated};
-use hpacml_tensor::gemm::PackedB;
+use hpacml_tensor::gemm::{InputColumns, PackedB};
 use hpacml_tensor::ops::Conv2dGeom;
 use hpacml_tensor::quant::Precision;
 use hpacml_tensor::Tensor;
@@ -150,6 +150,28 @@ impl SavedModel {
             None => ws.fw.forward_at(&self.model, x, prec)?,
         };
         if let Some(n) = &self.out_norm {
+            n.inverse_in_place(y);
+        }
+        Ok(y)
+    }
+
+    /// [`SavedModel::infer_with_at`] on an input read in place (see
+    /// [`ForwardWorkspace::forward_columns_at`](crate::ForwardWorkspace::forward_columns_at)):
+    /// the same bits, without the gathered `[m, k]` tensor. `None` — the
+    /// caller gathers — when the model normalizes its input (the
+    /// normalizer reads a gathered tensor) or does not start with a narrow
+    /// chain at `prec`.
+    pub fn infer_columns_at<'w>(
+        &self,
+        ws: &'w mut InferWorkspace,
+        x: &dyn InputColumns,
+        prec: Precision,
+    ) -> Result<Option<&'w mut Tensor>> {
+        if self.in_norm.is_some() {
+            return Ok(None);
+        }
+        let mut y = ws.fw.forward_columns_at(&self.model, x, prec)?;
+        if let (Some(y), Some(n)) = (&mut y, &self.out_norm) {
             n.inverse_in_place(y);
         }
         Ok(y)

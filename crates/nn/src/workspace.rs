@@ -19,7 +19,7 @@
 use crate::layer::Layer;
 use crate::model::Sequential;
 use crate::Result;
-use hpacml_tensor::gemm::NarrowChain;
+use hpacml_tensor::gemm::{InputColumns, NarrowChain};
 use hpacml_tensor::quant::Precision;
 use hpacml_tensor::{Tensor, TensorError};
 use std::cell::RefCell;
@@ -66,7 +66,39 @@ impl ForwardWorkspace {
         }
         // The first step reads the caller's tensor directly — no staging
         // copy of the input batch on the hot path.
-        let mut rest = &layers[step(layers, x, &mut self.ping, prec)?..];
+        let ran = step(layers, x, &mut self.ping, prec)?;
+        self.rest_from_ping(&layers[ran..], prec)
+    }
+
+    /// [`ForwardWorkspace::forward_at`] on an input read in place: when the
+    /// model's first step at `prec` is a narrow chain, the chain reads its
+    /// inputs straight from `x`'s columns (no gathered tensor) and the
+    /// remaining layers run as in `forward_at`, with the same bits as
+    /// `forward_at` on the `[m, k]` tensor the columns describe. `None`
+    /// when the first step is not a chain: the caller gathers instead.
+    pub fn forward_columns_at<'a>(
+        &'a mut self,
+        model: &Sequential,
+        x: &dyn InputColumns,
+        prec: Precision,
+    ) -> Result<Option<&'a mut Tensor>> {
+        let layers = model.layers();
+        let chain = chain_at(layers, prec)?;
+        if chain.stages() < 2 {
+            return Ok(None);
+        }
+        chain.forward_columns_into(x, &mut self.ping)?;
+        self.rest_from_ping(&layers[chain.stages()..], prec)
+            .map(Some)
+    }
+
+    /// Run `rest` on the activation in `ping`, ping-ponging between the
+    /// arenas; returns the one holding the output.
+    fn rest_from_ping(
+        &mut self,
+        mut rest: &[Box<dyn Layer>],
+        prec: Precision,
+    ) -> Result<&mut Tensor> {
         let (mut cur, mut nxt) = (&mut self.ping, &mut self.pong);
         while !rest.is_empty() {
             rest = &rest[step(rest, cur, nxt, prec)?..];

@@ -113,6 +113,22 @@
 //! moved the same shape by 0–5 % at any block size from 64 to 4 096 rows:
 //! the per-layer tiles are the cost, not the activation traffic.
 //!
+//! A chain's first layer has one body for every form its input comes in;
+//! the form only says how one feature of a block's 16 rows loads into a
+//! lane vector. From a row-major `[m, k]` tensor it is a stride-`k` gather
+//! of the 16 rows. From application memory read in place
+//! ([`InputColumns`], the runtime's *implicit gather*) each feature of a
+//! block is 16 contiguous floats where they lie — a stencil's five slices
+//! of one grid row are five such columns — so the bridge never writes the
+//! `[m, k]` tensor and the layer loads each feature with one vector load.
+//! Rows of a block that would cross from one run of columns into the next,
+//! and a ragged tail, go through a zero-padded row-major block, as the
+//! tensor form's tail does. Same process, 1 thread, 2-vCPU AVX-512 KVM
+//! guest, p50 of 300 alternating calls, output bits identical: the 258²
+//! 5-point stencil through 5→8 + ReLU → 8→1, bridge gather + chain 777–842
+//! µs, chain on the grid's columns 506–585 µs (six runs; the test
+//! `in_place_against_gather_same_process` in `core` prints them).
+//!
 //! The chain keeps the *Register tiles* rules below, transposed: the
 //! accumulators' contiguous axis is the rows, so the row loop is outermost
 //! in each `k` step (it vectorizes; the features unroll inside it), the
@@ -1203,13 +1219,42 @@ impl<'a> NarrowChain<'a> {
     /// to `[m, n]` of the last layer (allocation-free once it has capacity).
     /// Row blocks are split across the pool like a GEMM's stripes.
     pub fn forward_into(&self, x: &Tensor<f32>, out: &mut Tensor<f32>) -> Result<()> {
-        let first = self.stages[0]
-            .ok_or_else(|| TensorError::DimMismatch("narrow chain: no layers".into()))?;
-        let (k0, n0) = first.dims();
-        let (m, _) = check_operands("narrow chain", x, n0, k0, &Epilogue::none())?;
+        let plan = self.plan()?;
+        let (m, _) = check_operands("narrow chain", x, plan.n[0], plan.k0, &Epilogue::none())?;
+        let (a, k0) = (x.data(), plan.k0);
+        plan.drive(m, out, |row0, stripe| {
+            let rows = stripe.len() / plan.n[plan.len - 1];
+            chain_rows(&a[row0 * k0..][..rows * k0], &plan, stripe);
+        });
+        Ok(())
+    }
+
+    /// [`NarrowChain::forward_into`] on an input read in place (see
+    /// [`InputColumns`]): the first layer loads each block's features
+    /// straight from the application memory the columns describe, so no
+    /// `[m, k]` tensor is gathered. The same blocks, the same pool split and
+    /// the same per-element chain, so the same bits.
+    pub fn forward_columns_into(&self, x: &dyn InputColumns, out: &mut Tensor<f32>) -> Result<()> {
+        let plan = self.plan()?;
+        let (m, k) = x.dims();
+        if k != plan.k0 {
+            return Err(TensorError::DimMismatch(format!(
+                "narrow chain: input has {k} features, the first layer reads {}",
+                plan.k0
+            )));
+        }
+        plan.drive(m, out, |row0, stripe| chain_columns(x, row0, &plan, stripe));
+        Ok(())
+    }
+
+    /// The chain's weights decoded for its row blocks.
+    fn plan(&self) -> Result<ChainPlan<'a>> {
+        if self.len == 0 {
+            return Err(TensorError::DimMismatch("narrow chain: no layers".into()));
+        }
         let mut plan = ChainPlan {
             len: self.len,
-            k0,
+            k0: 0,
             w0: [[0.0; NARROW_N]; KC],
             w: [[[0.0; NARROW_N]; NARROW_N]; CHAIN_MAX],
             scale: [None; CHAIN_MAX],
@@ -1220,27 +1265,43 @@ impl<'a> NarrowChain<'a> {
         for (s, stage) in self.stages[..self.len].iter().flatten().enumerate() {
             let (k, n) = stage.dims();
             plan.scale[s] = match s {
-                0 => stage.decode_into(&mut plan.w0[..k]),
+                0 => {
+                    plan.k0 = k;
+                    stage.decode_into(&mut plan.w0[..k])
+                }
                 _ => stage.decode_into(&mut plan.w[s][..k]),
             };
             (plan.n[s], plan.bias[s], plan.act[s]) = (n, stage.bias, stage.act);
         }
-        let n = plan.n[self.len - 1];
-        out.resize(&[m, n]);
-        let (a, c) = (x.data(), out.data_mut());
-        // Multiply-adds per row, the unit the shared heuristics count in.
-        let per_row = k0 * n0 + plan.n.windows(2).map(|w| w[0] * w[1]).sum::<usize>();
-        if par_worthwhile(m, 1, per_row) {
-            let rows = par_rows_per_block(m, 1, per_row).div_ceil(NARROW_MR) * NARROW_MR;
-            hpacml_par::par_chunks_mut(c, rows * n, |start, stripe| {
-                let row0 = start / n;
-                chain_rows(&a[row0 * k0..][..stripe.len() / n * k0], &plan, stripe);
-            });
-        } else {
-            chain_rows(a, &plan, c);
-        }
-        Ok(())
+        Ok(plan)
     }
+}
+
+/// A chain's `[m, k]` input read **in place** from application memory
+/// instead of from a gathered row-major tensor (the runtime's implicit
+/// gather: a surrogate region whose model starts with a [`NarrowChain`]
+/// feeds it straight from the application array, through the bridge's
+/// compiled plan). The rows come in *runs*: along one run every feature is
+/// contiguous, so feature `f` of the run's `r`-th row is
+/// `data()[base[f] + r]`, and each full 16-row block of a run is
+/// read as `k` contiguous lane vectors (a 5-point stencil's five slices of
+/// one grid row are five such columns).
+pub trait InputColumns: Sync {
+    /// The memory every feature is read from.
+    fn data(&self) -> &[f32];
+    /// `(m, k)`: rows and features per row.
+    fn dims(&self) -> (usize, usize);
+    /// Hand `f` the runs that cover rows `row0..row0 + rows`, in row order:
+    /// each as its features' offsets into [`InputColumns::data`] (written
+    /// into `base[..k]` and passed on as that slice) and its row count.
+    /// Every offset of a run with `len` rows is at most `data().len() - len`.
+    fn runs(
+        &self,
+        row0: usize,
+        rows: usize,
+        base: &mut [usize],
+        f: &mut dyn FnMut(&[usize], usize),
+    );
 }
 
 /// A [`NarrowChain`] with its weights decoded, as the row blocks read it.
@@ -1258,6 +1319,26 @@ struct ChainPlan<'a> {
     act: [Option<Act>; CHAIN_MAX],
 }
 
+impl ChainPlan<'_> {
+    /// Resize `out` to `[m, n]` of the last layer and run `stripe(row0, c)`
+    /// over it: whole, or split across the pool into stripes of a multiple
+    /// of [`NARROW_MR`] rows like a GEMM's (`row0` is the stripe's first row,
+    /// `c` its rows of `out`).
+    fn drive(&self, m: usize, out: &mut Tensor<f32>, stripe: impl Fn(usize, &mut [f32]) + Sync) {
+        let n = self.n[self.len - 1];
+        out.resize(&[m, n]);
+        let c = out.data_mut();
+        // Multiply-adds per row, the unit the shared heuristics count in.
+        let per_row = self.k0 * self.n[0] + self.n.windows(2).map(|w| w[0] * w[1]).sum::<usize>();
+        if par_worthwhile(m, 1, per_row) {
+            let rows = par_rows_per_block(m, 1, per_row).div_ceil(NARROW_MR) * NARROW_MR;
+            hpacml_par::par_chunks_mut(c, rows * n, |start, cs| stripe(start / n, cs));
+        } else {
+            stripe(0, c);
+        }
+    }
+}
+
 /// Run the chain over `a`'s rows (`rows × k0`, row-major) into `c`
 /// (`rows × n`): every full [`NARROW_MR`]-row block in place, then a ragged
 /// tail through a zero-padded block (padding rows are computed and dropped;
@@ -1268,15 +1349,113 @@ fn chain_rows(a: &[f32], plan: &ChainPlan<'_>, c: &mut [f32]) {
     let a_tail = a_blocks.remainder();
     let mut c_blocks = c.chunks_exact_mut(NARROW_MR * n);
     for (ab, cb) in a_blocks.zip(&mut c_blocks) {
-        chain_block(ab, plan, cb);
+        chain_block(RowBlock(ab), plan, cb);
     }
     let c_tail = c_blocks.into_remainder();
     if !c_tail.is_empty() {
         let mut ab = [0.0f32; NARROW_MR * KC];
-        let mut cb = [0.0f32; NARROW_MR * NARROW_N];
         ab[..a_tail.len()].copy_from_slice(a_tail);
-        chain_block(&ab[..NARROW_MR * k0], plan, &mut cb[..NARROW_MR * n]);
-        c_tail.copy_from_slice(&cb[..c_tail.len()]);
+        chain_padded(&ab[..NARROW_MR * k0], plan, c_tail);
+    }
+}
+
+/// Run the chain over rows `row0..` of an in-place input into `c` (one row
+/// of `n` outputs each), run by run: every full [`NARROW_MR`]-row block of
+/// a run reads its `k0` columns where they lie; the rows of a block that
+/// would cross into the next run (another outer position of the walk),
+/// and the ragged tail, are copied into a zero-padded row-major block, as
+/// [`chain_rows`] does for its tail.
+fn chain_columns(x: &dyn InputColumns, row0: usize, plan: &ChainPlan<'_>, c: &mut [f32]) {
+    const NONE: &Lanes = &[0.0; NARROW_MR];
+    let (k0, n) = (plan.k0, plan.n[plan.len - 1]);
+    let data = x.data();
+    let mut base = [0usize; KC];
+    let mut cols: [&Lanes; KC] = [NONE; KC];
+    // The padded block: `fill` rows of `k0` features gathered so far.
+    let mut pad = [0.0f32; NARROW_MR * KC];
+    let mut fill = 0usize;
+    let rows = c.len() / n;
+    let mut blocks = c.chunks_exact_mut(NARROW_MR * n);
+    x.runs(row0, rows, &mut base[..k0], &mut |base, len| {
+        let mut p = 0;
+        while p < len {
+            if fill == 0 && len - p >= NARROW_MR {
+                for (col, &b) in cols.iter_mut().zip(base) {
+                    *col = data[b + p..][..NARROW_MR].try_into().expect("16 lanes");
+                }
+                let cb = blocks.next().expect("a block of output rows");
+                chain_block(ColumnBlock(&cols[..k0]), plan, cb);
+                p += NARROW_MR;
+                continue;
+            }
+            let take = (NARROW_MR - fill).min(len - p);
+            for (f, &b) in base.iter().enumerate() {
+                for (r, &v) in data[b + p..][..take].iter().enumerate() {
+                    pad[(fill + r) * k0 + f] = v;
+                }
+            }
+            (fill, p) = (fill + take, p + take);
+            if fill == NARROW_MR {
+                let cb = blocks.next().expect("a block of output rows");
+                chain_block(RowBlock(&pad[..NARROW_MR * k0]), plan, cb);
+                fill = 0;
+            }
+        }
+    });
+    let c_tail = blocks.into_remainder();
+    if !c_tail.is_empty() {
+        pad[fill * k0..NARROW_MR * k0].fill(0.0);
+        chain_padded(&pad[..NARROW_MR * k0], plan, c_tail);
+    }
+}
+
+/// The ragged tail of a stripe: the zero-padded row-major block `ab`
+/// through the chain, its first `c.len() / n` rows kept.
+fn chain_padded(ab: &[f32], plan: &ChainPlan<'_>, c: &mut [f32]) {
+    let mut cb = [0.0f32; NARROW_MR * NARROW_N];
+    let n = plan.n[plan.len - 1];
+    chain_block(RowBlock(ab), plan, &mut cb[..NARROW_MR * n]);
+    c.copy_from_slice(&cb[..c.len()]);
+}
+
+/// How the chain's first layer reads one block's inputs: feature `kk` of
+/// the block's [`NARROW_MR`] rows as one lane vector. The layer has one
+/// body for every input form; each form only says how its lanes load.
+trait BlockInputs: Copy {
+    /// The block's features `0..k`, cut to exactly `k` before the `k` loop
+    /// starts (so the loop has no panicking edge), as a lane loader.
+    fn features(self, k: usize) -> impl Fn(usize) -> Lanes;
+}
+
+/// `NARROW_MR` rows of `k` features, row-major (a gathered tensor, or a
+/// padded block): feature `kk` is a stride-`k` gather of the rows.
+#[derive(Clone, Copy)]
+struct RowBlock<'a>(&'a [f32]);
+
+impl BlockInputs for RowBlock<'_> {
+    #[inline(always)]
+    fn features(self, k: usize) -> impl Fn(usize) -> Lanes {
+        // A plain loop, not `array::from_fn`: left outlined, that call hid
+        // the rows' lengths from the `k` loop, which then bounds-checked
+        // every load.
+        let mut rows = [&self.0[..0]; NARROW_MR];
+        for (i, row) in rows.iter_mut().enumerate() {
+            *row = &self.0[i * k..][..k];
+        }
+        move |kk| std::array::from_fn(|r| rows[r][kk])
+    }
+}
+
+/// `k` features of `NARROW_MR` rows, each contiguous where it lies (an
+/// application array read in place): feature `kk` is one vector load.
+#[derive(Clone, Copy)]
+struct ColumnBlock<'a>(&'a [&'a Lanes]);
+
+impl BlockInputs for ColumnBlock<'_> {
+    #[inline(always)]
+    fn features(self, k: usize) -> impl Fn(usize) -> Lanes {
+        let cols = &self.0[..k];
+        move |kk| *cols[kk]
     }
 }
 
@@ -1297,9 +1476,10 @@ macro_rules! by_width {
     };
 }
 
-/// One [`NARROW_MR`]-row block through every layer of the chain: `a` is the
-/// block's `NARROW_MR × k0` inputs, `c` its `NARROW_MR × n` outputs.
-fn chain_block(a: &[f32], plan: &ChainPlan<'_>, c: &mut [f32]) {
+/// One [`NARROW_MR`]-row block through every layer of the chain: `a` holds
+/// the block's `NARROW_MR × k0` inputs, `c` receives its `NARROW_MR × n`
+/// outputs.
+fn chain_block(a: impl BlockInputs, plan: &ChainPlan<'_>, c: &mut [f32]) {
     let w0 = &plan.w0[..plan.k0];
     let epi = |s: usize| Epilogue::row_bias(plan.bias[s]).with_act(plan.act[s]);
     let scale = |s: usize| plan.scale[s].as_ref();
@@ -1331,29 +1511,28 @@ fn chain_block(a: &[f32], plan: &ChainPlan<'_>, c: &mut [f32]) {
     }
 }
 
-/// The chain's first layer on one block: `N` features of the
-/// `NARROW_MR × k` row-major inputs `a` against the `k` decoded weight rows
-/// `w` (finished with `scale` when the layer's codec has one), into `h[..N]`.
+/// The chain's first layer on one block: `N` features of the block's
+/// inputs `a` (row-major rows or in-place columns: [`BlockInputs`]) against
+/// the `k` decoded weight rows `w` (finished with `scale` when the layer's
+/// codec has one), into `h[..N]`.
 ///
 /// The *Register tiles* rules, transposed: each `k` step reads the block's
-/// column `kk` into one row-lanes vector, and the loop over the
+/// feature `kk` into one row-lanes vector, and the loop over the
 /// accumulators' contiguous axis — the rows — is outermost, so it
 /// vectorizes and the `N` features unroll inside it; every view is cut to
 /// exactly `k` before the loop; the tile is finished as a copy.
 #[inline(never)]
 fn first_layer<const N: usize>(
-    a: &[f32],
+    a: impl BlockInputs,
     w: &[WeightRow],
     scale: Option<&WeightRow>,
     epi: &Epilogue<'_, f32>,
     h: &mut Hidden,
 ) {
-    let k = w.len();
-    let rows: [&[f32]; NARROW_MR] = std::array::from_fn(|i| &a[i * k..][..k]);
+    let lanes = a.features(w.len());
     let mut acc = [[0.0f32; NARROW_MR]; N];
     for (kk, wrow) in w.iter().enumerate() {
-        let av: Lanes = std::array::from_fn(|r| rows[r][kk]);
-        rank1(&mut acc, &av, wrow);
+        rank1(&mut acc, &lanes(kk), wrow);
     }
     finish_into(acc, scale, epi, h);
 }

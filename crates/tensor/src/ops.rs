@@ -15,6 +15,7 @@ use crate::gemm::{self, Act, Epilogue, PackedB, WithScratch, NR};
 use crate::scalar::Scalar;
 use crate::tensor::Tensor;
 use crate::{Result, TensorError};
+use std::sync::OnceLock;
 
 // Parallelism threshold shared with the GEMM subsystem: below this many
 // multiply-adds, kernels run inline.
@@ -627,8 +628,10 @@ pub fn conv2d_backward<T: Scalar>(
     let id = input.data();
     let dd = dout.data();
 
-    use parking_lot::Mutex;
-    let acc: Mutex<(Vec<T>, Vec<T>)> = Mutex::new((vec![T::ZERO; f * ckk], vec![T::ZERO; f]));
+    // Each sample's dW/db partials, kept apart and summed in sample order
+    // below: the order in which the pool's participants finish must not
+    // reach the bits.
+    let partials: Vec<OnceLock<(Vec<T>, Vec<T>)>> = (0..n).map(|_| OnceLock::new()).collect();
 
     hpacml_par::par_chunks_mut(dinput.data_mut(), in_sample, |start, din_n| {
         let sample = start / in_sample;
@@ -675,16 +678,18 @@ pub fn conv2d_backward<T: Scalar>(
         }
         col2im(&col, c, h, w, g, din_n);
 
-        let mut guard = acc.lock();
-        for (a, b) in guard.0.iter_mut().zip(&dw_loc) {
-            *a += *b;
-        }
-        for (a, b) in guard.1.iter_mut().zip(&db_loc) {
-            *a += *b;
-        }
+        let _ = partials[sample].set((dw_loc, db_loc));
     });
 
-    let (dw, db) = acc.into_inner();
+    let (mut dw, mut db) = (vec![T::ZERO; f * ckk], vec![T::ZERO; f]);
+    for (dw_loc, db_loc) in partials.iter().filter_map(OnceLock::get) {
+        for (a, b) in dw.iter_mut().zip(dw_loc) {
+            *a += *b;
+        }
+        for (a, b) in db.iter_mut().zip(db_loc) {
+            *a += *b;
+        }
+    }
     let dweight = Tensor::from_vec(dw, [f, c, kh, kw])?;
     Ok((dinput, dweight, db))
 }
