@@ -547,3 +547,112 @@ fn in_place_against_gather_same_process() {
         p50(&mut b_ns)
     );
 }
+
+/// The stencil surrogate's arithmetic written out by hand for the 258²
+/// grid: each 16-point block of a grid row loads its five input slices
+/// where they lie, runs `5→8` + ReLU and `8→1` in registers — the same
+/// per-element chains as the model (`acc = 0`, `acc + a*w` in ascending
+/// `k`, then bias, then activation) — and stores straight into `tnew`.
+/// `w0` is the first layer's `[8, 5]` weights, `w1` the second's `[1, 8]`.
+fn straight_line_stencil(
+    grid: usize,
+    (w0, b0, w1, b1): (&[f32], &[f32], &[f32], f32),
+    t: &[f32],
+    tnew: &mut [f32],
+) {
+    const L: usize = 16;
+    let w0: [[f32; 5]; 8] = std::array::from_fn(|f| w0[f * 5..][..5].try_into().unwrap());
+    let b0: [f32; 8] = b0.try_into().unwrap();
+    let w1: [f32; 8] = w1.try_into().unwrap();
+    for i in 1..grid - 1 {
+        let row = |di: usize, dj: usize| &t[(i + di - 1) * grid + dj..][..grid - 2];
+        let xs = [row(0, 1), row(2, 1), row(1, 0), row(1, 1), row(1, 2)];
+        let out = &mut tnew[i * grid + 1..][..grid - 2];
+        for (b, ob) in out.chunks_exact_mut(L).enumerate() {
+            let x: [&[f32; L]; 5] =
+                std::array::from_fn(|kk| xs[kk][b * L..][..L].try_into().unwrap());
+            let mut y = [0.0f32; L];
+            for f in 0..8 {
+                let mut acc = [0.0f32; L];
+                for kk in 0..5 {
+                    for r in 0..L {
+                        acc[r] += x[kk][r] * w0[f][kk];
+                    }
+                }
+                for r in 0..L {
+                    y[r] += (acc[r] + b0[f]).max(0.0) * w1[f];
+                }
+            }
+            for r in 0..L {
+                ob[r] = y[r] + b1;
+            }
+        }
+    }
+}
+
+/// The session's in-place stencil op (input read in place, chain, scatter
+/// into `tnew`) against [`straight_line_stencil`], alternating in one
+/// process on one thread: the bits must match on every call; each of six
+/// runs prints the op's p50, the chain's alone (`inference_ns`), the
+/// kernel's, and the op's ratio to the kernel.
+#[test]
+fn chain_against_straight_line_same_process() {
+    const GRID: usize = 258;
+    let (runs, calls) = if cfg!(debug_assertions) {
+        (1, 2)
+    } else {
+        (6, 300)
+    };
+    let dir = tmpdir("straight");
+    let model = dir.join("m.hml");
+    let spec = ModelSpec::mlp(5, &[8], 1, Activation::ReLU, 0.0);
+    let built = spec.build(12).unwrap();
+    save_model(&model, &spec, &built, None, None).unwrap();
+    let weights = built.export_weights();
+    let (w0, b0, w1, b1) = (&weights[0], &weights[1], &weights[2], weights[3][0]);
+    let region = Region::from_source("straight", &stencil_source(FIG2, 1, &model)).unwrap();
+    let grid = [GRID, GRID];
+    let session = region
+        .session(&binds(GRID, GRID), &[("t", &grid), ("tnew", &grid)], 1)
+        .unwrap();
+    let t = Rng(12).values(GRID * GRID);
+    let (mut served, mut kernel) = (vec![0.0f32; GRID * GRID], vec![0.0f32; GRID * GRID]);
+    let p50 = |v: &mut Vec<u64>| {
+        v.sort_unstable();
+        v[v.len() / 2] as f64 / 1e3
+    };
+    with_pool(&Pool::new(0), || {
+        // The first invocation loads the model, and gathers.
+        serve(&region, &session, 1, &t, &served);
+        for run in 0..runs {
+            let (mut op_ns, mut chain_ns, mut kernel_ns) = (Vec::new(), Vec::new(), Vec::new());
+            for _ in 0..calls {
+                region.reset_stats();
+                let start = Instant::now();
+                let mut outcome = session
+                    .invoke()
+                    .input("t", &t)
+                    .unwrap()
+                    .run(|| panic!("the host code ran on an infer-mode region"))
+                    .unwrap();
+                outcome.output("tnew", &mut served).unwrap();
+                outcome.finish().unwrap();
+                op_ns.push(start.elapsed().as_nanos() as u64);
+                let stats = region.stats();
+                assert_eq!(stats.to_tensor_ns, 0, "the input is read in place");
+                chain_ns.push(stats.inference_ns);
+
+                let start = Instant::now();
+                straight_line_stencil(GRID, (w0, b0, w1, b1), &t, &mut kernel);
+                kernel_ns.push(start.elapsed().as_nanos() as u64);
+                assert!(same_bits(&served, &kernel));
+            }
+            let (op, chain, kernel) = (p50(&mut op_ns), p50(&mut chain_ns), p50(&mut kernel_ns));
+            println!(
+                "run {run}: stencil 258² · 5-8-1, 1 thread, p50 of {calls}: session op {op:.1} us \
+                 (chain {chain:.1} us), straight-line kernel {kernel:.1} us, ratio {:.2}",
+                op / kernel
+            );
+        }
+    });
+}

@@ -94,49 +94,81 @@
 //! back. [`NarrowChain`] runs a run of them **depth-first** instead: two or
 //! more consecutive compiled `Linear` layers, each with `1 ≤ n ≤ NARROW_N`
 //! outputs, the first with `1 ≤ k ≤ KC` inputs (so every layer is one
-//! panel and one slab), at most eight at a time. Each `NARROW_MR`-row
-//! block reads its inputs once, runs every layer on a register tile with
-//! the rows on the SIMD lanes (`acc[j][r]`, the weights broadcast, decoded
-//! once per call through each layer's own codec), passes each finished
-//! tile to the next layer through L1 (512 bytes), and writes only the last
-//! layer's output. The rule is a pure function of the
-//! layer widths (`nn`'s forward applies it; a single narrow layer keeps
-//! the tiles above); each element still runs its layer's chain — `acc = 0`,
-//! `acc + a*w` in ascending `k`, then the codec's finish (int8: `× scale`),
-//! then bias, then activation — so the bits
-//! are those of the layers run one by one, at every precision, row count
-//! and pool width. Same process, 1 thread, 2-vCPU AVX-512 KVM guest, p50 of
-//! 300 alternating calls, output bits identical: `[65536,5]` · 5→8 + ReLU
-//! → 8→1, layer by layer 493–624 µs, chained 303–404 µs (six runs; the
-//! test `chain_against_layer_by_layer_same_process` in `nn` prints them).
-//! A prototype that only row-blocked the two GEMMs, without fusing them,
-//! moved the same shape by 0–5 % at any block size from 64 to 4 096 rows:
-//! the per-layer tiles are the cost, not the activation traffic.
+//! panel and one slab), at most eight at a time. A run of `NARROW_MR`-row
+//! blocks goes through every layer in one loop, the rows on the SIMD lanes
+//! and the weights broadcast (decoded once per call through each layer's
+//! own codec), and only the last layer's output is written. Per block:
 //!
-//! A chain's first layer has one body for every form its input comes in;
-//! the form only says how one feature of a block's 16 rows loads into a
-//! lane vector. From a row-major `[m, k]` tensor it is a stride-`k` gather
-//! of the 16 rows. From application memory read in place
-//! ([`InputColumns`], the runtime's *implicit gather*) each feature of a
-//! block is 16 contiguous floats where they lie — a stencil's five slices
-//! of one grid row are five such columns — so the bridge never writes the
-//! `[m, k]` tensor and the layer loads each feature with one vector load.
-//! Rows of a block that would cross from one run of columns into the next,
-//! and a ragged tail, go through a zero-padded row-major block, as the
-//! tensor form's tail does. Same process, 1 thread, 2-vCPU AVX-512 KVM
-//! guest, p50 of 300 alternating calls, output bits identical: the 258²
-//! 5-point stencil through 5→8 + ReLU → 8→1, bridge gather + chain 777–842
-//! µs, chain on the grid's columns 506–585 µs (six runs; the test
-//! `in_place_against_gather_same_process` in `core` prints them).
+//! * the first layer's features run as one group of 8 with all eight
+//!   chains in registers over the block's inputs, or, for a narrower
+//!   first layer, one feature at a time (a group per width 4, 2 and 1 as
+//!   well cost ~100 KB more code and did not move the stencil);
+//! * each first-layer feature is **finished as the second layer loads it**
+//!   — the codec's scale, the bias, the activation, on that one lane
+//!   vector — and enters the second layer's rank-1 step at once, so the
+//!   hidden activation never leaves registers;
+//! * the last layer is finished and stored once, straight into the output;
+//! * a third or later layer reads its predecessor's unfinished
+//!   accumulators from a 512-byte tile and finishes each as it loads it.
+//!
+//! Every activation is matched outside the loops: the body is compiled per
+//! second-layer width and first-layer activation (32 bodies, chosen once
+//! per call), a group's scale once per group, the last layer's activation
+//! once per block. The rule is a pure function of the layer widths (`nn`'s
+//! forward applies it; a single narrow layer keeps the tiles above); each
+//! element still runs its layer's chain — `acc = 0`, `acc + a*w` in
+//! ascending `k`, then the codec's finish (int8: `× scale`), then bias,
+//! then activation — so the bits are those of the layers run one by one,
+//! at every precision, row count and pool width. Same process, 1 thread,
+//! 2-vCPU AVX-512 KVM guest, p50 of 300 alternating calls, output bits
+//! identical: `[65536,5]` · 5→8 + ReLU → 8→1, layer by layer 692–832 µs,
+//! chained 477–676 µs (three runs, on a busier host than the older figures
+//! in this section; the test `chain_against_layer_by_layer_same_process` in
+//! `nn` prints them). From a row-major tensor the chain pays a transposition
+//! of every block's inputs into lanes, which the in-place form does not.
+//!
+//! The chain has one body for every form its input comes in: each block's
+//! `k` input features are `k` lane vectors where they lie. From application
+//! memory read in place ([`InputColumns`], the runtime's *implicit gather*)
+//! each feature of a block is 16 contiguous floats — a stencil's five
+//! slices of one grid row are five such columns — so the bridge never
+//! writes the `[m, k]` tensor. A row-major `[m, k]` tensor is laid out
+//! feature by feature in a stack tile a strip of rows at a time. Rows of a
+//! block that would cross from one run of columns into the next, and a
+//! ragged tail, are copied feature by feature into a zero-padded block.
+//! Same process, 1 thread, 2-vCPU AVX-512 KVM guest, p50 of 300 alternating
+//! calls, output bits identical, the 258² 5-point stencil through 5→8 +
+//! ReLU → 8→1: the chain on the grid's columns 252–380 µs (six runs; the
+//! test `in_place_against_gather_same_process` in `core` prints it beside
+//! bridge gather + chain); the session's whole op 200–354 µs against
+//! 141–204 µs for the same arithmetic written out by hand as one
+//! straight-line kernel that stores into the grid, 1.41–1.73× (six runs;
+//! the test `chain_against_straight_line_same_process` in `core`). The body before
+//! this one, layer by layer per block with each layer's tile finished into
+//! a hand-off tile feature by feature through a per-feature activation
+//! match, ran that op at 2.7–3.4× the kernel in the same test.
 //!
 //! The chain keeps the *Register tiles* rules below, transposed: the
 //! accumulators' contiguous axis is the rows, so the row loop is outermost
-//! in each `k` step (it vectorizes; the features unroll inside it), the
-//! block's rows are cut to exactly `k` before the loop, and every layer is
-//! finished as a copy — one feature at a time, because finishing the
-//! `N`-feature tile whole vectorized across the features, through gathers
-//! and scatters. With the rows inner instead, the `k` loop stayed scalar
-//! with every accumulator in memory, 3× slower than the per-layer GEMMs.
+//! in each `k` step (it vectorizes; the features unroll inside it) and the
+//! block's inputs are cut to exactly `k` before the loop. After the loop a
+//! group's features are finished one lane vector at a time, each a copy,
+//! with every per-feature operand (scale, bias, weight row) cut to the
+//! group's width first, so the feature loop has no branch and no panicking
+//! edge. With the rows inner instead, the `k` loop stayed scalar with every
+//! accumulator in memory, 3× slower than the per-layer GEMMs.
+//!
+//! Tried and measured on the same stencil, and not kept (ratio to the
+//! straight-line kernel): `#[inline(always)]` on the old per-layer
+//! functions, ~2.6×; sweeping each layer over a strip of 16 blocks, ~2.5×;
+//! thread-local hand-off tiles, slower; finishing a layer's whole `N`-
+//! feature tile at once, 1.7× slower than finishing it feature by feature
+//! (it vectorized across the features, through gathers); a ReLU/row-bias
+//! fast path inside the old per-feature finish, 1.2× slower; the first
+//! layer one feature at a time (its `k` chain alone, then straight into the
+//! second layer), ~2.1×, since every feature re-read the block's inputs
+//! and the feature loop kept its scale branch; a group's features finished
+//! through a hand-unrolled closure per feature, ~4×.
 //!
 //! # Batch-1 rows
 //!
@@ -1088,8 +1120,9 @@ type WeightRow = [f32; NARROW_N];
 /// One feature of a [`NARROW_MR`]-row block, the rows on the lanes.
 type Lanes = [f32; NARROW_MR];
 
-/// A chain layer's activations for one row block: `h[j][r]` is feature `j`
-/// of row `r` (features past the layer's `n` are unused).
+/// A third or later chain layer's hand-off tile for one row block: `h[j][r]`
+/// is the unfinished chain of feature `j`, row `r` (features past the
+/// layer's `n` are unused).
 type Hidden = [Lanes; NARROW_N];
 
 /// The stored weights of one chain layer, at the precision it serves.
@@ -1161,23 +1194,24 @@ pub(crate) fn decode_rows<T: Scalar, C: PanelCodec<T>>(
     C::SCALED.then(|| std::array::from_fn(|j| scales[j]))
 }
 
-/// A run of consecutive narrow `Linear` layers served **depth-first**: each
-/// 16-row block of the input is read once, each layer of the
-/// block accumulates in registers (rows on the SIMD lanes, weights
-/// broadcast) and hands the next one its finished tile — eight 16-lane
-/// vectors, 512 bytes that never leave L1 — and only the last layer's
-/// output is written, instead of one GEMM per layer, each writing and
-/// re-reading its whole activation (module docs, *Skinny shapes*).
+/// A run of consecutive narrow `Linear` layers served **depth-first**: a run
+/// of 16-row blocks of the input goes through every layer in one loop, the
+/// rows on the SIMD lanes and the weights broadcast. Each layer's features
+/// are finished (scale, bias, activation) as the next layer loads them, so
+/// the first two layers' activations never leave registers, and only the
+/// last layer's output is written, instead of one GEMM per layer, each
+/// writing and re-reading its whole activation (module docs, *Skinny
+/// shapes*).
 ///
 /// A layer joins ([`NarrowChain::push`]) when it has `1 ≤ n ≤ 8` outputs,
 /// one bias per output, and reads the previous layer's `n` (the first:
 /// `1 ≤ k ≤ 256` inputs, one cache slab), up to eight layers; anything else
-/// ends the chain. Every output element keeps the per-layer chain — `acc = 0`,
-/// `acc + a*w` in ascending `k` (mul, then add), then the codec's scale
-/// (int8), then bias, then activation, through the shared epilogue — on the
-/// weights the layer's codec decodes, so the result is bit-identical to
-/// running the layers one by one, at every precision, row count and pool
-/// width.
+/// ends the chain; a chain runs two or more. Every output element keeps the
+/// per-layer chain — `acc = 0`, `acc + a*w` in ascending `k` (mul, then
+/// add), then the codec's scale (int8), then bias, then activation, the
+/// epilogue's formulas — on the weights the layer's codec decodes, so the
+/// result is bit-identical to running the layers one by one, at every
+/// precision, row count and pool width.
 pub struct NarrowChain<'a> {
     stages: [Option<NarrowStage<'a>>; CHAIN_MAX],
     len: usize,
@@ -1247,31 +1281,50 @@ impl<'a> NarrowChain<'a> {
         Ok(())
     }
 
-    /// The chain's weights decoded for its row blocks.
-    fn plan(&self) -> Result<ChainPlan<'a>> {
-        if self.len == 0 {
-            return Err(TensorError::DimMismatch("narrow chain: no layers".into()));
+    /// The chain's weights decoded and its bodies chosen, for its row blocks.
+    fn plan(&self) -> Result<ChainPlan> {
+        if self.len < 2 {
+            return Err(TensorError::DimMismatch(
+                "narrow chain: a chain runs two or more layers".into(),
+            ));
         }
+        let unset = Finish {
+            scale: None,
+            bias: [0.0; NARROW_N],
+            act: None,
+        };
         let mut plan = ChainPlan {
             len: self.len,
             k0: 0,
+            n: [0; CHAIN_MAX],
             w0: [[0.0; NARROW_N]; KC],
             w: [[[0.0; NARROW_N]; NARROW_N]; CHAIN_MAX],
-            scale: [None; CHAIN_MAX],
-            n: [0; CHAIN_MAX],
-            bias: [&[]; CHAIN_MAX],
-            act: [None; CHAIN_MAX],
+            fin: [unset; CHAIN_MAX],
+            run: RUNS[0][0],
+            tail: [TAILS[0][0]; CHAIN_MAX],
         };
         for (s, stage) in self.stages[..self.len].iter().flatten().enumerate() {
             let (k, n) = stage.dims();
-            plan.scale[s] = match s {
+            let scale = match s {
                 0 => {
                     plan.k0 = k;
                     stage.decode_into(&mut plan.w0[..k])
                 }
                 _ => stage.decode_into(&mut plan.w[s][..k]),
             };
-            (plan.n[s], plan.bias[s], plan.act[s]) = (n, stage.bias, stage.act);
+            let mut bias = [0.0; NARROW_N];
+            bias[..n].copy_from_slice(stage.bias);
+            plan.n[s] = n;
+            plan.fin[s] = Finish {
+                scale,
+                bias,
+                act: stage.act,
+            };
+            match s {
+                0 => {}
+                1 => plan.run = RUNS[act_code(plan.fin[0].act)][n - 1],
+                _ => plan.tail[s] = TAILS[act_code(plan.fin[s - 1].act)][n - 1],
+            }
         }
         Ok(plan)
     }
@@ -1304,22 +1357,139 @@ pub trait InputColumns: Sync {
     );
 }
 
-/// A [`NarrowChain`] with its weights decoded, as the row blocks read it.
-struct ChainPlan<'a> {
+/// How one chain layer's chains become its outputs after their last `k`,
+/// feature `j` by feature `j`: the codec's scale (int8), the bias, then the
+/// activation — a row bias of a 1-row tile, as in [`column_tile`].
+#[derive(Clone, Copy)]
+struct Finish {
+    scale: Option<WeightRow>,
+    bias: WeightRow,
+    act: Option<Act>,
+}
+
+impl Finish {
+    /// Feature `j`'s lanes finished in place: `× scale[j]` (if the codec
+    /// scales), `+ bias[j]`, then the activation with code `A`
+    /// ([`act_of`]), which the caller fixed outside its loops.
+    #[inline(always)]
+    fn apply<const A: usize>(&self, j: usize, v: &mut Lanes) {
+        if let Some(scale) = &self.scale {
+            // A scaled codec's `PanelCodec::finish`: `acc * scale`.
+            let s = scale[j];
+            for x in v.iter_mut() {
+                *x *= s;
+            }
+        }
+        let b = self.bias[j];
+        for x in v.iter_mut() {
+            *x += b;
+        }
+        fixed_act::<A>(v);
+    }
+}
+
+/// The activation with code `A` ([`act_of`]) on every lane of `v`.
+#[inline(always)]
+fn fixed_act<const A: usize>(v: &mut Lanes) {
+    match const { act_of(A) } {
+        None => {}
+        Some(Act::Sigmoid) => sigmoid_lanes(v),
+        Some(act) => {
+            for x in v.iter_mut() {
+                *x = act.apply(*x);
+            }
+        }
+    }
+}
+
+/// [`Act::Sigmoid`] on every lane of `v`. Its `exp` is a libm call per lane,
+/// so inlining it buys nothing; out of line, the 32 chain bodies do not
+/// each carry sixteen calls per feature.
+#[inline(never)]
+fn sigmoid_lanes(v: &mut Lanes) {
+    for x in v.iter_mut() {
+        *x = Act::Sigmoid.apply(*x);
+    }
+}
+
+/// The activations a chain body is compiled for, by code: `0` none, then
+/// ReLU, Tanh, Sigmoid.
+const fn act_of(code: usize) -> Option<Act> {
+    match code {
+        0 => None,
+        1 => Some(Act::Relu),
+        2 => Some(Act::Tanh),
+        _ => Some(Act::Sigmoid),
+    }
+}
+
+/// The code [`act_of`] maps back to `act`.
+const fn act_code(act: Option<Act>) -> usize {
+    match act {
+        None => 0,
+        Some(Act::Relu) => 1,
+        Some(Act::Tanh) => 2,
+        Some(Act::Sigmoid) => 3,
+    }
+}
+
+/// A chain body for a run of full row blocks (see [`chain_run`]).
+type RunFn = fn(&ChainPlan, &[f32], &[usize], &mut [f32]);
+
+/// A third or later layer on one block (see [`tail_layer`]).
+type TailFn = fn(&[Lanes], &[WeightRow; NARROW_N], &Finish, &mut Hidden);
+
+/// `[[$f::<1, 0>, …, $f::<NARROW_N, 0>], …, [… $f::<NARROW_N, 3>]]`: the body
+/// `$f` compiled for every width and activation code.
+macro_rules! by_width_and_act {
+    ($f:ident) => {
+        [
+            by_width_and_act!(@widths $f, 0),
+            by_width_and_act!(@widths $f, 1),
+            by_width_and_act!(@widths $f, 2),
+            by_width_and_act!(@widths $f, 3),
+        ]
+    };
+    (@widths $f:ident, $a:literal) => {
+        [
+            $f::<1, $a>,
+            $f::<2, $a>,
+            $f::<3, $a>,
+            $f::<4, $a>,
+            $f::<5, $a>,
+            $f::<6, $a>,
+            $f::<7, $a>,
+            $f::<8, $a>,
+        ]
+    };
+}
+
+/// [`chain_run`] by the second layer's width and the first layer's activation.
+const RUNS: [[RunFn; NARROW_N]; 4] = by_width_and_act!(chain_run);
+
+/// [`tail_layer`] by its layer's width and the previous layer's activation.
+const TAILS: [[TailFn; NARROW_N]; 4] = by_width_and_act!(tail_layer);
+
+/// A [`NarrowChain`] with its weights decoded and its bodies chosen, as the
+/// row blocks read it.
+struct ChainPlan {
     len: usize,
     k0: usize,
+    n: [usize; CHAIN_MAX],
     /// The first layer's `k0` weight rows.
     w0: [WeightRow; KC],
     /// Layer `s ≥ 1`'s weight rows (`w[s][..k]`, `k` = layer `s - 1`'s `n`).
     w: [[WeightRow; NARROW_N]; CHAIN_MAX],
-    /// Layer `s`'s per-feature finishing scales, if its codec has them.
-    scale: [Option<WeightRow>; CHAIN_MAX],
-    n: [usize; CHAIN_MAX],
-    bias: [&'a [f32]; CHAIN_MAX],
-    act: [Option<Act>; CHAIN_MAX],
+    fin: [Finish; CHAIN_MAX],
+    /// The body for this chain's second-layer width and first-layer
+    /// activation.
+    run: RunFn,
+    /// `tail[s]` (`s ≥ 2`): layer `s`'s body, for its width and layer
+    /// `s - 1`'s activation.
+    tail: [TailFn; CHAIN_MAX],
 }
 
-impl ChainPlan<'_> {
+impl ChainPlan {
     /// Resize `out` to `[m, n]` of the last layer and run `stripe(row0, c)`
     /// over it: whole, or split across the pool into stripes of a multiple
     /// of [`NARROW_MR`] rows like a GEMM's (`row0` is the stripe's first row,
@@ -1337,25 +1507,61 @@ impl ChainPlan<'_> {
             stripe(0, c);
         }
     }
+
+    /// Run the chain over row blocks laid out feature by feature — feature
+    /// `kk` of row `r` is `data[base[kk] + r]` — into `c` (one row of `n`
+    /// outputs each): the full [`NARROW_MR`]-row blocks straight into `c`,
+    /// a ragged last block (whose lanes past `c`'s rows must be readable;
+    /// they are computed and dropped, and rows never mix) through a
+    /// scratch block.
+    fn blocks(&self, data: &[f32], base: &[usize], c: &mut [f32]) {
+        let n = self.n[self.len - 1];
+        let full = c.len() / (NARROW_MR * n) * (NARROW_MR * n);
+        let (c, tail) = c.split_at_mut(full);
+        (self.run)(self, data, base, c);
+        if !tail.is_empty() {
+            let mut at = [0usize; KC];
+            for (a, &b) in at.iter_mut().zip(base) {
+                *a = b + full / n;
+            }
+            let mut cb = [0.0f32; NARROW_MR * NARROW_N];
+            (self.run)(self, data, &at[..base.len()], &mut cb[..NARROW_MR * n]);
+            tail.copy_from_slice(&cb[..tail.len()]);
+        }
+    }
 }
 
 /// Run the chain over `a`'s rows (`rows × k0`, row-major) into `c`
-/// (`rows × n`): every full [`NARROW_MR`]-row block in place, then a ragged
-/// tail through a zero-padded block (padding rows are computed and dropped;
-/// rows never mix, so they cannot change a bit of the real ones).
-fn chain_rows(a: &[f32], plan: &ChainPlan<'_>, c: &mut [f32]) {
+/// (`rows × n`), a strip at a time: each block of a strip's rows is laid out
+/// feature by feature in a stack tile — feature `kk` of its 16 rows
+/// gathered into one lane vector, zero past the last row — and the strip
+/// runs as [`ChainPlan::blocks`].
+fn chain_rows(a: &[f32], plan: &ChainPlan, c: &mut [f32]) {
+    const ZEROS: &[f32] = &[0.0; KC];
     let (k0, n) = (plan.k0, plan.n[plan.len - 1]);
-    let a_blocks = a.chunks_exact(NARROW_MR * k0);
-    let a_tail = a_blocks.remainder();
-    let mut c_blocks = c.chunks_exact_mut(NARROW_MR * n);
-    for (ab, cb) in a_blocks.zip(&mut c_blocks) {
-        chain_block(RowBlock(ab), plan, cb);
+    // Rows per strip: whole blocks, as many as `KC` lane vectors hold.
+    let strip = KC / k0 * NARROW_MR;
+    let mut tile = [0.0f32; NARROW_MR * KC];
+    let mut base = [0usize; KC];
+    for (kk, b) in base[..k0].iter_mut().enumerate() {
+        *b = kk * strip;
     }
-    let c_tail = c_blocks.into_remainder();
-    if !c_tail.is_empty() {
-        let mut ab = [0.0f32; NARROW_MR * KC];
-        ab[..a_tail.len()].copy_from_slice(a_tail);
-        chain_padded(&ab[..NARROW_MR * k0], plan, c_tail);
+    for (ab, cs) in a.chunks(strip * k0).zip(c.chunks_mut(strip * n)) {
+        for (blk, block) in ab.chunks(NARROW_MR * k0).enumerate() {
+            // Each row cut to exactly `k0` first, so the gathers below
+            // index nothing unchecked in the loop.
+            let mut rows = [&ZEROS[..k0]; NARROW_MR];
+            for (row, src) in rows.iter_mut().zip(block.chunks_exact(k0)) {
+                *row = src;
+            }
+            for (kk, lanes) in tile.chunks_exact_mut(strip).take(k0).enumerate() {
+                let lanes: &mut Lanes = (&mut lanes[blk * NARROW_MR..][..NARROW_MR])
+                    .try_into()
+                    .expect("16 lanes");
+                *lanes = std::array::from_fn(|r| rows[r][kk]);
+            }
+        }
+        plan.blocks(&tile, &base[..k0], cs);
     }
 }
 
@@ -1363,202 +1569,216 @@ fn chain_rows(a: &[f32], plan: &ChainPlan<'_>, c: &mut [f32]) {
 /// of `n` outputs each), run by run: every full [`NARROW_MR`]-row block of
 /// a run reads its `k0` columns where they lie; the rows of a block that
 /// would cross into the next run (another outer position of the walk),
-/// and the ragged tail, are copied into a zero-padded row-major block, as
-/// [`chain_rows`] does for its tail.
-fn chain_columns(x: &dyn InputColumns, row0: usize, plan: &ChainPlan<'_>, c: &mut [f32]) {
-    const NONE: &Lanes = &[0.0; NARROW_MR];
+/// and the ragged tail, are copied feature by feature into a zero-padded
+/// block.
+fn chain_columns(x: &dyn InputColumns, row0: usize, plan: &ChainPlan, c: &mut [f32]) {
     let (k0, n) = (plan.k0, plan.n[plan.len - 1]);
     let data = x.data();
     let mut base = [0usize; KC];
-    let mut cols: [&Lanes; KC] = [NONE; KC];
-    // The padded block: `fill` rows of `k0` features gathered so far.
+    let mut at = [0usize; KC];
+    // The padded block, feature `f`'s lanes at `pad[f * NARROW_MR..]`:
+    // `fill` rows gathered so far.
     let mut pad = [0.0f32; NARROW_MR * KC];
+    let mut pad_base = [0usize; KC];
+    for (f, b) in pad_base[..k0].iter_mut().enumerate() {
+        *b = f * NARROW_MR;
+    }
     let mut fill = 0usize;
     let rows = c.len() / n;
-    let mut blocks = c.chunks_exact_mut(NARROW_MR * n);
+    let mut done = 0usize;
     x.runs(row0, rows, &mut base[..k0], &mut |base, len| {
         let mut p = 0;
         while p < len {
             if fill == 0 && len - p >= NARROW_MR {
-                for (col, &b) in cols.iter_mut().zip(base) {
-                    *col = data[b + p..][..NARROW_MR].try_into().expect("16 lanes");
+                let full = (len - p) / NARROW_MR * NARROW_MR;
+                for (a, &b) in at.iter_mut().zip(base) {
+                    *a = b + p;
                 }
-                let cb = blocks.next().expect("a block of output rows");
-                chain_block(ColumnBlock(&cols[..k0]), plan, cb);
-                p += NARROW_MR;
+                (plan.run)(plan, data, &at[..k0], &mut c[done * n..(done + full) * n]);
+                (done, p) = (done + full, p + full);
                 continue;
             }
             let take = (NARROW_MR - fill).min(len - p);
-            for (f, &b) in base.iter().enumerate() {
-                for (r, &v) in data[b + p..][..take].iter().enumerate() {
-                    pad[(fill + r) * k0 + f] = v;
-                }
+            for (feature, &b) in pad.chunks_exact_mut(NARROW_MR).zip(base) {
+                feature[fill..fill + take].copy_from_slice(&data[b + p..][..take]);
             }
             (fill, p) = (fill + take, p + take);
             if fill == NARROW_MR {
-                let cb = blocks.next().expect("a block of output rows");
-                chain_block(RowBlock(&pad[..NARROW_MR * k0]), plan, cb);
-                fill = 0;
+                let cb = &mut c[done * n..(done + NARROW_MR) * n];
+                (plan.run)(plan, &pad, &pad_base[..k0], cb);
+                (done, fill) = (done + NARROW_MR, 0);
             }
         }
     });
-    let c_tail = blocks.into_remainder();
-    if !c_tail.is_empty() {
-        pad[fill * k0..NARROW_MR * k0].fill(0.0);
-        chain_padded(&pad[..NARROW_MR * k0], plan, c_tail);
-    }
-}
-
-/// The ragged tail of a stripe: the zero-padded row-major block `ab`
-/// through the chain, its first `c.len() / n` rows kept.
-fn chain_padded(ab: &[f32], plan: &ChainPlan<'_>, c: &mut [f32]) {
-    let mut cb = [0.0f32; NARROW_MR * NARROW_N];
-    let n = plan.n[plan.len - 1];
-    chain_block(RowBlock(ab), plan, &mut cb[..NARROW_MR * n]);
-    c.copy_from_slice(&cb[..c.len()]);
-}
-
-/// How the chain's first layer reads one block's inputs: feature `kk` of
-/// the block's [`NARROW_MR`] rows as one lane vector. The layer has one
-/// body for every input form; each form only says how its lanes load.
-trait BlockInputs: Copy {
-    /// The block's features `0..k`, cut to exactly `k` before the `k` loop
-    /// starts (so the loop has no panicking edge), as a lane loader.
-    fn features(self, k: usize) -> impl Fn(usize) -> Lanes;
-}
-
-/// `NARROW_MR` rows of `k` features, row-major (a gathered tensor, or a
-/// padded block): feature `kk` is a stride-`k` gather of the rows.
-#[derive(Clone, Copy)]
-struct RowBlock<'a>(&'a [f32]);
-
-impl BlockInputs for RowBlock<'_> {
-    #[inline(always)]
-    fn features(self, k: usize) -> impl Fn(usize) -> Lanes {
-        // A plain loop, not `array::from_fn`: left outlined, that call hid
-        // the rows' lengths from the `k` loop, which then bounds-checked
-        // every load.
-        let mut rows = [&self.0[..0]; NARROW_MR];
-        for (i, row) in rows.iter_mut().enumerate() {
-            *row = &self.0[i * k..][..k];
+    if done < rows {
+        for feature in pad.chunks_exact_mut(NARROW_MR).take(k0) {
+            feature[fill..].fill(0.0);
         }
-        move |kk| std::array::from_fn(|r| rows[r][kk])
+        plan.blocks(&pad, &pad_base[..k0], &mut c[done * n..]);
     }
 }
 
-/// `k` features of `NARROW_MR` rows, each contiguous where it lies (an
-/// application array read in place): feature `kk` is one vector load.
-#[derive(Clone, Copy)]
-struct ColumnBlock<'a>(&'a [&'a Lanes]);
-
-impl BlockInputs for ColumnBlock<'_> {
-    #[inline(always)]
-    fn features(self, k: usize) -> impl Fn(usize) -> Lanes {
-        let cols = &self.0[..k];
-        move |kk| *cols[kk]
-    }
-}
-
-/// Expand a runtime width `1..=NARROW_N` into the const-generic call
-/// `$f::<N>($args)`.
-macro_rules! by_width {
-    ($n:expr, $f:ident ( $($arg:expr),* )) => {
-        match $n {
-            1 => $f::<1>($($arg),*),
-            2 => $f::<2>($($arg),*),
-            3 => $f::<3>($($arg),*),
-            4 => $f::<4>($($arg),*),
-            5 => $f::<5>($($arg),*),
-            6 => $f::<6>($($arg),*),
-            7 => $f::<7>($($arg),*),
-            _ => $f::<8>($($arg),*),
+/// The chain body: `c.len() / (NARROW_MR · n)` full row blocks through
+/// every layer in one loop, block `b`'s feature `kk` read as the lanes
+/// `data[base[kk] + NARROW_MR·b..][..NARROW_MR]`. `N1` is the second
+/// layer's width and `A0` the first layer's activation code ([`act_of`]).
+///
+/// Each block runs the first two layers as one pass ([`first_pair`]) with
+/// the second layer's accumulators in registers, and finishes and stores
+/// the chain's last layer once ([`finish_store`]). A third or later layer
+/// reads its predecessor's unfinished accumulators from a 16-row tile
+/// ([`tail_layer`]).
+#[inline(never)]
+fn chain_run<const N1: usize, const A0: usize>(
+    plan: &ChainPlan,
+    data: &[f32],
+    base: &[usize],
+    c: &mut [f32],
+) {
+    const NONE: &Lanes = &[0.0; NARROW_MR];
+    let (len, k0, n0) = (plan.len, plan.k0, plan.n[0]);
+    let n = plan.n[len - 1];
+    let (w0, w1) = (&plan.w0[..k0], &plan.w[1]);
+    let base = &base[..k0];
+    let mut cols: [&Lanes; KC] = [NONE; KC];
+    for (b, cb) in c.chunks_exact_mut(NARROW_MR * n).enumerate() {
+        for (col, &f) in cols.iter_mut().zip(base) {
+            *col = data[f + b * NARROW_MR..][..NARROW_MR]
+                .try_into()
+                .expect("16 lanes");
         }
-    };
+        let acc = first_pair::<N1, A0>(&cols[..k0], w0, n0, &plan.fin[0], w1);
+        if len == 2 {
+            finish_store(&acc, &plan.fin[1], cb);
+        } else {
+            chain_tail(plan, &acc, cb);
+        }
+    }
 }
 
-/// One [`NARROW_MR`]-row block through every layer of the chain: `a` holds
-/// the block's `NARROW_MR × k0` inputs, `c` receives its `NARROW_MR × n`
-/// outputs.
-fn chain_block(a: impl BlockInputs, plan: &ChainPlan<'_>, c: &mut [f32]) {
-    let w0 = &plan.w0[..plan.k0];
-    let epi = |s: usize| Epilogue::row_bias(plan.bias[s]).with_act(plan.act[s]);
-    let scale = |s: usize| plan.scale[s].as_ref();
-    // The layers hand their tiles on by swapping references: swapping the
-    // 512-byte tiles themselves stalled on their stack stores, by up to
-    // 15 % of `stencil_step` in some builds and not in others.
+/// Layers `2..` of a chain on one block, from the second layer's unfinished
+/// accumulators `acc`: each layer reads its predecessor's from a 16-row
+/// tile ([`tail_layer`]), and the last is finished and stored into `c`.
+#[inline(never)]
+fn chain_tail(plan: &ChainPlan, acc: &[Lanes], c: &mut [f32]) {
     let (mut h, mut g) = (
         &mut [[0.0f32; NARROW_MR]; NARROW_N],
         &mut [[0.0f32; NARROW_MR]; NARROW_N],
     );
-    by_width!(plan.n[0], first_layer(a, w0, scale(0), &epi(0), h));
-    for s in 1..plan.len {
-        let k = plan.n[s - 1];
-        by_width!(
-            plan.n[s],
-            next_layer(h, &plan.w[s][..k], scale(s), &epi(s), g)
-        );
+    h[..acc.len()].copy_from_slice(acc);
+    for s in 2..plan.len {
+        (plan.tail[s])(&h[..plan.n[s - 1]], &plan.w[s], &plan.fin[s - 1], g);
         std::mem::swap(&mut h, &mut g);
     }
     let n = plan.n[plan.len - 1];
-    if n == 1 {
-        c.copy_from_slice(&h[0]);
+    finish_store(&h[..n], &plan.fin[plan.len - 1], c);
+}
+
+/// The first two layers on one block: the first layer's `n0 = w0[0].len()`
+/// features run as one group of 8, or else one by one ([`feature_group`]),
+/// each finished and entered into the second layer's rank-1 steps as soon
+/// as its chains end. Returns the second layer's `N1` unfinished accumulators.
+#[inline(always)]
+fn first_pair<const N1: usize, const A0: usize>(
+    cols: &[&Lanes],
+    w0: &[WeightRow],
+    n0: usize,
+    fin0: &Finish,
+    w1: &[WeightRow; NARROW_N],
+) -> [Lanes; N1] {
+    let mut acc = [[0.0f32; NARROW_MR]; N1];
+    if n0 == NARROW_N {
+        feature_group::<NARROW_N, N1, A0>(cols, w0, 0, fin0, w1, &mut acc);
     } else {
-        for (r, crow) in c.chunks_exact_mut(n).enumerate() {
-            for (v, hj) in crow.iter_mut().zip(h.iter()) {
-                *v = hj[r];
-            }
+        for j in 0..n0 {
+            feature_group::<1, N1, A0>(cols, w0, j, fin0, w1, &mut acc);
         }
     }
+    acc
 }
 
-/// The chain's first layer on one block: `N` features of the block's
-/// inputs `a` (row-major rows or in-place columns: [`BlockInputs`]) against
-/// the `k` decoded weight rows `w` (finished with `scale` when the layer's
-/// codec has one), into `h[..N]`.
-///
-/// The *Register tiles* rules, transposed: each `k` step reads the block's
-/// feature `kk` into one row-lanes vector, and the loop over the
-/// accumulators' contiguous axis — the rows — is outermost, so it
-/// vectorizes and the `N` features unroll inside it; every view is cut to
-/// exactly `k` before the loop; the tile is finished as a copy.
-#[inline(never)]
-fn first_layer<const N: usize>(
-    a: impl BlockInputs,
-    w: &[WeightRow],
-    scale: Option<&WeightRow>,
-    epi: &Epilogue<'_, f32>,
-    h: &mut Hidden,
+/// First-layer features `j0..j0 + G` of one block: their chains over the
+/// block's columns `cols` (weight rows `w0`) in registers, then each
+/// feature in turn finished (scale, bias, activation `A0`) and entered into
+/// the second layer's accumulators `acc` with its weight row `w1[j]`.
+#[inline(always)]
+fn feature_group<const G: usize, const N1: usize, const A0: usize>(
+    cols: &[&Lanes],
+    w0: &[WeightRow],
+    j0: usize,
+    fin0: &Finish,
+    w1: &[WeightRow; NARROW_N],
+    acc: &mut [Lanes; N1],
 ) {
-    let lanes = a.features(w.len());
-    let mut acc = [[0.0f32; NARROW_MR]; N];
-    for (kk, wrow) in w.iter().enumerate() {
-        rank1(&mut acc, &lanes(kk), wrow);
+    let mut h = [[0.0f32; NARROW_MR]; G];
+    for (col, wrow) in cols.iter().zip(w0) {
+        let w: &[f32; G] = wrow[j0..j0 + G].try_into().expect("G weights");
+        rank1(&mut h, col, w);
     }
-    finish_into(acc, scale, epi, h);
+    // Every per-feature operand is cut to exactly `G` here, and the scale
+    // is matched here, outside the feature loop: with a scale branch and
+    // bounds checks inside it, the loop read `h` back from the stack on
+    // every feature.
+    let group = |v: &WeightRow| -> [f32; G] { v[j0..j0 + G].try_into().expect("G values") };
+    let bias = group(&fin0.bias);
+    let w1: &[WeightRow; G] = w1[j0..j0 + G].try_into().expect("G weight rows");
+    match &fin0.scale {
+        None => enter_group::<G, N1, A0, false>(h, [1.0; G], bias, w1, acc),
+        Some(scale) => enter_group::<G, N1, A0, true>(h, group(scale), bias, w1, acc),
+    }
 }
 
-/// A later layer on one block: `N` features from the previous layer's
-/// hidden tile `h` (its first `w.len()` features) and its decoded weight
-/// rows `w`, into `g[..N]` — [`first_layer`] with the columns read from the
-/// tile.
+/// A finished group of first-layer features entering the second layer:
+/// feature `g` of `h` scaled (if `SCALED`) by `scale[g]`, `+ bias[g]`,
+/// activation `A0`, then the rank-1 step into `acc` with weight row `w1[g]`.
+#[inline(always)]
+fn enter_group<const G: usize, const N1: usize, const A0: usize, const SCALED: bool>(
+    h: [Lanes; G],
+    scale: [f32; G],
+    bias: [f32; G],
+    w1: &[WeightRow; G],
+    acc: &mut [Lanes; N1],
+) {
+    for (g, hg) in h.iter().enumerate() {
+        let mut v = *hg;
+        if SCALED {
+            // A scaled codec's `PanelCodec::finish`: `acc * scale`.
+            for x in v.iter_mut() {
+                *x *= scale[g];
+            }
+        }
+        for x in v.iter_mut() {
+            *x += bias[g];
+        }
+        fixed_act::<A0>(&mut v);
+        rank1(acc, &v, &w1[g]);
+    }
+}
+
+/// A third or later layer on one block: its `N` features from the previous
+/// layer's unfinished accumulators `h` (one per input feature), each
+/// finished as it loads (`fin`, the previous layer's activation `A`) and
+/// entered into the rank-1 step with its weight row `w[j]`; the `N`
+/// unfinished results go to `g[..N]`.
 #[inline(never)]
-fn next_layer<const N: usize>(
-    h: &Hidden,
-    w: &[WeightRow],
-    scale: Option<&WeightRow>,
-    epi: &Epilogue<'_, f32>,
+fn tail_layer<const N: usize, const A: usize>(
+    h: &[Lanes],
+    w: &[WeightRow; NARROW_N],
+    fin: &Finish,
     g: &mut Hidden,
 ) {
     let mut acc = [[0.0f32; NARROW_MR]; N];
-    for (av, wrow) in h.iter().zip(w) {
-        rank1(&mut acc, av, wrow);
+    for (j, (hj, wj)) in h.iter().zip(w).enumerate() {
+        let mut v = *hj;
+        fin.apply::<A>(j, &mut v);
+        rank1(&mut acc, &v, wj);
     }
-    finish_into(acc, scale, epi, g);
+    g[..N].copy_from_slice(&acc);
 }
 
 /// One `k` step of a chain layer: `acc[j][r] += a[r] * w[j]`, rows outer.
 #[inline(always)]
-fn rank1<const N: usize>(acc: &mut [Lanes; N], a: &Lanes, w: &WeightRow) {
+fn rank1<const N: usize>(acc: &mut [Lanes; N], a: &Lanes, w: &[f32]) {
     for (r, &av) in a.iter().enumerate() {
         for (acc_j, &wv) in acc.iter_mut().zip(w) {
             // One chain per element, mul then add — as in micro_tile.
@@ -1567,29 +1787,38 @@ fn rank1<const N: usize>(acc: &mut [Lanes; N], a: &Lanes, w: &WeightRow) {
     }
 }
 
-/// The codec's scale (if `scale` holds one), bias and activation on a copy
-/// of a layer's accumulators, one feature at a time (a feature is one
-/// row-lanes vector, its scale and bias one value each: as in
-/// [`column_tile`], a row bias of a 1-row tile), stored into `h[..N]`.
-/// Finished as one `N`-row tile instead, the epilogue vectorized across the
-/// features, through gathers and scatters.
+/// The last layer of a block finished (`fin`) and stored into its
+/// `NARROW_MR × n` rows of `c` (`n = acc.len()`). The activation is matched
+/// once, outside the feature loop.
 #[inline(always)]
-fn finish_into<const N: usize>(
-    acc: [Lanes; N],
-    scale: Option<&WeightRow>,
-    epi: &Epilogue<'_, f32>,
-    h: &mut Hidden,
-) {
-    for (j, (&lanes, hj)) in acc.iter().zip(h.iter_mut()).enumerate() {
-        let mut tile = [lanes];
-        if let Some(scale) = scale {
-            // A scaled codec's `PanelCodec::finish`: `acc * scale`.
-            for v in &mut tile[0] {
-                *v *= scale[j];
-            }
+fn finish_store(acc: &[Lanes], fin: &Finish, c: &mut [f32]) {
+    match fin.act {
+        None => finish_store_as::<0>(acc, fin, c),
+        Some(Act::Relu) => finish_store_as::<1>(acc, fin, c),
+        Some(Act::Tanh) => finish_store_as::<2>(acc, fin, c),
+        Some(Act::Sigmoid) => finish_store_as::<3>(acc, fin, c),
+    }
+}
+
+/// [`finish_store`] with the activation fixed.
+#[inline(always)]
+fn finish_store_as<const A: usize>(acc: &[Lanes], fin: &Finish, c: &mut [f32]) {
+    if let [lanes] = acc {
+        let mut v = *lanes;
+        fin.apply::<A>(0, &mut v);
+        c.copy_from_slice(&v);
+        return;
+    }
+    let n = acc.len();
+    let mut out = [[0.0f32; NARROW_MR]; NARROW_N];
+    for (j, (o, lanes)) in out.iter_mut().zip(acc).enumerate() {
+        *o = *lanes;
+        fin.apply::<A>(j, o);
+    }
+    for (r, crow) in c.chunks_exact_mut(n).enumerate() {
+        for (v, o) in crow.iter_mut().zip(&out) {
+            *v = o[r];
         }
-        finish_tile(&mut tile, epi, j, 0, NARROW_MR);
-        *hj = tile[0];
     }
 }
 
