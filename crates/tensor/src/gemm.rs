@@ -40,9 +40,10 @@
 //! *which elements* are computed together, never the order of additions
 //! within an element, and `KC` slabs resume the same chain (partials are
 //! stored and reloaded exactly — f32/f64 round-trips are lossless — and
-//! stored before a codec's finishing scale, which only the last slab
-//! applies; no epilogue reads `C` back). The result is therefore
-//! **bit-identical** across:
+//! stored unfinished: after the last slab one pass reads them back and
+//! applies the codec's finishing scale, the bias and the activation, the
+//! expressions a single-slab tile applies in registers). The result is
+//! therefore **bit-identical** across:
 //!
 //! * thread counts (parallelism splits rows/samples, never the `k` sum),
 //! * blocking parameters (`KC`, stripe sizes — the crate's tests sweep
@@ -58,6 +59,15 @@
 //!   each of them, and
 //! * whether a layer runs alone or inside a [`NarrowChain`], which runs the
 //!   same chain per element with the rows on the lanes.
+//!
+//! NaN-ness is part of this contract: whether an output is NaN does not
+//! depend on the tile shape it lands in, nor on whether its layer runs in
+//! a chain. A NaN's *payload* is not part of it. When an add meets two NaNs, x86 returns one operand's
+//! payload, and the optimizer may order a commutative add one way in one
+//! kernel and the other way in another (an int8 `[16, 2, 4]` chain with
+//! Tanh then Sigmoid gave `0x7fc00000` where its layers run one by one gave
+//! `0xffc00000`). The tests that feed NaNs compare NaN-ness, not bits
+//! (`nn`'s `chain_edge_bits`).
 //!
 //! # Blocking parameters
 //!
@@ -195,6 +205,20 @@
 //!
 //! # Register tiles
 //!
+//! The panel sweep runs a row stripe's `kc` slab as a run of `M`-row
+//! blocks (`MR`, then 4, 2 and 1 for the rows left). One call per block,
+//! `block_sweep`, sweeps every `NR`-wide panel of the slab in one pass: the
+//! block's rows of `A` are cut to the slab once, then `MR / M` panels per
+//! tile (at most `ROW_GROUP`, so the 4- and 2-row tiles hold as many chains
+//! as the `MR`-row one), the panels left one at a time, and a ragged last
+//! panel through a full-width local tile. What is fixed for the call is
+//! fixed at compile time: the sweep is compiled per *finish code*, the
+//! bias kind × activation of a single slab, or a slab before the last (see
+//! *Determinism*), so a tile's finish — the codec's scale, the bias, the
+//! activation — is straight-line code with no match and no `Option`, and a
+//! codec's scales, or a bias the code does not have, are never read. The
+//! tile itself (`micro_tile`) is inlined into the block.
+//!
 //! Whether a tile's accumulators stay in registers is up to the optimizer,
 //! and three rules of the micro-kernel are what keep them there from the
 //! first `k` step to the last (read off the release build's `objdump`;
@@ -208,17 +232,37 @@
 //!    (A rows, and B rows as `[_; NR]` chunks), so it has no panicking edge;
 //! 3. after the loop the accumulators are read only as whole `[T; NR]`
 //!    panel rows, each finished as a value and stored with one fixed-width
-//!    copy. Finished in place, or copied whole, they stayed in memory.
+//!    copy, indexed by row. Finished in place, or copied whole, they stayed
+//!    in memory; stored through `chunks_mut(ldc)`, the row loop stayed
+//!    rolled and the tile went through the stack after the `k` loop (layer
+//!    0 below went from 1.02–1.07× to 1.43–1.58× the straight-line kernel).
 //!
-//! A tile of `M < MR` rows sweeps `MR / M` panels at once (at most
-//! `ROW_GROUP`), so the 4- and 2-row tiles hold as many chains as the
-//! `MR`-row one. Measured against the rows-outer kernel that stored its
-//! accumulators every step (same process, 1 thread, 2-vCPU AVX-512 KVM
-//! guest, p50 of 300 calls, output bits identical): `[1024,128]·[128,64]` +
-//! bias + ReLU 680–690 → 290 µs (≈ 24 → 58 GFLOP/s), `[1024,6]·[6,128]` +
-//! bias + ReLU 216–222 → 92–98 µs (its epilogue now costs no more than none
-//! at all), `[1024,300]·[300,64]` 1490–1530 → 676–690 µs, the 4-filter
-//! `[4,36]·[36,1152]` 13.0 → 7.5 µs.
+//! In the release build no `k` loop of any f32, bf16 or int8 block moves an
+//! accumulator through the stack; the 2- and 4-row blocks' one-panel tiles
+//! reload one to three loop counters from it per step.
+//!
+//! Same process, 1 thread, 2-vCPU AVX-512 KVM guest, p50 of 300 alternating
+//! calls, output bits identical, against a test-local straight-line kernel
+//! that runs the same arithmetic one 8-row block at a time (the test
+//! `sweep_mlp_layers_against_straight_line_same_process` in
+//! `tests/sweep_tiles.rs` prints it; five runs): `sweep_mlp`'s first
+//! layer, `[1024,6]·[6,128]` + bias + ReLU, 43–63 µs, 1.02–1.04× the kernel
+//! (2.74–2.79× with the sweep before this one, which called an out-of-line
+//! tile per panel and matched the epilogue per row); the second,
+//! `[1024,128]·[128,64]` + bias + ReLU, 303–473 µs, 1.01–1.02×
+//! (1.03–1.05×); `[1024,1]·[1,128]` + bias + ReLU 45–47 µs, 2.1× (4.6–5.1×;
+//! the kernel's own time at `k = 1` moved from build to build, 21–35 µs,
+//! where the sweep's stayed at 45–50).
+//!
+//! Tried on the sweep before this one, and not kept: `#[inline(always)]`
+//! on the tile (it inlined into the whole stripe body), slower;
+//! `#[inline(never)]` on the panel loop with the tile inlined into it, no
+//! change; a per-row column bias + ReLU in place of the tile's epilogue,
+//! layer 1 twice as slow (the accumulators left the registers); `k` as a
+//! const generic, fast at `k = 6` and slower than the sweep at 5 and 8
+//! (codegen luck). The sweeps compiled per finish code cost code: 166
+//! `block_sweep` instances, 468 KB, in a release binary that serves f32,
+//! bf16 and int8 (`benchmark/`'s binary grew from 2.24 to 2.71 MB).
 //!
 //! # Panel codecs
 //!
@@ -285,11 +329,12 @@ pub(crate) fn slab_depth(m: usize, k: usize) -> usize {
 /// `benchmark/`'s `sweep_mlp` runs — MLP 6-128-64-1, batch 1024): one pool
 /// dispatch costs on the order of a few microseconds (publish + wake +
 /// barrier). The tuning assumed a few multiply-adds per cycle, ~32 Ki
-/// multiply-adds ≈ 10 µs of work. The register tiles now sustain ≈ 29 G
-/// multiply-adds/s (≈ 58 GFLOP/s on `[1024,128]·[128,64]`, module docs
-/// *Register tiles*), so 32 Ki is ≈ 1 µs — below one dispatch, and the
-/// break-even by this arithmetic lies several times higher. Not re-tuned:
-/// two shared vCPUs cannot measure a parallel break-even.
+/// multiply-adds ≈ 10 µs of work. The register tiles now sustain 18–28 G
+/// multiply-adds/s (`[1024,128]·[128,64]` in 303–473 µs on a shared 2-vCPU
+/// AVX-512 KVM guest, module docs *Register tiles*), so 32 Ki is 1–2 µs —
+/// below one dispatch, and the break-even by this arithmetic lies several
+/// times higher. Not re-tuned: two shared vCPUs cannot measure a parallel
+/// break-even.
 pub(crate) const PAR_FLOPS_MIN: usize = 1 << 15;
 
 /// Multiply-adds targeted per parallel task. Tasks much smaller than this
@@ -669,12 +714,6 @@ pub(crate) struct Panels<'a, T, Q> {
     pub(crate) scales: &'a [T],
 }
 
-/// Panel `p`'s `k`-major rows from slab offset `k0` to the panel's end.
-#[inline]
-fn panel_slab<Q>(data: &[Q], k: usize, p: usize, k0: usize) -> &[Q] {
-    &data[(p * k + k0) * NR..(p + 1) * k * NR]
-}
-
 /// The `NR` scales of the panel starting at column `j0` — all `1` for a
 /// codec without a scale table — copied once per tile so the `k` loop
 /// indexes nothing.
@@ -757,22 +796,59 @@ fn finish_row<T: Scalar, C: PanelCodec<T>, const W: usize>(v: &mut [T; W], scale
 /// bf16 one (module docs, *Panel codecs*, for its same-process A/B).
 const ROW_GROUP: usize = 4;
 
+/// The finish code ([`epi_code`]) of the first of several `kc` slabs: its
+/// chains start at zero and are stored as they stand, unscaled.
+const PARTIAL: usize = 12;
+
+/// The finish code of every later slab: its chains resume from the
+/// partials in `C` and are stored as they stand; once the last is stored,
+/// [`finish_pass`] applies the epilogue.
+const RESUME: usize = 13;
+
+/// The finish code of a single-slab sweep with epilogue `epi`: `4 · bias +
+/// act`, `bias` 0 none, 1 per column, 2 per row, `act` an [`act_of`] code.
+/// The sweep is compiled per code (`by_fin!`), so every choice it makes
+/// after a tile's `k` loop is a constant there.
+fn epi_code<T>(epi: &Epilogue<'_, T>) -> usize {
+    let bias = match epi.bias {
+        Bias::None => 0,
+        Bias::Col(_) => 1,
+        Bias::Row(_) => 2,
+    };
+    4 * bias + act_code(epi.act)
+}
+
+/// `$f::<T, C, FIN>(args…)` with `FIN` the finish code `$code`, a constant
+/// in every arm.
+macro_rules! by_fin {
+    ($code:expr, $f:ident::<$t:ty, $c:ty> $args:tt) => {
+        by_fin!(@arms $code, $f, $t, $c, $args, 0 1 2 3 4 5 6 7 8 9 10 11 12)
+    };
+    (@arms $code:expr, $f:ident, $t:ty, $c:ty, $args:tt, $($fin:literal)*) => {
+        match $code {
+            $($fin => $f::<$t, $c, $fin> $args,)*
+            _ => $f::<$t, $c, RESUME> $args,
+        }
+    };
+}
+
 /// The register-tiled micro-kernel: an `M`-row accumulator tile over `P`
-/// side-by-side `NR`-wide panels (`M × P·NR` chains) and a `klen`-deep slab.
+/// side-by-side `NR`-wide panels (`M × P·NR` chains) and one slab.
 ///
-/// * `a[i][kk]` is `A[row0+i, k0+kk]`: `M` row views, each at least `klen`
-///   long (row-major `A`, read in place).
-/// * `C::decode(b[q][kk·NR + j], scales[q][j])` is `B[k0+kk, j0 + q·NR + j]`:
-///   panel `q`'s stored rows from the slab's first, at least `klen·NR` long.
-/// * `cols` counts the tile's live columns across all `P` panels (only the
-///   last may be ragged); `accumulate` resumes a previous slab's partials
-///   from `c`; `finish` applies the codec's [`PanelCodec::finish`] and the
-///   epilogue (only on the last slab: earlier slabs store their partials
-///   unscaled).
+/// * `a[i][kk]` is `A[row0+i, k0+kk]`: the block's `M` rows, cut to the
+///   slab's `klen` (row-major `A`, read in place).
+/// * `C::decode(b[q][kk][j], scales[q][j])` is `B[k0+kk, j0 + q·NR + j]`:
+///   panel `q`'s stored rows, cut to the slab.
+/// * `c` holds the tile's rows of `C` from its first column, `ldc` apart,
+///   every panel row `NR` wide (a ragged panel comes through a full-width
+///   local tile); a [`RESUME`] slab starts the chains from the partials
+///   there.
+/// * `col_bias[q]`, `row_bias[i]`: the lanes' and rows' biases, read only
+///   if `FIN` has them ([`finish_lanes`]).
 ///
-/// Every `acc[i][q][j]` is one add-chain in ascending `kk` — the
-/// determinism contract of the module — so how many rows or panels share a
-/// tile never changes a bit.
+/// Every `acc[i][q][j]` is one add-chain in ascending `kk`, then the finish —
+/// the determinism contract of the module — so how many rows or panels
+/// share a tile never changes a bit.
 ///
 /// What keeps all `M × P·NR` accumulators in registers from the first `k`
 /// step to the last (module docs, *Register tiles*; breaking any one rule
@@ -784,39 +860,30 @@ const ROW_GROUP: usize = 4;
 ///    rows as `[_; NR]` chunks) before it starts, so it has no panicking
 ///    edge;
 /// 3. after the loop, `acc` is read only as whole `[T; NR]` panel rows: each
-///    is finished as a value and stored with one fixed-width copy (a
-///    variable-width one only on a ragged panel). Finishing `acc` in place
-///    keeps it in memory, and the loop then stores it on every step.
-// allow: GEMM kernel plumbing — dims, panel slices and strides stay
-// individual scalars so they live in registers through the tile loops.
-#[allow(clippy::too_many_arguments)]
-// Never inlined: the tile stays a small, standalone optimization unit, so
-// the three rules above are all the optimizer sees (inlined into the large
-// macro-kernel, it ran out of unroll budget and left the tile on the stack).
-#[inline(never)]
-fn micro_tile<T: Scalar, C: PanelCodec<T>, const M: usize, const P: usize>(
-    a: [&[T]; M],
-    b: [&[C::Q]; P],
+///    is finished as a value and stored with one fixed-width copy. Finishing
+///    `acc` in place keeps it in memory, and the loop then stores it on
+///    every step.
+///
+/// Inlined into [`block_sweep`], the optimization unit: what the tile does
+/// not use (a codec's scales it never reads, a bias `FIN` does not have) is
+/// dead code there, not an argument.
+#[inline(always)]
+fn micro_tile<T: Scalar, C: PanelCodec<T>, const FIN: usize, const M: usize, const P: usize>(
+    a: &[&[T]; M],
+    b: [&[[C::Q; NR]]; P],
     scales: [[T; NR]; P],
-    klen: usize,
+    col_bias: [&[T; NR]; P],
+    row_bias: &[T; M],
     c: &mut [T],
     ldc: usize,
-    cols: usize,
-    accumulate: bool,
-    finish: Option<(&Epilogue<'_, T>, usize, usize)>,
 ) {
-    let a: [&[T]; M] = std::array::from_fn(|i| &a[i][..klen]);
-    let b: [&[[C::Q; NR]]; P] = std::array::from_fn(|q| &b[q].as_chunks::<NR>().0[..klen]);
+    let klen = a[0].len();
+    let b: [&[[C::Q; NR]]; P] = std::array::from_fn(|q| &b[q][..klen]);
     let mut acc = [[[T::ZERO; NR]; P]; M];
-    if accumulate {
+    if FIN == RESUME {
         for (i, arow) in acc.iter_mut().enumerate() {
             for (q, v) in arow.iter_mut().enumerate() {
-                let (j0, w) = (q * NR, cols.saturating_sub(q * NR).min(NR));
-                if w == NR {
-                    v.copy_from_slice(&c[i * ldc + j0..][..NR]);
-                } else {
-                    v[..w].copy_from_slice(&c[i * ldc + j0..][..w]);
-                }
+                v.copy_from_slice(&c[i * ldc + q * NR..][..NR]);
             }
         }
     }
@@ -841,29 +908,77 @@ fn micro_tile<T: Scalar, C: PanelCodec<T>, const M: usize, const P: usize>(
             }
         }
     }
-    for (i, arow) in acc.iter().enumerate() {
+    for (i, (arow, &rb)) in acc.iter().zip(row_bias).enumerate() {
         for (q, &v) in arow.iter().enumerate() {
-            // Panel q's live columns: all NR but on the ragged last panel.
-            let (j0, w) = (q * NR, cols.saturating_sub(q * NR).min(NR));
-            let mut v = [v];
-            if let Some((epi, row0, col0)) = finish {
-                finish_row::<T, C, NR>(&mut v[0], &scales[q]);
-                finish_tile(&mut v, epi, row0 + i, col0 + j0, w);
+            let mut v = v;
+            finish_lanes::<T, C, FIN>(&mut v, &scales[q], col_bias[q], rb);
+            c[i * ldc + q * NR..][..NR].copy_from_slice(&v);
+        }
+    }
+}
+
+/// One panel row of finished chains, as finish code `FIN` ([`epi_code`])
+/// wants it: the codec's [`PanelCodec::finish`] (`scales`: the panel's
+/// column scales), then the bias (`col`: the panel's per-column lanes,
+/// `row`: the row's), then the activation; nothing on a slab before the
+/// last ([`PARTIAL`], [`RESUME`]). Every choice is a constant of `FIN`, so
+/// the row is straight-line code.
+#[inline(always)]
+fn finish_lanes<T: Scalar, C: PanelCodec<T>, const FIN: usize>(
+    v: &mut [T; NR],
+    scales: &[T; NR],
+    col: &[T; NR],
+    row: T,
+) {
+    if FIN >= PARTIAL {
+        return;
+    }
+    finish_row::<T, C, NR>(v, scales);
+    match FIN / 4 {
+        1 => {
+            for (x, &b) in v.iter_mut().zip(col) {
+                *x += b;
             }
-            let [v] = v;
-            if w == NR {
-                c[i * ldc + j0..][..NR].copy_from_slice(&v);
-            } else {
-                c[i * ldc + j0..i * ldc + j0 + w].copy_from_slice(&v[..w]);
+        }
+        2 => {
+            for x in v.iter_mut() {
+                *x += row;
+            }
+        }
+        _ => {}
+    }
+    act_lanes(const { act_of(FIN % 4) }, v);
+}
+
+/// `act` on every lane of `v`, by the epilogue's formulas ([`Act::apply`]).
+/// The callers pass a compile-time `act`, so the match folds away.
+#[inline(always)]
+fn act_lanes<T: Scalar, const W: usize>(act: Option<Act>, v: &mut [T; W]) {
+    match act {
+        None => {}
+        Some(Act::Sigmoid) => sigmoid_lanes(v),
+        Some(act) => {
+            for x in v.iter_mut() {
+                *x = act.apply(*x);
             }
         }
     }
 }
 
-/// Apply the fused epilogue to one register tile — the one float expression
-/// every tile shape and storage precision runs after its `k`-sum. `W` is the
-/// tile's lane count: [`NR`] on the panel sweep (one row at a time, see
-/// [`micro_tile`]), [`NARROW_N`] or [`NARROW_MR`] on the narrow tiles.
+/// [`Act::Sigmoid`] on every lane of `v`. Its `exp` is a libm call per lane,
+/// so inlining it buys nothing; out of line, the compiled sweeps and chain
+/// bodies do not each carry a call per lane.
+#[inline(never)]
+fn sigmoid_lanes<T: Scalar, const W: usize>(v: &mut [T; W]) {
+    for x in v.iter_mut() {
+        *x = Act::Sigmoid.apply(*x);
+    }
+}
+
+/// Apply the fused epilogue to one narrow register tile: the expressions
+/// [`finish_lanes`] applies to a panel row (`+ bias`, then [`Act::apply`]),
+/// with the epilogue known only at run time. `W` is the tile's lane count,
+/// [`NARROW_N`] or [`NARROW_MR`].
 ///
 /// Branch-free full-width passes over the tile: the bias/activation
 /// selectors are matched once per tile, outside the row loops, so each
@@ -1024,7 +1139,7 @@ fn narrow_blocks<T: Scalar, C: PanelCodec<T>>(
 // allow: GEMM kernel plumbing — dims, panel slices and strides stay
 // individual scalars so they live in registers through the tile loops.
 #[allow(clippy::too_many_arguments)]
-#[inline(never)] // same rationale as micro_tile: a small standalone unit.
+#[inline(never)] // a small standalone optimization unit, like block_sweep.
 fn narrow_tile<T: Scalar, C: PanelCodec<T>>(
     a: &[T],
     k: usize,
@@ -1078,7 +1193,7 @@ fn narrow_tile<T: Scalar, C: PanelCodec<T>>(
 /// `NARROW_MR × k` rows, lane 0 of the decoded `panel[kk * NR ..]` row the
 /// column's weight `w[kk]`, `epi_t` the epilogue *of the transposed tile*
 /// (see [`narrow_blocks`]) with `lane0` the row the first lane stands for.
-#[inline(never)] // same rationale as micro_tile: a small standalone unit.
+#[inline(never)] // a small standalone optimization unit, like block_sweep.
 fn column_tile<T: Scalar, C: PanelCodec<T>>(
     a: &[T],
     k: usize,
@@ -1384,31 +1499,7 @@ impl Finish {
         for x in v.iter_mut() {
             *x += b;
         }
-        fixed_act::<A>(v);
-    }
-}
-
-/// The activation with code `A` ([`act_of`]) on every lane of `v`.
-#[inline(always)]
-fn fixed_act<const A: usize>(v: &mut Lanes) {
-    match const { act_of(A) } {
-        None => {}
-        Some(Act::Sigmoid) => sigmoid_lanes(v),
-        Some(act) => {
-            for x in v.iter_mut() {
-                *x = act.apply(*x);
-            }
-        }
-    }
-}
-
-/// [`Act::Sigmoid`] on every lane of `v`. Its `exp` is a libm call per lane,
-/// so inlining it buys nothing; out of line, the 32 chain bodies do not
-/// each carry sixteen calls per feature.
-#[inline(never)]
-fn sigmoid_lanes(v: &mut Lanes) {
-    for x in v.iter_mut() {
-        *x = Act::Sigmoid.apply(*x);
+        act_lanes(const { act_of(A) }, v);
     }
 }
 
@@ -1750,7 +1841,7 @@ fn enter_group<const G: usize, const N1: usize, const A0: usize, const SCALED: b
         for x in v.iter_mut() {
             *x += bias[g];
         }
-        fixed_act::<A0>(&mut v);
+        act_lanes(const { act_of(A0) }, &mut v);
         rank1(acc, &v, &w1[g]);
     }
 }
@@ -1890,8 +1981,11 @@ pub(crate) fn gemm_driver<T: Scalar, C: PanelCodec<T>>(
 }
 
 /// Compute one C row-stripe (`row0 ..` covering `stripe.len() / n` rows,
-/// `a` its rows of `A`), walking `k` in `kc`-deep slabs and `n` in
-/// `NR`-wide panels.
+/// `a` its rows of `A`), walking `k` in `kc`-deep slabs. The choices fixed
+/// for the call are made here, once: a single slab is swept with its
+/// epilogue's finish code ([`epi_code`]); several are swept [`PARTIAL`]
+/// then [`RESUME`], and [`finish_pass`] finishes the stored chains. Each
+/// slab's row blocks run on the sweep compiled for its code.
 // allow: GEMM kernel plumbing — dims, panel slices and strides stay
 // individual scalars so they live in registers through the tile loops.
 #[allow(clippy::too_many_arguments)]
@@ -1906,112 +2000,189 @@ fn stripe_body<T: Scalar, C: PanelCodec<T>>(
     kc: usize,
 ) {
     let rows = stripe.len() / n;
+    let (col_bias, row_bias): (&[T], &[T]) = match epi.bias {
+        Bias::None => (&[], &[]),
+        Bias::Col(bias) => (bias, &[]),
+        Bias::Row(bias) => (&[], &bias[row0..row0 + rows]),
+    };
+    let mut s = Slab {
+        a,
+        k,
+        k0: 0,
+        klen: kc.min(k),
+        b,
+        n,
+        col_bias,
+        row_bias,
+    };
     let slabs = k.div_ceil(kc).max(1); // k == 0 still runs one epilogue pass
-    for slab in 0..slabs {
-        let k0 = slab * kc;
-        let klen = kc.min(k - k0);
-        let accumulate = slab > 0;
-        let epi = (slab + 1 == slabs).then_some(epi);
-
-        // Narrow-N problems with a single slab (nothing to resume; `k == 0`
-        // is a pure epilogue pass) run their full NARROW_MR-row blocks on
-        // the narrow tiles; whatever is left (< NARROW_MR rows) falls
-        // through to the tiles below.
-        let mut r = match epi {
-            Some(epi) if n <= NARROW_N && (1..=kc).contains(&k) => {
-                let scales = panel_scales(b.scales, 0);
-                narrow_blocks::<T, C>(a, k, b.data, &scales, stripe, n, epi, row0)
-            }
-            _ => 0,
+    if slabs == 1 {
+        // Narrow-N problems (`k == 0` is a pure epilogue pass) run their
+        // full NARROW_MR-row blocks on the narrow tiles; whatever is left
+        // (< NARROW_MR rows) falls through to the sweep.
+        let r = if n <= NARROW_N && k > 0 {
+            let scales = panel_scales(b.scales, 0);
+            narrow_blocks::<T, C>(a, k, b.data, &scales, stripe, n, epi, row0)
+        } else {
+            0
         };
-        // MR-row register tiles, then the remainder (< MR) stepping down
-        // through 4/2/1-row tiles. A shorter tile makes up for its height
-        // by sweeping more panels at once (`panel_sweep`'s `G`: MR / M, at
-        // most ROW_GROUP), so even small-m problems (e.g. a 4-filter
-        // convolution) keep MR·NR independent accumulator chains in flight,
-        // and a single row 64. Per-row arithmetic is identical at every
-        // tile height and width, so the decomposition never changes results.
-        while r < rows {
-            let (row, cb) = (row0 + r, &mut stripe[r * n..]);
-            let rows_at = |i: usize| &a[(r + i) * k + k0..];
-            let step = match rows - r {
-                MR.. => {
-                    let a = std::array::from_fn(rows_at);
-                    panel_sweep::<T, C, MR, 1>(a, b, n, k, k0, klen, cb, row, accumulate, epi);
-                    MR
-                }
-                4.. => {
-                    let a = std::array::from_fn(rows_at);
-                    panel_sweep::<T, C, 4, 2>(a, b, n, k, k0, klen, cb, row, accumulate, epi);
-                    4
-                }
-                2.. => {
-                    let a = std::array::from_fn(rows_at);
-                    panel_sweep::<T, C, 2, 4>(a, b, n, k, k0, klen, cb, row, accumulate, epi);
-                    2
-                }
-                _ => {
-                    let a = [rows_at(0)];
-                    panel_sweep::<T, C, 1, ROW_GROUP>(
-                        a, b, n, k, k0, klen, cb, row, accumulate, epi,
-                    );
-                    1
-                }
-            };
-            r += step;
-        }
+        return by_fin!(epi_code(epi), rows_sweep::<T, C>(&s, r, stripe));
+    }
+    for slab in 0..slabs {
+        (s.k0, s.klen) = (slab * kc, kc.min(k - slab * kc));
+        let fin = if slab == 0 { PARTIAL } else { RESUME };
+        by_fin!(fin, rows_sweep::<T, C>(&s, 0, stripe));
+    }
+    by_fin!(epi_code(epi), finish_pass::<T, C>(&s, stripe));
+}
+
+/// One `kc` slab of one row stripe, as its row blocks read it.
+struct Slab<'a, T, Q> {
+    /// The stripe's rows of `A`, row-major, `k` apart.
+    a: &'a [T],
+    k: usize,
+    /// The slab's first `k` and its depth.
+    k0: usize,
+    klen: usize,
+    b: Panels<'a, T, Q>,
+    n: usize,
+    /// The per-column biases (empty unless the bias is per column), and the
+    /// stripe's per-row ones (empty unless it is per row).
+    col_bias: &'a [T],
+    row_bias: &'a [T],
+}
+
+/// The stripe's row blocks from row `r` on (`c`: the stripe's rows of `C`):
+/// `MR`-row blocks, then the remainder (< MR) stepping down through 4-, 2-
+/// and 1-row blocks. A shorter block makes up for its height by sweeping
+/// more panels per tile (`block_sweep`'s `G`: MR / M, at most ROW_GROUP), so
+/// even small-m problems (e.g. a 4-filter convolution) keep MR·NR
+/// independent accumulator chains in flight, and a single row 64. Per-row
+/// arithmetic is identical at every tile height and width, so the
+/// decomposition never changes results.
+fn rows_sweep<T: Scalar, C: PanelCodec<T>, const FIN: usize>(
+    s: &Slab<'_, T, C::Q>,
+    mut r: usize,
+    c: &mut [T],
+) {
+    let rows = c.len() / s.n;
+    while r < rows {
+        let cb = &mut c[r * s.n..];
+        r += match rows - r {
+            MR.. => block_sweep::<T, C, FIN, MR, 1>(s, r, cb),
+            4.. => block_sweep::<T, C, FIN, 4, 2>(s, r, cb),
+            2.. => block_sweep::<T, C, FIN, 2, 4>(s, r, cb),
+            _ => block_sweep::<T, C, FIN, 1, ROW_GROUP>(s, r, cb),
+        };
     }
 }
 
-/// Sweep the `NR`-wide column panels of one `M`-row block, `G` side by side
-/// per tile and the `< G` left over one at a time (`a`: the block's rows of
-/// `A` from the slab's first column; `c`: its rows of `C` from the block's
-/// first, `ldc == n`).
-// allow: GEMM kernel plumbing — dims, panel slices and strides stay
-// individual scalars so they live in registers through the tile loops.
-#[allow(clippy::too_many_arguments)]
-fn panel_sweep<T: Scalar, C: PanelCodec<T>, const M: usize, const G: usize>(
-    a: [&[T]; M],
-    b: Panels<'_, T, C::Q>,
-    n: usize,
-    k: usize,
-    k0: usize,
-    klen: usize,
+/// One `M`-row block (from stripe row `r`; `c` its rows of `C` on) through
+/// every panel of the slab in one pass: its rows of `A` cut to the slab
+/// once, then `G` full panels per tile, and the panels left one at a time,
+/// a ragged last one through a full-width local tile. Returns `M`.
+///
+/// Never inlined: the block is the standalone optimization unit, its tiles
+/// inlined into it with the finish code `FIN` fixed, so the *Register
+/// tiles* rules and the tile loops are all the optimizer sees.
+#[inline(never)]
+fn block_sweep<T: Scalar, C: PanelCodec<T>, const FIN: usize, const M: usize, const G: usize>(
+    s: &Slab<'_, T, C::Q>,
+    r: usize,
     c: &mut [T],
-    row0: usize,
-    accumulate: bool,
-    epi: Option<&Epilogue<'_, T>>,
-) {
-    let Panels { data, scales } = b;
-    let panels = n.div_ceil(NR);
-    let grouped = panels - panels % G;
+) -> usize {
+    let (n, k, k0, klen) = (s.n, s.k, s.k0, s.klen);
+    let a: [&[T]; M] = std::array::from_fn(|i| &s.a[(r + i) * k + k0..][..klen]);
+    let row_bias: [T; M] = match FIN / 4 {
+        2 => s.row_bias[r..r + M].try_into().expect("M row biases"),
+        _ => [T::ZERO; M],
+    };
+    let c = &mut c[..M * n];
+    let (full, w) = (n / NR, n % NR);
+    let (b_rows, col_lanes) = (s.b.data.as_chunks::<NR>().0, s.col_bias.as_chunks::<NR>().0);
+    let slab = |p: usize| &b_rows[p * k + k0..][..klen];
+    let zeros = [T::ZERO; NR];
+    let bias = |p: usize| match FIN / 4 {
+        1 => &col_lanes[p],
+        _ => &zeros,
+    };
+    // With G == 1 every panel takes the loop below, so the tile is
+    // compiled once.
+    let grouped = if G == 1 { 0 } else { full - full % G };
     for p in (0..grouped).step_by(G) {
-        let j0 = p * NR;
-        micro_tile::<T, C, M, G>(
-            a,
-            std::array::from_fn(|q| panel_slab(data, k, p + q, k0)),
-            std::array::from_fn(|q| panel_scales(scales, j0 + q * NR)),
-            klen,
-            &mut c[j0..],
+        micro_tile::<T, C, FIN, M, G>(
+            &a,
+            std::array::from_fn(|q| slab(p + q)),
+            std::array::from_fn(|q| panel_scales(s.b.scales, (p + q) * NR)),
+            std::array::from_fn(|q| bias(p + q)),
+            &row_bias,
+            &mut c[p * NR..],
             n,
-            (G * NR).min(n - j0),
-            accumulate,
-            epi.map(|e| (e, row0, j0)),
         );
     }
-    for p in grouped..panels {
-        let j0 = p * NR;
-        micro_tile::<T, C, M, 1>(
-            a,
-            [panel_slab(data, k, p, k0)],
-            [panel_scales(scales, j0)],
-            klen,
-            &mut c[j0..],
-            n,
-            NR.min(n - j0),
-            accumulate,
-            epi.map(|e| (e, row0, j0)),
+    let (mut ragged, mut ragged_bias) = ([[T::ZERO; NR]; M], [T::ZERO; NR]);
+    if w > 0 {
+        if FIN == RESUME {
+            for (t, crow) in ragged.iter_mut().zip(c[full * NR..].chunks(n)) {
+                t[..w].copy_from_slice(&crow[..w]);
+            }
+        }
+        if FIN / 4 == 1 {
+            ragged_bias[..w].copy_from_slice(&s.col_bias[full * NR..]);
+        }
+    }
+    for p in grouped..n.div_ceil(NR) {
+        let (dst, ldc, lanes) = match p < full {
+            true => (&mut c[p * NR..], n, bias(p)),
+            false => (ragged.as_flattened_mut(), NR, &ragged_bias),
+        };
+        micro_tile::<T, C, FIN, M, 1>(
+            &a,
+            [slab(p)],
+            [panel_scales(s.b.scales, p * NR)],
+            [lanes],
+            &row_bias,
+            dst,
+            ldc,
         );
+    }
+    if w > 0 {
+        for (t, crow) in ragged.iter().zip(c[full * NR..].chunks_mut(n)) {
+            crow[..w].copy_from_slice(&t[..w]);
+        }
+    }
+    M
+}
+
+/// The epilogue with finish code `FIN` over a stripe's chains (`c`, rows of
+/// `n`) once its last slab has stored them: what a single-slab sweep does in
+/// its tiles ([`finish_lanes`]), on the partials read back from `C` (stored
+/// and reloaded exactly, so the bits are the same).
+fn finish_pass<T: Scalar, C: PanelCodec<T>, const FIN: usize>(s: &Slab<'_, T, C::Q>, c: &mut [T]) {
+    let col_lanes = s.col_bias.as_chunks::<NR>().0;
+    for (i, crow) in c.chunks_exact_mut(s.n).enumerate() {
+        let row = match FIN / 4 {
+            2 => s.row_bias[i],
+            _ => T::ZERO,
+        };
+        let (lanes, tail) = crow.as_chunks_mut::<NR>();
+        for (p, v) in lanes.iter_mut().enumerate() {
+            let col = match FIN / 4 {
+                1 => col_lanes[p],
+                _ => [T::ZERO; NR],
+            };
+            finish_lanes::<T, C, FIN>(v, &panel_scales(s.b.scales, p * NR), &col, row);
+        }
+        if !tail.is_empty() {
+            let (j0, w) = (lanes.len() * NR, tail.len());
+            let (mut v, mut col) = ([T::ZERO; NR], [T::ZERO; NR]);
+            v[..w].copy_from_slice(tail);
+            if FIN / 4 == 1 {
+                col[..w].copy_from_slice(&s.col_bias[j0..]);
+            }
+            finish_lanes::<T, C, FIN>(&mut v, &panel_scales(s.b.scales, j0), &col, row);
+            tail.copy_from_slice(&v[..w]);
+        }
     }
 }
 
@@ -2496,6 +2667,107 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every small shape against the naive reference, bit for bit, at every
+    /// storage precision: `m` ∈ 1..=17 ∪ {31, 64}, `n` ∈ 1..=17 ∪ {31, 32,
+    /// 33, 130} and each `k` of `ks` — every `MR`/4/2/1 step-down, full,
+    /// grouped and ragged panels, the narrow tiles, and one, two and many
+    /// `kc` slabs. The epilogue (every bias kind × activation), `kc` ∈ {1, 3,
+    /// `KC`} and the pool width (1 or 3) rotate from call to call, so every
+    /// combination of them meets every precision many times across the grid
+    /// (the whole product is ~10⁶ calls, minutes in a debug build). Each
+    /// shape runs f32, bf16 and int8 when `every_codec`, else one of them in
+    /// turn. A failure names its call: the vendored `proptest` does not
+    /// shrink.
+    fn shape_grid(ks: &[usize], every_codec: bool) {
+        use crate::quant::{matmul_transb_qpacked_into_kc, Precision, QPackedB};
+        let acts = [None, Some(Act::Relu), Some(Act::Tanh), Some(Act::Sigmoid)];
+        let pools = [hpacml_par::Pool::new(0), hpacml_par::Pool::new(2)];
+        let (mut turn, mut shape) = (0usize, 0usize);
+        for m in (1..=17).chain([31, 64]) {
+            for n in (1..=17).chain([31, 32, 33, 130]) {
+                for &k in ks {
+                    let a =
+                        Tensor::from_vec(lcg((m * 7 + n * 3 + k) as u64, m * k), [m, k]).unwrap();
+                    let bt = Tensor::from_vec(lcg((n * 5 + k) as u64, n * k), [n, k]).unwrap();
+                    let (col, row) = (lcg(n as u64 + 90, n), lcg(m as u64 + 91, m));
+                    let bp = PackedB::from_transb(&bt).unwrap();
+                    let q16 = QPackedB::from_transb(&bt, Precision::Bf16).unwrap();
+                    let q8 = QPackedB::from_transb(&bt, Precision::Int8).unwrap();
+                    let codecs = [("f32", None), ("bf16", Some(&q16)), ("int8", Some(&q8))];
+                    shape += 1;
+                    for (c_at, &(codec, q)) in codecs.iter().enumerate() {
+                        if !every_codec && c_at != shape % 3 {
+                            continue;
+                        }
+                        let epi = match turn % 3 {
+                            0 => Epilogue::none(),
+                            1 => Epilogue::col_bias(&col),
+                            _ => Epilogue::row_bias(&row),
+                        }
+                        .with_act(acts[turn / 3 % 4]);
+                        let kc = [1, 3, KC][turn / 12 % 3];
+                        let width = turn / 36 % 2;
+                        turn += 1;
+                        // The chain's weights and each column's finishing
+                        // scale, as the codec defines them.
+                        let w: Vec<f32> = match q {
+                            None => bt.data().to_vec(),
+                            Some(q) => (0..n * k).map(|e| q.chain_weight(e / k, e % k)).collect(),
+                        };
+                        let scale = |j: usize| q.map_or(1.0, |q| q.col_scale(j));
+                        let mut want = vec![0.0f32; m * n];
+                        for (i, out) in want.chunks_exact_mut(n).enumerate() {
+                            let ai = &a.data()[i * k..][..k];
+                            for (j, o) in out.iter_mut().enumerate() {
+                                let mut acc = 0.0f32;
+                                for (x, y) in ai.iter().zip(&w[j * k..][..k]) {
+                                    acc += x * y;
+                                }
+                                acc *= scale(j);
+                                acc = match epi.bias {
+                                    Bias::None => acc,
+                                    Bias::Col(b) => acc + b[j],
+                                    Bias::Row(b) => acc + b[i],
+                                };
+                                *o = epi.act.map_or(acc, |act| act.apply(acc));
+                            }
+                        }
+                        let mut c = Tensor::zeros([0usize; 2]);
+                        hpacml_par::with_pool(&pools[width], || match q {
+                            None => matmul_transb_packed_into_kc(&a, &bp, epi, &mut c, kc),
+                            Some(q) => matmul_transb_qpacked_into_kc(&a, q, epi, &mut c, kc),
+                        })
+                        .unwrap();
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(c.data()),
+                            bits(&want),
+                            "{codec} [{m},{k}]·[{k},{n}], {:?} + {:?}, kc {kc}, {} thread(s)",
+                            epi.bias,
+                            epi.act,
+                            2 * width + 1
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`shape_grid`] at `k` ∈ 1..=9 ∪ {16, 17}, every shape at every
+    /// precision.
+    #[test]
+    fn small_k_grid_matches_reference_bit_for_bit() {
+        shape_grid(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17], true);
+    }
+
+    /// [`shape_grid`] at `k` ∈ {255, 256, 257}, one slab short of `KC`, one
+    /// slab, and a slab and one step; each shape at one precision in turn
+    /// (these shapes are ~90 % of the grid's multiply-adds).
+    #[test]
+    fn slab_edge_grid_matches_reference_bit_for_bit() {
+        shape_grid(&[KC - 1, KC, KC + 1], false);
     }
 
     #[test]
