@@ -250,9 +250,10 @@
 //! (2.74–2.79× with the sweep before this one, which called an out-of-line
 //! tile per panel and matched the epilogue per row); the second,
 //! `[1024,128]·[128,64]` + bias + ReLU, 303–473 µs, 1.01–1.02×
-//! (1.03–1.05×); `[1024,1]·[1,128]` + bias + ReLU 45–47 µs, 2.1× (4.6–5.1×;
-//! the kernel's own time at `k = 1` moved from build to build, 21–35 µs,
-//! where the sweep's stayed at 45–50).
+//! (1.03–1.05×); `[1024,1]·[1,128]` + bias + ReLU 41–47 µs, 1.13–1.14× run
+//! alone and 2.1× after the three layers (4.6–5.1×). At `k = 1` the time is
+//! the 512 KB store stream, and the kernel's moved with what ran before it
+//! (21–37 µs) where the sweep's stayed at 41–50 µs.
 //!
 //! Tried on the sweep before this one, and not kept: `#[inline(always)]`
 //! on the tile (it inlined into the whole stripe body), slower;
