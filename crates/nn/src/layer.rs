@@ -443,20 +443,22 @@ impl Layer for Linear {
     fn backward(&mut self, dy: &Tensor) -> Result<Tensor> {
         let (w, b, cache_x) = self.train_state()?;
         let x = cache_x.as_ref().ok_or_else(|| missing_cache("linear"))?;
+        // dx[N, in] = dy[N, out] · W[out, in]; also checks dy's shape.
+        let dx = ops::matmul(dy, &w.value)?;
         // dW[out, in] += dyᵀ[out, N] · x[N, in]
-        let dw = ops::matmul_transa(dy, x)?;
+        let (rows, out) = (dy.dims()[0], dy.dims()[1]);
+        let dy_t = Tensor::from_shape_fn([out, rows], |ix| dy.data()[ix[1] * out + ix[0]]);
+        let dw = ops::matmul(&dy_t, x)?;
         for (g, d) in w.grad.data_mut().iter_mut().zip(dw.data()) {
             *g += *d;
         }
         // db[out] += column sums of dy.
-        let out = w.value.dims()[0];
         for row in dy.data().chunks_exact(out) {
             for (g, d) in b.grad.data_mut().iter_mut().zip(row) {
                 *g += *d;
             }
         }
-        // dx[N, in] = dy[N, out] · W[out, in]
-        Ok(ops::matmul(dy, &w.value)?)
+        Ok(dx)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -233,6 +233,32 @@ impl ModelSpec {
             .expect("parameter count overflows usize")
     }
 
+    /// Multiply-adds one sample's forward pass runs: `in · out` per
+    /// `Linear`, `f · c · kh · kw · oh · ow` per `Conv2d` (bias adds,
+    /// activations and pooling are not counted). A function of the
+    /// architecture alone, so a search that minimizes it proposes the same
+    /// models however loaded the host is. Errors where shape inference
+    /// fails or the count does not fit a `usize`.
+    pub fn mac_count(&self) -> Result<usize> {
+        let shapes = self.infer_shapes()?;
+        let add = |total: usize, (layer, out): (&LayerSpec, &Vec<usize>)| {
+            let per_output = match *layer {
+                LayerSpec::Linear { in_features, .. } => in_features,
+                LayerSpec::Conv2d { in_ch, kernel, .. } => {
+                    in_ch.checked_mul(kernel)?.checked_mul(kernel)?
+                }
+                _ => return Some(total),
+            };
+            let outputs = out.iter().try_fold(1usize, |n, d| n.checked_mul(*d))?;
+            total.checked_add(per_output.checked_mul(outputs)?)
+        };
+        self.layers
+            .iter()
+            .zip(&shapes)
+            .try_fold(0, add)
+            .ok_or_else(|| NnError::BadSpec("multiply-add count overflows usize".into()))
+    }
+
     /// Validate and instantiate with fresh (seeded) weights.
     pub fn build(&self, seed: u64) -> Result<Sequential> {
         let mut rng = crate::init::rng(seed);
@@ -336,6 +362,7 @@ mod tests {
             spec.param_count(),
             (6 * 64 + 64) + (64 * 32 + 32) + (32 + 1)
         );
+        assert_eq!(spec.mac_count().unwrap(), 6 * 64 + 64 * 32 + 32);
         let model = spec.build(1).unwrap();
         assert_eq!(model.param_count(), spec.param_count());
     }
@@ -368,6 +395,8 @@ mod tests {
         assert_eq!(shapes[0], vec![4, 14, 14]);
         assert_eq!(shapes[2], vec![4, 7, 7]);
         assert_eq!(spec.output_shape().unwrap(), vec![2]);
+        // conv: 1·5·5 taps for each of 4·14·14 outputs; linear: 196·2.
+        assert_eq!(spec.mac_count().unwrap(), 25 * 4 * 14 * 14 + 4 * 7 * 7 * 2);
         let model = spec.build(3).unwrap();
         let x = hpacml_tensor::Tensor::zeros([2, 1, 28, 28]);
         assert_eq!(model.forward(&x).unwrap().dims(), &[2, 2]);
@@ -390,6 +419,7 @@ mod tests {
         );
         let err = spec.infer_shapes().unwrap_err();
         assert!(matches!(err, NnError::BadSpec(s) if s.contains("layer 1")));
+        assert!(spec.mac_count().is_err());
     }
 
     #[test]

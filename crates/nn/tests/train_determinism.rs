@@ -6,6 +6,11 @@
 //! MiniWeather spatial-preserving conv stack. Data are small so a debug
 //! run stays short; the batches are still large enough that the parallel
 //! kernels split them.
+//!
+//! The 1-thread bytes are also pinned to a committed FNV-1a digest per
+//! model, so a kernel change that moves any bit of training (a gradient
+//! GEMM summed in another order, say) fails here even when it moves every
+//! width alike. The digests are the same in the debug and release builds.
 
 use hpacml_nn::serialize::save_model;
 use hpacml_nn::spec::Activation;
@@ -112,8 +117,20 @@ fn trained_bytes(name: &str, spec: &ModelSpec, data: &InMemoryDataset, threads: 
     std::fs::read(&path).unwrap()
 }
 
-fn assert_same_at_every_width(name: &str, spec: &ModelSpec, data: &InMemoryDataset) {
+/// FNV-1a over a model file's bytes.
+fn digest(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+fn assert_same_at_every_width(name: &str, spec: &ModelSpec, data: &InMemoryDataset, want: u64) {
     let one = trained_bytes(name, spec, data, 1);
+    assert_eq!(
+        digest(&one),
+        want,
+        "{name}: the trained model's bytes moved from the committed digest"
+    );
     for threads in [2, 3] {
         let got = trained_bytes(name, spec, data, threads);
         assert!(
@@ -127,14 +144,14 @@ fn assert_same_at_every_width(name: &str, spec: &ModelSpec, data: &InMemoryDatas
 fn mlp_trains_to_the_same_bytes_at_every_pool_width() {
     let spec = ModelSpec::mlp(6, &[128, 64], 1, Activation::ReLU, 0.0);
     let data = InMemoryDataset::new(values(&[256, 6], 1), values(&[256, 1], 2)).unwrap();
-    assert_same_at_every_width("mlp", &spec, &data);
+    assert_same_at_every_width("mlp", &spec, &data, 0xa73e_7e6b_f8b3_623e);
 }
 
 #[test]
 fn particlefilter_cnn_trains_to_the_same_bytes_at_every_pool_width() {
     let spec = pf_cnn(30, 30);
     let data = InMemoryDataset::new(values(&[64, 1, 30, 30], 3), values(&[64, 2], 4)).unwrap();
-    assert_same_at_every_width("pf-cnn", &spec, &data);
+    assert_same_at_every_width("pf-cnn", &spec, &data, 0x06cc_9a76_112b_d12b);
 }
 
 #[test]
@@ -142,5 +159,5 @@ fn miniweather_cnn_trains_to_the_same_bytes_at_every_pool_width() {
     let spec = miniweather_cnn(12, 24, 8, 3);
     let data =
         InMemoryDataset::new(values(&[64, 4, 12, 24], 5), values(&[64, 4, 12, 24], 6)).unwrap();
-    assert_same_at_every_width("miniweather-cnn", &spec, &data);
+    assert_same_at_every_width("miniweather-cnn", &spec, &data, 0xaf32_85f1_578f_523f);
 }

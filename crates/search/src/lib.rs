@@ -19,7 +19,9 @@
 //! * [`spaces`] — the paper's Table IV architecture spaces and Table V
 //!   hyperparameter space, and the decoding from configurations to
 //!   [`hpacml_nn::ModelSpec`]s;
-//! * [`nested`] — the outer/inner driver with the paper's early stopping.
+//! * [`nested`] — the outer/inner driver with the paper's early stopping;
+//!   its cost objective is the spec's multiply-add count where the paper
+//!   times each trial (a stated deviation, see the module).
 
 pub mod bo;
 pub mod gp;

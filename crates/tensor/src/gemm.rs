@@ -3,12 +3,15 @@
 //!
 //! # Why this module exists
 //!
-//! The naive kernels in [`crate::ops`] compute each output element with a
-//! single-accumulator dot product. That loop carries a dependency on the
-//! accumulator, so the CPU retires at best one add per float-add latency —
-//! a few percent of machine peak — and every `Linear` layer then makes two
-//! *more* full sweeps over its output for bias and activation. This module
-//! restructures the same arithmetic into the classic BLIS-style hierarchy:
+//! A naive kernel computes each output element with a single-accumulator
+//! dot product. That loop carries a dependency on the accumulator, so the
+//! CPU retires at best one add per float-add latency — a few percent of
+//! machine peak — and every `Linear` layer then makes two *more* full
+//! sweeps over its output for bias and activation. This module restructures
+//! the same arithmetic into the classic BLIS-style hierarchy, and it is the
+//! one kernel every dense product in the workspace runs on: the inference
+//! forwards, and training's products in [`crate::ops`] (`matmul`, and the
+//! convolution backward's dW and dcol), which pack their `B` per call:
 //!
 //! * **register tile** (`MR` × `NR`): the micro-kernel keeps an
 //!   `MR × NR` accumulator block in registers and sweeps the shared `k`
@@ -320,7 +323,7 @@ pub(crate) fn slab_depth(m: usize, k: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel blocking heuristic (shared by matmul / conv / gemm)
+// Parallel blocking heuristic (shared by the GEMM and the narrow chain)
 // ---------------------------------------------------------------------------
 
 /// Parallelism threshold: below this many multiply-adds a kernel runs
@@ -353,8 +356,8 @@ pub(crate) const PAR_TASK_FLOPS: usize = PAR_FLOPS_MIN * 8;
 /// per-claim overhead under a percent at [`PAR_TASK_FLOPS`] task sizes.
 pub(crate) const PAR_TASKS_PER_THREAD: usize = 4;
 
-/// The one block-size heuristic shared by every row-parallel kernel
-/// (GEMM stripes, the legacy matmul family, convolution sample blocks):
+/// The one block-size heuristic shared by every row-parallel kernel (the
+/// GEMM's stripes and the narrow chain's):
 /// how many of the `m` output rows of an `[m, n]` result (each costing
 /// `n * k` multiply-adds) one parallel task should own. Always in `1..=m`.
 ///
@@ -367,8 +370,8 @@ pub(crate) const PAR_TASKS_PER_THREAD: usize = 4;
 /// element accumulates its `k`-sum, so results stay bitwise identical
 /// across pool sizes (pinned by `gemm_determinism`).
 ///
-/// Keeping matmul, conv and GEMM on this single function means their task
-/// granularities cannot drift apart as the constants are tuned.
+/// Keeping both on this single function means their task granularities
+/// cannot drift apart as the constants are tuned.
 pub(crate) fn par_rows_per_block(m: usize, n: usize, k: usize) -> usize {
     let flops_rows = (PAR_TASK_FLOPS / (n * k).max(1)).max(1);
     let threads = hpacml_par::current_parallelism();
@@ -546,6 +549,26 @@ impl<T: Scalar> PackedB<T> {
     pub fn pack_rows_into(&mut self, bt: &[T], n: usize, k: usize) {
         self.prepare(k, n);
         pack_transb_panels(bt, n, k, &mut self.data);
+    }
+
+    /// Pack from row-major `[k, n]` storage — `B` as it stands (the
+    /// training GEMMs' weights and output gradients): row `kk` of panel `p`
+    /// is the contiguous run `b[kk·n + p·NR ..][..NR]`, and the ragged last
+    /// panel's lanes past column `n` are zero.
+    pub(crate) fn pack_kn_into(&mut self, b: &[T], k: usize, n: usize) {
+        assert_eq!(b.len(), k * n, "pack_kn_into: bad B length");
+        self.prepare(k, n);
+        if k == 0 || n == 0 {
+            return;
+        }
+        let panels = &mut self.data[..Self::packed_elems(k, n)];
+        for (p, panel) in panels.chunks_exact_mut(k * NR).enumerate() {
+            let (j0, live) = (p * NR, NR.min(n - p * NR));
+            for (out, row) in panel.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
+                out[..live].copy_from_slice(&row[j0..j0 + live]);
+                out[live..].fill(T::ZERO);
+            }
+        }
     }
 
     /// Pack a rank-2 tensor stored in transb layout `[n, k]`.

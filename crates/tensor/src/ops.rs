@@ -3,13 +3,17 @@
 //! These are the dense-linear-algebra operations the paper's Observation 2
 //! is about: NN inference is implemented by dense kernels that use hardware
 //! efficiently. All kernels parallelize over the [`hpacml_par`] pool and fall
-//! back to inline execution for small problems; block sizes come from the
-//! shared heuristic in `crate::gemm::par_rows_per_block`.
+//! back to inline execution for small problems: the convolutions over
+//! samples, the GEMM over row stripes.
 //!
-//! The inference-critical kernels (`matmul_transb_into`, the convolution
-//! forward) route through the register-tiled [`crate::gemm`] subsystem with
-//! fused bias/activation epilogues; the remaining training-side kernels
-//! keep their simpler axpy formulations.
+//! Every dense product runs on the one register-tiled [`crate::gemm`]
+//! kernel: the `Linear` forward (`matmul_transb_into`, with its fused
+//! bias/activation epilogue), the training GEMMs (`matmul`, and the
+//! convolution backward's dW and dcol) and the convolution forward's im2col
+//! route, each `B` packed per call into this thread's scratch panels. `axpy`
+//! is left only to the convolution forward's direct kernels (stride 1, and
+//! small strided problems through im2col), which start each chain from the
+//! bias.
 
 use crate::gemm::{self, Act, Epilogue, PackedB, WithScratch, NR};
 use crate::scalar::Scalar;
@@ -31,8 +35,9 @@ fn axpy<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
     }
 }
 
-/// `C[m,n] = A[m,k] · B[k,n]`.
-pub fn matmul<T: Scalar>(a: &Tensor<T>, b: &Tensor<T>) -> Result<Tensor<T>> {
+/// `C[m,n] = A[m,k] · B[k,n]`: `B` packed from its rows into this thread's
+/// scratch panels, then the one GEMM.
+pub fn matmul<T: Scalar + WithScratch>(a: &Tensor<T>, b: &Tensor<T>) -> Result<Tensor<T>> {
     let (m, k) = mat_dims(a, "matmul lhs")?;
     let (kb, n) = mat_dims(b, "matmul rhs")?;
     if k != kb {
@@ -40,27 +45,13 @@ pub fn matmul<T: Scalar>(a: &Tensor<T>, b: &Tensor<T>) -> Result<Tensor<T>> {
             "matmul: lhs is [{m}, {k}], rhs is [{kb}, {n}]"
         )));
     }
-    let mut c = Tensor::zeros([m, n]); // the kernel accumulates
-    let (ad, bd) = (a.data(), b.data());
-    let body = |row0: usize, rows: &mut [T]| {
-        for (r, crow) in rows.chunks_exact_mut(n).enumerate() {
-            let i = row0 / n + r;
-            let arow = &ad[i * k..(i + 1) * k];
-            for (kk, &aik) in arow.iter().enumerate() {
-                axpy(aik, &bd[kk * n..(kk + 1) * n], crow);
-            }
-        }
-    };
-    dispatch_rows(c.data_mut(), m, n, k, body);
+    let mut c = Tensor::zeros([m, n]);
+    T::with_gemm_scratch(|s| {
+        s.packed_b.pack_kn_into(b.data(), k, n);
+        gemm::gemm_into(m, a.data(), &s.packed_b, Epilogue::none(), c.data_mut());
+    });
     Ok(c)
 }
-
-/// Below this many `A` rows, packing `B` costs more than it saves and the
-/// row-wise dot kernel wins; at or above it, `B` is packed into this
-/// thread's scratch panels and the tiled GEMM runs. The cutover is a pure
-/// function of `m`, so a given output row is computed identically whichever
-/// path serves it (both accumulate in ascending-`k` order).
-const PACK_MIN_ROWS: usize = 4;
 
 /// `C[m,n] = A[m,k] · B[n,k]ᵀ` (dot products of rows — cache friendly)
 /// into a caller-owned output tensor (resized in place; allocation-free
@@ -79,60 +70,11 @@ pub fn matmul_transb_into<T: Scalar + WithScratch>(
     let (n, kb) = mat_dims(b, "matmul_transb rhs")?;
     let (m, k) = gemm::check_operands("matmul_transb", a, n, kb, &epi)?;
     c.resize(&[m, n]); // every cell is overwritten below; no zero fill needed
-    let (ad, bd) = (a.data(), b.data());
-    if m >= PACK_MIN_ROWS {
-        T::with_gemm_scratch(|s| {
-            s.packed_b.pack_rows_into(bd, n, k);
-            gemm::gemm_into(m, ad, &s.packed_b, epi, c.data_mut());
-        });
-        return Ok(());
-    }
-    // Small-m path: per-element dot products over the contiguous B rows,
-    // same ascending-k accumulation order as the tiled kernel.
-    for (i, crow) in c.data_mut().chunks_exact_mut(n).enumerate() {
-        let arow = &ad[i * k..(i + 1) * k];
-        for (j, cij) in crow.iter_mut().enumerate() {
-            let brow = &bd[j * k..(j + 1) * k];
-            let mut acc = T::ZERO;
-            for (x, y) in arow.iter().zip(brow) {
-                acc += *x * *y;
-            }
-            acc = match epi.bias {
-                gemm::Bias::None => acc,
-                gemm::Bias::Col(bias) => acc + bias[j],
-                gemm::Bias::Row(bias) => acc + bias[i],
-            };
-            if let Some(act) = epi.act {
-                acc = act.apply(acc);
-            }
-            *cij = acc;
-        }
-    }
+    T::with_gemm_scratch(|s| {
+        s.packed_b.pack_rows_into(b.data(), n, k);
+        gemm::gemm_into(m, a.data(), &s.packed_b, epi, c.data_mut());
+    });
     Ok(())
-}
-
-/// `C[m,n] = A[k,m]ᵀ · B[k,n]`.
-pub fn matmul_transa<T: Scalar>(a: &Tensor<T>, b: &Tensor<T>) -> Result<Tensor<T>> {
-    let (k, m) = mat_dims(a, "matmul_transa lhs")?;
-    let (kb, n) = mat_dims(b, "matmul_transa rhs")?;
-    if k != kb {
-        return Err(TensorError::DimMismatch(format!(
-            "matmul_transa: lhs is [{k}, {m}], rhs is [{kb}, {n}]"
-        )));
-    }
-    let mut c = Tensor::zeros([m, n]); // the kernel accumulates
-    let (ad, bd) = (a.data(), b.data());
-    let body = |row0: usize, rows: &mut [T]| {
-        for (r, crow) in rows.chunks_exact_mut(n).enumerate() {
-            let i = row0 / n + r;
-            for kk in 0..k {
-                let aki = ad[kk * m + i];
-                axpy(aki, &bd[kk * n..(kk + 1) * n], crow);
-            }
-        }
-    };
-    dispatch_rows(c.data_mut(), m, n, k, body);
-    Ok(c)
 }
 
 fn mat_dims<T: Scalar>(t: &Tensor<T>, what: &str) -> Result<(usize, usize)> {
@@ -143,21 +85,6 @@ fn mat_dims<T: Scalar>(t: &Tensor<T>, what: &str) -> Result<(usize, usize)> {
         )));
     }
     Ok((t.dims()[0], t.dims()[1]))
-}
-
-/// Run `body(row_start_elem, row_block)` over the `m` rows of an `[m, n]`
-/// output, in parallel if the problem is big enough. Task sizes come from
-/// the shared [`gemm::par_rows_per_block`] heuristic.
-fn dispatch_rows<T, F>(c: &mut [T], m: usize, n: usize, k: usize, body: F)
-where
-    T: Scalar,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    if !gemm::par_worthwhile(m, n, k) {
-        body(0, c);
-        return;
-    }
-    hpacml_par::par_chunks_mut(c, gemm::par_rows_per_block(m, n, k) * n, body);
 }
 
 /// Convolution geometry helper: output extent for one spatial dim.
@@ -604,7 +531,10 @@ fn conv2d_sample_direct_s1<T: Scalar>(
 }
 
 /// Gradients of [`conv2d_fused_into`]: returns `(dinput, dweight, dbias)`.
-pub fn conv2d_backward<T: Scalar>(
+/// Per sample, both products run on the one GEMM: `dW = dout · colᵀ` (the
+/// im2col matrix packed from its rows) and `dcol = Wᵀ · dout` (`dout`
+/// packed from its rows), `dcol` then scattered back into dX (col2im).
+pub fn conv2d_backward<T: Scalar + WithScratch>(
     input: &Tensor<T>,
     weight: &Tensor<T>,
     dout: &Tensor<T>,
@@ -624,9 +554,12 @@ pub fn conv2d_backward<T: Scalar>(
     let mut dinput = Tensor::zeros([n, c, h, w]);
     let in_sample = c * h * w;
     let out_sample = f * l;
-    let wd = weight.data();
     let id = input.data();
     let dd = dout.data();
+    // Wᵀ[ckk, f], the `A` operand of every sample's dcol product.
+    let wt: Vec<T> = (0..ckk * f)
+        .map(|i| weight.data()[(i % f) * ckk + i / f])
+        .collect();
 
     // Each sample's dW/db partials, kept apart and summed in sample order
     // below: the order in which the pool's participants finish must not
@@ -635,49 +568,30 @@ pub fn conv2d_backward<T: Scalar>(
 
     hpacml_par::par_chunks_mut(dinput.data_mut(), in_sample, |start, din_n| {
         let sample = start / in_sample;
-        let mut col = vec![T::ZERO; ckk * l];
-        im2col(
-            &id[sample * in_sample..(sample + 1) * in_sample],
-            c,
-            h,
-            w,
-            g,
-            &mut col,
-        );
         let dout_n = &dd[sample * out_sample..(sample + 1) * out_sample];
-
-        // Local gradient accumulators for this sample.
+        let db_loc = (0..f)
+            .map(|fi| {
+                dout_n[fi * l..(fi + 1) * l]
+                    .iter()
+                    .fold(T::ZERO, |s, v| s + *v)
+            })
+            .collect();
         let mut dw_loc = vec![T::ZERO; f * ckk];
-        let mut db_loc = vec![T::ZERO; f];
-        // dW[f, ckk] += dout_n[f, l] · col[ckk, l]ᵀ ; db[f] += Σ dout rows.
-        for fi in 0..f {
-            let drow = &dout_n[fi * l..(fi + 1) * l];
-            for v in drow {
-                db_loc[fi] += *v;
+        T::with_gemm_scratch(|s| {
+            let gemm::GemmScratch { packed_b, col } = s;
+            if col.len() < ckk * l {
+                col.resize(ckk * l, T::ZERO);
             }
-            let dwrow = &mut dw_loc[fi * ckk..(fi + 1) * ckk];
-            for (kk, dwv) in dwrow.iter_mut().enumerate() {
-                let crow = &col[kk * l..(kk + 1) * l];
-                let mut s = T::ZERO;
-                for (x, y) in drow.iter().zip(crow) {
-                    s += *x * *y;
-                }
-                *dwv = s;
-            }
-        }
-        // dcol[ckk, l] = Wᵀ[ckk, f] · dout_n[f, l]; reuse `col` as dcol.
-        for v in col.iter_mut() {
-            *v = T::ZERO;
-        }
-        for fi in 0..f {
-            let drow = &dout_n[fi * l..(fi + 1) * l];
-            let wrow = &wd[fi * ckk..(fi + 1) * ckk];
-            for (kk, &wv) in wrow.iter().enumerate() {
-                axpy(wv, drow, &mut col[kk * l..(kk + 1) * l]);
-            }
-        }
-        col2im(&col, c, h, w, g, din_n);
-
+            let col = &mut col[..ckk * l];
+            let inp = &id[sample * in_sample..(sample + 1) * in_sample];
+            im2col(inp, c, h, w, g, col);
+            packed_b.pack_rows_into(col, ckk, l);
+            gemm::gemm_into(f, dout_n, packed_b, Epilogue::none(), &mut dw_loc);
+            // dcol overwrites the columns, which the pack above has copied.
+            packed_b.pack_kn_into(dout_n, f, l);
+            gemm::gemm_into(ckk, &wt, packed_b, Epilogue::none(), col);
+            col2im(col, c, h, w, g, din_n);
+        });
         let _ = partials[sample].set((dw_loc, db_loc));
     });
 
@@ -868,15 +782,6 @@ mod tests {
         let bt = rand_mat(11, 7, 6); // B is [11, 7]; logical B^T is [7, 11]
         let b = Tensor::from_shape_fn([7, 11], |ix| bt.at(&[ix[1], ix[0]]));
         let c = matmul_transb(&a, &bt).unwrap();
-        assert!(c.max_abs_diff(&naive_matmul(&a, &b)).unwrap() < 1e-10);
-    }
-
-    #[test]
-    fn matmul_transa_matches() {
-        let at = rand_mat(7, 13, 7); // A is [7, 13]; logical A^T is [13, 7]
-        let a = Tensor::from_shape_fn([13, 7], |ix| at.at(&[ix[1], ix[0]]));
-        let b = rand_mat(7, 11, 8);
-        let c = matmul_transa(&at, &b).unwrap();
         assert!(c.max_abs_diff(&naive_matmul(&a, &b)).unwrap() < 1e-10);
     }
 
