@@ -103,7 +103,7 @@ pub trait Layer: Send + Sync {
     }
 
     /// If this layer is a pure elementwise activation the GEMM epilogue can
-    /// fuse (`ReLU`/`Tanh`/`Sigmoid`), say which.
+    /// fuse (an `ActLayer`), say which.
     fn as_activation(&self) -> Option<Act> {
         None
     }
@@ -564,118 +564,85 @@ impl Layer for Linear {
 // Activations
 // ---------------------------------------------------------------------------
 
+/// An elementwise activation layer, `y = act(x)` by [`Act::apply`]: the
+/// formula the fused GEMM epilogue applies, so a fused `Linear→activation`
+/// pair and the unfused stack are bit-identical. `A` fixes the activation
+/// ([`ActLayer::ACT`]); [`ReLU`], [`Tanh`] and [`Sigmoid`] are the three.
+#[derive(Default)]
+pub(crate) struct ActLayer<const A: u8> {
+    /// What `backward` reads: the input for ReLU, the output otherwise.
+    cache: Option<Tensor>,
+}
+
 /// Rectified linear unit.
-#[derive(Default)]
-pub struct ReLU {
-    cache_x: Option<Tensor>,
-}
-
-impl Layer for ReLU {
-    #[cfg(test)]
-    fn name(&self) -> &'static str {
-        "relu"
-    }
-
-    fn forward_into(&self, x: &Tensor, out: &mut Tensor, _prec: Precision) -> Result<()> {
-        x.map_into(out, |v| v.max(0.0));
-        Ok(())
-    }
-
-    fn as_activation(&self) -> Option<Act> {
-        Some(Act::Relu)
-    }
-
-    fn forward_train(&mut self, x: &Tensor) -> Result<Tensor> {
-        self.cache_x = Some(x.clone());
-        self.forward(x)
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Result<Tensor> {
-        let x = self.cache_x.as_ref().ok_or_else(|| missing_cache("relu"))?;
-        let mut dx = dy.clone();
-        for (d, xv) in dx.data_mut().iter_mut().zip(x.data()) {
-            if *xv <= 0.0 {
-                *d = 0.0;
-            }
-        }
-        Ok(dx)
-    }
-}
-
-/// Hyperbolic tangent. Uses the same vectorizable `tanh` the fused GEMM
-/// epilogue applies ([`hpacml_tensor::Scalar::tanh_activation`]), so a
-/// fused `Linear→Tanh` pair and this standalone layer are bit-identical.
-#[derive(Default)]
-pub struct Tanh {
-    cache_y: Option<Tensor>,
-}
-
-impl Layer for Tanh {
-    #[cfg(test)]
-    fn name(&self) -> &'static str {
-        "tanh"
-    }
-
-    fn forward_into(&self, x: &Tensor, out: &mut Tensor, _prec: Precision) -> Result<()> {
-        x.map_into(out, hpacml_tensor::Scalar::tanh_activation);
-        Ok(())
-    }
-
-    fn as_activation(&self) -> Option<Act> {
-        Some(Act::Tanh)
-    }
-
-    fn forward_train(&mut self, x: &Tensor) -> Result<Tensor> {
-        let y = self.forward(x)?;
-        self.cache_y = Some(y.clone());
-        Ok(y)
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Result<Tensor> {
-        let y = self.cache_y.as_ref().ok_or_else(|| missing_cache("tanh"))?;
-        let mut dx = dy.clone();
-        for (d, yv) in dx.data_mut().iter_mut().zip(y.data()) {
-            *d *= 1.0 - yv * yv;
-        }
-        Ok(dx)
-    }
-}
-
+pub(crate) type ReLU = ActLayer<0>;
+/// Hyperbolic tangent, by [`hpacml_tensor::Scalar::tanh_activation`].
+pub(crate) type Tanh = ActLayer<1>;
 /// Logistic sigmoid.
-#[derive(Default)]
-pub struct Sigmoid {
-    cache_y: Option<Tensor>,
+pub(crate) type Sigmoid = ActLayer<2>;
+
+impl<const A: u8> ActLayer<A> {
+    /// The activation this layer applies.
+    const ACT: Act = match A {
+        0 => Act::Relu,
+        1 => Act::Tanh,
+        _ => Act::Sigmoid,
+    };
 }
 
-impl Layer for Sigmoid {
+impl<const A: u8> Layer for ActLayer<A> {
     #[cfg(test)]
     fn name(&self) -> &'static str {
-        "sigmoid"
+        match Self::ACT {
+            Act::Relu => "relu",
+            Act::Tanh => "tanh",
+            Act::Sigmoid => "sigmoid",
+        }
     }
 
     fn forward_into(&self, x: &Tensor, out: &mut Tensor, _prec: Precision) -> Result<()> {
-        x.map_into(out, |v| 1.0 / (1.0 + (-v).exp()));
+        x.map_into(out, |v| Self::ACT.apply(v));
         Ok(())
     }
 
     fn as_activation(&self) -> Option<Act> {
-        Some(Act::Sigmoid)
+        Some(Self::ACT)
     }
 
     fn forward_train(&mut self, x: &Tensor) -> Result<Tensor> {
         let y = self.forward(x)?;
-        self.cache_y = Some(y.clone());
+        self.cache = Some(match Self::ACT {
+            Act::Relu => x.clone(),
+            Act::Tanh | Act::Sigmoid => y.clone(),
+        });
         Ok(y)
     }
 
     fn backward(&mut self, dy: &Tensor) -> Result<Tensor> {
-        let y = self
-            .cache_y
+        let cached = self
+            .cache
             .as_ref()
-            .ok_or_else(|| missing_cache("sigmoid"))?;
+            .ok_or_else(|| missing_cache("activation"))?;
         let mut dx = dy.clone();
-        for (d, yv) in dx.data_mut().iter_mut().zip(y.data()) {
-            *d *= yv * (1.0 - yv);
+        let pairs = dx.data_mut().iter_mut().zip(cached.data());
+        match Self::ACT {
+            Act::Relu => {
+                for (d, xv) in pairs {
+                    if *xv <= 0.0 {
+                        *d = 0.0;
+                    }
+                }
+            }
+            Act::Tanh => {
+                for (d, yv) in pairs {
+                    *d *= 1.0 - yv * yv;
+                }
+            }
+            Act::Sigmoid => {
+                for (d, yv) in pairs {
+                    *d *= yv * (1.0 - yv);
+                }
+            }
         }
         Ok(dx)
     }

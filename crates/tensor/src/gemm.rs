@@ -58,8 +58,9 @@
 //! * the tile shape an element lands in: the narrow-N tiles below put other
 //!   *elements* side by side (16 rows × 8 lanes, or 16 rows on the lanes of
 //!   one column) but run the identical chain — `acc += a*w`, ascending `k`,
-//!   mul then add, then the codec's finish and the shared epilogue — for
-//!   each of them, and
+//!   mul then add, then the one finish every tile compiles for its finish
+//!   code (`finish_lanes`: the codec's scale, the bias, the activation) —
+//!   for each of them, and
 //! * whether a layer runs alone or inside a [`NarrowChain`], which runs the
 //!   same chain per element with the rows on the lanes.
 //!
@@ -92,14 +93,36 @@
 //! `5→8→1`, every regression head ends in `n = 1`. On an `MR × NR` tile
 //! such a layer computes 8–15 dead lanes per row and pays a tile call, an
 //! epilogue and `MR` variable-length row stores per handful of `k` steps.
-//! When a packed-`B`, row-major-`A` problem has `n ≤ NARROW_N` and a single
-//! `k` slab (`k ≤ kc`: nothing to resume), each stripe therefore runs its
-//! full `NARROW_MR`-row blocks on one of two narrow tiles — `2 ≤ n ≤ 8`:
-//! 16 rows × 8 lanes with one contiguous store of the whole C block;
-//! `n == 1`: the 16 rows themselves on the SIMD axis — and only the
-//! `< NARROW_MR` remainder rows on the tiles above. The choice is a pure
-//! function of `(n, k, kc)`; nothing selects it from outside, and it holds
-//! at every storage precision. `k > kc` keeps the panel sweep.
+//! When a packed-`B`, row-major-`A` problem has `n ≤ NARROW_N`, a single
+//! `k` slab (`k ≤ kc`: nothing to resume) and no per-row bias, each stripe
+//! therefore runs its full `NARROW_MR`-row blocks on one of two narrow
+//! tiles — `2 ≤ n ≤ 8`: 16 rows × 8 lanes with one contiguous store of the
+//! whole C block; `n == 1`: the 16 rows themselves on the SIMD axis — and
+//! only the `< NARROW_MR` remainder rows on the tiles above. The choice is
+//! a pure function of `(n, k, kc)` and the bias kind; nothing selects it
+//! from outside, and it holds at every storage precision. `k > kc`, and a
+//! per-row bias (which only the convolution route fuses, at `n ≥ 32`), keep
+//! the panel sweep.
+//!
+//! Like the sweep (*Register tiles*), the narrow tiles are compiled per
+//! finish code — no bias or one per column, × the activation: 8 codes — and
+//! finish through the sweep's `finish_lanes`: the 16 × 8 tile as one flat
+//! pass of 128 lanes, its columns' scales and biases repeated on every row;
+//! the column tile's 16 lanes with the column's one scale and bias
+//! broadcast. Same process, 1 thread, 2-vCPU AVX-512 KVM guest, p50 of 300
+//! alternating calls, two sets of five runs, output bits identical, new/old
+//! against test-local copies of the tiles before them, which matched the
+//! `Epilogue` at run time (the test
+//! `narrow_tiles_against_runtime_epilogue_tiles_same_process` in
+//! `tests/sweep_tiles.rs` prints them): `sweep_mlp`'s last layer
+//! `[1024,64]·[64,1]` + bias 0.992–0.998; the stencil MLP's layers,
+//! `[65536,5]·[5,8]` + bias + ReLU 0.80–0.89 (int8 0.83–0.86 in one set,
+//! 1.01–1.03 in the other) and `[65536,8]·[8,1]` + bias 0.97–1.02 (bf16
+//! 0.84–0.95); `[1024,128]·[128,4]` 0.98–1.01; `[37,8]·[8,5]` + bias +
+//! Sigmoid 0.91–0.95; `[4096,64]·[64,8]` + bias + Tanh 0.86–1.01;
+//! `[65536,8]·[8,1]` + Tanh 0.98–1.02. The host's load moved the p50s by
+//! up to 1.7× between the sets; each ratio above 1 is inside its own arms'
+//! run-to-run spread.
 //!
 //! Those tiles still serve one layer at a time, and a narrow MLP is a
 //! chain of such layers: the stencil MLP writes its whole `[m, 8]` hidden
@@ -253,10 +276,19 @@
 //! (2.74–2.79× with the sweep before this one, which called an out-of-line
 //! tile per panel and matched the epilogue per row); the second,
 //! `[1024,128]·[128,64]` + bias + ReLU, 303–473 µs, 1.01–1.02×
-//! (1.03–1.05×); `[1024,1]·[1,128]` + bias + ReLU 41–47 µs, 1.13–1.14× run
-//! alone and 2.1× after the three layers (4.6–5.1×). At `k = 1` the time is
-//! the 512 KB store stream, and the kernel's moved with what ran before it
-//! (21–37 µs) where the sweep's stayed at 41–50 µs.
+//! (1.03–1.05×); `[1024,1]·[1,128]` + bias + ReLU 4.6–5.1× with the old
+//! sweep. At `k = 1` the time is the 512 KB store stream, so the ratio read
+//! the cache state each arm found its output in (1.13–1.14× run alone, 2.1×
+//! after the three layers). Both arms now write one output, rewritten
+//! before each timed call, so they start from the same memory in the same
+//! cache state; from it (two sets of five runs) the first layer reads
+//! 1.04–1.08× the kernel, the second 1.00–1.04×, the third,
+//! `[1024,64]·[64,1]` + bias on the column tile, 1.01–1.04×, and `k = 1`
+//! 1.11–1.17× (1.05× with the `k = 1` layer run alone). What is left of
+//! that spread follows where the allocator starts the output within a
+//! 64-byte line, which the test prints: `k = 1` read 1.05× at +16 and
+//! 1.11–1.17× at +0, and with an output per arm, at two different offsets,
+//! the first layer read 0.97–0.98×.
 //!
 //! Tried on the sweep before this one, and not kept: `#[inline(always)]`
 //! on the tile (it inlined into the whole stripe body), slower;
@@ -266,14 +298,18 @@
 //! const generic, fast at `k = 6` and slower than the sweep at 5 and 8
 //! (codegen luck). The sweeps compiled per finish code cost code: 166
 //! `block_sweep` instances, 468 KB, in a release binary that serves f32,
-//! bf16 and int8 (`benchmark/`'s binary grew from 2.24 to 2.71 MB).
+//! bf16 and int8 (`benchmark/`'s binary grew from 2.24 to 2.71 MB). So do
+//! the narrow tiles compiled per finish code (*Skinny shapes*): 48
+//! instances (`narrow_tile` and `column_tile` × 3 codecs × 8 codes), 76 KB,
+//! where their six run-time-epilogue forms took 35 KB (`benchmark/`'s
+//! binary: 2.71 → 2.78 MB).
 //!
 //! # Panel codecs
 //!
 //! There is one macro-kernel. Everything in it — operand checks, the stripe
 //! split, the `kc` slab loop, the `MR`/4/2/1 step-down and its panel
-//! grouping, the narrow tiles, the narrow chain, the epilogue and the
-//! clipped store — is generic over a crate-private `PanelCodec`, which says
+//! grouping, the narrow tiles, the narrow chain, every tile's finish and
+//! the clipped store — is generic over a crate-private `PanelCodec`, which says
 //! the two things that differ between storage precisions: the `B` load (how
 //! one stored element of a packed panel becomes the value of `T` the
 //! accumulator chains multiply) and the finish (how a column's chain, after
@@ -791,21 +827,6 @@ impl<T: Scalar> PanelCodec<T> for Identity {
     }
 }
 
-/// One stored panel row (`NR` elements) decoded against its panel's scales.
-#[inline(always)]
-fn decode_row<T: Scalar, C: PanelCodec<T>>(raw: &[C::Q; NR], scales: &[T; NR]) -> [T; NR] {
-    std::array::from_fn(|j| C::decode(raw[j], scales[j]))
-}
-
-/// A row of finished chains through their columns' [`PanelCodec::finish`]
-/// (`scales[j]` is lane `j`'s column scale): a no-op but on a scaled codec.
-#[inline(always)]
-fn finish_row<T: Scalar, C: PanelCodec<T>, const W: usize>(v: &mut [T; W], scales: &[T]) {
-    for (x, &s) in v.iter_mut().zip(scales) {
-        *x = C::finish(*x, s);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Micro-kernel
 // ---------------------------------------------------------------------------
@@ -831,8 +852,8 @@ const RESUME: usize = 13;
 
 /// The finish code of a single-slab sweep with epilogue `epi`: `4 · bias +
 /// act`, `bias` 0 none, 1 per column, 2 per row, `act` an [`act_of`] code.
-/// The sweep is compiled per code (`by_fin!`), so every choice it makes
-/// after a tile's `k` loop is a constant there.
+/// The sweep and the narrow tiles are compiled per code (`by_fin!`), so
+/// every choice a tile makes after its `k` loop is a constant there.
 fn epi_code<T>(epi: &Epilogue<'_, T>) -> usize {
     let bias = match epi.bias {
         Bias::None => 0,
@@ -843,15 +864,18 @@ fn epi_code<T>(epi: &Epilogue<'_, T>) -> usize {
 }
 
 /// `$f::<T, C, FIN>(args…)` with `FIN` the finish code `$code`, a constant
-/// in every arm.
+/// in every arm: any code, or (`narrow`) one of the [`NARROW_CODES`].
 macro_rules! by_fin {
-    ($code:expr, $f:ident::<$t:ty, $c:ty> $args:tt) => {
-        by_fin!(@arms $code, $f, $t, $c, $args, 0 1 2 3 4 5 6 7 8 9 10 11 12)
+    (narrow $code:expr, $f:ident::<$t:ty, $c:ty> $args:tt) => {
+        by_fin!(@arms $code, $f, $t, $c, $args, [0 1 2 3 4 5 6] 7)
     };
-    (@arms $code:expr, $f:ident, $t:ty, $c:ty, $args:tt, $($fin:literal)*) => {
+    ($code:expr, $f:ident::<$t:ty, $c:ty> $args:tt) => {
+        by_fin!(@arms $code, $f, $t, $c, $args, [0 1 2 3 4 5 6 7 8 9 10 11 12] RESUME)
+    };
+    (@arms $code:expr, $f:ident, $t:ty, $c:ty, $args:tt, [$($fin:literal)*] $last:expr) => {
         match $code {
             $($fin => $f::<$t, $c, $fin> $args,)*
-            _ => $f::<$t, $c, RESUME> $args,
+            _ => $f::<$t, $c, { $last }> $args,
         }
     };
 }
@@ -935,41 +959,41 @@ fn micro_tile<T: Scalar, C: PanelCodec<T>, const FIN: usize, const M: usize, con
     for (i, (arow, &rb)) in acc.iter().zip(row_bias).enumerate() {
         for (q, &v) in arow.iter().enumerate() {
             let mut v = v;
-            finish_lanes::<T, C, FIN>(&mut v, &scales[q], col_bias[q], rb);
+            finish_lanes::<T, C, FIN, NR>(&mut v, &scales[q], col_bias[q], rb);
             c[i * ldc + q * NR..][..NR].copy_from_slice(&v);
         }
     }
 }
 
-/// One panel row of finished chains, as finish code `FIN` ([`epi_code`])
-/// wants it: the codec's [`PanelCodec::finish`] (`scales`: the panel's
-/// column scales), then the bias (`col`: the panel's per-column lanes,
-/// `row`: the row's), then the activation; nothing on a slab before the
-/// last ([`PARTIAL`], [`RESUME`]). Every choice is a constant of `FIN`, so
-/// the row is straight-line code.
+/// `W` lanes of finished chains, as finish code `FIN` ([`epi_code`]) wants
+/// them: the codec's [`PanelCodec::finish`] (`scales`: each lane's column
+/// scale), then the bias (`col`: each lane's per-column bias, `row`: the
+/// row's), then the activation; nothing on a slab before the last
+/// ([`PARTIAL`], [`RESUME`]). Every choice is a constant of `FIN`, so the
+/// lanes are straight-line code. Every tile finishes here: a sweep tile one
+/// panel row at a time (`W = NR`), the narrow tiles their whole block in
+/// one pass ([`narrow_blocks`]).
 #[inline(always)]
-fn finish_lanes<T: Scalar, C: PanelCodec<T>, const FIN: usize>(
-    v: &mut [T; NR],
-    scales: &[T; NR],
-    col: &[T; NR],
+fn finish_lanes<T: Scalar, C: PanelCodec<T>, const FIN: usize, const W: usize>(
+    v: &mut [T; W],
+    scales: &[T; W],
+    col: &[T; W],
     row: T,
 ) {
     if FIN >= PARTIAL {
         return;
     }
-    finish_row::<T, C, NR>(v, scales);
-    match FIN / 4 {
-        1 => {
-            for (x, &b) in v.iter_mut().zip(col) {
-                *x += b;
-            }
-        }
-        2 => {
-            for x in v.iter_mut() {
-                *x += row;
-            }
-        }
-        _ => {}
+    // Scale and bias in one loop: the narrow tile's 128 lanes are finished
+    // in memory, where a pass per step re-read the tile (int8
+    // `[65536,5]·[5,8]` + bias + ReLU measured 0.90–1.09× the old tile
+    // that way, 0.83–0.94× in one loop).
+    for ((x, &s), &b) in v.iter_mut().zip(scales).zip(col) {
+        let y = C::finish(*x, s);
+        *x = match FIN / 4 {
+            1 => y + b,
+            2 => y + row,
+            _ => y,
+        };
     }
     act_lanes(const { act_of(FIN % 4) }, v);
 }
@@ -999,88 +1023,6 @@ fn sigmoid_lanes<T: Scalar, const W: usize>(v: &mut [T; W]) {
     }
 }
 
-/// Apply the fused epilogue to one narrow register tile: the expressions
-/// [`finish_lanes`] applies to a panel row (`+ bias`, then [`Act::apply`]),
-/// with the epilogue known only at run time. `W` is the tile's lane count,
-/// [`NARROW_N`] or [`NARROW_MR`].
-///
-/// Branch-free full-width passes over the tile: the bias/activation
-/// selectors are matched once per tile, outside the row loops, so each
-/// pass vectorizes like the k-loop (matched per row, the 16-row narrow
-/// tile took 367–397 µs on `[65536,5]·[5,8]` + bias + ReLU against 255–294
-/// µs). Padding lanes past `cols` compute garbage and are clipped by the
-/// caller's store.
-#[inline(always)]
-fn finish_tile<T: Scalar, const M: usize, const W: usize>(
-    acc: &mut [[T; W]; M],
-    epi: &Epilogue<'_, T>,
-    row0: usize,
-    col0: usize,
-    cols: usize,
-) {
-    match epi.bias {
-        Bias::None => {}
-        Bias::Col(bias) if cols == W => {
-            let bs = &bias[col0..col0 + W];
-            if M == 1 {
-                // One row is straight-line code, which the vectorizer will
-                // not version on whether `bias` overlaps it: read the lanes
-                // into a local first (several rows stay a loop, vectorized
-                // behind an overlap test; a local there gets vectorized
-                // across the rows instead).
-                let bs: [T; W] = bs.try_into().expect("W bias lanes");
-                for (v, b) in acc.as_flattened_mut().iter_mut().zip(bs) {
-                    *v += b;
-                }
-            } else {
-                for arow in acc.iter_mut() {
-                    for (v, b) in arow.iter_mut().zip(bs) {
-                        *v += *b;
-                    }
-                }
-            }
-        }
-        Bias::Col(bias) => {
-            for arow in acc.iter_mut() {
-                for (v, b) in arow.iter_mut().zip(&bias[col0..col0 + cols]) {
-                    *v += *b;
-                }
-            }
-        }
-        Bias::Row(bias) => {
-            for (arow, &rb) in acc.iter_mut().zip(&bias[row0..row0 + M]) {
-                for v in arow.iter_mut() {
-                    *v += rb;
-                }
-            }
-        }
-    }
-    match epi.act {
-        None => {}
-        Some(Act::Relu) => {
-            for arow in acc.iter_mut() {
-                for v in arow.iter_mut() {
-                    *v = v.maximum(T::ZERO);
-                }
-            }
-        }
-        Some(Act::Tanh) => {
-            for arow in acc.iter_mut() {
-                for v in arow.iter_mut() {
-                    *v = v.tanh_activation();
-                }
-            }
-        }
-        Some(Act::Sigmoid) => {
-            for arow in acc.iter_mut() {
-                for v in arow.iter_mut() {
-                    *v = T::ONE / (T::ONE + (-*v).exp());
-                }
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Narrow-N tiles
 // ---------------------------------------------------------------------------
@@ -1090,9 +1032,12 @@ fn finish_tile<T: Scalar, const M: usize, const W: usize>(
 /// accumulator row of [`micro_tile`] is zero padding, and with the `k` of a
 /// handful such layers have, the per-tile call, epilogue and per-row store
 /// outweigh the `k` loop. Measured basis (1 thread, AVX-512 host, same
-/// process, medians): `[65536,5]·[5,8]` + bias + ReLU 970–1155 µs on the
-/// `MR × NR` tile, 255–294 µs on the narrow one; `[65536,8]·[8,1]` 740–820
-/// µs against 171–191 µs; `[65536,64]·[64,1]` 3.3–4.0 ms against 1.5–1.9 ms.
+/// process, medians, when the narrow tiles came in): `[65536,5]·[5,8]` +
+/// bias + ReLU 970–1155 µs on the `MR × NR` tile, 255–294 µs on the narrow
+/// one; `[65536,8]·[8,1]` 740–820 µs against 171–191 µs;
+/// `[65536,64]·[64,1]` 3.3–4.0 ms against 1.5–1.9 ms. Compiled per finish
+/// code, the narrow tiles take 0.80–0.89× and 0.97–1.02× of their former
+/// time on the first two shapes (module docs, *Skinny shapes*).
 pub(crate) const NARROW_N: usize = NR / 2;
 
 /// Rows per narrow block. Half-width lanes leave room for twice [`MR`]
@@ -1101,53 +1046,56 @@ pub(crate) const NARROW_N: usize = NR / 2;
 /// 16-element store per tile).
 const NARROW_MR: usize = 2 * MR;
 
+/// One [`narrow_tile`]'s values: [`NARROW_MR`] rows of [`NARROW_N`] lanes.
+type NarrowTile<T> = [[T; NARROW_N]; NARROW_MR];
+
+/// Lanes of one [`NarrowTile`], finished as one flat row.
+const NARROW_TILE: usize = NARROW_MR * NARROW_N;
+
+/// The finish codes ([`epi_code`]) the narrow tiles are compiled for: no
+/// bias or one per column, with each activation. A narrow problem with a
+/// per-row bias runs on the sweep; no production caller makes one (the
+/// only per-row bias is the convolution GEMM route's, which serves
+/// `n ≥ 2·NR` output pixels).
+const NARROW_CODES: usize = 8;
+
 /// Run every full [`NARROW_MR`]-row block of a single-slab, `n ≤ NARROW_N`
-/// stripe on the narrow tiles and return how many rows that covered (the
-/// caller's ordinary tiles take the `< NARROW_MR` rows left). `a` holds the
-/// stripe's rows (`rows × k`, row-major), `panel`/`scales` the (single)
-/// packed panel and its scales, `c` the stripe's C block (`ldc == n`),
-/// `row0` its first row; `k > 0`.
+/// stripe `s` on the narrow tiles compiled for finish code `FIN` (one of
+/// the [`NARROW_CODES`]) and return how many rows that covered (the sweep
+/// takes the `< NARROW_MR` rows left). `c` is the stripe's C block
+/// (`ldc == n`); `k > 0`.
 ///
 /// * `2 ≤ n ≤ NARROW_N`: [`narrow_tile`], `NARROW_MR` rows × `NARROW_N`
-///   lanes against the head of the panel.
-/// * `n == 1`: [`column_tile`], rows on the SIMD axis.
+///   lanes against the head of the panel, its lanes' scales and biases
+///   repeated on every row.
+/// * `n == 1`: [`column_tile`], rows on the SIMD axis, the column's one
+///   scale and bias broadcast across them.
 ///
-/// Both keep one ascending-`k` `acc += a*w` chain per element, finish it
-/// through the codec ([`PanelCodec::finish`]) and apply the epilogue through
-/// [`finish_tile`], so the bits equal the panel sweep's.
-// allow: GEMM kernel plumbing — dims, panel slices and strides stay
-// individual scalars so they live in registers through the tile loops.
-#[allow(clippy::too_many_arguments)]
-fn narrow_blocks<T: Scalar, C: PanelCodec<T>>(
-    a: &[T],
-    k: usize,
-    panel: &[C::Q],
-    scales: &[T; NR],
+/// Both keep one ascending-`k` `acc += a*w` chain per element and finish it
+/// through [`finish_lanes`], so the bits equal the panel sweep's.
+fn narrow_blocks<T: Scalar, C: PanelCodec<T>, const FIN: usize>(
+    s: &Slab<'_, T, C::Q>,
     c: &mut [T],
-    n: usize,
-    epi: &Epilogue<'_, T>,
-    row0: usize,
 ) -> usize {
-    let blocks = a
-        .chunks_exact(NARROW_MR * k)
-        .zip(c.chunks_exact_mut(NARROW_MR * n))
-        .enumerate();
+    let (k, n) = (s.k, s.n);
+    let scales = panel_scales(s.b.scales, 0);
+    let mut bias = [T::ZERO; NARROW_N];
+    if FIN / 4 == 1 {
+        bias[..n].copy_from_slice(s.col_bias);
+    }
+    let head: [T; NARROW_N] = scales[..NARROW_N].try_into().expect("NARROW_N scales");
+    let blocks =
+        s.a.chunks_exact(NARROW_MR * k)
+            .zip(c.chunks_exact_mut(NARROW_MR * n));
     if n == 1 {
-        // The column C[.., 0] is the row Cᵀ[0, ..]: a per-column bias is one
-        // value for the whole tile (a row bias of the transposed tile) and a
-        // per-row bias runs along its lanes (a column bias).
-        let (epi_t, lane0) = match epi.bias {
-            Bias::None => (Epilogue::none(), 0),
-            Bias::Col(bias) => (Epilogue::row_bias(bias), 0),
-            Bias::Row(bias) => (Epilogue::col_bias(bias), row0),
-        };
-        let epi_t = epi_t.with_act(epi.act);
-        for (blk, (ab, cb)) in blocks {
-            column_tile::<T, C>(ab, k, panel, scales, cb, &epi_t, lane0 + blk * NARROW_MR);
+        let (scales, bias) = ([scales[0]; NARROW_MR], [bias[0]; NARROW_MR]);
+        for (ab, cb) in blocks {
+            column_tile::<T, C, FIN>(ab, k, s.b.data, &scales, &bias, cb);
         }
     } else {
-        for (blk, (ab, cb)) in blocks {
-            narrow_tile::<T, C>(ab, k, panel, scales, cb, n, epi, row0 + blk * NARROW_MR);
+        let (scales, bias) = ([head; NARROW_MR], [bias; NARROW_MR]);
+        for (ab, cb) in blocks {
+            narrow_tile::<T, C, FIN>(ab, k, s.b.data, &scales, &bias, cb, n);
         }
     }
     c.len() / n / NARROW_MR * NARROW_MR
@@ -1156,24 +1104,23 @@ fn narrow_blocks<T: Scalar, C: PanelCodec<T>>(
 /// The `2 ≤ n ≤ NARROW_N` tile: [`NARROW_MR`] rows × [`NARROW_N`] lanes over
 /// the whole (single-slab) `k`. `a` is the block's `NARROW_MR × k` rows,
 /// `panel[kk * NR ..]` the stored `B` row `kk`, `c` the block's contiguous
-/// `NARROW_MR × n` outputs. Same chain per element as [`micro_tile`]
-/// (`acc += a * w`, ascending `kk`, mul then add, then the codec's finish)
-/// on the first `NARROW_N` decoded lanes; lanes past `n` multiply the
-/// panel's zero padding and are dropped by the store.
-// allow: GEMM kernel plumbing — dims, panel slices and strides stay
-// individual scalars so they live in registers through the tile loops.
-#[allow(clippy::too_many_arguments)]
+/// `NARROW_MR × n` outputs, and `scales`/`bias` every element's column scale
+/// and bias (the same row of them 16 times). Same chain per element as [`micro_tile`]
+/// (`acc += a * w`, ascending `kk`, mul then add, then [`finish_lanes`]) on
+/// the first `NARROW_N` decoded lanes; lanes past `n` multiply the panel's
+/// zero padding and are dropped by the store.
 #[inline(never)] // a small standalone optimization unit, like block_sweep.
-fn narrow_tile<T: Scalar, C: PanelCodec<T>>(
+fn narrow_tile<T: Scalar, C: PanelCodec<T>, const FIN: usize>(
     a: &[T],
     k: usize,
     panel: &[C::Q],
-    scales: &[T; NR],
+    scales: &NarrowTile<T>,
+    bias: &NarrowTile<T>,
     c: &mut [T],
     n: usize,
-    epi: &Epilogue<'_, T>,
-    row0: usize,
 ) {
+    let scales: &[T; NARROW_TILE] = scales.as_flattened().try_into().expect("16 × 8 lanes");
+    let bias: &[T; NARROW_TILE] = bias.as_flattened().try_into().expect("16 × 8 lanes");
     // The k loop follows the micro-kernel's first two rules (module docs,
     // *Register tiles*): views cut to exactly `k`, lanes outer and rows
     // inner. With the rows outer, some builds kept the row loop rolled and
@@ -1183,22 +1130,23 @@ fn narrow_tile<T: Scalar, C: PanelCodec<T>>(
     let mut acc = [[T::ZERO; NARROW_N]; NARROW_MR];
     for (kk, braw) in panel.iter().enumerate() {
         let av: [T; NARROW_MR] = std::array::from_fn(|i| rows[i][kk]);
-        let brow = decode_row::<T, C>(braw, scales);
+        // The whole stored row decoded, its first NARROW_N lanes used
+        // (decoding only those, the int8 5→8 tile measured slower).
+        let brow: [T; NR] = std::array::from_fn(|j| C::decode(braw[j], scales[j]));
         for (j, &bv) in brow[..NARROW_N].iter().enumerate() {
             for (arow, &a) in acc.iter_mut().zip(&av) {
                 arow[j] += a * bv;
             }
         }
     }
-    // Finished on a copy, which keeps `acc` in registers through the k loop
-    // (finished row by row instead, the 8-lane rows measured slower), and
-    // stored row by row: as one 512-byte copy the store was a `memcpy` call
-    // whose cost moved with the frame's alignment from build to build.
+    // Finished on a copy, which keeps `acc` in registers through the k loop,
+    // as one flat pass over the whole tile (in 16-lane pieces instead,
+    // `[65536,5]·[5,8]` + bias + ReLU took 1.6–1.8× as long), and stored row
+    // by row: as one 512-byte copy the store was a `memcpy` call whose cost
+    // moved with the frame's alignment from build to build.
     let mut tile = acc;
-    for row in &mut tile {
-        finish_row::<T, C, NARROW_N>(row, scales);
-    }
-    finish_tile(&mut tile, epi, row0, 0, n);
+    let lanes: &mut [T; NARROW_TILE] = tile.as_flattened_mut().try_into().expect("16 × 8 lanes");
+    finish_lanes::<T, C, FIN, NARROW_TILE>(lanes, scales, bias, T::ZERO);
     if n == NARROW_N {
         for (crow, trow) in c.chunks_exact_mut(NARROW_N).zip(&tile) {
             crow.copy_from_slice(trow);
@@ -1212,34 +1160,30 @@ fn narrow_tile<T: Scalar, C: PanelCodec<T>>(
 
 /// The `n == 1` tile: [`NARROW_MR`] consecutive rows ride the SIMD axis, so
 /// the tile is that many independent ascending-`k` chains
-/// `acc[i] += a[i, kk] * w[kk]` and one contiguous store — against
-/// [`micro_tile`]'s one live lane in [`NR`]. `a` is the block's
-/// `NARROW_MR × k` rows, lane 0 of the decoded `panel[kk * NR ..]` row the
-/// column's weight `w[kk]`, `epi_t` the epilogue *of the transposed tile*
-/// (see [`narrow_blocks`]) with `lane0` the row the first lane stands for.
+/// `acc[i] += a[i, kk] * w[kk]`, finished through [`finish_lanes`] with the
+/// column's scale and bias on every lane (`scales`, `bias`), and one
+/// contiguous store — against [`micro_tile`]'s one live lane in [`NR`]. `a`
+/// is the block's `NARROW_MR × k` rows, lane 0 of `panel[kk * NR ..]` the
+/// column's stored weight `w[kk]`.
 #[inline(never)] // a small standalone optimization unit, like block_sweep.
-fn column_tile<T: Scalar, C: PanelCodec<T>>(
+fn column_tile<T: Scalar, C: PanelCodec<T>, const FIN: usize>(
     a: &[T],
     k: usize,
     panel: &[C::Q],
-    scales: &[T; NR],
+    scales: &[T; NARROW_MR],
+    bias: &[T; NARROW_MR],
     c: &mut [T],
-    epi_t: &Epilogue<'_, T>,
-    lane0: usize,
 ) {
-    let mut acc = [[T::ZERO; NARROW_MR]; 1];
+    let mut acc = [T::ZERO; NARROW_MR];
     let rows: [&[T]; NARROW_MR] = std::array::from_fn(|i| &a[i * k..(i + 1) * k]);
     for (kk, wraw) in panel.chunks_exact(NR).take(k).enumerate() {
         let wv = C::decode(wraw[0], scales[0]);
-        for (v, row) in acc[0].iter_mut().zip(&rows) {
+        for (v, row) in acc.iter_mut().zip(&rows) {
             *v += row[kk] * wv;
         }
     }
-    for v in &mut acc[0] {
-        *v = C::finish(*v, scales[0]);
-    }
-    finish_tile(&mut acc, epi_t, 0, lane0, NARROW_MR);
-    c.copy_from_slice(&acc[0]);
+    finish_lanes::<T, C, FIN, NARROW_MR>(&mut acc, scales, bias, T::ZERO);
+    c.copy_from_slice(&acc);
 }
 
 // ---------------------------------------------------------------------------
@@ -1527,8 +1471,8 @@ impl Finish {
     }
 }
 
-/// The activations a chain body is compiled for, by code: `0` none, then
-/// ReLU, Tanh, Sigmoid.
+/// The activations a chain body or a finish code is compiled for, by code:
+/// `0` none, then ReLU, Tanh, Sigmoid.
 const fn act_of(code: usize) -> Option<Act> {
     match code {
         0 => None,
@@ -2041,16 +1985,17 @@ fn stripe_body<T: Scalar, C: PanelCodec<T>>(
     };
     let slabs = k.div_ceil(kc).max(1); // k == 0 still runs one epilogue pass
     if slabs == 1 {
-        // Narrow-N problems (`k == 0` is a pure epilogue pass) run their
-        // full NARROW_MR-row blocks on the narrow tiles; whatever is left
-        // (< NARROW_MR rows) falls through to the sweep.
-        let r = if n <= NARROW_N && k > 0 {
-            let scales = panel_scales(b.scales, 0);
-            narrow_blocks::<T, C>(a, k, b.data, &scales, stripe, n, epi, row0)
+        // Narrow-N problems (`k == 0` is a pure epilogue pass) without a
+        // per-row bias run their full NARROW_MR-row blocks on the narrow
+        // tiles; whatever is left (< NARROW_MR rows) falls through to the
+        // sweep.
+        let code = epi_code(epi);
+        let r = if n <= NARROW_N && k > 0 && code < NARROW_CODES {
+            by_fin!(narrow code, narrow_blocks::<T, C>(&s, stripe))
         } else {
             0
         };
-        return by_fin!(epi_code(epi), rows_sweep::<T, C>(&s, r, stripe));
+        return by_fin!(code, rows_sweep::<T, C>(&s, r, stripe));
     }
     for slab in 0..slabs {
         (s.k0, s.klen) = (slab * kc, kc.min(k - slab * kc));
@@ -2195,7 +2140,7 @@ fn finish_pass<T: Scalar, C: PanelCodec<T>, const FIN: usize>(s: &Slab<'_, T, C:
                 1 => col_lanes[p],
                 _ => [T::ZERO; NR],
             };
-            finish_lanes::<T, C, FIN>(v, &panel_scales(s.b.scales, p * NR), &col, row);
+            finish_lanes::<T, C, FIN, NR>(v, &panel_scales(s.b.scales, p * NR), &col, row);
         }
         if !tail.is_empty() {
             let (j0, w) = (lanes.len() * NR, tail.len());
@@ -2204,7 +2149,7 @@ fn finish_pass<T: Scalar, C: PanelCodec<T>, const FIN: usize>(s: &Slab<'_, T, C:
             if FIN / 4 == 1 {
                 col[..w].copy_from_slice(&s.col_bias[j0..]);
             }
-            finish_lanes::<T, C, FIN>(&mut v, &panel_scales(s.b.scales, j0), &col, row);
+            finish_lanes::<T, C, FIN, NR>(&mut v, &panel_scales(s.b.scales, j0), &col, row);
             tail.copy_from_slice(&v[..w]);
         }
     }
