@@ -128,9 +128,8 @@ pub trait Layer: Send + Sync {
     /// count does not fit a `usize` — lets workspaces pre-size the scratch
     /// (on every pool thread, via `hpacml_par::broadcast`) so even a
     /// session's first invocation allocates nothing. `b` covers uncompiled
-    /// `Linear` weight panels and the conv GEMM routes' im2col panels, `col`
-    /// the other conv staging (the GEMM routes' zero-padded sample, the
-    /// strided direct route's im2col columns).
+    /// `Linear` weight panels and a convolution's im2col panels, `col` the
+    /// convolution's zero-padded sample.
     fn scratch_hint(&self, _in_dims: &[usize]) -> Result<(usize, usize)> {
         Ok((0, 0))
     }
@@ -897,19 +896,11 @@ impl Layer for Conv2d {
         let (h, w) = (in_dims[2], in_dims[3]);
         let (oh, ow) = self.geom.out_hw(h, w);
         let l = checked_numel(&[oh, ow])?;
-        let ckk = self.taps();
-        // Per-sample staging: the GEMM route fills im2col panels from a
-        // zero-padded copy of the sample, the strided direct route im2col
-        // columns.
-        if ops::conv_gemm_worthwhile(self.filters(), ckk, l) {
-            let (ph, pw) = self.geom.pad;
-            let padded = checked_numel(&[in_dims[1], h + 2 * ph, w + 2 * pw])?;
-            Ok((PackedB::<f32>::packed_elems(ckk, l), padded))
-        } else if self.geom.stride != (1, 1) {
-            Ok((0, checked_numel(&[ckk, l])?))
-        } else {
-            Ok((0, 0))
-        }
+        // Per-sample staging: im2col panels filled from a zero-padded copy
+        // of the sample.
+        let (ph, pw) = self.geom.pad;
+        let padded = checked_numel(&[in_dims[1], h + 2 * ph, w + 2 * pw])?;
+        Ok((PackedB::<f32>::packed_elems(self.taps(), l), padded))
     }
 }
 

@@ -85,10 +85,11 @@ fn compiled_mlp_with_packed_weights_is_allocation_free() {
     );
 }
 
-/// The conv GEMM route stages im2col columns in this thread's grow-only
-/// scratch; after `ForwardWorkspace::reserve`, even the *first* forward on
-/// this thread is allocation-free — including the strided convolution that
-/// used to allocate its column matrix per sample. (Pool workers drafted
+/// The conv route stages im2col panels in this thread's grow-only scratch;
+/// after `ForwardWorkspace::reserve`, even the *first* forward on this
+/// thread is allocation-free — including the strided convolution that used
+/// to allocate its column matrix per sample, and small convolutions whose
+/// bias starts each chain. (Pool workers drafted
 /// into larger batches warm their own scratch once; the counting allocator
 /// here tracks the calling thread, which is also the only executor at
 /// batch 1.)
@@ -131,6 +132,46 @@ fn compiled_cnn_gemm_route_is_allocation_free_after_reserve() {
         allocs, 0,
         "conv im2col/GEMM route must reuse the thread scratch from the first pass"
     );
+
+    // Convolutions below `conv_gemm_worthwhile` (the bias starts each chain)
+    // stage the same panels and padded sample: a stride-1 and a strided one,
+    // on a fresh thread so that only the reserve can have sized its scratch.
+    let small = ModelSpec::new(
+        vec![2, 8, 8],
+        vec![
+            LayerSpec::Conv2d {
+                in_ch: 2,
+                out_ch: 3,
+                kernel: 3,
+                stride: 1,
+                pad: 1,
+            },
+            LayerSpec::ReLU,
+            LayerSpec::Conv2d {
+                in_ch: 3,
+                out_ch: 2,
+                kernel: 3,
+                stride: 2,
+                pad: 1,
+            },
+            LayerSpec::Tanh,
+        ],
+    );
+    let mut model = small.build(6).unwrap();
+    hpacml_nn::compile_for_inference(&mut model);
+    let allocs = std::thread::spawn(move || {
+        let x = Tensor::full([1usize, 2, 8, 8], 0.2f32);
+        let mut ws = ForwardWorkspace::new();
+        ws.reserve(&model, x.dims()).unwrap();
+        allocations_during(|| {
+            for _ in 0..100 {
+                ws.forward(&model, &x).unwrap();
+            }
+        })
+    })
+    .join()
+    .unwrap();
+    assert_eq!(allocs, 0, "small convs must reuse the reserved scratch");
 }
 
 /// Compiled and uncompiled forwards are bit-identical — fusion and packing

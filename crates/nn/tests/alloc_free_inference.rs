@@ -147,8 +147,8 @@ fn normalized_inference_is_also_allocation_free() {
     assert_eq!(allocs, 0, "normalization staging must reuse its buffer");
 }
 
-/// CNN layers route through `conv2d_fused_into`/`maxpool2d_into`; the stride-1
-/// direct convolution path is allocation-free too.
+/// CNN layers route through `conv2d_fused_into`/`maxpool2d_into`; a small
+/// stride-1 convolution (bias first) is allocation-free too.
 #[test]
 fn cnn_stride1_inference_is_allocation_free() {
     let spec = ModelSpec::new(

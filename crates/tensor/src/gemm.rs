@@ -66,9 +66,14 @@
 //!
 //! NaN-ness is part of this contract: whether an output is NaN does not
 //! depend on the tile shape it lands in, nor on whether its layer runs in
-//! a chain. A NaN's *payload* is not part of it. When an add meets two NaNs, x86 returns one operand's
-//! payload, and the optimizer may order a commutative add one way in one
-//! kernel and the other way in another (an int8 `[16, 2, 4]` chain with
+//! a chain, nor, for a convolution (`crate::ops::conv2d_fused_into`), on
+//! whether its bias enters the chain first or last. Every tap is
+//! multiplied, a padded one and one under a zero weight included, so an
+//! infinite input makes every output that reads it through a zero weight
+//! NaN (`tests/conv_one_route.rs`). A NaN's *payload* is not part of it.
+//! When an add meets two NaNs, x86 returns one operand's payload, and the
+//! optimizer may order a commutative add one way in one kernel and the
+//! other way in another (an int8 `[16, 2, 4]` chain with
 //! Tanh then Sigmoid gave `0x7fc00000` where its layers run one by one gave
 //! `0xffc00000`). The tests that feed NaNs compare NaN-ness, not bits
 //! (`nn`'s `chain_edge_bits`).
@@ -1055,8 +1060,8 @@ const NARROW_TILE: usize = NARROW_MR * NARROW_N;
 /// The finish codes ([`epi_code`]) the narrow tiles are compiled for: no
 /// bias or one per column, with each activation. A narrow problem with a
 /// per-row bias runs on the sweep; no production caller makes one (the
-/// only per-row bias is the convolution GEMM route's, which serves
-/// `n ≥ 2·NR` output pixels).
+/// only per-row bias is the convolution forward's, which adds it in the
+/// epilogue only at `n ≥ 2·NR` output pixels).
 const NARROW_CODES: usize = 8;
 
 /// Run every full [`NARROW_MR`]-row block of a single-slab, `n ≤ NARROW_N`
@@ -1899,14 +1904,32 @@ pub(crate) fn gemm_into<T: Scalar>(
     c: &mut [T],
 ) {
     let kc = slab_depth(m, b.k());
-    gemm_driver::<T, Identity>(m, b.n(), b.k(), a, b.view(), epi, c, kc)
+    gemm_driver::<T, Identity>(m, b.n(), b.k(), a, b.view(), epi, c, kc, false)
+}
+
+/// [`gemm_into`] with every chain started from the value already in `c`
+/// instead of zero: `C = act(C + A · B)`. A `c` holding a bias thus adds it
+/// *before* the products, the order of the convolution forward's small
+/// shapes ([`crate::ops::conv_gemm_worthwhile`]). Every `kc` slab is swept
+/// [`RESUME`] (the narrow tiles start from zero, so they are skipped), then
+/// [`finish_pass`] applies `act` alone.
+pub(crate) fn gemm_resume_into<T: Scalar>(
+    m: usize,
+    a: &[T],
+    b: &PackedB<T>,
+    act: Option<Act>,
+    c: &mut [T],
+) {
+    let (kc, epi) = (slab_depth(m, b.k()), Epilogue::none().with_act(act));
+    gemm_driver::<T, Identity>(m, b.n(), b.k(), a, b.view(), epi, c, kc, true)
 }
 
 /// The one macro-kernel driver, at every storage precision: checks the
 /// operands, splits `c` into `MR`-aligned row stripes across the pool and
 /// runs [`stripe_body`] on each. `kc` is the cache-slab depth — the
 /// tuning/testing hook behind the determinism guarantee ("results do not
-/// depend on `kc`").
+/// depend on `kc`"). `resume`: every chain starts from the value in `c`
+/// ([`gemm_resume_into`]), not from zero.
 // allow: GEMM kernel plumbing — dims, panel slices and strides stay
 // individual scalars so they live in registers through the tile loops.
 #[allow(clippy::too_many_arguments)]
@@ -1919,6 +1942,7 @@ pub(crate) fn gemm_driver<T: Scalar, C: PanelCodec<T>>(
     epi: Epilogue<'_, T>,
     c: &mut [T],
     kc: usize,
+    resume: bool,
 ) {
     assert_eq!(c.len(), m * n, "gemm: bad C length");
     assert_eq!(a.len(), m * k, "gemm: bad A length");
@@ -1941,10 +1965,10 @@ pub(crate) fn gemm_driver<T: Scalar, C: PanelCodec<T>>(
         hpacml_par::par_chunks_mut(c, rows * n, |start, stripe| {
             let row0 = start / n;
             let a = &a[row0 * k..][..stripe.len() / n * k];
-            stripe_body::<T, C>(row0, stripe, n, k, a, b, &epi, kc);
+            stripe_body::<T, C>(row0, stripe, n, k, a, b, &epi, kc, resume);
         });
     } else {
-        stripe_body::<T, C>(0, c, n, k, a, b, &epi, kc);
+        stripe_body::<T, C>(0, c, n, k, a, b, &epi, kc, resume);
     }
 }
 
@@ -1952,7 +1976,8 @@ pub(crate) fn gemm_driver<T: Scalar, C: PanelCodec<T>>(
 /// `a` its rows of `A`), walking `k` in `kc`-deep slabs. The choices fixed
 /// for the call are made here, once: a single slab is swept with its
 /// epilogue's finish code ([`epi_code`]); several are swept [`PARTIAL`]
-/// then [`RESUME`], and [`finish_pass`] finishes the stored chains. Each
+/// then [`RESUME`], and [`finish_pass`] finishes the stored chains. With
+/// `resume`, every slab, the first included, is a [`RESUME`] slab. Each
 /// slab's row blocks run on the sweep compiled for its code.
 // allow: GEMM kernel plumbing — dims, panel slices and strides stay
 // individual scalars so they live in registers through the tile loops.
@@ -1966,6 +1991,7 @@ fn stripe_body<T: Scalar, C: PanelCodec<T>>(
     b: Panels<'_, T, C::Q>,
     epi: &Epilogue<'_, T>,
     kc: usize,
+    resume: bool,
 ) {
     let rows = stripe.len() / n;
     let (col_bias, row_bias): (&[T], &[T]) = match epi.bias {
@@ -1984,7 +2010,7 @@ fn stripe_body<T: Scalar, C: PanelCodec<T>>(
         row_bias,
     };
     let slabs = k.div_ceil(kc).max(1); // k == 0 still runs one epilogue pass
-    if slabs == 1 {
+    if slabs == 1 && !resume {
         // Narrow-N problems (`k == 0` is a pure epilogue pass) without a
         // per-row bias run their full NARROW_MR-row blocks on the narrow
         // tiles; whatever is left (< NARROW_MR rows) falls through to the
@@ -1999,7 +2025,7 @@ fn stripe_body<T: Scalar, C: PanelCodec<T>>(
     }
     for slab in 0..slabs {
         (s.k0, s.klen) = (slab * kc, kc.min(k - slab * kc));
-        let fin = if slab == 0 { PARTIAL } else { RESUME };
+        let fin = if slab > 0 || resume { RESUME } else { PARTIAL };
         by_fin!(fin, rows_sweep::<T, C>(&s, 0, stripe));
     }
     by_fin!(epi_code(epi), finish_pass::<T, C>(&s, stripe));
@@ -2222,7 +2248,7 @@ pub(crate) fn matmul_transb_packed_into_kc<T: Scalar>(
     let n = bp.n();
     let (m, k) = check_operands("matmul_transb_packed", a, n, bp.k(), &epi)?;
     c.resize(&[m, n]);
-    gemm_driver::<T, Identity>(m, n, k, a.data(), bp.view(), epi, c.data_mut(), kc);
+    gemm_driver::<T, Identity>(m, n, k, a.data(), bp.view(), epi, c.data_mut(), kc, false);
     Ok(())
 }
 
@@ -2232,10 +2258,10 @@ pub(crate) fn matmul_transb_packed_into_kc<T: Scalar>(
 
 /// Reusable per-thread staging buffers for kernels whose operands are not
 /// pre-packed: a [`PackedB`] for on-the-fly weight packing (training-time
-/// and uncompiled-model `Linear` forwards) and for the im2col panels of the
-/// convolution GEMM routes, and a buffer the other convolution staging goes
-/// through (the GEMM routes' zero-padded sample, the strided direct route's
-/// im2col columns). One instance lives per thread (see [`WithScratch`]), so
+/// and uncompiled-model `Linear` forwards) and for the convolution
+/// forward's im2col panels, and a buffer the other convolution staging goes
+/// through (the forward's zero-padded sample, the backward's im2col
+/// columns). One instance lives per thread (see [`WithScratch`]), so
 /// parallel kernels never contend on — or repack — another thread's panels.
 /// Grow-only, so steady-state use is allocation-free.
 #[derive(Default)]
@@ -2549,7 +2575,7 @@ mod tests {
                 None => gemm_into(1, a.data(), &bp, epi, c.data_mut()),
                 Some(kc) => {
                     let c = c.data_mut();
-                    gemm_driver::<f32, Identity>(1, n, k, a.data(), bp.view(), epi, c, kc)
+                    gemm_driver::<f32, Identity>(1, n, k, a.data(), bp.view(), epi, c, kc, false)
                 }
             }
         };

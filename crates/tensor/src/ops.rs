@@ -9,11 +9,9 @@
 //! Every dense product runs on the one register-tiled [`crate::gemm`]
 //! kernel: the `Linear` forward (`matmul_transb_into`, with its fused
 //! bias/activation epilogue), the training GEMMs (`matmul`, and the
-//! convolution backward's dW and dcol) and the convolution forward's im2col
-//! route, each `B` packed per call into this thread's scratch panels. `axpy`
-//! is left only to the convolution forward's direct kernels (stride 1, and
-//! small strided problems through im2col), which start each chain from the
-//! bias.
+//! convolution backward's dW and dcol) and the convolution forward, whose
+//! im2col writes each sample straight into this thread's scratch panels
+//! (the others pack their `B` there per call).
 
 use crate::gemm::{self, Act, Epilogue, PackedB, WithScratch, NR};
 use crate::scalar::Scalar;
@@ -24,16 +22,6 @@ use std::sync::OnceLock;
 // Parallelism threshold shared with the GEMM subsystem: below this many
 // multiply-adds, kernels run inline.
 use crate::gemm::PAR_FLOPS_MIN;
-
-#[inline]
-fn axpy<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
-    // Plain mul+add (not `mul_add`): on targets without FMA the fused form
-    // lowers to a libm call per element, which is ruinous in this hot loop;
-    // mul+add autovectorizes everywhere.
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * *xi;
-    }
-}
 
 /// `C[m,n] = A[m,k] · B[k,n]`: `B` packed from its rows into this thread's
 /// scratch panels, then the one GEMM.
@@ -343,12 +331,14 @@ pub(crate) fn col2im<T: Scalar>(
     }
 }
 
-/// Does a per-sample conv problem (`f` filters, `ckk = c*kh*kw` taps,
-/// `l = oh*ow` output pixels) pay for the im2col + packed-GEMM route?
-/// The column matrix costs `ckk * l` writes; the GEMM amortizes that only
-/// when the spatial extent spans whole register panels and the arithmetic
-/// clears the shared `PAR_FLOPS_MIN` bar. Pure shape function — see
-/// [`conv2d_fused_into`] for why that matters.
+/// Where a per-sample conv problem (`f` filters, `ckk = c*kh*kw` taps,
+/// `l = oh*ow` output pixels) adds its bias to each output's chain: after
+/// the products (`true`, the GEMM's row-bias epilogue), when the spatial
+/// extent spans whole register panels and the arithmetic clears the shared
+/// `PAR_FLOPS_MIN` bar; first, as the chain's starting value (`false`),
+/// below that. Both orders are fixed per shape, and with them every
+/// output's bits (`tests/conv_one_route.rs` pins the bias-first ones). Pure
+/// shape function — see [`conv2d_fused_into`] for why that matters.
 pub fn conv_gemm_worthwhile(f: usize, ckk: usize, l: usize) -> bool {
     l >= 2 * gemm::NR && f.saturating_mul(ckk).saturating_mul(l) >= PAR_FLOPS_MIN
 }
@@ -359,17 +349,18 @@ pub fn conv_gemm_worthwhile(f: usize, ckk: usize, l: usize) -> bool {
 ///
 /// `input [N, C, H, W]`, `weight [F, C, KH, KW]`, `bias [F]` → `[N, F, OH, OW]`.
 ///
-/// Large per-sample problems route through im2col straight into this
-/// thread's reusable scratch GEMM panels and the register-tiled GEMM
-/// (`out[f, l] = W[f, ckk] · col[ckk, l]`, the weight read in place as the
-/// row-major `A` operand, with the bias — and, for fused layers, the
-/// activation — applied in the GEMM epilogue). Small problems
-/// keep the direct kernels: a row-span `axpy` path for stride 1, im2col +
-/// `axpy` otherwise. The choice depends only on the per-sample geometry,
-/// never on the batch size or thread count, so batched and per-sample
-/// forwards stay bit-identical. Steady-state allocation-free on every path: the
-/// direct kernels touch no scratch, and the im2col/GEMM paths reuse this
-/// thread's grow-only [`gemm::GemmScratch`] panels and column buffer.
+/// Every sample runs one route: im2col straight into this thread's reusable
+/// scratch GEMM panels, then the register-tiled GEMM (`out[f, l] = W[f, ckk]
+/// · col[ckk, l]`, the weight read in place as the row-major `A` operand).
+/// Each output is one chain, `acc + w*x` over its taps in ascending `ckk`
+/// order, padded taps included; [`conv_gemm_worthwhile`] says whether the
+/// bias is added after it (the GEMM epilogue, with the activation) or
+/// starts it (the output rows filled with the bias, the GEMM resuming from
+/// them, then the activation). The choice depends only on the per-sample
+/// geometry, never on the batch size or thread count, so batched and
+/// per-sample forwards stay bit-identical. Steady-state allocation-free: the
+/// route reuses this thread's grow-only [`gemm::GemmScratch`] panels and
+/// padded-sample buffer.
 pub fn conv2d_fused_into<T: Scalar + WithScratch>(
     input: &Tensor<T>,
     weight: &Tensor<T>,
@@ -394,15 +385,26 @@ pub fn conv2d_fused_into<T: Scalar + WithScratch>(
     }
     let (oh, ow) = g.out_hw(h, w);
     let l = oh * ow;
-    let ckk = c * kh * kw;
-    out.resize(&[n, f, oh, ow]); // every cell is overwritten by the kernels
+    out.resize(&[n, f, oh, ow]); // every cell is overwritten below
     let in_sample = c * h * w;
     let out_sample = f * l;
     let wd = weight.data();
     let id = input.data();
-    let use_gemm = conv_gemm_worthwhile(f, ckk, l);
-    let direct = g.stride == (1, 1);
-    let epi = Epilogue::row_bias(bias).with_act(act);
+    let bias_first = !conv_gemm_worthwhile(f, c * kh * kw, l);
+    let sample = |s: &mut gemm::GemmScratch<T>, i: usize, out_n: &mut [T]| {
+        let gemm::GemmScratch { packed_b, col } = s;
+        let inp = &id[i * in_sample..(i + 1) * in_sample];
+        im2col_panels(inp, c, h, w, g, col, packed_b);
+        if bias_first {
+            for (orow, &b) in out_n.chunks_exact_mut(l).zip(bias) {
+                orow.fill(b);
+            }
+            gemm::gemm_resume_into(f, wd, packed_b, act, out_n);
+        } else {
+            let epi = Epilogue::row_bias(bias).with_act(act);
+            gemm::gemm_into(f, wd, packed_b, epi, out_n);
+        }
+    };
 
     // Small batches on a wide pool starve it if samples are the only
     // parallel axis (n < threads leaves cores idle); route those through
@@ -411,123 +413,24 @@ pub fn conv2d_fused_into<T: Scalar + WithScratch>(
     // same on both routes (each output element keeps its one ascending-k
     // chain), and the route choice is a pure function of batch size and
     // pool width, so batched == sequential stays bitwise.
-    if use_gemm && !gemm::outer_saturates(n) {
+    if !gemm::outer_saturates(n) {
         let od = out.data_mut();
         T::with_gemm_scratch(|s| {
-            let gemm::GemmScratch { packed_b, col } = s;
-            for (sample, out_n) in od.chunks_exact_mut(out_sample).enumerate() {
-                let inp = &id[sample * in_sample..(sample + 1) * in_sample];
-                im2col_panels(inp, c, h, w, g, col, packed_b);
-                gemm::gemm_into(f, wd, packed_b, epi, out_n);
+            for (i, out_n) in od.chunks_exact_mut(out_sample.max(1)).enumerate() {
+                sample(s, i, out_n);
             }
         });
         return Ok(());
     }
 
+    // Nested dispatch (the panel fill, the GEMM's stripes) runs inline here
+    // — on pool workers and on the participating caller alike (both are
+    // flagged in-worker while draining) — so the outer per-sample
+    // parallelism is preserved.
     hpacml_par::par_chunks_mut(out.data_mut(), out_sample, |start, out_n| {
-        let sample = start / out_sample;
-        let inp = &id[sample * in_sample..(sample + 1) * in_sample];
-        if use_gemm {
-            // Nested dispatch (the panel fill, the GEMM's stripes) runs
-            // inline here — on pool workers and on the participating caller
-            // alike (both are flagged in-worker while draining) — so the
-            // outer per-sample parallelism is preserved.
-            T::with_gemm_scratch(|s| {
-                im2col_panels(inp, c, h, w, g, &mut s.col, &mut s.packed_b);
-                gemm::gemm_into(f, wd, &s.packed_b, epi, out_n);
-            });
-        } else if direct {
-            conv2d_sample_direct_s1(inp, c, h, w, wd, bias, g, oh, ow, act, out_n);
-        } else {
-            T::with_gemm_scratch(|s| {
-                if s.col.len() < ckk * l {
-                    s.col.resize(ckk * l, T::ZERO);
-                }
-                let col = &mut s.col[..ckk * l];
-                im2col(inp, c, h, w, g, col);
-                // out_n[f, l] = W[f, ckk] · col[ckk, l]
-                for (fi, orow) in out_n.chunks_exact_mut(l).enumerate() {
-                    let wrow = &wd[fi * ckk..(fi + 1) * ckk];
-                    for v in orow.iter_mut() {
-                        *v = bias[fi];
-                    }
-                    for (kk, &wv) in wrow.iter().enumerate() {
-                        axpy(wv, &col[kk * l..(kk + 1) * l], orow);
-                    }
-                    if let Some(act) = act {
-                        for v in orow.iter_mut() {
-                            *v = act.apply(*v);
-                        }
-                    }
-                }
-            });
-        }
+        T::with_gemm_scratch(|s| sample(s, start / out_sample, out_n));
     });
     Ok(())
-}
-
-/// Direct stride-1 convolution for one sample: for every (filter, channel,
-/// kernel tap) the contribution to an output row is a contiguous slice of an
-/// input row scaled by one weight — a vectorizable `axpy` with the padding
-/// handled by span clipping instead of per-pixel branches. A fused
-/// activation is applied per filter plane while it is still cache-hot.
-// allow: conv kernel plumbing — every dim/stride is an individually hot
-// scalar the optimizer keeps in registers; a params struct defeats that.
-#[allow(clippy::too_many_arguments)]
-fn conv2d_sample_direct_s1<T: Scalar>(
-    inp: &[T],
-    c: usize,
-    h: usize,
-    w: usize,
-    wd: &[T],
-    bias: &[T],
-    g: Conv2dGeom,
-    oh: usize,
-    ow: usize,
-    act: Option<Act>,
-    out_n: &mut [T],
-) {
-    let (kh, kw) = g.kernel;
-    let (ph, pw) = g.pad;
-    let l = oh * ow;
-    for (fi, of) in out_n.chunks_exact_mut(l).enumerate() {
-        for v in of.iter_mut() {
-            *v = bias[fi];
-        }
-        for ch in 0..c {
-            let plane = &inp[ch * h * w..(ch + 1) * h * w];
-            for ki in 0..kh {
-                for kj in 0..kw {
-                    let wv = wd[((fi * c + ch) * kh + ki) * kw + kj];
-                    if wv == T::ZERO {
-                        continue;
-                    }
-                    // Valid output columns: 0 <= ox + kj - pw < w.
-                    let o0 = (pw as isize - kj as isize).max(0) as usize;
-                    let o1 = ((w as isize + pw as isize - kj as isize).max(0) as usize).min(ow);
-                    if o0 >= o1 {
-                        continue;
-                    }
-                    let shift = kj as isize - pw as isize;
-                    for oy in 0..oh {
-                        let iy = oy as isize + ki as isize - ph as isize;
-                        if iy < 0 || iy as usize >= h {
-                            continue;
-                        }
-                        let src_row = &plane[iy as usize * w..(iy as usize + 1) * w];
-                        let s0 = (o0 as isize + shift) as usize;
-                        let src = &src_row[s0..s0 + (o1 - o0)];
-                        axpy(wv, src, &mut of[oy * ow + o0..oy * ow + o1]);
-                    }
-                }
-            }
-        }
-        if let Some(act) = act {
-            for v in of.iter_mut() {
-                *v = act.apply(*v);
-            }
-        }
-    }
 }
 
 /// Gradients of [`conv2d_fused_into`]: returns `(dinput, dweight, dbias)`.

@@ -456,11 +456,11 @@ pub(crate) fn matmul_transb_qpacked_into_kc(
     match &qb.data {
         QData::Bf16(data) => {
             let b = Panels { data, scales };
-            gemm::gemm_driver::<f32, Bf16Panel>(m, n, k, a, b, epi, c, kc)
+            gemm::gemm_driver::<f32, Bf16Panel>(m, n, k, a, b, epi, c, kc, false)
         }
         QData::Int8(data) => {
             let b = Panels { data, scales };
-            gemm::gemm_driver::<f32, Int8Panel>(m, n, k, a, b, epi, c, kc)
+            gemm::gemm_driver::<f32, Int8Panel>(m, n, k, a, b, epi, c, kc, false)
         }
     }
     Ok(())
@@ -1028,7 +1028,8 @@ mod tests {
                 data: &q8_data[..],
                 scales: &q8.scales[..],
             };
-            gemm::gemm_driver::<f32, DecodeScaledInt8>(1, n, k, a.data(), b, epi, c, gemm::KC);
+            let kc = gemm::KC;
+            gemm::gemm_driver::<f32, DecodeScaledInt8>(1, n, k, a.data(), b, epi, c, kc, false);
         };
         let (mut c8, mut c16, mut c_old) = (
             Tensor::zeros([0usize; 2]),

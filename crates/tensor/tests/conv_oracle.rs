@@ -1,8 +1,8 @@
-//! Correct, not only reproducible: every convolution route against an f64
-//! oracle with a stated bound. The routes are the direct stride-1 kernel,
-//! im2col + `axpy` at stride > 1, and the im2col + GEMM kernel, which runs
-//! intra-sample when the batch leaves the pool idle and per sample when it
-//! does not. Elsewhere they are only checked against each other, bit for bit
+//! Correct, not only reproducible: the convolution forward against an f64
+//! oracle with a stated bound. It runs im2col panels + the GEMM with the
+//! bias first (small shapes) or last (`conv_gemm_worthwhile`), intra-sample
+//! when the batch leaves the pool idle and per sample when it does not.
+//! Elsewhere these are only checked against each other, bit for bit
 //! (`gemm_determinism`), which a mistake shared by all of them would pass.
 
 use hpacml_tensor::gemm::Act;
@@ -50,7 +50,7 @@ fn oracle(x: &Tensor<f32>, w: &Tensor<f32>, g: Conv2dGeom, out: [usize; 4]) -> (
 
 /// Every output of `conv2d_fused_into` is within `(ckk+1)·ε·(Σ|w·x| + |bias|)`
 /// of the f64 result (ε = 2⁻²⁴): `ckk` rounded products and `ckk` rounded
-/// adds, with the bias added first (direct routes) or last (GEMM); a fused
+/// adds, with the bias added first (small shapes) or last; a fused
 /// ReLU is exact and 1-Lipschitz, so it keeps the bound.
 fn check(label: &str, x: &Tensor<f32>, w: &Tensor<f32>, bias: &[f32], g: Conv2dGeom) {
     let ckk = w.numel() / w.dims()[0];
@@ -80,10 +80,10 @@ fn check(label: &str, x: &Tensor<f32>, w: &Tensor<f32>, bias: &[f32], g: Conv2dG
 }
 
 /// Every output of the routes a `c×h×w → f` problem takes (`gemm`: the
-/// im2col + GEMM routes, else the direct ones) at strides 1 and 2, with and
-/// without padding, for a batch of one and of two on a two-participant pool:
-/// a batch of one leaves a participant idle (intra-sample GEMM route), a
-/// batch of two does not (per-sample GEMM route).
+/// bias added last, else first) at strides 1 and 2, with and without
+/// padding, for a batch of one and of two on a two-participant pool: a
+/// batch of one leaves a participant idle (intra-sample route), a batch of
+/// two does not (per-sample route).
 fn check_routes((c, h, w, f): (usize, usize, usize, usize), gemm: bool) {
     let pool = hpacml_par::Pool::new(1);
     hpacml_par::with_pool(&pool, || {
@@ -106,13 +106,13 @@ fn check_routes((c, h, w, f): (usize, usize, usize, usize), gemm: bool) {
     });
 }
 
-/// The direct stride-1 kernel and im2col + `axpy` at stride 2.
+/// The bias first (shapes below `conv_gemm_worthwhile`), at strides 1 and 2.
 #[test]
 fn conv_direct_routes_are_within_the_f64_oracle_bound() {
     check_routes((3, 9, 9, 2), false);
 }
 
-/// im2col into GEMM panels + the register-tiled GEMM, both routes. A width
+/// The bias last, in the GEMM's epilogue, both parallel routes. A width
 /// of 27 leaves ragged last panels, and at stride 2 (14 or 13 output
 /// columns) every panel spans more than one output row.
 #[test]
